@@ -89,8 +89,8 @@ pub const RULE_WHY: &[(&str, &str)] = &[
     ),
     (
         "float-determinism",
-        "engine-layer float arithmetic accumulates differently once the sharded engine reorders \
-         work; keep it to the allowlisted modules or use fixed-point/stable-order forms",
+        "engine-layer float arithmetic accumulates differently the moment evaluation order \
+         changes; keep it to the allowlisted modules or use fixed-point/stable-order forms",
     ),
     (
         "panic-surface",
@@ -105,8 +105,8 @@ pub const RULE_WHY: &[(&str, &str)] = &[
     (
         "concurrency-readiness",
         "sim-facing crates stay single-thread-deterministic; threads, locks, atomics and \
-         `static mut` belong only in testkit's scoped pool and the sharded-engine files \
-         whose merge/window protocols keep digests byte-identical (DESIGN.md §17)",
+         `static mut` belong only in testkit's scoped pool of independent whole runs \
+         (DESIGN.md §17 records why no in-run parallel engine ships)",
     ),
     (
         "telemetry-hygiene",
@@ -173,18 +173,10 @@ pub const FLOAT_ALLOW: &[(&str, &str)] = &[
 /// Hot-path files outside `crates/sim` that panic-surface also covers.
 const PANIC_HOT_FILES: &[&str] = &["crates/net/src/port.rs", "crates/net/src/pool.rs"];
 
-/// Files allowed to use threads/locks/atomics: testkit's scoped worker
-/// pool (parallelizes *independent whole runs*), and the sharded-engine
-/// files that earn their parallelism through the deterministic
-/// `(time, seq)` merge / conservative-window contracts of DESIGN.md §17
-/// — the digest offload sink, the window-barrier drain engine, and the
-/// runtime's `run_parallel` surface.
-const CONCURRENCY_ALLOW_FILES: &[&str] = &[
-    "crates/testkit/src/run.rs",
-    "crates/net/src/audit.rs",
-    "crates/net/src/shard.rs",
-    "crates/runtime/src/sim.rs",
-];
+/// Files allowed to use threads/locks/atomics: only testkit's scoped
+/// worker pool, which parallelizes *independent whole runs*, never the
+/// inside of one simulation.
+const CONCURRENCY_ALLOW_FILES: &[&str] = &["crates/testkit/src/run.rs"];
 
 /// Identifiers that read as keywords before `[` (array literals /
 /// types, not indexing).
@@ -609,8 +601,7 @@ impl<'a> Scanner<'a> {
     }
 
     /// Threads, locks, atomics and `static mut` in sim-facing crates:
-    /// all of it belongs in testkit's scoped pool until the sharded
-    /// engine defines the real concurrency story.
+    /// all of it belongs in testkit's scoped pool of whole runs.
     fn concurrency_readiness(&mut self) {
         if !concurrency_scope(self.class) {
             return;
@@ -852,14 +843,23 @@ mod tests {
                 "should fire on: {src}"
             );
         }
-        // The sanctioned exceptions: testkit's pool file and the
-        // sharded-engine files (digest offload, window-barrier drain,
-        // run_parallel surface); bench is out of scope entirely.
+        // testkit's pool file is the one sanctioned exception; the
+        // digest and run-loop files are engine code like any other;
+        // bench is out of scope entirely.
         let src = "use std::sync::Mutex;\n";
         assert!(scan_at("crates/testkit/src/run.rs", src).is_empty());
-        assert!(scan_at("crates/net/src/audit.rs", src).is_empty());
-        assert!(scan_at("crates/net/src/shard.rs", src).is_empty());
-        assert!(scan_at("crates/runtime/src/sim.rs", src).is_empty());
+        for file in ["crates/net/src/audit.rs", "crates/runtime/src/sim.rs"] {
+            for src in [
+                "pub fn f() { let _h = std::thread::spawn(|| {}); }\n",
+                "use std::sync::Mutex;\n",
+                "use std::sync::atomic::AtomicU64;\n",
+            ] {
+                assert!(
+                    scan_at(file, src).contains(&"concurrency-readiness"),
+                    "{file} should be flagged on: {src}"
+                );
+            }
+        }
         assert!(scan_at("crates/testkit/src/spec.rs", src).contains(&"concurrency-readiness"));
         assert!(scan_at("crates/net/src/fabric.rs", src).contains(&"concurrency-readiness"));
         assert!(scan_at("crates/bench/src/t.rs", src).is_empty());

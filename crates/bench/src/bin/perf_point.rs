@@ -1,14 +1,8 @@
 //! Run one named perf point and print a machine-parseable report.
 //!
 //! ```text
-//! perf_point [--point NAME] [--quick] [--threads N] [--list]
+//! perf_point [--point NAME] [--quick] [--list]
 //! ```
-//!
-//! `--threads N` (default 1) runs the point through the sharded engine
-//! with `N` workers; the report's digest must match the `--threads 1`
-//! run byte for byte. The special point `fig12_shard_drain` measures
-//! the fabric-only conservative-window drain instead of a full flow
-//! simulation — it is the point the `xtask perf` speedup gate times.
 //!
 //! The scheduler is whatever this binary was *compiled* with: the
 //! timing wheel by default, the binary heap when built with
@@ -21,7 +15,7 @@
 //!     --bin perf_point -- --quick
 //! ```
 
-use hermes_bench::{measure_point_threaded, PERF_DRAIN_POINT, PERF_POINTS};
+use hermes_bench::{measure_point, PERF_POINTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -29,22 +23,15 @@ fn main() {
         for p in PERF_POINTS {
             println!("{p}");
         }
-        println!("{PERF_DRAIN_POINT}");
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1usize);
     let point = args
         .iter()
         .position(|a| a == "--point")
         .and_then(|i| args.get(i + 1))
         .map_or("fig12_baseline", String::as_str);
-    let Some(sample) = measure_point_threaded(point, quick, threads) else {
+    let Some(sample) = measure_point(point, quick) else {
         eprintln!("unknown point {point:?}; --list prints the known ones");
         std::process::exit(2);
     };

@@ -25,14 +25,10 @@ mod table;
 mod trace;
 
 pub use grid::GridSpec;
-pub use perf::{
-    measure_point, measure_point_threaded, peak_rss_kb, perf_point_cfg, PerfSample,
-    PERF_DRAIN_POINT, PERF_POINTS,
-};
+pub use perf::{measure_point, peak_rss_kb, perf_point_cfg, PerfSample, PERF_POINTS};
 pub use probing::{ProbingCostModel, ProbingRow};
 pub use runner::{
-    avg_summaries, build_sim, run_point, run_point_detailed, run_point_detailed_parallel,
-    run_point_detailed_parallel_with, DetailedResult, PointCfg, PointResult,
+    avg_summaries, run_point, run_point_detailed, DetailedResult, PointCfg, PointResult,
 };
 pub use table::{fmt_ms, fmt_ratio, TextTable};
 pub use trace::{run_trace_point, trace_point, TraceOut, TracePoint, CLEAR, ONSET, TRACE_POINTS};

@@ -20,7 +20,7 @@ use hermes_runtime::Scheme;
 use hermes_sim::Time;
 use hermes_workload::FlowSizeDist;
 
-use crate::runner::{run_point_detailed, run_point_detailed_parallel, PointCfg};
+use crate::runner::{run_point_detailed, PointCfg};
 
 /// One timed run of a named point under the scheduler compiled in.
 #[derive(Clone, Debug)]
@@ -49,8 +49,6 @@ pub struct PerfSample {
     pub digest: u64,
     /// Simulated time reached.
     pub sim_time: Time,
-    /// Worker threads the engine ran with (1 = single-queue path).
-    pub threads: u64,
 }
 
 impl PerfSample {
@@ -60,7 +58,7 @@ impl PerfSample {
         format!(
             "point={}\nscheduler={}\nwall_ms={:.3}\nevents={}\nevents_per_sec={:.0}\n\
              packets={}\npackets_per_sec={:.0}\npeak_rss_kb={}\ntrains_inlined={}\n\
-             digest={:#018x}\nsim_time_ns={}\nthreads={}\n",
+             digest={:#018x}\nsim_time_ns={}\n",
             self.point,
             self.scheduler,
             self.wall_ms,
@@ -72,21 +70,12 @@ impl PerfSample {
             self.trains_inlined,
             self.digest,
             self.sim_time.as_ns(),
-            self.threads,
         )
     }
 }
 
 /// Names accepted by [`perf_point_cfg`], in display order.
 pub const PERF_POINTS: &[&str] = &["fig12_baseline", "fig12_ecmp", "testbed_hermes"];
-
-/// The fabric-only drain point for the genuinely parallel engine: the
-/// Figure-12 topology packed with pre-scheduled packet trains and
-/// drained through `hermes_net::DrainCfg` (conservative window
-/// barriers, DESIGN.md §17). Not a [`PointCfg`] — it bypasses the flow
-/// harness so the shard workers dominate the profile, which is what
-/// the `xtask perf` speedup gate measures.
-pub const PERF_DRAIN_POINT: &str = "fig12_shard_drain";
 
 /// Build the [`PointCfg`] for a named perf point. `quick` shrinks the
 /// flow count for CI smoke runs (same topology and scheme, different
@@ -134,23 +123,9 @@ pub fn perf_point_cfg(name: &str, quick: bool) -> Option<PointCfg> {
 
 /// Run one named point and time it. Returns `None` for unknown names.
 pub fn measure_point(name: &str, quick: bool) -> Option<PerfSample> {
-    measure_point_threaded(name, quick, 1)
-}
-
-/// Run one named point with `threads` engine workers and time it.
-/// `threads <= 1` is the single-queue fast path; the digest must be
-/// identical either way. Returns `None` for unknown names.
-pub fn measure_point_threaded(name: &str, quick: bool, threads: usize) -> Option<PerfSample> {
-    if name == PERF_DRAIN_POINT {
-        return Some(measure_drain_point(quick, threads));
-    }
     let cfg = perf_point_cfg(name, quick)?;
     let started = Instant::now();
-    let det = if threads >= 2 {
-        run_point_detailed_parallel(&cfg, Time::from_ms(1), threads)
-    } else {
-        run_point_detailed(&cfg, Time::from_ms(1))
-    };
+    let det = run_point_detailed(&cfg, Time::from_ms(1));
     let wall = started.elapsed();
     let wall_ms = wall.as_secs_f64() * 1e3;
     let secs = wall.as_secs_f64().max(1e-9);
@@ -166,39 +141,7 @@ pub fn measure_point_threaded(name: &str, quick: bool, threads: usize) -> Option
         trains_inlined: det.trains_inlined,
         digest: det.digest,
         sim_time: det.sim_time,
-        threads: threads.max(1) as u64,
     })
-}
-
-/// Time the conservative-window drain point. Serial at `threads <= 1`,
-/// shard workers otherwise; the drain digest is thread-count-invariant
-/// by construction, so `xtask perf` cross-checks it before trusting the
-/// speedup ratio.
-fn measure_drain_point(quick: bool, threads: usize) -> PerfSample {
-    let cfg = hermes_net::DrainCfg::fig12(quick);
-    let started = Instant::now();
-    let res = if threads >= 2 {
-        cfg.run_parallel(threads)
-    } else {
-        cfg.run_serial()
-    };
-    let wall = started.elapsed();
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    let secs = wall.as_secs_f64().max(1e-9);
-    PerfSample {
-        point: PERF_DRAIN_POINT.to_string(),
-        scheduler: hermes_sim::SCHEDULER,
-        wall_ms,
-        events: res.events,
-        events_per_sec: res.events as f64 / secs,
-        packets: res.injected,
-        packets_per_sec: res.injected as f64 / secs,
-        peak_rss_kb: peak_rss_kb(),
-        trains_inlined: 0,
-        digest: res.digest,
-        sim_time: Time::ZERO,
-        threads: threads.max(1) as u64,
-    }
 }
 
 /// `VmHWM` (peak resident set) of the current process in KiB, read
@@ -296,33 +239,8 @@ mod tests {
             "peak_rss_kb=",
             "trains_inlined=",
             "digest=",
-            "threads=",
         ] {
             assert!(report.contains(key), "missing {key} in {report}");
         }
-    }
-
-    #[test]
-    fn drain_point_digest_is_thread_count_invariant() {
-        let serial = measure_point_threaded(PERF_DRAIN_POINT, true, 1).expect("drain point");
-        let sharded = measure_point_threaded(PERF_DRAIN_POINT, true, 2).expect("drain point");
-        assert_eq!(serial.digest, sharded.digest, "drain merge order changed");
-        assert_eq!(serial.events, sharded.events);
-        assert_eq!(serial.packets, sharded.packets);
-        assert_eq!(serial.threads, 1);
-        assert_eq!(sharded.threads, 2);
-        assert!(serial.events > 0 && serial.packets > 0);
-    }
-
-    #[test]
-    fn threaded_full_sim_point_reproduces_the_serial_digest() {
-        let serial = measure_point_threaded("testbed_hermes", true, 1).expect("known point");
-        let sharded = measure_point_threaded("testbed_hermes", true, 4).expect("known point");
-        assert_eq!(
-            serial.digest, sharded.digest,
-            "sharded engine must replay the single-queue event order"
-        );
-        assert_eq!(serial.events, sharded.events);
-        assert_eq!(sharded.threads, 4);
     }
 }

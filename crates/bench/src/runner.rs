@@ -3,7 +3,7 @@
 
 use hermes_net::{ConservationReport, FaultPlan, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
-use hermes_sim::{MergeDefect, ShardStats, SimRng, Time};
+use hermes_sim::{SimRng, Time};
 use hermes_transport::TransportCfg;
 use hermes_workload::{
     summarize, ElephantMiceGen, FctSummary, FlowGen, FlowRecord, FlowSizeDist, IncastDriver,
@@ -157,17 +157,13 @@ pub struct DetailedResult {
     /// counted in `events`); the perf harness reports the batching rate.
     pub trains_inlined: u64,
     /// Past-time schedules the event queue clamped (0 in a causal run;
-    /// nonzero is how a lookahead violation in the sharded merge
-    /// surfaces — the conformance invariant checker rejects it).
+    /// the conformance invariant checker rejects anything else).
     pub queue_clamps: u64,
-    /// Worker threads the run recorded (0 = the plain single-queue
-    /// entry point).
-    pub sim_threads: u64,
-    /// Per-shard merge counters (empty unless the run was sharded).
-    pub shards: Vec<ShardStats>,
 }
 
-fn detail(sim: &Simulation, horizon: Time) -> DetailedResult {
+/// Run one point, keeping the evidence. Deterministic in `(cfg, seed)`.
+pub fn run_point_detailed(cfg: &PointCfg, goodput_interval: Time) -> DetailedResult {
+    let (sim, horizon) = run_sim(cfg, Some(goodput_interval));
     DetailedResult {
         fct: summarize(sim.records(), horizon),
         records: sim.records().to_vec(),
@@ -179,43 +175,7 @@ fn detail(sim: &Simulation, horizon: Time) -> DetailedResult {
         goodput: sim.sampler_series(0).to_vec(),
         trains_inlined: sim.trains_inlined(),
         queue_clamps: sim.queue_clamps(),
-        sim_threads: sim.stats.sim_threads,
-        shards: sim.shard_counters(),
     }
-}
-
-/// Run one point, keeping the evidence. Deterministic in `(cfg, seed)`.
-pub fn run_point_detailed(cfg: &PointCfg, goodput_interval: Time) -> DetailedResult {
-    let (sim, horizon) = run_sim(cfg, Some(goodput_interval));
-    detail(&sim, horizon)
-}
-
-/// [`run_point_detailed`] through [`Simulation::run_parallel`]: the
-/// sharded engine at `threads`. Every field of the result except
-/// `sim_threads`/`shards` must be byte-identical to the single-queue
-/// run — that equality is what `tests/parallel.rs` and
-/// `xtask parallel` hold the engine to.
-pub fn run_point_detailed_parallel(
-    cfg: &PointCfg,
-    goodput_interval: Time,
-    threads: usize,
-) -> DetailedResult {
-    run_point_detailed_parallel_with(cfg, goodput_interval, threads, MergeDefect::None)
-}
-
-/// [`run_point_detailed_parallel`] with a planted merge defect — the
-/// conformance self-test's entry for proving the checkers catch merge
-/// bugs. Not part of the public benchmarking surface.
-#[doc(hidden)]
-pub fn run_point_detailed_parallel_with(
-    cfg: &PointCfg,
-    goodput_interval: Time,
-    threads: usize,
-    defect: MergeDefect,
-) -> DetailedResult {
-    let (mut sim, horizon) = build_sim(cfg, Some(goodput_interval));
-    sim.run_parallel_with(threads, horizon, defect);
-    detail(&sim, horizon)
 }
 
 /// Shared materialization: build the sim, wire failures/faults,
@@ -227,17 +187,6 @@ pub fn run_point_detailed_parallel_with(
 /// schedule — flows are released by completions — so `cfg.drain` is the
 /// whole run's time budget.
 fn run_sim(cfg: &PointCfg, goodput_interval: Option<Time>) -> (Simulation, Time) {
-    let (mut sim, horizon) = build_sim(cfg, goodput_interval);
-    sim.run_to_completion(horizon);
-    (sim, horizon)
-}
-
-/// Materialize the sim and its workload without running it (shared by
-/// the single-queue and sharded entry points; public so the
-/// thread-matrix tests can hand a fresh sim to
-/// `hermes_runtime::fingerprint_parallel`). Returns the sim and its
-/// drain horizon.
-pub fn build_sim(cfg: &PointCfg, goodput_interval: Option<Time>) -> (Simulation, Time) {
     // The workload RNG stream, disjoint from the sim's internal streams.
     let wl_rng = SimRng::new(cfg.seed).split(0x6E4);
     let mut sim_cfg = SimConfig::new(cfg.topo.clone(), cfg.scheme.clone())
@@ -289,6 +238,7 @@ pub fn build_sim(cfg: &PointCfg, goodput_interval: Option<Time>) -> (Simulation,
             cfg.drain
         }
     };
+    sim.run_to_completion(horizon);
     (sim, horizon)
 }
 
@@ -428,71 +378,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_detailed_run_matches_single_queue() {
-        let topo = Topology::testbed();
-        let cfg = PointCfg::new(topo, Scheme::Ecmp, FlowSizeDist::web_search(), 0.3).flows(50);
-        let single = run_point_detailed(&cfg, Time::from_ms(1));
-        for threads in [1_usize, 2, 4] {
-            let par = run_point_detailed_parallel(&cfg, Time::from_ms(1), threads);
-            assert_eq!(
-                par.digest, single.digest,
-                "threads={threads} changed the digest"
-            );
-            assert_eq!(par.events, single.events);
-            assert_eq!(par.fct.avg, single.fct.avg);
-            assert_eq!(par.goodput, single.goodput);
-            assert_eq!(par.queue_clamps, 0);
-            assert_eq!(par.sim_threads, threads as u64);
-            if threads >= 2 {
-                let shard_events: u64 = par.shards.iter().map(|s| s.events).sum();
-                assert!(!par.shards.is_empty(), "sharded run reports shard counters");
-                assert!(shard_events > 0, "shards dispatched the trace");
-            }
-        }
-    }
-
-    #[test]
-    fn planted_merge_defects_are_observable() {
-        use hermes_workload::IncastCfg;
-        // Incast releases whole bursts at one instant across racks, so
-        // cross-shard same-time ties are guaranteed — exactly what the
-        // tiebreak seam corrupts and the lookahead seam reorders.
-        let cfg = PointCfg::new(
-            Topology::testbed(),
-            Scheme::Ecmp,
-            FlowSizeDist::web_search(),
-            0.3,
-        )
-        .workload(WorkloadKind::Incast(IncastCfg {
-            fanout: 4,
-            reply_bytes: 16_000,
-            bursts: 3,
-        }))
-        .drain(Time::from_secs(2));
-        let good = run_point_detailed(&cfg, Time::from_ms(1));
-        let drop_tie = run_point_detailed_parallel_with(
-            &cfg,
-            Time::from_ms(1),
-            2,
-            MergeDefect::DropSeqTiebreak,
-        );
-        assert_ne!(
-            drop_tie.digest, good.digest,
-            "dropping the seq tiebreaker must corrupt the trace digest"
-        );
-        let over = run_point_detailed_parallel_with(
-            &cfg,
-            Time::from_ms(1),
-            2,
-            MergeDefect::OverAdvanceLookahead,
-        );
-        assert!(
-            over.queue_clamps > 0,
-            "over-advancing lookahead must trip the causality clamp counter"
-        );
     }
 
     #[test]

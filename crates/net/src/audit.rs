@@ -91,156 +91,6 @@ pub fn digest_event(d: &mut FnvDigest, at: Time, ev: &Event) {
     }
 }
 
-/// Encode one dispatched event into digest words — the exact stream
-/// [`digest_event`] folds, exposed so the offload sink can ship the
-/// words to a worker thread and fold them there in the same order.
-/// Differentially tested against [`digest_event`] below.
-#[inline]
-pub fn push_event_words(buf: &mut Vec<u64>, at: Time, ev: &Event) {
-    buf.push(at.as_ns());
-    match ev {
-        Event::TxDone { node, port } => {
-            buf.push(1);
-            buf.push(node_code(*node));
-            buf.push(*port as u64);
-        }
-        Event::Arrive { node, pkt } => {
-            buf.push(2);
-            buf.push(node_code(*node));
-            buf.push(pkt.id);
-            buf.push(pkt.flow.0);
-        }
-        Event::HostTimer { host, token } => {
-            buf.push(3);
-            buf.push(u64::from(host.0));
-            buf.push(*token);
-        }
-        Event::Global { token } => {
-            buf.push(4);
-            buf.push(*token);
-        }
-    }
-}
-
-/// Words buffered per batch before the offload sink ships them to its
-/// worker — big enough to amortize the channel, small enough that the
-/// worker stays warm behind the dispatch loop.
-const SINK_BATCH_WORDS: usize = 4096;
-
-/// The event-trace digest pipeline: inline (fold on the dispatch
-/// thread, today's behavior) or offloaded (ship encoded words over a
-/// FIFO channel to a dedicated folding thread).
-///
-/// Both modes produce the *identical* digest for the identical event
-/// stream: the encoding is shared ([`push_event_words`] vs
-/// [`digest_event`]) and the channel preserves order from the single
-/// producer, so offloading is invisible to every golden. An offloaded
-/// sink's [`DigestSink::value`] is only final after [`DigestSink::seal`]
-/// joins the worker; mid-run reads see the words folded so far locally
-/// (always the FNV basis until seal).
-pub struct DigestSink {
-    local: FnvDigest,
-    buf: Vec<u64>,
-    tx: Option<std::sync::mpsc::Sender<Vec<u64>>>,
-    worker: Option<std::thread::JoinHandle<FnvDigest>>,
-}
-
-impl Default for DigestSink {
-    fn default() -> DigestSink {
-        DigestSink::inline()
-    }
-}
-
-impl DigestSink {
-    /// Fold events on the calling thread (the single-thread fast path).
-    pub fn inline() -> DigestSink {
-        DigestSink {
-            local: FnvDigest::new(),
-            buf: Vec::new(),
-            tx: None,
-            worker: None,
-        }
-    }
-
-    /// Spawn a folding worker and ship encoded words to it in batches.
-    pub fn offload() -> DigestSink {
-        let (tx, rx) = std::sync::mpsc::channel::<Vec<u64>>();
-        let worker = std::thread::spawn(move || {
-            let mut d = FnvDigest::new();
-            while let Ok(batch) = rx.recv() {
-                for w in batch {
-                    d.push(w);
-                }
-            }
-            d
-        });
-        DigestSink {
-            local: FnvDigest::new(),
-            buf: Vec::with_capacity(SINK_BATCH_WORDS),
-            tx: Some(tx),
-            worker: Some(worker),
-        }
-    }
-
-    /// Whether a worker thread is folding this sink's words.
-    pub fn is_offloaded(&self) -> bool {
-        self.worker.is_some()
-    }
-
-    /// Absorb one dispatched event (with its dispatch time).
-    #[inline]
-    pub fn record(&mut self, at: Time, ev: &Event) {
-        if self.tx.is_some() {
-            push_event_words(&mut self.buf, at, ev);
-            if self.buf.len() >= SINK_BATCH_WORDS {
-                self.flush();
-            }
-        } else {
-            digest_event(&mut self.local, at, ev);
-        }
-    }
-
-    /// Ship the buffered words to the worker.
-    fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(SINK_BATCH_WORDS));
-        if let Some(tx) = &self.tx {
-            // A dead worker is a panic in the fold loop; surface it at
-            // seal time via the join, not here.
-            let _ = tx.send(batch);
-        }
-    }
-
-    /// Finish an offloaded stream: flush, close the channel, join the
-    /// worker and adopt its digest. Idempotent; a no-op for inline
-    /// sinks.
-    pub fn seal(&mut self) {
-        self.flush();
-        self.tx = None; // close the channel so the worker drains out
-        if let Some(worker) = self.worker.take() {
-            self.local = worker.join().expect("digest worker panicked");
-        }
-    }
-
-    /// The digest value (final only after [`DigestSink::seal`] for
-    /// offloaded sinks).
-    pub fn value(&self) -> u64 {
-        self.local.value()
-    }
-}
-
-impl Drop for DigestSink {
-    fn drop(&mut self) {
-        // Never leak a detached folding thread.
-        self.tx = None;
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// Two independent accountings of every packet the fabric ever saw.
 ///
 /// The global counters (`injected`, `delivered`, `drops_*`) are bumped
@@ -386,78 +236,6 @@ mod tests {
                 assert_ne!(vals[i], vals[j], "events {i} and {j} collide");
             }
         }
-    }
-
-    /// The fixture events used to drive both digest encodings.
-    fn fixture_events() -> Vec<(Time, Event)> {
-        let mut evs = Vec::new();
-        for i in 0..10u64 {
-            let t = Time::from_us(i);
-            evs.push((
-                t,
-                Event::TxDone {
-                    node: NodeId::Leaf(LeafId(i as u16 % 3)),
-                    port: i as usize % 4,
-                },
-            ));
-            evs.push((
-                t,
-                Event::Arrive {
-                    node: NodeId::Host(HostId(i as u32)),
-                    pkt: Box::new(Packet::data(
-                        FlowId(i),
-                        HostId(0),
-                        HostId(1),
-                        i,
-                        1460,
-                        false,
-                    )),
-                },
-            ));
-            evs.push((
-                t,
-                Event::HostTimer {
-                    host: HostId(i as u32),
-                    token: i,
-                },
-            ));
-            evs.push((t, Event::Global { token: i }));
-        }
-        evs
-    }
-
-    #[test]
-    fn push_event_words_matches_digest_event_exactly() {
-        // The offload sink's word encoding and the inline fold must be
-        // the same function observed two ways — any drift would split
-        // digests between thread counts.
-        let mut inline = FnvDigest::new();
-        let mut via_words = FnvDigest::new();
-        let mut buf = Vec::new();
-        for (t, ev) in fixture_events() {
-            digest_event(&mut inline, t, &ev);
-            push_event_words(&mut buf, t, &ev);
-        }
-        for w in buf {
-            via_words.push(w);
-        }
-        assert_eq!(inline.value(), via_words.value());
-    }
-
-    #[test]
-    fn offloaded_sink_equals_inline_sink() {
-        let mut a = DigestSink::inline();
-        let mut b = DigestSink::offload();
-        assert!(!a.is_offloaded());
-        assert!(b.is_offloaded());
-        for (t, ev) in fixture_events() {
-            a.record(t, &ev);
-            b.record(t, &ev);
-        }
-        b.seal();
-        b.seal(); // idempotent
-        assert_eq!(a.value(), b.value());
-        assert!(!b.is_offloaded(), "seal joins the worker");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The fabric: ports wired into a leaf-spine topology, packet
 //! forwarding, failure application, and load-balancer hook dispatch.
 
-use hermes_sim::{Scheduler, SimRng, Time};
+use hermes_sim::{EventQueue, SimRng, Time};
 
 use crate::failure::SpineFailure;
 use crate::faultplan::FaultAction;
@@ -429,13 +429,13 @@ impl Fabric {
     /// Hand a packet from a host to the fabric. Stamps id and departure
     /// time, then queues it on the host NIC. The box comes from the
     /// fabric's packet arena, so steady-state sends allocate nothing.
-    pub fn host_send<Q: Scheduler<Event>>(&mut self, q: &mut Q, pkt: Packet) {
+    pub fn host_send(&mut self, q: &mut EventQueue<Event>, pkt: Packet) {
         let boxed = self.pool.boxed(pkt);
         self.host_send_boxed(q, boxed);
     }
 
     /// Like [`Fabric::host_send`], for callers that already boxed.
-    pub fn host_send_boxed<Q: Scheduler<Event>>(&mut self, q: &mut Q, mut pkt: Box<Packet>) {
+    pub fn host_send_boxed(&mut self, q: &mut EventQueue<Event>, mut pkt: Box<Packet>) {
         debug_assert!((pkt.src.0 as usize) < self.topo.n_hosts());
         debug_assert!((pkt.dst.0 as usize) < self.topo.n_hosts());
         debug_assert_ne!(pkt.src, pkt.dst, "loopback traffic is not modelled");
@@ -466,9 +466,9 @@ impl Fabric {
     ///
     /// Panics on `HostTimer`/`Global` events — those belong to the
     /// runtime layer and must be filtered out before reaching the fabric.
-    pub fn handle<Q: Scheduler<Event>>(
+    pub fn handle(
         &mut self,
-        q: &mut Q,
+        q: &mut EventQueue<Event>,
         ev: Event,
     ) -> Option<(HostId, Box<Packet>)> {
         self.handle_traced(q, ev, None, Time::MAX)
@@ -486,11 +486,11 @@ impl Fabric {
     /// byte-identical to the unbatched one; `limit` must be the run
     /// loop's horizon so no boundary beyond it — which the unbatched run
     /// would have left undispatched — is ever inlined.
-    pub fn handle_traced<Q: Scheduler<Event>>(
+    pub fn handle_traced(
         &mut self,
-        q: &mut Q,
+        q: &mut EventQueue<Event>,
         ev: Event,
-        digest: Option<&mut crate::audit::DigestSink>,
+        digest: Option<&mut crate::audit::FnvDigest>,
         limit: Time,
     ) -> Option<(HostId, Box<Packet>)> {
         match ev {
@@ -579,12 +579,12 @@ impl Fabric {
     /// the simulation would pop, so handling it here — cursor advanced
     /// via `advance_to`, digest fed the identical `(time, TxDone)`
     /// record — reproduces the unbatched event stream byte-for-byte.
-    fn tx_done<Q: Scheduler<Event>>(
+    fn tx_done(
         &mut self,
-        q: &mut Q,
+        q: &mut EventQueue<Event>,
         node: NodeId,
         idx: usize,
-        mut digest: Option<&mut crate::audit::DigestSink>,
+        mut digest: Option<&mut crate::audit::FnvDigest>,
         limit: Time,
     ) {
         let peer = self.peer(node, idx);
@@ -619,13 +619,13 @@ impl Fabric {
             let Some(boundary) = inline_at else { break };
             q.advance_to(boundary);
             if let Some(d) = digest.as_deref_mut() {
-                d.record(boundary, &Event::TxDone { node, port: idx });
+                crate::audit::digest_event(d, boundary, &Event::TxDone { node, port: idx });
             }
             self.stats.trains_inlined += 1;
         }
     }
 
-    fn kick_port<Q: Scheduler<Event>>(q: &mut Q, node: NodeId, idx: usize, port: &mut Port) {
+    fn kick_port(q: &mut EventQueue<Event>, node: NodeId, idx: usize, port: &mut Port) {
         if let Some(t) = port.begin_tx() {
             q.schedule_in(t, Event::TxDone { node, port: idx });
         }
@@ -652,7 +652,7 @@ impl Fabric {
         });
     }
 
-    fn forward_leaf<Q: Scheduler<Event>>(&mut self, q: &mut Q, l: LeafId, mut pkt: Box<Packet>) {
+    fn forward_leaf(&mut self, q: &mut EventQueue<Event>, l: LeafId, mut pkt: Box<Packet>) {
         let dst_leaf = self.topo.host_leaf(pkt.dst);
         let src_leaf = self.topo.host_leaf(pkt.src);
         if dst_leaf == l {
@@ -765,7 +765,7 @@ impl Fabric {
         }
     }
 
-    fn forward_spine<Q: Scheduler<Event>>(&mut self, q: &mut Q, s: SpineId, mut pkt: Box<Packet>) {
+    fn forward_spine(&mut self, q: &mut EventQueue<Event>, s: SpineId, mut pkt: Box<Packet>) {
         let f = self.failures[s.0 as usize];
         // ANALYZER: allow(float-determinism, random_drop is a FaultPlan constant compared against a seeded draw; nothing accumulates)
         if f.random_drop > 0.0 && self.rng.chance(f.random_drop) {
@@ -848,7 +848,7 @@ mod tests {
     use super::*;
     use crate::packet::PacketKind;
     use crate::types::FlowId;
-    use hermes_sim::{EventQueue, Time};
+    use hermes_sim::Time;
 
     fn run_to_completion(
         fab: &mut Fabric,

@@ -27,11 +27,10 @@ mod packet;
 mod pool;
 mod port;
 mod rate;
-mod shard;
 mod topology;
 mod types;
 
-pub use audit::{ConservationReport, DigestSink, FnvDigest};
+pub use audit::{ConservationReport, FnvDigest};
 pub use fabric::{Event, Fabric, FabricStats};
 pub use failure::{flow_unit, pair_unit, Blackhole, FlowBlackhole, SpineFailure};
 pub use faultplan::{FaultAction, FaultEvent, FaultPlan, PlanError};
@@ -40,6 +39,5 @@ pub use packet::{AckInfo, LbMeta, Packet, PacketKind, ACK_SIZE, HDR, MSS, PROBE_
 pub use pool::{PacketPool, PoolStats};
 pub use port::{Enqueue, Port, PortStats};
 pub use rate::Dre;
-pub use shard::{DrainCfg, DrainResult, ShardMap};
 pub use topology::{LinkCfg, QueueCfg, Topology};
 pub use types::{FlowId, HostId, LeafId, NodeId, PathId, Priority, SpineId};

@@ -18,5 +18,5 @@ pub mod selfcheck;
 mod sim;
 
 pub use config::{presto_weights_for, Scheme, SimConfig, DEFAULT_REORDER_HOLD};
-pub use selfcheck::{assert_deterministic, fingerprint, fingerprint_parallel, RunFingerprint};
+pub use selfcheck::{assert_deterministic, fingerprint, RunFingerprint};
 pub use sim::{Probe, SimStats, Simulation};

@@ -2,18 +2,15 @@
 //! demand bit-identical behavior.
 //!
 //! A [`RunFingerprint`] condenses one run into the rolling event-trace
-//! digest, the event count, the per-flow completion times, the
-//! packet-conservation report, and — for sharded runs — the per-shard
-//! merge counters. [`assert_deterministic`] builds and runs the same
-//! scenario twice and panics with a precise diff if any of those
-//! disagree — the cheapest possible detector for nondeterminism creeping
-//! in via map iteration order, uninitialized state, or wall-clock
-//! leakage. [`fingerprint_parallel`] is the thread-matrix variant: the
-//! fingerprint it returns must equal the single-threaded one bit for
-//! bit, at any thread count (DESIGN.md §17).
+//! digest, the event count, the per-flow completion times, and the
+//! packet-conservation report. [`assert_deterministic`] builds and runs
+//! the same scenario twice and panics with a precise diff if any of
+//! those disagree — the cheapest possible detector for nondeterminism
+//! creeping in via map iteration order, uninitialized state, or
+//! wall-clock leakage.
 
 use hermes_net::ConservationReport;
-use hermes_sim::{ShardStats, Time};
+use hermes_sim::Time;
 
 use crate::sim::Simulation;
 
@@ -32,53 +29,11 @@ pub struct RunFingerprint {
     /// builds). Must be 0: a nonzero count is a causality violation that
     /// release builds would otherwise paper over silently.
     pub queue_clamps: u64,
-    /// Worker threads the run was driven with (0 = the plain
-    /// single-queue entry point, which never records a thread count).
-    /// Deliberately *excluded* from the equality the checks below
-    /// enforce — a 1-thread and a 4-thread run of the same scenario must
-    /// otherwise be indistinguishable.
-    pub threads: u64,
-    /// Per-shard merge counters when the run was sharded (empty on the
-    /// single-queue path). Compared shard by shard: a divergence in any
-    /// one shard's event/handoff/clamp/stall count means shard routing
-    /// or the merge changed behavior, even if the global digest was
-    /// somehow preserved.
-    pub shards: Vec<ShardStats>,
 }
 
-impl RunFingerprint {
-    /// Panic with a precise diff unless `self` and `other` describe
-    /// indistinguishable runs. The thread count is intentionally not
-    /// compared — byte-identical behavior across thread counts is the
-    /// whole contract — but the per-shard counters are, whenever both
-    /// runs were sharded.
-    pub fn assert_matches(&self, other: &RunFingerprint) {
-        assert_eq!(
-            self.events, other.events,
-            "same-seed runs dispatched different event counts"
-        );
-        assert_eq!(
-            self.fcts, other.fcts,
-            "same-seed runs produced different FCTs"
-        );
-        assert_eq!(
-            self.digest, other.digest,
-            "same-seed runs diverged: event traces differ"
-        );
-        assert_eq!(
-            self.queue_clamps, other.queue_clamps,
-            "same-seed runs clamped differently"
-        );
-        if !self.shards.is_empty() && !other.shards.is_empty() {
-            assert_eq!(
-                self.shards, other.shards,
-                "per-shard merge counters diverged between same-seed runs"
-            );
-        }
-    }
-}
-
-fn collect(sim: &Simulation) -> RunFingerprint {
+/// Run `sim` to completion (bounded by `horizon`) and fingerprint it.
+pub fn fingerprint(mut sim: Simulation, horizon: Time) -> RunFingerprint {
+    sim.run_to_completion(horizon);
     let fcts = sim.records().iter().map(|r| (r.id.0, r.finish)).collect();
     RunFingerprint {
         digest: sim.trace_digest(),
@@ -86,23 +41,7 @@ fn collect(sim: &Simulation) -> RunFingerprint {
         fcts,
         conservation: sim.conservation(),
         queue_clamps: sim.queue_clamps(),
-        threads: sim.stats.sim_threads,
-        shards: sim.shard_counters(),
     }
-}
-
-/// Run `sim` to completion (bounded by `horizon`) and fingerprint it.
-pub fn fingerprint(mut sim: Simulation, horizon: Time) -> RunFingerprint {
-    sim.run_to_completion(horizon);
-    collect(&sim)
-}
-
-/// Run `sim` through [`Simulation::run_parallel`] at `threads` and
-/// fingerprint it. Must equal [`fingerprint`] of the same scenario in
-/// every field the checks compare, at any thread count.
-pub fn fingerprint_parallel(mut sim: Simulation, threads: usize, horizon: Time) -> RunFingerprint {
-    sim.run_parallel(threads, horizon);
-    collect(&sim)
 }
 
 /// Build and run the same scenario twice; panic unless the two runs are
@@ -117,7 +56,15 @@ pub fn assert_deterministic<F: FnMut() -> Simulation>(
 ) -> RunFingerprint {
     let a = fingerprint(build(), horizon);
     let b = fingerprint(build(), horizon);
-    a.assert_matches(&b);
+    assert_eq!(
+        a.events, b.events,
+        "same-seed runs dispatched different event counts"
+    );
+    assert_eq!(a.fcts, b.fcts, "same-seed runs produced different FCTs");
+    assert_eq!(
+        a.digest, b.digest,
+        "same-seed runs diverged: event traces differ"
+    );
     assert!(
         a.conservation.balanced(),
         "packet conservation violated: {}",
@@ -128,67 +75,4 @@ pub fn assert_deterministic<F: FnMut() -> Simulation>(
         "causality violation: the event queue clamped past-time schedules"
     );
     a
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sharded() -> RunFingerprint {
-        RunFingerprint {
-            digest: 0xD1,
-            events: 100,
-            fcts: vec![(1, Some(Time::from_us(5)))],
-            conservation: ConservationReport {
-                injected: 10,
-                delivered: 10,
-                drops_failure: 0,
-                drops_disconnected: 0,
-                drops_full: 0,
-                in_flight: 0,
-            },
-            queue_clamps: 0,
-            threads: 2,
-            shards: vec![
-                ShardStats {
-                    events: 60,
-                    handoffs: 7,
-                    clamps: 0,
-                    stalls: 3,
-                },
-                ShardStats {
-                    events: 40,
-                    handoffs: 5,
-                    clamps: 0,
-                    stalls: 1,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn matching_fingerprints_pass_even_across_thread_counts() {
-        let a = sharded();
-        let mut b = sharded();
-        b.threads = 4; // thread count is excluded from the contract
-        a.assert_matches(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "per-shard merge counters diverged")]
-    fn a_single_shard_counter_mismatch_fails_the_check() {
-        let a = sharded();
-        let mut b = sharded();
-        b.shards[1].handoffs += 1; // one counter, one shard
-        a.assert_matches(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "event traces differ")]
-    fn a_digest_mismatch_fails_the_check() {
-        let a = sharded();
-        let mut b = sharded();
-        b.digest ^= 1;
-        a.assert_matches(&b);
-    }
 }

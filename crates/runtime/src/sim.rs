@@ -14,10 +14,10 @@ type FlowMap = BTreeMap<u64, FlowRt>;
 use hermes_core::{Hermes, RackSensing};
 use hermes_lb::{CloveEcn, Conga, Drill, Ecmp, FlowBender, LetFlow, PrestoSpray, RoundRobinSpray};
 use hermes_net::{
-    AckInfo, DigestSink, Dre, EdgeLb, Event, Fabric, FaultEvent, FaultPlan, FlowCtx, FlowId,
-    HostId, LeafId, Packet, PacketKind, PathId, ShardMap, SpineFailure, SpineId,
+    AckInfo, Dre, EdgeLb, Event, Fabric, FaultEvent, FaultPlan, FlowCtx, FlowId, HostId, LeafId,
+    Packet, PacketKind, PathId, SpineFailure, SpineId,
 };
-use hermes_sim::{EventQueue, MergeDefect, Scheduler, ShardStats, ShardedQueue, SimRng, Time};
+use hermes_sim::{EventQueue, SimRng, Time};
 use hermes_transport::{Receiver, RecvAction, SegmentIn, SendAction, Sender};
 use hermes_workload::{FlowDriver, FlowRecord, FlowSpec, VisibilityTracker};
 
@@ -129,83 +129,6 @@ struct FlowRt {
     sender_done: bool,
 }
 
-/// The runtime's event queue: the classic single [`EventQueue`] fast
-/// path, or — once [`Simulation::run_parallel`] migrates the run — the
-/// sharded `(time, seq)` merge with fabric-locality routing. Both sides
-/// produce the exact same pop order, so everything downstream (digest,
-/// FCTs, counters) is byte-identical whichever variant drives the run.
-enum RunQueue {
-    Single(EventQueue<Event>),
-    Sharded {
-        q: ShardedQueue<Event>,
-        map: ShardMap,
-    },
-}
-
-impl RunQueue {
-    /// Per-shard merge counters (empty on the single-queue path).
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        match self {
-            RunQueue::Single(_) => Vec::new(),
-            RunQueue::Sharded { q, .. } => q.shard_stats(),
-        }
-    }
-}
-
-impl Scheduler<Event> for RunQueue {
-    fn now(&self) -> Time {
-        match self {
-            RunQueue::Single(q) => q.now(),
-            RunQueue::Sharded { q, .. } => q.now(),
-        }
-    }
-    fn schedule(&mut self, at: Time, payload: Event) {
-        match self {
-            RunQueue::Single(q) => q.schedule(at, payload),
-            RunQueue::Sharded { q, map } => {
-                let shard = map.shard_of(&payload);
-                q.schedule_to(shard, at, payload);
-            }
-        }
-    }
-    fn pop(&mut self) -> Option<(Time, Event)> {
-        match self {
-            RunQueue::Single(q) => q.pop(),
-            RunQueue::Sharded { q, .. } => q.pop(),
-        }
-    }
-    fn advance_to(&mut self, t: Time) {
-        match self {
-            RunQueue::Single(q) => q.advance_to(t),
-            RunQueue::Sharded { q, .. } => q.advance_to(t),
-        }
-    }
-    fn peek_time(&mut self) -> Option<Time> {
-        match self {
-            RunQueue::Single(q) => q.peek_time(),
-            RunQueue::Sharded { q, .. } => q.peek_time(),
-        }
-    }
-    fn len(&self) -> usize {
-        match self {
-            RunQueue::Single(q) => q.len(),
-            RunQueue::Sharded { q, .. } => q.len(),
-        }
-    }
-    fn scheduled_count(&self) -> u64 {
-        match self {
-            RunQueue::Single(q) => q.scheduled_count(),
-            RunQueue::Sharded { q, .. } => q.scheduled_count(),
-        }
-    }
-    fn clamp_count(&self) -> u64 {
-        match self {
-            RunQueue::Single(q) => q.clamp_count(),
-            RunQueue::Sharded { q, .. } => q.clamp_count(),
-        }
-    }
-}
-
 /// Aggregate runtime counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimStats {
@@ -221,25 +144,12 @@ pub struct SimStats {
     pub ooo_packets: u64,
     /// Probes that got no response within the probe timeout.
     pub probe_timeouts: u64,
-    /// Worker threads the run was driven with (0 until a run records
-    /// it; `run_parallel` stores the effective count, ≥ 1).
-    pub sim_threads: u64,
-    /// Shards the event queue was split into (0 on the single-queue
-    /// path).
-    pub shards: u64,
-    /// Events received across a shard boundary (scheduled by a
-    /// different shard's dispatch), summed over all shards.
-    pub handoffs: u64,
-    /// Pops during which some other shard's head sat at or beyond the
-    /// chosen event's conservative horizon — the stall count a
-    /// conservative parallel drain of the same trace would have seen.
-    pub lookahead_stalls: u64,
 }
 
 /// One experiment run.
 pub struct Simulation {
     cfg: SimConfig,
-    q: RunQueue,
+    q: EventQueue<Event>,
     fabric: Fabric,
     /// Per-host edge LB (None for switch-based schemes).
     edge: Vec<Option<Box<dyn EdgeLb>>>,
@@ -273,10 +183,8 @@ pub struct Simulation {
     reorder_grace: Time,
     /// Rolling fingerprint of every dispatched event: two same-seed runs
     /// must agree on this at every point, so comparing final digests is a
-    /// whole-run determinism check. Inline by default; `run_parallel`
-    /// swaps in the offload sink so the FNV folding runs on a worker
-    /// thread (same value either way — the word stream is identical).
-    digest: DigestSink,
+    /// whole-run determinism check.
+    digest: hermes_net::audit::FnvDigest,
     /// Reused buffers for transport actions, so per-ACK/per-timer
     /// dispatch allocates nothing in steady state. Taken at each call
     /// site and returned (cleared) by `process_*_actions`.
@@ -369,7 +277,7 @@ impl Simulation {
         let probe_timeout = topo.base_rtt() * 8;
         let mut sim = Simulation {
             cfg,
-            q: RunQueue::Single(q),
+            q,
             fabric,
             edge,
             hermes_racks,
@@ -388,7 +296,7 @@ impl Simulation {
             probe_timeout,
             goodput_bytes: 0,
             reorder_grace,
-            digest: DigestSink::inline(),
+            digest: hermes_net::audit::FnvDigest::new(),
             send_scratch: Vec::new(),
             recv_scratch: Vec::new(),
             stats: SimStats::default(),
@@ -620,89 +528,13 @@ impl Simulation {
         }
     }
 
-    /// [`run_to_completion`](Self::run_to_completion) with the event
-    /// queue sharded by fabric locality (one shard per leaf plus a hub
-    /// shard for spines and globals) and, for `threads >= 2`, the trace
-    /// digest folded on a worker thread. The event order — and with it
-    /// the digest, every FCT, and every counter — is byte-identical to
-    /// the single-threaded run at any thread count: the sharded merge
-    /// preserves the exact `(time, seq)` total order (DESIGN.md §17).
-    /// `threads <= 1` stays on the single-queue fast path.
-    pub fn run_parallel(&mut self, threads: usize, horizon: Time) {
-        self.run_parallel_with(threads, horizon, MergeDefect::None);
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with a deliberately broken
-    /// merge policy planted — the conformance self-test's hook for
-    /// proving the digest and invariant checkers catch merge bugs.
-    #[doc(hidden)]
-    pub fn run_parallel_with(&mut self, threads: usize, horizon: Time, defect: MergeDefect) {
-        let threads = threads.max(1);
-        self.stats.sim_threads = threads as u64;
-        if threads >= 2 || defect != MergeDefect::None {
-            self.shard_queue(defect);
-        }
-        if threads >= 2 && self.stats.events == 0 {
-            // Fresh run: hand digest folding to a worker thread. (A run
-            // that already dispatched events keeps its inline digest —
-            // the accumulated fold can't move across sinks.)
-            self.digest = DigestSink::offload();
-        }
-        self.run_to_completion(horizon);
-        self.digest.seal();
-        self.harvest_shard_stats();
-    }
-
-    /// Migrate the pending event set from the single queue into the
-    /// fabric-locality [`ShardedQueue`]. Draining in pop order means
-    /// the global stamps the sharded merge assigns reproduce the single
-    /// queue's `(time, seq)` total order exactly, so the switch is
-    /// invisible to everything downstream.
-    fn shard_queue(&mut self, defect: MergeDefect) {
-        if matches!(self.q, RunQueue::Sharded { .. }) {
-            return;
-        }
-        let map = ShardMap::new(self.fabric.topology());
-        let mut sq = ShardedQueue::with_defect(map.n_shards(), map.lookahead(), defect);
-        if let RunQueue::Single(q) = &mut self.q {
-            let resume_at = q.now();
-            while let Some((t, ev)) = q.pop() {
-                sq.schedule_to(map.shard_of(&ev), t, ev);
-            }
-            sq.advance_to(resume_at);
-        }
-        self.q = RunQueue::Sharded { q: sq, map };
-    }
-
-    /// Per-shard merge counters from the sharded queue (empty on the
-    /// single-queue path). Folded into the selfcheck fingerprint so a
-    /// divergence in any one shard's behavior fails determinism checks.
-    pub fn shard_counters(&self) -> Vec<ShardStats> {
-        self.q.shard_stats()
-    }
-
-    fn harvest_shard_stats(&mut self) {
-        let per = self.q.shard_stats();
-        self.stats.shards = per.len() as u64;
-        self.stats.handoffs = per.iter().map(|s| s.handoffs).sum();
-        self.stats.lookahead_stalls = per.iter().map(|s| s.stalls).sum();
-        if hermes_telemetry::enabled() {
-            // ANALYZER: allow(float-determinism, integer counters widened only at the metrics-export boundary)
-            hermes_telemetry::gauge_set("sim_threads", self.stats.sim_threads as f64);
-            // ANALYZER: allow(float-determinism, same metrics-export boundary as above)
-            hermes_telemetry::gauge_set("shard_handoffs", self.stats.handoffs as f64);
-            // ANALYZER: allow(float-determinism, same metrics-export boundary as above)
-            hermes_telemetry::gauge_set("lookahead_stalls", self.stats.lookahead_stalls as f64);
-        }
-    }
-
     /// Dispatch one popped event. `limit` is the run loop's horizon,
     /// bounding how far the fabric may inline packet-train boundaries
     /// (an unbatched run would have left events past the horizon
     /// undispatched and undigested).
     fn dispatch(&mut self, ev: Event, limit: Time) {
         // `now` has already advanced to the event's timestamp.
-        self.digest.record(self.q.now(), &ev);
+        hermes_net::audit::digest_event(&mut self.digest, self.q.now(), &ev);
         self.stats.events += 1;
         if hermes_telemetry::enabled() {
             self.telemetry_cadence();

@@ -20,13 +20,9 @@
 //!   injection) can draw from decorrelated streams derived from one master
 //!   seed.
 //!
-//! The dispatch loop is synchronous: a packet-level fabric simulation
-//! is CPU-bound with totally ordered events, so an async runtime would
-//! add nondeterminism for no benefit. Intra-run parallelism is layered
-//! *underneath* that total order instead: [`ShardedQueue`] partitions
-//! pending events across per-shard wheels and merges them back in
-//! deterministic `(time, seq)` order, so digests and goldens stay
-//! byte-identical at any thread count (see `DESIGN.md` §17).
+//! The engine is intentionally synchronous and single-threaded: a
+//! packet-level fabric simulation is CPU-bound with totally ordered
+//! events, so an async runtime would add nondeterminism for no benefit.
 //!
 //! ```
 //! use hermes_sim::{EventQueue, Time};
@@ -43,13 +39,11 @@
 
 mod queue;
 mod rng;
-mod shard;
 mod time;
 mod wheel;
 
 pub use queue::HeapQueue;
 pub use rng::SimRng;
-pub use shard::{conservative_horizon, MergeDefect, Scheduler, ShardStats, ShardedQueue};
 pub use time::Time;
 pub use wheel::WheelQueue;
 

@@ -155,10 +155,8 @@ pub fn check_invariants(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure> {
     }
 
     // (e) Causality: the engine must never clamp a past-time schedule.
-    // A nonzero count means an event was popped before something it
-    // should have followed — the sharded merge's lookahead was violated
-    // (or a handler scheduled into the past) and release builds papered
-    // over it by snapping the timestamp forward.
+    // A nonzero count means a handler scheduled into the past and
+    // release builds papered over it by snapping the timestamp forward.
     if r.queue_clamps > 0 {
         fail(
             &mut fails,

@@ -33,9 +33,7 @@ pub mod suite;
 pub mod toml;
 
 pub use check::{CheckClass, Failure};
-pub use run::{run_grid, run_grid_sharded, RunOutcome};
+pub use run::{run_grid, RunOutcome};
 pub use selftest::{run_self_test, self_test_passed};
 pub use spec::{load_dir, load_file, parse_scenario, ScenarioSpec, SpecError};
-pub use suite::{
-    bless, load_goldens, run_conformance, run_conformance_sharded, ConformanceReport, DIGESTS_FILE,
-};
+pub use suite::{bless, load_goldens, run_conformance, ConformanceReport, DIGESTS_FILE};

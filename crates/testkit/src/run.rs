@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use hermes_bench::{run_point_detailed, run_point_detailed_parallel, DetailedResult};
+use hermes_bench::{run_point_detailed, DetailedResult};
 
 use crate::spec::{ScenarioSpec, SpecError};
 
@@ -44,19 +44,6 @@ fn jobs(specs: &[ScenarioSpec]) -> Vec<(usize, usize, u64)> {
 /// scheduling. Fails fast on a materialization error; sim panics
 /// propagate out of the scope join.
 pub fn run_grid(specs: &[ScenarioSpec], threads: usize) -> Result<Vec<RunOutcome>, SpecError> {
-    run_grid_sharded(specs, threads, 1)
-}
-
-/// [`run_grid`] with each cell driven through the sharded engine with
-/// `sim_threads` workers (`<= 1` keeps the single-queue fast path).
-/// `threads` fans cells out across host threads; `sim_threads` shards
-/// the event queue *inside* each cell — two independent axes. Digests
-/// must be byte-identical along both.
-pub fn run_grid_sharded(
-    specs: &[ScenarioSpec],
-    threads: usize,
-    sim_threads: usize,
-) -> Result<Vec<RunOutcome>, SpecError> {
     let jobs = jobs(specs);
     // Materialize every cell up front so config errors surface before
     // any thread spawns (PointCfg is Send; Simulation is not).
@@ -80,11 +67,7 @@ pub fn run_grid_sharded(
                 let Some((si, li, seed, cfg)) = work.get(idx) else {
                     break;
                 };
-                let result = if sim_threads >= 2 {
-                    run_point_detailed_parallel(cfg, specs[*si].goodput_interval, sim_threads)
-                } else {
-                    run_point_detailed(cfg, specs[*si].goodput_interval)
-                };
+                let result = run_point_detailed(cfg, specs[*si].goodput_interval);
                 let outcome = RunOutcome {
                     scenario: *si,
                     lb_idx: *li,
@@ -138,26 +121,6 @@ mod tests {
                 "thread count changed a digest"
             );
             assert_eq!(p.result.fct.avg, s.result.fct.avg);
-        }
-    }
-
-    #[test]
-    fn sharded_cells_match_single_queue_cells() {
-        let spec = parse_scenario(TWO_LB, "mem", "shard").expect("parses");
-        let specs = [spec];
-        let single = run_grid(&specs, 1).expect("runs");
-        for sim_threads in [2, 4] {
-            let sharded = run_grid_sharded(&specs, 2, sim_threads).expect("runs");
-            for (a, b) in single.iter().zip(&sharded) {
-                assert_eq!(
-                    a.result.digest, b.result.digest,
-                    "sim_threads={sim_threads} changed a digest"
-                );
-                assert_eq!(a.result.events, b.result.events);
-                assert_eq!(b.result.queue_clamps, 0);
-                assert_eq!(b.result.sim_threads, sim_threads as u64);
-                assert!(!b.result.shards.is_empty(), "sharded run records shards");
-            }
         }
     }
 

@@ -7,12 +7,10 @@
 //! scenario level (a real sim run violating a declared bound, a wrong
 //! pinned golden); the rest tamper with a healthy run's evidence to
 //! reach checker branches a correct simulator can't trigger
-//! (conservation imbalance, impossible FCTs, time reversal).
+//! (conservation imbalance, impossible FCTs, a clamped past-time
+//! schedule, time reversal).
 
 use std::collections::BTreeMap;
-
-use hermes_bench::run_point_detailed_parallel_with;
-use hermes_sim::MergeDefect;
 
 use crate::check::{
     check_digests, check_envelopes, check_incast_floor, check_invariants, check_ring_steps,
@@ -94,6 +92,14 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     outs[0].result.records[0].finish = Some(start);
     cases.push(SelfTestCase {
         name: "FCT below ideal serialization (tampered record)",
+        expect: CheckClass::Invariant,
+        failures: check_invariants(&spec, &outs[0]),
+    });
+
+    let (spec, mut outs) = fixture("", "broken_causality")?;
+    outs[0].result.queue_clamps = 1;
+    cases.push(SelfTestCase {
+        name: "past-time schedule clamped by the event queue (tampered count)",
         expect: CheckClass::Invariant,
         failures: check_invariants(&spec, &outs[0]),
     });
@@ -193,57 +199,6 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
         name: "incast goodput floor (starved responder)",
         expect: CheckClass::IncastFloor,
         failures: check_incast_floor(&spec, &outs[0]),
-    });
-
-    // -- Sharded-engine seams: the merge layer ships two planted
-    // defects (`MergeDefect`, compiled in but dead on every production
-    // path) so the harness can prove its detection channels work. Both
-    // run the same incast fixture — simultaneous burst replies across
-    // racks guarantee cross-shard same-instant ties, exactly the events
-    // the `(time, seq)` merge exists to order.
-    let defect_src = r#"
-        pin_digests = true
-        [topology]
-        kind = "testbed"
-        [workload]
-        kind = "incast"
-        fanout = 4
-        reply_kb = 16
-        bursts = 3
-        [run]
-        seeds = [1]
-        lbs = ["ecmp"]
-        drain_ms = 800
-        "#;
-    let spec = parse_scenario(defect_src, "selftest", "broken_merge_seam")?;
-    let clean = run_grid(std::slice::from_ref(&spec), 0)?;
-    let goldens: BTreeMap<String, u64> = [(spec.digest_key(0, 1), clean[0].result.digest)].into();
-    let cfg = spec.materialize(0, 1)?;
-    let defective = |defect| RunOutcome {
-        scenario: 0,
-        lb_idx: 0,
-        seed: 1,
-        result: run_point_detailed_parallel_with(&cfg, spec.goodput_interval, 2, defect),
-    };
-
-    // Dropping the seq tiebreaker reorders same-instant events, so the
-    // trace digest walks away from the clean golden: Digest class.
-    let out = defective(MergeDefect::DropSeqTiebreak);
-    cases.push(SelfTestCase {
-        name: "sharded merge drops the seq tiebreaker (planted seam)",
-        expect: CheckClass::Digest,
-        failures: check_digests(&spec, &[&out], &goldens),
-    });
-
-    // Over-advancing past the lookahead window pops events the other
-    // shards could still invalidate; the engine clamps the resulting
-    // past-time schedules and the causality invariant counts them:
-    // Invariant class.
-    let out = defective(MergeDefect::OverAdvanceLookahead);
-    cases.push(SelfTestCase {
-        name: "sharded merge over-advances the lookahead (planted seam)",
-        expect: CheckClass::Invariant,
-        failures: check_invariants(&spec, &out),
     });
 
     Ok(cases)

@@ -10,7 +10,7 @@ use crate::check::{
     check_digests, check_envelopes, check_incast_floor, check_invariants, check_ring_steps,
     format_digests, parse_digests, Failure,
 };
-use crate::run::{run_grid, run_grid_sharded, RunOutcome};
+use crate::run::{run_grid, RunOutcome};
 use crate::spec::{load_dir, ScenarioSpec, SpecError};
 
 /// The golden store lives next to the scenarios it pins.
@@ -88,19 +88,6 @@ pub fn load_goldens(dir: &Path) -> Result<BTreeMap<String, u64>, SpecError> {
 /// checker classes (the workload-specific ones are no-ops on other
 /// kinds). `threads = 0` uses every available core.
 pub fn run_conformance(dir: &Path, threads: usize) -> Result<ConformanceReport, SpecError> {
-    run_conformance_sharded(dir, threads, 1)
-}
-
-/// [`run_conformance`] with every grid cell driven through the sharded
-/// engine at `sim_threads` workers. The goldens are blessed from
-/// single-queue runs, so a passing digest check here *is* the
-/// thread-count-invariance proof: the sharded merge replayed the exact
-/// single-queue event order for all 63 pinned cells.
-pub fn run_conformance_sharded(
-    dir: &Path,
-    threads: usize,
-    sim_threads: usize,
-) -> Result<ConformanceReport, SpecError> {
     let scenarios = load_dir(dir)?;
     if scenarios.is_empty() {
         return Err(SpecError {
@@ -109,7 +96,7 @@ pub fn run_conformance_sharded(
         });
     }
     let goldens = load_goldens(dir)?;
-    let outcomes = run_grid_sharded(&scenarios, threads, sim_threads)?;
+    let outcomes = run_grid(&scenarios, threads)?;
     let mut failures = Vec::new();
     for (si, spec) in scenarios.iter().enumerate() {
         let mine: Vec<&RunOutcome> = outcomes.iter().filter(|o| o.scenario == si).collect();

@@ -11,32 +11,17 @@
 //!   and stays quiet on the clean ones; `--json` writes the machine
 //!   report CI uploads; `--update-baseline` rewrites the reviewed
 //!   `analyzer_baseline.json` unsafe inventory.
-//! * `cargo run -p xtask -- lint [--self-test]` — deprecated alias for
-//!   `analyze`, kept one release so downstream scripts don't break;
 //! * `cargo run -p xtask -- conformance [--self-test]` — run the full
 //!   scenario conformance grid (`tests/scenarios/` plus the extended
 //!   directory) through `hermes-testkit`, or prove each checker class
 //!   fails on its deliberately-broken fixture;
 //! * `cargo run -p xtask -- bless` — regenerate the golden event-trace
 //!   digest stores after an intended behavior change;
-//! * `cargo run -p xtask -- perf [--quick] [--threads N]` — run the
-//!   named perf points under both scheduler builds (timing wheel, and
-//!   the binary heap via `hermes-sim/heap-queue`), fail on any
-//!   cross-scheduler digest mismatch, then run the parallel section:
-//!   the `fig12_shard_drain` point serially and with N workers
-//!   (default 4), demanding byte-identical digests, plus a threaded
-//!   re-run of the headline full-sim point against its serial digest.
-//!   Writes the wall-clock / throughput / peak-RSS / speedup comparison
-//!   to `BENCH_perf.json` at the workspace root. With `--gate`, also
-//!   enforces the wheel-vs-heap floor, the RSS ceiling, and a ≥2×
-//!   drain-point speedup at N threads (skipped with a notice when the
-//!   host has fewer than N cores — speedup needs real parallelism).
-//! * `cargo run -p xtask -- parallel [--quick]` — thread-count
-//!   invariance over the tier-1 conformance grid: every scenario cell
-//!   driven through the sharded engine at 1, 2 and 4 workers
-//!   (`--quick`: 4 only), each pass checked against the committed
-//!   single-queue goldens. Nothing is re-blessed: a digest mismatch at
-//!   any thread count is a merge-order bug, full stop.
+//! * `cargo run -p xtask -- perf [--quick]` — run the named perf points
+//!   under both scheduler builds (timing wheel, and the binary heap via
+//!   `hermes-sim/heap-queue`), fail on any cross-scheduler digest
+//!   mismatch, and write the wall-clock / throughput / peak-RSS
+//!   comparison to `BENCH_perf.json` at the workspace root.
 //! * `cargo run -p xtask -- chaos [--seeds N] [--quick] [--shrink]
 //!   [--self-test]` — the chaos campaign engine (DESIGN.md §14):
 //!   replay the committed counterexample corpus
@@ -66,13 +51,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => analyze(&args[1..]),
-        Some("lint") => {
-            eprintln!(
-                "xtask: `lint` is a deprecated alias for `analyze` and will be removed next \
-                 release"
-            );
-            analyze(&args[1..])
-        }
         Some("conformance") => {
             if args.iter().any(|a| a == "--self-test") {
                 return conformance_self_test();
@@ -80,29 +58,19 @@ fn main() -> ExitCode {
             conformance()
         }
         Some("bless") => bless_goldens(),
-        Some("perf") => {
-            let threads = args
-                .iter()
-                .position(|a| a == "--threads")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(PERF_PARALLEL_THREADS);
-            perf(
-                args.iter().any(|a| a == "--quick"),
-                args.iter().any(|a| a == "--gate"),
-                threads,
-            )
-        }
-        Some("parallel") => parallel(args.iter().any(|a| a == "--quick")),
+        Some("perf") => perf(
+            args.iter().any(|a| a == "--quick"),
+            args.iter().any(|a| a == "--gate"),
+        ),
         Some("trace") => trace(&args[1..]),
         Some("chaos") => chaos(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <analyze [--self-test] [--json <out>] \
                  [--update-baseline] | conformance [--self-test] | bless | perf [--quick] \
-                 [--gate] [--threads N] | parallel [--quick] | trace <point> --out <dir> | \
-                 chaos [--seeds N] [--seed-base N] [--quick] [--shrink] [--self-test] \
-                 [--no-corpus] [--recovery-frac F] [--out <json>] [--emit-shrunk <dir>]>"
+                 [--gate] | trace <point> --out <dir> | chaos [--seeds N] [--seed-base N] \
+                 [--quick] [--shrink] [--self-test] [--no-corpus] [--recovery-frac F] \
+                 [--out <json>] [--emit-shrunk <dir>]>"
             );
             ExitCode::FAILURE
         }
@@ -330,22 +298,6 @@ const PERF_SCHEDULERS: &[(&str, &[&str])] = &[
 /// perf trajectory headline.
 const PERF_HEADLINE_POINT: &str = "fig12_baseline";
 
-/// The fabric-only drain point the parallel section times (matches
-/// `hermes_bench::PERF_DRAIN_POINT`); worker threads dominate its
-/// profile, so it is where the speedup floor is measurable at all.
-const PERF_PARALLEL_POINT: &str = "fig12_shard_drain";
-
-/// Default worker count for the parallel perf section and its gate.
-const PERF_PARALLEL_THREADS: usize = 4;
-
-/// Gate floor on the drain-point speedup at [`PERF_PARALLEL_THREADS`]
-/// workers: wall(1 thread) / wall(N threads) must reach this multiple
-/// in the same run. Like the wheel-vs-heap floor, it is a same-run
-/// ratio, immune to absolute machine speed — but unlike it, the ratio
-/// is meaningless without real cores, so the gate skips (with a
-/// notice) when the host exposes fewer than N.
-const PERF_GATE_MIN_PARALLEL_SPEEDUP: f64 = 2.0;
-
 /// `trace <point> --out <dir>`: rebuild `hermes-bench` with the
 /// `telemetry` feature and run its `trace_point` bin, which writes
 /// `<point>.trace.jsonl` (event trace) and `<point>.metrics.csv`
@@ -420,39 +372,6 @@ enum RssGate {
     Failed(f64),
 }
 
-/// Outcome of the same-run parallel speedup floor check.
-#[derive(Debug, PartialEq)]
-enum SpeedupGate {
-    /// Speedup measured on a wide-enough host and at or above the floor.
-    Ok(f64),
-    /// Not measurable here (too few cores, or a wall-clock was missing)
-    /// — skipped with a printed notice, never failed.
-    Skipped(String),
-    /// Measured on a wide-enough host and below the floor.
-    Failed(f64),
-}
-
-/// Evaluate the drain-point speedup floor for one run. `cores` is what
-/// the host actually exposes: demanding a 2× speedup from 4 threads on
-/// a 1-core container would gate on the hardware, not the code.
-fn speedup_gate(serial_ms: f64, parallel_ms: f64, threads: usize, cores: usize) -> SpeedupGate {
-    if cores < threads {
-        return SpeedupGate::Skipped(format!(
-            "host exposes {cores} core(s), fewer than the {threads} gate threads"
-        ));
-    }
-    let unusable = |ms: f64| ms.is_nan() || ms <= 0.0;
-    if unusable(serial_ms) || unusable(parallel_ms) {
-        return SpeedupGate::Skipped("wall-clock measurement unavailable".to_string());
-    }
-    let speedup = serial_ms / parallel_ms;
-    if speedup >= PERF_GATE_MIN_PARALLEL_SPEEDUP {
-        SpeedupGate::Ok(speedup)
-    } else {
-        SpeedupGate::Failed(speedup)
-    }
-}
-
 /// Evaluate the wheel-vs-heap peak-RSS ceiling for one run.
 fn rss_gate(wheel_kb: f64, heap_kb: f64) -> RssGate {
     let unavailable = |kb: f64| kb.is_nan() || kb <= 0.0;
@@ -476,10 +395,8 @@ fn rss_gate(wheel_kb: f64, heap_kb: f64) -> RssGate {
 /// With `gate`, the run fails unless the wheel beats the heap on the
 /// headline point by at least [`PERF_GATE_MIN_IMPROVEMENT_PCT`] in the
 /// same run (a machine-independent relative floor; the committed
-/// `BENCH_perf.json` is informational, never compared against), stays
-/// under the RSS ceiling, and — on hosts with at least `threads`
-/// cores — reaches the drain-point speedup floor.
-fn perf(quick: bool, gate: bool, threads: usize) -> ExitCode {
+/// `BENCH_perf.json` is informational, never compared against).
+fn perf(quick: bool, gate: bool) -> ExitCode {
     let root = workspace_root();
     let runs = if quick { 1 } else { PERF_RUNS_FULL };
     let points = match perf_point_names(&root) {
@@ -496,7 +413,7 @@ fn perf(quick: bool, gate: bool, threads: usize) -> ExitCode {
         for (name, features) in PERF_SCHEDULERS {
             let mut best: Option<PerfReport> = None;
             for _ in 0..runs {
-                let rep = match run_perf_point(&root, point, features, quick, 1) {
+                let rep = match run_perf_point(&root, point, features, quick) {
                     Ok(r) => r,
                     Err(e) => {
                         eprintln!("xtask perf: {point}/{name}: {e}");
@@ -536,79 +453,7 @@ fn perf(quick: bool, gate: bool, threads: usize) -> ExitCode {
             digests_ok = false;
         }
     }
-    // Parallel section (wheel build only): the drain point serially and
-    // at `threads` workers, same best-of-N discipline.
-    let mut parallel: Vec<(usize, PerfReport)> = Vec::new();
-    let thread_counts = if threads >= 2 {
-        vec![1, threads]
-    } else {
-        vec![1]
-    };
-    for &t in &thread_counts {
-        let mut best: Option<PerfReport> = None;
-        for _ in 0..runs {
-            let rep = match run_perf_point(&root, PERF_PARALLEL_POINT, &[], quick, t) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("xtask perf: {PERF_PARALLEL_POINT}/t{t}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let faster =
-                |r: &PerfReport, b: &PerfReport| perf_f64(r, "wall_ms") < perf_f64(b, "wall_ms");
-            if best.as_ref().is_none_or(|b| faster(&rep, b)) {
-                best = Some(rep);
-            }
-        }
-        let best = best.expect("runs >= 1 always yields a report");
-        println!(
-            "  {PERF_PARALLEL_POINT:<16} t={t:<4} wall {:>9.1} ms  {:>12} events  {:>10.0} ev/s",
-            perf_f64(&best, "wall_ms"),
-            best.get("events").map_or("?", String::as_str),
-            perf_f64(&best, "events_per_sec"),
-        );
-        parallel.push((t, best));
-    }
-    // Thread-count invariance is the parallel engine's correctness
-    // gate: the drain digest across worker counts, and a threaded
-    // re-run of the headline full-sim point against its serial digest.
-    let mut parallel_ok = parallel
-        .windows(2)
-        .all(|w| w[0].1.get("digest") == w[1].1.get("digest"));
-    if !parallel_ok {
-        let digests: Vec<_> = parallel
-            .iter()
-            .map(|(t, r)| (t, r.get("digest").map_or("?", String::as_str)))
-            .collect();
-        eprintln!("xtask perf: DIGEST MISMATCH across thread counts on {PERF_PARALLEL_POINT}: {digests:?}");
-    }
-    if threads >= 2 {
-        match run_perf_point(&root, PERF_HEADLINE_POINT, &[], quick, threads) {
-            Ok(rep) => {
-                let serial = results
-                    .iter()
-                    .find(|(p, _)| p == PERF_HEADLINE_POINT)
-                    .and_then(|(_, reps)| reps.first())
-                    .and_then(|r| r.get("digest"));
-                if serial == rep.get("digest") {
-                    println!(
-                        "xtask perf: {PERF_HEADLINE_POINT} digest identical at {threads} threads"
-                    );
-                } else {
-                    eprintln!(
-                        "xtask perf: DIGEST MISMATCH on {PERF_HEADLINE_POINT} at {threads} \
-                         threads vs serial"
-                    );
-                    parallel_ok = false;
-                }
-            }
-            Err(e) => {
-                eprintln!("xtask perf: {PERF_HEADLINE_POINT}/t{threads}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let json = perf_json(quick, &results, digests_ok, &parallel);
+    let json = perf_json(quick, &results, digests_ok);
     let out = root.join("BENCH_perf.json");
     if let Err(e) = fs::write(&out, json) {
         eprintln!("xtask perf: writing {}: {e}", out.display());
@@ -672,85 +517,12 @@ fn perf(quick: bool, gate: bool, threads: usize) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        // Drain-point speedup floor at `threads` workers.
-        if threads < 2 {
-            println!("xtask perf: speedup gate skipped — parallel section ran single-threaded");
-        } else {
-            let wall_at = |t: usize| {
-                parallel
-                    .iter()
-                    .find(|(pt, _)| *pt == t)
-                    .map_or(f64::NAN, |(_, r)| perf_f64(r, "wall_ms"))
-            };
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-            match speedup_gate(wall_at(1), wall_at(threads), threads, cores) {
-                SpeedupGate::Ok(s) => {
-                    println!(
-                        "xtask perf: speedup gate OK — {PERF_PARALLEL_POINT} is {s:.2}× faster \
-                         at {threads} threads (floor {PERF_GATE_MIN_PARALLEL_SPEEDUP:.1}×)"
-                    );
-                }
-                SpeedupGate::Skipped(why) => {
-                    println!("xtask perf: speedup gate skipped — {why}");
-                }
-                SpeedupGate::Failed(s) => {
-                    eprintln!(
-                        "xtask perf: GATE FAILED — {PERF_PARALLEL_POINT} is only {s:.2}× faster \
-                         at {threads} threads, below the \
-                         {PERF_GATE_MIN_PARALLEL_SPEEDUP:.1}× floor"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
     }
-    match (digests_ok, parallel_ok) {
-        (true, true) => {
-            println!("xtask perf: same-seed digests identical across schedulers and thread counts");
-            ExitCode::SUCCESS
-        }
-        (false, _) => {
-            eprintln!("xtask perf: FAIL (cross-scheduler digest mismatch)");
-            ExitCode::FAILURE
-        }
-        (true, false) => {
-            eprintln!("xtask perf: FAIL (thread-count digest mismatch)");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `parallel`: thread-count invariance over the tier-1 conformance
-/// grid. Every scenario cell runs through the sharded engine at each
-/// worker count, and every pass is checked against the committed
-/// single-queue goldens — so a pass here proves the parallel engine
-/// replays the exact pinned event order at 1, 2 and 4 workers.
-/// `--quick` runs only the widest count (CI smoke; the full matrix
-/// runs nightly and locally).
-fn parallel(quick: bool) -> ExitCode {
-    let dir = workspace_root().join("tests/scenarios");
-    let counts: &[usize] = if quick { &[4] } else { &[1, 2, 4] };
-    let mut ok = true;
-    for &sim_threads in counts {
-        println!("== {} @ {sim_threads} sim thread(s) ==", dir.display());
-        let report = match hermes_testkit::run_conformance_sharded(&dir, 0, sim_threads) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("xtask parallel: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{report}");
-        ok &= report.passed();
-    }
-    if ok {
-        println!(
-            "xtask parallel: PASS — goldens byte-identical at {} thread count(s)",
-            counts.len()
-        );
+    if digests_ok {
+        println!("xtask perf: same-seed digests identical across schedulers");
         ExitCode::SUCCESS
     } else {
-        eprintln!("xtask parallel: FAIL — the sharded engine diverged from the pinned order");
+        eprintln!("xtask perf: FAIL (cross-scheduler digest mismatch)");
         ExitCode::FAILURE
     }
 }
@@ -793,17 +565,10 @@ fn run_perf_point(
     point: &str,
     features: &[&str],
     quick: bool,
-    threads: usize,
 ) -> Result<PerfReport, String> {
     let mut args = vec!["--point", point];
     if quick {
         args.push("--quick");
-    }
-    let t;
-    if threads >= 2 {
-        t = threads.to_string();
-        args.push("--threads");
-        args.push(&t);
     }
     let out = cargo_run_perf_point(root, features, &args)?;
     let rep: PerfReport = out
@@ -844,12 +609,7 @@ fn cargo_run_perf_point(root: &Path, features: &[&str], args: &[&str]) -> Result
 
 /// Hand-rolled JSON for `BENCH_perf.json` (the workspace deliberately
 /// vendors no serde). All fields come from already-validated reports.
-fn perf_json(
-    quick: bool,
-    results: &[(String, Vec<PerfReport>)],
-    digests_ok: bool,
-    parallel: &[(usize, PerfReport)],
-) -> String {
+fn perf_json(quick: bool, results: &[(String, Vec<PerfReport>)], digests_ok: bool) -> String {
     let num = |rep: &PerfReport, key: &str| -> String {
         let v = perf_f64(rep, key);
         if v.is_finite() {
@@ -924,47 +684,6 @@ fn perf_json(
         }
         points.push(obj);
     }
-    // The parallel section: per-thread-count drain rows, the digest
-    // invariance verdict, and the measured speedup (serial / widest).
-    let parallel_json = if parallel.is_empty() {
-        "null".to_string()
-    } else {
-        let rows: Vec<String> = parallel
-            .iter()
-            .map(|(t, rep)| {
-                format!(
-                    concat!(
-                        "{{\"threads\": {}, \"wall_ms\": {}, \"events\": {}, ",
-                        "\"events_per_sec\": {}, \"digest\": \"{}\"}}"
-                    ),
-                    t,
-                    num(rep, "wall_ms"),
-                    num(rep, "events"),
-                    num(rep, "events_per_sec"),
-                    rep.get("digest").map_or("?", String::as_str),
-                )
-            })
-            .collect();
-        let digest_match = parallel
-            .windows(2)
-            .all(|w| w[0].1.get("digest") == w[1].1.get("digest"));
-        let speedup = if parallel.len() >= 2 {
-            let last = &parallel[parallel.len() - 1].1;
-            perf_f64(&parallel[0].1, "wall_ms") / perf_f64(last, "wall_ms")
-        } else {
-            f64::NAN
-        };
-        let speedup_json = if speedup.is_finite() {
-            format!("{speedup:.3}")
-        } else {
-            "null".to_string()
-        };
-        format!(
-            "{{\"point\": \"{PERF_PARALLEL_POINT}\", \"digest_match\": {digest_match}, \
-             \"speedup\": {speedup_json}, \"runs\": [{}]}}",
-            rows.join(", "),
-        )
-    };
     format!(
         concat!(
             "{{\n",
@@ -972,7 +691,6 @@ fn perf_json(
             "  \"mode\": \"{}\",\n",
             "  \"digests_identical_across_schedulers\": {},\n",
             "  \"headline\": {},\n",
-            "  \"parallel\": {},\n",
             "  \"points\": [\n{}\n  ]\n",
             "}}\n"
         ),
@@ -980,7 +698,6 @@ fn perf_json(
         if quick { "quick" } else { "full" },
         digests_ok,
         headline,
-        parallel_json,
         points.join(",\n"),
     )
 }
@@ -1252,11 +969,7 @@ mod tests {
             PERF_HEADLINE_POINT.to_string(),
             vec![mk("wheel", "80", "0xabc"), mk("heap", "100", "0xabc")],
         )];
-        let parallel = vec![
-            (1, mk("wheel", "400", "0x123")),
-            (4, mk("wheel", "100", "0x123")),
-        ];
-        let json = perf_json(false, &results, true, &parallel);
+        let json = perf_json(false, &results, true);
         assert!(json.contains("\"wall_improvement_pct\": 20.00"), "{json}");
         assert!(json.contains("\"digest_match\": true"), "{json}");
         assert!(
@@ -1269,56 +982,19 @@ mod tests {
         assert!(json.contains("\"rss_ratio\": 1.000"), "{json}");
         assert!(json.contains("\"peak_rss_kb\": 1024"), "{json}");
         assert!(json.contains("\"trains_inlined\": 3"), "{json}");
-        // The parallel section carries per-thread-count rows, the
-        // digest verdict, and the serial/widest speedup.
-        assert!(
-            json.contains("\"parallel\": {\"point\": \"fig12_shard_drain\""),
-            "{json}"
-        );
-        assert!(json.contains("\"speedup\": 4.000"), "{json}");
-        assert!(json.contains("\"threads\": 4"), "{json}");
         // A digest split must surface in both the per-point and the
         // top-level flags.
         let split = vec![(
             PERF_HEADLINE_POINT.to_string(),
             vec![mk("wheel", "80", "0xabc"), mk("heap", "100", "0xdef")],
         )];
-        let json = perf_json(true, &split, false, &[]);
-        assert!(json.contains("\"parallel\": null"), "{json}");
+        let json = perf_json(true, &split, false);
         assert!(json.contains("\"digest_match\": false"), "{json}");
         assert!(
             json.contains("\"digests_identical_across_schedulers\": false"),
             "{json}"
         );
         assert!(json.contains("\"mode\": \"quick\""), "{json}");
-    }
-
-    #[test]
-    fn speedup_gate_passes_skips_and_fails() {
-        // A 4-core host reaching the floor: ok, with the ratio.
-        assert_eq!(speedup_gate(400.0, 100.0, 4, 4), SpeedupGate::Ok(4.0));
-        assert_eq!(speedup_gate(200.0, 100.0, 4, 8), SpeedupGate::Ok(2.0));
-        // Below the floor on a wide-enough host: a real failure.
-        assert_eq!(speedup_gate(150.0, 100.0, 4, 4), SpeedupGate::Failed(1.5));
-        // Too few cores (the 1-core CI container): skipped, never
-        // failed — the gate must measure the code, not the hardware.
-        assert!(matches!(
-            speedup_gate(400.0, 100.0, 4, 1),
-            SpeedupGate::Skipped(_)
-        ));
-        assert!(matches!(
-            speedup_gate(400.0, 100.0, 4, 3),
-            SpeedupGate::Skipped(_)
-        ));
-        // Missing measurements: skipped.
-        assert!(matches!(
-            speedup_gate(f64::NAN, 100.0, 4, 8),
-            SpeedupGate::Skipped(_)
-        ));
-        assert!(matches!(
-            speedup_gate(400.0, 0.0, 4, 8),
-            SpeedupGate::Skipped(_)
-        ));
     }
 
     #[test]

@@ -124,7 +124,51 @@ fn parse_args() -> Args {
             other => usage(&format!("unknown flag {other}")),
         }
     }
+    if args.flows == 0 {
+        usage("--flows must be at least 1");
+    }
+    if args.runs == 0 {
+        usage("--runs must be at least 1");
+    }
+    // FlowGen's accepted range, (0, 1.5]; `contains` is false for NaN.
+    if !(f64::MIN_POSITIVE..=1.5).contains(&args.load) {
+        usage("--load must lie in (0, 1.5]");
+    }
+    if args.drops.iter().any(|&(_, r)| !(0.0..=1.0).contains(&r)) {
+        usage("--drop rate must lie in [0, 1]");
+    }
+    if args
+        .blackholes
+        .iter()
+        .any(|&(_, _, _, f)| !(0.0..=1.0).contains(&f))
+    {
+        usage("--blackhole fraction must lie in [0, 1]");
+    }
     args
+}
+
+/// Reject switch indices the chosen topology does not have, before any
+/// of them is used to index the fabric.
+fn check_indices(a: &Args, topo: &Topology) {
+    let spine_ok = |s: u16| usize::from(s) < topo.n_spines;
+    let leaf_ok = |l: u16| usize::from(l) < topo.n_leaves;
+    let dims = format!(
+        "topology {} has {} leaves and {} spines",
+        a.topo, topo.n_leaves, topo.n_spines
+    );
+    if !a.drops.iter().all(|&(s, _)| spine_ok(s)) {
+        usage(&format!("--drop spine out of range: {dims}"));
+    }
+    if !a
+        .blackholes
+        .iter()
+        .all(|&(s, sl, dl, _)| spine_ok(s) && leaf_ok(sl) && leaf_ok(dl))
+    {
+        usage(&format!("--blackhole spine or leaf out of range: {dims}"));
+    }
+    if !a.cuts.iter().all(|&(l, s)| leaf_ok(l) && spine_ok(s)) {
+        usage(&format!("--cut leaf or spine out of range: {dims}"));
+    }
 }
 
 fn build_topo(a: &Args) -> (Topology, Option<u64>) {
@@ -143,6 +187,7 @@ fn build_topo(a: &Args) -> (Topology, Option<u64>) {
         "testbed" => Topology::testbed().total_uplink_bps(),
         _ => Topology::sim_baseline().total_uplink_bps(),
     };
+    check_indices(a, &topo);
     for &(l, s) in &a.cuts {
         topo.cut_link(LeafId(l), SpineId(s));
     }
@@ -238,7 +283,8 @@ fn main() {
             SimRng::new(seed).split(0x6E4),
         );
         let specs = gen.schedule(a.flows);
-        let horizon = specs.last().unwrap().start + Time::from_secs(10);
+        let last = specs.last().expect("parse_args rejects --flows 0");
+        let horizon = last.start + Time::from_secs(10);
         let mut sim = Simulation::new(
             SimConfig::new(topo.clone(), scheme)
                 .with_seed(seed)
