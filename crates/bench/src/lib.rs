@@ -2,9 +2,11 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper (see `DESIGN.md` §4 for the index). This library holds the
-//! shared pieces: a single-point FCT runner, the probing-cost
-//! calculator behind Table 6, environment-variable scaling, and a plain
-//! text table printer.
+//! shared pieces: a single-point FCT runner (also what `hermes-cli`
+//! runs), the probing-cost calculator behind Table 6,
+//! environment-variable scaling, and a plain text table printer. The
+//! simulator's own speed is not measured here: that record is the
+//! repo-root `benchmark/` crate.
 //!
 //! ## Scaling knobs (environment variables)
 //!
@@ -18,14 +20,12 @@
 //! `HERMES_SCALE`/`HERMES_RUNS` to tighten confidence intervals.
 
 mod grid;
-mod perf;
 mod probing;
 mod runner;
 mod table;
 mod trace;
 
 pub use grid::GridSpec;
-pub use perf::{measure_point, peak_rss_kb, perf_point_cfg, PerfSample, PERF_POINTS};
 pub use probing::{ProbingCostModel, ProbingRow};
 pub use runner::{
     avg_summaries, run_point, run_point_detailed, DetailedResult, PointCfg, PointResult,

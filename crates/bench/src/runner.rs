@@ -153,9 +153,6 @@ pub struct DetailedResult {
     pub conservation: ConservationReport,
     /// `(sample time, cumulative in-order TCP payload bytes)`.
     pub goodput: Vec<(Time, u64)>,
-    /// `TxDone` boundaries handled inline within packet trains (already
-    /// counted in `events`); the perf harness reports the batching rate.
-    pub trains_inlined: u64,
     /// Past-time schedules the event queue clamped (0 in a causal run;
     /// the conformance invariant checker rejects anything else).
     pub queue_clamps: u64,
@@ -173,7 +170,6 @@ pub fn run_point_detailed(cfg: &PointCfg, goodput_interval: Time) -> DetailedRes
         digest: sim.trace_digest(),
         conservation: sim.conservation(),
         goodput: sim.sampler_series(0).to_vec(),
-        trains_inlined: sim.trains_inlined(),
         queue_clamps: sim.queue_clamps(),
     }
 }
@@ -253,22 +249,41 @@ fn finish_point(mut sim: Simulation, horizon: Time) -> PointResult {
     }
 }
 
-/// Average FCT summaries over multiple seeds (component-wise).
+/// Average FCT summaries over multiple seeds (component-wise). A
+/// size band's statistics are averaged over the seeds that had flows
+/// in that band — an empty band reports 0.0, which is "no data", not a
+/// zero-latency sample — and every count is the mean count.
 pub fn avg_summaries(v: &[FctSummary]) -> FctSummary {
     assert!(!v.is_empty());
-    let n = v.len() as f64;
-    let mut out = v[0];
-    let mean = |f: fn(&FctSummary) -> f64| v.iter().map(f).sum::<f64>() / n;
-    out.avg = mean(|s| s.avg);
-    out.p50 = mean(|s| s.p50);
-    out.p95 = mean(|s| s.p95);
-    out.p99 = mean(|s| s.p99);
-    out.avg_small = mean(|s| s.avg_small);
-    out.p99_small = mean(|s| s.p99_small);
-    out.avg_large = mean(|s| s.avg_large);
-    out.unfinished = v.iter().map(|s| s.unfinished).sum::<usize>() / v.len();
-    out.n = v.iter().map(|s| s.n).sum::<usize>() / v.len();
-    out
+    // Mean of `f` over the summaries whose `band` holds at least one flow.
+    let mean = |f: fn(&FctSummary) -> f64, band: fn(&FctSummary) -> usize| {
+        let (sum, k) = v
+            .iter()
+            .filter(|s| band(s) > 0)
+            .fold((0.0, 0u32), |(sum, k), s| (sum + f(s), k + 1));
+        if k == 0 {
+            0.0
+        } else {
+            sum / f64::from(k)
+        }
+    };
+    // Mean count, rounded to nearest so a band seen by half the seeds
+    // does not print as `n=0` beside a non-zero mean.
+    let count =
+        |f: fn(&FctSummary) -> usize| (v.iter().map(f).sum::<usize>() + v.len() / 2) / v.len();
+    FctSummary {
+        n: count(|s| s.n),
+        unfinished: count(|s| s.unfinished),
+        avg: mean(|s| s.avg, |_| 1),
+        p50: mean(|s| s.p50, |_| 1),
+        p95: mean(|s| s.p95, |_| 1),
+        p99: mean(|s| s.p99, |_| 1),
+        n_small: count(|s| s.n_small),
+        avg_small: mean(|s| s.avg_small, |s| s.n_small),
+        p99_small: mean(|s| s.p99_small, |s| s.n_small),
+        n_large: count(|s| s.n_large),
+        avg_large: mean(|s| s.avg_large, |s| s.n_large),
+    }
 }
 
 #[cfg(test)]
@@ -395,5 +410,23 @@ mod tests {
         let m = avg_summaries(&[a, b]);
         assert_eq!(m.avg, 2.0);
         assert_eq!(m.p99, 4.0);
+        // A seed with no large flow contributes no large-band sample:
+        // the band mean is over the seeds that had one, and the count is
+        // the mean count (not seed 0's).
+        let none = FctSummary {
+            n_small: 4,
+            avg_small: 1.0,
+            ..Default::default()
+        };
+        let some = FctSummary {
+            n_small: 2,
+            avg_small: 3.0,
+            n_large: 2,
+            avg_large: 8.0,
+            ..Default::default()
+        };
+        let m = avg_summaries(&[none, some]);
+        assert_eq!((m.n_small, m.avg_small), (3, 2.0));
+        assert_eq!((m.n_large, m.avg_large), (1, 8.0));
     }
 }

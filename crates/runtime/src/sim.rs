@@ -403,7 +403,15 @@ impl Simulation {
     }
 
     /// Register a periodic sampler; returns its index.
+    ///
+    /// # Panics
+    /// On a zero `interval`, which would re-arm the sampler at `now`
+    /// forever and never let the run advance.
     pub fn add_sampler(&mut self, interval: Time, probe: Probe) -> usize {
+        assert!(
+            interval > Time::ZERO,
+            "sampler interval must be positive: a zero interval never advances time"
+        );
         let idx = self.samplers.len();
         self.samplers.push(SamplerRt {
             interval,

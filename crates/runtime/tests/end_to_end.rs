@@ -263,6 +263,13 @@ fn samplers_record_queue_buildup() {
 }
 
 #[test]
+#[should_panic(expected = "sampler interval must be positive")]
+fn zero_sampler_interval_fails_fast_instead_of_spinning() {
+    let mut sim = Simulation::new(SimConfig::new(Topology::testbed(), Scheme::Ecmp));
+    sim.add_sampler(Time::ZERO, Probe::TotalGoodput);
+}
+
+#[test]
 fn visibility_gap_between_switch_and_host_pairs() {
     let topo = Topology::testbed();
     let mut gen = FlowGen::new(&topo, FlowSizeDist::web_search(), 0.6, None, SimRng::new(9));

@@ -9,12 +9,11 @@
 //! * [`EventQueue`] — a priority queue of `(Time, payload)` entries with
 //!   *deterministic tie-breaking*: events scheduled for the same instant
 //!   fire in the order they were scheduled. Together with the seeded
-//!   [`SimRng`], this makes every simulation bit-reproducible. Two
-//!   implementations honor the identical contract — the hierarchical
-//!   timing wheel [`WheelQueue`] (default) and the binary-heap
-//!   [`HeapQueue`] (select with `--features heap-queue`); the alias
-//!   picks one, and both are always compiled so differential tests can
-//!   drive them against each other.
+//!   [`SimRng`], this makes every simulation bit-reproducible. It is
+//!   the hierarchical timing wheel [`WheelQueue`]; the binary-heap
+//!   [`HeapQueue`] honors the identical contract and is always
+//!   compiled as the reference model the differential tests drive the
+//!   wheel against — it is not selectable as the simulator's queue.
 //! * [`SimRng`] — a seeded, splittable random number generator wrapper so
 //!   that independent subsystems (flow generation, load balancers, failure
 //!   injection) can draw from decorrelated streams derived from one master
@@ -47,20 +46,7 @@ pub use rng::SimRng;
 pub use time::Time;
 pub use wheel::WheelQueue;
 
-/// The event queue the simulator runs on. Both implementations honor the
-/// same `(time, seq)` total-order contract, so flipping the feature must
-/// not change any event trace — CI's perf-smoke job asserts exactly that
-/// by comparing same-seed digests across schedulers.
-#[cfg(feature = "heap-queue")]
-pub type EventQueue<E> = HeapQueue<E>;
-/// The event queue the simulator runs on (timing wheel, default).
-#[cfg(not(feature = "heap-queue"))]
+/// The event queue the simulator runs on: the timing wheel.
+/// [`HeapQueue`] honors the same `(time, seq)` total-order contract and
+/// exists only as the oracle the wheel is tested against.
 pub type EventQueue<E> = WheelQueue<E>;
-
-/// Which scheduler backs [`EventQueue`] in this build; surfaced by the
-/// perf harness so BENCH_perf.json rows are self-describing.
-#[cfg(feature = "heap-queue")]
-pub const SCHEDULER: &str = "heap";
-/// Which scheduler backs [`EventQueue`] in this build (timing wheel).
-#[cfg(not(feature = "heap-queue"))]
-pub const SCHEDULER: &str = "wheel";

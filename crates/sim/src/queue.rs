@@ -1,6 +1,6 @@
 //! Binary-heap event queue — the original scheduler, kept as the
-//! reference implementation and `heap-queue` feature fallback for the
-//! timing wheel in [`crate::wheel`].
+//! reference model the timing wheel in [`crate::wheel`] is tested
+//! against; not selectable as the simulator's queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -117,6 +117,16 @@ pub enum TopoKind {
     SimBaseline,
 }
 
+impl TopoKind {
+    /// The healthy base fabric.
+    fn base(self) -> Topology {
+        match self {
+            TopoKind::Testbed => Topology::testbed(),
+            TopoKind::SimBaseline => Topology::sim_baseline(),
+        }
+    }
+}
+
 /// The topology under test: a base fabric plus static asymmetry.
 #[derive(Clone, Debug)]
 pub struct TopologySpec {
@@ -131,10 +141,7 @@ impl TopologySpec {
     /// Build the (possibly asymmetric) topology, plus the healthy
     /// fabric's uplink capacity for the load-definition convention.
     pub fn build(&self) -> (Topology, u64) {
-        let mut topo = match self.kind {
-            TopoKind::Testbed => Topology::testbed(),
-            TopoKind::SimBaseline => Topology::sim_baseline(),
-        };
+        let mut topo = self.kind.base();
         let healthy_capacity = topo.total_uplink_bps();
         for (l, s) in &self.cuts {
             topo.cut_link(*l, *s);
@@ -372,34 +379,83 @@ fn req_usize(t: &Table, key: &str, file: &str) -> Result<usize, SpecError> {
     })
 }
 
-fn opt_int(t: &Table, key: &str, default: i64) -> i64 {
-    get(t, key).and_then(Value::as_int).unwrap_or(default)
+/// An optional duration key counted in `unit_ns`-nanosecond units: at
+/// least `min` units and representable in nanoseconds. `None` when the
+/// key is absent.
+fn duration(
+    t: &Table,
+    key: &str,
+    unit_ns: u64,
+    min: u64,
+    file: &str,
+) -> Result<Option<Time>, SpecError> {
+    let Some(i) = get(t, key).and_then(Value::as_int) else {
+        return Ok(None);
+    };
+    let ns = u64::try_from(i)
+        .ok()
+        .filter(|&v| v >= min)
+        .and_then(|v| v.checked_mul(unit_ns));
+    match ns {
+        Some(ns) => Ok(Some(Time::from_ns(ns))),
+        None => serr(
+            file,
+            format!("`{key}` = {i}: must be an integer ≥ {min} that fits in nanoseconds"),
+        ),
+    }
 }
+
+const US: u64 = 1_000;
+const MS: u64 = 1_000_000;
 
 fn time_ms(t: &Table, key: &str, file: &str) -> Result<Time, SpecError> {
-    let i = match get(t, key).and_then(Value::as_int) {
-        Some(i) if i >= 0 => i,
-        _ => return serr(file, format!("missing non-negative integer `{key}`")),
-    };
-    Ok(Time::from_ms(i as u64))
+    match duration(t, key, MS, 0, file)? {
+        Some(d) => Ok(d),
+        None => serr(file, format!("missing integer `{key}`")),
+    }
 }
 
-fn pair_list(v: &Value, file: &str, key: &str) -> Result<Vec<(u16, u16)>, SpecError> {
-    let mut out = Vec::new();
-    let Some(items) = v.as_array() else {
-        return serr(file, format!("`{key}` must be an array of pairs"));
-    };
-    for item in items {
-        let pair = item.as_array().unwrap_or(&[]);
-        let (Some(a), Some(b)) = (
-            pair.first().and_then(Value::as_int),
-            pair.get(1).and_then(Value::as_int),
-        ) else {
-            return serr(file, format!("`{key}` entries must be [leaf, spine]"));
-        };
-        out.push((a as u16, b as u16));
+/// A leaf or spine index from the file, range-checked against the
+/// chosen topology's `n` switches of that tier before it indexes
+/// anything.
+fn switch_idx(i: i64, n: usize, tier: &str, key: &str, file: &str) -> Result<u16, SpecError> {
+    match u16::try_from(i) {
+        Ok(v) if usize::from(v) < n => Ok(v),
+        _ => serr(
+            file,
+            format!("`{key}`: {tier} {i} out of range (topology has {n})"),
+        ),
     }
-    Ok(out)
+}
+
+/// The `[leaf, spine, ..]` head of one `cut`/`degrade` entry.
+fn link(
+    item: &Value,
+    base: &Topology,
+    key: &str,
+    file: &str,
+) -> Result<(LeafId, SpineId), SpecError> {
+    let entry = item.as_array().unwrap_or(&[]);
+    let (Some(l), Some(s)) = (
+        entry.first().and_then(Value::as_int),
+        entry.get(1).and_then(Value::as_int),
+    ) else {
+        return serr(file, format!("`{key}` entries must start [leaf, spine]"));
+    };
+    Ok((
+        LeafId(switch_idx(l, base.n_leaves, "leaf", key, file)?),
+        SpineId(switch_idx(s, base.n_spines, "spine", key, file)?),
+    ))
+}
+
+/// A fault's `frac` (blackhole pair fraction or drop rate) in [0, 1].
+fn fault_frac(ft: &Table, file: &str) -> Result<f64, SpecError> {
+    let frac = req_float(ft, "frac", file)?;
+    if (0.0..=1.0).contains(&frac) {
+        Ok(frac)
+    } else {
+        serr(file, format!("fault `frac` {frac} outside [0, 1]"))
+    }
 }
 
 /// Per-section allowed key sets. A key outside these is a hard error
@@ -527,31 +583,42 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
         "sim_baseline" => TopoKind::SimBaseline,
         other => return serr(file, format!("unknown topology kind `{other}`")),
     };
-    let cuts = match get(topo_t, "cut") {
-        Some(v) => pair_list(v, file, "cut")?
-            .into_iter()
-            .map(|(l, s)| (LeafId(l), SpineId(s)))
-            .collect(),
-        None => Vec::new(),
+    let base = kind.base();
+    let entries = |key: &str| match get(topo_t, key).map(Value::as_array) {
+        None => Ok(&[][..]),
+        Some(Some(items)) => Ok(items),
+        Some(None) => serr(file, format!("`{key}` must be an array")),
     };
-    let degrades = match get(topo_t, "degrade").and_then(Value::as_array) {
-        Some(items) => {
-            let mut out = Vec::new();
-            for item in items {
-                let trip = item.as_array().unwrap_or(&[]);
-                let (Some(l), Some(s), Some(m)) = (
-                    trip.first().and_then(Value::as_int),
-                    trip.get(1).and_then(Value::as_int),
-                    trip.get(2).and_then(Value::as_int),
-                ) else {
-                    return serr(file, "`degrade` entries must be [leaf, spine, rate_mbps]");
-                };
-                out.push((LeafId(l as u16), SpineId(s as u16), m as u64));
-            }
-            out
+    let mut cuts = Vec::new();
+    for item in entries("cut")? {
+        cuts.push(link(item, &base, "cut", file)?);
+    }
+    let mut degrades = Vec::new();
+    for item in entries("degrade")? {
+        let (l, s) = link(item, &base, "degrade", file)?;
+        if cuts.contains(&(l, s)) {
+            return serr(
+                file,
+                format!(
+                    "`degrade` names link [{}, {}], which `cut` removes",
+                    l.0, s.0
+                ),
+            );
         }
-        None => Vec::new(),
-    };
+        let mbps = item
+            .as_array()
+            .and_then(|e| e.get(2))
+            .and_then(Value::as_int)
+            .and_then(|m| u64::try_from(m).ok())
+            .filter(|&m| m >= 1 && m.checked_mul(1_000_000).is_some());
+        let Some(mbps) = mbps else {
+            return serr(
+                file,
+                "`degrade` entries must be [leaf, spine, rate_mbps] with rate_mbps ≥ 1",
+            );
+        };
+        degrades.push((l, s, mbps));
+    }
 
     // [workload]
     let Some(work_t) = get(&root, "workload").and_then(Value::as_table) else {
@@ -649,8 +716,15 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
     if seeds.is_empty() {
         return serr(file, "`seeds` must be non-empty");
     }
-    let letflow_timeout = Time::from_us(opt_int(run_t, "letflow_timeout_us", 150) as u64);
-    let drill_samples = usize::try_from(opt_int(run_t, "drill_samples", 2)).unwrap_or(2);
+    let letflow_timeout =
+        duration(run_t, "letflow_timeout_us", US, 1, file)?.unwrap_or(Time::from_us(150));
+    let drill_samples = match get(run_t, "drill_samples").and_then(Value::as_int) {
+        None => 2,
+        Some(i) => match usize::try_from(i) {
+            Ok(n) if n >= 1 => n,
+            _ => return serr(file, format!("`drill_samples` = {i}: must be at least 1")),
+        },
+    };
     let lbs: Vec<LbSpec> = match get(run_t, "lbs").and_then(Value::as_array) {
         Some(items) => {
             let mut out = Vec::new();
@@ -671,13 +745,21 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
     if lbs.is_empty() {
         return serr(file, "`lbs` must be non-empty");
     }
-    let drain = Time::from_ms(opt_int(run_t, "drain_ms", 3000) as u64);
-    let goodput_interval = Time::from_us(opt_int(run_t, "goodput_interval_us", 500) as u64);
+    let drain = duration(run_t, "drain_ms", MS, 0, file)?.unwrap_or(Time::from_ms(3000));
+    // A zero interval would re-arm the sampler at `now` forever.
+    let goodput_interval =
+        duration(run_t, "goodput_interval_us", US, 1, file)?.unwrap_or(Time::from_us(500));
 
     // [fault] (optional)
     let fault = match get(&root, "fault").and_then(Value::as_table) {
         Some(ft) => {
-            let spine = SpineId(req_usize(ft, "spine", file)? as u16);
+            let idx = |key: &str, n: usize, tier: &str| -> Result<u16, SpecError> {
+                match get(ft, key).and_then(Value::as_int) {
+                    Some(i) => switch_idx(i, n, tier, key, file),
+                    None => serr(file, format!("missing integer `{key}`")),
+                }
+            };
+            let spine = SpineId(idx("spine", base.n_spines, "spine")?);
             let start = time_ms(ft, "start_ms", file)?;
             let end = time_ms(ft, "end_ms", file)?;
             if end <= start {
@@ -686,15 +768,15 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
             match req_str(ft, "kind", file)?.as_str() {
                 "blackhole" => Some(FaultSpec::Blackhole {
                     spine,
-                    src: LeafId(req_usize(ft, "src_leaf", file)? as u16),
-                    dst: LeafId(req_usize(ft, "dst_leaf", file)? as u16),
-                    frac: req_float(ft, "frac", file)?,
+                    src: LeafId(idx("src_leaf", base.n_leaves, "leaf")?),
+                    dst: LeafId(idx("dst_leaf", base.n_leaves, "leaf")?),
+                    frac: fault_frac(ft, file)?,
                     start,
                     end,
                 }),
                 "random_drop" => Some(FaultSpec::RandomDrop {
                     spine,
-                    rate: req_float(ft, "frac", file)?,
+                    rate: fault_frac(ft, file)?,
                     start,
                     end,
                 }),
@@ -909,6 +991,43 @@ mod tests {
         );
         let e = parse_scenario(&dangling, "mem", "x").expect_err("must fail");
         assert!(e.msg.contains("conga"));
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_naming_the_key() {
+        const FAULT: &str = "[fault]\nkind = \"blackhole\"\nsrc_leaf = 0\ndst_leaf = 1\nstart_ms = 5\nend_ms = 100\n";
+        let topo = |extra: &str| MINIMAL.replace("[workload]", &format!("{extra}\n[workload]"));
+        let run = |extra: &str| format!("{MINIMAL}\n{extra}\n");
+        let fault =
+            |spine: i64, frac: f64| format!("{MINIMAL}\n{FAULT}spine = {spine}\nfrac = {frac}\n");
+        // (scenario, the key its error must name)
+        let rows = [
+            (topo("cut = [[5, 0]]"), "`cut`"),
+            (topo("cut = [[-1, 0]]"), "`cut`"),
+            (topo("cut = [[0, 1]]\ndegrade = [[0, 1, 100]]"), "`degrade`"),
+            (topo("degrade = [[0, 4, 100]]"), "`degrade`"),
+            (topo("degrade = [[0, 1, 0]]"), "`degrade`"),
+            (fault(9, 1.0), "`spine`"),
+            (fault(0, 1.5), "`frac`"),
+            (
+                fault(0, 1.0).replace("dst_leaf = 1", "dst_leaf = 2"),
+                "`dst_leaf`",
+            ),
+            (run("drain_ms = -5"), "`drain_ms`"),
+            (run("goodput_interval_us = 0"), "`goodput_interval_us`"),
+            (run("letflow_timeout_us = 0"), "`letflow_timeout_us`"),
+            (run("drill_samples = 0"), "`drill_samples`"),
+        ];
+        for (src, key) in &rows {
+            match parse_scenario(src, "mem", "x") {
+                Err(e) => assert!(e.msg.contains(key), "{key}: got `{}`", e.msg),
+                Ok(_) => panic!("{key}: accepted\n{src}"),
+            }
+        }
+        // The in-range neighbours of those rows still parse.
+        let ok = topo("cut = [[1, 3]]\ndegrade = [[0, 1, 100]]");
+        parse_scenario(&ok, "mem", "x").expect("in-range cut and degrade");
+        parse_scenario(&fault(3, 0.0), "mem", "x").expect("in-range fault");
     }
 
     #[test]

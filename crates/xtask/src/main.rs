@@ -17,11 +17,9 @@
 //!   fails on its deliberately-broken fixture;
 //! * `cargo run -p xtask -- bless` — regenerate the golden event-trace
 //!   digest stores after an intended behavior change;
-//! * `cargo run -p xtask -- perf [--quick]` — run the named perf points
-//!   under both scheduler builds (timing wheel, and the binary heap via
-//!   `hermes-sim/heap-queue`), fail on any cross-scheduler digest
-//!   mismatch, and write the wall-clock / throughput / peak-RSS
-//!   comparison to `BENCH_perf.json` at the workspace root.
+//! * `cargo run -p xtask -- trace <point> --out <dir>` — rebuild
+//!   `hermes-bench` with the `telemetry` feature and capture one named
+//!   point's event trace and cadence-sampled metrics (DESIGN.md §12);
 //! * `cargo run -p xtask -- chaos [--seeds N] [--quick] [--shrink]
 //!   [--self-test]` — the chaos campaign engine (DESIGN.md §14):
 //!   replay the committed counterexample corpus
@@ -58,19 +56,15 @@ fn main() -> ExitCode {
             conformance()
         }
         Some("bless") => bless_goldens(),
-        Some("perf") => perf(
-            args.iter().any(|a| a == "--quick"),
-            args.iter().any(|a| a == "--gate"),
-        ),
         Some("trace") => trace(&args[1..]),
         Some("chaos") => chaos(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <analyze [--self-test] [--json <out>] \
-                 [--update-baseline] | conformance [--self-test] | bless | perf [--quick] \
-                 [--gate] | trace <point> --out <dir> | chaos [--seeds N] [--seed-base N] \
-                 [--quick] [--shrink] [--self-test] [--no-corpus] [--recovery-frac F] \
-                 [--out <json>] [--emit-shrunk <dir>]>"
+                 [--update-baseline] | conformance [--self-test] | bless | \
+                 trace <point> --out <dir> | chaos [--seeds N] [--seed-base N] [--quick] \
+                 [--shrink] [--self-test] [--no-corpus] [--recovery-frac F] [--out <json>] \
+                 [--emit-shrunk <dir>]>"
             );
             ExitCode::FAILURE
         }
@@ -283,21 +277,6 @@ fn bless_goldens() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One parsed `perf_point` report: the `key=value` lines the binary
-/// prints, keyed by field name.
-type PerfReport = std::collections::BTreeMap<String, String>;
-
-/// Schedulers the perf harness compares: display name → extra cargo
-/// feature flags selecting that scheduler build.
-const PERF_SCHEDULERS: &[(&str, &[&str])] = &[
-    ("wheel", &[]),
-    ("heap", &["--features", "hermes-sim/heap-queue"]),
-];
-
-/// The point whose wheel-vs-heap wall-clock delta is the PR-gating
-/// perf trajectory headline.
-const PERF_HEADLINE_POINT: &str = "fig12_baseline";
-
 /// `trace <point> --out <dir>`: rebuild `hermes-bench` with the
 /// `telemetry` feature and run its `trace_point` bin, which writes
 /// `<point>.trace.jsonl` (event trace) and `<point>.metrics.csv`
@@ -341,368 +320,6 @@ fn trace(args: &[String]) -> ExitCode {
     }
 }
 
-/// Wall-clock runs per (point, scheduler); the minimum is reported
-/// (standard practice: the min is the least noise-contaminated sample).
-const PERF_RUNS_FULL: usize = 3;
-
-/// Gate floor on the headline improvement, in percentage points: the
-/// wheel scheduler must beat the heap by at least this much *in the
-/// same run*. Both sides share the machine, load, and mode, so the
-/// ratio is immune to the absolute wall-clock noise that made gating
-/// against a committed number from some other machine flaky — the gate
-/// only trips when the wheel's advantage itself erodes.
-const PERF_GATE_MIN_IMPROVEMENT_PCT: f64 = 10.0;
-
-/// Gate ceiling on the headline point's peak-RSS ratio: the wheel
-/// scheduler build may use at most this multiple of the heap build's
-/// peak RSS *in the same run*. Keeps the wheel's speed from being
-/// bought back with unbounded slot-storage memory (the pre-rework
-/// wheel sat at ~7.5× — 144 MB vs 19 MB).
-const PERF_GATE_MAX_RSS_RATIO: f64 = 2.0;
-
-/// Outcome of the same-run RSS ceiling check.
-#[derive(Debug, PartialEq)]
-enum RssGate {
-    /// Ratio measured and within the ceiling.
-    Ok(f64),
-    /// RSS unavailable (e.g. non-Linux: `peak_rss_kb()` returned 0) —
-    /// the check is skipped with a printed notice, never failed.
-    Skipped(&'static str),
-    /// Ratio measured and at or above the ceiling.
-    Failed(f64),
-}
-
-/// Evaluate the wheel-vs-heap peak-RSS ceiling for one run.
-fn rss_gate(wheel_kb: f64, heap_kb: f64) -> RssGate {
-    let unavailable = |kb: f64| kb.is_nan() || kb <= 0.0;
-    if unavailable(wheel_kb) || unavailable(heap_kb) {
-        // 0 is the probe's "unreadable" sentinel; NaN is a missing
-        // report field.
-        return RssGate::Skipped("peak RSS unavailable on this platform");
-    }
-    let ratio = wheel_kb / heap_kb;
-    if ratio < PERF_GATE_MAX_RSS_RATIO {
-        RssGate::Ok(ratio)
-    } else {
-        RssGate::Failed(ratio)
-    }
-}
-
-/// Build and run the `perf_point` binary once per scheduler per named
-/// point, check the event-trace digests agree across schedulers, and
-/// write the comparison to `BENCH_perf.json` at the workspace root.
-///
-/// With `gate`, the run fails unless the wheel beats the heap on the
-/// headline point by at least [`PERF_GATE_MIN_IMPROVEMENT_PCT`] in the
-/// same run (a machine-independent relative floor; the committed
-/// `BENCH_perf.json` is informational, never compared against).
-fn perf(quick: bool, gate: bool) -> ExitCode {
-    let root = workspace_root();
-    let runs = if quick { 1 } else { PERF_RUNS_FULL };
-    let points = match perf_point_names(&root) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("xtask perf: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // (point, scheduler) → best-of-N report.
-    let mut results: Vec<(String, Vec<PerfReport>)> = Vec::new();
-    for point in &points {
-        let mut per_scheduler = Vec::new();
-        for (name, features) in PERF_SCHEDULERS {
-            let mut best: Option<PerfReport> = None;
-            for _ in 0..runs {
-                let rep = match run_perf_point(&root, point, features, quick) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("xtask perf: {point}/{name}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let faster = |r: &PerfReport, b: &PerfReport| {
-                    perf_f64(r, "wall_ms") < perf_f64(b, "wall_ms")
-                };
-                if best.as_ref().is_none_or(|b| faster(&rep, b)) {
-                    best = Some(rep);
-                }
-            }
-            let best = best.expect("runs >= 1 always yields a report");
-            println!(
-                "  {point:<16} {name:<6} wall {:>9.1} ms  {:>12} events  {:>10.0} ev/s  rss {:>7} KiB",
-                perf_f64(&best, "wall_ms"),
-                best.get("events").map_or("?", String::as_str),
-                perf_f64(&best, "events_per_sec"),
-                best.get("peak_rss_kb").map_or("?", String::as_str),
-            );
-            per_scheduler.push(best);
-        }
-        results.push((point.clone(), per_scheduler));
-    }
-    // Cross-scheduler digest agreement is the harness's correctness
-    // gate: an optimization that changes event order is a wrong answer
-    // computed quickly.
-    let mut digests_ok = true;
-    for (point, reps) in &results {
-        let digests: Vec<&str> = reps
-            .iter()
-            .map(|r| r.get("digest").map_or("?", String::as_str))
-            .collect();
-        if digests.windows(2).any(|w| w[0] != w[1]) {
-            eprintln!("xtask perf: DIGEST MISMATCH on {point}: {digests:?}");
-            digests_ok = false;
-        }
-    }
-    let json = perf_json(quick, &results, digests_ok);
-    let out = root.join("BENCH_perf.json");
-    if let Err(e) = fs::write(&out, json) {
-        eprintln!("xtask perf: writing {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("xtask perf: wrote {}", out.display());
-    let mut headline_now = None;
-    let mut headline_rss = None;
-    if let Some((_, reps)) = results.iter().find(|(p, _)| p == PERF_HEADLINE_POINT) {
-        let (wheel, heap) = (&reps[0], &reps[1]);
-        let improvement =
-            perf_improvement_pct(perf_f64(heap, "wall_ms"), perf_f64(wheel, "wall_ms"));
-        headline_now = Some(improvement);
-        headline_rss = Some((
-            perf_f64(wheel, "peak_rss_kb"),
-            perf_f64(heap, "peak_rss_kb"),
-        ));
-        println!(
-            "xtask perf: {PERF_HEADLINE_POINT}: wheel {:.1} ms vs heap {:.1} ms — {improvement:.1}% \
-             wall-clock improvement",
-            perf_f64(wheel, "wall_ms"),
-            perf_f64(heap, "wall_ms"),
-        );
-    }
-    if gate {
-        match headline_now {
-            Some(now) if now >= PERF_GATE_MIN_IMPROVEMENT_PCT => {
-                println!(
-                    "xtask perf: gate OK — wheel beats heap by {now:.1}% this run \
-                     (floor {PERF_GATE_MIN_IMPROVEMENT_PCT:.0}%)"
-                );
-            }
-            Some(now) => {
-                eprintln!(
-                    "xtask perf: GATE FAILED — wheel beats heap by only {now:.1}% this run, \
-                     below the {PERF_GATE_MIN_IMPROVEMENT_PCT:.0}% floor"
-                );
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!("xtask perf: GATE FAILED — headline point missing from this run");
-                return ExitCode::FAILURE;
-            }
-        }
-        let (wheel_kb, heap_kb) = headline_rss.expect("headline present if wall gate passed");
-        match rss_gate(wheel_kb, heap_kb) {
-            RssGate::Ok(ratio) => {
-                println!(
-                    "xtask perf: RSS gate OK — wheel peak RSS is {ratio:.2}× heap's \
-                     (ceiling {PERF_GATE_MAX_RSS_RATIO:.1}×)"
-                );
-            }
-            RssGate::Skipped(why) => {
-                println!("xtask perf: RSS gate skipped — {why}");
-            }
-            RssGate::Failed(ratio) => {
-                eprintln!(
-                    "xtask perf: GATE FAILED — wheel peak RSS is {ratio:.2}× heap's, at or \
-                     above the {PERF_GATE_MAX_RSS_RATIO:.1}× ceiling"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if digests_ok {
-        println!("xtask perf: same-seed digests identical across schedulers");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask perf: FAIL (cross-scheduler digest mismatch)");
-        ExitCode::FAILURE
-    }
-}
-
-/// Wall-clock reduction of `new` relative to `old`, in percent.
-fn perf_improvement_pct(old_ms: f64, new_ms: f64) -> f64 {
-    if old_ms <= 0.0 {
-        return 0.0;
-    }
-    (old_ms - new_ms) / old_ms * 100.0
-}
-
-/// Numeric field of a report, NaN when absent/unparseable (NaN keeps
-/// comparisons false, so a malformed report never wins best-of-N).
-fn perf_f64(rep: &PerfReport, key: &str) -> f64 {
-    rep.get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(f64::NAN)
-}
-
-/// Ask the (wheel-build) binary for its point list — single source of
-/// truth in `hermes-bench::PERF_POINTS`.
-fn perf_point_names(root: &Path) -> Result<Vec<String>, String> {
-    let out = cargo_run_perf_point(root, &[], &["--list"])?;
-    let points: Vec<String> = out
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .map(String::from)
-        .collect();
-    if points.is_empty() {
-        return Err("perf_point --list printed no points".into());
-    }
-    Ok(points)
-}
-
-/// One timed child run; returns the parsed `key=value` report.
-fn run_perf_point(
-    root: &Path,
-    point: &str,
-    features: &[&str],
-    quick: bool,
-) -> Result<PerfReport, String> {
-    let mut args = vec!["--point", point];
-    if quick {
-        args.push("--quick");
-    }
-    let out = cargo_run_perf_point(root, features, &args)?;
-    let rep: PerfReport = out
-        .lines()
-        .filter_map(|l| l.split_once('='))
-        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-        .collect();
-    for required in ["scheduler", "wall_ms", "events", "digest"] {
-        if !rep.contains_key(required) {
-            return Err(format!("report missing `{required}`:\n{out}"));
-        }
-    }
-    Ok(rep)
-}
-
-/// `cargo run --release -p hermes-bench [features…] --bin perf_point -- args…`
-/// from the workspace root, returning the child's stdout.
-fn cargo_run_perf_point(root: &Path, features: &[&str], args: &[&str]) -> Result<String, String> {
-    let mut cmd = std::process::Command::new("cargo");
-    cmd.current_dir(root)
-        .arg("run")
-        .arg("--release")
-        .arg("-q")
-        .args(["-p", "hermes-bench"])
-        .args(features)
-        .args(["--bin", "perf_point", "--"])
-        .args(args);
-    let out = cmd.output().map_err(|e| format!("spawning cargo: {e}"))?;
-    if !out.status.success() {
-        return Err(format!(
-            "cargo run failed ({}):\n{}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr)
-        ));
-    }
-    Ok(String::from_utf8_lossy(&out.stdout).into_owned())
-}
-
-/// Hand-rolled JSON for `BENCH_perf.json` (the workspace deliberately
-/// vendors no serde). All fields come from already-validated reports.
-fn perf_json(quick: bool, results: &[(String, Vec<PerfReport>)], digests_ok: bool) -> String {
-    let num = |rep: &PerfReport, key: &str| -> String {
-        let v = perf_f64(rep, key);
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        }
-    };
-    let mut points = Vec::new();
-    let mut headline = String::from("null");
-    for (point, reps) in results {
-        let mut sched_objs = Vec::new();
-        for rep in reps {
-            sched_objs.push(format!(
-                concat!(
-                    "{{\"scheduler\": \"{}\", \"wall_ms\": {}, \"events\": {}, ",
-                    "\"events_per_sec\": {}, \"packets\": {}, \"packets_per_sec\": {}, ",
-                    "\"peak_rss_kb\": {}, \"trains_inlined\": {}, \"digest\": \"{}\"}}"
-                ),
-                rep.get("scheduler").map_or("?", String::as_str),
-                num(rep, "wall_ms"),
-                num(rep, "events"),
-                num(rep, "events_per_sec"),
-                num(rep, "packets"),
-                num(rep, "packets_per_sec"),
-                num(rep, "peak_rss_kb"),
-                num(rep, "trains_inlined"),
-                rep.get("digest").map_or("?", String::as_str),
-            ));
-        }
-        let improvement = if reps.len() == 2 {
-            perf_improvement_pct(perf_f64(&reps[1], "wall_ms"), perf_f64(&reps[0], "wall_ms"))
-        } else {
-            f64::NAN
-        };
-        // Wheel-vs-heap peak-RSS ratio (null when RSS was unreadable).
-        let rss_ratio_json = if reps.len() == 2 {
-            match rss_gate(
-                perf_f64(&reps[0], "peak_rss_kb"),
-                perf_f64(&reps[1], "peak_rss_kb"),
-            ) {
-                RssGate::Ok(r) | RssGate::Failed(r) => format!("{r:.3}"),
-                RssGate::Skipped(_) => "null".to_string(),
-            }
-        } else {
-            "null".to_string()
-        };
-        let digest_match = reps
-            .windows(2)
-            .all(|w| w[0].get("digest") == w[1].get("digest"));
-        let improvement_json = if improvement.is_finite() {
-            format!("{improvement:.2}")
-        } else {
-            "null".to_string()
-        };
-        let obj = format!(
-            concat!(
-                "    {{\"point\": \"{}\", \"digest_match\": {}, ",
-                "\"wall_improvement_pct\": {}, \"rss_ratio\": {}, \"schedulers\": [{}]}}"
-            ),
-            point,
-            digest_match,
-            improvement_json,
-            rss_ratio_json,
-            sched_objs.join(", "),
-        );
-        if point == PERF_HEADLINE_POINT {
-            headline = format!(
-                "{{\"point\": \"{point}\", \"wall_improvement_pct\": {improvement_json}, \
-                 \"rss_ratio\": {rss_ratio_json}}}"
-            );
-        }
-        points.push(obj);
-    }
-    format!(
-        concat!(
-            "{{\n",
-            "  \"generated_by\": \"cargo run -p xtask -- perf{}\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"digests_identical_across_schedulers\": {},\n",
-            "  \"headline\": {},\n",
-            "  \"points\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        if quick { " --quick" } else { "" },
-        if quick { "quick" } else { "full" },
-        digests_ok,
-        headline,
-        points.join(",\n"),
-    )
-}
-
-/// The workspace root, two levels above this crate's manifest.
 /// `chaos`: replay the committed counterexample corpus, then run a
 /// seeded fault-space fuzzing campaign under the degradation SLOs
 /// (DESIGN.md §14). `--self-test` proves every SLO checker and the
@@ -917,6 +534,7 @@ fn chaos_self_test() -> ExitCode {
     }
 }
 
+/// The workspace root, two levels above this crate's manifest.
 fn workspace_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest
@@ -929,90 +547,6 @@ fn workspace_root() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn perf_gate_floor_is_a_same_run_relative_bound() {
-        // The committed headline improvement sits comfortably above the
-        // floor, so a healthy run passes with margin; the floor itself
-        // stays well below it so machine noise on the *ratio* (not the
-        // absolute wall-clock) is what it takes to trip.
-        assert!(perf_improvement_pct(100.0, 80.0) >= PERF_GATE_MIN_IMPROVEMENT_PCT);
-        assert!(perf_improvement_pct(100.0, 95.0) < PERF_GATE_MIN_IMPROVEMENT_PCT);
-    }
-
-    #[test]
-    fn perf_improvement_is_relative_to_the_baseline() {
-        assert!((perf_improvement_pct(100.0, 80.0) - 20.0).abs() < 1e-12);
-        assert!((perf_improvement_pct(100.0, 125.0) + 25.0).abs() < 1e-12);
-        assert_eq!(perf_improvement_pct(0.0, 5.0), 0.0);
-    }
-
-    #[test]
-    fn perf_json_shape_is_stable() {
-        let mk = |sched: &str, wall: &str, digest: &str| -> PerfReport {
-            [
-                ("scheduler", sched),
-                ("wall_ms", wall),
-                ("events", "10"),
-                ("events_per_sec", "100"),
-                ("packets", "5"),
-                ("packets_per_sec", "50"),
-                ("peak_rss_kb", "1024"),
-                ("trains_inlined", "3"),
-                ("digest", digest),
-            ]
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-        };
-        let results = vec![(
-            PERF_HEADLINE_POINT.to_string(),
-            vec![mk("wheel", "80", "0xabc"), mk("heap", "100", "0xabc")],
-        )];
-        let json = perf_json(false, &results, true);
-        assert!(json.contains("\"wall_improvement_pct\": 20.00"), "{json}");
-        assert!(json.contains("\"digest_match\": true"), "{json}");
-        assert!(
-            json.contains("\"headline\": {\"point\": \"fig12_baseline\""),
-            "{json}"
-        );
-        assert!(json.contains("\"mode\": \"full\""), "{json}");
-        // Equal RSS on both sides → ratio 1.000, in the per-point object
-        // and the headline; the per-scheduler rows carry the raw columns.
-        assert!(json.contains("\"rss_ratio\": 1.000"), "{json}");
-        assert!(json.contains("\"peak_rss_kb\": 1024"), "{json}");
-        assert!(json.contains("\"trains_inlined\": 3"), "{json}");
-        // A digest split must surface in both the per-point and the
-        // top-level flags.
-        let split = vec![(
-            PERF_HEADLINE_POINT.to_string(),
-            vec![mk("wheel", "80", "0xabc"), mk("heap", "100", "0xdef")],
-        )];
-        let json = perf_json(true, &split, false);
-        assert!(json.contains("\"digest_match\": false"), "{json}");
-        assert!(
-            json.contains("\"digests_identical_across_schedulers\": false"),
-            "{json}"
-        );
-        assert!(json.contains("\"mode\": \"quick\""), "{json}");
-    }
-
-    #[test]
-    fn rss_gate_passes_skips_and_fails() {
-        // Well under the ceiling: ok, with the measured ratio.
-        assert_eq!(rss_gate(30_000.0, 19_000.0), RssGate::Ok(30.0 / 19.0));
-        // Unavailable on either side (the probe's 0 sentinel or a NaN
-        // from a missing report field) skips the check — never fails it.
-        assert!(matches!(rss_gate(0.0, 19_000.0), RssGate::Skipped(_)));
-        assert!(matches!(rss_gate(30_000.0, 0.0), RssGate::Skipped(_)));
-        assert!(matches!(rss_gate(f64::NAN, 19_000.0), RssGate::Skipped(_)));
-        // At the ceiling exactly is a failure: the bound is exclusive.
-        assert_eq!(rss_gate(38_000.0, 19_000.0), RssGate::Failed(2.0));
-        assert!(matches!(
-            rss_gate(144_100.0, 19_032.0),
-            RssGate::Failed(r) if r > 7.0
-        ));
-    }
 
     #[test]
     fn analyzer_runs_clean_via_the_xtask_root() {

@@ -21,13 +21,14 @@
 //!     --drop 3:0.02 --load 0.5
 //! ```
 
+use hermes_bench::{asym_topology, avg_summaries, baseline_capacity, run_point, PointCfg};
 use hermes_core::HermesParams;
 use hermes_lb::{CloveCfg, CongaCfg, FlowBenderCfg};
 use hermes_net::{LeafId, SpineFailure, SpineId, Topology};
-use hermes_runtime::{Scheme, SimConfig, Simulation};
-use hermes_sim::{SimRng, Time};
+use hermes_runtime::Scheme;
+use hermes_sim::Time;
 use hermes_transport::TransportCfg;
-use hermes_workload::{summarize, FctSummary, FlowGen, FlowSizeDist};
+use hermes_workload::{FctSummary, FlowSizeDist};
 
 struct Args {
     topo: String,
@@ -171,27 +172,20 @@ fn check_indices(a: &Args, topo: &Topology) {
     }
 }
 
-fn build_topo(a: &Args) -> (Topology, Option<u64>) {
-    let mut topo = match a.topo.as_str() {
-        "testbed" => Topology::testbed(),
-        "baseline" => Topology::sim_baseline(),
-        "asym" => {
-            let mut t = Topology::sim_baseline();
-            let mut rng = SimRng::new(0xA5);
-            t.degrade_random_links(0.2, 2_000_000_000, &mut rng);
-            t
-        }
+/// The topology under test (cuts applied) and the *healthy* fabric's
+/// uplink capacity that `--load` is defined against.
+fn build_topo(a: &Args) -> (Topology, u64) {
+    let (mut topo, healthy) = match a.topo.as_str() {
+        "testbed" => (Topology::testbed(), Topology::testbed().total_uplink_bps()),
+        "baseline" => (Topology::sim_baseline(), baseline_capacity()),
+        "asym" => (asym_topology(), baseline_capacity()),
         other => usage(&format!("unknown topology {other}")),
-    };
-    let healthy = match a.topo.as_str() {
-        "testbed" => Topology::testbed().total_uplink_bps(),
-        _ => Topology::sim_baseline().total_uplink_bps(),
     };
     check_indices(a, &topo);
     for &(l, s) in &a.cuts {
         topo.cut_link(LeafId(l), SpineId(s));
     }
-    (topo, Some(healthy))
+    (topo, healthy)
 }
 
 fn build_scheme(a: &Args, topo: &Topology) -> Scheme {
@@ -273,51 +267,26 @@ fn main() {
     );
     let mut sums = Vec::new();
     for run in 0..a.runs {
-        let seed = a.seed + run;
-        let scheme = build_scheme(&a, &topo);
-        let mut gen = FlowGen::new(
-            &topo,
-            dist.clone(),
-            a.load,
-            capacity,
-            SimRng::new(seed).split(0x6E4),
-        );
-        let specs = gen.schedule(a.flows);
-        let last = specs.last().expect("parse_args rejects --flows 0");
-        let horizon = last.start + Time::from_secs(10);
-        let mut sim = Simulation::new(
-            SimConfig::new(topo.clone(), scheme)
-                .with_seed(seed)
-                .with_transport(transport),
-        );
+        let mut cfg = PointCfg::new(topo.clone(), build_scheme(&a, &topo), dist.clone(), a.load)
+            .flows(a.flows)
+            .seed(a.seed + run)
+            .capacity(capacity)
+            .transport(transport)
+            .drain(Time::from_secs(10));
         for &(s, r) in &a.drops {
-            sim.set_spine_failure(SpineId(s), SpineFailure::random_drops(r));
+            cfg = cfg.failure(SpineId(s), SpineFailure::random_drops(r));
         }
         for &(sp, sl, dl, f) in &a.blackholes {
-            sim.set_spine_failure(
+            cfg = cfg.failure(
                 SpineId(sp),
                 SpineFailure::blackhole(LeafId(sl), LeafId(dl), f),
             );
         }
-        sim.add_flows(specs);
-        sim.run_to_completion(horizon);
-        sums.push(summarize(sim.records(), horizon));
+        let fct = run_point(&cfg).fct;
         if a.runs > 1 {
-            eprintln!("run {run}: avg {:.3} ms", sums.last().unwrap().avg * 1e3);
+            eprintln!("run {run}: avg {:.3} ms", fct.avg * 1e3);
         }
+        sums.push(fct);
     }
-    // Component-wise mean over runs.
-    let mut avg = sums[0];
-    if sums.len() > 1 {
-        let n = sums.len() as f64;
-        avg.avg = sums.iter().map(|s| s.avg).sum::<f64>() / n;
-        avg.p50 = sums.iter().map(|s| s.p50).sum::<f64>() / n;
-        avg.p95 = sums.iter().map(|s| s.p95).sum::<f64>() / n;
-        avg.p99 = sums.iter().map(|s| s.p99).sum::<f64>() / n;
-        avg.avg_small = sums.iter().map(|s| s.avg_small).sum::<f64>() / n;
-        avg.p99_small = sums.iter().map(|s| s.p99_small).sum::<f64>() / n;
-        avg.avg_large = sums.iter().map(|s| s.avg_large).sum::<f64>() / n;
-        avg.unfinished = sums.iter().map(|s| s.unfinished).sum::<usize>() / sums.len();
-    }
-    print_summary(&avg);
+    print_summary(&avg_summaries(&sums));
 }
