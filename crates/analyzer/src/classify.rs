@@ -17,7 +17,7 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// Crate directories the analyzer skips entirely: vendored stand-ins
 /// for third-party crates (not our code) and the tooling itself.
-pub const SKIP_CRATES: &[&str] = &["proptest", "criterion", "xtask", "analyzer"];
+pub const SKIP_CRATES: &[&str] = &["proptest", "xtask", "analyzer"];
 
 /// What part of a crate a file belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -27,8 +27,6 @@
 //!   deterministic event order, not wall-clock scheduling.
 
 use hermes_bench::TextTable;
-use hermes_core::HermesParams;
-use hermes_lb::CongaCfg;
 use hermes_net::{FaultPlan, LeafId, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::Time;
@@ -105,14 +103,8 @@ fn main() {
         "== Collective stall: 8-rank x 6-step ring-allreduce (256 KB chunks), \
          leaf0-spine0 degraded to 5 Mb/s at 2 ms =="
     );
-    let schemes: Vec<(&str, Scheme)> = vec![
-        (
-            "hermes",
-            Scheme::Hermes(HermesParams::from_topology(&Topology::testbed())),
-        ),
-        ("conga", Scheme::Conga(CongaCfg::default())),
-        ("ecmp", Scheme::Ecmp),
-    ];
+    let testbed = Topology::testbed();
+    let scheme = |name| Scheme::by_name(name, &testbed).expect("a Scheme::NAMES entry");
     let mut tab = TextTable::new(&[
         "scheme",
         "seed",
@@ -122,17 +114,17 @@ fn main() {
     ]);
     let mut hermes_first = None;
     let mut means: Vec<(&str, f64, usize)> = Vec::new();
-    for (name, scheme) in &schemes {
+    for name in ["hermes", "conga", "ecmp"] {
         let mut total = 0.0;
         let mut n_done = 0;
         for &seed in &SEEDS {
-            let out = run(scheme.clone(), seed);
+            let out = run(scheme(name), seed);
             assert!(
                 out.conservation_balanced,
                 "{name}/{seed}: packet conservation must balance"
             );
             tab.row(vec![
-                (*name).into(),
+                name.into(),
                 format!("{seed}"),
                 ms(out.completion),
                 ms(out.worst_step),
@@ -142,7 +134,7 @@ fn main() {
                 total += c.as_secs_f64() * 1e3;
                 n_done += 1;
             }
-            if *name == "hermes" && seed == SEEDS[0] {
+            if name == "hermes" && seed == SEEDS[0] {
                 hermes_first = Some(out);
             }
         }
@@ -161,10 +153,7 @@ fn main() {
     // Same-seed replay: completion-released flows ride the event queue,
     // so the whole collective must fingerprint identically.
     let h = hermes_first.expect("hermes scheme ran");
-    let again = run(
-        Scheme::Hermes(HermesParams::from_topology(&Topology::testbed())),
-        SEEDS[0],
-    );
+    let again = run(scheme("hermes"), SEEDS[0]);
     assert_eq!(
         h.digest, again.digest,
         "same-seed ring-allreduce runs must have identical trace digests"

@@ -17,47 +17,14 @@
 //! that the fault schedule is replayed deterministically through the
 //! event queue (identical trace digests, balanced conservation).
 
-use hermes_bench::TextTable;
-use hermes_core::HermesParams;
-use hermes_lb::CongaCfg;
-use hermes_net::{FaultPlan, FlowId, HostId, LeafId, LinkCfg, SpineId, Topology};
+use hermes_bench::{
+    trace_flows, trace_plan, trace_topo, TextTable, CLEAR, HORIZON, ONSET, SEED, TRACE_POINTS,
+};
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
 use hermes_sim::Time;
-use hermes_workload::{degradation_report, DegradationCfg, FlowSpec};
+use hermes_workload::{degradation_report, DegradationCfg};
 
-const FLOW_BYTES: u64 = 100_000;
-const N_FLOWS: u64 = 2_400; // one arrival per 250 µs → 3.2 Gb/s offered
-const ONSET: Time = Time::from_ms(150);
-const CLEAR: Time = Time::from_ms(450);
-const HORIZON: Time = Time::from_ms(1_500);
 const SAMPLE: Time = Time::from_ms(10);
-const SEED: u64 = 7;
-
-fn topo() -> Topology {
-    Topology::leaf_spine(
-        4,
-        4,
-        8,
-        LinkCfg::new(10_000_000_000, Time::from_us(5)),
-        LinkCfg::new(10_000_000_000, Time::from_us(10)),
-    )
-}
-
-fn plan() -> FaultPlan {
-    FaultPlan::new().blackhole_window(SpineId(0), LeafId(0), LeafId(3), 1.0, ONSET, CLEAR)
-}
-
-fn flows() -> Vec<FlowSpec> {
-    (0..N_FLOWS)
-        .map(|i| FlowSpec {
-            id: FlowId(i),
-            src: HostId((i % 8) as u32),
-            dst: HostId((24 + (i * 5 + 3) % 8) as u32),
-            size: FLOW_BYTES,
-            start: Time::from_us(i * 250),
-        })
-        .collect()
-}
 
 struct RunOut {
     series: Vec<(Time, u64)>,
@@ -73,12 +40,14 @@ struct RunOut {
 }
 
 fn run(scheme: Scheme) -> RunOut {
-    let cfg = SimConfig::new(topo(), scheme)
+    let cfg = SimConfig::new(trace_topo(), scheme)
         .with_seed(SEED)
-        .with_fault_plan(plan());
+        .with_fault_plan(trace_plan());
     let mut sim = Simulation::new(cfg);
+    // Sampler before flows: flow 40 and the first sample tie at 10 ms.
     let sampler = sim.add_sampler(SAMPLE, Probe::TotalGoodput);
-    sim.add_flows(flows());
+    // 2 400 × 100 KB, one arrival per 250 µs → 3.2 Gb/s offered.
+    sim.add_flows(trace_flows(&TRACE_POINTS[0]));
     sim.run_to_completion(HORIZON);
     let stranded_at_clear = sim
         .records()
@@ -119,18 +88,8 @@ fn main() {
         "== Figure 17 (transient): rack0→rack3 blackhole on spine 0, \
          onset 150 ms, clear 450 ms =="
     );
-    let t = topo();
-    let schemes: Vec<(&str, Scheme)> = vec![
-        ("ecmp", Scheme::Ecmp),
-        (
-            "letflow",
-            Scheme::LetFlow {
-                flowlet_timeout: Time::from_us(150),
-            },
-        ),
-        ("conga", Scheme::Conga(CongaCfg::default())),
-        ("hermes", Scheme::Hermes(HermesParams::from_topology(&t))),
-    ];
+    let t = trace_topo();
+    let scheme = |name| Scheme::by_name(name, &t).expect("a Scheme::NAMES entry");
     let cfg = DegradationCfg::default();
     let mut tab = TextTable::new(&[
         "scheme",
@@ -142,8 +101,8 @@ fn main() {
         "unfinished",
     ]);
     let mut hermes_out = None;
-    for (name, scheme) in schemes {
-        let out = run(scheme);
+    for name in ["ecmp", "letflow", "conga", "hermes"] {
+        let out = run(scheme(name));
         let rep = degradation_report(&out.series, ONSET, &cfg, out.stranded_at_clear);
         tab.row(vec![
             name.into(),
@@ -169,7 +128,7 @@ fn main() {
     );
     // Same-seed replay: the fault schedule flows through the event
     // queue, so the whole transient run must fingerprint identically.
-    let again = run(Scheme::Hermes(HermesParams::from_topology(&t)));
+    let again = run(scheme("hermes"));
     assert_eq!(
         h.digest, again.digest,
         "same-seed transient runs must have identical trace digests"

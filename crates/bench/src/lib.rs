@@ -2,8 +2,10 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper (see `DESIGN.md` §4 for the index). This library holds the
-//! shared pieces: a single-point FCT runner (also what `hermes-cli`
-//! runs), the probing-cost calculator behind Table 6,
+//! shared pieces: the one point runner, `run_point(&PointCfg) ->
+//! RunReport` (what `hermes-cli`, the figure grids, the conformance
+//! grid and the chaos campaigns all run), the fig17 trace points, the
+//! probing-cost calculator behind Table 6,
 //! environment-variable scaling, and a plain text table printer. The
 //! simulator's own speed is not measured here: that record is the
 //! repo-root `benchmark/` crate.
@@ -27,11 +29,12 @@ mod trace;
 
 pub use grid::GridSpec;
 pub use probing::{ProbingCostModel, ProbingRow};
-pub use runner::{
-    avg_summaries, run_point, run_point_detailed, DetailedResult, PointCfg, PointResult,
-};
+pub use runner::{avg_summaries, run_point, PointCfg, RunReport};
 pub use table::{fmt_ms, fmt_ratio, TextTable};
-pub use trace::{run_trace_point, trace_point, TraceOut, TracePoint, CLEAR, ONSET, TRACE_POINTS};
+pub use trace::{
+    run_trace_point, trace_flows, trace_plan, trace_point, trace_topo, TraceOut, TracePoint, CLEAR,
+    HORIZON, ONSET, SEED, TRACE_POINTS,
+};
 
 /// Global flow-count scale from `HERMES_SCALE`.
 pub fn scale() -> f64 {

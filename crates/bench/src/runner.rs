@@ -11,7 +11,7 @@ use hermes_workload::{
 };
 
 /// One experiment point.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct PointCfg {
     pub topo: Topology,
     pub scheme: Scheme,
@@ -41,6 +41,13 @@ pub struct PointCfg {
     pub drain: Time,
     /// Visibility observation window (Table 2).
     pub visibility_linger: Time,
+    /// Sample total goodput at this cadence into [`RunReport::goodput`].
+    /// The sampler's ticks are `Global` events in the digested trace, so
+    /// a digest is comparable only between runs with the same interval
+    /// (the goldens are pinned with the scenario's). Ticks never touch
+    /// RNG streams or flow state: FCTs and records are identical with
+    /// and without. `None` (the default) schedules no sampler.
+    pub goodput_interval: Option<Time>,
 }
 
 impl PointCfg {
@@ -60,6 +67,7 @@ impl PointCfg {
             fault_plan: None,
             drain: Time::from_secs(3),
             visibility_linger: Time::ZERO,
+            goodput_interval: None,
         }
     }
 
@@ -112,37 +120,19 @@ impl PointCfg {
         self.workload = w;
         self
     }
+
+    pub fn goodput_interval(mut self, i: Time) -> PointCfg {
+        self.goodput_interval = Some(i);
+        self
+    }
 }
 
-/// The outcome of a point: FCT stats plus run diagnostics.
-#[derive(Clone, Copy, Debug)]
-pub struct PointResult {
-    pub fct: FctSummary,
-    pub events: u64,
-    pub sim_time: Time,
-    /// Table 2 visibility measurements.
-    pub vis_switch: f64,
-    pub vis_host: f64,
-}
-
-/// Run one point. Deterministic in `(cfg, seed)`.
-pub fn run_point(cfg: &PointCfg) -> PointResult {
-    let (sim, horizon) = run_sim(cfg, None);
-    finish_point(sim, horizon)
-}
-
-/// Everything [`run_point`] reports plus the raw evidence the
-/// conformance checkers need: per-flow records, the event-trace
-/// digest, the packet-conservation snapshot, and a goodput timeline.
-///
-/// Note on digests: the goodput sampler injects `Global` events that
-/// are part of the digested trace, so a detailed run's digest differs
-/// from a plain [`run_point`] run's. Golden digests must therefore be
-/// produced and checked through this same entry point (they are — see
-/// `hermes-testkit`). Sampler events never touch RNG streams or flow
-/// state, so FCTs and records are identical either way.
+/// The outcome of a point: the FCT summary plus the raw evidence the
+/// conformance and chaos checkers need (per-flow records, the
+/// event-trace digest, the packet-conservation snapshot, the goodput
+/// timeline) and the Table 2 visibility measurements.
 #[derive(Clone, Debug)]
-pub struct DetailedResult {
+pub struct RunReport {
     pub fct: FctSummary,
     pub records: Vec<FlowRecord>,
     pub events: u64,
@@ -151,38 +141,26 @@ pub struct DetailedResult {
     pub horizon: Time,
     pub digest: u64,
     pub conservation: ConservationReport,
-    /// `(sample time, cumulative in-order TCP payload bytes)`.
+    /// `(sample time, cumulative in-order TCP payload bytes)`; empty
+    /// without a `goodput_interval`.
     pub goodput: Vec<(Time, u64)>,
     /// Past-time schedules the event queue clamped (0 in a causal run;
     /// the conformance invariant checker rejects anything else).
     pub queue_clamps: u64,
+    /// Table 2 visibility measurements.
+    pub vis_switch: f64,
+    pub vis_host: f64,
 }
 
-/// Run one point, keeping the evidence. Deterministic in `(cfg, seed)`.
-pub fn run_point_detailed(cfg: &PointCfg, goodput_interval: Time) -> DetailedResult {
-    let (sim, horizon) = run_sim(cfg, Some(goodput_interval));
-    DetailedResult {
-        fct: summarize(sim.records(), horizon),
-        records: sim.records().to_vec(),
-        events: sim.stats.events,
-        sim_time: sim.now(),
-        horizon,
-        digest: sim.trace_digest(),
-        conservation: sim.conservation(),
-        goodput: sim.sampler_series(0).to_vec(),
-        queue_clamps: sim.queue_clamps(),
-    }
-}
-
-/// Shared materialization: build the sim, wire failures/faults,
-/// schedule the workload, run to the drain horizon.
+/// Run one point: build the sim, wire failures/faults, schedule the
+/// workload, run to the drain horizon. Deterministic in `(cfg, seed)`.
 ///
 /// Open-loop kinds (`Poisson`, `ElephantMice`) pre-schedule their
 /// arrivals and drain for `cfg.drain` past the last one. The
 /// staged-dependency kinds (`RingAllreduce`, `Incast`) have no arrival
 /// schedule — flows are released by completions — so `cfg.drain` is the
 /// whole run's time budget.
-fn run_sim(cfg: &PointCfg, goodput_interval: Option<Time>) -> (Simulation, Time) {
+pub fn run_point(cfg: &PointCfg) -> RunReport {
     // The workload RNG stream, disjoint from the sim's internal streams.
     let wl_rng = SimRng::new(cfg.seed).split(0x6E4);
     let mut sim_cfg = SimConfig::new(cfg.topo.clone(), cfg.scheme.clone())
@@ -193,10 +171,11 @@ fn run_sim(cfg: &PointCfg, goodput_interval: Option<Time>) -> (Simulation, Time)
         sim_cfg = sim_cfg.with_reorder_mask(mask);
     }
     let mut sim = Simulation::new(sim_cfg);
-    if let Some(interval) = goodput_interval {
-        let idx = sim.add_sampler(interval, Probe::TotalGoodput);
-        debug_assert_eq!(idx, 0, "goodput sampler must be sampler 0");
-    }
+    // Registered first: the goldens digest the schedule order sampler →
+    // static failures → fault plan → workload.
+    let sampler = cfg
+        .goodput_interval
+        .map(|interval| sim.add_sampler(interval, Probe::TotalGoodput));
     for (s, f) in &cfg.failures {
         sim.set_spine_failure(*s, *f);
     }
@@ -235,15 +214,17 @@ fn run_sim(cfg: &PointCfg, goodput_interval: Option<Time>) -> (Simulation, Time)
         }
     };
     sim.run_to_completion(horizon);
-    (sim, horizon)
-}
-
-fn finish_point(mut sim: Simulation, horizon: Time) -> PointResult {
     let (vis_switch, vis_host) = sim.visibility();
-    PointResult {
+    RunReport {
         fct: summarize(sim.records(), horizon),
+        records: sim.records().to_vec(),
         events: sim.stats.events,
         sim_time: sim.now(),
+        horizon,
+        digest: sim.trace_digest(),
+        conservation: sim.conservation(),
+        goodput: sampler.map_or_else(Vec::new, |i| sim.sampler_series(i).to_vec()),
+        queue_clamps: sim.queue_clamps(),
         vis_switch,
         vis_host,
     }
@@ -322,7 +303,9 @@ mod tests {
         let topo = Topology::testbed();
         let cfg = PointCfg::new(topo, Scheme::Ecmp, FlowSizeDist::web_search(), 0.3).flows(50);
         let plain = run_point(&cfg);
-        let det = run_point_detailed(&cfg, Time::from_ms(1));
+        assert!(plain.goodput.is_empty(), "no interval, no sampler");
+        let cfg = cfg.goodput_interval(Time::from_ms(1));
+        let det = run_point(&cfg);
         // Sampler events are observation-only: FCTs must be identical.
         assert_eq!(plain.fct.avg, det.fct.avg);
         assert_eq!(plain.fct.p99, det.fct.p99);
@@ -331,8 +314,8 @@ mod tests {
         assert!(!det.goodput.is_empty());
         // ...but the digested trace now includes the sampler ticks.
         assert!(det.events > plain.events);
-        // Detailed runs are themselves deterministic.
-        let det2 = run_point_detailed(&cfg, Time::from_ms(1));
+        // Sampled runs are themselves deterministic.
+        let det2 = run_point(&cfg);
         assert_eq!(det.digest, det2.digest);
         assert_eq!(det.goodput, det2.goodput);
     }
@@ -351,13 +334,14 @@ mod tests {
             steps: 3,
             chunk_bytes: 32_000,
         }))
-        .drain(Time::from_secs(2));
-        let det = run_point_detailed(&cfg, Time::from_ms(1));
+        .drain(Time::from_secs(2))
+        .goodput_interval(Time::from_ms(1));
+        let det = run_point(&cfg);
         assert_eq!(det.records.len(), 12, "ranks × steps flows must run");
         assert_eq!(det.fct.unfinished, 0);
         let bytes: u64 = det.records.iter().map(|r| r.size).sum();
         assert_eq!(bytes, 4 * 3 * 32_000);
-        let det2 = run_point_detailed(&cfg, Time::from_ms(1));
+        let det2 = run_point(&cfg);
         assert_eq!(det.digest, det2.digest, "driver runs must be deterministic");
     }
 
@@ -375,8 +359,9 @@ mod tests {
             reply_bytes: 16_000,
             bursts: 3,
         }))
-        .drain(Time::from_secs(2));
-        let det = run_point_detailed(&cfg, Time::from_ms(1));
+        .drain(Time::from_secs(2))
+        .goodput_interval(Time::from_ms(1));
+        let det = run_point(&cfg);
         assert_eq!(det.records.len(), 12);
         assert_eq!(det.fct.unfinished, 0);
         // Burst b+1 must start strictly after burst b's last finish.

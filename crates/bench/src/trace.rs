@@ -18,8 +18,10 @@ use hermes_workload::FlowSpec;
 pub const ONSET: Time = Time::from_ms(150);
 /// See [`ONSET`].
 pub const CLEAR: Time = Time::from_ms(450);
-const HORIZON: Time = Time::from_ms(1_500);
-const SEED: u64 = 7;
+/// How long every fig17-style point runs.
+pub const HORIZON: Time = Time::from_ms(1_500);
+/// The seed every fig17-style point runs under.
+pub const SEED: u64 = 7;
 
 /// A named traceable scenario.
 pub struct TracePoint {
@@ -53,7 +55,8 @@ pub fn trace_point(name: &str) -> Option<&'static TracePoint> {
     TRACE_POINTS.iter().find(|p| p.name == name)
 }
 
-fn topo() -> Topology {
+/// The 4×4×8 10G leaf–spine fabric of the fig17-style points.
+pub fn trace_topo() -> Topology {
     Topology::leaf_spine(
         4,
         4,
@@ -63,11 +66,13 @@ fn topo() -> Topology {
     )
 }
 
-fn plan() -> FaultPlan {
+/// The `ONSET`→`CLEAR` blackhole window.
+pub fn trace_plan() -> FaultPlan {
     FaultPlan::new().blackhole_window(SpineId(0), LeafId(0), LeafId(3), 1.0, ONSET, CLEAR)
 }
 
-fn flows(p: &TracePoint) -> Vec<FlowSpec> {
+/// `p`'s steady open-loop stream of equal-size rack0→rack3 flows.
+pub fn trace_flows(p: &TracePoint) -> Vec<FlowSpec> {
     (0..p.flows)
         .map(|i| FlowSpec {
             id: FlowId(i),
@@ -102,12 +107,12 @@ pub fn run_trace_point(p: &TracePoint) -> TraceOut {
         capacity: 1 << 22,
         ..Default::default()
     });
-    let t = topo();
+    let t = trace_topo();
     let cfg = SimConfig::new(t.clone(), Scheme::Hermes(HermesParams::from_topology(&t)))
         .with_seed(SEED)
-        .with_fault_plan(plan());
+        .with_fault_plan(trace_plan());
     let mut sim = Simulation::new(cfg);
-    sim.add_flows(flows(p));
+    sim.add_flows(trace_flows(p));
     sim.run_to_completion(HORIZON);
     // Final flush: cadence sampling rides event dispatch, so metrics
     // observed by the very last events need one end-of-run snapshot.

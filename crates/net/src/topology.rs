@@ -268,6 +268,24 @@ impl Topology {
         self.up.iter().flatten().flatten().map(|l| l.rate_bps).sum()
     }
 
+    /// Whether every pair of leaves still shares a live spine (which
+    /// also means every leaf keeps an uplink). Front ends call this after
+    /// applying user-supplied cuts, so a disconnected fabric is an input
+    /// error instead of a panic deep in a run.
+    pub fn check_connected(&self) -> Result<(), String> {
+        for a in 0..self.n_leaves {
+            for b in a + 1..self.n_leaves {
+                if self
+                    .path_candidates(LeafId(a as u16), LeafId(b as u16))
+                    .is_empty()
+                {
+                    return Err(format!("leaves {a} and {b} share no live spine"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Sanity-check invariants; panics on inconsistency. Called by the
     /// fabric constructor.
     pub fn validate(&self) {

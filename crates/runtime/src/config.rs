@@ -35,6 +35,43 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// Every name [`Scheme::by_name`] resolves: the spellings scenario
+    /// files, golden-digest keys and `hermes-cli --scheme` use.
+    pub const NAMES: [&'static str; 10] = [
+        "ecmp",
+        "drb",
+        "presto",
+        "presto_weighted",
+        "flowbender",
+        "clove",
+        "letflow",
+        "drill",
+        "conga",
+        "hermes",
+    ];
+
+    /// The one name → scheme table, at the paper's default parameters
+    /// (Hermes derives its thresholds from `topo`). `None` for a name
+    /// outside [`Scheme::NAMES`]; callers with their own knobs adjust
+    /// the returned variant.
+    pub fn by_name(name: &str, topo: &Topology) -> Option<Scheme> {
+        Some(match name {
+            "ecmp" => Scheme::Ecmp,
+            "drb" => Scheme::Drb,
+            "presto" => Scheme::presto(),
+            "presto_weighted" => Scheme::presto_weighted(),
+            "flowbender" => Scheme::FlowBender(FlowBenderCfg::default()),
+            "clove" => Scheme::Clove(CloveCfg::default()),
+            "letflow" => Scheme::LetFlow {
+                flowlet_timeout: Time::from_us(150),
+            },
+            "drill" => Scheme::Drill { samples: 2 },
+            "conga" => Scheme::Conga(CongaCfg::default()),
+            "hermes" => Scheme::Hermes(HermesParams::from_topology(topo)),
+            _ => return None,
+        })
+    }
+
     /// Presto* with equal weights.
     pub fn presto() -> Scheme {
         Scheme::Presto { weighted: false }

@@ -2,7 +2,6 @@
 //! across the simulated fabric under DCTCP.
 
 use hermes_core::HermesParams;
-use hermes_lb::{CloveCfg, CongaCfg, FlowBenderCfg};
 use hermes_net::{FlowId, HostId, LeafId, PathId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
@@ -16,25 +15,6 @@ fn one_flow(size: u64) -> FlowSpec {
         size,
         start: Time::ZERO,
     }
-}
-
-fn all_schemes(topo: &Topology) -> Vec<(&'static str, Scheme)> {
-    vec![
-        ("ecmp", Scheme::Ecmp),
-        ("drb", Scheme::Drb),
-        ("presto", Scheme::presto()),
-        ("flowbender", Scheme::FlowBender(FlowBenderCfg::default())),
-        ("clove", Scheme::Clove(CloveCfg::default())),
-        (
-            "letflow",
-            Scheme::LetFlow {
-                flowlet_timeout: Time::from_us(150),
-            },
-        ),
-        ("drill", Scheme::Drill { samples: 2 }),
-        ("conga", Scheme::Conga(CongaCfg::default())),
-        ("hermes", Scheme::Hermes(HermesParams::from_topology(topo))),
-    ]
 }
 
 #[test]
@@ -54,7 +34,8 @@ fn single_flow_completes_with_sane_fct() {
 #[test]
 fn every_scheme_completes_a_small_workload() {
     let topo = Topology::testbed();
-    for (name, scheme) in all_schemes(&topo) {
+    for name in Scheme::NAMES {
+        let scheme = Scheme::by_name(name, &topo).expect("NAMES entries resolve");
         let mut gen = FlowGen::new(&topo, FlowSizeDist::web_search(), 0.4, None, SimRng::new(7));
         let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(11));
         sim.add_flows(gen.schedule(60));

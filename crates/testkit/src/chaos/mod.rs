@@ -33,9 +33,7 @@ pub use selftest::{chaos_self_test_passed, run_chaos_self_test, ChaosSelfTestCas
 pub use shrink::{shrink_plan, ShrinkOutcome};
 pub use slo::{SloCfg, SloClass, SloViolation};
 
-use hermes_bench::{run_point_detailed, DetailedResult, PointCfg};
-use hermes_core::HermesParams;
-use hermes_lb::CongaCfg;
+use hermes_bench::{run_point, PointCfg, RunReport};
 use hermes_net::{FaultPlan, FnvDigest, Topology};
 use hermes_runtime::Scheme;
 use hermes_sim::Time;
@@ -47,20 +45,12 @@ pub const LBS: [&str; 3] = ["hermes", "conga", "ecmp"];
 /// Goodput sampling cadence for recovery checks.
 const GOODPUT_INTERVAL: Time = Time::from_ms(1);
 
-fn scheme_for(lb: &str, topo: &Topology) -> Scheme {
-    match lb {
-        "hermes" => Scheme::Hermes(HermesParams::from_topology(topo)),
-        "conga" => Scheme::Conga(CongaCfg::default()),
-        _ => Scheme::Ecmp,
-    }
-}
-
 /// One scheme's pair of runs for one plan: faulted and fault-free,
 /// same workload seed.
 pub struct CellRuns {
     pub lb: &'static str,
-    pub fault: DetailedResult,
-    pub base: DetailedResult,
+    pub fault: RunReport,
+    pub base: RunReport,
 }
 
 fn point(topo: &Topology, lb: &str, seed: u64, quick: bool) -> PointCfg {
@@ -72,15 +62,12 @@ fn point(topo: &Topology, lb: &str, seed: u64, quick: bool) -> PointCfg {
     } else {
         (120, 0.35, Time::from_secs(2))
     };
-    PointCfg::new(
-        topo.clone(),
-        scheme_for(lb, topo),
-        FlowSizeDist::web_search(),
-        load,
-    )
-    .flows(flows)
-    .seed(seed)
-    .drain(drain)
+    let scheme = Scheme::by_name(lb, topo).expect("every LBS entry is a Scheme::NAMES entry");
+    PointCfg::new(topo.clone(), scheme, FlowSizeDist::web_search(), load)
+        .flows(flows)
+        .seed(seed)
+        .drain(drain)
+        .goodput_interval(GOODPUT_INTERVAL)
 }
 
 /// Run one plan across every scheme, with per-scheme fault-free
@@ -89,11 +76,8 @@ pub fn run_cells(plan: &FaultPlan, seed: u64, quick: bool) -> Vec<CellRuns> {
     let topo = Topology::testbed();
     LBS.iter()
         .map(|&lb| {
-            let base = run_point_detailed(&point(&topo, lb, seed, quick), GOODPUT_INTERVAL);
-            let fault = run_point_detailed(
-                &point(&topo, lb, seed, quick).fault(plan.clone()),
-                GOODPUT_INTERVAL,
-            );
+            let base = run_point(&point(&topo, lb, seed, quick));
+            let fault = run_point(&point(&topo, lb, seed, quick).fault(plan.clone()));
             CellRuns { lb, fault, base }
         })
         .collect()

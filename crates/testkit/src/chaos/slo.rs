@@ -20,7 +20,7 @@
 //! can keep running and report everything it found — mirroring the
 //! conformance checkers in [`crate::check`].
 
-use hermes_bench::DetailedResult;
+use hermes_bench::RunReport;
 use hermes_sim::Time;
 
 use super::CellRuns;
@@ -102,7 +102,7 @@ impl Default for SloCfg {
 }
 
 /// SLO 1: packet conservation balanced at end of run.
-pub fn check_conservation(cell: &str, r: &DetailedResult) -> Option<SloViolation> {
+pub fn check_conservation(cell: &str, r: &RunReport) -> Option<SloViolation> {
     if r.conservation.balanced() {
         None
     } else {
@@ -117,7 +117,7 @@ pub fn check_conservation(cell: &str, r: &DetailedResult) -> Option<SloViolation
 /// SLO 2: every flow finished — nothing stays stuck once the plan's
 /// faults have all cleared. Callers guarantee the plan end precedes
 /// the drain horizon by a comfortable margin (the generator does).
-pub fn check_drain(cell: &str, r: &DetailedResult) -> Option<SloViolation> {
+pub fn check_drain(cell: &str, r: &RunReport) -> Option<SloViolation> {
     let stuck: Vec<u64> = r
         .records
         .iter()
@@ -148,8 +148,8 @@ pub fn check_drain(cell: &str, r: &DetailedResult) -> Option<SloViolation> {
 /// recover *to*, which a degenerate sampled workload can produce.
 pub fn check_recovery(
     cell: &str,
-    fault: &DetailedResult,
-    base: &DetailedResult,
+    fault: &RunReport,
+    base: &RunReport,
     plan_end: Time,
     cfg: &SloCfg,
 ) -> Option<SloViolation> {
@@ -192,7 +192,7 @@ pub fn check_recovery(
 /// (unfinished flows charged to the horizon). This is the paper's
 /// "how long did traffic stay hurt" lens — a scheme that evacuates
 /// faulty paths strands less flow-time than one that cannot.
-pub fn stranded_duration(r: &DetailedResult, clear: Time) -> Time {
+pub fn stranded_duration(r: &RunReport, clear: Time) -> Time {
     r.records
         .iter()
         .filter(|rec| rec.start < clear)
@@ -205,8 +205,8 @@ pub fn stranded_duration(r: &DetailedResult, clear: Time) -> Time {
 /// `stranded_factor × ECMP + stranded_slack`.
 pub fn check_cross_lb(
     seed_label: &str,
-    hermes: &DetailedResult,
-    ecmp: &DetailedResult,
+    hermes: &RunReport,
+    ecmp: &RunReport,
     plan_end: Time,
     cfg: &SloCfg,
 ) -> Vec<SloViolation> {

@@ -128,8 +128,7 @@ pub fn check_invariants(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure> {
     // (d) FCT sanity: a finished flow can never beat its own
     // serialization time on the host link (ideal lower bound; see
     // tests/properties.rs for the single-flow version).
-    let (topo, _) = spec.topology.build();
-    let rate = topo.host_link.rate_bps;
+    let rate = spec.base.topo.host_link.rate_bps;
     for rec in &r.records {
         let Some(finish) = rec.finish else { continue };
         if finish < rec.start {
@@ -181,7 +180,7 @@ pub fn check_invariants(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure> {
 /// * no step-`k+1` flow starts before step `k` closed ring-wide;
 /// * total payload = ranks × steps × chunk.
 pub fn check_ring_steps(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure> {
-    let WorkloadKind::RingAllreduce(ring) = spec.workload else {
+    let WorkloadKind::RingAllreduce(ring) = spec.base.workload else {
         return Vec::new();
     };
     let mut fails = Vec::new();
@@ -287,7 +286,7 @@ pub fn check_ring_steps(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure> {
 /// aggregator's host link — below the floor means a starved responder
 /// or collapsed drain, above the ceiling means broken accounting.
 pub fn check_incast_floor(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure> {
-    let WorkloadKind::Incast(cfg) = spec.workload else {
+    let WorkloadKind::Incast(cfg) = spec.base.workload else {
         return Vec::new();
     };
     let mut fails = Vec::new();
@@ -300,8 +299,7 @@ pub fn check_incast_floor(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure>
         });
     };
     let r = &out.result;
-    let (topo, _) = spec.topology.build();
-    let line_rate = topo.host_link.rate_bps as f64;
+    let line_rate = spec.base.topo.host_link.rate_bps as f64;
     let floor = spec.invariants.incast_floor_frac * line_rate;
 
     let mut by_burst: Vec<Vec<&hermes_workload::FlowRecord>> = vec![Vec::new(); cfg.bursts];
@@ -436,7 +434,7 @@ fn mean_metric(outs: &[&RunOutcome], lb_idx: usize, metric: Metric) -> Option<f6
 pub fn check_envelopes(spec: &ScenarioSpec, outs: &[&RunOutcome]) -> Vec<Failure> {
     let mut fails = Vec::new();
     for env in &spec.envelopes {
-        let find = |name: &str| spec.lbs.iter().position(|l| l.name == name);
+        let find = |name: &str| spec.lbs.iter().position(|(n, _)| n == name);
         let (Some(li), Some(bi)) = (find(&env.lb), find(&env.baseline)) else {
             // Unreachable for disk-loaded specs (the loader validates),
             // but hand-built specs deserve a failure, not a panic.
@@ -547,7 +545,7 @@ mod tests {
             "smoke",
         )
         .expect("parses");
-        let outs = run_grid(std::slice::from_ref(&spec), 1).expect("runs");
+        let outs = run_grid(std::slice::from_ref(&spec), 1);
         (spec, outs)
     }
 

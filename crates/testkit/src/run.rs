@@ -6,16 +6,16 @@
 //! plus an atomic work counter is all this needs). `Simulation` itself
 //! is not `Send` — it holds `Rc` sensing state — so each worker
 //! materializes and runs its sims entirely inside its own thread; only
-//! the `Send` spec and the plain-data [`DetailedResult`] cross the
+//! the `Sync` specs and the plain-data [`RunReport`] cross the
 //! boundary. Results are reassembled in job order, so the output is
 //! byte-identical no matter how the threads interleave.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use hermes_bench::{run_point_detailed, DetailedResult};
+use hermes_bench::{run_point, RunReport};
 
-use crate::spec::{ScenarioSpec, SpecError};
+use crate::spec::ScenarioSpec;
 
 /// One completed grid cell.
 #[derive(Clone, Debug)]
@@ -25,15 +25,17 @@ pub struct RunOutcome {
     /// Index into that scenario's `lbs`.
     pub lb_idx: usize,
     pub seed: u64,
-    pub result: DetailedResult,
+    pub result: RunReport,
 }
 
 /// Flatten the scenarios into the deterministic job list.
 fn jobs(specs: &[ScenarioSpec]) -> Vec<(usize, usize, u64)> {
     let mut out = Vec::new();
     for (si, spec) in specs.iter().enumerate() {
-        for (li, seed) in spec.grid() {
-            out.push((si, li, seed));
+        for li in 0..spec.lbs.len() {
+            for &seed in &spec.seeds {
+                out.push((si, li, seed));
+            }
         }
     }
     out
@@ -41,38 +43,30 @@ fn jobs(specs: &[ScenarioSpec]) -> Vec<(usize, usize, u64)> {
 
 /// Run every `(scenario, lb, seed)` cell, `threads`-wide (0 = one per
 /// available core). Returns outcomes in job order regardless of
-/// scheduling. Fails fast on a materialization error; sim panics
-/// propagate out of the scope join.
-pub fn run_grid(specs: &[ScenarioSpec], threads: usize) -> Result<Vec<RunOutcome>, SpecError> {
+/// scheduling. Sim panics propagate out of the scope join.
+pub fn run_grid(specs: &[ScenarioSpec], threads: usize) -> Vec<RunOutcome> {
     let jobs = jobs(specs);
-    // Materialize every cell up front so config errors surface before
-    // any thread spawns (PointCfg is Send; Simulation is not).
-    let mut work = Vec::with_capacity(jobs.len());
-    for &(si, li, seed) in &jobs {
-        work.push((si, li, seed, specs[si].materialize(li, seed)?));
-    }
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
     } else {
         threads
     }
-    .min(work.len().max(1));
+    .min(jobs.len().max(1));
 
     let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, RunOutcome)>> = Mutex::new(Vec::with_capacity(work.len()));
+    let done: Mutex<Vec<(usize, RunOutcome)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some((si, li, seed, cfg)) = work.get(idx) else {
+                let Some(&(scenario, lb_idx, seed)) = jobs.get(idx) else {
                     break;
                 };
-                let result = run_point_detailed(cfg, specs[*si].goodput_interval);
                 let outcome = RunOutcome {
-                    scenario: *si,
-                    lb_idx: *li,
-                    seed: *seed,
-                    result,
+                    scenario,
+                    lb_idx,
+                    seed,
+                    result: run_point(&specs[scenario].materialize(lb_idx, seed)),
                 };
                 done.lock()
                     .expect("result sink poisoned")
@@ -83,7 +77,7 @@ pub fn run_grid(specs: &[ScenarioSpec], threads: usize) -> Result<Vec<RunOutcome
     let mut collected = done.into_inner().expect("result sink poisoned");
     collected.sort_by_key(|(idx, _)| *idx);
     debug_assert_eq!(collected.len(), jobs.len());
-    Ok(collected.into_iter().map(|(_, o)| o).collect())
+    collected.into_iter().map(|(_, o)| o).collect()
 }
 
 #[cfg(test)]
@@ -108,8 +102,8 @@ mod tests {
     fn parallel_run_matches_serial_run() {
         let spec = parse_scenario(TWO_LB, "mem", "par").expect("parses");
         let specs = [spec];
-        let par = run_grid(&specs, 4).expect("parallel runs");
-        let ser = run_grid(&specs, 1).expect("serial runs");
+        let par = run_grid(&specs, 4);
+        let ser = run_grid(&specs, 1);
         assert_eq!(par.len(), 4);
         for (p, s) in par.iter().zip(&ser) {
             assert_eq!(

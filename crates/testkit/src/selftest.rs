@@ -46,7 +46,7 @@ fn fixture(extra: &str, stem: &str) -> Result<(ScenarioSpec, Vec<RunOutcome>), S
         "#
     );
     let spec = parse_scenario(&src, "selftest", stem)?;
-    let outs = run_grid(std::slice::from_ref(&spec), 0)?;
+    let outs = run_grid(std::slice::from_ref(&spec), 0);
     Ok((spec, outs))
 }
 
@@ -162,7 +162,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
         drain_ms = 800
         "#;
     let spec = parse_scenario(ring_src, "selftest", "broken_ring_skip")?;
-    let mut outs = run_grid(std::slice::from_ref(&spec), 0)?;
+    let mut outs = run_grid(std::slice::from_ref(&spec), 0);
     // Step 1, rank 2 (flow id = 1 × ranks + 2 = 6) vanishes.
     outs[0].result.records.retain(|r| r.id.0 != 6);
     cases.push(SelfTestCase {
@@ -188,7 +188,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
         drain_ms = 800
         "#;
     let spec = parse_scenario(incast_src, "selftest", "broken_incast_starved")?;
-    let mut outs = run_grid(std::slice::from_ref(&spec), 0)?;
+    let mut outs = run_grid(std::slice::from_ref(&spec), 0);
     {
         // Stretch reply 0 of burst 0 out by 10 s: its burst now drains
         // at a goodput far below the floor.

@@ -4,9 +4,10 @@
 //! A scenario is one TOML file (see `tests/scenarios/` at the repo
 //! root) describing a topology, a workload mix, a fault plan, the LBs
 //! under test, the seeds to sweep, and the checks to apply. The loader
-//! turns it into a [`ScenarioSpec`]; [`ScenarioSpec::materialize`]
-//! turns each `(lb, seed)` cell of the grid into a
-//! [`hermes_bench::PointCfg`] ready for `run_point_detailed`.
+//! builds the topology, schemes and fault plan straight into a
+//! [`hermes_bench::PointCfg`] template held by the [`ScenarioSpec`];
+//! each `(lb, seed)` cell of the grid is that template plus a scheme
+//! and a seed ([`ScenarioSpec::materialize`]), ready for `run_point`.
 //!
 //! ## Schema
 //!
@@ -77,8 +78,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use hermes_bench::PointCfg;
-use hermes_core::HermesParams;
-use hermes_lb::{CloveCfg, CongaCfg, FlowBenderCfg};
 use hermes_net::{FaultPlan, LeafId, SpineId, Topology};
 use hermes_runtime::Scheme;
 use hermes_sim::Time;
@@ -106,132 +105,6 @@ fn serr<T>(file: &str, msg: impl Into<String>) -> Result<T, SpecError> {
         file: file.to_string(),
         msg: msg.into(),
     })
-}
-
-/// Which base topology a scenario starts from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TopoKind {
-    /// 2 leaves × 4 spines × 6 hosts/leaf, 1 Gbps (the paper's testbed).
-    Testbed,
-    /// 8 leaves × 8 spines × 16 hosts/leaf, 10 Gbps (§5 simulations).
-    SimBaseline,
-}
-
-impl TopoKind {
-    /// The healthy base fabric.
-    fn base(self) -> Topology {
-        match self {
-            TopoKind::Testbed => Topology::testbed(),
-            TopoKind::SimBaseline => Topology::sim_baseline(),
-        }
-    }
-}
-
-/// The topology under test: a base fabric plus static asymmetry.
-#[derive(Clone, Debug)]
-pub struct TopologySpec {
-    pub kind: TopoKind,
-    /// `(leaf, spine)` uplinks removed entirely.
-    pub cuts: Vec<(LeafId, SpineId)>,
-    /// `(leaf, spine, rate_mbps)` uplinks degraded in capacity.
-    pub degrades: Vec<(LeafId, SpineId, u64)>,
-}
-
-impl TopologySpec {
-    /// Build the (possibly asymmetric) topology, plus the healthy
-    /// fabric's uplink capacity for the load-definition convention.
-    pub fn build(&self) -> (Topology, u64) {
-        let mut topo = self.kind.base();
-        let healthy_capacity = topo.total_uplink_bps();
-        for (l, s) in &self.cuts {
-            topo.cut_link(*l, *s);
-        }
-        for (l, s, mbps) in &self.degrades {
-            topo.degrade_link(*l, *s, mbps * 1_000_000);
-        }
-        (topo, healthy_capacity)
-    }
-
-    /// Whether the fabric deviates from the healthy base.
-    pub fn is_asymmetric(&self) -> bool {
-        !self.cuts.is_empty() || !self.degrades.is_empty()
-    }
-}
-
-/// A named LB choice with the scenario's parameter overrides applied.
-#[derive(Clone, Debug)]
-pub struct LbSpec {
-    /// The spec-file name, used in job labels and envelope references.
-    pub name: String,
-    pub letflow_timeout: Time,
-    pub drill_samples: usize,
-}
-
-impl LbSpec {
-    /// Resolve to a runtime [`Scheme`] against a concrete topology
-    /// (Hermes derives its thresholds from the fabric's RTT/rates).
-    pub fn scheme(&self, topo: &Topology) -> Result<Scheme, String> {
-        Ok(match self.name.as_str() {
-            "ecmp" => Scheme::Ecmp,
-            "drb" => Scheme::Drb,
-            "presto" => Scheme::presto(),
-            "presto_weighted" => Scheme::presto_weighted(),
-            "flowbender" => Scheme::FlowBender(FlowBenderCfg::default()),
-            "clove" => Scheme::Clove(CloveCfg::default()),
-            "letflow" => Scheme::LetFlow {
-                flowlet_timeout: self.letflow_timeout,
-            },
-            "drill" => Scheme::Drill {
-                samples: self.drill_samples,
-            },
-            "conga" => Scheme::Conga(CongaCfg::default()),
-            "hermes" => Scheme::Hermes(HermesParams::from_topology(topo)),
-            other => return Err(format!("unknown lb `{other}`")),
-        })
-    }
-}
-
-/// A time-triggered fault window.
-#[derive(Clone, Debug)]
-pub enum FaultSpec {
-    /// `spine` silently drops `frac` of the `src→dst` leaf pair's
-    /// packets between `start` and `end`.
-    Blackhole {
-        spine: SpineId,
-        src: LeafId,
-        dst: LeafId,
-        frac: f64,
-        start: Time,
-        end: Time,
-    },
-    /// `spine` drops each packet with probability `rate` in the window.
-    RandomDrop {
-        spine: SpineId,
-        rate: f64,
-        start: Time,
-        end: Time,
-    },
-}
-
-impl FaultSpec {
-    pub fn plan(&self) -> FaultPlan {
-        match *self {
-            FaultSpec::Blackhole {
-                spine,
-                src,
-                dst,
-                frac,
-                start,
-                end,
-            } => FaultPlan::new().blackhole_window(spine, src, dst, frac, start, end),
-            FaultSpec::RandomDrop {
-                spine,
-                rate,
-                start,
-                end,
-            } => FaultPlan::new().random_drop_window(spine, rate, start, end),
-        }
-    }
 }
 
 /// A statistical envelope: `mean_over_seeds(metric(lb))` must stay
@@ -288,18 +161,18 @@ impl Default for InvariantCfg {
 pub struct ScenarioSpec {
     pub name: String,
     pub description: String,
-    pub topology: TopologySpec,
-    /// Traffic shape. For the staged-dependency kinds, `dist`, `load`
-    /// and `n_flows` hold placeholder defaults and are unused.
-    pub workload: WorkloadKind,
-    pub dist: FlowSizeDist,
-    pub load: f64,
-    pub n_flows: usize,
+    /// The point every grid cell starts from: the topology under test
+    /// (cuts and degrades applied, load defined against the healthy
+    /// fabric), workload, drain, fault plan and goodput cadence. Its
+    /// `scheme` and `seed` are the first cell's; [`Self::materialize`]
+    /// sets them per cell. For the staged-dependency workload kinds,
+    /// `dist`, `load` and `n_flows` hold unused placeholders.
+    pub base: PointCfg,
     pub seeds: Vec<u64>,
-    pub lbs: Vec<LbSpec>,
-    pub drain: Time,
-    pub goodput_interval: Time,
-    pub fault: Option<FaultSpec>,
+    /// The LBs under test: the spec-file name (used in job labels,
+    /// digest keys and envelope references) and the scheme it resolved
+    /// to, `[run]` parameter overrides applied.
+    pub lbs: Vec<(String, Scheme)>,
     pub invariants: InvariantCfg,
     pub envelopes: Vec<EnvelopeSpec>,
     /// Whether `(scenario, lb, seed)` digests are pinned as goldens.
@@ -307,45 +180,18 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// The `(lb, seed)` grid, in deterministic order.
-    pub fn grid(&self) -> Vec<(usize, u64)> {
-        let mut out = Vec::with_capacity(self.lbs.len() * self.seeds.len());
-        for (li, _) in self.lbs.iter().enumerate() {
-            for &s in &self.seeds {
-                out.push((li, s));
-            }
-        }
-        out
-    }
-
-    /// Materialize one grid cell into a runnable point.
-    pub fn materialize(&self, lb_idx: usize, seed: u64) -> Result<PointCfg, SpecError> {
-        let lb = &self.lbs[lb_idx];
-        let (topo, healthy_capacity) = self.topology.build();
-        let scheme = lb.scheme(&topo).map_err(|msg| SpecError {
-            file: self.name.clone(),
-            msg,
-        })?;
-        let mut cfg = PointCfg::new(topo, scheme, self.dist.clone(), self.load)
-            .workload(self.workload)
-            .flows(self.n_flows)
-            .seed(seed)
-            .drain(self.drain);
-        if self.topology.is_asymmetric() {
-            // The paper's convention: offered load is defined against
-            // the healthy fabric even when the fabric under test lost
-            // capacity.
-            cfg = cfg.capacity(healthy_capacity);
-        }
-        if let Some(fault) = &self.fault {
-            cfg = cfg.fault(fault.plan());
-        }
-        Ok(cfg)
+    /// One grid cell as a runnable point: the template plus the cell's
+    /// scheme and seed.
+    pub fn materialize(&self, lb_idx: usize, seed: u64) -> PointCfg {
+        let mut cfg = self.base.clone();
+        cfg.scheme = self.lbs[lb_idx].1.clone();
+        cfg.seed = seed;
+        cfg
     }
 
     /// Key for a golden-digest entry.
     pub fn digest_key(&self, lb_idx: usize, seed: u64) -> String {
-        format!("{}/{}/{}", self.name, self.lbs[lb_idx].name, seed)
+        format!("{}/{}/{}", self.name, self.lbs[lb_idx].0, seed)
     }
 }
 
@@ -578,25 +424,26 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
     let Some(topo_t) = get(&root, "topology").and_then(Value::as_table) else {
         return serr(file, "missing [topology] table");
     };
-    let kind = match req_str(topo_t, "kind", file)?.as_str() {
-        "testbed" => TopoKind::Testbed,
-        "sim_baseline" => TopoKind::SimBaseline,
+    let mut topo = match req_str(topo_t, "kind", file)?.as_str() {
+        // 2 leaves × 4 spines × 6 hosts/leaf, 1 Gbps (the paper's testbed).
+        "testbed" => Topology::testbed(),
+        // 8 leaves × 8 spines × 16 hosts/leaf, 10 Gbps (§5 simulations).
+        "sim_baseline" => Topology::sim_baseline(),
         other => return serr(file, format!("unknown topology kind `{other}`")),
     };
-    let base = kind.base();
+    let healthy_capacity = topo.total_uplink_bps();
     let entries = |key: &str| match get(topo_t, key).map(Value::as_array) {
         None => Ok(&[][..]),
         Some(Some(items)) => Ok(items),
         Some(None) => serr(file, format!("`{key}` must be an array")),
     };
-    let mut cuts = Vec::new();
     for item in entries("cut")? {
-        cuts.push(link(item, &base, "cut", file)?);
+        let (l, s) = link(item, &topo, "cut", file)?;
+        topo.cut_link(l, s);
     }
-    let mut degrades = Vec::new();
     for item in entries("degrade")? {
-        let (l, s) = link(item, &base, "degrade", file)?;
-        if cuts.contains(&(l, s)) {
+        let (l, s) = link(item, &topo, "degrade", file)?;
+        if topo.up[usize::from(l.0)][usize::from(s.0)].is_none() {
             return serr(
                 file,
                 format!(
@@ -617,7 +464,10 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
                 "`degrade` entries must be [leaf, spine, rate_mbps] with rate_mbps ≥ 1",
             );
         };
-        degrades.push((l, s, mbps));
+        topo.degrade_link(l, s, mbps * 1_000_000);
+    }
+    if let Err(e) = topo.check_connected() {
+        return serr(file, format!("`cut` disconnects the fabric: {e}"));
     }
 
     // [workload]
@@ -692,8 +542,18 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
         }
         other => return serr(file, format!("unknown workload kind `{other}`")),
     };
-    if !(0.0..=1.5).contains(&load) {
-        return serr(file, format!("load {load} outside [0, 1.5]"));
+    // The open-loop generators' accepted ranges; `contains` is false
+    // for NaN.
+    if matches!(
+        workload,
+        WorkloadKind::Poisson | WorkloadKind::ElephantMice(_)
+    ) {
+        if !(f64::MIN_POSITIVE..=1.5).contains(&load) {
+            return serr(file, format!("`load` = {load}: must lie in (0, 1.5]"));
+        }
+        if n_flows == 0 {
+            return serr(file, "`flows` must be at least 1");
+        }
     }
 
     // [run]
@@ -716,42 +576,45 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
     if seeds.is_empty() {
         return serr(file, "`seeds` must be non-empty");
     }
-    let letflow_timeout =
-        duration(run_t, "letflow_timeout_us", US, 1, file)?.unwrap_or(Time::from_us(150));
+    let letflow_timeout = duration(run_t, "letflow_timeout_us", US, 1, file)?;
     let drill_samples = match get(run_t, "drill_samples").and_then(Value::as_int) {
-        None => 2,
+        None => None,
         Some(i) => match usize::try_from(i) {
-            Ok(n) if n >= 1 => n,
+            Ok(n) if n >= 1 => Some(n),
             _ => return serr(file, format!("`drill_samples` = {i}: must be at least 1")),
         },
     };
-    let lbs: Vec<LbSpec> = match get(run_t, "lbs").and_then(Value::as_array) {
-        Some(items) => {
-            let mut out = Vec::new();
-            for item in items {
-                let Some(n) = item.as_str() else {
-                    return serr(file, "`lbs` must be strings");
-                };
-                out.push(LbSpec {
-                    name: n.to_string(),
-                    letflow_timeout,
-                    drill_samples,
-                });
-            }
-            out
-        }
-        None => return serr(file, "missing `lbs` in [run]"),
+    let Some(items) = get(run_t, "lbs").and_then(Value::as_array) else {
+        return serr(file, "missing `lbs` in [run]");
     };
-    if lbs.is_empty() {
-        return serr(file, "`lbs` must be non-empty");
+    let mut lbs = Vec::with_capacity(items.len());
+    for item in items {
+        let Some(name) = item.as_str() else {
+            return serr(file, "`lbs` must be strings");
+        };
+        // The paper-default scheme, then the scenario's overrides.
+        let scheme = match Scheme::by_name(name, &topo) {
+            Some(Scheme::LetFlow { flowlet_timeout }) => Scheme::LetFlow {
+                flowlet_timeout: letflow_timeout.unwrap_or(flowlet_timeout),
+            },
+            Some(Scheme::Drill { samples }) => Scheme::Drill {
+                samples: drill_samples.unwrap_or(samples),
+            },
+            Some(scheme) => scheme,
+            None => return serr(file, format!("unknown lb `{name}`")),
+        };
+        lbs.push((name.to_string(), scheme));
     }
+    let Some((_, first_scheme)) = lbs.first() else {
+        return serr(file, "`lbs` must be non-empty");
+    };
     let drain = duration(run_t, "drain_ms", MS, 0, file)?.unwrap_or(Time::from_ms(3000));
     // A zero interval would re-arm the sampler at `now` forever.
     let goodput_interval =
         duration(run_t, "goodput_interval_us", US, 1, file)?.unwrap_or(Time::from_us(500));
 
-    // [fault] (optional)
-    let fault = match get(&root, "fault").and_then(Value::as_table) {
+    // [fault] (optional, time-triggered window)
+    let fault_plan = match get(&root, "fault").and_then(Value::as_table) {
         Some(ft) => {
             let idx = |key: &str, n: usize, tier: &str| -> Result<u16, SpecError> {
                 match get(ft, key).and_then(Value::as_int) {
@@ -759,29 +622,29 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
                     None => serr(file, format!("missing integer `{key}`")),
                 }
             };
-            let spine = SpineId(idx("spine", base.n_spines, "spine")?);
+            let spine = SpineId(idx("spine", topo.n_spines, "spine")?);
             let start = time_ms(ft, "start_ms", file)?;
             let end = time_ms(ft, "end_ms", file)?;
             if end <= start {
                 return serr(file, "fault `end_ms` must exceed `start_ms`");
             }
-            match req_str(ft, "kind", file)?.as_str() {
-                "blackhole" => Some(FaultSpec::Blackhole {
+            Some(match req_str(ft, "kind", file)?.as_str() {
+                // `spine` silently drops `frac` of the src→dst leaf
+                // pair's packets between `start` and `end`.
+                "blackhole" => FaultPlan::new().blackhole_window(
                     spine,
-                    src: LeafId(idx("src_leaf", base.n_leaves, "leaf")?),
-                    dst: LeafId(idx("dst_leaf", base.n_leaves, "leaf")?),
-                    frac: fault_frac(ft, file)?,
+                    LeafId(idx("src_leaf", topo.n_leaves, "leaf")?),
+                    LeafId(idx("dst_leaf", topo.n_leaves, "leaf")?),
+                    fault_frac(ft, file)?,
                     start,
                     end,
-                }),
-                "random_drop" => Some(FaultSpec::RandomDrop {
-                    spine,
-                    rate: fault_frac(ft, file)?,
-                    start,
-                    end,
-                }),
+                ),
+                // `spine` drops each packet with probability `frac`.
+                "random_drop" => {
+                    FaultPlan::new().random_drop_window(spine, fault_frac(ft, file)?, start, end)
+                }
                 other => return serr(file, format!("unknown fault kind `{other}`")),
-            }
+            })
         }
         None => None,
     };
@@ -818,7 +681,7 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
                 max_ratio: req_float(et, "max_ratio", file)?,
             };
             for who in [&env.lb, &env.baseline] {
-                if !lbs.iter().any(|l| &l.name == who) {
+                if !lbs.iter().any(|(name, _)| name == who) {
                     return serr(file, format!("envelope references `{who}` not in `lbs`"));
                 }
             }
@@ -826,36 +689,26 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
         }
     }
 
-    let spec = ScenarioSpec {
+    // The paper's convention: offered load is defined against the
+    // healthy fabric even when the fabric under test lost capacity.
+    let mut base = PointCfg::new(topo, first_scheme.clone(), dist, load)
+        .workload(workload)
+        .flows(n_flows)
+        .seed(seeds[0])
+        .capacity(healthy_capacity)
+        .drain(drain)
+        .goodput_interval(goodput_interval);
+    base.fault_plan = fault_plan;
+    Ok(ScenarioSpec {
         name,
         description,
-        topology: TopologySpec {
-            kind,
-            cuts,
-            degrades,
-        },
-        workload,
-        dist,
-        load,
-        n_flows,
+        base,
         seeds,
         lbs,
-        drain,
-        goodput_interval,
-        fault,
         invariants,
         envelopes,
         pin_digests,
-    };
-    // Surface bad LB names at load time, not mid-run.
-    let (topo, _) = spec.topology.build();
-    for lb in &spec.lbs {
-        lb.scheme(&topo).map_err(|msg| SpecError {
-            file: file.to_string(),
-            msg,
-        })?;
-    }
-    Ok(spec)
+    })
 }
 
 /// Load one scenario file from disk.
@@ -919,11 +772,10 @@ mod tests {
         assert_eq!(s.name, "smoke_test");
         assert_eq!(s.seeds, vec![1, 2]);
         assert_eq!(s.lbs.len(), 2);
-        assert_eq!(s.drain, Time::from_ms(3000));
+        assert_eq!(s.base.drain, Time::from_ms(3000));
         assert!(!s.pin_digests);
-        assert!(s.fault.is_none());
+        assert!(s.base.fault_plan.is_none());
         assert_eq!(s.invariants.max_unfinished_frac, 1.0);
-        assert_eq!(s.grid().len(), 4);
     }
 
     #[test]
@@ -941,11 +793,13 @@ mod tests {
             lbs = ["conga"]
         "#;
         let s = parse_scenario(src, "mem", "asym").expect("parses");
-        let cfg = s.materialize(0, 7).expect("materializes");
-        assert_eq!(cfg.seed, 7);
         let healthy = Topology::testbed().total_uplink_bps();
+        assert_eq!(s.base.capacity_override, Some(healthy));
+        assert!(s.base.topo.total_uplink_bps() < healthy);
+        let cfg = s.materialize(0, 7);
+        assert_eq!(cfg.seed, 7);
+        assert!(matches!(cfg.scheme, Scheme::Conga(_)));
         assert_eq!(cfg.capacity_override, Some(healthy));
-        assert!(cfg.topo.total_uplink_bps() < healthy);
     }
 
     #[test]
@@ -975,11 +829,11 @@ mod tests {
             max_ratio = 0.7
         "#;
         let s = parse_scenario(src, "mem", "bh").expect("parses");
-        assert!(matches!(s.fault, Some(FaultSpec::Blackhole { .. })));
+        // One window = an onset and a clearance event.
+        assert_eq!(s.base.fault_plan.as_ref().map(FaultPlan::len), Some(2));
         assert_eq!(s.envelopes.len(), 1);
         assert_eq!(s.envelopes[0].metric, Metric::Avg);
-        let cfg = s.materialize(0, 1).expect("materializes");
-        assert!(cfg.fault_plan.is_some());
+        assert!(s.materialize(0, 1).fault_plan.is_some());
     }
 
     #[test]
@@ -1007,6 +861,12 @@ mod tests {
             (topo("cut = [[0, 1]]\ndegrade = [[0, 1, 100]]"), "`degrade`"),
             (topo("degrade = [[0, 4, 100]]"), "`degrade`"),
             (topo("degrade = [[0, 1, 0]]"), "`degrade`"),
+            // Leaf 0 keeps no uplink; then each leaf keeps two, but no
+            // spine in common.
+            (topo("cut = [[0, 0], [0, 1], [0, 2], [0, 3]]"), "`cut`"),
+            (topo("cut = [[0, 0], [0, 1], [1, 2], [1, 3]]"), "`cut`"),
+            (MINIMAL.replace("load = 0.3", "load = 0.0"), "`load`"),
+            (MINIMAL.replace("flows = 40", "flows = 0"), "`flows`"),
             (fault(9, 1.0), "`spine`"),
             (fault(0, 1.5), "`frac`"),
             (
@@ -1046,15 +906,14 @@ mod tests {
         "#;
         let s = parse_scenario(ring, "mem", "ring").expect("parses");
         assert_eq!(
-            s.workload,
+            s.base.workload,
             WorkloadKind::RingAllreduce(RingCfg {
                 ranks: 8,
                 steps: 3,
                 chunk_bytes: 64_000,
             })
         );
-        let cfg = s.materialize(0, 1).expect("materializes");
-        assert_eq!(cfg.workload, s.workload);
+        assert_eq!(s.materialize(0, 1).workload, s.base.workload);
 
         let incast = r#"
             [topology]
@@ -1072,7 +931,7 @@ mod tests {
         "#;
         let s = parse_scenario(incast, "mem", "inc").expect("parses");
         assert_eq!(
-            s.workload,
+            s.base.workload,
             WorkloadKind::Incast(IncastCfg {
                 fanout: 6,
                 reply_bytes: 32_000,
@@ -1099,13 +958,13 @@ mod tests {
             lbs = ["conga"]
         "#;
         let s = parse_scenario(src, "mem", "mix").expect("parses");
-        let WorkloadKind::ElephantMice(mix) = s.workload else {
-            panic!("wrong kind: {:?}", s.workload);
+        let WorkloadKind::ElephantMice(mix) = s.base.workload else {
+            panic!("wrong kind: {:?}", s.base.workload);
         };
         assert_eq!(mix.mice_bytes, 20_000);
         assert_eq!(mix.elephant_bytes, 1_000_000);
-        assert_eq!(s.load, 0.3);
-        assert_eq!(s.n_flows, 60);
+        assert_eq!(s.base.load, 0.3);
+        assert_eq!(s.base.n_flows, 60);
     }
 
     #[test]

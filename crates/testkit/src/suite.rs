@@ -96,7 +96,7 @@ pub fn run_conformance(dir: &Path, threads: usize) -> Result<ConformanceReport, 
         });
     }
     let goldens = load_goldens(dir)?;
-    let outcomes = run_grid(&scenarios, threads)?;
+    let outcomes = run_grid(&scenarios, threads);
     let mut failures = Vec::new();
     for (si, spec) in scenarios.iter().enumerate() {
         let mine: Vec<&RunOutcome> = outcomes.iter().filter(|o| o.scenario == si).collect();
@@ -119,7 +119,7 @@ pub fn run_conformance(dir: &Path, threads: usize) -> Result<ConformanceReport, 
 /// wholesale. Returns the number of pinned cells and the store path.
 pub fn bless(dir: &Path, threads: usize) -> Result<(usize, PathBuf), SpecError> {
     let scenarios = load_dir(dir)?;
-    let outcomes = run_grid(&scenarios, threads)?;
+    let outcomes = run_grid(&scenarios, threads);
     let mut goldens = BTreeMap::new();
     for out in &outcomes {
         let spec = &scenarios[out.scenario];

@@ -181,7 +181,7 @@ fn conformance() -> ExitCode {
         // Per-(scenario, lb) mean FCTs over seeds — the numbers the
         // envelope tolerances in the specs are calibrated against.
         for (si, spec) in report.scenarios.iter().enumerate() {
-            for (li, lb) in spec.lbs.iter().enumerate() {
+            for (li, (lb, _)) in spec.lbs.iter().enumerate() {
                 let cells: Vec<_> = report
                     .outcomes
                     .iter()
@@ -197,7 +197,7 @@ fn conformance() -> ExitCode {
                 println!(
                     "  {:<14} {:<10} avg {:>9.3} ms  p99 {:>9.3} ms  unfinished {}",
                     spec.name,
-                    lb.name,
+                    lb,
                     avg * 1e3,
                     p99 * 1e3,
                     unfinished

@@ -12,7 +12,6 @@
 //! cargo run --release --example incast
 //! ```
 
-use hermes_core::HermesParams;
 use hermes_net::Topology;
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
@@ -21,11 +20,8 @@ use hermes_workload::{query_completion, IncastGen};
 fn main() {
     let topo = Topology::sim_baseline();
     println!("32-way incast, 64 KB replies, one query per ms, 40 queries:\n");
-    for (name, scheme) in [
-        ("ecmp", Scheme::Ecmp),
-        ("drill", Scheme::Drill { samples: 2 }),
-        ("hermes", Scheme::Hermes(HermesParams::from_topology(&topo))),
-    ] {
+    for name in ["ecmp", "drill", "hermes"] {
+        let scheme = Scheme::by_name(name, &topo).expect("a Scheme::NAMES entry");
         let mut gen = IncastGen::new(&topo, 32, 64_000, Time::from_ms(1), SimRng::new(11));
         let (queries, specs) = gen.schedule(40);
         let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(5));

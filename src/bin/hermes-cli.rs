@@ -23,7 +23,6 @@
 
 use hermes_bench::{asym_topology, avg_summaries, baseline_capacity, run_point, PointCfg};
 use hermes_core::HermesParams;
-use hermes_lb::{CloveCfg, CongaCfg, FlowBenderCfg};
 use hermes_net::{LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::Scheme;
 use hermes_sim::Time;
@@ -131,6 +130,10 @@ fn parse_args() -> Args {
     if args.runs == 0 {
         usage("--runs must be at least 1");
     }
+    // Run `i` uses seed `--seed + i`.
+    if args.seed.checked_add(args.runs - 1).is_none() {
+        usage("--seed plus --runs overflows a 64-bit seed");
+    }
     // FlowGen's accepted range, (0, 1.5]; `contains` is false for NaN.
     if !(f64::MIN_POSITIVE..=1.5).contains(&args.load) {
         usage("--load must lie in (0, 1.5]");
@@ -185,33 +188,28 @@ fn build_topo(a: &Args) -> (Topology, u64) {
     for &(l, s) in &a.cuts {
         topo.cut_link(LeafId(l), SpineId(s));
     }
+    if let Err(e) = topo.check_connected() {
+        usage(&format!("--cut disconnects the fabric: {e}"));
+    }
     (topo, healthy)
 }
 
-fn build_scheme(a: &Args, topo: &Topology) -> Scheme {
-    match a.scheme.as_str() {
-        "ecmp" => Scheme::Ecmp,
-        "drb" => Scheme::Drb,
-        "presto" => Scheme::presto(),
-        "presto-w" => Scheme::presto_weighted(),
-        "flowbender" => Scheme::FlowBender(FlowBenderCfg::default()),
-        "clove" => Scheme::Clove(CloveCfg::default()),
-        "letflow" => Scheme::LetFlow {
-            flowlet_timeout: Time::from_us(150),
-        },
-        "drill" => Scheme::Drill { samples: 2 },
-        "conga" => Scheme::Conga(CongaCfg::default()),
-        "hermes" => {
-            let params = if a.transport == "tcp" {
-                HermesParams::for_tcp(topo)
-            } else if a.topo == "testbed" {
-                HermesParams::paper_testbed(topo)
-            } else {
-                HermesParams::from_topology(topo)
-            };
-            Scheme::Hermes(params)
+/// `--scheme` through the one name table, then the CLI's own Hermes
+/// parameter choice (TCP and the 1 Gbps testbed have tuned presets).
+fn resolve_scheme(a: &Args, topo: &Topology) -> Scheme {
+    let name = match a.scheme.as_str() {
+        "presto-w" => "presto_weighted",
+        other => other,
+    };
+    match Scheme::by_name(name, topo) {
+        Some(Scheme::Hermes(_)) if a.transport == "tcp" => {
+            Scheme::Hermes(HermesParams::for_tcp(topo))
         }
-        other => usage(&format!("unknown scheme {other}")),
+        Some(Scheme::Hermes(_)) if a.topo == "testbed" => {
+            Scheme::Hermes(HermesParams::paper_testbed(topo))
+        }
+        Some(scheme) => scheme,
+        None => usage(&format!("unknown scheme {}", a.scheme)),
     }
 }
 
@@ -255,6 +253,7 @@ fn main() {
         "tcp" => TransportCfg::tcp(),
         other => usage(&format!("unknown transport {other}")),
     };
+    let scheme = resolve_scheme(&a, &topo);
     println!(
         "topology={} scheme={} workload={} load={:.2} flows={} seed={} runs={}",
         a.topo,
@@ -267,7 +266,7 @@ fn main() {
     );
     let mut sums = Vec::new();
     for run in 0..a.runs {
-        let mut cfg = PointCfg::new(topo.clone(), build_scheme(&a, &topo), dist.clone(), a.load)
+        let mut cfg = PointCfg::new(topo.clone(), scheme.clone(), dist.clone(), a.load)
             .flows(a.flows)
             .seed(a.seed + run)
             .capacity(capacity)

@@ -231,7 +231,7 @@ fn mine_overlapping_counterexample() {
 /// leaks between the workload drivers and the fault harness.
 #[test]
 fn staged_workloads_do_not_perturb_chaos_digests() {
-    use hermes_bench::{run_point_detailed, PointCfg};
+    use hermes_bench::{run_point, PointCfg};
     use hermes_net::Topology;
     use hermes_runtime::Scheme;
     use hermes_workload::{FlowSizeDist, IncastCfg, RingCfg, WorkloadKind};
@@ -264,8 +264,9 @@ fn staged_workloads_do_not_perturb_chaos_digests() {
         )
         .workload(kind)
         .seed(5)
-        .drain(Time::from_ms(800));
-        let det = run_point_detailed(&point, Time::from_ms(1));
+        .drain(Time::from_ms(800))
+        .goodput_interval(Time::from_ms(1));
+        let det = run_point(&point);
         assert!(det.conservation.balanced());
     }
 

@@ -28,6 +28,22 @@ fn out_of_range_flags_exit_2_with_usage_and_no_panic() {
         (&["--blackhole", "0:0:1:2.0"], "--blackhole"),
         // Leaf 5 exists on the 8-leaf baseline, not on the 2-leaf testbed.
         (&["--topo", "testbed", "--cut", "5:0"], "--cut"),
+        // Leaf 0 keeps no uplink; then each leaf keeps two uplinks but
+        // the two share no spine.
+        (
+            &[
+                "--topo", "testbed", "--cut", "0:0", "--cut", "0:1", "--cut", "0:2", "--cut", "0:3",
+            ],
+            "--cut",
+        ),
+        (
+            &[
+                "--topo", "testbed", "--cut", "0:0", "--cut", "0:1", "--cut", "1:2", "--cut", "1:3",
+            ],
+            "--cut",
+        ),
+        // Run 1 would need seed 2^64.
+        (&["--seed", "18446744073709551615", "--runs", "2"], "--seed"),
     ];
     for (args, flag) in bad {
         let out = cli(args);

@@ -12,30 +12,10 @@
 //! per-packet ledger inside the fabric.
 
 use hermes_core::HermesParams;
-use hermes_lb::{CloveCfg, CongaCfg, FlowBenderCfg};
 use hermes_net::{FaultPlan, LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{selfcheck, Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
 use hermes_workload::{FlowGen, FlowSizeDist};
-
-fn all_schemes(topo: &Topology) -> Vec<(&'static str, Scheme)> {
-    vec![
-        ("ecmp", Scheme::Ecmp),
-        ("drb", Scheme::Drb),
-        ("presto", Scheme::presto()),
-        ("flowbender", Scheme::FlowBender(FlowBenderCfg::default())),
-        ("clove", Scheme::Clove(CloveCfg::default())),
-        (
-            "letflow",
-            Scheme::LetFlow {
-                flowlet_timeout: Time::from_us(150),
-            },
-        ),
-        ("drill", Scheme::Drill { samples: 2 }),
-        ("conga", Scheme::Conga(CongaCfg::default())),
-        ("hermes", Scheme::Hermes(HermesParams::from_topology(topo))),
-    ]
-}
 
 /// The quickstart example's scenario: web-search flows at 60% load on
 /// the paper's 8×8 leaf-spine fabric (fewer flows, same parameters).
@@ -225,7 +205,8 @@ fn ecn_mute_plan_is_deterministic_and_lossless() {
 #[test]
 fn conservation_balances_for_every_scheme() {
     let topo = Topology::testbed();
-    for (name, scheme) in all_schemes(&topo) {
+    for name in Scheme::NAMES {
+        let scheme = Scheme::by_name(name, &topo).expect("NAMES entries resolve");
         let mut gen = FlowGen::new(&topo, FlowSizeDist::web_search(), 0.4, None, SimRng::new(7));
         let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(11));
         sim.add_flows(gen.schedule(40));
@@ -275,7 +256,7 @@ fn staged_workload_drivers_are_deterministic_per_kind() {
     // themselves simulation outputs. Same seed must still reproduce the
     // whole run bit-for-bit: full event-trace digest, FCT vector, and
     // record timeline, for each driver kind.
-    use hermes_bench::{run_point_detailed, PointCfg};
+    use hermes_bench::{run_point, PointCfg};
     use hermes_workload::{FlowSizeDist, IncastCfg, MixCfg, RingCfg, WorkloadKind};
 
     let kinds = [
@@ -314,9 +295,10 @@ fn staged_workload_drivers_are_deterministic_per_kind() {
         .workload(kind)
         .flows(30)
         .seed(23)
-        .drain(Time::from_ms(1200));
-        let a = run_point_detailed(&cfg, Time::from_ms(1));
-        let b = run_point_detailed(&cfg, Time::from_ms(1));
+        .drain(Time::from_ms(1200))
+        .goodput_interval(Time::from_ms(1));
+        let a = run_point(&cfg);
+        let b = run_point(&cfg);
         assert_eq!(a.digest, b.digest, "{name}: same-seed digests differ");
         assert_eq!(a.events, b.events, "{name}: event counts differ");
         assert_eq!(

@@ -1,8 +1,6 @@
 //! Property-based tests over the whole pipeline: random topologies and
 //! workloads must uphold the simulator's global invariants.
 
-use hermes_core::HermesParams;
-use hermes_lb::CongaCfg;
 use hermes_net::{LinkCfg, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
@@ -20,16 +18,10 @@ fn small_topo(n_leaves: usize, n_spines: usize, hosts: usize) -> Topology {
     )
 }
 
-fn scheme_for(idx: u8, topo: &Topology) -> Scheme {
-    match idx % 5 {
-        0 => Scheme::Ecmp,
-        1 => Scheme::presto(),
-        2 => Scheme::Conga(CongaCfg::default()),
-        3 => Scheme::LetFlow {
-            flowlet_timeout: Time::from_us(150),
-        },
-        _ => Scheme::Hermes(HermesParams::from_topology(topo)),
-    }
+/// One of five representative schemes, by sampled index.
+fn pick_scheme(idx: u8, topo: &Topology) -> Scheme {
+    let name = ["ecmp", "presto", "conga", "letflow", "hermes"][usize::from(idx % 5)];
+    Scheme::by_name(name, topo).expect("a Scheme::NAMES entry")
 }
 
 proptest! {
@@ -49,7 +41,7 @@ proptest! {
     ) {
         let topo = small_topo(n_leaves, n_spines, hosts);
         let mut gen = FlowGen::new(&topo, FlowSizeDist::web_search(), load, None, SimRng::new(seed));
-        let scheme = scheme_for(scheme_idx, &topo);
+        let scheme = pick_scheme(scheme_idx, &topo);
         let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(seed));
         sim.add_flows(gen.schedule(30));
         sim.run_to_completion(Time::from_secs(60));
@@ -80,7 +72,7 @@ proptest! {
         let go = || {
             let mut gen = FlowGen::new(&topo, FlowSizeDist::web_search(), 0.5, None, SimRng::new(seed));
             let mut sim = Simulation::new(
-                SimConfig::new(topo.clone(), scheme_for(scheme_idx, &topo)).with_seed(seed),
+                SimConfig::new(topo.clone(), pick_scheme(scheme_idx, &topo)).with_seed(seed),
             );
             sim.add_flows(gen.schedule(25));
             sim.run_to_completion(Time::from_secs(30));
@@ -106,9 +98,10 @@ proptest! {
                 topo.cut_link(hermes_net::LeafId(0), hermes_net::SpineId(s));
             }
         }
+        prop_assert_eq!(topo.check_connected(), Ok(()));
         let mut gen = FlowGen::new(&topo, FlowSizeDist::web_search(), 0.3, None, SimRng::new(seed));
         let mut sim = Simulation::new(
-            SimConfig::new(topo.clone(), scheme_for(scheme_idx, &topo)).with_seed(seed),
+            SimConfig::new(topo.clone(), pick_scheme(scheme_idx, &topo)).with_seed(seed),
         );
         sim.add_flows(gen.schedule(20));
         sim.run_to_completion(Time::from_secs(60));

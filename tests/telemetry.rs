@@ -294,11 +294,10 @@ fn telemetry_on_preserves_conformance_digests() {
         let hermes_idx = spec
             .lbs
             .iter()
-            .position(|lb| lb.name == "hermes")
+            .position(|(name, _)| name == "hermes")
             .expect("every pinned scenario runs hermes");
         for seed in [1u64, 2] {
-            let cfg = spec.materialize(hermes_idx, seed).expect("materializes");
-            let det = hermes_bench::run_point_detailed(&cfg, spec.goodput_interval);
+            let det = hermes_bench::run_point(&spec.materialize(hermes_idx, seed));
             let key = spec.digest_key(hermes_idx, seed);
             let want = *goldens
                 .get(&key)
