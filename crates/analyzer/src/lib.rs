@@ -5,7 +5,7 @@
 //! determines every packet of a run. This crate is the static half of
 //! defending that promise: a dependency-free Rust [`lexer`] feeds a
 //! scoped [`rules`] engine that knows the workspace layout
-//! ([`classify`]), tracks `#[cfg(test)]` regions by brace-matched
+//! ([`mod@classify`]), tracks `#[cfg(test)]` regions by brace-matched
 //! tokens, honors per-site `// ANALYZER: allow(rule, reason)`
 //! suppressions, and diffs the tree's `unsafe` inventory against the
 //! committed [`baseline`]. The [`fixtures`] module carries the

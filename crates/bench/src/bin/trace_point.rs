@@ -1,7 +1,8 @@
 //! Emit one named trace point as JSONL (events) + CSV (metrics).
 //!
-//! Usually invoked through `cargo run -p xtask -- trace <point> --out
-//! <dir>`, which rebuilds this bin with the `telemetry` feature on.
+//! Usually invoked through
+//! `cargo run -p xtask -- trace <point> --out <dir>`, which rebuilds
+//! this bin with the `telemetry` feature on.
 
 use std::io::Write as _;
 use std::path::PathBuf;

@@ -1,12 +1,13 @@
 //! Hermes: the load balancer (§3).
 //!
-//! Each host runs a [`Hermes`] instance; all instances under one rack
-//! share a [`RackSensing`] table (the paper's probe agents share probed
-//! information "among all hypervisors under the same rack", §3.1.3).
-//! One host per rack is the *probe agent*: every probe interval it
-//! probes, per destination rack, two random paths plus the previously
-//! best one (power of two choices with memory), and the results land in
-//! the shared table.
+//! One [`Hermes`] serves a whole rack. It owns the rack's
+//! [`RackSensing`] table by value (the paper shares probed information
+//! "among all hypervisors under the same rack", §3.1.3) plus one local
+//! sending-rate table per host under the leaf, selected by `ctx.src`.
+//! Every probe interval the rack's *probe agent* probes, per
+//! destination rack, two random paths plus the previously best one
+//! (power of two choices with memory), and the results land in the
+//! rack table.
 //!
 //! Path selection is Algorithm 2 — *timely yet cautious rerouting*:
 //!
@@ -20,11 +21,9 @@
 //!   *notably* better (`Δ_RTT` and `Δ_ECN` margins) — pruning the
 //!   vigorous rerouting that causes congestion mismatch (§2.2.2).
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
-use hermes_net::{Dre, EdgeLb, FlowCtx, LeafId, PathId, ProbeTarget, Topology};
+use hermes_net::{Dre, EdgeLb, FlowCtx, HostId, LeafId, PathId, ProbeTarget, Topology};
 use hermes_sim::{SimRng, Time};
 
 use crate::params::HermesParams;
@@ -46,16 +45,7 @@ fn telem_class(st: &PathState, p: &HermesParams, now: Time) -> hermes_telemetry:
     }
 }
 
-/// Telemetry path encoding: spine index, or -1 for unset/direct.
-fn path_code(p: PathId) -> i64 {
-    if p.is_spine() {
-        i64::from(p.0)
-    } else {
-        -1
-    }
-}
-
-/// Rack-shared sensing state: one `PathState` per (destination rack,
+/// Rack-wide sensing state: one `PathState` per (destination rack,
 /// spine path), plus decision counters for diagnostics.
 pub struct RackSensing {
     pub params: HermesParams,
@@ -76,7 +66,7 @@ pub struct RackSensing {
     /// When this rack first re-admitted a path (time-to-readmit).
     pub first_recovery_at: Option<Time>,
     /// Telemetry only: last class reported per `[dst_leaf][spine]`, so
-    /// [`RackSensing::trace_class`] emits transitions, not every read.
+    /// [`RackSensing::trace_path`] emits transitions, not every read.
     /// Untouched unless a telemetry sink is installed.
     trace_last: Vec<Vec<Option<hermes_telemetry::PathClass>>>,
 }
@@ -107,15 +97,6 @@ impl RackSensing {
             first_failure_at: None,
             first_recovery_at: None,
         }
-    }
-
-    /// Shared handle for all hosts of the rack.
-    pub fn shared(
-        topo: &Topology,
-        my_leaf: LeafId,
-        params: HermesParams,
-    ) -> Rc<RefCell<RackSensing>> {
-        Rc::new(RefCell::new(RackSensing::new(topo, my_leaf, params)))
     }
 
     #[inline]
@@ -193,32 +174,32 @@ impl RackSensing {
     }
 }
 
-/// One host's Hermes instance.
+/// One rack's Hermes instance, serving every host under the leaf.
 pub struct Hermes {
-    shared: Rc<RefCell<RackSensing>>,
-    /// Whether this host is its rack's probe agent.
-    is_agent: bool,
-    /// Host-local per-path aggregate sending rate `r_p`.
-    r_p: BTreeMap<(LeafId, PathId), Dre>,
+    sensing: RackSensing,
+    /// Host-local per-path aggregate sending rate `r_p`, one table per
+    /// host under the leaf, indexed by `Topology::host_slot`.
+    r_p: Vec<BTreeMap<(LeafId, PathId), Dre>>,
 }
 
 impl Hermes {
-    pub fn new(shared: Rc<RefCell<RackSensing>>, is_agent: bool) -> Hermes {
+    pub fn new(topo: &Topology, leaf: LeafId, params: HermesParams) -> Hermes {
         Hermes {
-            shared,
-            is_agent,
-            r_p: BTreeMap::new(),
+            sensing: RackSensing::new(topo, leaf, params),
+            r_p: vec![BTreeMap::new(); topo.hosts_per_leaf],
         }
     }
 
-    pub fn sensing(&self) -> Rc<RefCell<RackSensing>> {
-        Rc::clone(&self.shared)
+    /// The rack's sensing table (tests, diagnostics).
+    pub fn sensing(&self) -> &RackSensing {
+        &self.sensing
     }
 
-    fn rp_bps(&mut self, dst: LeafId, path: PathId, now: Time) -> f64 {
-        self.r_p
-            .get_mut(&(dst, path))
-            .map_or(0.0, |d| d.rate_bps(now))
+    /// `host`'s own `r_p` table (`Topology::host_slot`: hosts are
+    /// numbered leaf-major, and `r_p` has one entry per host slot).
+    fn rp_of(&mut self, host: HostId) -> &mut BTreeMap<(LeafId, PathId), Dre> {
+        let slot = host.0 as usize % self.r_p.len();
+        &mut self.r_p[slot]
     }
 
     /// Among `set`, the path with the smallest local sending rate
@@ -228,13 +209,17 @@ impl Hermes {
     /// the same lowest-indexed path (§3.1.3's synchronization concern).
     fn argmin_rp(
         &mut self,
+        host: HostId,
         dst: LeafId,
         set: &[PathId],
         now: Time,
         rng: &mut SimRng,
     ) -> Option<PathId> {
-        let rates: Vec<(f64, PathId)> =
-            set.iter().map(|&p| (self.rp_bps(dst, p, now), p)).collect();
+        let r_p = self.rp_of(host);
+        let rates: Vec<(f64, PathId)> = set
+            .iter()
+            .map(|&p| (r_p.get_mut(&(dst, p)).map_or(0.0, |d| d.rate_bps(now)), p))
+            .collect();
         let min = rates.iter().map(|&(r, _)| r).fold(f64::INFINITY, f64::min);
         let tied: Vec<PathId> = rates
             .iter()
@@ -269,16 +254,14 @@ impl EdgeLb for Hermes {
         now: Time,
         rng: &mut SimRng,
     ) -> PathId {
-        let params = self.shared.borrow().params;
+        debug_assert_eq!(ctx.src_leaf, self.sensing.my_leaf, "flow of another rack");
+        let params = self.sensing.params;
         let d = ctx.dst_leaf;
         // Classify every candidate once.
-        let classes: Vec<(PathId, PathType)> = {
-            let mut sh = self.shared.borrow_mut();
-            candidates
-                .iter()
-                .map(|&p| (p, sh.characterize(d, p, now)))
-                .collect()
-        };
+        let classes: Vec<(PathId, PathType)> = candidates
+            .iter()
+            .map(|&p| (p, self.sensing.characterize(d, p, now)))
+            .collect();
         let class_of = |p: PathId| classes.iter().find(|(q, _)| *q == p).map(|(_, t)| *t);
         let cur = ctx.current_path;
         let cur_class = if cur.is_spine() { class_of(cur) } else { None };
@@ -298,11 +281,11 @@ impl EdgeLb for Hermes {
             || cur_class == Some(PathType::Failed);
         if needs_placement {
             let good = of(PathType::Good);
-            let chosen = if let Some(p) = self.argmin_rp(d, &good, now, rng) {
+            let chosen = if let Some(p) = self.argmin_rp(ctx.src, d, &good, now, rng) {
                 p
             } else {
                 let gray = of(PathType::Gray);
-                if let Some(p) = self.argmin_rp(d, &gray, now, rng) {
+                if let Some(p) = self.argmin_rp(ctx.src, d, &gray, now, rng) {
                     p
                 } else {
                     // Random path with no failure; if everything is
@@ -321,7 +304,7 @@ impl EdgeLb for Hermes {
                     || class_of(chosen) != Some(PathType::Failed),
                 "Algorithm 2 placed a flow on a failed path despite a live alternative"
             );
-            let mut sh = self.shared.borrow_mut();
+            let sh = &mut self.sensing;
             let verdict = if cur_class == Some(PathType::Failed) {
                 sh.stat_failovers += 1;
                 hermes_telemetry::RerouteVerdict::Failover
@@ -336,8 +319,8 @@ impl EdgeLb for Hermes {
             hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Reroute {
                 flow: ctx.flow.0,
                 dst_leaf: u32::from(d.0),
-                from_path: path_code(cur),
-                to_path: path_code(chosen),
+                from_path: cur.telemetry_code(),
+                to_path: chosen.telemetry_code(),
                 verdict,
             });
             return chosen;
@@ -352,26 +335,17 @@ impl EdgeLb for Hermes {
             let slow_enough = ctx.rate_bps < params.rate_threshold_bps;
             let cooled_down = ctx.since_change > params.reroute_cooldown;
             if big_enough && slow_enough && cooled_down {
-                let cur_snapshot = *self.shared.borrow().path_state(d, cur);
-                let notably = |sh: &RackSensing, p: PathId| {
-                    notably_better(&params, &cur_snapshot, sh.path_state(d, p))
+                let sh = &self.sensing;
+                let notably = |p: &PathId| {
+                    notably_better(&params, sh.path_state(d, cur), sh.path_state(d, *p))
                 };
-                let pick = {
-                    let sh = self.shared.borrow();
-                    let good: Vec<PathId> = of(PathType::Good)
-                        .into_iter()
-                        .filter(|&p| notably(&sh, p))
-                        .collect();
-                    if good.is_empty() {
-                        of(PathType::Gray)
-                            .into_iter()
-                            .filter(|&p| notably(&sh, p))
-                            .collect()
-                    } else {
-                        good
-                    }
-                };
-                if let Some(p) = self.argmin_rp(d, &pick, now, rng) {
+                let mut pick = of(PathType::Good);
+                pick.retain(notably);
+                if pick.is_empty() {
+                    pick = of(PathType::Gray);
+                    pick.retain(notably);
+                }
+                if let Some(p) = self.argmin_rp(ctx.src, d, &pick, now, rng) {
                     // Reroute targets come from the good/gray classes
                     // only — never a failed path.
                     debug_assert_ne!(
@@ -379,12 +353,12 @@ impl EdgeLb for Hermes {
                         Some(PathType::Failed),
                         "cautious reroute chose a failed path"
                     );
-                    self.shared.borrow_mut().stat_reroutes += 1;
+                    self.sensing.stat_reroutes += 1;
                     hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Reroute {
                         flow: ctx.flow.0,
                         dst_leaf: u32::from(d.0),
-                        from_path: path_code(cur),
-                        to_path: path_code(p),
+                        from_path: cur.telemetry_code(),
+                        to_path: p.telemetry_code(),
                         verdict: hermes_telemetry::RerouteVerdict::Rerouted,
                     });
                     return p;
@@ -392,8 +366,8 @@ impl EdgeLb for Hermes {
                 hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Reroute {
                     flow: ctx.flow.0,
                     dst_leaf: u32::from(d.0),
-                    from_path: path_code(cur),
-                    to_path: path_code(cur),
+                    from_path: cur.telemetry_code(),
+                    to_path: cur.telemetry_code(),
                     verdict: hermes_telemetry::RerouteVerdict::HeldNoMargin,
                 });
             } else if hermes_telemetry::enabled() {
@@ -407,8 +381,8 @@ impl EdgeLb for Hermes {
                 hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Reroute {
                     flow: ctx.flow.0,
                     dst_leaf: u32::from(d.0),
-                    from_path: path_code(cur),
-                    to_path: path_code(cur),
+                    from_path: cur.telemetry_code(),
+                    to_path: cur.telemetry_code(),
                     verdict,
                 });
             }
@@ -430,7 +404,7 @@ impl EdgeLb for Hermes {
         if !path.is_spine() {
             return; // intra-rack or synthetic (reorder-flush) ACKs
         }
-        let mut sh = self.shared.borrow_mut();
+        let sh = &mut self.sensing;
         let p = sh.params;
         if sh.st(ctx.dst_leaf, path).sample(rtt, ecn, &p, now) {
             sh.note_recovery(now);
@@ -444,7 +418,7 @@ impl EdgeLb for Hermes {
         if !path.is_spine() {
             return;
         }
-        let mut sh = self.shared.borrow_mut();
+        let sh = &mut self.sensing;
         let p = sh.params;
         if sh.st(ctx.dst_leaf, path).on_timeout(&p, now) {
             sh.note_failure(now);
@@ -458,7 +432,7 @@ impl EdgeLb for Hermes {
         if !path.is_spine() {
             return;
         }
-        let mut sh = self.shared.borrow_mut();
+        let sh = &mut self.sensing;
         let p = sh.params;
         sh.st(ctx.dst_leaf, path).on_retransmit(&p, now);
         if hermes_telemetry::enabled() {
@@ -471,22 +445,16 @@ impl EdgeLb for Hermes {
         if !path.is_spine() {
             return;
         }
-        {
-            let mut sh = self.shared.borrow_mut();
-            let p = sh.params;
-            sh.st(ctx.dst_leaf, path).on_sent(&p, now);
-        }
-        self.r_p
+        let p = self.sensing.params;
+        self.sensing.st(ctx.dst_leaf, path).on_sent(&p, now);
+        self.rp_of(ctx.src)
             .entry((ctx.dst_leaf, path))
             .or_insert_with(Dre::default_horizon)
             .add(bytes, now);
     }
 
     fn probe_plan(&mut self, now: Time, rng: &mut SimRng) -> Vec<ProbeTarget> {
-        if !self.is_agent {
-            return Vec::new();
-        }
-        let mut sh = self.shared.borrow_mut();
+        let sh = &mut self.sensing;
         if !sh.params.enable_probing {
             return Vec::new();
         }
@@ -543,7 +511,7 @@ impl EdgeLb for Hermes {
         if !path.is_spine() {
             return;
         }
-        let mut sh = self.shared.borrow_mut();
+        let sh = &mut self.sensing;
         let p = sh.params;
         if sh.st(dst_leaf, path).sample(Some(rtt), ecn, &p, now) {
             sh.note_recovery(now);
@@ -557,7 +525,7 @@ impl EdgeLb for Hermes {
         if !path.is_spine() {
             return;
         }
-        let mut sh = self.shared.borrow_mut();
+        let sh = &mut self.sensing;
         sh.st(dst_leaf, path).on_probe_lost(now);
         if hermes_telemetry::enabled() {
             sh.trace_path(dst_leaf, path, now);
@@ -569,12 +537,10 @@ impl EdgeLb for Hermes {
 mod tests {
     use super::*;
 
-    fn setup() -> (Rc<RefCell<RackSensing>>, Hermes, HermesParams) {
+    fn setup() -> (Hermes, HermesParams) {
         let topo = Topology::sim_baseline();
         let params = HermesParams::from_topology(&topo);
-        let shared = RackSensing::shared(&topo, LeafId(0), params);
-        let h = Hermes::new(Rc::clone(&shared), true);
-        (shared, h, params)
+        (Hermes::new(&topo, LeafId(0), params), params)
     }
 
     fn ctx_new() -> FlowCtx {
@@ -598,42 +564,34 @@ mod tests {
     }
 
     /// Feed a path signals that classify it as `good`/`congested`.
-    fn feed(
-        sh: &Rc<RefCell<RackSensing>>,
-        dst: LeafId,
-        p: PathId,
-        rtt: Time,
-        ecn: bool,
-        now: Time,
-    ) {
-        let mut s = sh.borrow_mut();
-        let params = s.params;
+    fn feed(h: &mut Hermes, dst: LeafId, p: PathId, rtt: Time, ecn: bool, now: Time) {
+        let params = h.sensing.params;
         for _ in 0..100 {
-            s.st(dst, p).sample(Some(rtt), ecn, &params, now);
+            h.sensing.st(dst, p).sample(Some(rtt), ecn, &params, now);
         }
     }
 
     #[test]
     fn new_flow_prefers_good_path() {
-        let (sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         let mut rng = SimRng::new(1);
         let now = Time::from_ms(1);
         let good_rtt = params.t_rtt_low - Time::from_us(10);
-        feed(&sh, LeafId(1), PathId(5), good_rtt, false, now);
+        feed(&mut h, LeafId(1), PathId(5), good_rtt, false, now);
         // All other paths unsampled (gray). The good one must win.
         let p = h.select_path(&ctx_new(), &cands(), now, &mut rng);
         assert_eq!(p, PathId(5));
-        assert_eq!(sh.borrow().stat_initial, 1);
+        assert_eq!(h.sensing().stat_initial, 1);
     }
 
     #[test]
     fn new_flow_balances_by_local_rate_among_good() {
-        let (sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         let mut rng = SimRng::new(1);
         let now = Time::from_ms(1);
         let good_rtt = params.t_rtt_low - Time::from_us(10);
-        feed(&sh, LeafId(1), PathId(2), good_rtt, false, now);
-        feed(&sh, LeafId(1), PathId(6), good_rtt, false, now);
+        feed(&mut h, LeafId(1), PathId(2), good_rtt, false, now);
+        feed(&mut h, LeafId(1), PathId(6), good_rtt, false, now);
         // Load path 2 locally.
         let c = ctx_new();
         h.on_data_sent(&c, PathId(2), 1_000_000, now);
@@ -643,7 +601,7 @@ mod tests {
 
     #[test]
     fn sticks_to_gray_current_path() {
-        let (_sh, mut h, _params) = setup();
+        let (mut h, _params) = setup();
         let mut rng = SimRng::new(1);
         let now = Time::from_ms(1);
         let mut c = ctx_new();
@@ -655,13 +613,13 @@ mod tests {
 
     #[test]
     fn congested_path_reroutes_only_when_cautious_checks_pass() {
-        let (sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         let mut rng = SimRng::new(1);
         let now = Time::from_ms(1);
         let hot = params.t_rtt_high + Time::from_us(100);
         let cold = params.t_rtt_low - Time::from_us(10);
-        feed(&sh, LeafId(1), PathId(0), hot, true, now); // congested
-        feed(&sh, LeafId(1), PathId(4), cold, false, now); // good
+        feed(&mut h, LeafId(1), PathId(0), hot, true, now); // congested
+        feed(&mut h, LeafId(1), PathId(4), cold, false, now); // good
         let mut c = ctx_new();
         c.is_new = false;
         c.current_path = PathId(0);
@@ -672,7 +630,7 @@ mod tests {
         // Large slow flow: reroutes to the notably better good path.
         c.bytes_sent = params.size_threshold + 1;
         assert_eq!(h.select_path(&c, &cands(), now, &mut rng), PathId(4));
-        assert_eq!(sh.borrow().stat_reroutes, 1);
+        assert_eq!(h.sensing().stat_reroutes, 1);
         // High-rate flow: stays (R check).
         c.rate_bps = params.rate_threshold_bps * 2.0;
         assert_eq!(h.select_path(&c, &cands(), now, &mut rng), PathId(0));
@@ -680,13 +638,13 @@ mod tests {
 
     #[test]
     fn reroute_cooldown_blocks_flipflop() {
-        let (sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         let mut rng = SimRng::new(1);
         let now = Time::from_ms(1);
         let hot = params.t_rtt_high + Time::from_us(100);
         let cold = params.t_rtt_low - Time::from_us(10);
-        feed(&sh, LeafId(1), PathId(0), hot, true, now);
-        feed(&sh, LeafId(1), PathId(4), cold, false, now);
+        feed(&mut h, LeafId(1), PathId(0), hot, true, now);
+        feed(&mut h, LeafId(1), PathId(4), cold, false, now);
         let mut c = ctx_new();
         c.is_new = false;
         c.current_path = PathId(0);
@@ -701,14 +659,14 @@ mod tests {
 
     #[test]
     fn no_reroute_without_notable_margin() {
-        let (sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         let mut rng = SimRng::new(1);
         let now = Time::from_ms(1);
         let hot = params.t_rtt_high + Time::from_us(100);
         // Alternative barely better than current: margin not met.
         let alt = hot.saturating_sub(params.delta_rtt) + Time::from_us(1);
-        feed(&sh, LeafId(1), PathId(0), hot, true, now);
-        feed(&sh, LeafId(1), PathId(4), alt, true, now);
+        feed(&mut h, LeafId(1), PathId(0), hot, true, now);
+        feed(&mut h, LeafId(1), PathId(4), alt, true, now);
         let mut c = ctx_new();
         c.is_new = false;
         c.current_path = PathId(0);
@@ -718,16 +676,16 @@ mod tests {
             PathId(0),
             "both Δ_RTT and Δ_ECN must be exceeded"
         );
-        assert_eq!(sh.borrow().stat_reroutes, 0);
+        assert_eq!(h.sensing().stat_reroutes, 0);
     }
 
     #[test]
     fn timeout_triggers_immediate_replacement() {
-        let (sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         let mut rng = SimRng::new(1);
         let now = Time::from_ms(1);
         let good_rtt = params.t_rtt_low - Time::from_us(10);
-        feed(&sh, LeafId(1), PathId(7), good_rtt, false, now);
+        feed(&mut h, LeafId(1), PathId(7), good_rtt, false, now);
         let mut c = ctx_new();
         c.is_new = false;
         c.current_path = PathId(2);
@@ -737,7 +695,7 @@ mod tests {
 
     #[test]
     fn failed_path_is_evacuated_and_avoided() {
-        let (sh, mut h, _params) = setup();
+        let (mut h, _params) = setup();
         let mut rng = SimRng::new(1);
         let now = Time::from_ms(1);
         let c0 = ctx_new();
@@ -750,7 +708,7 @@ mod tests {
         c.current_path = PathId(2);
         let p = h.select_path(&c, &cands(), now, &mut rng);
         assert_ne!(p, PathId(2));
-        assert_eq!(sh.borrow().stat_failovers, 1);
+        assert_eq!(h.sensing().stat_failovers, 1);
         // New flows also avoid it.
         for seed in 0..20 {
             let mut r = SimRng::new(seed);
@@ -760,14 +718,14 @@ mod tests {
 
     #[test]
     fn failed_path_recovers_through_probation_probing() {
-        let (sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         let mut rng = SimRng::new(1);
         let t0 = Time::from_ms(1);
         let c0 = ctx_new();
         for _ in 0..3 {
             h.on_timeout(&c0, PathId(2), t0);
         }
-        assert_eq!(sh.borrow().first_failure_at, Some(t0));
+        assert_eq!(h.sensing().first_failure_at, Some(t0));
         // Quiet period passes with no evidence → the probe plan must
         // target the probation path toward dst leaf 1.
         let t1 = t0 + params.failure_quiet_period;
@@ -787,7 +745,7 @@ mod tests {
                 t1 + params.probe_interval * u64::from(k),
             );
         }
-        let s = sh.borrow();
+        let s = h.sensing();
         assert_eq!(s.stat_recoveries, 1);
         assert!(s.first_recovery_at.is_some());
         assert!(!s.path_state(LeafId(1), PathId(2)).failed());
@@ -795,7 +753,7 @@ mod tests {
 
     #[test]
     fn still_dead_path_is_never_readmitted() {
-        let (sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         let mut rng = SimRng::new(1);
         let t0 = Time::from_ms(1);
         let c0 = ctx_new();
@@ -809,11 +767,11 @@ mod tests {
             let _ = h.probe_plan(t, &mut rng);
             h.on_probe_timeout(LeafId(1), PathId(2), t);
             assert!(
-                sh.borrow().path_state(LeafId(1), PathId(2)).failed(),
+                h.sensing().path_state(LeafId(1), PathId(2)).failed(),
                 "a path whose probes keep dying must stay failed"
             );
         }
-        assert_eq!(sh.borrow().stat_recoveries, 0);
+        assert_eq!(h.sensing().stat_recoveries, 0);
     }
 
     #[test]
@@ -821,14 +779,13 @@ mod tests {
         let topo = Topology::sim_baseline();
         let mut params = HermesParams::from_topology(&topo);
         params.enable_reroute = false;
-        let sh = RackSensing::shared(&topo, LeafId(0), params);
-        let mut h = Hermes::new(Rc::clone(&sh), true);
+        let mut h = Hermes::new(&topo, LeafId(0), params);
         let mut rng = SimRng::new(1);
         let now = Time::from_ms(1);
         let hot = params.t_rtt_high + Time::from_us(100);
         let cold = params.t_rtt_low - Time::from_us(10);
-        feed(&sh, LeafId(1), PathId(0), hot, true, now);
-        feed(&sh, LeafId(1), PathId(4), cold, false, now);
+        feed(&mut h, LeafId(1), PathId(0), hot, true, now);
+        feed(&mut h, LeafId(1), PathId(4), cold, false, now);
         let mut c = ctx_new();
         c.is_new = false;
         c.current_path = PathId(0);
@@ -838,11 +795,11 @@ mod tests {
 
     #[test]
     fn probe_plan_is_power_of_two_choices_plus_best() {
-        let (sh, mut h, _params) = setup();
+        let (mut h, _params) = setup();
         let mut rng = SimRng::new(1);
         // Give dst leaf 3 a known-best path.
         feed(
-            &sh,
+            &mut h,
             LeafId(3),
             PathId(6),
             Time::from_us(70),
@@ -860,9 +817,6 @@ mod tests {
         assert!(plan
             .iter()
             .any(|t| t.dst_leaf == LeafId(3) && t.path == PathId(6)));
-        // Non-agents never probe.
-        let mut follower = Hermes::new(Rc::clone(&sh), false);
-        assert!(follower.probe_plan(Time::from_ms(1), &mut rng).is_empty());
     }
 
     #[test]
@@ -870,37 +824,69 @@ mod tests {
         let topo = Topology::sim_baseline();
         let mut params = HermesParams::from_topology(&topo);
         params.enable_probing = false;
-        let sh = RackSensing::shared(&topo, LeafId(0), params);
-        let mut h = Hermes::new(sh, true);
+        let mut h = Hermes::new(&topo, LeafId(0), params);
         let mut rng = SimRng::new(1);
         assert!(h.probe_plan(Time::from_ms(1), &mut rng).is_empty());
     }
 
     #[test]
     fn probe_results_update_shared_state() {
-        let (sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         let now = Time::from_ms(2);
         h.on_probe_result(LeafId(4), PathId(1), Time::from_us(65), false, now);
-        let mut s = sh.borrow_mut();
-        assert_eq!(s.characterize(LeafId(4), PathId(1), now), PathType::Good);
+        let class = h.sensing.characterize(LeafId(4), PathId(1), now);
+        assert_eq!(class, PathType::Good);
         let _ = params;
     }
 
     #[test]
     fn probe_agents_share_state_with_followers() {
-        let (sh, mut agent, params) = setup();
-        let mut follower = Hermes::new(Rc::clone(&sh), false);
+        let (mut h, params) = setup();
         let now = Time::from_ms(1);
         let good_rtt = params.t_rtt_low - Time::from_us(10);
         // The agent's probe result...
-        agent.on_probe_result(LeafId(1), PathId(3), good_rtt, false, now);
+        h.on_probe_result(LeafId(1), PathId(3), good_rtt, false, now);
         for _ in 0..50 {
-            agent.on_probe_result(LeafId(1), PathId(3), good_rtt, false, now);
+            h.on_probe_result(LeafId(1), PathId(3), good_rtt, false, now);
         }
-        // ...guides the follower's placement.
-        let mut rng = SimRng::new(2);
-        let p = follower.select_path(&ctx_new(), &cands(), now, &mut rng);
-        assert_eq!(p, PathId(3));
+        // ...guides placement for the agent (host 0) and for a follower
+        // (host 1) under the same leaf alike.
+        for src in [HostId(0), HostId(1)] {
+            let mut rng = SimRng::new(2);
+            let c = FlowCtx { src, ..ctx_new() };
+            assert_eq!(h.select_path(&c, &cands(), now, &mut rng), PathId(3));
+        }
+    }
+
+    #[test]
+    fn local_rates_stay_per_host_inside_one_rack() {
+        let (mut h, params) = setup();
+        let now = Time::from_ms(1);
+        let good_rtt = params.t_rtt_low - Time::from_us(10);
+        feed(&mut h, LeafId(1), PathId(2), good_rtt, false, now);
+        feed(&mut h, LeafId(1), PathId(6), good_rtt, false, now);
+        // Host 0 loads path 2; that is host 0's `r_p`, nobody else's.
+        let c0 = ctx_new();
+        h.on_data_sent(&c0, PathId(2), 1_000_000, now);
+        let c1 = FlowCtx {
+            src: HostId(1),
+            ..ctx_new()
+        };
+        let mut host1_picks = std::collections::BTreeSet::new();
+        for seed in 0..32 {
+            let mut rng = SimRng::new(seed);
+            assert_eq!(
+                h.select_path(&c0, &cands(), now, &mut rng),
+                PathId(6),
+                "host 0 avoids the path it loaded itself"
+            );
+            host1_picks.insert(h.select_path(&c1, &cands(), now, &mut rng));
+        }
+        assert_eq!(
+            host1_picks.into_iter().collect::<Vec<_>>(),
+            vec![PathId(2), PathId(6)],
+            "host 1 sent nothing: both good paths tie for it"
+        );
     }
 
     /// Drain the sink and keep only records matching `keep`.
@@ -918,7 +904,7 @@ mod tests {
             return;
         }
         use hermes_telemetry::{PathClass, Record};
-        let (_sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         hermes_telemetry::install(hermes_telemetry::SinkConfig::default());
         let t0 = Time::from_ms(1);
         let c0 = ctx_new();
@@ -984,7 +970,7 @@ mod tests {
             return;
         }
         use hermes_telemetry::{Record, RerouteVerdict};
-        let (sh, mut h, params) = setup();
+        let (mut h, params) = setup();
         hermes_telemetry::install(hermes_telemetry::SinkConfig::default());
         let mut rng = SimRng::new(1);
         let now = Time::from_ms(1);
@@ -1002,8 +988,8 @@ mod tests {
         // Congested current path, small flow → HeldSize.
         let hot = params.t_rtt_high + Time::from_us(100);
         let cold = params.t_rtt_low - Time::from_us(10);
-        feed(&sh, LeafId(1), PathId(0), hot, true, now);
-        feed(&sh, LeafId(1), PathId(4), cold, false, now);
+        feed(&mut h, LeafId(1), PathId(0), hot, true, now);
+        feed(&mut h, LeafId(1), PathId(4), cold, false, now);
         let mut c = ctx_new();
         c.is_new = false;
         c.current_path = PathId(0);
@@ -1046,7 +1032,7 @@ mod tests {
     fn telemetry_off_thread_emits_nothing() {
         // No sink installed on this thread: the same hooks must stay
         // silent (and the trace_last grid cold).
-        let (_sh, mut h, _params) = setup();
+        let (mut h, _params) = setup();
         let c0 = ctx_new();
         for _ in 0..3 {
             h.on_timeout(&c0, PathId(2), Time::from_ms(1));
@@ -1056,7 +1042,7 @@ mod tests {
 
     #[test]
     fn non_spine_signals_are_ignored() {
-        let (sh, mut h, _params) = setup();
+        let (mut h, _params) = setup();
         let c = ctx_new();
         h.on_ack(
             &c,
@@ -1070,7 +1056,7 @@ mod tests {
         h.on_retransmit(&c, PathId::DIRECT, Time::from_ms(1));
         h.on_data_sent(&c, PathId::UNSET, 1460, Time::from_ms(1));
         // Nothing recorded anywhere.
-        let s = sh.borrow();
+        let s = h.sensing();
         for d in 0..8u16 {
             for p in 0..8u16 {
                 assert!(s.path_state(LeafId(d), PathId(p)).t_rtt().is_none());

@@ -1,8 +1,9 @@
 //! Per-path sensing state and Algorithm 1 (path characterization).
 //!
 //! One [`PathState`] exists per (destination rack, path) in each rack's
-//! shared sensing table ([`RackSensing`]). Transport signals (ACK
-//! ECN/RTT, retransmissions, timeouts) and probe results update it;
+//! sensing table ([`RackSensing`], owned by that rack's `Hermes`).
+//! Transport signals (ACK ECN/RTT, retransmissions, timeouts) and probe
+//! results update it;
 //! [`PathState::characterize`] implements Algorithm 1:
 //!
 //! | ECN | RTT | outcome |

@@ -480,7 +480,7 @@ impl Fabric {
     /// port's subsequent back-to-back transmissions (a "train") instead
     /// of scheduling one `TxDone` per packet, provided each inlined
     /// boundary is provably the very next thing the simulation would
-    /// dispatch anyway (see [`Fabric::tx_done`] for the exact gate).
+    /// dispatch anyway (the private `Fabric::tx_done` holds the exact gate).
     /// Inlined boundaries are fed to `digest` and counted in
     /// [`FabricStats::trains_inlined`], so the digested event stream is
     /// byte-identical to the unbatched one; `limit` must be the run
@@ -640,11 +640,7 @@ impl Fabric {
             return;
         }
         let flow = pkt.flow.0;
-        let path = if pkt.path.is_spine() {
-            i64::from(pkt.path.0)
-        } else {
-            -1
-        };
+        let path = pkt.path.telemetry_code();
         hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Drop {
             flow,
             path,

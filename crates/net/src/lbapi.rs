@@ -56,9 +56,13 @@ pub struct ProbeTarget {
 
 /// An edge-based (end-host) load balancer.
 ///
-/// One instance exists per host; instances may share rack-level state
-/// internally (Hermes' probe agents do).
-pub trait EdgeLb {
+/// An instance serves one host (ECMP, Presto*, FlowBender, CLOVE) *or*
+/// one rack (Hermes, whose sensing table is rack-wide); the runtime owns
+/// the instances and picks the right one per call. Every flow hook
+/// names the sending host as `ctx.src`, so a rack-wide instance keeps
+/// its host-local state indexed by that. `Send`, so a built simulation
+/// can move to another thread.
+pub trait EdgeLb: Send {
     /// Pick the path for the next outgoing data packet of `flow`.
     ///
     /// Called for *every* data packet, so per-flow/per-flowlet schemes
@@ -109,7 +113,9 @@ pub trait EdgeLb {
     }
 
     /// Active-probing plan for this probe tick (empty = scheme does not
-    /// probe). Only called on hosts designated as probe agents.
+    /// probe). Called once per rack, on the instance serving the rack's
+    /// probe agent; the probe hooks carry no host because probed state
+    /// is rack-level.
     fn probe_plan(&mut self, now: Time, rng: &mut SimRng) -> Vec<ProbeTarget> {
         let _ = (now, rng);
         Vec::new()
@@ -152,8 +158,9 @@ pub struct Uplinks<'a> {
 
 /// A switch-resident load balancer (one object holds the state of every
 /// switch — the simulator is single-threaded, so "distributed" state is
-/// simply indexed by switch id).
-pub trait FabricLb {
+/// simply indexed by switch id). `Send` for the same reason as
+/// [`EdgeLb`].
+pub trait FabricLb: Send {
     /// At the source leaf: choose the uplink for an inter-rack packet
     /// from the live candidates in `uplinks`.
     fn ingress_select(

@@ -67,6 +67,12 @@ impl PathId {
     pub fn is_spine(self) -> bool {
         self.spine().is_some()
     }
+
+    /// Telemetry encoding: the spine index, or -1 for direct/unset.
+    #[inline]
+    pub fn telemetry_code(self) -> i64 {
+        self.spine().map_or(-1, |s| i64::from(s.0))
+    }
 }
 
 impl fmt::Debug for PathId {
@@ -109,6 +115,9 @@ mod tests {
         let p = PathId::via(SpineId(3));
         assert_eq!(p.spine(), Some(SpineId(3)));
         assert!(p.is_spine());
+        assert_eq!(p.telemetry_code(), 3);
+        assert_eq!(PathId::DIRECT.telemetry_code(), -1);
+        assert_eq!(PathId::UNSET.telemetry_code(), -1);
     }
 
     #[test]

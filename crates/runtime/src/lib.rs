@@ -5,9 +5,12 @@
 //! * a [`SimConfig`] names a topology, a [`Scheme`], a transport
 //!   profile, and a master seed;
 //! * [`Simulation`] instantiates the fabric, one transport state machine
-//!   pair per flow, the load balancer (per-host `EdgeLb`s or one
-//!   `FabricLb` in the switches), Hermes' per-rack probe agents, UDP
-//!   competitors, and periodic queue/progress samplers;
+//!   pair per flow, the load balancer (one `EdgeLb` per host, one
+//!   `Hermes` per rack, or one `FabricLb` in the switches — it owns
+//!   them all, nothing is shared by handle), the per-rack probe ticks,
+//!   UDP competitors, and periodic queue/progress samplers;
+//! * a built [`Simulation`] is `Send` (asserted at compile time): it
+//!   can be constructed on one thread and run on another;
 //! * everything shares one deterministic event queue, so a (config,
 //!   seed) pair fully determines every packet of a run.
 //!
@@ -19,4 +22,4 @@ mod sim;
 
 pub use config::{presto_weights_for, Scheme, SimConfig, DEFAULT_REORDER_HOLD};
 pub use selfcheck::{assert_deterministic, fingerprint, RunFingerprint};
-pub use sim::{Probe, SimStats, Simulation};
+pub use sim::{Probe, SimStats, Simulation, MAX_FLOW_ID};

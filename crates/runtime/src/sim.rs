@@ -1,9 +1,7 @@
 //! The full-stack simulation: fabric + transports + load balancer +
 //! workload, driven off one deterministic event queue.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Flow table keyed by raw flow id. An ordered map so that any future
 /// whole-table iteration is deterministic by construction; point
@@ -23,6 +21,10 @@ use hermes_workload::{FlowDriver, FlowRecord, FlowSpec, VisibilityTracker};
 
 use crate::config::{presto_weights_for, Scheme, SimConfig};
 
+/// Largest TCP flow id [`Simulation::add_flow`] accepts: timer tokens
+/// carry 40 id bits, and a wider id would alias another flow's timers.
+pub const MAX_FLOW_ID: u64 = (1 << 40) - 1;
+
 // ---- timer token packing: kind(3) | id(40) | gen(21) ----
 const KIND_RTO: u64 = 0;
 const KIND_HOLD: u64 = 1;
@@ -34,21 +36,12 @@ const KIND_FAULT: u64 = 6;
 const GEN_MASK: u64 = (1 << 21) - 1;
 
 fn pack(kind: u64, id: u64, gen: u64) -> u64 {
-    debug_assert!(id < (1 << 40));
+    debug_assert!(id <= MAX_FLOW_ID);
     kind | (id << 3) | ((gen & GEN_MASK) << 43)
 }
 
 fn unpack(tok: u64) -> (u64, u64, u64) {
-    (tok & 7, (tok >> 3) & ((1 << 40) - 1), tok >> 43)
-}
-
-/// Telemetry path encoding: the spine index, or -1 for direct/unset.
-fn telem_path(p: PathId) -> i64 {
-    if p.is_spine() {
-        i64::from(p.0)
-    } else {
-        -1
-    }
+    (tok & 7, (tok >> 3) & MAX_FLOW_ID, tok >> 43)
 }
 
 /// Telemetry label for an applied fault action.
@@ -146,15 +139,42 @@ pub struct SimStats {
     pub probe_timeouts: u64,
 }
 
+/// The edge LBs of a run, in the one shape its [`Scheme`] implies.
+enum EdgeLbs {
+    /// No edge LB: the fabric LB decides at the source leaf.
+    SwitchBased,
+    /// One instance per host, indexed by host id.
+    PerHost(Vec<Box<dyn EdgeLb>>),
+    /// One Hermes per rack, indexed by leaf id.
+    PerRack(Vec<Hermes>),
+}
+
+impl EdgeLbs {
+    fn per_host<L: EdgeLb + 'static>(n_hosts: usize, mut make: impl FnMut(HostId) -> L) -> EdgeLbs {
+        EdgeLbs::PerHost(
+            (0..n_hosts)
+                .map(|h| Box::new(make(HostId(h as u32))) as Box<dyn EdgeLb>)
+                .collect(),
+        )
+    }
+
+    /// The instance serving `host`, which sits under `leaf`.
+    #[inline]
+    fn get(&mut self, host: HostId, leaf: LeafId) -> Option<&mut dyn EdgeLb> {
+        match self {
+            EdgeLbs::SwitchBased => None,
+            EdgeLbs::PerHost(lbs) => Some(lbs[host.0 as usize].as_mut()),
+            EdgeLbs::PerRack(racks) => Some(&mut racks[leaf.0 as usize]),
+        }
+    }
+}
+
 /// One experiment run.
 pub struct Simulation {
     cfg: SimConfig,
     q: EventQueue<Event>,
     fabric: Fabric,
-    /// Per-host edge LB (None for switch-based schemes).
-    edge: Vec<Option<Box<dyn EdgeLb>>>,
-    /// Rack sensing handles when the scheme is Hermes.
-    hermes_racks: Vec<Rc<RefCell<RackSensing>>>,
+    edge: EdgeLbs,
     probe_interval: Option<Time>,
     rng_lb: SimRng,
     flows: FlowMap,
@@ -193,6 +213,14 @@ pub struct Simulation {
     pub stats: SimStats,
 }
 
+/// A built `Simulation` can move to another thread and run there: the
+/// hook traits (`EdgeLb`, `FabricLb`, `FlowDriver`) are `Send`, and an
+/// `Rc` (or anything else thread-bound) in any field fails the build here.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Simulation>();
+};
+
 impl Simulation {
     pub fn new(cfg: SimConfig) -> Simulation {
         let root = SimRng::new(cfg.seed);
@@ -200,61 +228,41 @@ impl Simulation {
         let n_hosts = topo.n_hosts();
         let mut fabric = Fabric::new(topo.clone(), root.split(0xFA11));
         let mut rng_lb = root.split(0x1B);
-        let mut hermes_racks = Vec::new();
         let mut probe_interval = None;
 
-        let edge: Vec<Option<Box<dyn EdgeLb>>> = match &cfg.scheme {
-            Scheme::Ecmp => (0..n_hosts)
-                .map(|_| Some(Box::new(Ecmp::new()) as Box<dyn EdgeLb>))
-                .collect(),
-            Scheme::Drb => (0..n_hosts)
-                .map(|_| Some(Box::new(RoundRobinSpray::new()) as Box<dyn EdgeLb>))
-                .collect(),
-            Scheme::Presto { weighted } => (0..n_hosts)
-                .map(|h| {
-                    let lb: Box<dyn EdgeLb> = if *weighted {
-                        let leaf = topo.host_leaf(HostId(h as u32));
-                        Box::new(PrestoSpray::weighted(presto_weights_for(&topo, leaf)))
-                    } else {
-                        Box::new(PrestoSpray::equal())
-                    };
-                    Some(lb)
-                })
-                .collect(),
-            Scheme::FlowBender(fb) => (0..n_hosts)
-                .map(|_| Some(Box::new(FlowBender::new(*fb)) as Box<dyn EdgeLb>))
-                .collect(),
-            Scheme::Clove(cl) => (0..n_hosts)
-                .map(|_| Some(Box::new(CloveEcn::new(*cl)) as Box<dyn EdgeLb>))
-                .collect(),
+        let edge = match &cfg.scheme {
+            Scheme::Ecmp => EdgeLbs::per_host(n_hosts, |_| Ecmp::new()),
+            Scheme::Drb => EdgeLbs::per_host(n_hosts, |_| RoundRobinSpray::new()),
+            Scheme::Presto { weighted } => EdgeLbs::per_host(n_hosts, |h| {
+                if *weighted {
+                    PrestoSpray::weighted(presto_weights_for(&topo, topo.host_leaf(h)))
+                } else {
+                    PrestoSpray::equal()
+                }
+            }),
+            Scheme::FlowBender(fb) => EdgeLbs::per_host(n_hosts, |_| FlowBender::new(*fb)),
+            Scheme::Clove(cl) => EdgeLbs::per_host(n_hosts, |_| CloveEcn::new(*cl)),
             Scheme::Hermes(params) => {
                 if params.enable_probing && params.probe_interval < Time::MAX {
                     probe_interval = Some(params.probe_interval);
                 }
-                hermes_racks = (0..topo.n_leaves)
-                    .map(|l| RackSensing::shared(&topo, LeafId(l as u16), *params))
-                    .collect();
-                (0..n_hosts)
-                    .map(|h| {
-                        let host = HostId(h as u32);
-                        let leaf = topo.host_leaf(host);
-                        let is_agent = topo.leaf_agent(leaf) == host;
-                        let shared = Rc::clone(&hermes_racks[leaf.0 as usize]);
-                        Some(Box::new(Hermes::new(shared, is_agent)) as Box<dyn EdgeLb>)
-                    })
-                    .collect()
+                EdgeLbs::PerRack(
+                    (0..topo.n_leaves)
+                        .map(|l| Hermes::new(&topo, LeafId(l as u16), *params))
+                        .collect(),
+                )
             }
             Scheme::LetFlow { flowlet_timeout } => {
                 fabric.set_fabric_lb(Box::new(LetFlow::new(*flowlet_timeout)));
-                (0..n_hosts).map(|_| None).collect()
+                EdgeLbs::SwitchBased
             }
             Scheme::Drill { samples } => {
                 fabric.set_fabric_lb(Box::new(Drill::new(*samples)));
-                (0..n_hosts).map(|_| None).collect()
+                EdgeLbs::SwitchBased
             }
             Scheme::Conga(cc) => {
                 fabric.set_fabric_lb(Box::new(Conga::new(&topo, *cc)));
-                (0..n_hosts).map(|_| None).collect()
+                EdgeLbs::SwitchBased
             }
         };
 
@@ -280,7 +288,6 @@ impl Simulation {
             q,
             fabric,
             edge,
-            hermes_racks,
             probe_interval,
             rng_lb,
             flows: FlowMap::default(),
@@ -342,8 +349,9 @@ impl Simulation {
     pub fn add_flow(&mut self, spec: FlowSpec) {
         assert!(spec.start >= self.q.now(), "flow arrival in the past");
         assert!(
-            spec.id.0 < UDP_FLOW_BASE,
-            "flow id collides with pseudo-flows"
+            spec.id.0 <= MAX_FLOW_ID,
+            "flow id {} exceeds MAX_FLOW_ID ({MAX_FLOW_ID}): its timers would alias another flow's",
+            spec.id.0
         );
         self.pending.push_back(spec);
         self.q
@@ -446,9 +454,12 @@ impl Simulation {
         &self.records
     }
 
-    /// Rack sensing tables (Hermes runs only).
-    pub fn hermes_racks(&self) -> &[Rc<RefCell<RackSensing>>] {
-        &self.hermes_racks
+    /// Rack sensing tables by leaf id (empty unless the scheme is Hermes).
+    pub fn hermes_racks(&self) -> Vec<&RackSensing> {
+        match &self.edge {
+            EdgeLbs::PerRack(racks) => racks.iter().map(Hermes::sensing).collect(),
+            _ => Vec::new(),
+        }
     }
 
     /// Table 2 visibility metrics `(switch_pair, host_pair)`.
@@ -782,7 +793,7 @@ impl Simulation {
                     let loss_path = f.current_path;
                     let path = if !inter_rack {
                         PathId::DIRECT
-                    } else if let Some(lb) = self.edge[f.src.0 as usize].as_mut() {
+                    } else if let Some(lb) = self.edge.get(f.src, f.src_leaf) {
                         let ctx = Self::make_ctx(f, now);
                         let cands = self.fabric.candidates(f.src_leaf, f.dst_leaf);
                         debug_assert!(!cands.is_empty(), "disconnected racks");
@@ -799,8 +810,8 @@ impl Simulation {
                             hermes_telemetry::emit_with(now, || {
                                 hermes_telemetry::Record::PathChange {
                                     flow,
-                                    from_path: telem_path(loss_path),
-                                    to_path: telem_path(path),
+                                    from_path: loss_path.telemetry_code(),
+                                    to_path: path.telemetry_code(),
                                 }
                             });
                         }
@@ -814,7 +825,7 @@ impl Simulation {
                         f.blame_path = PathId::UNSET;
                     }
                     if inter_rack {
-                        if let Some(lb) = self.edge[f.src.0 as usize].as_mut() {
+                        if let Some(lb) = self.edge.get(f.src, f.src_leaf) {
                             let ctx = Self::make_ctx(f, now);
                             if retx {
                                 // Blame order: an RTO episode blames the
@@ -868,7 +879,7 @@ impl Simulation {
                         f.sender_done = true;
                         self.stats.ooo_packets += f.receiver.ooo_packets();
                         if f.src_leaf != f.dst_leaf {
-                            if let Some(lb) = self.edge[f.src.0 as usize].as_mut() {
+                            if let Some(lb) = self.edge.get(f.src, f.src_leaf) {
                                 let ctx = Self::make_ctx(f, now);
                                 lb.on_flow_finished(&ctx, now);
                             }
@@ -982,7 +993,7 @@ impl Simulation {
                 }
                 let path = f.current_path;
                 if f.src_leaf != f.dst_leaf {
-                    if let Some(lb) = self.edge[f.src.0 as usize].as_mut() {
+                    if let Some(lb) = self.edge.get(f.src, f.src_leaf) {
                         let ctx = Self::make_ctx(f, now);
                         lb.on_timeout(&ctx, path, now);
                     }
@@ -1058,7 +1069,7 @@ impl Simulation {
                 };
                 let delta = ack.saturating_sub(f.sender.snd_una());
                 if f.src_leaf != f.dst_leaf {
-                    if let Some(lb) = self.edge[host.0 as usize].as_mut() {
+                    if let Some(lb) = self.edge.get(f.src, f.src_leaf) {
                         let ctx = Self::make_ctx(f, now);
                         lb.on_ack(&ctx, echo_path, rtt, ecn_echo, delta, now);
                     }
@@ -1076,8 +1087,9 @@ impl Simulation {
                 self.stats.probe_responses += 1;
                 self.probe_outstanding.remove(&pkt.flow.0);
                 let rtt = now.saturating_sub(echo_ts);
-                let dst_leaf = self.fabric.topology().host_leaf(pkt.src);
-                if let Some(lb) = self.edge[host.0 as usize].as_mut() {
+                let topo = self.fabric.topology();
+                let dst_leaf = topo.host_leaf(pkt.src);
+                if let Some(lb) = self.edge.get(host, topo.host_leaf(host)) {
                     lb.on_probe_result(dst_leaf, pkt.path, rtt, req_ecn, now);
                 }
             }
@@ -1110,20 +1122,18 @@ impl Simulation {
                 .remove(&k)
                 .expect("expired key just listed");
             self.stats.probe_timeouts += 1;
-            if let Some(lb) = self.edge[agent.0 as usize].as_mut() {
+            let leaf = self.fabric.topology().host_leaf(agent);
+            if let Some(lb) = self.edge.get(agent, leaf) {
                 lb.on_probe_timeout(dst_leaf, path, now);
             }
         }
-        let topo = self.fabric.topology();
-        let agents: Vec<(HostId, LeafId)> = (0..topo.n_leaves)
-            .map(|l| (topo.leaf_agent(LeafId(l as u16)), LeafId(l as u16)))
-            .collect();
-        for (agent, _leaf) in agents {
-            let Some(lb) = self.edge[agent.0 as usize].as_mut() else {
-                continue;
+        for l in 0..self.fabric.topology().n_leaves {
+            let leaf = LeafId(l as u16);
+            let agent = self.fabric.topology().leaf_agent(leaf);
+            let Some(lb) = self.edge.get(agent, leaf) else {
+                return; // switch-based scheme: nobody probes
             };
-            let plan = lb.probe_plan(now, &mut self.rng_lb);
-            for t in plan {
+            for t in lb.probe_plan(now, &mut self.rng_lb) {
                 let dst_agent = self.fabric.topology().leaf_agent(t.dst_leaf);
                 let flow = FlowId(PROBE_FLOW_BASE + self.probe_seq);
                 self.probe_seq += 1;

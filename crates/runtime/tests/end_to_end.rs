@@ -2,8 +2,8 @@
 //! across the simulated fabric under DCTCP.
 
 use hermes_core::HermesParams;
-use hermes_net::{FlowId, HostId, LeafId, PathId, SpineFailure, SpineId, Topology};
-use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
+use hermes_net::{FaultPlan, FlowId, HostId, LeafId, PathId, SpineFailure, SpineId, Topology};
+use hermes_runtime::{Probe, Scheme, SimConfig, Simulation, MAX_FLOW_ID};
 use hermes_sim::{SimRng, Time};
 use hermes_workload::{FlowGen, FlowSizeDist, FlowSpec};
 
@@ -29,6 +29,41 @@ fn single_flow_completes_with_sane_fct() {
     assert!(fct > Time::from_ms(8), "fct {fct}");
     assert!(fct < Time::from_ms(100), "fct {fct}");
     assert_eq!(sim.fabric().stats.path_fallbacks, 0);
+}
+
+/// When the spines of [`finish_through_an_rto`] stop dropping.
+const DROPS_CLEAR: Time = Time::from_ms(5);
+
+/// One 20 KB flow with raw id `id` on a testbed whose spines drop
+/// everything until [`DROPS_CLEAR`]: only an RTO can finish it. Returns
+/// its completion time.
+fn finish_through_an_rto(id: u64) -> Option<Time> {
+    let topo = Topology::testbed();
+    let plan = (0..topo.n_spines as u16).fold(FaultPlan::new(), |p, s| {
+        p.random_drop_window(SpineId(s), 1.0, Time::ZERO, DROPS_CLEAR)
+    });
+    let mut sim = Simulation::new(SimConfig::new(topo, Scheme::Ecmp).with_fault_plan(plan));
+    sim.add_flow(FlowSpec {
+        id: FlowId(id),
+        ..one_flow(20_000)
+    });
+    sim.run_to_completion(Time::from_secs(5));
+    sim.records()[0].finish
+}
+
+#[test]
+fn widest_flow_id_keeps_its_timers() {
+    let finish = finish_through_an_rto(MAX_FLOW_ID).expect("the RTO must fire and finish the flow");
+    assert!(
+        finish > DROPS_CLEAR,
+        "finished at {finish}, before the drops cleared"
+    );
+}
+
+#[test]
+#[should_panic(expected = "exceeds MAX_FLOW_ID")]
+fn flow_id_wider_than_the_timer_token_is_rejected() {
+    finish_through_an_rto(1 << 40);
 }
 
 #[test]

@@ -19,7 +19,10 @@
 //! instrumentation guarded by `if hermes_telemetry::enabled()` folds
 //! away entirely, and `emit_with` never constructs its record closure.
 //! The sink is thread-local so the testkit's multi-threaded scenario
-//! grid keeps per-cell traces independent.
+//! grid keeps per-cell traces independent. Thread contract: install
+//! the sink on the thread that *runs* the simulation — a `Simulation`
+//! is `Send`, and one moved elsewhere emits into that thread's sink (or
+//! nowhere, if none is installed there).
 
 use hermes_sim::Time;
 

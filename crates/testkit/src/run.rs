@@ -3,8 +3,7 @@
 //! Each `(scenario, lb, seed)` grid cell is one fully independent
 //! deterministic simulation, so the executor fans the job list out
 //! across a scoped thread pool (no rayon in-tree; `std::thread::scope`
-//! plus an atomic work counter is all this needs). `Simulation` itself
-//! is not `Send` — it holds `Rc` sensing state — so each worker
+//! plus an atomic work counter is all this needs). Each worker
 //! materializes and runs its sims entirely inside its own thread; only
 //! the `Sync` specs and the plain-data [`RunReport`] cross the
 //! boundary. Results are reassembled in job order, so the output is

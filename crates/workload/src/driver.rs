@@ -26,8 +26,9 @@ use crate::flowgen::FlowSpec;
 /// current sim time) and [`FlowDriver::on_flow_completed`] every time a
 /// TCP flow fully acknowledges. Released specs must have
 /// `start >= now`; drivers release at `now` — dependency edges in these
-/// workloads have no think time.
-pub trait FlowDriver {
+/// workloads have no think time. `Send`, so a simulation with a driver
+/// installed can move to another thread.
+pub trait FlowDriver: Send {
     /// The flows to schedule before the run starts.
     fn initial(&mut self, now: Time) -> Vec<FlowSpec>;
 

@@ -53,11 +53,10 @@ fn main() {
             finished_avg * 1e3
         );
         if name == "hermes" {
-            let sensing = &sim.hermes_racks()[0];
+            let sensing = sim.hermes_racks()[0];
             let failed_paths = (0..8)
                 .filter(|&s| {
                     sensing
-                        .borrow()
                         .path_state(LeafId(7), hermes_net::PathId(s))
                         .failed()
                 })

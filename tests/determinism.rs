@@ -249,6 +249,42 @@ fn conservation_balances_for_every_scheme() {
     }
 }
 
+/// The incast point of `staged_workload_drivers_are_deterministic_per_kind`
+/// as a bare simulation with its driver installed.
+fn incast_driver_sim() -> Simulation {
+    use hermes_workload::{IncastCfg, IncastDriver};
+    let topo = Topology::testbed();
+    let scheme = Scheme::Hermes(HermesParams::from_topology(&topo));
+    let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(23));
+    let cfg = IncastCfg {
+        fanout: 5,
+        reply_bytes: 24_000,
+        bursts: 3,
+    };
+    sim.set_driver(Box::new(IncastDriver::new(&topo, cfg, SimRng::new(23))));
+    sim
+}
+
+/// `Simulation: Send` in use: a simulation built here and run on
+/// another thread must be indistinguishable from one run in place, for
+/// a scheduled workload under a fault plan and for a driver-fed one.
+#[test]
+fn simulation_moved_to_another_thread_runs_identically() {
+    let horizon = Time::from_secs(5);
+    for build in [chaos_sim, incast_driver_sim] {
+        let here = selfcheck::fingerprint(build(), horizon);
+        let sim = build();
+        let there = std::thread::spawn(move || selfcheck::fingerprint(sim, horizon))
+            .join()
+            .expect("the simulation thread panicked");
+        assert_eq!(here, there);
+        assert!(
+            there.fcts.iter().all(|&(_, f)| f.is_some()),
+            "every flow must finish on the other thread too"
+        );
+    }
+}
+
 #[test]
 fn staged_workload_drivers_are_deterministic_per_kind() {
     // The new staged-dependency workloads release flows from completion
