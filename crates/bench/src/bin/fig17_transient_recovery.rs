@@ -55,7 +55,7 @@ fn run(scheme: Scheme) -> RunOut {
         .filter(|r| r.start < CLEAR && r.finish.is_none_or(|f| f > CLEAR))
         .count();
     let unfinished = sim.records().iter().filter(|r| r.finish.is_none()).count();
-    let (detect, readmit, recoveries) = sim.hermes_racks().first().map_or((None, None, 0), |s| {
+    let (detect, readmit, recoveries) = sim.hermes_racks().next().map_or((None, None, 0), |s| {
         (
             s.first_failure_at.map(|t| t.saturating_sub(ONSET)),
             s.first_recovery_at.map(|t| t.saturating_sub(CLEAR)),

@@ -195,6 +195,12 @@ impl Hermes {
         &self.sensing
     }
 
+    /// Every flow hook serves this rack's hosts only; a wrong-rack `ctx`
+    /// would alias a local host's `r_p` slot and pollute the rack table.
+    fn check(&self, ctx: &FlowCtx) {
+        debug_assert_eq!(ctx.src_leaf, self.sensing.my_leaf, "flow of another rack");
+    }
+
     /// `host`'s own `r_p` table (`Topology::host_slot`: hosts are
     /// numbered leaf-major, and `r_p` has one entry per host slot).
     fn rp_of(&mut self, host: HostId) -> &mut BTreeMap<(LeafId, PathId), Dre> {
@@ -254,7 +260,7 @@ impl EdgeLb for Hermes {
         now: Time,
         rng: &mut SimRng,
     ) -> PathId {
-        debug_assert_eq!(ctx.src_leaf, self.sensing.my_leaf, "flow of another rack");
+        self.check(ctx);
         let params = self.sensing.params;
         let d = ctx.dst_leaf;
         // Classify every candidate once.
@@ -272,6 +278,16 @@ impl EdgeLb for Hermes {
                 .filter(|(_, c)| *c == t)
                 .map(|(p, _)| *p)
                 .collect()
+        };
+        // One Reroute record per decision; free unless a sink is installed.
+        let trace = |to: PathId, verdict: hermes_telemetry::RerouteVerdict| {
+            hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Reroute {
+                flow: ctx.flow.0,
+                dst_leaf: u32::from(d.0),
+                from_path: cur.telemetry_code(),
+                to_path: to.telemetry_code(),
+                verdict,
+            });
         };
 
         // Lines 3–12: new flow, post-timeout, or failed path.
@@ -316,13 +332,7 @@ impl EdgeLb for Hermes {
                     hermes_telemetry::RerouteVerdict::Initial
                 }
             };
-            hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Reroute {
-                flow: ctx.flow.0,
-                dst_leaf: u32::from(d.0),
-                from_path: cur.telemetry_code(),
-                to_path: chosen.telemetry_code(),
-                verdict,
-            });
+            trace(chosen, verdict);
             return chosen;
         }
 
@@ -354,22 +364,10 @@ impl EdgeLb for Hermes {
                         "cautious reroute chose a failed path"
                     );
                     self.sensing.stat_reroutes += 1;
-                    hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Reroute {
-                        flow: ctx.flow.0,
-                        dst_leaf: u32::from(d.0),
-                        from_path: cur.telemetry_code(),
-                        to_path: p.telemetry_code(),
-                        verdict: hermes_telemetry::RerouteVerdict::Rerouted,
-                    });
+                    trace(p, hermes_telemetry::RerouteVerdict::Rerouted);
                     return p;
                 }
-                hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Reroute {
-                    flow: ctx.flow.0,
-                    dst_leaf: u32::from(d.0),
-                    from_path: cur.telemetry_code(),
-                    to_path: cur.telemetry_code(),
-                    verdict: hermes_telemetry::RerouteVerdict::HeldNoMargin,
-                });
+                trace(cur, hermes_telemetry::RerouteVerdict::HeldNoMargin);
             } else if hermes_telemetry::enabled() {
                 let verdict = if !big_enough {
                     hermes_telemetry::RerouteVerdict::HeldSize
@@ -378,13 +376,7 @@ impl EdgeLb for Hermes {
                 } else {
                     hermes_telemetry::RerouteVerdict::HeldCooldown
                 };
-                hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Reroute {
-                    flow: ctx.flow.0,
-                    dst_leaf: u32::from(d.0),
-                    from_path: cur.telemetry_code(),
-                    to_path: cur.telemetry_code(),
-                    verdict,
-                });
+                trace(cur, verdict);
             }
             return cur; // do not reroute
         }
@@ -401,6 +393,7 @@ impl EdgeLb for Hermes {
         _bytes_acked: u64,
         now: Time,
     ) {
+        self.check(ctx);
         if !path.is_spine() {
             return; // intra-rack or synthetic (reorder-flush) ACKs
         }
@@ -415,6 +408,7 @@ impl EdgeLb for Hermes {
     }
 
     fn on_timeout(&mut self, ctx: &FlowCtx, path: PathId, now: Time) {
+        self.check(ctx);
         if !path.is_spine() {
             return;
         }
@@ -429,6 +423,7 @@ impl EdgeLb for Hermes {
     }
 
     fn on_retransmit(&mut self, ctx: &FlowCtx, path: PathId, now: Time) {
+        self.check(ctx);
         if !path.is_spine() {
             return;
         }
@@ -442,6 +437,7 @@ impl EdgeLb for Hermes {
     }
 
     fn on_data_sent(&mut self, ctx: &FlowCtx, path: PathId, bytes: u64, now: Time) {
+        self.check(ctx);
         if !path.is_spine() {
             return;
         }

@@ -21,11 +21,9 @@ use hermes_workload::{FlowDriver, FlowRecord, FlowSpec, VisibilityTracker};
 
 use crate::config::{presto_weights_for, Scheme, SimConfig};
 
-/// Largest TCP flow id [`Simulation::add_flow`] accepts: timer tokens
-/// carry 40 id bits, and a wider id would alias another flow's timers.
-pub const MAX_FLOW_ID: u64 = (1 << 40) - 1;
-
-// ---- timer token packing: kind(3) | id(40) | gen(21) ----
+// ---- timer token packing: kind(3) | id(ID_BITS) | gen(21) ----
+const ID_BITS: u32 = 40;
+const ID_MASK: u64 = (1 << ID_BITS) - 1;
 const KIND_RTO: u64 = 0;
 const KIND_HOLD: u64 = 1;
 const TOK_ARRIVAL: u64 = 2;
@@ -35,13 +33,18 @@ const KIND_UDP: u64 = 5;
 const KIND_FAULT: u64 = 6;
 const GEN_MASK: u64 = (1 << 21) - 1;
 
+/// Largest TCP flow id [`Simulation::add_flow`] accepts: a timer token
+/// has room for `ID_BITS` of id, and a wider id would alias another
+/// flow's timers.
+pub const MAX_FLOW_ID: u64 = ID_MASK;
+
 fn pack(kind: u64, id: u64, gen: u64) -> u64 {
-    debug_assert!(id <= MAX_FLOW_ID);
-    kind | (id << 3) | ((gen & GEN_MASK) << 43)
+    debug_assert!(id <= ID_MASK, "token id {id} wider than {ID_BITS} bits");
+    kind | (id << 3) | ((gen & GEN_MASK) << (3 + ID_BITS))
 }
 
 fn unpack(tok: u64) -> (u64, u64, u64) {
-    (tok & 7, (tok >> 3) & MAX_FLOW_ID, tok >> 43)
+    (tok & 7, (tok >> 3) & ID_MASK, tok >> (3 + ID_BITS))
 }
 
 /// Telemetry label for an applied fault action.
@@ -455,11 +458,12 @@ impl Simulation {
     }
 
     /// Rack sensing tables by leaf id (empty unless the scheme is Hermes).
-    pub fn hermes_racks(&self) -> Vec<&RackSensing> {
-        match &self.edge {
-            EdgeLbs::PerRack(racks) => racks.iter().map(Hermes::sensing).collect(),
-            _ => Vec::new(),
-        }
+    pub fn hermes_racks(&self) -> impl Iterator<Item = &RackSensing> {
+        let racks: &[Hermes] = match &self.edge {
+            EdgeLbs::PerRack(racks) => racks,
+            _ => &[],
+        };
+        racks.iter().map(Hermes::sensing)
     }
 
     /// Table 2 visibility metrics `(switch_pair, host_pair)`.

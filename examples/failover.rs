@@ -53,7 +53,7 @@ fn main() {
             finished_avg * 1e3
         );
         if name == "hermes" {
-            let sensing = sim.hermes_racks()[0];
+            let sensing = sim.hermes_racks().next().expect("leaf 0 runs Hermes");
             let failed_paths = (0..8)
                 .filter(|&s| {
                     sensing

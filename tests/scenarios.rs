@@ -186,7 +186,6 @@ fn hermes_reroute_counters_move_under_congestion() {
     sim.run_to_completion(Time::from_secs(30));
     let (reroutes, initial, probes): (u64, u64, u64) = sim
         .hermes_racks()
-        .iter()
         .map(|r| (r.stat_reroutes, r.stat_initial, r.stat_probes))
         .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
     assert!(initial >= 120, "every flow gets an initial placement");
