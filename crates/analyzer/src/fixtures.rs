@@ -65,7 +65,7 @@ pub const BAD_FIXTURES: &[BadFixture] = &[
     BadFixture {
         rule: "fault-mutation",
         path: "crates/lb/src/fixture.rs",
-        src: "fn f(fab: &mut Fabric) { fab.set_spine_down(SpineId(0), true); }\n",
+        src: "fn f(fab: &mut Fabric, f: SpineFailure) { fab.set_spine_failure(SpineId(0), f); }\n",
     },
     BadFixture {
         rule: "fault-mutation",

@@ -214,9 +214,11 @@ mod tests {
             ("stray-rng", "fn f() -> u64 { rand::random() }\n"),
             ("stray-rng", "fn f() { let mut _r = thread_rng(); }\n"),
             ("lib-unwrap", "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n"),
+            // PR 1 shipped this one with `set_spine_down`, since made
+            // private to hermes-net: the compiler guards it now.
             (
                 "fault-mutation",
-                "fn f(fab: &mut Fabric) { fab.set_spine_down(SpineId(0), true); }\n",
+                "fn f(fab: &mut Fabric, f: SpineFailure) { fab.set_spine_failure(SpineId(0), f); }\n",
             ),
             (
                 "fault-mutation",

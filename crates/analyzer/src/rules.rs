@@ -468,15 +468,7 @@ impl<'a> Scanner<'a> {
             }
             if fault
                 && t.kind == TokKind::Ident
-                && matches!(
-                    t.text,
-                    "set_spine_failure"
-                        | "set_link_down"
-                        | "set_link_rate"
-                        | "restore_link_rate"
-                        | "set_spine_down"
-                        | "apply_fault"
-                )
+                && matches!(t.text, "set_spine_failure" | "apply_fault")
             {
                 self.push("fault-mutation", line);
             }

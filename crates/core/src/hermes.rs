@@ -27,152 +27,8 @@ use hermes_net::{Dre, EdgeLb, FlowCtx, HostId, LeafId, PathId, ProbeTarget, Topo
 use hermes_sim::{SimRng, Time};
 
 use crate::params::HermesParams;
+use crate::sensing::RackSensing;
 use crate::state::{PathState, PathType};
-
-/// Telemetry view of a path's class: the failure phase when suspected,
-/// Algorithm 1's congestion class otherwise. Read-only — tracing must
-/// never tick the sensing state machine.
-fn telem_class(st: &PathState, p: &HermesParams, now: Time) -> hermes_telemetry::PathClass {
-    use hermes_telemetry::PathClass as C;
-    if st.probation() {
-        return C::Probation;
-    }
-    match st.peek_class(p, now) {
-        PathType::Good => C::Good,
-        PathType::Gray => C::Gray,
-        PathType::Congested => C::Congested,
-        PathType::Failed => C::Failed,
-    }
-}
-
-/// Rack-wide sensing state: one `PathState` per (destination rack,
-/// spine path), plus decision counters for diagnostics.
-pub struct RackSensing {
-    pub params: HermesParams,
-    my_leaf: LeafId,
-    /// `state[dst_leaf][spine]`.
-    state: Vec<Vec<PathState>>,
-    /// Static live-candidate sets per destination leaf.
-    candidates: Vec<Vec<PathId>>,
-    /// Decision counters.
-    pub stat_reroutes: u64,
-    pub stat_initial: u64,
-    pub stat_failovers: u64,
-    pub stat_probes: u64,
-    /// Paths re-admitted from probation.
-    pub stat_recoveries: u64,
-    /// When this rack first declared any path failed (time-to-detect).
-    pub first_failure_at: Option<Time>,
-    /// When this rack first re-admitted a path (time-to-readmit).
-    pub first_recovery_at: Option<Time>,
-    /// Telemetry only: last class reported per `[dst_leaf][spine]`, so
-    /// [`RackSensing::trace_path`] emits transitions, not every read.
-    /// Untouched unless a telemetry sink is installed.
-    trace_last: Vec<Vec<Option<hermes_telemetry::PathClass>>>,
-}
-
-impl RackSensing {
-    /// Build the rack table for `my_leaf` over `topo`.
-    pub fn new(topo: &Topology, my_leaf: LeafId, params: HermesParams) -> RackSensing {
-        let candidates = (0..topo.n_leaves)
-            .map(|d| {
-                if d == my_leaf.0 as usize {
-                    Vec::new()
-                } else {
-                    topo.path_candidates(my_leaf, LeafId(d as u16))
-                }
-            })
-            .collect();
-        RackSensing {
-            params,
-            my_leaf,
-            state: vec![vec![PathState::default(); topo.n_spines]; topo.n_leaves],
-            trace_last: vec![vec![None; topo.n_spines]; topo.n_leaves],
-            candidates,
-            stat_reroutes: 0,
-            stat_initial: 0,
-            stat_failovers: 0,
-            stat_probes: 0,
-            stat_recoveries: 0,
-            first_failure_at: None,
-            first_recovery_at: None,
-        }
-    }
-
-    #[inline]
-    fn st(&mut self, dst: LeafId, path: PathId) -> &mut PathState {
-        &mut self.state[dst.0 as usize][path.0 as usize]
-    }
-
-    /// Read-only view of a path's state (tests, diagnostics).
-    pub fn path_state(&self, dst: LeafId, path: PathId) -> &PathState {
-        &self.state[dst.0 as usize][path.0 as usize]
-    }
-
-    /// Characterize one path now.
-    pub fn characterize(&mut self, dst: LeafId, path: PathId, now: Time) -> PathType {
-        let p = self.params;
-        let was_failed = self.st(dst, path).failed();
-        let t = self.st(dst, path).characterize(&p, now);
-        if !was_failed && t == PathType::Failed {
-            // The random-drop rule fires lazily inside characterize, so
-            // detection is noted here as well as in the timeout hook.
-            self.note_failure(now);
-        }
-        if hermes_telemetry::enabled() {
-            self.trace_path(dst, path, now);
-        }
-        t
-    }
-
-    /// Telemetry: emit a `PathTransition` record if `path`'s class
-    /// toward `dst` changed since the last report. Paths start as
-    /// `Gray` (never sampled), matching Algorithm 1's default.
-    fn trace_path(&mut self, dst: LeafId, path: PathId, now: Time) {
-        let p = self.params;
-        let to = telem_class(self.path_state(dst, path), &p, now);
-        let slot = &mut self.trace_last[dst.0 as usize][path.0 as usize];
-        let from = slot.unwrap_or(hermes_telemetry::PathClass::Gray);
-        *slot = Some(to);
-        if from == to {
-            return; // no change (or first observation of the default)
-        }
-        let leaf = u32::from(self.my_leaf.0);
-        hermes_telemetry::emit_with(now, || hermes_telemetry::Record::PathTransition {
-            leaf,
-            dst_leaf: u32::from(dst.0),
-            path: u32::from(path.0),
-            from,
-            to,
-        });
-    }
-
-    /// Record that some path was just declared failed.
-    fn note_failure(&mut self, now: Time) {
-        self.first_failure_at.get_or_insert(now);
-    }
-
-    /// Record that some path was just re-admitted from probation.
-    fn note_recovery(&mut self, now: Time) {
-        self.stat_recoveries += 1;
-        self.first_recovery_at.get_or_insert(now);
-    }
-
-    /// The freshest-best path toward `dst` by RTT (probe memory).
-    fn best_path(&self, dst: LeafId) -> Option<PathId> {
-        self.candidates[dst.0 as usize]
-            .iter()
-            .filter_map(|&p| {
-                let s = &self.state[dst.0 as usize][p.0 as usize];
-                if s.failed() {
-                    return None;
-                }
-                s.t_rtt().map(|r| (r, p))
-            })
-            .min_by_key(|&(r, _)| r)
-            .map(|(_, p)| p)
-    }
-}
 
 /// One rack's Hermes instance, serving every host under the leaf.
 pub struct Hermes {
@@ -394,46 +250,28 @@ impl EdgeLb for Hermes {
         now: Time,
     ) {
         self.check(ctx);
-        if !path.is_spine() {
-            return; // intra-rack or synthetic (reorder-flush) ACKs
-        }
         let sh = &mut self.sensing;
-        let p = sh.params;
-        if sh.st(ctx.dst_leaf, path).sample(rtt, ecn, &p, now) {
+        // `observe` skips intra-rack and synthetic (reorder-flush) ACKs.
+        let recovered = sh.observe(ctx.dst_leaf, path, now, |st, p| st.sample(rtt, ecn, p, now));
+        if recovered == Some(true) {
             sh.note_recovery(now);
-        }
-        if hermes_telemetry::enabled() {
-            sh.trace_path(ctx.dst_leaf, path, now);
         }
     }
 
     fn on_timeout(&mut self, ctx: &FlowCtx, path: PathId, now: Time) {
         self.check(ctx);
-        if !path.is_spine() {
-            return;
-        }
         let sh = &mut self.sensing;
-        let p = sh.params;
-        if sh.st(ctx.dst_leaf, path).on_timeout(&p, now) {
+        let failed = sh.observe(ctx.dst_leaf, path, now, |st, p| st.on_timeout(p, now));
+        if failed == Some(true) {
             sh.note_failure(now);
-        }
-        if hermes_telemetry::enabled() {
-            sh.trace_path(ctx.dst_leaf, path, now);
         }
     }
 
     fn on_retransmit(&mut self, ctx: &FlowCtx, path: PathId, now: Time) {
         self.check(ctx);
-        if !path.is_spine() {
-            return;
-        }
-        let sh = &mut self.sensing;
-        let p = sh.params;
-        sh.st(ctx.dst_leaf, path).on_retransmit(&p, now);
-        if hermes_telemetry::enabled() {
-            // A retransmission can demote Probation → Failed.
-            sh.trace_path(ctx.dst_leaf, path, now);
-        }
+        // A retransmission can demote Probation → Failed.
+        self.sensing
+            .observe(ctx.dst_leaf, path, now, |st, p| st.on_retransmit(p, now));
     }
 
     fn on_data_sent(&mut self, ctx: &FlowCtx, path: PathId, bytes: u64, now: Time) {
@@ -504,28 +342,18 @@ impl EdgeLb for Hermes {
     }
 
     fn on_probe_result(&mut self, dst_leaf: LeafId, path: PathId, rtt: Time, ecn: bool, now: Time) {
-        if !path.is_spine() {
-            return;
-        }
         let sh = &mut self.sensing;
-        let p = sh.params;
-        if sh.st(dst_leaf, path).sample(Some(rtt), ecn, &p, now) {
+        let recovered = sh.observe(dst_leaf, path, now, |st, p| {
+            st.sample(Some(rtt), ecn, p, now)
+        });
+        if recovered == Some(true) {
             sh.note_recovery(now);
-        }
-        if hermes_telemetry::enabled() {
-            sh.trace_path(dst_leaf, path, now);
         }
     }
 
     fn on_probe_timeout(&mut self, dst_leaf: LeafId, path: PathId, now: Time) {
-        if !path.is_spine() {
-            return;
-        }
-        let sh = &mut self.sensing;
-        sh.st(dst_leaf, path).on_probe_lost(now);
-        if hermes_telemetry::enabled() {
-            sh.trace_path(dst_leaf, path, now);
-        }
+        self.sensing
+            .observe(dst_leaf, path, now, |st, _| st.on_probe_lost(now));
     }
 }
 

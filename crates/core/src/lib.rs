@@ -23,8 +23,10 @@
 
 mod hermes;
 mod params;
+mod sensing;
 mod state;
 
-pub use hermes::{Hermes, RackSensing};
+pub use hermes::Hermes;
 pub use params::HermesParams;
+pub use sensing::RackSensing;
 pub use state::{PathState, PathType};

@@ -1,10 +1,20 @@
-//! The fabric: ports wired into a leaf-spine topology, packet
-//! forwarding, failure application, and load-balancer hook dispatch.
+//! The fabric: a leaf-spine [`Topology`] wired with output ports, and
+//! the one way a packet moves through it. [`Fabric::host_send`] injects,
+//! [`Fabric::handle`] advances by one event, and every hop ends in the
+//! private `enqueue` (queue on a port, start it if idle) or `retire`
+//! (the single exit for an undelivered packet). `ports` owns the ports
+//! and the `(node, idx)` convention that addresses them; `faults` is
+//! fault application ([`Fabric::apply_fault`]).
+
+mod faults;
+mod ports;
 
 use hermes_sim::{EventQueue, SimRng, Time};
+use hermes_telemetry::DropReason;
 
+use self::ports::PortTable;
+use crate::audit::FnvDigest;
 use crate::failure::SpineFailure;
-use crate::faultplan::FaultAction;
 use crate::lbapi::{FabricLb, LinkRef, Uplinks};
 use crate::packet::Packet;
 use crate::pool::{PacketPool, PoolStats};
@@ -42,7 +52,7 @@ pub struct FabricStats {
     /// Packets delivered to destination hosts.
     pub delivered: u64,
     /// `TxDone` boundaries processed inline within a packet train
-    /// instead of as scheduled events (see [`Fabric::handle_traced`]).
+    /// instead of as scheduled events (see [`Fabric::handle`]).
     /// Each one is an event the queue never had to store.
     pub trains_inlined: u64,
 }
@@ -50,22 +60,16 @@ pub struct FabricStats {
 /// The simulated fabric.
 pub struct Fabric {
     topo: Topology,
-    /// Host NIC uplink ports (host → leaf), indexed by host.
-    host_ports: Vec<Port>,
-    /// Leaf ports: `0..hosts_per_leaf` down to host slots, then
-    /// `hosts_per_leaf + s` up to spine `s` (None where cut).
-    leaf_ports: Vec<Vec<Option<Port>>>,
-    /// Spine ports: down to each leaf (None where cut).
-    spine_ports: Vec<Vec<Option<Port>>>,
+    ports: PortTable,
     /// Precomputed live path candidates per ordered leaf pair.
     candidates: Vec<Vec<Vec<PathId>>>,
     failures: Vec<SpineFailure>,
     /// Transiently downed leaf↔spine links (`[leaf][spine]`), driven by
-    /// [`FaultAction::LinkDown`]/`LinkUp` and spine outages. Unlike
-    /// topology cuts these do not shrink the candidate sets — schemes
-    /// must *sense* the fault, exactly as on a real fabric where routing
-    /// has not yet reconverged. Packets forwarded onto a downed link are
-    /// destroyed and counted as `drops_failure`.
+    /// [`crate::FaultAction::LinkDown`]/`LinkUp` and spine outages.
+    /// Unlike topology cuts these do not shrink the candidate sets —
+    /// schemes must *sense* the fault, exactly as on a real fabric where
+    /// routing has not yet reconverged. Packets forwarded onto a downed
+    /// link are destroyed and counted as `drops_failure`.
     link_down: Vec<Vec<bool>>,
     lb: Option<Box<dyn FabricLb>>,
     rng: SimRng,
@@ -93,30 +97,7 @@ impl Fabric {
     /// load-balancer random streams).
     pub fn new(topo: Topology, rng: SimRng) -> Fabric {
         topo.validate();
-        let q = &topo.queue;
-        let mk = |link: crate::topology::LinkCfg| {
-            Port::new(
-                link,
-                q.ecn_threshold(link.rate_bps),
-                q.buffer(link.rate_bps),
-            )
-        };
-        // Host NICs: deep buffer, no marking (marking lives in switches).
-        let host_ports = (0..topo.n_hosts())
-            .map(|_| Port::new(topo.host_link, u64::MAX, 8_000_000))
-            .collect();
-        let leaf_ports = (0..topo.n_leaves)
-            .map(|l| {
-                let mut v: Vec<Option<Port>> = (0..topo.hosts_per_leaf)
-                    .map(|_| Some(mk(topo.host_link)))
-                    .collect();
-                v.extend((0..topo.n_spines).map(|s| topo.up[l][s].map(mk)));
-                v
-            })
-            .collect();
-        let spine_ports = (0..topo.n_spines)
-            .map(|s| (0..topo.n_leaves).map(|l| topo.up[l][s].map(mk)).collect())
-            .collect();
+        let ports = PortTable::new(&topo);
         let candidates = (0..topo.n_leaves)
             .map(|a| {
                 (0..topo.n_leaves)
@@ -134,9 +115,7 @@ impl Fabric {
             failures: vec![SpineFailure::healthy(); topo.n_spines],
             link_down: vec![vec![false; topo.n_spines]; topo.n_leaves],
             topo,
-            host_ports,
-            leaf_ports,
-            spine_ports,
+            ports,
             candidates,
             lb: None,
             rng,
@@ -155,140 +134,6 @@ impl Fabric {
         self.lb = Some(lb);
     }
 
-    /// Inject a failure at a spine switch.
-    pub fn set_spine_failure(&mut self, spine: SpineId, f: SpineFailure) {
-        self.failures[spine.0 as usize] = f;
-        // ECN mute lives at the muted switch's egress ports — only its
-        // own marking engine goes quiet; leaf ports downstream keep
-        // marking normally (which is why the mute is not modeled by
-        // clearing the packet's ecn_capable bit).
-        for port in self.spine_ports[spine.0 as usize].iter_mut().flatten() {
-            port.marking = !f.ecn_mute;
-        }
-    }
-
-    /// Current failure state of a spine switch.
-    pub fn spine_failure(&self, spine: SpineId) -> SpineFailure {
-        self.failures[spine.0 as usize]
-    }
-
-    /// Transiently take one leaf↔spine link down (or back up). The link
-    /// must exist in the topology; packets forwarded onto it while down
-    /// are destroyed (`drops_failure`), in both directions. Packets
-    /// already queued on the port keep draining — the link's transmit
-    /// side is what "fails", as when a transceiver loses light.
-    pub fn set_link_down(&mut self, leaf: LeafId, spine: SpineId, down: bool) {
-        assert!(
-            self.topo.up[leaf.0 as usize][spine.0 as usize].is_some(),
-            "cannot flap a link the topology cut permanently"
-        );
-        self.link_down[leaf.0 as usize][spine.0 as usize] = down;
-    }
-
-    /// Whether a leaf↔spine link is transiently down.
-    pub fn link_is_down(&self, leaf: LeafId, spine: SpineId) -> bool {
-        self.link_down[leaf.0 as usize][spine.0 as usize]
-    }
-
-    /// Change one leaf↔spine link's rate mid-run (both directions).
-    /// ECN threshold and buffer limit are rescaled to the new rate, as a
-    /// reconfigured switch port would be. Takes effect from the next
-    /// packet dequeue — transmission time is computed when serialization
-    /// starts, so the packet currently on the wire is unaffected.
-    pub fn set_link_rate(&mut self, leaf: LeafId, spine: SpineId, rate_bps: u64) {
-        assert!(rate_bps > 0, "a live link needs a nonzero rate");
-        let l = leaf.0 as usize;
-        let s = spine.0 as usize;
-        let up_idx = self.topo.hosts_per_leaf + s;
-        let ecn = self.topo.queue.ecn_threshold(rate_bps);
-        let buf = self.topo.queue.buffer(rate_bps);
-        let up = self.leaf_ports[l][up_idx]
-            .as_mut()
-            .expect("cannot re-rate a link the topology cut");
-        up.link.rate_bps = rate_bps;
-        up.ecn_threshold = ecn;
-        up.buf_limit = buf;
-        let down = self.spine_ports[s][l]
-            .as_mut()
-            .expect("spine side exists whenever the leaf side does");
-        down.link.rate_bps = rate_bps;
-        down.ecn_threshold = ecn;
-        down.buf_limit = buf;
-    }
-
-    /// Restore one leaf↔spine link to its topology-configured rate.
-    pub fn restore_link_rate(&mut self, leaf: LeafId, spine: SpineId) {
-        let orig = self.topo.up[leaf.0 as usize][spine.0 as usize]
-            .expect("cannot restore a link the topology cut")
-            .rate_bps;
-        self.set_link_rate(leaf, spine, orig);
-    }
-
-    /// Current rate of a leaf↔spine link, `None` if the topology cut it.
-    pub fn link_rate_bps(&self, leaf: LeafId, spine: SpineId) -> Option<u64> {
-        let up_idx = self.topo.hosts_per_leaf + spine.0 as usize;
-        self.leaf_ports[leaf.0 as usize][up_idx]
-            .as_ref()
-            .map(|p| p.link.rate_bps)
-    }
-
-    /// Take a whole spine out of (or back into) service: every link the
-    /// topology wired to it goes down (or up) at once.
-    pub fn set_spine_down(&mut self, spine: SpineId, down: bool) {
-        for l in 0..self.topo.n_leaves {
-            if self.topo.up[l][spine.0 as usize].is_some() {
-                self.link_down[l][spine.0 as usize] = down;
-            }
-        }
-    }
-
-    /// Apply one scheduled fault action. This is the single entry point
-    /// the runtime's event dispatcher uses to replay a
-    /// [`crate::FaultPlan`]; calling the underlying mutators from
-    /// anywhere outside the event queue breaks trace determinism (the
-    /// `fault-mutation` workspace lint enforces this).
-    pub fn apply_fault(&mut self, action: &FaultAction) {
-        match *action {
-            FaultAction::SetSpineFailure { spine, failure } => {
-                self.set_spine_failure(spine, failure);
-            }
-            FaultAction::ClearSpineFailure { spine } => {
-                self.set_spine_failure(spine, SpineFailure::healthy());
-            }
-            // The gray-failure actions merge into the spine's existing
-            // state (read-modify-write) so concurrent windows of
-            // different failure modes on one switch compose instead of
-            // clobbering each other.
-            FaultAction::FlowBlackhole {
-                spine,
-                victim_fraction,
-            } => {
-                let f = self
-                    .spine_failure(spine)
-                    .with_flow_blackhole(victim_fraction);
-                self.set_spine_failure(spine, f);
-            }
-            FaultAction::EcnMute { spine } => {
-                let f = self.spine_failure(spine).with_ecn_mute(true);
-                self.set_spine_failure(spine, f);
-            }
-            FaultAction::EcnUnmute { spine } => {
-                let f = self.spine_failure(spine).with_ecn_mute(false);
-                self.set_spine_failure(spine, f);
-            }
-            FaultAction::LinkDown { leaf, spine } => self.set_link_down(leaf, spine, true),
-            FaultAction::LinkUp { leaf, spine } => self.set_link_down(leaf, spine, false),
-            FaultAction::SetLinkRate {
-                leaf,
-                spine,
-                rate_bps,
-            } => self.set_link_rate(leaf, spine, rate_bps),
-            FaultAction::RestoreLinkRate { leaf, spine } => self.restore_link_rate(leaf, spine),
-            FaultAction::SpineDown { spine } => self.set_spine_down(spine, true),
-            FaultAction::SpineUp { spine } => self.set_spine_down(spine, false),
-        }
-    }
-
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
@@ -299,71 +144,37 @@ impl Fabric {
         &self.candidates[src_leaf.0 as usize][dst_leaf.0 as usize]
     }
 
+    /// A leaf's uplink port toward a spine, `None` if the topology cut it.
+    fn leaf_up(&self, leaf: LeafId, spine: SpineId) -> Option<&Port> {
+        self.ports.get(NodeId::Leaf(leaf), self.ports.up_idx(spine))
+    }
+
     /// Queue occupancy (bytes, both priorities) of a leaf's uplink
     /// toward a spine; 0 for cut links.
     pub fn leaf_up_qbytes(&self, leaf: LeafId, spine: SpineId) -> u64 {
-        let idx = self.topo.hosts_per_leaf + spine.0 as usize;
-        self.leaf_ports[leaf.0 as usize][idx]
-            .as_ref()
-            .map_or(0, Port::queued_bytes)
+        self.leaf_up(leaf, spine).map_or(0, Port::queued_bytes)
     }
 
     /// Queue occupancy of a spine's downlink toward a leaf.
     pub fn spine_down_qbytes(&self, spine: SpineId, leaf: LeafId) -> u64 {
-        self.spine_ports[spine.0 as usize][leaf.0 as usize]
-            .as_ref()
+        self.ports
+            .get(NodeId::Spine(spine), leaf.0 as usize)
             .map_or(0, Port::queued_bytes)
     }
 
     /// Per-port statistics of a leaf uplink.
     pub fn leaf_up_stats(&self, leaf: LeafId, spine: SpineId) -> Option<crate::port::PortStats> {
-        let idx = self.topo.hosts_per_leaf + spine.0 as usize;
-        self.leaf_ports[leaf.0 as usize][idx]
-            .as_ref()
-            .map(|p| p.stats)
+        self.leaf_up(leaf, spine).map(|p| p.stats)
     }
 
     /// Sum of tail drops across every port in the fabric.
     pub fn total_drops_full(&self) -> u64 {
-        let hp = self
-            .host_ports
-            .iter()
-            .map(|p| p.stats.drops_full)
-            .sum::<u64>();
-        let lp = self
-            .leaf_ports
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|p| p.stats.drops_full)
-            .sum::<u64>();
-        let sp = self
-            .spine_ports
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|p| p.stats.drops_full)
-            .sum::<u64>();
-        hp + lp + sp
+        self.ports.iter().map(|p| p.stats.drops_full).sum()
     }
 
-    /// Sum of CE marks across every port.
+    /// Sum of CE marks across every port (host NICs never mark).
     pub fn total_ecn_marks(&self) -> u64 {
-        let lp = self
-            .leaf_ports
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|p| p.stats.ecn_marks)
-            .sum::<u64>();
-        let sp = self
-            .spine_ports
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|p| p.stats.ecn_marks)
-            .sum::<u64>();
-        lp + sp
+        self.ports.iter().map(|p| p.stats.ecn_marks).sum()
     }
 
     /// Physical census: packets sitting in a port queue or currently
@@ -372,23 +183,10 @@ impl Fabric {
     /// conservation cross-check — it is computed from the ports
     /// themselves, independently of the injected/retired counters.
     pub fn held_packets(&self) -> u64 {
-        let count = |p: &Port| p.queued_pkts() as u64 + u64::from(p.busy());
-        let hp = self.host_ports.iter().map(count).sum::<u64>();
-        let lp = self
-            .leaf_ports
+        self.ports
             .iter()
-            .flatten()
-            .flatten()
-            .map(count)
-            .sum::<u64>();
-        let sp = self
-            .spine_ports
-            .iter()
-            .flatten()
-            .flatten()
-            .map(count)
-            .sum::<u64>();
-        hp + lp + sp
+            .map(|p| p.queued_pkts() as u64 + u64::from(p.busy()))
+            .sum()
     }
 
     /// Snapshot the packet-conservation accounting. The report balances
@@ -413,9 +211,9 @@ impl Fabric {
         self.ledger.outstanding()
     }
 
-    /// Return a retired packet's allocation to the fabric's arena. The
-    /// runtime calls this after consuming a delivered packet; internal
-    /// drop sites recycle automatically.
+    /// Return a delivered packet's allocation to the fabric's arena. The
+    /// runtime calls this after consuming the packet; undelivered
+    /// packets are recycled by the fabric itself.
     #[inline]
     pub fn recycle(&mut self, pkt: Box<Packet>) {
         self.pool.recycle(pkt);
@@ -430,12 +228,7 @@ impl Fabric {
     /// time, then queues it on the host NIC. The box comes from the
     /// fabric's packet arena, so steady-state sends allocate nothing.
     pub fn host_send(&mut self, q: &mut EventQueue<Event>, pkt: Packet) {
-        let boxed = self.pool.boxed(pkt);
-        self.host_send_boxed(q, boxed);
-    }
-
-    /// Like [`Fabric::host_send`], for callers that already boxed.
-    pub fn host_send_boxed(&mut self, q: &mut EventQueue<Event>, mut pkt: Box<Packet>) {
+        let mut pkt = self.pool.boxed(pkt);
         debug_assert!((pkt.src.0 as usize) < self.topo.n_hosts());
         debug_assert!((pkt.dst.0 as usize) < self.topo.n_hosts());
         debug_assert_ne!(pkt.src, pkt.dst, "loopback traffic is not modelled");
@@ -445,24 +238,23 @@ impl Fabric {
         if self.topo.host_leaf(pkt.src) == self.topo.host_leaf(pkt.dst) {
             pkt.path = PathId::DIRECT;
         }
-        let host = pkt.src;
-        let node = NodeId::Host(host);
         #[cfg(feature = "audit")]
         self.ledger.injected(pkt.id);
-        let port = &mut self.host_ports[host.0 as usize];
-        match port.enqueue(pkt) {
-            Enqueue::Queued => Self::kick_port(q, node, 0, port),
-            Enqueue::Dropped(pkt) => {
-                Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::BufferFull);
-                #[cfg(feature = "audit")]
-                self.ledger.retired(pkt.id);
-                self.pool.recycle(pkt);
-            }
-        }
+        self.enqueue(q, NodeId::Host(pkt.src), 0, pkt);
     }
 
     /// Advance the fabric by one event. Returns the packet delivered to
     /// a host, if this event completed a delivery.
+    ///
+    /// Train batching is unconditional: a `TxDone` *inlines* the port's
+    /// following back-to-back transmissions instead of scheduling one
+    /// event per packet, wherever the inlined boundary is provably the
+    /// next thing the simulation would dispatch anyway (the private
+    /// `Fabric::tx_done` holds the exact gate). Inlined boundaries are
+    /// fed to `digest` and counted in [`FabricStats::trains_inlined`], so
+    /// the digested stream is the one-event-per-packet stream, byte for
+    /// byte. `limit` is the run loop's horizon — no boundary beyond it is
+    /// inlined; `Time::MAX` when the caller drains the queue.
     ///
     /// Panics on `HostTimer`/`Global` events — those belong to the
     /// runtime layer and must be filtered out before reaching the fabric.
@@ -470,27 +262,7 @@ impl Fabric {
         &mut self,
         q: &mut EventQueue<Event>,
         ev: Event,
-    ) -> Option<(HostId, Box<Packet>)> {
-        self.handle_traced(q, ev, None, Time::MAX)
-    }
-
-    /// Like [`Fabric::handle`], with packet-train batching enabled.
-    ///
-    /// When `digest` is provided, a `TxDone` event may *inline* the
-    /// port's subsequent back-to-back transmissions (a "train") instead
-    /// of scheduling one `TxDone` per packet, provided each inlined
-    /// boundary is provably the very next thing the simulation would
-    /// dispatch anyway (the private `Fabric::tx_done` holds the exact gate).
-    /// Inlined boundaries are fed to `digest` and counted in
-    /// [`FabricStats::trains_inlined`], so the digested event stream is
-    /// byte-identical to the unbatched one; `limit` must be the run
-    /// loop's horizon so no boundary beyond it — which the unbatched run
-    /// would have left undispatched — is ever inlined.
-    pub fn handle_traced(
-        &mut self,
-        q: &mut EventQueue<Event>,
-        ev: Event,
-        digest: Option<&mut crate::audit::FnvDigest>,
+        digest: &mut FnvDigest,
         limit: Time,
     ) -> Option<(HostId, Box<Packet>)> {
         match ev {
@@ -525,52 +297,19 @@ impl Fabric {
         }
     }
 
-    fn port_mut(&mut self, node: NodeId, idx: usize) -> &mut Port {
-        match node {
-            NodeId::Host(h) => {
-                debug_assert_eq!(idx, 0);
-                &mut self.host_ports[h.0 as usize]
-            }
-            NodeId::Leaf(l) => self.leaf_ports[l.0 as usize][idx]
-                .as_mut()
-                .expect("event on cut leaf port"),
-            NodeId::Spine(s) => self.spine_ports[s.0 as usize][idx]
-                .as_mut()
-                .expect("event on cut spine port"),
-        }
-    }
-
-    /// Where a packet leaving (node, port) arrives.
-    fn peer(&self, node: NodeId, idx: usize) -> NodeId {
-        match node {
-            NodeId::Host(h) => NodeId::Leaf(self.topo.host_leaf(h)),
-            NodeId::Leaf(l) => {
-                if idx < self.topo.hosts_per_leaf {
-                    NodeId::Host(HostId(
-                        (l.0 as usize * self.topo.hosts_per_leaf + idx) as u32,
-                    ))
-                } else {
-                    NodeId::Spine(SpineId((idx - self.topo.hosts_per_leaf) as u16))
-                }
-            }
-            NodeId::Spine(_) => NodeId::Leaf(LeafId(idx as u16)),
-        }
-    }
-
     /// Complete a port's in-flight transmission and launch the packet
-    /// onto the wire, then either schedule the port's next `TxDone` or —
-    /// when batching is enabled — process the whole back-to-back train
-    /// inline, one queue event for the lot.
+    /// onto the wire, then either schedule the port's next `TxDone` or
+    /// process the whole back-to-back train inline, one queue event for
+    /// the lot.
     ///
-    /// A boundary at `b = now + tx_time` may be inlined only when all of:
+    /// A boundary at `b = now + tx_time` is inlined only when all of:
     ///
-    /// * `digest` is present (runtime-driven run that accounts for
-    ///   inlined events) and `b <= limit` (the unbatched run would have
-    ///   dispatched it before the horizon);
+    /// * `b <= limit` (the run loop would have dispatched it before the
+    ///   horizon);
     /// * `b <= now + delay`, this packet's own arrival time — evaluated
     ///   *before* the `Arrive` is scheduled, with `>=` ties allowed
-    ///   because in the unbatched order the `TxDone` was scheduled first
-    ///   and so carried the smaller seq;
+    ///   because a scheduled `TxDone` would have been queued first and so
+    ///   carried the smaller seq;
     /// * every already-queued event is due strictly *after* `b` — a
     ///   same-time queued event holds a smaller seq and would have
     ///   dispatched first.
@@ -578,36 +317,36 @@ impl Fabric {
     /// Under those conditions the boundary is provably the next event
     /// the simulation would pop, so handling it here — cursor advanced
     /// via `advance_to`, digest fed the identical `(time, TxDone)`
-    /// record — reproduces the unbatched event stream byte-for-byte.
+    /// record — reproduces the one-event-per-packet stream byte-for-byte.
     fn tx_done(
         &mut self,
         q: &mut EventQueue<Event>,
         node: NodeId,
         idx: usize,
-        mut digest: Option<&mut crate::audit::FnvDigest>,
+        digest: &mut FnvDigest,
         limit: Time,
     ) {
-        let peer = self.peer(node, idx);
+        let peer = self.ports.peer(node, idx);
         loop {
-            let port = self.port_mut(node, idx);
+            let port = self
+                .ports
+                .get_mut(node, idx)
+                .expect("TxDone on a port the topology cut");
             let pkt = port.complete_tx();
-            let delay = port.link.delay;
-            let arrive_at = q.now() + delay;
+            let arrive_at = q.now() + port.link.delay;
             // Decide the next boundary's fate before scheduling anything:
-            // the gate must see the queue exactly as the unbatched run's
-            // scheduler would have at its kick_port call.
+            // the gate must see the queue without this packet's Arrive.
             let inline_at = match port.begin_tx() {
                 Some(t) => {
                     let boundary = q.now() + t;
-                    if digest.is_some()
-                        && boundary <= limit
+                    if boundary <= limit
                         && arrive_at >= boundary
                         && q.peek_time().is_none_or(|p| p > boundary)
                     {
                         Some(boundary)
                     } else {
-                        // Unbatched path: TxDone before Arrive, exactly
-                        // the old kick-then-launch scheduling order.
+                        // TxDone before Arrive: the order `enqueue`
+                        // followed by a launch would have produced.
                         q.schedule(boundary, Event::TxDone { node, port: idx });
                         None
                     }
@@ -618,39 +357,65 @@ impl Fabric {
             q.schedule(arrive_at, Event::Arrive { node: peer, pkt });
             let Some(boundary) = inline_at else { break };
             q.advance_to(boundary);
-            if let Some(d) = digest.as_deref_mut() {
-                crate::audit::digest_event(d, boundary, &Event::TxDone { node, port: idx });
-            }
+            crate::audit::digest_event(digest, boundary, &Event::TxDone { node, port: idx });
             self.stats.trains_inlined += 1;
         }
     }
 
-    fn kick_port(q: &mut EventQueue<Event>, node: NodeId, idx: usize, port: &mut Port) {
-        if let Some(t) = port.begin_tx() {
-            q.schedule_in(t, Event::TxDone { node, port: idx });
+    /// The one entry to a port: queue `pkt` on `(node, idx)`, start the
+    /// port if it was idle, retire the packet if the buffer refused it.
+    #[inline]
+    fn enqueue(&mut self, q: &mut EventQueue<Event>, node: NodeId, idx: usize, pkt: Box<Packet>) {
+        let port = self
+            .ports
+            .get_mut(node, idx)
+            .expect("forwarding onto a port the topology cut");
+        match port.enqueue(pkt) {
+            Enqueue::Queued => {
+                if let Some(t) = port.begin_tx() {
+                    q.schedule_in(t, Event::TxDone { node, port: idx });
+                }
+            }
+            Enqueue::Dropped(pkt) => self.retire(q.now(), pkt, DropReason::BufferFull),
         }
     }
 
-    /// Telemetry: record a packet retired without delivery. Must run
-    /// *before* the box goes back to the pool — `recycle` poisons the
-    /// identity fields this record reads.
-    #[inline]
-    fn trace_drop(now: hermes_sim::Time, pkt: &Packet, reason: hermes_telemetry::DropReason) {
-        if !hermes_telemetry::enabled() {
-            return;
+    /// The one exit for a packet that will not be delivered: count it by
+    /// `reason`, trace it, strike it from the audit ledger and recycle
+    /// its allocation. Out of line: drops are the rare path, and
+    /// `enqueue` is inlined into every forwarder.
+    #[cold]
+    #[inline(never)]
+    fn retire(&mut self, now: Time, pkt: Box<Packet>, reason: DropReason) {
+        match reason {
+            // Counted by the refusing port (`PortStats::drops_full`).
+            DropReason::BufferFull => {}
+            DropReason::Disconnected => self.stats.drops_disconnected += 1,
+            DropReason::RandomDrop
+            | DropReason::Blackhole
+            | DropReason::FlowBlackhole
+            | DropReason::LinkDown => self.stats.drops_failure += 1,
         }
-        let flow = pkt.flow.0;
-        let path = pkt.path.telemetry_code();
-        hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Drop {
-            flow,
-            path,
-            reason,
-        });
+        // Traced *before* the box goes back to the pool — `recycle`
+        // poisons the identity fields this record reads.
+        if hermes_telemetry::enabled() {
+            let flow = pkt.flow.0;
+            let path = pkt.path.telemetry_code();
+            hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Drop {
+                flow,
+                path,
+                reason,
+            });
+        }
+        #[cfg(feature = "audit")]
+        self.ledger.retired(pkt.id);
+        self.pool.recycle(pkt);
     }
 
     fn forward_leaf(&mut self, q: &mut EventQueue<Event>, l: LeafId, mut pkt: Box<Packet>) {
         let dst_leaf = self.topo.host_leaf(pkt.dst);
         let src_leaf = self.topo.host_leaf(pkt.src);
+        let node = NodeId::Leaf(l);
         if dst_leaf == l {
             // Down toward the host (either intra-rack or from a spine).
             if src_leaf != l {
@@ -658,42 +423,24 @@ impl Fabric {
                     lb.on_dst_leaf(l, &mut pkt, q.now());
                 }
             }
-            let slot = self.topo.host_slot(pkt.dst);
             if let Some(lb) = self.lb.as_mut() {
                 lb.on_forward(LinkRef::HostDown { leaf: l }, &mut pkt, q.now());
             }
-            let node = NodeId::Leaf(l);
-            let port = self.leaf_ports[l.0 as usize][slot]
-                .as_mut()
-                .expect("host-facing leaf ports are never cut");
-            match port.enqueue(pkt) {
-                Enqueue::Queued => Self::kick_port(q, node, slot, port),
-                Enqueue::Dropped(pkt) => {
-                    Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::BufferFull);
-                    #[cfg(feature = "audit")]
-                    self.ledger.retired(pkt.id);
-                    self.pool.recycle(pkt);
-                }
-            }
-            return;
+            let slot = self.topo.host_slot(pkt.dst);
+            return self.enqueue(q, node, slot, pkt);
         }
         // Uplink required: this must be the source leaf.
         debug_assert_eq!(src_leaf, l, "transit through a second leaf is impossible");
         let cands = &self.candidates[l.0 as usize][dst_leaf.0 as usize];
         if cands.is_empty() {
-            self.stats.drops_disconnected += 1;
-            Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::Disconnected);
-            #[cfg(feature = "audit")]
-            self.ledger.retired(pkt.id);
-            self.pool.recycle(pkt);
-            return;
+            return self.retire(q.now(), pkt, DropReason::Disconnected);
         }
         let path = if let Some(lb) = self.lb.as_mut() {
             let mut qbytes = std::mem::take(&mut self.qbytes_scratch);
+            let ports = &self.ports;
             qbytes.extend(cands.iter().map(|p| {
-                let idx = self.topo.hosts_per_leaf + p.0 as usize;
-                self.leaf_ports[l.0 as usize][idx]
-                    .as_ref()
+                ports
+                    .get(node, ports.up_idx(SpineId(p.0)))
                     .map_or(0, Port::queued_bytes)
             }));
             let uplinks = Uplinks {
@@ -719,140 +466,88 @@ impl Fabric {
             // Transient link failure: the packet is lost on the dead
             // uplink. Schemes keep this path in their candidate set and
             // must sense the loss.
-            self.stats.drops_failure += 1;
-            Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::LinkDown);
-            #[cfg(feature = "audit")]
-            self.ledger.retired(pkt.id);
-            self.pool.recycle(pkt);
-            return;
+            return self.retire(q.now(), pkt, DropReason::LinkDown);
         }
         if let Some(lb) = self.lb.as_mut() {
             lb.on_forward(LinkRef::Up { leaf: l, spine }, &mut pkt, q.now());
         }
-        let idx = self.topo.hosts_per_leaf + spine as usize;
-        let node = NodeId::Leaf(l);
-        let port = self.leaf_ports[l.0 as usize][idx]
-            .as_mut()
-            .expect("candidate paths only cross live uplinks");
-        // Telemetry: detect a CE mark applied by this enqueue via the
-        // port's mark counter (the box is moved into the queue, so the
-        // marked flag itself is no longer visible here).
-        let marks_before = port.stats.ecn_marks;
-        let tel_flow = pkt.flow.0;
-        match port.enqueue(pkt) {
-            Enqueue::Queued => {
-                if hermes_telemetry::enabled() && port.stats.ecn_marks > marks_before {
-                    let qbytes = port.low_queue_bytes();
-                    hermes_telemetry::emit_with(q.now(), || hermes_telemetry::Record::EcnMark {
-                        leaf: u32::from(l.0),
-                        spine: u32::from(spine),
-                        qbytes,
-                        flow: tel_flow,
-                    });
-                }
-                Self::kick_port(q, node, idx, port);
-            }
-            Enqueue::Dropped(pkt) => {
-                Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::BufferFull);
-                #[cfg(feature = "audit")]
-                self.ledger.retired(pkt.id);
-                self.pool.recycle(pkt);
+        let idx = self.ports.up_idx(SpineId(spine));
+        // Telemetry: a CE mark applied by this enqueue shows in the
+        // port's mark counter (the box moves into the queue, so the
+        // marked flag itself is no longer visible here). The depth
+        // reported is what the marker compared against K: the data
+        // queue with this arrival included.
+        let watch = hermes_telemetry::enabled().then(|| {
+            let port = self.ports.get(node, idx);
+            let (marks, low) = port.map_or((0, 0), |p| (p.stats.ecn_marks, p.low_queue_bytes()));
+            (marks, low + u64::from(pkt.size), pkt.flow.0)
+        });
+        self.enqueue(q, node, idx, pkt);
+        if let Some((marks_before, qbytes, flow)) = watch {
+            let marks = self.ports.get(node, idx).map_or(0, |p| p.stats.ecn_marks);
+            if marks > marks_before {
+                hermes_telemetry::emit_with(q.now(), || hermes_telemetry::Record::EcnMark {
+                    leaf: u32::from(l.0),
+                    spine: u32::from(spine),
+                    qbytes,
+                    flow,
+                });
             }
         }
     }
 
     fn forward_spine(&mut self, q: &mut EventQueue<Event>, s: SpineId, mut pkt: Box<Packet>) {
         let f = self.failures[s.0 as usize];
-        // ANALYZER: allow(float-determinism, random_drop is a FaultPlan constant compared against a seeded draw; nothing accumulates)
-        if f.random_drop > 0.0 && self.rng.chance(f.random_drop) {
-            self.stats.drops_failure += 1;
-            Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::RandomDrop);
-            #[cfg(feature = "audit")]
-            self.ledger.retired(pkt.id);
-            self.pool.recycle(pkt);
-            return;
-        }
-        if let Some(bh) = f.blackhole {
-            let src_leaf = self.topo.host_leaf(pkt.src);
-            let dst_leaf = self.topo.host_leaf(pkt.dst);
-            if bh.matches(pkt.src, pkt.dst, src_leaf, dst_leaf) {
-                self.stats.drops_failure += 1;
-                Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::Blackhole);
-                #[cfg(feature = "audit")]
-                self.ledger.retired(pkt.id);
-                self.pool.recycle(pkt);
-                return;
-            }
-        }
-        if let Some(fb) = f.flow_blackhole {
-            if fb.matches(pkt.flow) {
-                self.stats.drops_failure += 1;
-                Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::FlowBlackhole);
-                #[cfg(feature = "audit")]
-                self.ledger.retired(pkt.id);
-                self.pool.recycle(pkt);
-                return;
-            }
-        }
         let dst_leaf = self.topo.host_leaf(pkt.dst);
+        let node = NodeId::Spine(s);
         let idx = dst_leaf.0 as usize;
-        if self.spine_ports[s.0 as usize][idx].is_none() {
-            self.stats.drops_disconnected += 1;
-            Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::Disconnected);
-            #[cfg(feature = "audit")]
-            self.ledger.retired(pkt.id);
-            self.pool.recycle(pkt);
-            return;
-        }
-        if self.link_down[idx][s.0 as usize] {
+        // The first cause that claims the packet wins. The failure RNG is
+        // drawn only while the spine has a nonzero drop rate, so a
+        // healthy spine never perturbs the stream.
+        // ANALYZER: allow(float-determinism, random_drop is a FaultPlan constant compared against a seeded draw; nothing accumulates)
+        let lost = if f.random_drop > 0.0 && self.rng.chance(f.random_drop) {
+            Some(DropReason::RandomDrop)
+        } else if f
+            .blackhole
+            .is_some_and(|bh| bh.matches(pkt.src, pkt.dst, self.topo.host_leaf(pkt.src), dst_leaf))
+        {
+            Some(DropReason::Blackhole)
+        } else if f.flow_blackhole.is_some_and(|fb| fb.matches(pkt.flow)) {
+            Some(DropReason::FlowBlackhole)
+        } else if self.ports.get(node, idx).is_none() {
+            Some(DropReason::Disconnected)
+        } else if self.link_down[idx][s.0 as usize] {
             // Transient failure of the spine→leaf downlink.
-            self.stats.drops_failure += 1;
-            Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::LinkDown);
-            #[cfg(feature = "audit")]
-            self.ledger.retired(pkt.id);
-            self.pool.recycle(pkt);
-            return;
+            Some(DropReason::LinkDown)
+        } else {
+            None
+        };
+        if let Some(reason) = lost {
+            return self.retire(q.now(), pkt, reason);
         }
         if let Some(lb) = self.lb.as_mut() {
-            lb.on_forward(
-                LinkRef::Down {
-                    spine: s.0,
-                    leaf: dst_leaf,
-                },
-                &mut pkt,
-                q.now(),
-            );
+            let (spine, leaf) = (s.0, dst_leaf);
+            lb.on_forward(LinkRef::Down { spine, leaf }, &mut pkt, q.now());
         }
-        let node = NodeId::Spine(s);
-        let port = self.spine_ports[s.0 as usize][idx]
-            .as_mut()
-            .expect("downlink existence checked above");
-        match port.enqueue(pkt) {
-            Enqueue::Queued => Self::kick_port(q, node, idx, port),
-            Enqueue::Dropped(pkt) => {
-                Self::trace_drop(q.now(), &pkt, hermes_telemetry::DropReason::BufferFull);
-                #[cfg(feature = "audit")]
-                self.ledger.retired(pkt.id);
-                self.pool.recycle(pkt);
-            }
-        }
+        self.enqueue(q, node, idx, pkt);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultplan::FaultAction;
     use crate::packet::PacketKind;
     use crate::types::FlowId;
-    use hermes_sim::Time;
 
     fn run_to_completion(
         fab: &mut Fabric,
         q: &mut EventQueue<Event>,
     ) -> Vec<(Time, HostId, Box<Packet>)> {
         let mut out = Vec::new();
+        let mut digest = FnvDigest::new();
         while let Some((t, ev)) = q.pop() {
-            if let Some((h, p)) = fab.handle(q, ev) {
+            if let Some((h, p)) = fab.handle(q, ev, &mut digest, Time::MAX) {
                 out.push((t, h, p));
             }
         }
@@ -993,39 +688,27 @@ mod tests {
     #[test]
     fn ecn_mute_disables_marking_on_the_spines_ports_only() {
         let mut fab = Fabric::new(Topology::testbed(), SimRng::new(0));
+        let marking = |fab: &Fabric, node: NodeId, idx: usize| {
+            let port = fab.ports.get(node, idx).expect("testbed is full mesh");
+            port.marking
+        };
         fab.apply_fault(&FaultAction::EcnMute { spine: SpineId(1) });
         for l in 0..fab.topo.n_leaves {
             assert!(
-                !fab.spine_ports[1][l]
-                    .as_ref()
-                    .expect("testbed is full mesh")
-                    .marking,
+                !marking(&fab, NodeId::Spine(SpineId(1)), l),
                 "muted spine's downlink {l} must stop marking"
             );
             assert!(
-                fab.spine_ports[0][l]
-                    .as_ref()
-                    .expect("testbed is full mesh")
-                    .marking,
+                marking(&fab, NodeId::Spine(SpineId(0)), l),
                 "other spines keep marking"
             );
         }
-        // Leaf ports (host-facing and uplinks) are untouched: the mute
-        // is local to the broken switch.
-        for ports in &fab.leaf_ports {
-            for p in ports.iter().flatten() {
-                assert!(p.marking);
-            }
-        }
+        // Every other port — leaf ports included — is untouched: the
+        // mute is local to the broken switch.
+        let muted = fab.ports.iter().filter(|p| !p.marking).count();
+        assert_eq!(muted, fab.topo.n_leaves);
         fab.apply_fault(&FaultAction::EcnUnmute { spine: SpineId(1) });
-        for l in 0..fab.topo.n_leaves {
-            assert!(
-                fab.spine_ports[1][l]
-                    .as_ref()
-                    .expect("testbed is full mesh")
-                    .marking
-            );
-        }
+        assert!(fab.ports.iter().all(|p| p.marking));
     }
 
     #[test]
@@ -1096,6 +779,67 @@ mod tests {
             "2:1 convergence on a 30KB-threshold port must mark"
         );
         assert!(fab.total_ecn_marks() > 0);
+    }
+
+    /// `f` summed per tier — `[hosts, leaves, spines]` — by addressing
+    /// every `(node, idx)` the topology defines.
+    fn per_tier(fab: &Fabric, f: impl Fn(&Port) -> u64) -> [u64; 3] {
+        let t = &fab.topo;
+        let leaf_width = fab.ports.up_idx(SpineId(t.n_spines as u16));
+        let tier = |nodes: Vec<NodeId>, width: usize| -> u64 {
+            let ports = nodes
+                .iter()
+                .flat_map(|&n| (0..width).filter_map(move |i| fab.ports.get(n, i)));
+            ports.map(&f).sum()
+        };
+        let hosts = (0..t.n_hosts()).map(|h| NodeId::Host(HostId(h as u32)));
+        let leaves = (0..t.n_leaves).map(|l| NodeId::Leaf(LeafId(l as u16)));
+        let spines = (0..t.n_spines).map(|s| NodeId::Spine(SpineId(s as u16)));
+        [
+            tier(hosts.collect(), 1),
+            tier(leaves.collect(), leaf_width),
+            tier(spines.collect(), t.n_leaves),
+        ]
+    }
+
+    /// The totals walk `PortTable::iter`; on a run that marks,
+    /// tail-drops and holds packets they equal the tier-by-tier sums.
+    #[test]
+    fn port_totals_equal_the_per_tier_sums_under_congestion() {
+        let mut fab = Fabric::new(Topology::testbed(), SimRng::new(0));
+        let mut q = EventQueue::new();
+        // 3:1 convergence onto one uplink, enough to overflow its 200 KB.
+        for h in 0..3u32 {
+            for i in 0..120 {
+                let mut p = Packet::data(
+                    FlowId(u64::from(h)),
+                    HostId(h),
+                    HostId(6),
+                    i * 1460,
+                    1460,
+                    false,
+                );
+                p.path = PathId(0);
+                fab.host_send(&mut q, p);
+            }
+        }
+        let mut digest = FnvDigest::new();
+        let mut max_held = 0;
+        while let Some((_, ev)) = q.pop() {
+            fab.handle(&mut q, ev, &mut digest, Time::MAX);
+            let held = per_tier(&fab, |p| p.queued_pkts() as u64 + u64::from(p.busy()));
+            assert_eq!(fab.held_packets(), held.iter().sum::<u64>());
+            max_held = max_held.max(fab.held_packets());
+        }
+        assert!(max_held > 100, "the run must queue: peak {max_held}");
+        let [host_marks, leaf_marks, spine_marks] = per_tier(&fab, |p| p.stats.ecn_marks);
+        assert_eq!(host_marks, 0, "host NICs never mark");
+        assert_eq!(fab.total_ecn_marks(), leaf_marks + spine_marks);
+        assert!(leaf_marks > 0);
+        let drops = per_tier(&fab, |p| p.stats.drops_full);
+        assert_eq!(fab.total_drops_full(), drops.iter().sum::<u64>());
+        assert!(drops[1] > 0, "the uplink must tail-drop: {drops:?}");
+        assert!(fab.conservation_report().balanced());
     }
 
     #[test]
@@ -1225,8 +969,9 @@ mod tests {
         }
         // Step events until the leaf uplink has queue.
         let mut saw_queue = false;
+        let mut digest = FnvDigest::new();
         while let Some((_, ev)) = q.pop() {
-            fab.handle(&mut q, ev);
+            fab.handle(&mut q, ev, &mut digest, Time::MAX);
             if fab.leaf_up_qbytes(LeafId(0), SpineId(0)) > 0 {
                 saw_queue = true;
             }

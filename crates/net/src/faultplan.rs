@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use hermes_sim::Time;
 
 use crate::failure::SpineFailure;
+use crate::topology::Topology;
 use crate::types::{LeafId, SpineId};
 
 /// One atomic change to the fabric's health.
@@ -71,6 +72,27 @@ pub enum FaultAction {
     SpineUp { spine: SpineId },
 }
 
+impl FaultAction {
+    /// Stable snake_case name of the variant: the `kind` key of the
+    /// chaos corpus format and the label of traced `fault_applied`
+    /// records.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            FaultAction::SetSpineFailure { .. } => "set_spine_failure",
+            FaultAction::ClearSpineFailure { .. } => "clear_spine_failure",
+            FaultAction::FlowBlackhole { .. } => "flow_blackhole",
+            FaultAction::EcnMute { .. } => "ecn_mute",
+            FaultAction::EcnUnmute { .. } => "ecn_unmute",
+            FaultAction::LinkDown { .. } => "link_down",
+            FaultAction::LinkUp { .. } => "link_up",
+            FaultAction::SetLinkRate { .. } => "set_link_rate",
+            FaultAction::RestoreLinkRate { .. } => "restore_link_rate",
+            FaultAction::SpineDown { .. } => "spine_down",
+            FaultAction::SpineUp { .. } => "spine_up",
+        }
+    }
+}
+
 /// A fault action bound to a simulation instant.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
@@ -91,8 +113,9 @@ pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
 
-/// Why a [`FaultPlan`] is not applicable to any fabric — returned by
-/// [`FaultPlan::validate`]. Each variant names the first offending
+/// Why a [`FaultPlan`] is not applicable — to any fabric
+/// ([`FaultPlan::validate`]) or to one topology
+/// ([`FaultPlan::validate_on`]). Each variant names the first offending
 /// event's time so a generated plan can be triaged by reading it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PlanError {
@@ -123,6 +146,16 @@ pub enum PlanError {
     /// A `SetLinkRate` to 0 bps — a dead link must use `LinkDown`.
     ZeroLinkRate {
         leaf: LeafId,
+        spine: SpineId,
+        at: Time,
+    },
+    /// The action (`kind` is [`FaultAction::kind`]) names a spine, a
+    /// leaf, or — when link-level — a leaf↔spine link that the topology
+    /// it is installed on does not have. `leaf` is `None` when the spine
+    /// alone is out of range.
+    NotInTopology {
+        kind: &'static str,
+        leaf: Option<LeafId>,
         spine: SpineId,
         at: Time,
     },
@@ -159,6 +192,19 @@ impl core::fmt::Display for PlanError {
                 "SetLinkRate to 0 bps at {at} for leaf {} / spine {}; use LinkDown for a dead link",
                 leaf.0, spine.0
             ),
+            PlanError::NotInTopology {
+                kind,
+                leaf,
+                spine,
+                at,
+            } => {
+                let leaf = leaf.map_or(String::new(), |l| format!("leaf {} / ", l.0));
+                let s = spine.0;
+                write!(
+                    f,
+                    "{kind} at {at} names {leaf}spine {s}, which the topology does not have"
+                )
+            }
         }
     }
 }
@@ -372,57 +418,32 @@ impl FaultPlan {
     ///
     /// The chainable builders already enforce these shapes, but a plan
     /// assembled from raw [`FaultPlan::at`] calls — or sampled and
-    /// mutated by the chaos shrinker — can violate them; until now such
-    /// plans were silently accepted and produced nonsense runs. The
-    /// runtime calls this when a plan is installed and refuses invalid
-    /// plans.
+    /// mutated by the chaos shrinker — can violate them. See
+    /// [`FaultPlan::validate_on`] for the check against one topology.
     pub fn validate(&self) -> Result<(), PlanError> {
         let mut order: Vec<&FaultEvent> = self.events.iter().collect();
         order.sort_by_key(|e| e.at); // stable: insertion order within an instant
         let mut link_down: BTreeMap<(u16, u16), bool> = BTreeMap::new();
         let mut spine_down: BTreeMap<u16, bool> = BTreeMap::new();
-        let frac_ok = |v: f64| (0.0..=1.0).contains(&v);
         for ev in order {
             let at = ev.at;
+            let frac = |what: &'static str, value: f64| match value {
+                v if (0.0..=1.0).contains(&v) => Ok(()),
+                _ => Err(PlanError::FractionOutOfRange { what, value, at }),
+            };
             match ev.action {
                 FaultAction::SetSpineFailure { failure, .. } => {
-                    if !frac_ok(failure.random_drop) {
-                        return Err(PlanError::FractionOutOfRange {
-                            what: "random_drop",
-                            value: failure.random_drop,
-                            at,
-                        });
-                    }
+                    frac("random_drop", failure.random_drop)?;
                     if let Some(bh) = failure.blackhole {
-                        if !frac_ok(bh.pair_fraction) {
-                            return Err(PlanError::FractionOutOfRange {
-                                what: "pair_fraction",
-                                value: bh.pair_fraction,
-                                at,
-                            });
-                        }
+                        frac("pair_fraction", bh.pair_fraction)?;
                     }
                     if let Some(fb) = failure.flow_blackhole {
-                        if !frac_ok(fb.victim_fraction) {
-                            return Err(PlanError::FractionOutOfRange {
-                                what: "victim_fraction",
-                                value: fb.victim_fraction,
-                                at,
-                            });
-                        }
+                        frac("victim_fraction", fb.victim_fraction)?;
                     }
                 }
                 FaultAction::FlowBlackhole {
                     victim_fraction, ..
-                } => {
-                    if !frac_ok(victim_fraction) {
-                        return Err(PlanError::FractionOutOfRange {
-                            what: "victim_fraction",
-                            value: victim_fraction,
-                            at,
-                        });
-                    }
-                }
+                } => frac("victim_fraction", victim_fraction)?,
                 FaultAction::LinkDown { leaf, spine } => {
                     let down = link_down.entry((leaf.0, spine.0)).or_insert(false);
                     if *down {
@@ -464,6 +485,48 @@ impl FaultPlan {
                 | FaultAction::EcnMute { .. }
                 | FaultAction::EcnUnmute { .. }
                 | FaultAction::RestoreLinkRate { .. } => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// [`FaultPlan::validate`], plus the plan fits *this* fabric: every
+    /// spine and leaf index exists, and every link-level action names a
+    /// link the topology wired (else its event would panic when it
+    /// fires). The runtime calls this at install; `validate` remains
+    /// for callers with no fabric at hand (the chaos shrinker).
+    pub fn validate_on(&self, topo: &Topology) -> Result<(), PlanError> {
+        self.validate()?;
+        for ev in &self.events {
+            // The spine every action names, the leaf of a link-level
+            // action (whose link must be wired), a pair blackhole's leaves.
+            let (spine, link_leaf, bh) = match ev.action {
+                FaultAction::SetSpineFailure { spine, failure } => (spine, None, failure.blackhole),
+                FaultAction::LinkDown { leaf, spine }
+                | FaultAction::LinkUp { leaf, spine }
+                | FaultAction::SetLinkRate { leaf, spine, .. }
+                | FaultAction::RestoreLinkRate { leaf, spine } => (spine, Some(leaf), None),
+                FaultAction::ClearSpineFailure { spine }
+                | FaultAction::FlowBlackhole { spine, .. }
+                | FaultAction::EcnMute { spine }
+                | FaultAction::EcnUnmute { spine }
+                | FaultAction::SpineDown { spine }
+                | FaultAction::SpineUp { spine } => (spine, None, None),
+            };
+            let leaves = [link_leaf, bh.map(|b| b.src_leaf), bh.map(|b| b.dst_leaf)];
+            let mut named = leaves.into_iter().flatten();
+            let bad_leaf = named.find(|l| usize::from(l.0) >= topo.n_leaves);
+            let wired = |l: LeafId| topo.up[usize::from(l.0)][usize::from(spine.0)].is_some();
+            let fits = usize::from(spine.0) < topo.n_spines
+                && bad_leaf.is_none()
+                && link_leaf.is_none_or(wired);
+            if !fits {
+                return Err(PlanError::NotInTopology {
+                    kind: ev.action.kind(),
+                    leaf: bad_leaf.or(link_leaf),
+                    spine,
+                    at: ev.at,
+                });
             }
         }
         Ok(())
@@ -798,6 +861,91 @@ mod tests {
                 at: Time::from_ms(3),
             })
         );
+    }
+
+    #[test]
+    fn validate_on_rejects_indices_the_topology_lacks() {
+        let topo = Topology::testbed(); // 2 leaves, 4 spines
+        let at = Time::from_ms(5);
+        let (leaf, spine) = (LeafId(9), SpineId(0));
+        let down = FaultAction::LinkDown { leaf, spine };
+        let plan = FaultPlan::new().at(at, down);
+        assert_eq!(plan.validate(), Ok(()), "fits *some* fabric");
+        let err = plan.validate_on(&topo).expect_err("leaf 9 of 2");
+        let expect = PlanError::NotInTopology {
+            kind: "link_down",
+            leaf: Some(leaf),
+            spine,
+            at,
+        };
+        assert_eq!(err, expect);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("link_down at 5.000ms") && msg.contains("leaf 9"),
+            "{msg}"
+        );
+        // A spine-level action and a blackhole's leaf pair are checked too.
+        let mute = FaultPlan::new().ecn_mute_window(SpineId(4), at, at * 2);
+        assert_eq!(
+            mute.validate_on(&topo),
+            Err(PlanError::NotInTopology {
+                kind: "ecn_mute",
+                leaf: None,
+                spine: SpineId(4),
+                at,
+            })
+        );
+        let bh =
+            FaultPlan::new().blackhole_window(SpineId(0), LeafId(0), LeafId(2), 1.0, at, at * 2);
+        assert!(matches!(
+            bh.validate_on(&topo),
+            Err(PlanError::NotInTopology {
+                leaf: Some(LeafId(2)),
+                ..
+            })
+        ));
+        // Spine 4 and leaf 2 exist on the 8×8.
+        let big = Topology::sim_baseline();
+        for plan in [mute, bh] {
+            assert_eq!(plan.validate_on(&big), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_on_rejects_link_actions_on_a_cut_link() {
+        let mut topo = Topology::testbed();
+        topo.cut_link(LeafId(0), SpineId(1));
+        let flap = |spine| {
+            FaultPlan::new().link_flap(
+                LeafId(0),
+                SpineId(spine),
+                Time::from_ms(1),
+                Time::from_ms(1),
+                Time::from_ms(4),
+                Time::from_ms(9),
+            )
+        };
+        assert_eq!(
+            flap(1).validate_on(&topo),
+            Err(PlanError::NotInTopology {
+                kind: "link_down",
+                leaf: Some(LeafId(0)),
+                spine: SpineId(1),
+                at: Time::from_ms(1),
+            })
+        );
+        assert_eq!(flap(2).validate_on(&topo), Ok(()));
+        let degrade = FaultPlan::new().link_degrade_window(
+            LeafId(0),
+            SpineId(1),
+            100_000_000,
+            Time::from_ms(2),
+            Time::from_ms(3),
+        );
+        assert!(degrade.validate_on(&topo).is_err());
+        // Spine-level actions on the spine that lost a link still fit.
+        let outage = FaultPlan::new().spine_outage(SpineId(1), Time::from_ms(2), Time::from_ms(3));
+        assert_eq!(outage.validate_on(&topo), Ok(()));
     }
 
     #[test]

@@ -1,18 +1,48 @@
 //! Property-based tests of the fabric: conservation, delivery, and
 //! determinism under arbitrary traffic.
 
-use hermes_net::{Event, Fabric, FlowId, HostId, LinkCfg, Packet, PathId, Port, Topology};
+use hermes_net::{
+    Event, Fabric, FlowId, FnvDigest, HostId, LinkCfg, Packet, PathId, Port, Topology,
+};
 use hermes_sim::{EventQueue, SimRng, Time};
 use proptest::prelude::*;
 
 fn run_all(fab: &mut Fabric, q: &mut EventQueue<Event>) -> Vec<(HostId, Box<Packet>)> {
     let mut out = Vec::new();
+    let mut digest = FnvDigest::new();
     while let Some((_, ev)) = q.pop() {
-        if let Some(d) = fab.handle(q, ev) {
+        if let Some(d) = fab.handle(q, ev, &mut digest, Time::MAX) {
             out.push(d);
         }
     }
     out
+}
+
+/// The `Disconnected` exit: two racks that share no live spine. The
+/// packet dies at its source leaf, counted once, and both accountings
+/// (the conservation report and, with `--features audit`, the exact
+/// ledger) close.
+#[test]
+fn packet_between_disconnected_racks_is_dropped_counted_and_conserved() {
+    use hermes_net::{LeafId, SpineId};
+    let mut topo = Topology::testbed();
+    for (leaf, spines) in [(0, [0, 1]), (1, [2, 3])] {
+        for s in spines {
+            topo.cut_link(LeafId(leaf), SpineId(s));
+        }
+    }
+    let mut fab = Fabric::new(topo, SimRng::new(0));
+    let mut q = EventQueue::new();
+    let mut pkt = Packet::data(FlowId(1), HostId(0), HostId(6), 0, 1460, false);
+    pkt.path = PathId(0);
+    fab.host_send(&mut q, pkt);
+    assert!(run_all(&mut fab, &mut q).is_empty(), "nothing is delivered");
+    assert_eq!(fab.stats.drops_disconnected, 1);
+    assert_eq!((fab.stats.drops_failure, fab.total_drops_full()), (0, 0));
+    let rep = fab.conservation_report();
+    assert!(rep.balanced() && rep.in_flight == 0, "{rep}");
+    #[cfg(feature = "audit")]
+    assert_eq!(fab.ledger_outstanding(), 0);
 }
 
 proptest! {

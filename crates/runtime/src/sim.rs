@@ -47,24 +47,6 @@ fn unpack(tok: u64) -> (u64, u64, u64) {
     (tok & 7, (tok >> 3) & ID_MASK, tok >> (3 + ID_BITS))
 }
 
-/// Telemetry label for an applied fault action.
-fn fault_kind(a: &hermes_net::FaultAction) -> &'static str {
-    use hermes_net::FaultAction;
-    match a {
-        FaultAction::SetSpineFailure { .. } => "set_spine_failure",
-        FaultAction::ClearSpineFailure { .. } => "clear_spine_failure",
-        FaultAction::FlowBlackhole { .. } => "flow_blackhole",
-        FaultAction::EcnMute { .. } => "ecn_mute",
-        FaultAction::EcnUnmute { .. } => "ecn_unmute",
-        FaultAction::LinkDown { .. } => "link_down",
-        FaultAction::LinkUp { .. } => "link_up",
-        FaultAction::SetLinkRate { .. } => "set_link_rate",
-        FaultAction::RestoreLinkRate { .. } => "restore_link_rate",
-        FaultAction::SpineDown { .. } => "spine_down",
-        FaultAction::SpineUp { .. } => "spine_up",
-    }
-}
-
 /// Flow ids at or above this are probe pseudo-flows.
 const PROBE_FLOW_BASE: u64 = 1 << 60;
 /// Flow ids at or above this (and below probes) are UDP sources.
@@ -329,11 +311,13 @@ impl Simulation {
     /// part of the digested event trace). Entries whose time already
     /// passed apply at the current instant, in plan order.
     ///
-    /// Panics if [`FaultPlan::validate`] rejects the plan — an invalid
-    /// schedule (unpaired `LinkUp`, contradictory overlapping windows,
-    /// out-of-range rates) would otherwise run to a nonsense result.
+    /// Panics if [`FaultPlan::validate_on`] rejects the plan for this
+    /// fabric — an invalid schedule (unpaired `LinkUp`, contradictory
+    /// overlapping windows, out-of-range rates, a switch or link the
+    /// topology lacks) would otherwise run to a nonsense result or die
+    /// mid-run when the event fires.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        if let Err(e) = plan.validate() {
+        if let Err(e) = plan.validate_on(self.fabric.topology()) {
             panic!("invalid fault plan: {e}");
         }
         for ev in plan.events() {
@@ -553,8 +537,7 @@ impl Simulation {
 
     /// Dispatch one popped event. `limit` is the run loop's horizon,
     /// bounding how far the fabric may inline packet-train boundaries
-    /// (an unbatched run would have left events past the horizon
-    /// undispatched and undigested).
+    /// (events past the horizon stay undispatched and undigested).
     fn dispatch(&mut self, ev: Event, limit: Time) {
         // `now` has already advanced to the event's timestamp.
         hermes_net::audit::digest_event(&mut self.digest, self.q.now(), &ev);
@@ -567,9 +550,9 @@ impl Simulation {
             Event::Global { token } => self.on_global(token),
             other => {
                 let inlined_before = self.fabric.stats.trains_inlined;
-                let delivered =
-                    self.fabric
-                        .handle_traced(&mut self.q, other, Some(&mut self.digest), limit);
+                let delivered = self
+                    .fabric
+                    .handle(&mut self.q, other, &mut self.digest, limit);
                 // Inlined train boundaries are logical events: they were
                 // digested, so they count toward the event total too.
                 self.stats.events += self.fabric.stats.trains_inlined - inlined_before;
@@ -599,7 +582,7 @@ impl Simulation {
                     KIND_FAULT => {
                         let action = self.faults[id as usize].action;
                         if hermes_telemetry::enabled() {
-                            let kind = fault_kind(&action);
+                            let kind = action.kind();
                             hermes_telemetry::emit_with(self.q.now(), || {
                                 hermes_telemetry::Record::FaultApplied { kind }
                             });

@@ -2,7 +2,9 @@
 //! across the simulated fabric under DCTCP.
 
 use hermes_core::HermesParams;
-use hermes_net::{FaultPlan, FlowId, HostId, LeafId, PathId, SpineFailure, SpineId, Topology};
+use hermes_net::{
+    FaultAction, FaultPlan, FlowId, HostId, LeafId, PathId, SpineFailure, SpineId, Topology,
+};
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation, MAX_FLOW_ID};
 use hermes_sim::{SimRng, Time};
 use hermes_workload::{FlowGen, FlowSizeDist, FlowSpec};
@@ -64,6 +66,36 @@ fn widest_flow_id_keeps_its_timers() {
 #[should_panic(expected = "exceeds MAX_FLOW_ID")]
 fn flow_id_wider_than_the_timer_token_is_rejected() {
     finish_through_an_rto(1 << 40);
+}
+
+/// A plan naming a switch the fabric lacks is refused when installed,
+/// naming the event — not an index out of bounds when the event fires.
+#[test]
+#[should_panic(expected = "invalid fault plan: link_down at 5.000ms names leaf 9 / spine 0")]
+fn fault_plan_naming_a_missing_leaf_is_refused_at_install() {
+    let down = FaultAction::LinkDown {
+        leaf: LeafId(9),
+        spine: SpineId(0),
+    };
+    let mut sim = Simulation::new(SimConfig::new(Topology::testbed(), Scheme::Ecmp));
+    sim.set_fault_plan(&FaultPlan::new().at(Time::from_ms(5), down));
+}
+
+#[test]
+#[should_panic(expected = "invalid fault plan: link_down at 2.000ms names leaf 0 / spine 1")]
+fn flapping_a_link_the_topology_cut_is_refused_at_install() {
+    let mut topo = Topology::testbed();
+    topo.cut_link(LeafId(0), SpineId(1));
+    let plan = FaultPlan::new().link_flap(
+        LeafId(0),
+        SpineId(1),
+        Time::from_ms(2),
+        Time::from_ms(1),
+        Time::from_ms(3),
+        Time::from_ms(9),
+    );
+    let mut sim = Simulation::new(SimConfig::new(topo, Scheme::Ecmp));
+    sim.set_fault_plan(&plan);
 }
 
 #[test]

@@ -60,12 +60,13 @@ pub fn plan_to_toml(entry: &CorpusEntry) -> String {
 }
 
 fn action_to_toml(a: &FaultAction) -> String {
+    let mut s = format!("kind = \"{}\"\n", a.kind());
     match *a {
         FaultAction::SetSpineFailure { spine, failure } => {
-            let mut s = format!(
-                "kind = \"set_spine_failure\"\nspine = {}\nrandom_drop = {:?}\n",
+            s.push_str(&format!(
+                "spine = {}\nrandom_drop = {:?}\n",
                 spine.0, failure.random_drop
-            );
+            ));
             if let Some(bh) = failure.blackhole {
                 s.push_str(&format!(
                     "bh_src_leaf = {}\nbh_dst_leaf = {}\nbh_pair_fraction = {:?}\n",
@@ -78,47 +79,34 @@ fn action_to_toml(a: &FaultAction) -> String {
             if failure.ecn_mute {
                 s.push_str("ecn_mute = true\n");
             }
-            s
-        }
-        FaultAction::ClearSpineFailure { spine } => {
-            format!("kind = \"clear_spine_failure\"\nspine = {}\n", spine.0)
         }
         FaultAction::FlowBlackhole {
             spine,
             victim_fraction,
-        } => format!(
-            "kind = \"flow_blackhole\"\nspine = {}\nvictim_fraction = {:?}\n",
+        } => s.push_str(&format!(
+            "spine = {}\nvictim_fraction = {:?}\n",
             spine.0, victim_fraction
-        ),
-        FaultAction::EcnMute { spine } => format!("kind = \"ecn_mute\"\nspine = {}\n", spine.0),
-        FaultAction::EcnUnmute { spine } => {
-            format!("kind = \"ecn_unmute\"\nspine = {}\n", spine.0)
-        }
-        FaultAction::LinkDown { leaf, spine } => format!(
-            "kind = \"link_down\"\nleaf = {}\nspine = {}\n",
-            leaf.0, spine.0
-        ),
-        FaultAction::LinkUp { leaf, spine } => {
-            format!(
-                "kind = \"link_up\"\nleaf = {}\nspine = {}\n",
-                leaf.0, spine.0
-            )
+        )),
+        FaultAction::ClearSpineFailure { spine }
+        | FaultAction::EcnMute { spine }
+        | FaultAction::EcnUnmute { spine }
+        | FaultAction::SpineDown { spine }
+        | FaultAction::SpineUp { spine } => s.push_str(&format!("spine = {}\n", spine.0)),
+        FaultAction::LinkDown { leaf, spine }
+        | FaultAction::LinkUp { leaf, spine }
+        | FaultAction::RestoreLinkRate { leaf, spine } => {
+            s.push_str(&format!("leaf = {}\nspine = {}\n", leaf.0, spine.0));
         }
         FaultAction::SetLinkRate {
             leaf,
             spine,
             rate_bps,
-        } => format!(
-            "kind = \"set_link_rate\"\nleaf = {}\nspine = {}\nrate_bps = {}\n",
+        } => s.push_str(&format!(
+            "leaf = {}\nspine = {}\nrate_bps = {}\n",
             leaf.0, spine.0, rate_bps
-        ),
-        FaultAction::RestoreLinkRate { leaf, spine } => format!(
-            "kind = \"restore_link_rate\"\nleaf = {}\nspine = {}\n",
-            leaf.0, spine.0
-        ),
-        FaultAction::SpineDown { spine } => format!("kind = \"spine_down\"\nspine = {}\n", spine.0),
-        FaultAction::SpineUp { spine } => format!("kind = \"spine_up\"\nspine = {}\n", spine.0),
+        )),
     }
+    s
 }
 
 fn str_field(t: &Table, key: &str) -> Result<String, String> {
@@ -140,17 +128,19 @@ fn float_field(t: &Table, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("missing or non-float `{key}`"))
 }
 
-fn spine_field(t: &Table) -> Result<SpineId, String> {
-    Ok(SpineId(int_field(t, "spine")? as u16))
-}
-
-fn leaf_field(t: &Table) -> Result<LeafId, String> {
-    Ok(LeafId(int_field(t, "leaf")? as u16))
+/// An integer key narrowed to the unsigned type its field has; a
+/// negative or too-wide value is an error naming the key, never a wrap.
+fn uint_field<T: TryFrom<i64>>(t: &Table, key: &str) -> Result<T, String> {
+    let v = int_field(t, key)?;
+    T::try_from(v).map_err(|_| format!("`{key}` = {v} is out of range"))
 }
 
 fn action_from_table(t: &Table) -> Result<FaultAction, String> {
     let kind = str_field(t, "kind")?;
-    match kind.as_str() {
+    // Every kind names a spine; the link-level ones a leaf as well.
+    let spine = SpineId(uint_field(t, "spine")?);
+    let leaf = || uint_field(t, "leaf").map(LeafId);
+    Ok(match kind.as_str() {
         "set_spine_failure" => {
             let mut failure = SpineFailure {
                 random_drop: float_field(t, "random_drop")?,
@@ -158,8 +148,8 @@ fn action_from_table(t: &Table) -> Result<FaultAction, String> {
             };
             if t.contains_key("bh_src_leaf") {
                 failure.blackhole = Some(Blackhole {
-                    src_leaf: LeafId(int_field(t, "bh_src_leaf")? as u16),
-                    dst_leaf: LeafId(int_field(t, "bh_dst_leaf")? as u16),
+                    src_leaf: LeafId(uint_field(t, "bh_src_leaf")?),
+                    dst_leaf: LeafId(uint_field(t, "bh_dst_leaf")?),
                     pair_fraction: float_field(t, "bh_pair_fraction")?,
                 });
             }
@@ -169,49 +159,43 @@ fn action_from_table(t: &Table) -> Result<FaultAction, String> {
             if let Some(m) = t.get("ecn_mute").and_then(Value::as_bool) {
                 failure = failure.with_ecn_mute(m);
             }
-            Ok(FaultAction::SetSpineFailure {
-                spine: spine_field(t)?,
-                failure,
-            })
+            FaultAction::SetSpineFailure { spine, failure }
         }
-        "clear_spine_failure" => Ok(FaultAction::ClearSpineFailure {
-            spine: spine_field(t)?,
-        }),
-        "flow_blackhole" => Ok(FaultAction::FlowBlackhole {
-            spine: spine_field(t)?,
+        "clear_spine_failure" => FaultAction::ClearSpineFailure { spine },
+        "flow_blackhole" => FaultAction::FlowBlackhole {
+            spine,
             victim_fraction: float_field(t, "victim_fraction")?,
-        }),
-        "ecn_mute" => Ok(FaultAction::EcnMute {
-            spine: spine_field(t)?,
-        }),
-        "ecn_unmute" => Ok(FaultAction::EcnUnmute {
-            spine: spine_field(t)?,
-        }),
-        "link_down" => Ok(FaultAction::LinkDown {
-            leaf: leaf_field(t)?,
-            spine: spine_field(t)?,
-        }),
-        "link_up" => Ok(FaultAction::LinkUp {
-            leaf: leaf_field(t)?,
-            spine: spine_field(t)?,
-        }),
-        "set_link_rate" => Ok(FaultAction::SetLinkRate {
-            leaf: leaf_field(t)?,
-            spine: spine_field(t)?,
-            rate_bps: int_field(t, "rate_bps")? as u64,
-        }),
-        "restore_link_rate" => Ok(FaultAction::RestoreLinkRate {
-            leaf: leaf_field(t)?,
-            spine: spine_field(t)?,
-        }),
-        "spine_down" => Ok(FaultAction::SpineDown {
-            spine: spine_field(t)?,
-        }),
-        "spine_up" => Ok(FaultAction::SpineUp {
-            spine: spine_field(t)?,
-        }),
-        other => Err(format!("unknown event kind `{other}`")),
-    }
+        },
+        "ecn_mute" => FaultAction::EcnMute { spine },
+        "ecn_unmute" => FaultAction::EcnUnmute { spine },
+        "link_down" => FaultAction::LinkDown {
+            leaf: leaf()?,
+            spine,
+        },
+        "link_up" => FaultAction::LinkUp {
+            leaf: leaf()?,
+            spine,
+        },
+        "set_link_rate" => FaultAction::SetLinkRate {
+            leaf: leaf()?,
+            spine,
+            rate_bps: uint_field(t, "rate_bps")?,
+        },
+        "restore_link_rate" => FaultAction::RestoreLinkRate {
+            leaf: leaf()?,
+            spine,
+        },
+        "spine_down" => FaultAction::SpineDown { spine },
+        "spine_up" => FaultAction::SpineUp { spine },
+        other => return Err(format!("unknown event kind `{other}`")),
+    })
+}
+
+fn event_from_table(t: &Table) -> Result<(Time, FaultAction), String> {
+    Ok((
+        Time::from_ns(uint_field(t, "at_ns")?),
+        action_from_table(t)?,
+    ))
 }
 
 /// Parse one corpus file. The embedded plan must validate.
@@ -226,8 +210,7 @@ pub fn entry_from_toml(src: &str) -> Result<CorpusEntry, String> {
             let t = ev
                 .as_table()
                 .ok_or_else(|| format!("event #{i} is not a table"))?;
-            let at = Time::from_ns(int_field(t, "at_ns")? as u64);
-            let action = action_from_table(t).map_err(|e| format!("event #{i}: {e}"))?;
+            let (at, action) = event_from_table(t).map_err(|e| format!("event #{i}: {e}"))?;
             plan = plan.at(at, action);
         }
     }
@@ -235,7 +218,7 @@ pub fn entry_from_toml(src: &str) -> Result<CorpusEntry, String> {
         .map_err(|e| format!("corpus plan invalid: {e}"))?;
     Ok(CorpusEntry {
         description: str_field(&table, "description")?,
-        seed: int_field(&table, "seed")? as u64,
+        seed: uint_field(&table, "seed")?,
         slo: str_field(&table, "slo")?,
         lb: str_field(&table, "lb")?,
         plan,
@@ -276,12 +259,17 @@ pub struct CorpusReplay {
 }
 
 /// Replay every corpus entry under the current SLO config. Green means
-/// the behaviors those counterexamples once caught are still fixed.
+/// the behaviors those counterexamples once caught are still fixed. An
+/// entry whose plan does not fit the campaign fabric is an `Err` naming
+/// the file and the event, not a mid-run panic.
 pub fn replay_corpus(dir: &Path, slo: &SloCfg, quick: bool) -> Result<CorpusReplay, String> {
     let entries = load_corpus(dir)?;
+    let topo = super::topology();
     let mut files = Vec::new();
     let mut violations = Vec::new();
     for (name, entry) in entries {
+        let fits = entry.plan.validate_on(&topo);
+        fits.map_err(|e| format!("{name}: {e}"))?;
         let stem = name.trim_end_matches(".toml");
         let label = format!("corpus/{stem}");
         let runs = super::run_cells(&entry.plan, entry.seed, quick);
@@ -368,6 +356,80 @@ mod tests {
         };
         let back = entry_from_toml(&plan_to_toml(&entry)).expect("parse");
         assert_eq!(back, entry);
+        // One name table: each variant's `kind()` is what the writer
+        // emits and what the parser maps back to the same variant.
+        let mut kinds = std::collections::BTreeSet::new();
+        for ev in entry.plan.events() {
+            let text = action_to_toml(&ev.action);
+            let kind = ev.action.kind();
+            assert!(text.starts_with(&format!("kind = \"{kind}\"\n")), "{text}");
+            let parsed = action_from_table(&toml::parse(&text).expect("toml")).expect("action");
+            assert_eq!(parsed, ev.action);
+            kinds.insert(kind);
+        }
+        assert_eq!(kinds.len(), 11, "every FaultAction variant: {kinds:?}");
+    }
+
+    const HEADER: &str = "description = \"x\"\nseed = 1\nslo = \"drain\"\nlb = \"ecmp\"\n";
+
+    #[test]
+    fn out_of_range_integers_are_errors_naming_the_key_not_wraps() {
+        let event = |body: &str| format!("{HEADER}\n[[event]]\n{body}");
+        // (corpus file, the key its error must name)
+        let rows = [
+            // 65536 used to narrow to spine 0.
+            (
+                event("at_ns = 5\nkind = \"spine_down\"\nspine = 65536\n"),
+                "`spine`",
+            ),
+            (
+                event("at_ns = 5\nkind = \"link_down\"\nleaf = -1\nspine = 0\n"),
+                "`leaf`",
+            ),
+            (
+                event("at_ns = -5\nkind = \"spine_down\"\nspine = 0\n"),
+                "`at_ns`",
+            ),
+            (
+                event("at_ns = 5\nkind = \"set_link_rate\"\nleaf = 0\nspine = 0\nrate_bps = -1\n"),
+                "`rate_bps`",
+            ),
+            (
+                event(
+                    "at_ns = 5\nkind = \"set_spine_failure\"\nspine = 0\nrandom_drop = 0.0\n\
+                     bh_src_leaf = 70000\nbh_dst_leaf = 1\nbh_pair_fraction = 1.0\n",
+                ),
+                "`bh_src_leaf`",
+            ),
+            (HEADER.replace("seed = 1", "seed = -1"), "`seed`"),
+        ];
+        for (src, key) in &rows {
+            let err = entry_from_toml(src).expect_err(key);
+            assert!(err.contains(key), "{key}: got `{err}`");
+        }
+        let err = entry_from_toml(&rows[0].0).expect_err("spine");
+        assert!(err.contains("event #0") && err.contains("65536"), "{err}");
+    }
+
+    #[test]
+    fn replay_refuses_a_plan_that_does_not_fit_the_fabric() {
+        // Leaf 9 validates against *some* fabric and parses; the campaign
+        // fabric has two leaves.
+        let src = format!(
+            "{HEADER}\n[[event]]\nat_ns = 5000000\nkind = \"link_down\"\nleaf = 9\nspine = 0\n\
+             \n[[event]]\nat_ns = 6000000\nkind = \"link_up\"\nleaf = 9\nspine = 0\n"
+        );
+        entry_from_toml(&src).expect("parses: the loader knows no topology");
+        let dir = std::env::temp_dir().join(format!("hermes-corpus-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("temp corpus dir");
+        fs::write(dir.join("leaf9.toml"), src).expect("write corpus file");
+        let res = replay_corpus(&dir, &SloCfg::default(), true);
+        fs::remove_dir_all(&dir).expect("remove temp corpus dir");
+        let err = res.expect_err("leaf 9 of 2 must be refused before any cell runs");
+        assert!(
+            err.contains("leaf9.toml") && err.contains("link_down at 5.000ms"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -70,10 +70,15 @@ fn point(topo: &Topology, lb: &str, seed: u64, quick: bool) -> PointCfg {
         .goodput_interval(GOODPUT_INTERVAL)
 }
 
+/// The fabric every campaign cell and corpus replay runs on.
+fn topology() -> Topology {
+    Topology::testbed()
+}
+
 /// Run one plan across every scheme, with per-scheme fault-free
 /// baselines. Sequential on purpose: byte-deterministic reports.
 pub fn run_cells(plan: &FaultPlan, seed: u64, quick: bool) -> Vec<CellRuns> {
-    let topo = Topology::testbed();
+    let topo = topology();
     LBS.iter()
         .map(|&lb| {
             let base = run_point(&point(&topo, lb, seed, quick));

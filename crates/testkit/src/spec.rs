@@ -225,6 +225,16 @@ fn req_usize(t: &Table, key: &str, file: &str) -> Result<usize, SpecError> {
     })
 }
 
+/// A size key counted in KB (1000 B), as bytes. A product past `u64`
+/// is an error naming the key, not a wrap.
+fn kb_bytes(t: &Table, key: &str, file: &str) -> Result<u64, SpecError> {
+    let kb = req_usize(t, key, file)? as u64;
+    match kb.checked_mul(1000) {
+        Some(bytes) => Ok(bytes),
+        None => serr(file, format!("`{key}` = {kb}: too large to count in bytes")),
+    }
+}
+
 /// An optional duration key counted in `unit_ns`-nanosecond units: at
 /// least `min` units and representable in nanoseconds. `None` when the
 /// key is absent.
@@ -493,39 +503,50 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
         "ring_allreduce" => {
             let ranks = req_usize(work_t, "ranks", file)?;
             let steps = req_usize(work_t, "steps", file)?;
-            let chunk_kb = req_usize(work_t, "chunk_kb", file)?;
-            if ranks < 2 || steps < 1 || chunk_kb < 1 {
+            let chunk_bytes = kb_bytes(work_t, "chunk_kb", file)?;
+            if ranks < 2 || steps < 1 || chunk_bytes < 1 {
                 return serr(
                     file,
                     "ring_allreduce needs ranks ≥ 2, steps ≥ 1, chunk_kb ≥ 1",
                 );
             }
+            let n = topo.n_hosts();
+            if ranks > n {
+                let msg = format!("`ranks` = {ranks}: the topology has {n} hosts");
+                return serr(file, msg);
+            }
             WorkloadKind::RingAllreduce(RingCfg {
                 ranks,
                 steps,
-                chunk_bytes: chunk_kb as u64 * 1000,
+                chunk_bytes,
             })
         }
         "incast" => {
             let fanout = req_usize(work_t, "fanout", file)?;
-            let reply_kb = req_usize(work_t, "reply_kb", file)?;
+            let reply_bytes = kb_bytes(work_t, "reply_kb", file)?;
             let bursts = req_usize(work_t, "bursts", file)?;
-            if fanout < 1 || reply_kb < 1 || bursts < 1 {
+            if fanout < 1 || reply_bytes < 1 || bursts < 1 {
                 return serr(file, "incast needs fanout ≥ 1, reply_kb ≥ 1, bursts ≥ 1");
+            }
+            // Clients sit outside the aggregator's rack.
+            let clients = (topo.n_leaves - 1) * topo.hosts_per_leaf;
+            if fanout > clients {
+                let msg = format!("`fanout` = {fanout}: only {clients} hosts sit outside a rack");
+                return serr(file, msg);
             }
             WorkloadKind::Incast(IncastCfg {
                 fanout,
-                reply_bytes: reply_kb as u64 * 1000,
+                reply_bytes,
                 bursts,
             })
         }
         "elephant_mice" => {
             load = req_float(work_t, "load", file)?;
             n_flows = req_usize(work_t, "flows", file)?;
-            let mice_kb = req_usize(work_t, "mice_kb", file)?;
-            let elephant_kb = req_usize(work_t, "elephant_kb", file)?;
+            let mice_bytes = kb_bytes(work_t, "mice_kb", file)?;
+            let elephant_bytes = kb_bytes(work_t, "elephant_kb", file)?;
             let elephant_frac = req_float(work_t, "elephant_frac", file)?;
-            if mice_kb < 1 || elephant_kb <= mice_kb {
+            if mice_bytes < 1 || elephant_bytes <= mice_bytes {
                 return serr(file, "elephant_mice needs elephant_kb > mice_kb ≥ 1");
             }
             if !(0.0..=1.0).contains(&elephant_frac) {
@@ -535,8 +556,8 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
                 );
             }
             WorkloadKind::ElephantMice(MixCfg {
-                mice_bytes: mice_kb as u64 * 1000,
-                elephant_bytes: elephant_kb as u64 * 1000,
+                mice_bytes,
+                elephant_bytes,
                 elephant_frac,
             })
         }
@@ -854,6 +875,31 @@ mod tests {
         let run = |extra: &str| format!("{MINIMAL}\n{extra}\n");
         let fault =
             |spine: i64, frac: f64| format!("{MINIMAL}\n{FAULT}spine = {spine}\nfrac = {frac}\n");
+        // MINIMAL (12-host testbed) with its [workload] table replaced.
+        let workload = |body: &str| {
+            MINIMAL.replace(
+                "dist = \"web_search\"\n        load = 0.3\n        flows = 40",
+                body,
+            )
+        };
+        let ring = |ranks: u64, kb: u64| {
+            workload(&format!(
+                "kind = \"ring_allreduce\"\nranks = {ranks}\nsteps = 2\nchunk_kb = {kb}"
+            ))
+        };
+        let incast = |fanout: u64, kb: u64| {
+            workload(&format!(
+                "kind = \"incast\"\nfanout = {fanout}\nreply_kb = {kb}\nbursts = 2"
+            ))
+        };
+        let mix = |mice: u64, elephant: u64| {
+            workload(&format!(
+                "kind = \"elephant_mice\"\nload = 0.3\nflows = 40\nelephant_frac = 0.1\n\
+                 mice_kb = {mice}\nelephant_kb = {elephant}"
+            ))
+        };
+        // A KB count whose byte count overflows u64.
+        const HUGE_KB: u64 = u64::MAX / 999;
         // (scenario, the key its error must name)
         let rows = [
             (topo("cut = [[5, 0]]"), "`cut`"),
@@ -877,6 +923,13 @@ mod tests {
             (run("goodput_interval_us = 0"), "`goodput_interval_us`"),
             (run("letflow_timeout_us = 0"), "`letflow_timeout_us`"),
             (run("drill_samples = 0"), "`drill_samples`"),
+            // One more rank / client than the testbed has hosts for.
+            (ring(13, 64), "`ranks`"),
+            (incast(7, 32), "`fanout`"),
+            (ring(8, HUGE_KB), "`chunk_kb`"),
+            (incast(6, HUGE_KB), "`reply_kb`"),
+            (mix(HUGE_KB, 50), "`mice_kb`"),
+            (mix(50, HUGE_KB), "`elephant_kb`"),
         ];
         for (src, key) in &rows {
             match parse_scenario(src, "mem", "x") {
@@ -888,6 +941,9 @@ mod tests {
         let ok = topo("cut = [[1, 3]]\ndegrade = [[0, 1, 100]]");
         parse_scenario(&ok, "mem", "x").expect("in-range cut and degrade");
         parse_scenario(&fault(3, 0.0), "mem", "x").expect("in-range fault");
+        parse_scenario(&ring(12, 64), "mem", "x").expect("one rank per host");
+        parse_scenario(&incast(6, 32), "mem", "x").expect("the whole other rack");
+        parse_scenario(&mix(50, 1000), "mem", "x").expect("in-range mix");
     }
 
     #[test]
