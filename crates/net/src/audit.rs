@@ -14,6 +14,20 @@ use hermes_sim::Time;
 use crate::fabric::Event;
 use crate::types::NodeId;
 
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `FNV_PRIME^k` (wrapping) for `k` in `0..=8`: absorbing `k` zero bytes.
+const FNV_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 /// Rolling FNV-1a (64-bit) over a stream of words.
 ///
 /// Used to fingerprint an entire event trace: feeding every dispatched
@@ -37,12 +51,27 @@ impl FnvDigest {
     }
 
     /// Absorb one word (little-endian byte order).
+    ///
+    /// Byte-wise FNV-1a of a zero byte is `h ^ 0` then `* P`, so a byte
+    /// followed by `k` zero bytes is one multiply by `P^(k+1)`: this
+    /// costs one multiply per nonzero byte above byte 0 plus one for the
+    /// word's tail, not eight, for the identical value. Event words are
+    /// mostly zero bytes.
     #[inline]
     pub fn push(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        // Byte 0 goes in unconditionally: a zero byte xors nothing in.
+        let mut h = self.0 ^ (v & 0xFF);
+        // `last` is the byte xored in last, its multiply still owed;
+        // `rest` holds the nonzero bytes above it.
+        let mut last = 0;
+        let mut rest = v & !0xFF;
+        while rest != 0 {
+            let next = (rest.trailing_zeros() / 8) as usize;
+            h = h.wrapping_mul(FNV_POW[next - last]) ^ (rest >> (8 * next) & 0xFF);
+            rest &= !(0xFF << (8 * next));
+            last = next;
         }
+        self.0 = h.wrapping_mul(FNV_POW[8 - last]);
     }
 
     /// The digest so far.
@@ -196,6 +225,48 @@ mod tests {
         assert_eq!(a.value(), b.value());
         assert_ne!(a.value(), c.value(), "permuted stream must differ");
         assert_ne!(FnvDigest::new().value(), a.value());
+    }
+
+    /// The definition `push` must equal: FNV-1a over the word's eight
+    /// little-endian bytes, one xor and one multiply per byte.
+    fn push_bytewise(h: u64, v: u64) -> u64 {
+        v.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn push_equals_the_bytewise_definition() {
+        let mut rng = hermes_sim::SimRng::new(7);
+        let mut words = vec![0u64, u64::MAX, 0xFF << 56, 1 << 63];
+        for byte in 0..8 {
+            for b in [1u64, 0x80, 0xFF] {
+                words.push(b << (8 * byte));
+            }
+        }
+        for i in 0..1_100_000u64 {
+            // Keep a random subset of a random word's bytes: every
+            // zero-run shape, weighted toward sparse words like the event
+            // encoding's. Every eighth word keeps all eight.
+            let dense = i.is_multiple_of(8);
+            let keep = if dense { !0 } else { rng.u64() & rng.u64() };
+            let mask = (0..8).fold(0u64, |m, b| m | ((keep >> b & 1) * 0xFF) << (8 * b));
+            words.push(rng.u64() & mask);
+        }
+        // One rolling digest, so every word also starts from a
+        // different state.
+        let (mut fast, mut slow) = (FnvDigest::new(), FnvDigest::new().value());
+        for &w in &words {
+            fast.push(w);
+            slow = push_bytewise(slow, w);
+            assert_eq!(fast.value(), slow, "push({w:#018x}) left the FNV-1a stream");
+        }
+        assert_eq!(FNV_POW[1], FNV_PRIME);
+        assert_eq!(
+            FNV_POW[8],
+            push_bytewise(1, 0),
+            "P^8 absorbs an all-zero word"
+        );
     }
 
     #[test]

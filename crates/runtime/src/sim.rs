@@ -502,11 +502,7 @@ impl Simulation {
 
     /// Run until the horizon (absolute simulated time).
     pub fn run_until(&mut self, horizon: Time) {
-        while let Some(t) = self.q.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (_, ev) = self.q.pop().expect("peeked event vanished");
+        while let Some((_, ev)) = self.q.pop_due(horizon) {
             self.dispatch(ev, horizon);
         }
     }
@@ -520,19 +516,19 @@ impl Simulation {
     /// an `Arrive` — so the flow counters are unchanged at every point
     /// where this loop inspects them.
     pub fn run_to_completion(&mut self, horizon: Time) {
-        while let Some(t) = self.q.peek_time() {
-            if t > horizon {
+        while !self.all_flows_done() {
+            let Some((_, ev)) = self.q.pop_due(horizon) else {
                 break;
-            }
-            if self.pending.is_empty()
-                && self.stats.flows_started > 0
-                && self.stats.flows_completed == self.stats.flows_started
-            {
-                break;
-            }
-            let (_, ev) = self.q.pop().expect("peeked event vanished");
+            };
             self.dispatch(ev, horizon);
         }
+    }
+
+    /// Whether at least one flow started and none is pending or running.
+    fn all_flows_done(&self) -> bool {
+        self.pending.is_empty()
+            && self.stats.flows_started > 0
+            && self.stats.flows_completed == self.stats.flows_started
     }
 
     /// Dispatch one popped event. `limit` is the run loop's horizon,

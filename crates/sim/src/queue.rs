@@ -110,6 +110,15 @@ impl<E> HeapQueue<E> {
         Some((e.at, e.payload))
     }
 
+    /// Pop the earliest event if it is due at or before `horizon`;
+    /// otherwise leave the queue (and `now`) untouched.
+    pub fn pop_due(&mut self, horizon: Time) -> Option<(Time, E)> {
+        if self.peek_time()? > horizon {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Advance the cursor to `t` without popping anything.
     ///
     /// Contract: `t >= now`, and no pending event may be due strictly
@@ -207,6 +216,19 @@ mod tests {
         q.pop();
         assert_eq!(q.len(), 1);
         assert_eq!(q.scheduled_count(), 2);
+    }
+
+    #[test]
+    fn pop_due_stops_at_the_horizon_without_moving_now() {
+        let mut q = HeapQueue::new();
+        q.schedule(Time::from_ns(10), "near");
+        q.schedule(Time::from_us(5), "far");
+        assert_eq!(q.pop_due(Time::from_ns(9)), None);
+        assert_eq!(q.pop_due(Time::from_ns(10)).unwrap().1, "near");
+        assert_eq!(q.pop_due(Time::from_us(4)), None);
+        assert_eq!((q.now(), q.len()), (Time::from_ns(10), 1));
+        assert_eq!(q.pop_due(Time::from_us(5)).unwrap().1, "far");
+        assert_eq!(q.pop_due(Time::MAX), None);
     }
 
     #[test]

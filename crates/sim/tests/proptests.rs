@@ -10,6 +10,8 @@ enum QueueOp {
     ScheduleIn(u64),
     /// Pop one event (no-op allowed when both queues are empty).
     Pop,
+    /// Pop one event if it is due within `now + horizon_ns`.
+    PopDue(u64),
     /// Advance the cursor toward `now + delta_ns` without popping,
     /// clamped to the next pending event so the advance_to contract
     /// (never pass a pending event) holds by construction.
@@ -17,19 +19,32 @@ enum QueueOp {
 }
 
 fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
-    // Delays mix dense same-instant collisions (0), sub-slot steps,
-    // level-boundary straddles (≈64, ≈4096) and far jumps, so the wheel
-    // exercises direct ready-queue hits, level-0 buckets, and multi-level
-    // cascades in one script.
-    let op = prop_oneof![
+    // The sparse arm mixes same-instant collisions (0), sub-window
+    // steps, level-boundary straddles (≈64, ≈4096) and far jumps, so one
+    // script exercises sorted inserts into the ready run, level-1
+    // buckets and multi-level cascades. The dense arm stays within two
+    // 64-ns windows of `now`, so same-window sorted inserts, in-window
+    // `advance_to` and window-boundary straddles dominate its scripts.
+    let sparse = prop_oneof![
         3 => (0u64..8).prop_map(QueueOp::ScheduleIn),
         3 => (0u64..200).prop_map(QueueOp::ScheduleIn),
         2 => (3_500u64..5_000).prop_map(QueueOp::ScheduleIn),
         1 => (1u64 << 20..1u64 << 34).prop_map(QueueOp::ScheduleIn),
         4 => Just(QueueOp::Pop),
+        1 => (0u64..10_000).prop_map(QueueOp::PopDue),
         1 => (0u64..10_000).prop_map(QueueOp::Advance),
     ];
-    proptest::collection::vec(op, 1..400)
+    let dense = prop_oneof![
+        4 => (0u64..64).prop_map(QueueOp::ScheduleIn),
+        2 => (64u64..128).prop_map(QueueOp::ScheduleIn),
+        3 => Just(QueueOp::Pop),
+        1 => (0u64..128).prop_map(QueueOp::PopDue),
+        2 => (0u64..64).prop_map(QueueOp::Advance),
+    ];
+    prop_oneof![
+        proptest::collection::vec(sparse, 1..400),
+        proptest::collection::vec(dense, 1..400),
+    ]
 }
 
 proptest! {
@@ -50,6 +65,11 @@ proptest! {
                 }
                 QueueOp::Pop => {
                     prop_assert_eq!(wheel.pop(), heap.pop());
+                    prop_assert_eq!(wheel.now(), heap.now());
+                }
+                QueueOp::PopDue(horizon) => {
+                    let horizon = wheel.now() + Time::from_ns(*horizon);
+                    prop_assert_eq!(wheel.pop_due(horizon), heap.pop_due(horizon));
                     prop_assert_eq!(wheel.now(), heap.now());
                 }
                 QueueOp::Advance(delta) => {
