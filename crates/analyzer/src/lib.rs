@@ -306,13 +306,13 @@ mod tests {
         assert!(a.clean(), "analyzer findings:\n{}", report.join("\n"));
     }
 
-    /// The tracing layer records *sim* time, and the wheel/pool modules
+    /// The tracing layer records *sim* time, and the queue/pool modules
     /// are the hot path: all must be covered by the engine's scopes.
     #[test]
     fn hot_and_telemetry_files_are_covered() {
         for rel in [
             "crates/telemetry/src/lib.rs",
-            "crates/sim/src/wheel.rs",
+            "crates/sim/src/lanes.rs",
             "crates/net/src/pool.rs",
         ] {
             let class = classify(Path::new(rel)).expect("recognized layout");

@@ -29,6 +29,10 @@ pub struct RunFingerprint {
     /// builds). Must be 0: a nonzero count is a causality violation that
     /// release builds would otherwise paper over silently.
     pub queue_clamps: u64,
+    /// Schedules the event queue sent to its fallback heap rather than a
+    /// recurring-delay lane. No digest sees this routing; a run whose
+    /// share of it grows has lost the queue's fast path.
+    pub queue_fallback: u64,
 }
 
 /// Run `sim` to completion (bounded by `horizon`) and fingerprint it.
@@ -41,6 +45,7 @@ pub fn fingerprint(mut sim: Simulation, horizon: Time) -> RunFingerprint {
         fcts,
         conservation: sim.conservation(),
         queue_clamps: sim.queue_clamps(),
+        queue_fallback: sim.queue_fallback_count(),
     }
 }
 

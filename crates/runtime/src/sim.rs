@@ -491,6 +491,14 @@ impl Simulation {
         self.q.clamp_count()
     }
 
+    /// Schedules the event queue sent to its fallback heap instead of a
+    /// recurring-delay lane (see [`hermes_sim::LaneQueue::fallback_count`]);
+    /// a growing share means the simulator stopped scheduling at a
+    /// handful of constant delays.
+    pub fn queue_fallback_count(&self) -> u64 {
+        self.q.fallback_count()
+    }
+
     /// `TxDone` boundaries handled inline within back-to-back packet
     /// trains instead of as scheduled events. Counted in
     /// [`SimStats::events`] like any dispatched event.

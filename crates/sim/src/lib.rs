@@ -10,10 +10,11 @@
 //!   *deterministic tie-breaking*: events scheduled for the same instant
 //!   fire in the order they were scheduled. Together with the seeded
 //!   [`SimRng`], this makes every simulation bit-reproducible. It is
-//!   the hierarchical timing wheel [`WheelQueue`]; the binary-heap
-//!   [`HeapQueue`] honors the identical contract and is always
-//!   compiled as the reference model the differential tests drive the
-//!   wheel against — it is not selectable as the simulator's queue.
+//!   [`LaneQueue`], FIFO lanes for recurring delays in front of a
+//!   binary heap; the plain binary-heap [`HeapQueue`] honors the
+//!   identical contract and is always compiled as the reference model
+//!   the differential tests drive it against — it is not selectable as
+//!   the simulator's queue.
 //! * [`SimRng`] — a seeded, splittable random number generator wrapper so
 //!   that independent subsystems (flow generation, load balancers, failure
 //!   injection) can draw from decorrelated streams derived from one master
@@ -36,17 +37,17 @@
 //! assert_eq!(q.pop().unwrap().1, "c");
 //! ```
 
+mod lanes;
 mod queue;
 mod rng;
 mod time;
-mod wheel;
 
+pub use lanes::LaneQueue;
 pub use queue::HeapQueue;
 pub use rng::SimRng;
 pub use time::Time;
-pub use wheel::WheelQueue;
 
-/// The event queue the simulator runs on: the timing wheel.
+/// The event queue the simulator runs on: [`LaneQueue`].
 /// [`HeapQueue`] honors the same `(time, seq)` total-order contract and
-/// exists only as the oracle the wheel is tested against.
-pub type EventQueue<E> = WheelQueue<E>;
+/// exists only as the oracle the lane queue is tested against.
+pub type EventQueue<E> = LaneQueue<E>;

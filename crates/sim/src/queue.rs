@@ -1,5 +1,5 @@
 //! Binary-heap event queue — the original scheduler, kept as the
-//! reference model the timing wheel in [`crate::wheel`] is tested
+//! reference model the lane queue in [`crate::lanes`] is tested
 //! against; not selectable as the simulator's queue.
 
 use std::cmp::Ordering;

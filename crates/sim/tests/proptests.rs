@@ -1,6 +1,6 @@
 //! Property-based tests for the discrete-event engine invariants.
 
-use hermes_sim::{EventQueue, HeapQueue, SimRng, Time, WheelQueue};
+use hermes_sim::{EventQueue, HeapQueue, LaneQueue, SimRng, Time};
 use proptest::prelude::*;
 
 /// One scripted step against both queue implementations.
@@ -18,13 +18,25 @@ enum QueueOp {
     Advance(u64),
 }
 
+/// Delays the recurring arm draws from: the simulator's own recurring
+/// shapes (same instant, ACK and segment serialization, link
+/// propagation, the RTO floor) plus a few more — more delays than the
+/// queue has lanes, so lanes are re-keyed.
+const RECURRING_NS: [u64; 12] = [
+    0, 32, 52, 63, 64, 1_200, 4_096, 5_000, 10_000, 262_144, 1_000_000, 10_000_000,
+];
+
 fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
-    // The sparse arm mixes same-instant collisions (0), sub-window
-    // steps, level-boundary straddles (≈64, ≈4096) and far jumps, so one
-    // script exercises sorted inserts into the ready run, level-1
-    // buckets and multi-level cascades. The dense arm stays within two
-    // 64-ns windows of `now`, so same-window sorted inserts, in-window
-    // `advance_to` and window-boundary straddles dominate its scripts.
+    // The sparse arm mixes same-instant collisions (0), short steps and
+    // far jumps; most of its delays never repeat, so the heap carries
+    // its scripts. The dense arm stays within 128 ns of `now`, so delays
+    // repeat often and lanes, the heap and `advance_to` interleave at
+    // equal and adjacent instants. The recurring arm draws most delays
+    // from a fixed set, so lane hits, doorkeeper admissions, LRU
+    // re-keying and equal-`at` ties between lanes and between a lane and
+    // the heap dominate its scripts; extra draws over the six shortest
+    // delays pile up same-instant ties, and one-offs keep the heap and
+    // the all-lanes-busy fallback in play.
     let sparse = prop_oneof![
         3 => (0u64..8).prop_map(QueueOp::ScheduleIn),
         3 => (0u64..200).prop_map(QueueOp::ScheduleIn),
@@ -41,79 +53,95 @@ fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
         1 => (0u64..128).prop_map(QueueOp::PopDue),
         2 => (0u64..64).prop_map(QueueOp::Advance),
     ];
+    let recurring = prop_oneof![
+        6 => (0..RECURRING_NS.len()).prop_map(|i| QueueOp::ScheduleIn(RECURRING_NS[i])),
+        2 => (0usize..6).prop_map(|i| QueueOp::ScheduleIn(RECURRING_NS[i])),
+        1 => (0u64..20_000).prop_map(QueueOp::ScheduleIn),
+        5 => Just(QueueOp::Pop),
+        1 => (0u64..12_000).prop_map(QueueOp::PopDue),
+        1 => (0..RECURRING_NS.len()).prop_map(|i| QueueOp::PopDue(RECURRING_NS[i])),
+        1 => (0u64..12_000).prop_map(QueueOp::Advance),
+    ];
     prop_oneof![
         proptest::collection::vec(sparse, 1..400),
         proptest::collection::vec(dense, 1..400),
+        proptest::collection::vec(recurring, 1..400),
     ]
 }
 
 proptest! {
-    /// Differential oracle: the timing wheel and the legacy binary heap
+    // Debug builds run the usual 64 scripts; the release run of
+    // this crate's tests, which CI makes for the release-only clamp
+    // tests, drives 4096 through the differential.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 4096 }))]
+
+    /// Differential oracle: the lane queue and the plain binary heap
     /// must agree on every pop, peek, `now`, and length for any
-    /// interleaving of schedules and pops — this is what lets the
-    /// `EventQueue` alias flip between them without changing a single
-    /// event trace.
+    /// interleaving of schedules and pops — this is what lets the lane
+    /// queue replace the heap without changing a single event trace.
     #[test]
-    fn wheel_matches_heap_differentially(ops in queue_ops()) {
-        let mut wheel: WheelQueue<usize> = WheelQueue::new();
+    fn lanes_match_heap_differentially(ops in queue_ops()) {
+        let mut lanes: LaneQueue<usize> = LaneQueue::new();
         let mut heap: HeapQueue<usize> = HeapQueue::new();
         for (i, op) in ops.iter().enumerate() {
             match op {
                 QueueOp::ScheduleIn(delay) => {
-                    wheel.schedule_in(Time::from_ns(*delay), i);
+                    lanes.schedule_in(Time::from_ns(*delay), i);
                     heap.schedule_in(Time::from_ns(*delay), i);
                 }
                 QueueOp::Pop => {
-                    prop_assert_eq!(wheel.pop(), heap.pop());
-                    prop_assert_eq!(wheel.now(), heap.now());
+                    prop_assert_eq!(lanes.pop(), heap.pop());
+                    prop_assert_eq!(lanes.now(), heap.now());
                 }
                 QueueOp::PopDue(horizon) => {
-                    let horizon = wheel.now() + Time::from_ns(*horizon);
-                    prop_assert_eq!(wheel.pop_due(horizon), heap.pop_due(horizon));
-                    prop_assert_eq!(wheel.now(), heap.now());
+                    let horizon = lanes.now() + Time::from_ns(*horizon);
+                    prop_assert_eq!(lanes.pop_due(horizon), heap.pop_due(horizon));
+                    prop_assert_eq!(lanes.now(), heap.now());
                 }
                 QueueOp::Advance(delta) => {
                     // Clamp the target to the next pending event (trains
                     // never advance past one in the fabric either).
-                    let want = wheel.now() + Time::from_ns(*delta);
-                    let target = wheel.peek_time().map_or(want, |p| p.min(want));
-                    wheel.advance_to(target);
+                    let want = lanes.now() + Time::from_ns(*delta);
+                    let target = lanes.peek_time().map_or(want, |p| p.min(want));
+                    lanes.advance_to(target);
                     heap.advance_to(target);
-                    prop_assert_eq!(wheel.now(), heap.now());
+                    prop_assert_eq!(lanes.now(), heap.now());
                 }
             }
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!(lanes.peek_time(), heap.peek_time());
+            prop_assert_eq!(lanes.len(), heap.len());
         }
         // Drain both to the end; full pop sequences must be identical.
         loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(w, h);
-            if w.is_none() {
+            let (l, h) = (lanes.pop(), heap.pop());
+            prop_assert_eq!(l, h);
+            if l.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(wheel.scheduled_count(), heap.scheduled_count());
+        prop_assert_eq!(lanes.scheduled_count(), heap.scheduled_count());
         // Every schedule in the script was causal (delays are relative to
         // now), so neither queue may have counted a clamp.
-        prop_assert_eq!(wheel.clamp_count(), 0);
+        prop_assert_eq!(lanes.clamp_count(), 0);
         prop_assert_eq!(heap.clamp_count(), 0);
     }
+}
 
+proptest! {
     /// Equal-time FIFO ordering holds in *both* implementations: events
-    /// scheduled for the same instant pop in scheduling order, even when
-    /// the instants collide across wheel-level boundaries.
+    /// scheduled for the same instant pop in scheduling order, whether
+    /// they sit in the lane queue's heap, in a lane, or in both.
     #[test]
     fn fifo_among_equal_times_both_schedulers(
         groups in proptest::collection::vec((0u64..130, 1usize..10), 1..30),
     ) {
-        let mut wheel: WheelQueue<usize> = WheelQueue::new();
+        let mut lanes: LaneQueue<usize> = LaneQueue::new();
         let mut heap: HeapQueue<usize> = HeapQueue::new();
         let mut expected: Vec<(u64, usize)> = Vec::new();
         let mut n = 0usize;
         for (t, count) in &groups {
             for _ in 0..*count {
-                wheel.schedule(Time::from_ns(*t), n);
+                lanes.schedule(Time::from_ns(*t), n);
                 heap.schedule(Time::from_ns(*t), n);
                 expected.push((*t, n));
                 n += 1;
@@ -121,12 +149,12 @@ proptest! {
         }
         expected.sort_by_key(|&(t, seq)| (t, seq));
         for (want_t, want_id) in expected {
-            let (wt, wid) = wheel.pop().unwrap();
+            let (wt, wid) = lanes.pop().unwrap();
             let (ht, hid) = heap.pop().unwrap();
             prop_assert_eq!((wt.as_ns(), wid), (want_t, want_id));
             prop_assert_eq!((ht.as_ns(), hid), (want_t, want_id));
         }
-        prop_assert!(wheel.pop().is_none() && heap.pop().is_none());
+        prop_assert!(lanes.pop().is_none() && heap.pop().is_none());
     }
 
     /// Popped timestamps are nondecreasing for any schedule order.
