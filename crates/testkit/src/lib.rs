@@ -9,10 +9,11 @@
 //!   topology, workload, fault plan, the LBs under test, and seeds;
 //! * **run** — every `(scenario, lb, seed)` cell executed as its own
 //!   deterministic simulation, fanned out across threads;
-//! * **check** — five checker classes over the evidence: physical
+//! * **check** — six checker classes over the evidence: physical
 //!   invariants (packet conservation, monotonic time, FCT sanity,
-//!   unfinished-flow bounds), golden event-trace digests with a bless
-//!   flow, statistical FCT-ratio envelopes between LBs, ring-step
+//!   unfinished-flow bounds), golden event-trace digests and golden
+//!   flow-record hashes with a bless flow, statistical FCT-ratio
+//!   envelopes between LBs, ring-step
 //!   conservation for collective workloads, and the incast goodput
 //!   floor for burst workloads;
 //! * **selftest** — deliberately-broken fixtures proving each checker
@@ -32,8 +33,11 @@ pub mod spec;
 pub mod suite;
 pub mod toml;
 
-pub use check::{CheckClass, Failure};
+pub use check::{CheckClass, Failure, Goldens};
 pub use run::{run_grid, RunOutcome};
 pub use selftest::{run_self_test, self_test_passed};
 pub use spec::{load_dir, load_file, parse_scenario, ScenarioSpec, SpecError};
-pub use suite::{bless, load_goldens, run_conformance, ConformanceReport, DIGESTS_FILE};
+pub use suite::{
+    bless, load_goldens, run_conformance, BlessReport, ConformanceReport, DIGESTS_FILE,
+    RECORDS_FILE,
+};

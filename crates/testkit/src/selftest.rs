@@ -5,16 +5,17 @@
 //! --self-test` runs one broken fixture per checker class and demands
 //! a failure of exactly that class. Two of the fixtures break at the
 //! scenario level (a real sim run violating a declared bound, a wrong
-//! pinned golden); the rest tamper with a healthy run's evidence to
+//! pinned digest or flow-record golden); the rest tamper with a healthy
+//! run's evidence to
 //! reach checker branches a correct simulator can't trigger
 //! (conservation imbalance, impossible FCTs, a clamped past-time
 //! schedule, time reversal).
 
-use std::collections::BTreeMap;
+use hermes_workload::records_hash;
 
 use crate::check::{
     check_digests, check_envelopes, check_incast_floor, check_invariants, check_ring_steps,
-    CheckClass, Failure,
+    CheckClass, Failure, Goldens,
 };
 use crate::run::{run_grid, RunOutcome};
 use crate::spec::{parse_scenario, ScenarioSpec, SpecError};
@@ -112,17 +113,33 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
         failures: check_invariants(&spec, &outs[0]),
     });
 
-    // -- Digest: a pinned cell whose golden disagrees with the run.
+    // -- Digest: a pinned cell whose golden digest disagrees with the
+    // run while its records hold — the event stream alone moved.
     let (spec, outs) = fixture("pin_digests = true", "broken_golden")?;
     let refs: Vec<&RunOutcome> = outs.iter().collect();
-    let wrong: BTreeMap<String, u64> = [(
-        spec.digest_key(0, 1),
-        outs[0].result.digest ^ 0xffff_ffff_ffff_ffff,
-    )]
-    .into();
+    let key = spec.digest_key(0, 1);
+    let records = records_hash(&outs[0].result.records);
+    let wrong = Goldens {
+        digests: [(key.clone(), !outs[0].result.digest)].into(),
+        records: [(key.clone(), records)].into(),
+    };
     cases.push(SelfTestCase {
         name: "golden digest mismatch (stale pin)",
         expect: CheckClass::Digest,
+        failures: check_digests(&spec, &refs, &wrong),
+    });
+
+    // -- Records: the same cell against a records golden pinned one
+    // nanosecond off for the first flow's finish — the behaviour moved.
+    let mut moved = outs[0].result.records.clone();
+    moved[0].finish = moved[0].finish.map(|f| f + hermes_sim::Time::from_ns(1));
+    let wrong = Goldens {
+        digests: [(key.clone(), outs[0].result.digest)].into(),
+        records: [(key, records_hash(&moved))].into(),
+    };
+    cases.push(SelfTestCase {
+        name: "golden flow-record mismatch (a finish moved 1 ns)",
+        expect: CheckClass::Records,
         failures: check_digests(&spec, &refs, &wrong),
     });
 
@@ -231,6 +248,7 @@ mod tests {
         let classes: Vec<CheckClass> = cases.iter().map(|c| c.expect).collect();
         assert!(classes.contains(&CheckClass::Invariant));
         assert!(classes.contains(&CheckClass::Digest));
+        assert!(classes.contains(&CheckClass::Records));
         assert!(classes.contains(&CheckClass::Envelope));
         assert!(classes.contains(&CheckClass::RingStep));
         assert!(classes.contains(&CheckClass::IncastFloor));

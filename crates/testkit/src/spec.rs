@@ -747,8 +747,8 @@ pub fn load_file(path: &Path) -> Result<ScenarioSpec, SpecError> {
 }
 
 /// Load every `*.toml` scenario in a directory (non-recursive), sorted
-/// by file name for deterministic grid order. `digests.toml` is the
-/// golden store, not a scenario, and is skipped.
+/// by file name for deterministic grid order. `digests.toml` and
+/// `records.toml` are the golden stores, not scenarios, and are skipped.
 pub fn load_dir(dir: &Path) -> Result<Vec<ScenarioSpec>, SpecError> {
     let entries = std::fs::read_dir(dir).map_err(|e| SpecError {
         file: dir.display().to_string(),
@@ -759,7 +759,9 @@ pub fn load_dir(dir: &Path) -> Result<Vec<ScenarioSpec>, SpecError> {
         .map(|e| e.path())
         .filter(|p| {
             p.extension().is_some_and(|e| e == "toml")
-                && p.file_name().is_some_and(|n| n != "digests.toml")
+                && p.file_name().is_some_and(|n| {
+                    n != crate::suite::DIGESTS_FILE && n != crate::suite::RECORDS_FILE
+                })
         })
         .collect();
     paths.sort();

@@ -1,20 +1,41 @@
 //! Directory-level orchestration: load a scenario directory, run the
 //! full grid, apply every checker, and (for the bless flow) regenerate
-//! the golden-digest store.
+//! the golden stores.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+use hermes_workload::records_hash;
 
 use crate::check::{
     check_digests, check_envelopes, check_incast_floor, check_invariants, check_ring_steps,
-    format_digests, parse_digests, Failure,
+    format_store, parse_store, Failure, Goldens,
 };
 use crate::run::{run_grid, RunOutcome};
 use crate::spec::{load_dir, ScenarioSpec, SpecError};
 
-/// The golden store lives next to the scenarios it pins.
+/// The event-trace digest store lives next to the scenarios it pins.
 pub const DIGESTS_FILE: &str = "digests.toml";
+/// The flow-record hash store lives beside it.
+pub const RECORDS_FILE: &str = "records.toml";
+
+/// `(file, table, header)` of each golden store.
+const DIGESTS_STORE: (&str, &str, &str) = (
+    DIGESTS_FILE,
+    "digests",
+    "# Golden event-trace digests for pinned (scenario, lb, seed) cells.\n\
+     # Regenerate with `cargo run -p xtask -- bless` after intended\n\
+     # behavior changes; see DESIGN.md section 10.\n\n[digests]\n",
+);
+const RECORDS_STORE: (&str, &str, &str) = (
+    RECORDS_FILE,
+    "records",
+    "# Golden flow-record hashes (hermes_workload::records_hash) for pinned\n\
+     # (scenario, lb, seed) cells. `digests.toml` may move while this file\n\
+     # holds; this file moves only with a behaviour change. Regenerate with\n\
+     # `cargo run -p xtask -- bless`; see DESIGN.md section 10.\n\n[records]\n",
+);
 
 /// The outcome of one conformance pass over a scenario directory.
 pub struct ConformanceReport {
@@ -66,27 +87,47 @@ impl fmt::Display for ConformanceReport {
     }
 }
 
-/// Load the goldens that sit next to a scenario directory's specs.
-/// A missing file is an empty store (pinned scenarios will then fail
-/// with a pointer to the bless flow).
-pub fn load_goldens(dir: &Path) -> Result<BTreeMap<String, u64>, SpecError> {
-    let path = dir.join(DIGESTS_FILE);
-    if !path.exists() {
-        return Ok(BTreeMap::new());
-    }
-    let src = std::fs::read_to_string(&path).map_err(|e| SpecError {
-        file: path.display().to_string(),
-        msg: format!("read failed: {e}"),
-    })?;
-    parse_digests(&src).map_err(|msg| SpecError {
-        file: path.display().to_string(),
-        msg,
+/// Load the golden stores that sit next to a scenario directory's
+/// specs. A missing file is an empty store (pinned scenarios will then
+/// fail with a pointer to the bless flow).
+pub fn load_goldens(dir: &Path) -> Result<Goldens, SpecError> {
+    Ok(Goldens {
+        digests: load_store(dir, DIGESTS_STORE)?,
+        records: load_store(dir, RECORDS_STORE)?,
     })
 }
 
-/// Run every scenario in `dir` across its grid and apply all five
-/// checker classes (the workload-specific ones are no-ops on other
-/// kinds). `threads = 0` uses every available core.
+fn load_store(
+    dir: &Path,
+    (file, table, _): (&str, &str, &str),
+) -> Result<BTreeMap<String, u64>, SpecError> {
+    let path = dir.join(file);
+    if !path.exists() {
+        return Ok(BTreeMap::new());
+    }
+    let err = |msg| SpecError {
+        file: path.display().to_string(),
+        msg,
+    };
+    let src = std::fs::read_to_string(&path).map_err(|e| err(format!("read failed: {e}")))?;
+    parse_store(&src, table).map_err(err)
+}
+
+fn write_store(
+    dir: &Path,
+    (file, _, header): (&str, &str, &str),
+    store: &BTreeMap<String, u64>,
+) -> Result<(), SpecError> {
+    let path = dir.join(file);
+    std::fs::write(&path, format_store(header, store)).map_err(|e| SpecError {
+        file: path.display().to_string(),
+        msg: format!("write failed: {e}"),
+    })
+}
+
+/// Run every scenario in `dir` across its grid and apply every checker
+/// class (the workload-specific ones are no-ops on other kinds).
+/// `threads = 0` uses every available core.
 pub fn run_conformance(dir: &Path, threads: usize) -> Result<ConformanceReport, SpecError> {
     let scenarios = load_dir(dir)?;
     if scenarios.is_empty() {
@@ -115,30 +156,48 @@ pub fn run_conformance(dir: &Path, threads: usize) -> Result<ConformanceReport, 
     })
 }
 
-/// Re-run every pinned cell in `dir` and rewrite its golden store
-/// wholesale. Returns the number of pinned cells and the store path.
-pub fn bless(dir: &Path, threads: usize) -> Result<(usize, PathBuf), SpecError> {
+/// What [`bless`] rewrote: the pinned cells, and how many of them moved
+/// in each store against the stores it replaced (a cell new to a store
+/// counts as moved).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BlessReport {
+    pub cells: usize,
+    pub digests_moved: usize,
+    pub records_moved: usize,
+}
+
+/// Re-run every pinned cell in `dir` and rewrite both golden stores
+/// wholesale.
+pub fn bless(dir: &Path, threads: usize) -> Result<BlessReport, SpecError> {
     let scenarios = load_dir(dir)?;
+    let old = load_goldens(dir)?;
     let outcomes = run_grid(&scenarios, threads);
-    let mut goldens = BTreeMap::new();
+    let mut new = Goldens::default();
     for out in &outcomes {
         let spec = &scenarios[out.scenario];
         if spec.pin_digests {
-            goldens.insert(spec.digest_key(out.lb_idx, out.seed), out.result.digest);
+            let key = spec.digest_key(out.lb_idx, out.seed);
+            new.digests.insert(key.clone(), out.result.digest);
+            new.records.insert(key, records_hash(&out.result.records));
         }
     }
-    let path = dir.join(DIGESTS_FILE);
-    std::fs::write(&path, format_digests(&goldens)).map_err(|e| SpecError {
-        file: path.display().to_string(),
-        msg: format!("write failed: {e}"),
-    })?;
-    Ok((goldens.len(), path))
+    write_store(dir, DIGESTS_STORE, &new.digests)?;
+    write_store(dir, RECORDS_STORE, &new.records)?;
+    let moved = |new: &BTreeMap<String, u64>, old: &BTreeMap<String, u64>| {
+        new.iter().filter(|&(k, v)| old.get(k) != Some(v)).count()
+    };
+    Ok(BlessReport {
+        cells: new.digests.len(),
+        digests_moved: moved(&new.digests, &old.digests),
+        records_moved: moved(&new.records, &old.records),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fs;
+    use std::path::PathBuf;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hermes-testkit-{tag}-{}", std::process::id()));
@@ -178,11 +237,21 @@ mod tests {
         assert!(!report.passed());
         assert!(report.failures.iter().all(|f| f.detail.contains("bless")));
         // Bless, then the same grid passes.
-        let (n, path) = bless(&dir, 2).expect("blesses");
-        assert_eq!(n, 2);
-        assert!(path.ends_with(DIGESTS_FILE));
+        let blessed = bless(&dir, 2).expect("blesses");
+        assert_eq!(
+            blessed,
+            BlessReport {
+                cells: 2,
+                digests_moved: 2,
+                records_moved: 2
+            }
+        );
+        assert!(dir.join(DIGESTS_FILE).exists() && dir.join(RECORDS_FILE).exists());
         let report = run_conformance(&dir, 2).expect("runs");
         assert!(report.passed(), "{report}");
+        // Re-blessing an unchanged tree moves nothing.
+        let again = bless(&dir, 2).expect("blesses");
+        assert_eq!((again.digests_moved, again.records_moved), (0, 0));
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -7,7 +7,8 @@
 //!   random hosts under different leaves at a configured offered load.
 //! * [`FlowRecord`] / [`summarize`] — FCT bookkeeping with the paper's
 //!   size bands (<100 KB small, >10 MB large) and unfinished-flow
-//!   accounting for the failure experiments.
+//!   accounting for the failure experiments; [`records_hash`]
+//!   fingerprints a run's records for the conformance goldens.
 //! * [`VisibilityTracker`] — Table 2's concurrent-flows-per-path
 //!   visibility metric for switch pairs vs. host pairs.
 //! * [`IncastGen`] — the partition–aggregate microburst pattern (§6's
@@ -36,6 +37,8 @@ pub use dist::FlowSizeDist;
 pub use driver::{FlowClass, FlowDriver, IncastCfg, MixCfg, RingCfg, WorkloadKind};
 pub use flowgen::{FlowGen, FlowSpec};
 pub use incast::{query_completion, IncastDriver, IncastGen, Query};
-pub use metrics::{summarize, FctSummary, FlowRecord, LARGE_FLOW_BYTES, SMALL_FLOW_BYTES};
+pub use metrics::{
+    records_hash, summarize, FctSummary, FlowRecord, LARGE_FLOW_BYTES, SMALL_FLOW_BYTES,
+};
 pub use mix::ElephantMiceGen;
 pub use visibility::VisibilityTracker;

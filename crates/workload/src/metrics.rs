@@ -3,7 +3,7 @@
 //! 99th percentile, large flows (> 10 MB) average, plus the
 //! unfinished-flow fraction that drives the Fig. 17 blackhole numbers.
 
-use hermes_net::{FlowId, HostId};
+use hermes_net::{FlowId, FnvDigest, HostId};
 use hermes_sim::Time;
 
 /// Small-flow band upper bound (paper: "<100KB").
@@ -34,6 +34,23 @@ impl FlowRecord {
             None => horizon.saturating_sub(self.start),
         }
     }
+}
+
+/// Fingerprint of a run's flow records: equal exactly when two runs
+/// released the same flows and finished each at the same instant. Unlike
+/// the event-trace digest it does not see the order of same-instant
+/// events, so it pins what a run *did*, not how the queue got there.
+pub fn records_hash(records: &[FlowRecord]) -> u64 {
+    let mut d = FnvDigest::new();
+    for r in records {
+        d.push(r.id.0);
+        d.push(u64::from(r.src.0));
+        d.push(u64::from(r.dst.0));
+        d.push(r.size);
+        d.push(r.start.as_ns());
+        d.push(r.finish.map_or(u64::MAX, Time::as_ns));
+    }
+    d.value()
 }
 
 /// Summary statistics over a set of flow records.
@@ -179,6 +196,23 @@ mod tests {
         assert_eq!(s.n, 0);
         assert_eq!(s.avg, 0.0);
         assert_eq!(s.unfinished_frac(), 0.0);
+    }
+
+    #[test]
+    fn records_hash_sees_every_field_and_the_order() {
+        let base = vec![rec(50_000, 0, Some(100)), rec(60_000, 10, None)];
+        let h = records_hash(&base);
+        assert_eq!(h, records_hash(&base.clone()));
+        let mut later = base.clone();
+        later[0].finish = Some(Time::from_us(101));
+        let mut finished = base.clone();
+        finished[1].finish = Some(Time::from_us(500));
+        let mut resized = base.clone();
+        resized[1].size += 1;
+        let swapped = vec![base[1], base[0]];
+        for other in [later, finished, resized, swapped] {
+            assert_ne!(records_hash(&other), h);
+        }
     }
 
     #[test]

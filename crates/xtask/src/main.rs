@@ -15,8 +15,9 @@
 //!   scenario conformance grid (`tests/scenarios/` plus the extended
 //!   directory) through `hermes-testkit`, or prove each checker class
 //!   fails on its deliberately-broken fixture;
-//! * `cargo run -p xtask -- bless` — regenerate the golden event-trace
-//!   digest stores after an intended behavior change;
+//! * `cargo run -p xtask -- bless` — regenerate the golden stores (event-
+//!   trace digests and flow-record hashes) after an intended change, and
+//!   report how many cells moved in each;
 //! * `cargo run -p xtask -- trace <point> --out <dir>` — rebuild
 //!   `hermes-bench` with the `telemetry` feature and capture one named
 //!   point's event trace and cadence-sampled metrics (DESIGN.md §12);
@@ -251,8 +252,10 @@ fn conformance_self_test() -> ExitCode {
     }
 }
 
-/// Regenerate the golden digest stores for every scenario directory
-/// that pins digests.
+/// Regenerate the golden stores (`digests.toml`, `records.toml`) for
+/// every scenario directory that pins digests, and say how many cells
+/// moved in each: a digest that moves while its records hold is an
+/// event-order change, a moved record is a behaviour change.
 fn bless_goldens() -> ExitCode {
     for dir in scenario_dirs() {
         let specs = match hermes_testkit::load_dir(&dir) {
@@ -267,7 +270,16 @@ fn bless_goldens() -> ExitCode {
             continue;
         }
         match hermes_testkit::bless(&dir, 0) {
-            Ok((n, path)) => println!("bless: wrote {n} golden digest(s) to {}", path.display()),
+            Ok(r) => println!(
+                "bless: wrote {} pinned cell(s) to {}/{{{},{}}}: {} digest(s) moved, \
+                 {} record hash(es) moved",
+                r.cells,
+                dir.display(),
+                hermes_testkit::DIGESTS_FILE,
+                hermes_testkit::RECORDS_FILE,
+                r.digests_moved,
+                r.records_moved
+            ),
             Err(e) => {
                 eprintln!("xtask bless: {e}");
                 return ExitCode::FAILURE;

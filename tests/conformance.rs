@@ -2,9 +2,10 @@
 //! (symmetric, asymmetric, blackhole, random-drop, plus the
 //! workload-diversity regimes — ring-allreduce collective, incast
 //! burst, elephant/mice mix — × hermes/conga/ecmp × 3 seeds), run in
-//! parallel and held to all five checker classes — physical
-//! invariants, golden event-trace digests, the paper's FCT-ratio
-//! envelopes, ring-step conservation, and the incast goodput floor.
+//! parallel and held to all six checker classes — physical
+//! invariants, golden event-trace digests, golden flow-record hashes,
+//! the paper's FCT-ratio envelopes, ring-step conservation, and the
+//! incast goodput floor.
 //! The extended grid (8×8 fabric, wider LB field) runs via `cargo run
 //! -p xtask -- conformance`; goldens regenerate via `cargo run -p
 //! xtask -- bless`. See DESIGN.md §10 and §15.
@@ -93,6 +94,7 @@ fn checker_self_test_trips_every_class() {
     for class in [
         CheckClass::Invariant,
         CheckClass::Digest,
+        CheckClass::Records,
         CheckClass::Envelope,
         CheckClass::RingStep,
         CheckClass::IncastFloor,

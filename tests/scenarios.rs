@@ -227,10 +227,10 @@ fn full_pipeline_determinism() {
     assert_eq!(go(), go());
 }
 
-/// The name table and the golden store agree: every `Scheme::NAMES`
-/// entry resolves, and the LB segment of every pinned
-/// `scenario/lb/seed` key is one of them — renaming a scheme cannot
-/// silently orphan a golden.
+/// The name table and the golden stores agree: every `Scheme::NAMES`
+/// entry resolves, both stores pin the same cells, and the LB segment
+/// of every pinned `scenario/lb/seed` key is one of them — renaming a
+/// scheme cannot silently orphan a golden.
 #[test]
 fn scheme_names_resolve_and_cover_every_golden_key() {
     let topo = Topology::testbed();
@@ -239,9 +239,17 @@ fn scheme_names_resolve_and_cover_every_golden_key() {
     }
     assert!(Scheme::by_name("wecmp", &topo).is_none());
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios");
-    let goldens = hermes_testkit::load_goldens(&dir).expect("committed digests.toml");
-    assert!(!goldens.is_empty(), "a missing store loads as empty");
-    for key in goldens.keys() {
+    let goldens = hermes_testkit::load_goldens(&dir).expect("committed golden stores");
+    assert!(
+        !goldens.digests.is_empty(),
+        "a missing store loads as empty"
+    );
+    assert_eq!(
+        goldens.digests.keys().collect::<Vec<_>>(),
+        goldens.records.keys().collect::<Vec<_>>(),
+        "digests.toml and records.toml pin different cells"
+    );
+    for key in goldens.digests.keys() {
         let lb = key.split('/').nth(1).expect("scenario/lb/seed");
         assert!(Scheme::NAMES.contains(&lb), "{key}: `{lb}` is not in NAMES");
     }

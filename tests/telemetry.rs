@@ -300,6 +300,7 @@ fn telemetry_on_preserves_conformance_digests() {
             let det = hermes_bench::run_point(&spec.materialize(hermes_idx, seed));
             let key = spec.digest_key(hermes_idx, seed);
             let want = *goldens
+                .digests
                 .get(&key)
                 .unwrap_or_else(|| panic!("golden digest for {key}"));
             assert_eq!(
