@@ -19,6 +19,7 @@
 mod config;
 pub mod selfcheck;
 mod sim;
+mod timer;
 
 pub use config::{presto_weights_for, Scheme, SimConfig, DEFAULT_REORDER_HOLD};
 pub use selfcheck::{assert_deterministic, fingerprint, RunFingerprint};

@@ -33,6 +33,11 @@ pub struct RunFingerprint {
     /// recurring-delay lane. No digest sees this routing; a run whose
     /// share of it grows has lost the queue's fast path.
     pub queue_fallback: u64,
+    /// Events still queued when the run stopped. Bounded by the live
+    /// flows' timers, the packets in flight and the recurring ticks; a
+    /// run that leaves one event per superseded timer re-arm behind
+    /// grows it with load, not with flows.
+    pub pending_events: usize,
 }
 
 /// Run `sim` to completion (bounded by `horizon`) and fingerprint it.
@@ -46,6 +51,7 @@ pub fn fingerprint(mut sim: Simulation, horizon: Time) -> RunFingerprint {
         conservation: sim.conservation(),
         queue_clamps: sim.queue_clamps(),
         queue_fallback: sim.queue_fallback_count(),
+        pending_events: sim.pending_events(),
     }
 }
 

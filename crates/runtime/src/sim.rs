@@ -20,6 +20,7 @@ use hermes_transport::{Receiver, RecvAction, SegmentIn, SendAction, Sender};
 use hermes_workload::{FlowDriver, FlowRecord, FlowSpec, VisibilityTracker};
 
 use crate::config::{presto_weights_for, Scheme, SimConfig};
+use crate::timer::{LazyTimer, Popped, GEN_MASK};
 
 // ---- timer token packing: kind(3) | id(ID_BITS) | gen(21) ----
 const ID_BITS: u32 = 40;
@@ -31,7 +32,6 @@ const TOK_PROBE: u64 = 3;
 const KIND_SAMPLER: u64 = 4;
 const KIND_UDP: u64 = 5;
 const KIND_FAULT: u64 = 6;
-const GEN_MASK: u64 = (1 << 21) - 1;
 
 /// Largest TCP flow id [`Simulation::add_flow`] accepts: a timer token
 /// has room for `ID_BITS` of id, and a wider id would alias another
@@ -100,7 +100,8 @@ struct FlowRt {
     timed_out: bool,
     bytes_routed: u64,
     pkts_routed: u64,
-    rto_gen: u64,
+    /// The sender's RTO: at most one event queued (see [`LazyTimer`]).
+    rto: LazyTimer,
     hold_gen: u64,
     rate: Dre,
     rec_idx: usize,
@@ -499,6 +500,13 @@ impl Simulation {
         self.q.fallback_count()
     }
 
+    /// Events scheduled and not yet dispatched. After a run this is
+    /// about one RTO per live flow plus in-flight packets and recurring
+    /// ticks: superseded RTO re-arms never wait in the queue.
+    pub fn pending_events(&self) -> usize {
+        self.q.len()
+    }
+
     /// `TxDone` boundaries handled inline within back-to-back packet
     /// trains instead of as scheduled events. Counted in
     /// [`SimStats::events`] like any dispatched event.
@@ -723,7 +731,7 @@ impl Simulation {
             timed_out: false,
             bytes_routed: 0,
             pkts_routed: 0,
-            rto_gen: 0,
+            rto: LazyTimer::new(),
             hold_gen: 0,
             rate: Dre::default_horizon(),
             rec_idx,
@@ -850,19 +858,20 @@ impl Simulation {
                 }
                 SendAction::ArmRto { deadline } => {
                     if let Some(f) = self.flows.get_mut(&fid) {
-                        f.rto_gen += 1;
-                        self.q.schedule(
-                            deadline.max(now),
-                            Event::HostTimer {
-                                host: f.src,
-                                token: pack(KIND_RTO, fid, f.rto_gen),
-                            },
-                        );
+                        if let Some((at, gen)) = f.rto.arm(deadline, now) {
+                            self.q.schedule(
+                                at,
+                                Event::HostTimer {
+                                    host: f.src,
+                                    token: pack(KIND_RTO, fid, gen),
+                                },
+                            );
+                        }
                     }
                 }
                 SendAction::DisarmRto => {
                     if let Some(f) = self.flows.get_mut(&fid) {
-                        f.rto_gen += 1;
+                        f.rto.disarm();
                     }
                 }
                 SendAction::FullyAcked => {
@@ -975,8 +984,17 @@ impl Simulation {
                 let Some(f) = self.flows.get_mut(&fid) else {
                     return;
                 };
-                if (f.rto_gen & GEN_MASK) != gen || f.sender_done {
+                if f.sender_done {
                     return; // stale timer
+                }
+                match f.rto.pop(gen, now) {
+                    Popped::Stale => return,
+                    Popped::Resched(at) => {
+                        let host = f.src;
+                        self.q.schedule(at, Event::HostTimer { host, token });
+                        return;
+                    }
+                    Popped::Fire => {}
                 }
                 f.timed_out = true;
                 if f.current_path.is_spine() {

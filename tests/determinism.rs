@@ -73,6 +73,16 @@ fn quickstart_fct_vectors_identical_across_same_seed_runs() {
             fp.queue_fallback,
             fp.events
         );
+        // Every flow's RTO keeps at most one event queued, and at
+        // completion the queue holds little else: at most one event per
+        // flow plus the probe tick. Superseded RTO re-arms left queued
+        // would number in the thousands here.
+        assert!(
+            fp.pending_events <= fp.fcts.len() + 1,
+            "{} events still queued after an {}-flow run",
+            fp.pending_events,
+            fp.fcts.len()
+        );
     }
 }
 
