@@ -123,13 +123,13 @@ pub const BAD_FIXTURES: &[BadFixture] = &[
     },
     BadFixture {
         rule: "concurrency-readiness",
-        path: "crates/testkit/src/fixture.rs",
-        src: "use std::sync::Mutex;\npub struct S { m: Mutex<u32> }\n",
+        path: "crates/core/src/fixture.rs",
+        src: "use std::sync::atomic::AtomicUsize;\n",
     },
     BadFixture {
         rule: "concurrency-readiness",
-        path: "crates/core/src/fixture.rs",
-        src: "use std::sync::atomic::AtomicUsize;\n",
+        path: "crates/testkit/src/run.rs",
+        src: "use std::sync::Mutex;\npub struct Pool { q: Mutex<Vec<u32>> }\n",
     },
     // ---- telemetry-hygiene ------------------------------------------
     BadFixture {
@@ -237,11 +237,6 @@ pub const CLEAN_FIXTURES: &[CleanFixture] = &[
         name: "unsafe inside #[cfg(test)] is out of scope",
         path: "crates/net/src/fixture.rs",
         src: "#[cfg(test)]\nmod t {\n    fn f(p: *const u8) -> u8 { unsafe { *p } }\n}\n",
-    },
-    CleanFixture {
-        name: "Mutex in testkit's scoped pool file",
-        path: "crates/testkit/src/run.rs",
-        src: "use std::sync::Mutex;\npub struct Pool { q: Mutex<Vec<u32>> }\n",
     },
     CleanFixture {
         name: "Mutex in bench (not a sim-facing crate)",

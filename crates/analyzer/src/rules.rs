@@ -104,9 +104,10 @@ pub const RULE_WHY: &[(&str, &str)] = &[
     ),
     (
         "concurrency-readiness",
-        "sim-facing crates stay single-thread-deterministic; threads, locks, atomics and \
-         `static mut` belong only in testkit's scoped pool of independent whole runs \
-         (DESIGN.md §17 records why no in-run parallel engine ships)",
+        "sim-facing crates and testkit stay single-thread-deterministic; threads, locks, \
+         atomics and `static mut` belong only in hermes-bench's `run_points`, the one pool, \
+         which runs independent whole runs (DESIGN.md §17 records why no in-run parallel \
+         engine ships)",
     ),
     (
         "telemetry-hygiene",
@@ -173,11 +174,6 @@ pub const FLOAT_ALLOW: &[(&str, &str)] = &[
 /// Hot-path files outside `crates/sim` that panic-surface also covers.
 const PANIC_HOT_FILES: &[&str] = &["crates/net/src/port.rs", "crates/net/src/pool.rs"];
 
-/// Files allowed to use threads/locks/atomics: only testkit's scoped
-/// worker pool, which parallelizes *independent whole runs*, never the
-/// inside of one simulation.
-const CONCURRENCY_ALLOW_FILES: &[&str] = &["crates/testkit/src/run.rs"];
-
 /// Identifiers that read as keywords before `[` (array literals /
 /// types, not indexing).
 const NONINDEX_KEYWORDS: &[&str] = &[
@@ -202,9 +198,7 @@ fn panic_scope(c: &FileClass) -> bool {
 }
 
 fn concurrency_scope(c: &FileClass) -> bool {
-    (c.is_sim_crate() || c.krate == "testkit")
-        && c.kind == Kind::Lib
-        && !CONCURRENCY_ALLOW_FILES.contains(&c.rel.as_str())
+    (c.is_sim_crate() || c.krate == "testkit") && c.kind == Kind::Lib
 }
 
 fn telemetry_scope(c: &FileClass) -> bool {
@@ -835,12 +829,15 @@ mod tests {
                 "should fire on: {src}"
             );
         }
-        // testkit's pool file is the one sanctioned exception; the
+        // All of testkit is in scope, its grid runner included; the
         // digest and run-loop files are engine code like any other;
-        // bench is out of scope entirely.
+        // bench, home of the one pool, is out of scope entirely.
         let src = "use std::sync::Mutex;\n";
-        assert!(scan_at("crates/testkit/src/run.rs", src).is_empty());
-        for file in ["crates/net/src/audit.rs", "crates/runtime/src/sim.rs"] {
+        for file in [
+            "crates/testkit/src/run.rs",
+            "crates/net/src/audit.rs",
+            "crates/runtime/src/sim.rs",
+        ] {
             for src in [
                 "pub fn f() { let _h = std::thread::spawn(|| {}); }\n",
                 "use std::sync::Mutex;\n",

@@ -8,7 +8,7 @@
 //! topology-dependent weights — falls off a cliff past 60% load from
 //! congestion mismatch.
 
-use hermes_bench::GridSpec;
+use hermes_bench::{GridSpec, PointCfg};
 use hermes_core::HermesParams;
 use hermes_lb::CloveCfg;
 use hermes_net::{LeafId, SpineId, Topology};
@@ -33,17 +33,16 @@ fn main() {
     ] {
         let mut g = GridSpec::new(
             "Figure 10/11: testbed asymmetric (one uplink cut)",
-            topo.clone(),
-            dist,
+            PointCfg::new(topo.clone(), Scheme::Ecmp, dist, 0.0)
+                .flows(base)
+                .capacity(healthy)
+                .drain(Time::from_secs(drain_s)),
         )
         .scheme("ecmp", Scheme::Ecmp)
         .scheme("clove-ecn", Scheme::Clove(clove))
         .scheme("presto*-weighted", Scheme::presto_weighted())
         .scheme("hermes", Scheme::Hermes(HermesParams::paper_testbed(&topo)))
-        .loads(&loads)
-        .flows(base)
-        .capacity(healthy)
-        .drain(Time::from_secs(drain_s));
+        .loads(&loads);
         if normalize {
             // Fig. 11 normalizes the web-search breakdown to Hermes.
             g = g.normalize_to("hermes");

@@ -6,7 +6,7 @@
 //! than ECMP at high load and up to 4% *better* than CONGA (its timely
 //! rerouting resolves large-flow collisions that never form flowlets).
 
-use hermes_bench::GridSpec;
+use hermes_bench::{GridSpec, PointCfg};
 use hermes_core::HermesParams;
 use hermes_lb::{CloveCfg, CongaCfg};
 use hermes_net::Topology;
@@ -22,8 +22,9 @@ fn main() {
     ] {
         GridSpec::new(
             "Figure 12: 8x8 baseline (symmetric) — overall avg FCT",
-            topo.clone(),
-            dist,
+            PointCfg::new(topo.clone(), Scheme::Ecmp, dist, 0.0)
+                .flows(base)
+                .drain(Time::from_secs(drain_s)),
         )
         .scheme("ecmp", Scheme::Ecmp)
         .scheme(
@@ -37,8 +38,6 @@ fn main() {
         .scheme("conga", Scheme::Conga(CongaCfg::default()))
         .scheme("hermes", Scheme::Hermes(HermesParams::from_topology(&topo)))
         .loads(&[0.5, 0.8])
-        .flows(base)
-        .drain(Time::from_secs(drain_s))
         .run();
     }
     println!("(paper: web-search — Hermes ≤55% over ECMP, within 17% of CONGA;");

@@ -8,7 +8,7 @@
 //! (1.5–3.3× vs Hermes at 90%) because small flows get fragmented onto
 //! several paths and eat the reordering + congestion mismatch.
 
-use hermes_bench::{asym_topology, baseline_capacity, GridSpec};
+use hermes_bench::{asym_topology, baseline_capacity, GridSpec, PointCfg};
 use hermes_core::HermesParams;
 use hermes_lb::{CloveCfg, CongaCfg};
 use hermes_runtime::Scheme;
@@ -19,8 +19,9 @@ fn main() {
     let topo = asym_topology();
     GridSpec::new(
         "Figure 13: 8x8 asymmetric — web-search (normalized to Hermes)",
-        topo.clone(),
-        FlowSizeDist::web_search(),
+        PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::web_search(), 0.0)
+            .flows(2000)
+            .capacity(baseline_capacity()),
     )
     .scheme("hermes", Scheme::Hermes(HermesParams::from_topology(&topo)))
     .scheme("conga", Scheme::Conga(CongaCfg::default()))
@@ -33,8 +34,6 @@ fn main() {
     .scheme("clove-ecn", Scheme::Clove(CloveCfg::default()))
     .scheme("presto*-weighted", Scheme::presto_weighted())
     .loads(&[0.5, 0.8])
-    .flows(2000)
-    .capacity(baseline_capacity())
     .normalize_to("hermes")
     .run();
     println!("(paper: CONGA ~10% ahead overall; flowlet schemes' small-flow avg and");

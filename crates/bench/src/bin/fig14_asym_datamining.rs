@@ -6,7 +6,7 @@
 //! CLOVE-ECN / LetFlow by 13–20% — the data-mining workload is too
 //! smooth to produce the flowlet gaps those schemes depend on.
 
-use hermes_bench::{asym_topology, baseline_capacity, GridSpec};
+use hermes_bench::{asym_topology, baseline_capacity, GridSpec, PointCfg};
 use hermes_core::HermesParams;
 use hermes_lb::{CloveCfg, CongaCfg};
 use hermes_runtime::Scheme;
@@ -17,8 +17,10 @@ fn main() {
     let topo = asym_topology();
     GridSpec::new(
         "Figure 14: 8x8 asymmetric — data-mining (normalized to Hermes)",
-        topo.clone(),
-        FlowSizeDist::data_mining(),
+        PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::data_mining(), 0.0)
+            .flows(400)
+            .capacity(baseline_capacity())
+            .drain(hermes_sim::Time::from_secs(8)),
     )
     .scheme("hermes", Scheme::Hermes(HermesParams::from_topology(&topo)))
     .scheme("conga", Scheme::Conga(CongaCfg::default()))
@@ -31,10 +33,7 @@ fn main() {
     .scheme("clove-ecn", Scheme::Clove(CloveCfg::default()))
     .scheme("presto*-weighted", Scheme::presto_weighted())
     .loads(&[0.5, 0.8])
-    .flows(400)
-    .capacity(baseline_capacity())
     .normalize_to("hermes")
-    .drain(hermes_sim::Time::from_secs(8))
     .run();
     println!("(paper: Hermes 5-10% ahead of CONGA and 13-20% ahead of CLOVE-ECN and");
     println!(" LetFlow — stable traffic starves flowlet schemes of reroute chances)");

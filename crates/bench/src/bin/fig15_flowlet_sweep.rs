@@ -8,7 +8,7 @@
 //! flips paths vigorously — reordering alone does not explain the loss,
 //! because reordering is masked here.
 
-use hermes_bench::{asym_topology, baseline_capacity, GridSpec};
+use hermes_bench::{asym_topology, baseline_capacity, GridSpec, PointCfg};
 use hermes_lb::CongaCfg;
 use hermes_runtime::Scheme;
 use hermes_sim::Time;
@@ -18,15 +18,14 @@ fn main() {
     let topo = asym_topology();
     let mut spec = GridSpec::new(
         "Figure 15: CONGA flowlet-timeout sweep (web-search, 80% load, reordering masked)",
-        topo,
-        FlowSizeDist::web_search(),
+        PointCfg::new(topo, Scheme::Ecmp, FlowSizeDist::web_search(), 0.0)
+            .flows(2000)
+            .capacity(baseline_capacity())
+            // Mask reordering for every variant so only congestion
+            // mismatch differentiates them (the paper's methodology).
+            .reorder_mask(Some(Time::from_us(300))),
     )
-    .loads(&[0.8])
-    .flows(2000)
-    .capacity(baseline_capacity())
-    // Mask reordering for every variant so only congestion mismatch
-    // differentiates them (the paper's methodology).
-    .reorder_mask(Some(Time::from_us(300)));
+    .loads(&[0.8]);
     for timeout_us in [500u64, 150, 50] {
         let cfg = CongaCfg {
             flowlet_timeout: Time::from_us(timeout_us),

@@ -11,7 +11,7 @@
 //! LetFlow partially escapes (drops create flowlet gaps) but still
 //! trails Hermes ~1.5×.
 
-use hermes_bench::GridSpec;
+use hermes_bench::{GridSpec, PointCfg};
 use hermes_core::HermesParams;
 use hermes_lb::{CloveCfg, CongaCfg};
 use hermes_net::{SpineFailure, SpineId, Topology};
@@ -23,8 +23,9 @@ fn main() {
     let topo = Topology::sim_baseline();
     GridSpec::new(
         "Figure 16: silent random drops (2% at one spine) — web-search",
-        topo.clone(),
-        FlowSizeDist::web_search(),
+        PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::web_search(), 0.0)
+            .flows(1200)
+            .failure(SpineId(3), SpineFailure::random_drops(0.02)),
     )
     .scheme("ecmp", Scheme::Ecmp)
     .scheme("presto*", Scheme::presto())
@@ -38,8 +39,6 @@ fn main() {
     .scheme("conga", Scheme::Conga(CongaCfg::default()))
     .scheme("hermes", Scheme::Hermes(HermesParams::from_topology(&topo)))
     .loads(&[0.3, 0.5, 0.7])
-    .flows(1200)
-    .failure(SpineId(3), SpineFailure::random_drops(0.02))
     .normalize_to("hermes")
     .run();
     println!("(paper: Hermes >32% ahead of every other scheme; ECMP 1.7-2.3x worse;");

@@ -10,7 +10,7 @@
 //! flow has path diversity per packet) but all affected flows crawl.
 //! LetFlow is second best yet still >1.6× behind.
 
-use hermes_bench::GridSpec;
+use hermes_bench::{GridSpec, PointCfg};
 use hermes_core::HermesParams;
 use hermes_lb::{CloveCfg, CongaCfg};
 use hermes_net::{LeafId, SpineFailure, SpineId, Topology};
@@ -26,8 +26,10 @@ fn main() {
     let hole = SpineFailure::blackhole(LeafId(0), LeafId(7), 0.5);
     GridSpec::new(
         "Figure 17: packet blackhole (half of rack1→rack8 pairs) — web-search",
-        topo.clone(),
-        FlowSizeDist::web_search(),
+        PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::web_search(), 0.0)
+            .flows(1200)
+            .failure(SpineId(5), hole)
+            .drain(Time::from_secs(2)),
     )
     .scheme("ecmp", Scheme::Ecmp)
     .scheme("presto*", Scheme::presto())
@@ -41,9 +43,6 @@ fn main() {
     .scheme("conga", Scheme::Conga(CongaCfg::default()))
     .scheme("hermes", Scheme::Hermes(HermesParams::from_topology(&topo)))
     .loads(&[0.3, 0.5, 0.7])
-    .flows(1200)
-    .failure(SpineId(5), hole)
-    .drain(Time::from_secs(2))
     .normalize_to("hermes")
     .run();
     println!("(paper: Hermes detects the hole after 3 timeouts → zero unfinished");

@@ -6,7 +6,7 @@
 //! overall average FCT; a 500 µs probe interval captures most of the
 //! probing benefit (~11–15%) and 100 µs adds only another 1–3%.
 
-use hermes_bench::{asym_topology, baseline_capacity, GridSpec};
+use hermes_bench::{asym_topology, baseline_capacity, GridSpec, PointCfg};
 use hermes_core::HermesParams;
 use hermes_runtime::Scheme;
 use hermes_sim::Time;
@@ -24,20 +24,20 @@ fn main() {
     let mut neither = base;
     neither.enable_probing = false;
     neither.enable_reroute = false;
+    let template = PointCfg::new(topo, Scheme::Ecmp, FlowSizeDist::data_mining(), 0.0)
+        .flows(400)
+        .capacity(baseline_capacity())
+        .drain(Time::from_secs(8));
     GridSpec::new(
         "Figure 18a: Hermes ablation (data-mining, asymmetric)",
-        topo.clone(),
-        FlowSizeDist::data_mining(),
+        template.clone(),
     )
     .scheme("hermes", Scheme::Hermes(base))
     .scheme("no-probing", Scheme::Hermes(no_probe))
     .scheme("no-rerouting", Scheme::Hermes(no_reroute))
     .scheme("neither", Scheme::Hermes(neither))
     .loads(&[0.6, 0.8])
-    .flows(400)
-    .capacity(baseline_capacity())
     .normalize_to("hermes")
-    .drain(Time::from_secs(8))
     .run();
 
     // (b) probe interval sweep.
@@ -47,17 +47,13 @@ fn main() {
     p500.probe_interval = Time::from_us(500);
     GridSpec::new(
         "Figure 18b: probe-interval sweep (data-mining, asymmetric)",
-        topo,
-        FlowSizeDist::data_mining(),
+        template,
     )
     .scheme("probe-100us", Scheme::Hermes(p100))
     .scheme("probe-500us", Scheme::Hermes(p500))
     .scheme("probe-off", Scheme::Hermes(no_probe))
     .loads(&[0.8])
-    .flows(400)
-    .capacity(baseline_capacity())
     .normalize_to("probe-500us")
-    .drain(Time::from_secs(8))
     .run();
 
     println!("(paper: probing ≈20% and rerouting ≈10% of overall avg FCT; 500us");

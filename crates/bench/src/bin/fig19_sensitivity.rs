@@ -8,7 +8,7 @@
 //! (higher thresholds prune excessive reroutings) while the smooth
 //! data-mining workload prefers *aggressive* ones.
 
-use hermes_bench::{asym_topology, baseline_capacity, GridSpec};
+use hermes_bench::{asym_topology, baseline_capacity, GridSpec, PointCfg};
 use hermes_core::HermesParams;
 use hermes_runtime::Scheme;
 use hermes_sim::Time;
@@ -22,16 +22,16 @@ fn main() {
         (FlowSizeDist::web_search(), 1500),
         (FlowSizeDist::data_mining(), 300),
     ] {
+        let template = PointCfg::new(topo.clone(), Scheme::Ecmp, dist, 0.0)
+            .flows(nflows)
+            .capacity(baseline_capacity())
+            .drain(Time::from_secs(6));
         // (a) T_RTT_high sweep (absolute values, paper: 140–280 µs).
         let mut spec = GridSpec::new(
             "Figure 19a: sensitivity to T_RTT_high (80% load)",
-            topo.clone(),
-            dist.clone(),
+            template.clone(),
         )
-        .loads(&[0.8])
-        .flows(nflows)
-        .capacity(baseline_capacity())
-        .drain(Time::from_secs(6));
+        .loads(&[0.8]);
         for high_us in [140u64, 180, 220, 280] {
             let mut p = base;
             p.t_rtt_high = Time::from_us(high_us);
@@ -40,15 +40,8 @@ fn main() {
         spec.run();
 
         // (b) Δ_RTT sweep (paper default: one-hop delay = 80 µs).
-        let mut spec = GridSpec::new(
-            "Figure 19b: sensitivity to Δ_RTT (80% load)",
-            topo.clone(),
-            dist,
-        )
-        .loads(&[0.8])
-        .flows(nflows)
-        .capacity(baseline_capacity())
-        .drain(Time::from_secs(6));
+        let mut spec =
+            GridSpec::new("Figure 19b: sensitivity to Δ_RTT (80% load)", template).loads(&[0.8]);
         for delta_us in [40u64, 80, 120, 160] {
             let mut p = base;
             p.delta_rtt = Time::from_us(delta_us);

@@ -5,7 +5,7 @@
 //! beats CLOVE-ECN by 9–15% at 30–70% load, and tracks Presto* (which is
 //! near-optimal on symmetric fabrics).
 
-use hermes_bench::GridSpec;
+use hermes_bench::{GridSpec, PointCfg};
 use hermes_core::HermesParams;
 use hermes_lb::CloveCfg;
 use hermes_net::Topology;
@@ -26,16 +26,15 @@ fn main() {
     ] {
         GridSpec::new(
             "Figure 9: testbed symmetric — overall avg FCT",
-            topo.clone(),
-            dist,
+            PointCfg::new(topo.clone(), Scheme::Ecmp, dist, 0.0)
+                .flows(base)
+                .drain(Time::from_secs(drain_s)),
         )
         .scheme("ecmp", Scheme::Ecmp)
         .scheme("clove-ecn", Scheme::Clove(clove))
         .scheme("presto*", Scheme::presto())
         .scheme("hermes", Scheme::Hermes(HermesParams::paper_testbed(&topo)))
         .loads(&[0.3, 0.5, 0.7, 0.9])
-        .flows(base)
-        .drain(Time::from_secs(drain_s))
         .run();
     }
     println!("(paper: Hermes 10-38% over ECMP, 9-15% over CLOVE-ECN at 30-70% load,");

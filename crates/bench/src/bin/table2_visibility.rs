@@ -8,7 +8,7 @@
 //! two orders of magnitude fewer — piggybacking alone cannot provide
 //! enough visibility (§2.2.1).
 
-use hermes_bench::{flows, run_point, PointCfg, TextTable};
+use hermes_bench::{flows, run_points, PointCfg, TextTable};
 use hermes_net::Topology;
 use hermes_runtime::Scheme;
 use hermes_sim::Time;
@@ -24,32 +24,34 @@ fn main() {
         "web-search 60%",
         "web-search 80%",
     ]);
-    let mut sw_row = vec!["switch pair".to_string()];
-    let mut host_row = vec!["host pair".to_string()];
+    let mut cfgs = Vec::new();
     for (dist, base) in [
         (FlowSizeDist::data_mining(), 250),
         (FlowSizeDist::web_search(), 1500),
     ] {
         for load in [0.6, 0.8] {
-            let t0 = std::time::Instant::now();
             // A ToR observes a flow for as long as its flow-table entry
             // lives; model a 50 ms aging window (see EXPERIMENTS.md).
-            let cfg = PointCfg::new(topo.clone(), Scheme::Ecmp, dist.clone(), load)
-                .flows(flows(base))
-                .visibility_linger(Time::from_ms(50))
-                .seed(42);
-            let r = run_point(&cfg);
-            eprintln!(
-                "   {} @ {:.0}%: switch {:.3} host {:.4} ({:.1}s)",
-                dist.name(),
-                load * 100.0,
-                r.vis_switch,
-                r.vis_host,
-                t0.elapsed().as_secs_f64()
+            cfgs.push(
+                PointCfg::new(topo.clone(), Scheme::Ecmp, dist.clone(), load)
+                    .flows(flows(base))
+                    .visibility_linger(Time::from_ms(50))
+                    .seed(42),
             );
-            sw_row.push(format!("{:.3}", r.vis_switch));
-            host_row.push(format!("{:.4}", r.vis_host));
         }
+    }
+    let mut sw_row = vec!["switch pair".to_string()];
+    let mut host_row = vec!["host pair".to_string()];
+    for (cfg, r) in cfgs.iter().zip(run_points(&cfgs)) {
+        eprintln!(
+            "   {} @ {:.0}%: switch {:.3} host {:.4}",
+            cfg.dist.name(),
+            cfg.load * 100.0,
+            r.vis_switch,
+            r.vis_host,
+        );
+        sw_row.push(format!("{:.3}", r.vis_switch));
+        host_row.push(format!("{:.4}", r.vis_host));
     }
     t.row(sw_row);
     t.row(host_row);

@@ -6,7 +6,7 @@
 //! CONGA (with a 500 µs flowlet timeout — TCP is bursty enough to form
 //! flowlets); under data-mining they are nearly identical.
 
-use hermes_bench::GridSpec;
+use hermes_bench::{GridSpec, PointCfg};
 use hermes_core::HermesParams;
 use hermes_lb::CongaCfg;
 use hermes_net::Topology;
@@ -28,8 +28,10 @@ fn main() {
     ] {
         GridSpec::new(
             "§5.4: plain TCP transport (8x8 baseline)",
-            topo.clone(),
-            dist,
+            PointCfg::new(topo.clone(), Scheme::Ecmp, dist, 0.0)
+                .flows(base)
+                .transport(TransportCfg::tcp())
+                .drain(Time::from_secs(6)),
         )
         .scheme("ecmp", Scheme::Ecmp)
         .scheme("conga-500us", Scheme::Conga(conga))
@@ -38,9 +40,6 @@ fn main() {
             Scheme::Hermes(HermesParams::for_tcp(&topo)),
         )
         .loads(&[0.4, 0.6])
-        .flows(base)
-        .transport(TransportCfg::tcp())
-        .drain(Time::from_secs(6))
         .run();
     }
     println!("(paper: with TCP, Hermes within 10-25% of CONGA on web-search and");

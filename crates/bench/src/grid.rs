@@ -1,51 +1,35 @@
 //! The standard experiment shape: a (scheme × load) grid over one
-//! workload and topology, reported exactly the way the paper's FCT
-//! figures are (overall avg, small avg, small 99th, large avg,
-//! unfinished fraction; optionally normalized to one scheme).
+//! template point, reported exactly the way the paper's FCT figures
+//! are (overall avg, small avg, small 99th, large avg, unfinished
+//! fraction; optionally normalized to one scheme).
 
-use hermes_net::{SpineFailure, SpineId, Topology};
 use hermes_runtime::Scheme;
-use hermes_sim::Time;
-use hermes_transport::TransportCfg;
-use hermes_workload::{FctSummary, FlowSizeDist};
+use hermes_workload::FctSummary;
 
-use crate::{avg_summaries, flows, fmt_ms, fmt_ratio, run_point, runs, PointCfg, TextTable};
+use crate::{avg_summaries, flows, fmt_ms, fmt_ratio, run_points, runs, PointCfg, TextTable};
 
 /// A full figure's worth of runs.
 pub struct GridSpec {
     pub title: String,
-    pub topo: Topology,
-    /// Define load against this capacity (healthy-fabric convention).
-    pub capacity: Option<u64>,
+    /// Every cell's template. A cell is `base` with one of `schemes`,
+    /// one of `loads`, seed `1_000 + i` for `i < HERMES_RUNS`, and
+    /// `base.n_flows` scaled by `HERMES_SCALE`; the template's own
+    /// scheme, load and seed are placeholders.
+    pub base: PointCfg,
     pub schemes: Vec<(String, Scheme)>,
     pub loads: Vec<f64>,
-    pub dist: FlowSizeDist,
-    /// Flows per point before `HERMES_SCALE`.
-    pub base_flows: usize,
-    pub failures: Vec<(SpineId, SpineFailure)>,
-    pub transport: TransportCfg,
-    /// Explicit reorder-mask override applied to every scheme.
-    pub reorder_mask: Option<Option<Time>>,
     /// Normalize output ratios to this scheme's values.
     pub normalize_to: Option<String>,
-    pub drain: Time,
 }
 
 impl GridSpec {
-    pub fn new(title: &str, topo: Topology, dist: FlowSizeDist) -> GridSpec {
+    pub fn new(title: &str, base: PointCfg) -> GridSpec {
         GridSpec {
             title: title.to_string(),
-            topo,
-            capacity: None,
+            base,
             schemes: Vec::new(),
             loads: Vec::new(),
-            dist,
-            base_flows: 400,
-            failures: Vec::new(),
-            transport: TransportCfg::dctcp(),
-            reorder_mask: None,
             normalize_to: None,
-            drain: Time::from_secs(3),
         }
     }
 
@@ -59,84 +43,48 @@ impl GridSpec {
         self
     }
 
-    pub fn flows(mut self, n: usize) -> GridSpec {
-        self.base_flows = n;
-        self
-    }
-
-    pub fn capacity(mut self, c: u64) -> GridSpec {
-        self.capacity = Some(c);
-        self
-    }
-
-    pub fn failure(mut self, s: SpineId, f: SpineFailure) -> GridSpec {
-        self.failures.push((s, f));
-        self
-    }
-
-    pub fn transport(mut self, t: TransportCfg) -> GridSpec {
-        self.transport = t;
-        self
-    }
-
-    pub fn reorder_mask(mut self, m: Option<Time>) -> GridSpec {
-        self.reorder_mask = Some(m);
-        self
-    }
-
     pub fn normalize_to(mut self, name: &str) -> GridSpec {
         self.normalize_to = Some(name.to_string());
         self
     }
 
-    pub fn drain(mut self, d: Time) -> GridSpec {
-        self.drain = d;
-        self
-    }
-
-    /// Run every point and print the figure's table(s). Returns the raw
-    /// summaries as `(scheme, load) → FctSummary` in row-major order.
+    /// Run every cell in one [`run_points`] call and print the
+    /// figure's table(s). Returns each (scheme, load)'s summary,
+    /// averaged over its seeds, in row-major order.
     pub fn run(&self) -> Vec<(String, f64, FctSummary)> {
+        let n_flows = flows(self.base.n_flows);
+        let seeds = runs();
         println!("== {} ==", self.title);
         println!(
-            "   workload={}  flows/point={}  seeds/point={}",
-            self.dist.name(),
-            flows(self.base_flows),
-            runs()
+            "   workload={}  flows/point={n_flows}  seeds/point={seeds}",
+            self.base.dist.name(),
         );
-        let mut results = Vec::new();
+        let mut keys = Vec::new();
+        let mut cfgs = Vec::new();
         for (name, scheme) in &self.schemes {
             for &load in &self.loads {
-                let t0 = std::time::Instant::now();
-                let mut sums = Vec::new();
-                for seed in 0..runs() {
-                    let mut cfg =
-                        PointCfg::new(self.topo.clone(), scheme.clone(), self.dist.clone(), load)
-                            .flows(flows(self.base_flows))
-                            .seed(1_000 + seed)
-                            .transport(self.transport)
-                            .drain(self.drain);
-                    if let Some(c) = self.capacity {
-                        cfg = cfg.capacity(c);
-                    }
-                    if let Some(m) = self.reorder_mask {
-                        cfg = cfg.reorder_mask(m);
-                    }
-                    for (s, f) in &self.failures {
-                        cfg = cfg.failure(*s, *f);
-                    }
-                    sums.push(run_point(&cfg).fct);
+                keys.push((name, load));
+                for seed in 0..seeds {
+                    let cfg = PointCfg {
+                        scheme: scheme.clone(),
+                        load,
+                        ..self.base.clone()
+                    };
+                    cfgs.push(cfg.flows(n_flows).seed(1_000 + seed));
                 }
-                let avg = avg_summaries(&sums);
-                eprintln!(
-                    "   [{}] {name} load {load:.2}: avg {:.3} ms ({} unfinished) in {:.1}s",
-                    self.dist.name(),
-                    avg.avg * 1e3,
-                    avg.unfinished,
-                    t0.elapsed().as_secs_f64()
-                );
-                results.push((name.clone(), load, avg));
             }
+        }
+        let fcts: Vec<FctSummary> = run_points(&cfgs).into_iter().map(|r| r.fct).collect();
+        let mut results = Vec::new();
+        for ((name, load), sums) in keys.into_iter().zip(fcts.chunks(seeds as usize)) {
+            let avg = avg_summaries(sums);
+            eprintln!(
+                "   [{}] {name} load {load:.2}: avg {:.3} ms ({} unfinished)",
+                self.base.dist.name(),
+                avg.avg * 1e3,
+                avg.unfinished,
+            );
+            results.push((name.clone(), load, avg));
         }
         self.print_tables(&results);
         results

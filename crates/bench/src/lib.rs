@@ -3,8 +3,12 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper (see `DESIGN.md` §4 for the index). This library holds the
 //! shared pieces: the one point runner, `run_point(&PointCfg) ->
-//! RunReport` (what `hermes-cli`, the figure grids, the conformance
-//! grid and the chaos campaigns all run), the fig17 trace points, the
+//! RunReport`, and its pool, `run_points(&[PointCfg]) ->
+//! Vec<RunReport>`, which runs a list of points one worker per core
+//! with results in input order (what `hermes-cli --runs`, the figure
+//! grids, the conformance grid and the chaos campaigns all run). This
+//! is the only crate that spawns threads, and only across whole runs.
+//! It also holds the fig17 trace points, the
 //! probing-cost calculator behind Table 6,
 //! environment-variable scaling, and a plain text table printer. The
 //! simulator's own speed is not measured here: that record is the
@@ -29,7 +33,7 @@ mod trace;
 
 pub use grid::GridSpec;
 pub use probing::{ProbingCostModel, ProbingRow};
-pub use runner::{avg_summaries, run_point, PointCfg, RunReport};
+pub use runner::{avg_summaries, run_point, run_points, PointCfg, RunReport};
 pub use table::{fmt_ms, fmt_ratio, TextTable};
 pub use trace::{
     run_trace_point, trace_flows, trace_plan, trace_point, trace_topo, TraceOut, TracePoint, CLEAR,

@@ -1,5 +1,7 @@
-//! Single experiment-point runner: one (topology, scheme, workload,
-//! load, seed) tuple → FCT summary.
+//! Experiment-point runners: one (topology, scheme, workload, load,
+//! seed) tuple → [`RunReport`], and a list of them across every core.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hermes_net::{ConservationReport, FaultPlan, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
@@ -230,6 +232,41 @@ pub fn run_point(cfg: &PointCfg) -> RunReport {
     }
 }
 
+/// Run every point, one worker per available core (never more workers
+/// than points). Each point is an independent deterministic run, so
+/// workers pull the next index from an atomic counter and results land
+/// by index: `run_points(cfgs)` equals `cfgs.iter().map(run_point)`,
+/// whatever the core count or scheduling. A panicking point re-raises
+/// its panic here once every worker has stopped.
+pub fn run_points(cfgs: &[PointCfg]) -> Vec<RunReport> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZero::get)
+        .min(cfgs.len());
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, RunReport)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(cfg) = cfgs.get(i) else {
+                            return mine;
+                        };
+                        mine.push((i, run_point(cfg)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Average FCT summaries over multiple seeds (component-wise). A
 /// size band's statistics are averaged over the seeds that had flows
 /// in that band — an empty band reports 0.0, which is "no data", not a
@@ -377,6 +414,55 @@ mod tests {
                     "burst released before predecessor drained"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn pooled_points_match_the_sequential_reference() {
+        use hermes_workload::{records_hash, IncastCfg};
+        assert!(run_points(&[]).is_empty());
+        let topo = Topology::testbed();
+        let poisson =
+            PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::web_search(), 0.3).flows(30);
+        let hermes = Scheme::by_name("hermes", &topo).expect("registered scheme");
+        let faulted = PointCfg {
+            scheme: hermes,
+            ..poisson.clone()
+        }
+        .fault(FaultPlan::new().random_drop_window(
+            SpineId(0),
+            0.05,
+            Time::from_ms(1),
+            Time::from_ms(5),
+        ))
+        .drain(Time::from_ms(800));
+        let incast = poisson
+            .clone()
+            .workload(WorkloadKind::Incast(IncastCfg {
+                fanout: 4,
+                reply_bytes: 16_000,
+                bursts: 2,
+            }))
+            .drain(Time::from_secs(1));
+        // More cells than cores, so every worker pulls several.
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let cfgs: Vec<PointCfg> = [poisson, faulted, incast]
+            .iter()
+            .cycle()
+            .take(2 * cores + 1)
+            .zip(1..)
+            .map(|(cfg, seed)| cfg.clone().seed(seed))
+            .collect();
+        let pooled = run_points(&cfgs);
+        assert_eq!(pooled.len(), cfgs.len());
+        for (p, cfg) in pooled.iter().zip(&cfgs) {
+            let r = run_point(cfg);
+            assert_eq!(
+                (p.digest, p.events, records_hash(&p.records)),
+                (r.digest, r.events, records_hash(&r.records)),
+                "seed {}",
+                cfg.seed
+            );
         }
     }
 

@@ -261,21 +261,23 @@ pub struct CorpusReplay {
 /// Replay every corpus entry under the current SLO config. Green means
 /// the behaviors those counterexamples once caught are still fixed. An
 /// entry whose plan does not fit the campaign fabric is an `Err` naming
-/// the file and the event, not a mid-run panic.
+/// the file and the event, found before any cell runs; then every
+/// entry runs in one pool call.
 pub fn replay_corpus(dir: &Path, slo: &SloCfg, quick: bool) -> Result<CorpusReplay, String> {
     let entries = load_corpus(dir)?;
     let topo = super::topology();
-    let mut files = Vec::new();
-    let mut violations = Vec::new();
-    for (name, entry) in entries {
+    for (name, entry) in &entries {
         let fits = entry.plan.validate_on(&topo);
         fits.map_err(|e| format!("{name}: {e}"))?;
-        let stem = name.trim_end_matches(".toml");
-        let label = format!("corpus/{stem}");
-        let runs = super::run_cells(&entry.plan, entry.seed, quick);
-        violations.extend(check_cell(&label, &runs, entry.plan.end_time(), slo));
-        files.push(name);
     }
+    let jobs: Vec<_> = entries.iter().map(|(_, e)| (&e.plan, e.seed)).collect();
+    let all_runs = super::run_plans(&jobs, quick);
+    let mut violations = Vec::new();
+    for ((name, entry), runs) in entries.iter().zip(all_runs.chunks(super::LBS.len())) {
+        let label = format!("corpus/{}", name.trim_end_matches(".toml"));
+        violations.extend(check_cell(&label, runs, entry.plan.end_time(), slo));
+    }
+    let files = entries.into_iter().map(|(name, _)| name).collect();
     Ok(CorpusReplay { files, violations })
 }
 

@@ -12,9 +12,10 @@
 //! `tests/chaos/corpus/` ([`corpus`]), which CI replays forever after.
 //!
 //! Everything is deterministic: same seed range + same config ⇒ the
-//! same campaign report, byte for byte (campaigns run cells
-//! sequentially precisely so report bytes cannot depend on thread
-//! interleaving). A planted-defect self-test ([`selftest`]) proves
+//! same campaign report, byte for byte (cells run in one
+//! [`hermes_bench::run_points`] call, whose results land by index, so
+//! report bytes cannot depend on thread interleaving). A
+//! planted-defect self-test ([`selftest`]) proves
 //! each SLO checker and the shrinker actually trip.
 //!
 //! Entry point: `cargo run -p xtask -- chaos` (see `xtask --help`).
@@ -33,7 +34,7 @@ pub use selftest::{chaos_self_test_passed, run_chaos_self_test, ChaosSelfTestCas
 pub use shrink::{shrink_plan, ShrinkOutcome};
 pub use slo::{SloCfg, SloClass, SloViolation};
 
-use hermes_bench::{run_point, PointCfg, RunReport};
+use hermes_bench::{run_points, PointCfg, RunReport};
 use hermes_net::{FaultPlan, FnvDigest, Topology};
 use hermes_runtime::Scheme;
 use hermes_sim::Time;
@@ -76,14 +77,33 @@ fn topology() -> Topology {
 }
 
 /// Run one plan across every scheme, with per-scheme fault-free
-/// baselines. Sequential on purpose: byte-deterministic reports.
+/// baselines: six points in one [`run_points`] call.
 pub fn run_cells(plan: &FaultPlan, seed: u64, quick: bool) -> Vec<CellRuns> {
-    let topo = topology();
-    LBS.iter()
-        .map(|&lb| {
-            let base = run_point(&point(&topo, lb, seed, quick));
-            let fault = run_point(&point(&topo, lb, seed, quick).fault(plan.clone()));
-            CellRuns { lb, fault, base }
+    run_plans(&[(plan, seed)], quick)
+}
+
+/// Run every `(plan, seed)` the way [`run_cells`] runs one, all in a
+/// single [`run_points`] call: `LBS.len()` cells per plan, in input
+/// order, whatever the core count.
+fn run_plans(plans: &[(&FaultPlan, u64)], quick: bool) -> Vec<CellRuns> {
+    let topo = &topology();
+    let cfgs: Vec<PointCfg> = plans
+        .iter()
+        .flat_map(|&(plan, seed)| {
+            LBS.into_iter().flat_map(move |lb| {
+                let base = point(topo, lb, seed, quick);
+                [base.clone(), base.fault(plan.clone())]
+            })
+        })
+        .collect();
+    let mut reports = run_points(&cfgs).into_iter();
+    plans
+        .iter()
+        .flat_map(|_| LBS)
+        .map(|lb| CellRuns {
+            lb,
+            base: reports.next().expect("a fault-free report per cell"),
+            fault: reports.next().expect("a faulted report per cell"),
         })
         .collect()
 }
@@ -257,15 +277,20 @@ fn json_esc(s: &str) -> String {
 }
 
 /// Run a full campaign: sample → run → judge → (optionally) shrink.
+/// Every seed's cells run in one [`run_points`] call; the seeds are
+/// then judged, and shrunk, in order.
 pub fn run_campaign(cfg: &CampaignCfg) -> CampaignReport {
     let gen_cfg = GenCfg::testbed();
+    let plans: Vec<(u64, FaultPlan)> = (0..cfg.seeds)
+        .map(|i| cfg.seed_base + i)
+        .map(|seed| (seed, sample_plan(seed, &gen_cfg)))
+        .collect();
+    let jobs: Vec<(&FaultPlan, u64)> = plans.iter().map(|(seed, plan)| (plan, *seed)).collect();
+    let all_runs = run_plans(&jobs, cfg.quick);
     let mut outcomes = Vec::new();
-    for i in 0..cfg.seeds {
-        let seed = cfg.seed_base + i;
-        let plan = sample_plan(seed, &gen_cfg);
+    for ((seed, plan), runs) in plans.into_iter().zip(all_runs.chunks(LBS.len())) {
         let label = format!("seed={seed}");
-        let runs = run_cells(&plan, seed, cfg.quick);
-        let violations = slo::check_cell(&label, &runs, plan.end_time(), &cfg.slo);
+        let violations = slo::check_cell(&label, runs, plan.end_time(), &cfg.slo);
         let cells = runs
             .iter()
             .map(|c| CellSummary {

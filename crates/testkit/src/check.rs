@@ -573,7 +573,7 @@ mod tests {
             "smoke",
         )
         .expect("parses");
-        let outs = run_grid(std::slice::from_ref(&spec), 1);
+        let outs = run_grid(std::slice::from_ref(&spec));
         (spec, outs)
     }
 

@@ -8,7 +8,9 @@
 //! * **specs** — scenario TOML files (`tests/scenarios/`) declaring a
 //!   topology, workload, fault plan, the LBs under test, and seeds;
 //! * **run** — every `(scenario, lb, seed)` cell executed as its own
-//!   deterministic simulation, fanned out across threads;
+//!   deterministic simulation, all of them in one
+//!   `hermes_bench::run_points` call (the only thread pool; this crate
+//!   spawns no threads itself);
 //! * **check** — six checker classes over the evidence: physical
 //!   invariants (packet conservation, monotonic time, FCT sanity,
 //!   unfinished-flow bounds), golden event-trace digests and golden

@@ -1,18 +1,12 @@
-//! Parallel multi-seed scenario execution.
+//! Multi-seed scenario execution.
 //!
 //! Each `(scenario, lb, seed)` grid cell is one fully independent
-//! deterministic simulation, so the executor fans the job list out
-//! across a scoped thread pool (no rayon in-tree; `std::thread::scope`
-//! plus an atomic work counter is all this needs). Each worker
-//! materializes and runs its sims entirely inside its own thread; only
-//! the `Sync` specs and the plain-data [`RunReport`] cross the
-//! boundary. Results are reassembled in job order, so the output is
-//! byte-identical no matter how the threads interleave.
+//! deterministic simulation: the job list is materialized into
+//! `PointCfg`s and handed to [`hermes_bench::run_points`], whose
+//! results land by index, so the outcomes are in job order whatever
+//! the core count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use hermes_bench::{run_point, RunReport};
+use hermes_bench::{run_points, RunReport};
 
 use crate::spec::ScenarioSpec;
 
@@ -40,43 +34,23 @@ fn jobs(specs: &[ScenarioSpec]) -> Vec<(usize, usize, u64)> {
     out
 }
 
-/// Run every `(scenario, lb, seed)` cell, `threads`-wide (0 = one per
-/// available core). Returns outcomes in job order regardless of
-/// scheduling. Sim panics propagate out of the scope join.
-pub fn run_grid(specs: &[ScenarioSpec], threads: usize) -> Vec<RunOutcome> {
+/// Run every `(scenario, lb, seed)` cell in one [`run_points`] call.
+/// Returns outcomes in job order. Sim panics propagate.
+pub fn run_grid(specs: &[ScenarioSpec]) -> Vec<RunOutcome> {
     let jobs = jobs(specs);
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    } else {
-        threads
-    }
-    .min(jobs.len().max(1));
-
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, RunOutcome)>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(scenario, lb_idx, seed)) = jobs.get(idx) else {
-                    break;
-                };
-                let outcome = RunOutcome {
-                    scenario,
-                    lb_idx,
-                    seed,
-                    result: run_point(&specs[scenario].materialize(lb_idx, seed)),
-                };
-                done.lock()
-                    .expect("result sink poisoned")
-                    .push((idx, outcome));
-            });
-        }
-    });
-    let mut collected = done.into_inner().expect("result sink poisoned");
-    collected.sort_by_key(|(idx, _)| *idx);
-    debug_assert_eq!(collected.len(), jobs.len());
-    collected.into_iter().map(|(_, o)| o).collect()
+    let cfgs: Vec<_> = jobs
+        .iter()
+        .map(|&(si, li, seed)| specs[si].materialize(li, seed))
+        .collect();
+    jobs.into_iter()
+        .zip(run_points(&cfgs))
+        .map(|((scenario, lb_idx, seed), result)| RunOutcome {
+            scenario,
+            lb_idx,
+            seed,
+            result,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -96,26 +70,6 @@ mod tests {
         lbs = ["ecmp", "letflow"]
         drain_ms = 1000
     "#;
-
-    #[test]
-    fn parallel_run_matches_serial_run() {
-        let spec = parse_scenario(TWO_LB, "mem", "par").expect("parses");
-        let specs = [spec];
-        let par = run_grid(&specs, 4);
-        let ser = run_grid(&specs, 1);
-        assert_eq!(par.len(), 4);
-        for (p, s) in par.iter().zip(&ser) {
-            assert_eq!(
-                (p.scenario, p.lb_idx, p.seed),
-                (s.scenario, s.lb_idx, s.seed)
-            );
-            assert_eq!(
-                p.result.digest, s.result.digest,
-                "thread count changed a digest"
-            );
-            assert_eq!(p.result.fct.avg, s.result.fct.avg);
-        }
-    }
 
     #[test]
     fn job_order_is_scenario_major() {

@@ -47,7 +47,7 @@ fn fixture(extra: &str, stem: &str) -> Result<(ScenarioSpec, Vec<RunOutcome>), S
         "#
     );
     let spec = parse_scenario(&src, "selftest", stem)?;
-    let outs = run_grid(std::slice::from_ref(&spec), 0);
+    let outs = run_grid(std::slice::from_ref(&spec));
     Ok((spec, outs))
 }
 
@@ -179,7 +179,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
         drain_ms = 800
         "#;
     let spec = parse_scenario(ring_src, "selftest", "broken_ring_skip")?;
-    let mut outs = run_grid(std::slice::from_ref(&spec), 0);
+    let mut outs = run_grid(std::slice::from_ref(&spec));
     // Step 1, rank 2 (flow id = 1 × ranks + 2 = 6) vanishes.
     outs[0].result.records.retain(|r| r.id.0 != 6);
     cases.push(SelfTestCase {
@@ -205,7 +205,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
         drain_ms = 800
         "#;
     let spec = parse_scenario(incast_src, "selftest", "broken_incast_starved")?;
-    let mut outs = run_grid(std::slice::from_ref(&spec), 0);
+    let mut outs = run_grid(std::slice::from_ref(&spec));
     {
         // Stretch reply 0 of burst 0 out by 10 s: its burst now drains
         // at a goodput far below the floor.

@@ -127,8 +127,7 @@ fn write_store(
 
 /// Run every scenario in `dir` across its grid and apply every checker
 /// class (the workload-specific ones are no-ops on other kinds).
-/// `threads = 0` uses every available core.
-pub fn run_conformance(dir: &Path, threads: usize) -> Result<ConformanceReport, SpecError> {
+pub fn run_conformance(dir: &Path) -> Result<ConformanceReport, SpecError> {
     let scenarios = load_dir(dir)?;
     if scenarios.is_empty() {
         return Err(SpecError {
@@ -137,7 +136,7 @@ pub fn run_conformance(dir: &Path, threads: usize) -> Result<ConformanceReport, 
         });
     }
     let goldens = load_goldens(dir)?;
-    let outcomes = run_grid(&scenarios, threads);
+    let outcomes = run_grid(&scenarios);
     let mut failures = Vec::new();
     for (si, spec) in scenarios.iter().enumerate() {
         let mine: Vec<&RunOutcome> = outcomes.iter().filter(|o| o.scenario == si).collect();
@@ -168,10 +167,10 @@ pub struct BlessReport {
 
 /// Re-run every pinned cell in `dir` and rewrite both golden stores
 /// wholesale.
-pub fn bless(dir: &Path, threads: usize) -> Result<BlessReport, SpecError> {
+pub fn bless(dir: &Path) -> Result<BlessReport, SpecError> {
     let scenarios = load_dir(dir)?;
     let old = load_goldens(dir)?;
-    let outcomes = run_grid(&scenarios, threads);
+    let outcomes = run_grid(&scenarios);
     let mut new = Goldens::default();
     for out in &outcomes {
         let spec = &scenarios[out.scenario];
@@ -229,15 +228,15 @@ mod tests {
             SCENARIO.replace("pin_digests = true", "pin_digests = false"),
         )
         .expect("write scenario");
-        let report = run_conformance(&dir, 2).expect("runs");
+        let report = run_conformance(&dir).expect("runs");
         assert!(report.passed(), "{report}");
         // Pinned but unblessed: digest checker demands a bless.
         fs::write(dir.join("smoke.toml"), SCENARIO).expect("write scenario");
-        let report = run_conformance(&dir, 2).expect("runs");
+        let report = run_conformance(&dir).expect("runs");
         assert!(!report.passed());
         assert!(report.failures.iter().all(|f| f.detail.contains("bless")));
         // Bless, then the same grid passes.
-        let blessed = bless(&dir, 2).expect("blesses");
+        let blessed = bless(&dir).expect("blesses");
         assert_eq!(
             blessed,
             BlessReport {
@@ -247,10 +246,10 @@ mod tests {
             }
         );
         assert!(dir.join(DIGESTS_FILE).exists() && dir.join(RECORDS_FILE).exists());
-        let report = run_conformance(&dir, 2).expect("runs");
+        let report = run_conformance(&dir).expect("runs");
         assert!(report.passed(), "{report}");
         // Re-blessing an unchanged tree moves nothing.
-        let again = bless(&dir, 2).expect("blesses");
+        let again = bless(&dir).expect("blesses");
         assert_eq!((again.digests_moved, again.records_moved), (0, 0));
         fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -172,7 +172,7 @@ fn conformance() -> ExitCode {
     let mut ok = true;
     for dir in scenario_dirs() {
         println!("== {} ==", dir.display());
-        let report = match hermes_testkit::run_conformance(&dir, 0) {
+        let report = match hermes_testkit::run_conformance(&dir) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("xtask conformance: {e}");
@@ -269,7 +269,7 @@ fn bless_goldens() -> ExitCode {
             println!("bless: {} has no pinned scenarios, skipped", dir.display());
             continue;
         }
-        match hermes_testkit::bless(&dir, 0) {
+        match hermes_testkit::bless(&dir) {
             Ok(r) => println!(
                 "bless: wrote {} pinned cell(s) to {}/{{{},{}}}: {} digest(s) moved, \
                  {} record hash(es) moved",

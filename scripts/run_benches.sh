@@ -2,10 +2,10 @@
 # Regenerate every EXPERIMENTS.md table: build the bench binaries once,
 # run each, and collect one log per figure under bench_results/.
 #
-# Per-point wall time is reported by the binaries themselves
-# (std::time::Instant in crates/bench/src/grid.rs), so no external
-# `time` wrapper is needed, and both stdout (tables) and stderr
-# (per-point progress) land in the same .txt — no stray .err files.
+# Each .txt holds the binary's stdout (tables) and stderr (per-cell
+# progress lines, printed in cell order once the pool returns). Neither
+# carries a wall clock, so a rerun on the same tree rewrites the files
+# byte for byte. Each binary's wall time goes to the console instead.
 #
 # Usage:
 #   scripts/run_benches.sh [outdir]        # default: bench_results
@@ -29,18 +29,20 @@ cargo build --release -p hermes-bench
 for src in crates/bench/src/bin/*.rs; do
     bin=$(basename "$src" .rs)
     case "$bin" in
-        autotune) continue ;; # interactive parameter search, not a figure
+        trace_point) continue ;; # needs --point/--out; driven by `xtask trace`
     esac
     # Note: fig17_transient_recovery additionally asserts same-seed
     # replay determinism internally, so a digest mismatch fails the
     # sweep here rather than passing silently.
     echo "== $bin =="
+    start=$SECONDS
     if ! cargo run --release -q -p hermes-bench --bin "$bin" \
             >"$outdir/$bin.txt" 2>&1; then
         echo "FAILED: $bin (see $outdir/$bin.txt)" >&2
         exit 1
     fi
     tail -n 3 "$outdir/$bin.txt"
+    echo "   ($bin: $((SECONDS - start)) s)"
 done
 
 echo "done: results in $outdir/"

@@ -21,7 +21,7 @@
 //!     --drop 3:0.02 --load 0.5
 //! ```
 
-use hermes_bench::{asym_topology, avg_summaries, baseline_capacity, run_point, PointCfg};
+use hermes_bench::{asym_topology, avg_summaries, baseline_capacity, run_points, PointCfg};
 use hermes_core::HermesParams;
 use hermes_net::{LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::Scheme;
@@ -264,28 +264,28 @@ fn main() {
         a.seed,
         a.runs
     );
-    let mut sums = Vec::new();
-    for run in 0..a.runs {
-        let mut cfg = PointCfg::new(topo.clone(), scheme.clone(), dist.clone(), a.load)
-            .flows(a.flows)
-            .seed(a.seed + run)
-            .capacity(capacity)
-            .transport(transport)
-            .drain(Time::from_secs(10));
-        for &(s, r) in &a.drops {
-            cfg = cfg.failure(SpineId(s), SpineFailure::random_drops(r));
-        }
-        for &(sp, sl, dl, f) in &a.blackholes {
-            cfg = cfg.failure(
-                SpineId(sp),
-                SpineFailure::blackhole(LeafId(sl), LeafId(dl), f),
-            );
-        }
-        let fct = run_point(&cfg).fct;
-        if a.runs > 1 {
+    let mut cfg = PointCfg::new(topo, scheme, dist, a.load)
+        .flows(a.flows)
+        .capacity(capacity)
+        .transport(transport)
+        .drain(Time::from_secs(10));
+    for &(s, r) in &a.drops {
+        cfg = cfg.failure(SpineId(s), SpineFailure::random_drops(r));
+    }
+    for &(sp, sl, dl, f) in &a.blackholes {
+        cfg = cfg.failure(
+            SpineId(sp),
+            SpineFailure::blackhole(LeafId(sl), LeafId(dl), f),
+        );
+    }
+    let cfgs: Vec<PointCfg> = (0..a.runs)
+        .map(|run| cfg.clone().seed(a.seed + run))
+        .collect();
+    let sums: Vec<FctSummary> = run_points(&cfgs).into_iter().map(|r| r.fct).collect();
+    if a.runs > 1 {
+        for (run, fct) in sums.iter().enumerate() {
             eprintln!("run {run}: avg {:.3} ms", fct.avg * 1e3);
         }
-        sums.push(fct);
     }
     print_summary(&avg_summaries(&sums));
 }

@@ -12,7 +12,9 @@
 
 use std::path::{Path, PathBuf};
 
+use hermes_bench::{run_point, run_points};
 use hermes_testkit::{run_conformance, run_self_test, self_test_passed, CheckClass};
+use hermes_workload::records_hash;
 
 fn scenario_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios")
@@ -20,7 +22,7 @@ fn scenario_dir() -> PathBuf {
 
 #[test]
 fn small_grid_passes_all_checker_classes() {
-    let report = run_conformance(&scenario_dir(), 0).expect("scenario grid runs");
+    let report = run_conformance(&scenario_dir()).expect("scenario grid runs");
     // The ISSUE's floor: six regimes (four failure regimes plus the
     // workload-diversity scenarios) × at least three LBs × at least
     // three seeds.
@@ -67,21 +69,25 @@ fn small_grid_passes_all_checker_classes() {
 
 #[test]
 fn grid_is_invariant_to_thread_count() {
-    // The executor must produce identical evidence no matter how the
-    // cells are scheduled: re-run one scenario's grid at 1 and 4
-    // threads and compare digests cell-by-cell.
-    let specs: Vec<_> = hermes_testkit::load_dir(&scenario_dir())
+    // The pool must produce the evidence the sequential reference
+    // does, cell by cell, however the workers interleave.
+    let spec = hermes_testkit::load_dir(&scenario_dir())
         .expect("scenarios load")
         .into_iter()
-        .filter(|s| s.name == "symmetric")
+        .find(|s| s.name == "symmetric")
+        .expect("symmetric scenario");
+    let cells: Vec<_> = (0..spec.lbs.len())
+        .flat_map(|li| spec.seeds.iter().map(move |&seed| (li, seed)))
+        .map(|(li, seed)| spec.materialize(li, seed))
         .collect();
-    assert_eq!(specs.len(), 1);
-    let serial = hermes_testkit::run_grid(&specs, 1);
-    let parallel = hermes_testkit::run_grid(&specs, 4);
-    assert_eq!(serial.len(), parallel.len());
-    for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(a.result.digest, b.result.digest);
-        assert_eq!(a.result.events, b.result.events);
+    let pooled = run_points(&cells);
+    let serial: Vec<_> = cells.iter().map(run_point).collect();
+    assert_eq!(pooled.len(), serial.len());
+    for (a, b) in pooled.iter().zip(&serial) {
+        assert_eq!(
+            (a.digest, a.events, records_hash(&a.records)),
+            (b.digest, b.events, records_hash(&b.records))
+        );
     }
 }
 
