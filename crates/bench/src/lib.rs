@@ -33,7 +33,9 @@ mod trace;
 
 pub use grid::GridSpec;
 pub use probing::{ProbingCostModel, ProbingRow};
-pub use runner::{avg_summaries, run_point, run_points, PointCfg, RunReport};
+pub use runner::{
+    avg_summaries, run_point, run_points, PointCfg, PointError, PointField, RunReport,
+};
 pub use table::{fmt_ms, fmt_ratio, TextTable};
 pub use trace::{
     run_trace_point, trace_flows, trace_plan, trace_point, trace_topo, TraceOut, TracePoint, CLEAR,

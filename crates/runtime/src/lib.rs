@@ -9,6 +9,9 @@
 //!   `Hermes` per rack, or one `FabricLb` in the switches — it owns
 //!   them all, nothing is shared by handle), the per-rack probe ticks,
 //!   UDP competitors, and periodic queue/progress samplers;
+//! * `sim.rs` is the wiring and run loop; its `transport`, `probe` and
+//!   `token` modules hold per-flow dispatch (every edge-LB hook behind
+//!   one per-flow seam), probing and the typed event token;
 //! * a built [`Simulation`] is `Send` (asserted at compile time): it
 //!   can be constructed on one thread and run on another;
 //! * everything shares one deterministic event queue, so a (config,

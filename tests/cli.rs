@@ -42,6 +42,12 @@ fn out_of_range_flags_exit_2_with_usage_and_no_panic() {
             ],
             "--cut",
         ),
+        // One failure per spine: a flag may not name a spine twice.
+        (&["--drop", "0:0.02", "--drop", "0:0.05"], "--drop"),
+        (
+            &["--blackhole", "0:0:1:1.0", "--blackhole", "0:1:0:0.5"],
+            "--blackhole",
+        ),
         // Run 1 would need seed 2^64.
         (&["--seed", "18446744073709551615", "--runs", "2"], "--seed"),
     ];
