@@ -1,10 +1,11 @@
 //! The fabric: a leaf-spine [`Topology`] wired with output ports, and
 //! the one way a packet moves through it. [`Fabric::host_send`] injects,
-//! [`Fabric::handle`] advances by one event, and every hop ends in the
-//! private `enqueue` (queue on a port, start it if idle) or `retire`
-//! (the single exit for an undelivered packet). `ports` owns the ports
-//! and the `(node, idx)` convention that addresses them; `faults` is
-//! fault application ([`Fabric::apply_fault`]).
+//! [`Fabric::tx_done`] and [`Fabric::arrive`] handle its two events, and
+//! every hop ends in the private `enqueue` (queue on a port, start it if
+//! idle) or `retire` (the single exit for an undelivered packet).
+//! `ports` owns the ports and the `(node, idx)` convention that
+//! addresses them; `faults` is fault application
+//! ([`Fabric::apply_fault`]).
 
 mod faults;
 mod ports;
@@ -13,7 +14,6 @@ use hermes_sim::{EventQueue, SimRng, Time};
 use hermes_telemetry::DropReason;
 
 use self::ports::PortTable;
-use crate::audit::FnvDigest;
 use crate::failure::SpineFailure;
 use crate::lbapi::{FabricLb, LinkRef, Uplinks};
 use crate::packet::Packet;
@@ -51,10 +51,6 @@ pub struct FabricStats {
     pub path_fallbacks: u64,
     /// Packets delivered to destination hosts.
     pub delivered: u64,
-    /// `TxDone` boundaries processed inline within a packet train
-    /// instead of as scheduled events (see [`Fabric::handle`]).
-    /// Each one is an event the queue never had to store.
-    pub trains_inlined: u64,
 }
 
 /// The simulated fabric.
@@ -243,123 +239,51 @@ impl Fabric {
         self.enqueue(q, NodeId::Host(pkt.src), 0, pkt);
     }
 
-    /// Advance the fabric by one event. Returns the packet delivered to
-    /// a host, if this event completed a delivery.
-    ///
-    /// Train batching is unconditional: a `TxDone` *inlines* the port's
-    /// following back-to-back transmissions instead of scheduling one
-    /// event per packet, wherever the inlined boundary is provably the
-    /// next thing the simulation would dispatch anyway (the private
-    /// `Fabric::tx_done` holds the exact gate). Inlined boundaries are
-    /// fed to `digest` and counted in [`FabricStats::trains_inlined`], so
-    /// the digested stream is the one-event-per-packet stream, byte for
-    /// byte. `limit` is the run loop's horizon — no boundary beyond it is
-    /// inlined; `Time::MAX` when the caller drains the queue.
-    ///
-    /// Panics on `HostTimer`/`Global` events — those belong to the
-    /// runtime layer and must be filtered out before reaching the fabric.
-    pub fn handle(
+    /// A packet finished propagating and reached `node`: deliver it to a
+    /// host (returned to the caller) or forward it at a switch.
+    pub fn arrive(
         &mut self,
         q: &mut EventQueue<Event>,
-        ev: Event,
-        digest: &mut FnvDigest,
-        limit: Time,
+        node: NodeId,
+        pkt: Box<Packet>,
     ) -> Option<(HostId, Box<Packet>)> {
-        match ev {
-            Event::TxDone { node, port } => {
-                self.tx_done(q, node, port, digest, limit);
+        self.on_wire -= 1;
+        match node {
+            NodeId::Host(h) => {
+                debug_assert_eq!(pkt.dst, h, "packet delivered to wrong host");
+                debug_assert!(pkt.sent_at <= q.now(), "delivery before departure");
+                #[cfg(feature = "audit")]
+                self.ledger.retired(pkt.id);
+                self.stats.delivered += 1;
+                Some((h, pkt))
+            }
+            NodeId::Leaf(l) => {
+                self.forward_leaf(q, l, pkt);
                 None
             }
-            Event::Arrive { node, pkt } => {
-                self.on_wire -= 1;
-                match node {
-                    NodeId::Host(h) => {
-                        debug_assert_eq!(pkt.dst, h, "packet delivered to wrong host");
-                        debug_assert!(pkt.sent_at <= q.now(), "delivery before departure");
-                        #[cfg(feature = "audit")]
-                        self.ledger.retired(pkt.id);
-                        self.stats.delivered += 1;
-                        Some((h, pkt))
-                    }
-                    NodeId::Leaf(l) => {
-                        self.forward_leaf(q, l, pkt);
-                        None
-                    }
-                    NodeId::Spine(s) => {
-                        self.forward_spine(q, s, pkt);
-                        None
-                    }
-                }
-            }
-            Event::HostTimer { .. } | Event::Global { .. } => {
-                panic!("runtime event leaked into the fabric")
+            NodeId::Spine(s) => {
+                self.forward_spine(q, s, pkt);
+                None
             }
         }
     }
 
-    /// Complete a port's in-flight transmission and launch the packet
-    /// onto the wire, then either schedule the port's next `TxDone` or
-    /// process the whole back-to-back train inline, one queue event for
-    /// the lot.
-    ///
-    /// A boundary at `b = now + tx_time` is inlined only when all of:
-    ///
-    /// * `b <= limit` (the run loop would have dispatched it before the
-    ///   horizon);
-    /// * `b <= now + delay`, this packet's own arrival time — evaluated
-    ///   *before* the `Arrive` is scheduled, with `>=` ties allowed
-    ///   because a scheduled `TxDone` would have been queued first and so
-    ///   carried the smaller seq;
-    /// * every already-queued event is due strictly *after* `b` — a
-    ///   same-time queued event holds a smaller seq and would have
-    ///   dispatched first.
-    ///
-    /// Under those conditions the boundary is provably the next event
-    /// the simulation would pop, so handling it here — cursor advanced
-    /// via `advance_to`, digest fed the identical `(time, TxDone)`
-    /// record — reproduces the one-event-per-packet stream byte-for-byte.
-    fn tx_done(
-        &mut self,
-        q: &mut EventQueue<Event>,
-        node: NodeId,
-        idx: usize,
-        digest: &mut FnvDigest,
-        limit: Time,
-    ) {
+    /// A port finished serializing: launch the packet onto the wire and
+    /// start the next queued one. The next `TxDone` is scheduled before
+    /// the `Arrive`, the order `enqueue` followed by a launch produces.
+    pub fn tx_done(&mut self, q: &mut EventQueue<Event>, node: NodeId, idx: usize) {
         let peer = self.ports.peer(node, idx);
-        loop {
-            let port = self
-                .ports
-                .get_mut(node, idx)
-                .expect("TxDone on a port the topology cut");
-            let pkt = port.complete_tx();
-            let arrive_at = q.now() + port.link.delay;
-            // Decide the next boundary's fate before scheduling anything:
-            // the gate must see the queue without this packet's Arrive.
-            let inline_at = match port.begin_tx() {
-                Some(t) => {
-                    let boundary = q.now() + t;
-                    if boundary <= limit
-                        && arrive_at >= boundary
-                        && q.peek_time().is_none_or(|p| p > boundary)
-                    {
-                        Some(boundary)
-                    } else {
-                        // TxDone before Arrive: the order `enqueue`
-                        // followed by a launch would have produced.
-                        q.schedule(boundary, Event::TxDone { node, port: idx });
-                        None
-                    }
-                }
-                None => None,
-            };
-            self.on_wire += 1;
-            q.schedule(arrive_at, Event::Arrive { node: peer, pkt });
-            let Some(boundary) = inline_at else { break };
-            q.advance_to(boundary);
-            crate::audit::digest_event(digest, boundary, &Event::TxDone { node, port: idx });
-            self.stats.trains_inlined += 1;
+        let port = self
+            .ports
+            .get_mut(node, idx)
+            .expect("TxDone on a port the topology cut");
+        let pkt = port.complete_tx();
+        let delay = port.link.delay;
+        if let Some(t) = port.begin_tx() {
+            q.schedule_in(t, Event::TxDone { node, port: idx });
         }
+        self.on_wire += 1;
+        q.schedule_in(delay, Event::Arrive { node: peer, pkt });
     }
 
     /// The one entry to a port: queue `pkt` on `(node, idx)`, start the
@@ -540,14 +464,29 @@ mod tests {
     use crate::packet::PacketKind;
     use crate::types::FlowId;
 
+    /// Dispatch one fabric event, as the runtime does.
+    fn step(
+        fab: &mut Fabric,
+        q: &mut EventQueue<Event>,
+        ev: Event,
+    ) -> Option<(HostId, Box<Packet>)> {
+        match ev {
+            Event::TxDone { node, port } => {
+                fab.tx_done(q, node, port);
+                None
+            }
+            Event::Arrive { node, pkt } => fab.arrive(q, node, pkt),
+            Event::HostTimer { .. } | Event::Global { .. } => unreachable!("no runtime here"),
+        }
+    }
+
     fn run_to_completion(
         fab: &mut Fabric,
         q: &mut EventQueue<Event>,
     ) -> Vec<(Time, HostId, Box<Packet>)> {
         let mut out = Vec::new();
-        let mut digest = FnvDigest::new();
         while let Some((t, ev)) = q.pop() {
-            if let Some((h, p)) = fab.handle(q, ev, &mut digest, Time::MAX) {
+            if let Some((h, p)) = step(fab, q, ev) {
                 out.push((t, h, p));
             }
         }
@@ -711,28 +650,53 @@ mod tests {
         assert!(fab.ports.iter().all(|p| p.marking));
     }
 
+    /// Three back-to-back inter-rack packets pipeline one serialization
+    /// apart, and every port boundary is its own queued `TxDone`: three
+    /// packets × four hops (host NIC, leaf uplink, spine downlink, leaf
+    /// downlink). On `sim_baseline` a 1.2 µs serialization is shorter
+    /// than the 5 µs host link, so the NIC's boundaries all precede the
+    /// first packet's arrival at the leaf.
     #[test]
     fn serialization_orders_back_to_back_packets() {
-        let mut fab = Fabric::new(Topology::testbed(), SimRng::new(0));
-        let mut q = EventQueue::new();
-        for i in 0..3 {
-            let mut p = Packet::data(FlowId(1), HostId(0), HostId(6), i * 1460, 1460, false);
-            p.path = PathId(0);
-            fab.host_send(&mut q, p);
-        }
-        let out = run_to_completion(&mut fab, &mut q);
-        assert_eq!(out.len(), 3);
-        // Pipelined: one extra serialization per additional packet.
-        let base = Time::from_us(4 * 12 + 4 * 3);
-        assert_eq!(out[0].0, base);
-        assert_eq!(out[1].0, base + Time::from_us(12));
-        assert_eq!(out[2].0, base + Time::from_us(24));
-        // In-order delivery on a single path.
-        for (i, (_, _, p)) in out.iter().enumerate() {
-            match p.kind {
-                PacketKind::Data { seq, .. } => assert_eq!(seq, i as u64 * 1460),
-                _ => panic!(),
+        let cases = [
+            // 1500 B at 1 Gb/s is 12 µs; 3 µs on every link.
+            (
+                Topology::testbed(),
+                Time::from_us(4 * 12 + 4 * 3),
+                Time::from_us(12),
+            ),
+            // 1500 B at 10 Gb/s is 1.2 µs; 5 µs host and 10 µs fabric links.
+            (
+                Topology::sim_baseline(),
+                Time::from_ns(4 * 1_200 + 2 * 5_000 + 2 * 10_000),
+                Time::from_ns(1_200),
+            ),
+        ];
+        for (topo, base, tx) in cases {
+            // The first host of the second rack.
+            let dst = HostId(topo.hosts_per_leaf as u32);
+            let mut fab = Fabric::new(topo, SimRng::new(0));
+            let mut q = EventQueue::new();
+            for i in 0..3 {
+                let mut p = Packet::data(FlowId(1), HostId(0), dst, i * 1460, 1460, false);
+                p.path = PathId(0);
+                fab.host_send(&mut q, p);
             }
+            let (mut got, mut tx_dones) = (Vec::new(), 0);
+            while let Some((t, ev)) = q.pop() {
+                tx_dones += u32::from(matches!(ev, Event::TxDone { .. }));
+                got.extend(step(&mut fab, &mut q, ev).map(|(_, p)| (t, p.kind)));
+            }
+            assert_eq!(tx_dones, 3 * 4, "one popped TxDone per packet per port");
+            // Pipelined: one extra serialization per additional packet,
+            // delivered in order on a single path.
+            let data = |seq| PacketKind::Data {
+                seq,
+                len: 1460,
+                retx: false,
+            };
+            let want: Vec<_> = (0..3).map(|i| (base + tx * i, data(i * 1460))).collect();
+            assert_eq!(got, want);
         }
     }
 
@@ -823,10 +787,9 @@ mod tests {
                 fab.host_send(&mut q, p);
             }
         }
-        let mut digest = FnvDigest::new();
         let mut max_held = 0;
         while let Some((_, ev)) = q.pop() {
-            fab.handle(&mut q, ev, &mut digest, Time::MAX);
+            step(&mut fab, &mut q, ev);
             let held = per_tier(&fab, |p| p.queued_pkts() as u64 + u64::from(p.busy()));
             assert_eq!(fab.held_packets(), held.iter().sum::<u64>());
             max_held = max_held.max(fab.held_packets());
@@ -969,9 +932,8 @@ mod tests {
         }
         // Step events until the leaf uplink has queue.
         let mut saw_queue = false;
-        let mut digest = FnvDigest::new();
         while let Some((_, ev)) = q.pop() {
-            fab.handle(&mut q, ev, &mut digest, Time::MAX);
+            step(&mut fab, &mut q, ev);
             if fab.leaf_up_qbytes(LeafId(0), SpineId(0)) > 0 {
                 saw_queue = true;
             }

@@ -366,11 +366,12 @@ impl Simulation {
         self.q.len()
     }
 
-    /// `TxDone` boundaries handled inline within back-to-back packet
-    /// trains instead of as scheduled events. Counted in
-    /// [`SimStats::events`] like any dispatched event.
+    /// Always 0: every `TxDone` is a queued event and nothing is inlined
+    /// any more. Kept only for the benchmark harness, which still reads
+    /// it; the benchmark change that drops that reader (ROADMAP item
+    /// 4(a)) deletes this accessor too.
     pub fn trains_inlined(&self) -> u64 {
-        self.fabric.stats.trains_inlined
+        0
     }
 
     // ---- run loop --------------------------------------------------
@@ -378,24 +379,18 @@ impl Simulation {
     /// Run until the horizon (absolute simulated time).
     pub fn run_until(&mut self, horizon: Time) {
         while let Some((_, ev)) = self.q.pop_due(horizon) {
-            self.dispatch(ev, horizon);
+            self.dispatch(ev);
         }
     }
 
     /// Run until every scheduled TCP flow completed (receiver-side) or
     /// the horizon passes, whichever is first.
-    ///
-    /// The completion check between events stays sound under train
-    /// batching: flows only complete inside `Arrive` dispatches, and a
-    /// dispatched `TxDone` can at most inline further `TxDone`s — never
-    /// an `Arrive` — so the flow counters are unchanged at every point
-    /// where this loop inspects them.
     pub fn run_to_completion(&mut self, horizon: Time) {
         while !self.all_flows_done() {
             let Some((_, ev)) = self.q.pop_due(horizon) else {
                 break;
             };
-            self.dispatch(ev, horizon);
+            self.dispatch(ev);
         }
     }
 
@@ -406,10 +401,8 @@ impl Simulation {
             && self.stats.flows_completed == self.stats.flows_started
     }
 
-    /// Dispatch one popped event. `limit` is the run loop's horizon,
-    /// bounding how far the fabric may inline packet-train boundaries
-    /// (events past the horizon stay undispatched and undigested).
-    fn dispatch(&mut self, ev: Event, limit: Time) {
+    /// Dispatch one popped event.
+    fn dispatch(&mut self, ev: Event) {
         // `now` has already advanced to the event's timestamp.
         hermes_net::audit::digest_event(&mut self.digest, self.q.now(), &ev);
         self.stats.events += 1;
@@ -420,15 +413,9 @@ impl Simulation {
             Event::HostTimer { token, .. } | Event::Global { token } => {
                 self.on_token(Token::decode(token));
             }
-            other => {
-                let inlined_before = self.fabric.stats.trains_inlined;
-                let delivered = self
-                    .fabric
-                    .handle(&mut self.q, other, &mut self.digest, limit);
-                // Inlined train boundaries are logical events: they were
-                // digested, so they count toward the event total too.
-                self.stats.events += self.fabric.stats.trains_inlined - inlined_before;
-                if let Some((host, pkt)) = delivered {
+            Event::TxDone { node, port } => self.fabric.tx_done(&mut self.q, node, port),
+            Event::Arrive { node, pkt } => {
+                if let Some((host, pkt)) = self.fabric.arrive(&mut self.q, node, pkt) {
                     self.deliver(host, &pkt);
                     // The payload has been fully consumed; hand the
                     // allocation back to the fabric's packet arena.

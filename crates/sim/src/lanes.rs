@@ -335,26 +335,6 @@ impl<E> LaneQueue<E> {
         Some(i)
     }
 
-    /// Advance `now` to `t` without popping anything.
-    ///
-    /// Contract: `t >= now`, and no pending event may be due strictly
-    /// before `t` (events due exactly at `t` are fine — they pop next).
-    /// This is the primitive behind packet-train batching: the caller
-    /// has proven the instant `t` is the next thing to happen and
-    /// processes it without a scheduler round-trip.
-    pub fn advance_to(&mut self, t: Time) {
-        debug_assert!(
-            t >= self.now,
-            "advance_to went backwards: {t} < {}",
-            self.now
-        );
-        debug_assert!(
-            self.peek_time().is_none_or(|p| p >= t),
-            "advance_to must not pass pending events"
-        );
-        self.now = t;
-    }
-
     /// Timestamp of the next event without popping it: the earlier of the
     /// smallest lane head and the heap's top.
     pub fn peek_time(&self) -> Option<Time> {
@@ -487,29 +467,6 @@ mod tests {
         q.pop();
         assert_eq!(q.len(), 1);
         assert_eq!(q.scheduled_count(), 2);
-    }
-
-    /// `advance_to` only moves `now`: pending events stay poppable in
-    /// order, and later schedules are relative to the new `now`.
-    #[test]
-    fn advance_to_keeps_pending_events_in_order() {
-        let mut q = LaneQueue::new();
-        for at in [130u64, 140, 150, 200] {
-            q.schedule(Time::from_ns(at), at);
-        }
-        assert_eq!(q.pop().unwrap().1, 130);
-        q.advance_to(Time::from_ns(140));
-        assert_eq!((q.now(), q.len()), (Time::from_ns(140), 3));
-        q.schedule_in(Time::from_ns(5), 145);
-        q.schedule_in(Time::ZERO, 141);
-        for want in [140u64, 141, 145, 150, 200] {
-            assert_eq!(q.pop().unwrap().1, want);
-        }
-        assert!(q.pop().is_none());
-        // Advancing an empty queue is also legal (pure cursor move).
-        q.advance_to(Time::from_us(25));
-        assert_eq!(q.now(), Time::from_us(25));
-        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -119,25 +119,6 @@ impl<E> HeapQueue<E> {
         self.pop()
     }
 
-    /// Advance the cursor to `t` without popping anything.
-    ///
-    /// Contract: `t >= now`, and no pending event may be due strictly
-    /// before `t`. Used by packet-train batching when the caller has
-    /// proven `t` is the next instant and handles it without a
-    /// scheduler round-trip.
-    pub fn advance_to(&mut self, t: Time) {
-        debug_assert!(
-            t >= self.now,
-            "advance_to went backwards: {t} < {}",
-            self.now
-        );
-        debug_assert!(
-            self.peek_time().is_none_or(|p| p >= t),
-            "advance_to must not pass pending events"
-        );
-        self.now = t;
-    }
-
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.at)
@@ -229,19 +210,6 @@ mod tests {
         assert_eq!((q.now(), q.len()), (Time::from_ns(10), 1));
         assert_eq!(q.pop_due(Time::from_us(5)).unwrap().1, "far");
         assert_eq!(q.pop_due(Time::MAX), None);
-    }
-
-    #[test]
-    fn advance_to_moves_now_without_popping() {
-        let mut q = HeapQueue::new();
-        q.schedule(Time::from_us(10), 1u32);
-        q.advance_to(Time::from_us(10));
-        assert_eq!(q.now(), Time::from_us(10));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap(), (Time::from_us(10), 1));
-        q.advance_to(Time::from_us(25));
-        assert_eq!(q.now(), Time::from_us(25));
-        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -12,10 +12,6 @@ enum QueueOp {
     Pop,
     /// Pop one event if it is due within `now + horizon_ns`.
     PopDue(u64),
-    /// Advance the cursor toward `now + delta_ns` without popping,
-    /// clamped to the next pending event so the advance_to contract
-    /// (never pass a pending event) holds by construction.
-    Advance(u64),
 }
 
 /// Delays the recurring arm draws from: the simulator's own recurring
@@ -30,8 +26,8 @@ fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
     // The sparse arm mixes same-instant collisions (0), short steps and
     // far jumps; most of its delays never repeat, so the heap carries
     // its scripts. The dense arm stays within 128 ns of `now`, so delays
-    // repeat often and lanes, the heap and `advance_to` interleave at
-    // equal and adjacent instants. The recurring arm draws most delays
+    // repeat often and lanes and the heap interleave at equal and
+    // adjacent instants. The recurring arm draws most delays
     // from a fixed set, so lane hits, doorkeeper admissions, LRU
     // re-keying and equal-`at` ties between lanes and between a lane and
     // the heap dominate its scripts; extra draws over the six shortest
@@ -44,14 +40,12 @@ fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
         1 => (1u64 << 20..1u64 << 34).prop_map(QueueOp::ScheduleIn),
         4 => Just(QueueOp::Pop),
         1 => (0u64..10_000).prop_map(QueueOp::PopDue),
-        1 => (0u64..10_000).prop_map(QueueOp::Advance),
     ];
     let dense = prop_oneof![
         4 => (0u64..64).prop_map(QueueOp::ScheduleIn),
         2 => (64u64..128).prop_map(QueueOp::ScheduleIn),
         3 => Just(QueueOp::Pop),
         1 => (0u64..128).prop_map(QueueOp::PopDue),
-        2 => (0u64..64).prop_map(QueueOp::Advance),
     ];
     let recurring = prop_oneof![
         6 => (0..RECURRING_NS.len()).prop_map(|i| QueueOp::ScheduleIn(RECURRING_NS[i])),
@@ -60,7 +54,6 @@ fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
         5 => Just(QueueOp::Pop),
         1 => (0u64..12_000).prop_map(QueueOp::PopDue),
         1 => (0..RECURRING_NS.len()).prop_map(|i| QueueOp::PopDue(RECURRING_NS[i])),
-        1 => (0u64..12_000).prop_map(QueueOp::Advance),
     ];
     prop_oneof![
         proptest::collection::vec(sparse, 1..400),
@@ -96,15 +89,6 @@ proptest! {
                 QueueOp::PopDue(horizon) => {
                     let horizon = lanes.now() + Time::from_ns(*horizon);
                     prop_assert_eq!(lanes.pop_due(horizon), heap.pop_due(horizon));
-                    prop_assert_eq!(lanes.now(), heap.now());
-                }
-                QueueOp::Advance(delta) => {
-                    // Clamp the target to the next pending event (trains
-                    // never advance past one in the fabric either).
-                    let want = lanes.now() + Time::from_ns(*delta);
-                    let target = lanes.peek_time().map_or(want, |p| p.min(want));
-                    lanes.advance_to(target);
-                    heap.advance_to(target);
                     prop_assert_eq!(lanes.now(), heap.now());
                 }
             }
