@@ -309,7 +309,7 @@ fn fig2_run(topo: &Topology, scheme: Scheme) -> Fig2Outcome {
     let goodput = delivered as f64 * 8.0 / 0.060;
     let q: Vec<u64> = sim.sampler_series(qs).iter().map(|&(_, v)| v).collect();
     let q_mean = q.iter().sum::<u64>() as f64 / q.len() as f64 / 1e3;
-    let q_max = *q.iter().max().unwrap() as f64 / 1e3;
+    let q_max = *q.iter().max().expect("the queue sampler ran") as f64 / 1e3;
     let q_series = sim
         .sampler_series(qs)
         .iter()
@@ -377,7 +377,7 @@ fn fig3_run(topo: &Topology, scheme: Scheme) -> (f64, f64) {
         .iter()
         .map(|&(_, v)| v)
         .max()
-        .unwrap() as f64
+        .expect("the queue sampler ran") as f64
         / 1e3;
     (goodput, qmax)
 }

@@ -2,8 +2,6 @@
 //! seed) tuple → [`RunReport`], a list of them across every core, and
 //! the same-seed replay check over a hand-built [`Simulation`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use hermes_net::{ConservationReport, FaultAction, FaultPlan, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
@@ -389,7 +387,14 @@ pub fn assert_deterministic(mut build: impl FnMut() -> Simulation, horizon: Time
 /// by index: `run_points(cfgs)` equals `cfgs.iter().map(run_point)`,
 /// whatever the core count or scheduling. A panicking point re-raises
 /// its panic here once every worker has stopped.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the one pool: whole independent runs, one per worker, results by index"
+)]
 pub fn run_points(cfgs: &[PointCfg]) -> Vec<RunReport> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     let workers = std::thread::available_parallelism()
         .map_or(1, std::num::NonZero::get)
         .min(cfgs.len());

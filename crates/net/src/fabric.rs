@@ -428,7 +428,6 @@ impl Fabric {
         // The first cause that claims the packet wins. The failure RNG is
         // drawn only while the spine has a nonzero drop rate, so a
         // healthy spine never perturbs the stream.
-        // ANALYZER: allow(float-determinism, random_drop is a FaultPlan constant compared against a seeded draw; nothing accumulates)
         let lost = if f.random_drop > 0.0 && self.rng.chance(f.random_drop) {
             Some(DropReason::RandomDrop)
         } else if f
@@ -458,6 +457,10 @@ impl Fabric {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests drive a bare fabric's fault mutators directly"
+)]
 mod tests {
     use super::*;
     use crate::faultplan::FaultAction;

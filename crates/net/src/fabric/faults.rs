@@ -96,7 +96,11 @@ impl Fabric {
     /// the runtime's event dispatcher uses to replay a
     /// [`crate::FaultPlan`]; calling it (or `set_spine_failure`) from
     /// anywhere outside the event queue breaks trace determinism (the
-    /// `fault-mutation` workspace lint enforces this).
+    /// `clippy::disallowed_methods` entry in `clippy.toml` enforces this).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "hermes-net defines the fault mutators; apply_fault dispatches to them"
+    )]
     pub fn apply_fault(&mut self, action: &FaultAction) {
         match *action {
             FaultAction::SetSpineFailure { spine, failure } => {

@@ -6,6 +6,11 @@
 //! high fraction of all traversing packets silently, or deterministically
 //! drops every packet matching certain source–destination "patterns".
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "hash->unit-interval mapping, a pure function of the packet tuple"
+)]
+
 use crate::types::{FlowId, HostId, LeafId};
 
 /// Deterministic blackhole: the switch drops 100% of packets whose

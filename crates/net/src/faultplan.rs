@@ -18,7 +18,12 @@
 //! runtime schedules one `Global` event per entry and applies it via
 //! [`crate::Fabric::apply_fault`] when the event fires; mutating the
 //! fabric from anywhere else bypasses the event trace and is flagged by
-//! the workspace lint (`fault-mutation`).
+//! `clippy::disallowed_methods` (the root `clippy.toml`).
+
+#![expect(
+    clippy::float_arithmetic,
+    reason = "drop-rate ramps are computed when the plan is built, before the run starts"
+)]
 
 use std::collections::BTreeMap;
 

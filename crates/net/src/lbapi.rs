@@ -33,7 +33,6 @@ pub struct FlowCtx {
     /// retransmissions) — the paper's `s_sent`.
     pub bytes_sent: u64,
     /// DRE-estimated current sending rate in bits/s — the paper's `r_f`.
-    // ANALYZER: allow(float-determinism, carries rate.rs's allowlisted DRE estimate across the LB API unmodified)
     pub rate_bps: f64,
     /// Path the flow most recently used ([`PathId::UNSET`] for new flows).
     pub current_path: PathId,

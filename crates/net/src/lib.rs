@@ -18,6 +18,10 @@
 //! between hosts and reports deliveries; `hermes-transport` implements
 //! DCTCP on top, and `hermes-runtime` wires the two together.
 
+// Engine layer: no float arithmetic outside the expected modules
+// (DESIGN.md §13).
+#![warn(clippy::float_arithmetic)]
+
 pub mod audit;
 mod fabric;
 mod failure;

@@ -24,6 +24,17 @@
 //!   its epoch low-water mark on sustained underuse so a burst's
 //!   high-water mark is released once the burst drains.
 
+// Hot path: the pool cannot panic mid-run (DESIGN.md §13).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use hermes_sim::Time;
 
 use crate::packet::{Packet, PacketKind};
@@ -49,10 +60,11 @@ pub struct PoolStats {
 
 /// A bounded free-list of packet allocations.
 pub struct PacketPool {
-    // The boxes ARE the payload: the pool exists to park allocations so
-    // `boxed` can hand them back out. `Vec<Packet>` would discard the
-    // very thing being recycled.
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "the boxes are the payload: `boxed` hands parked allocations back out, \
+                  and a `Vec<Packet>` would discard the very thing being recycled"
+    )]
     free: Vec<Box<Packet>>,
     cap: usize,
     stats: PoolStats,

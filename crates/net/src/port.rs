@@ -2,6 +2,17 @@
 //! shared across both, and DCTCP-style ECN marking on the low-priority
 //! (data) queue.
 
+// Hot path: a port cannot panic mid-run (DESIGN.md §13).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::VecDeque;
 
 use hermes_sim::Time;
@@ -167,10 +178,13 @@ impl Port {
     ///
     /// Panics if no transmission was in progress (a scheduling bug).
     pub fn complete_tx(&mut self) -> Box<Packet> {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract: the runtime only schedules TxDone while a packet is in flight"
+        )]
         let pkt = self
             .in_flight
             .take()
-            // ANALYZER: allow(panic-surface, documented contract: the runtime only schedules TxDone while a packet is in flight)
             .expect("complete_tx with no transmission in flight");
         self.stats.tx_pkts += 1;
         self.stats.tx_bytes += pkt.size as u64;

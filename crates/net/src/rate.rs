@@ -9,6 +9,11 @@
 //! on every access, which avoids periodic timer events entirely and
 //! converges to the same steady state (`X = R·τ` under rate `R`).
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "DRE EWMA is per-port local state updated in event order"
+)]
+
 use hermes_sim::Time;
 
 /// Event-driven discounting rate estimator.

@@ -1,5 +1,10 @@
 //! Leaf-spine topology description and builders.
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "link-rate unit conversions for construction and display, not in the event path"
+)]
+
 use hermes_sim::{SimRng, Time};
 
 use crate::packet::{ACK_SIZE, HDR, MSS};

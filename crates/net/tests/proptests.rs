@@ -1,6 +1,11 @@
 //! Property-based tests of the fabric: conservation, delivery, and
 //! determinism under arbitrary traffic.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests drive a bare fabric's fault mutators directly"
+)]
+
 use hermes_net::{Event, Fabric, FlowId, HostId, LinkCfg, Packet, PathId, Port, Topology};
 use hermes_sim::{EventQueue, SimRng, Time};
 use proptest::prelude::*;

@@ -204,7 +204,10 @@ pub mod strategy {
         ($($name:ident),+) => {
             impl<$($name: Strategy),+> Strategy for ($($name,)+) {
                 type Value = ($($name::Value,)+);
-                #[allow(non_snake_case)]
+                #[expect(
+                    non_snake_case,
+                    reason = "the tuple's type parameters double as its binding names"
+                )]
                 fn sample(&self, rng: &mut TestRng) -> Self::Value {
                     let ($($name,)+) = self;
                     ($($name.sample(rng),)+)

@@ -19,6 +19,10 @@
 //!
 //! Every bench binary and integration test builds on this crate.
 
+// Engine layer: no float arithmetic outside the expected modules
+// (DESIGN.md §13).
+#![warn(clippy::float_arithmetic)]
+
 mod config;
 mod sim;
 mod timer;

@@ -178,6 +178,10 @@ impl Simulation {
     // ---- experiment wiring ----------------------------------------
 
     /// Inject a switch failure (before or during the run).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the runtime owns the fabric: a static failure before the run"
+    )]
     pub fn set_spine_failure(&mut self, spine: SpineId, f: SpineFailure) {
         self.fabric.set_spine_failure(spine, f);
     }
@@ -312,7 +316,6 @@ impl Simulation {
     }
 
     /// Table 2 visibility metrics `(switch_pair, host_pair)`.
-    // ANALYZER: allow(float-determinism, reporting-only ratios computed after the run; never fed back into simulation state)
     pub fn visibility(&mut self) -> (f64, f64) {
         let now = self.q.now();
         (
@@ -451,6 +454,10 @@ impl Simulation {
                         hermes_telemetry::Record::FaultApplied { kind }
                     });
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the one dispatch site: a FaultPlan entry firing from the event queue"
+                )]
                 self.fabric.apply_fault(&action);
             }
         }
@@ -479,9 +486,7 @@ impl Simulation {
                 });
             }
         }
-        // ANALYZER: allow(float-determinism, integer counters widened only at the metrics-export boundary)
         hermes_telemetry::gauge_set("goodput_bytes", self.goodput_bytes as f64);
-        // ANALYZER: allow(float-determinism, same metrics-export boundary as above)
         hermes_telemetry::gauge_set("flows_live", self.flows.len() as f64);
         hermes_telemetry::sample_metrics(now);
     }

@@ -100,6 +100,10 @@ impl Prober {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "racks must be Send, so the shared test log is an Arc<Mutex>"
+)]
 mod tests {
     use std::sync::{Arc, Mutex};
 

@@ -378,7 +378,6 @@ impl Simulation {
                             hermes_telemetry::hist_observe(
                                 "fct_us",
                                 hermes_telemetry::FCT_EDGES_US,
-                                // ANALYZER: allow(float-determinism, integer microseconds widened at the metrics-export boundary)
                                 fct.as_us() as f64,
                             );
                             hermes_telemetry::counter_add("flows_completed", 1);

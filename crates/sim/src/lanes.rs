@@ -222,7 +222,10 @@ impl<E> LaneQueue<E> {
         let delay = at.as_ns() - self.now.as_ns();
         if let Some(i) = self.lane_for(delay) {
             let key = e.key();
-            // ANALYZER: allow(panic-surface, lane_for() returns a position in self.lanes)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "lane_for() returns a position in self.lanes"
+            )]
             let lane = &mut self.lanes[i];
             if lane.head == NO_HEAD {
                 lane.head = key;

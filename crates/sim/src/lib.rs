@@ -37,6 +37,19 @@
 //! assert_eq!(q.pop().unwrap().1, "c");
 //! ```
 
+// Engine layer: no float arithmetic outside the expected modules, and
+// the hot path cannot panic mid-run (DESIGN.md §13).
+#![warn(
+    clippy::float_arithmetic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 mod lanes;
 mod queue;
 mod rng;

@@ -6,6 +6,11 @@
 //! stream forever: no dependency bump can silently re-randomize every
 //! experiment in the repository.
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "u64->f64 unit-interval mapping is the seeded draw itself; bit-exact by construction"
+)]
+
 /// The simulation RNG.
 ///
 /// A fast non-cryptographic PRNG, seeded explicitly so every run is

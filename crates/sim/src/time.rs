@@ -1,5 +1,10 @@
 //! Simulated time.
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "secs<->ns conversions at the config boundary; Time stays integer nanoseconds"
+)]
+
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 

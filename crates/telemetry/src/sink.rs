@@ -9,8 +9,8 @@
 //! increasing per-sink sequence number assigned in dispatch order, so
 //! a `(config, seed)` pair maps to exactly one byte sequence of
 //! exported JSONL. There is deliberately no wall-clock anywhere in
-//! this crate — the xtask determinism lint covers it like every other
-//! sim-facing crate.
+//! this crate — `clippy.toml`'s wall-clock ban covers it like every
+//! other crate in the workspace.
 //!
 //! # Zero overhead when off
 //!
@@ -54,6 +54,10 @@ pub fn compiled() -> bool {
 }
 
 #[cfg(feature = "on")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sink's own thread-local is the one RefCell that telemetry mutates"
+)]
 mod imp {
     use std::cell::RefCell;
     use std::collections::VecDeque;
@@ -188,8 +192,24 @@ pub fn enabled() -> bool {
 
 /// Emit one record stamped `at`; the closure is only evaluated when a
 /// sink is installed, so record construction costs nothing otherwise.
+///
+/// The closure is `Fn`, so it cannot mutate what it captures: skipping
+/// it changes nothing, and a run's digests are the same with or
+/// without a sink. A closure with a side effect does not compile:
+///
+/// ```compile_fail
+/// use hermes_sim::Time;
+/// use hermes_telemetry::{emit_with, Record};
+///
+/// fn count_and_emit(n: &mut u64) {
+///     emit_with(Time::ZERO, || {
+///         *n += 1;
+///         Record::FaultApplied { kind: "x" }
+///     });
+/// }
+/// ```
 #[inline]
-pub fn emit_with<F: FnOnce() -> Record>(at: Time, f: F) {
+pub fn emit_with<F: Fn() -> Record>(at: Time, f: F) {
     #[cfg(feature = "on")]
     {
         if imp::installed() {

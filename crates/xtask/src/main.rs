@@ -1,16 +1,5 @@
 //! Workspace tasks. Subcommands:
 //!
-//! * `cargo run -p xtask -- analyze [--self-test] [--json <out>]
-//!   [--update-baseline]` — the token-level determinism &
-//!   concurrency-readiness analyzer (`hermes-analyzer`, DESIGN.md §13):
-//!   the five original lint rules (wall-clock, hash-order, stray-rng,
-//!   lib-unwrap, fault-mutation) plus float-determinism, panic-surface,
-//!   unsafe-inventory, concurrency-readiness and telemetry-hygiene,
-//!   all scoped per (crate, kind, file) over a real token stream.
-//!   `--self-test` proves every rule class trips on its bad fixtures
-//!   and stays quiet on the clean ones; `--json` writes the machine
-//!   report CI uploads; `--update-baseline` rewrites the reviewed
-//!   `analyzer_baseline.json` unsafe inventory.
 //! * `cargo run -p xtask -- conformance [--self-test]` — run the full
 //!   scenario conformance grid (`tests/scenarios/` plus the extended
 //!   directory) through `hermes-testkit`, or prove each checker class
@@ -32,15 +21,11 @@
 //!   corpus mining, and `--self-test` proves each SLO checker and the
 //!   shrinker trip on planted fixtures.
 //!
-//! The simulator's core promise is that a (config, seed) pair fully
-//! determines every packet of a run. That promise dies quietly: one
-//! `Instant::now()` in a code path, one iteration over a `HashMap`, one
-//! stray `thread_rng()`, and runs stop reproducing without any test
-//! necessarily failing. The analyzer scans the workspace sources for
-//! exactly those patterns — see `crates/analyzer` for the lexer, the
-//! rule scopes, the `// ANALYZER: allow(rule, reason)` suppression
-//! grammar and the committed unsafe baseline. Exit status is non-zero
-//! iff findings remain.
+//! The source-level determinism rules (no wall clock, no hash-order
+//! iteration, no threads or locks in the simulation, no unscheduled
+//! fault mutation) are compiler lints, set in the root `clippy.toml`
+//! and `[workspace.lints]` and gated by `cargo clippy -- -D warnings`
+//! (DESIGN.md §13).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -49,7 +34,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("analyze") => analyze(&args[1..]),
         Some("conformance") => {
             if args.iter().any(|a| a == "--self-test") {
                 return conformance_self_test();
@@ -61,98 +45,13 @@ fn main() -> ExitCode {
         Some("chaos") => chaos(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo run -p xtask -- <analyze [--self-test] [--json <out>] \
-                 [--update-baseline] | conformance [--self-test] | bless | \
+                "usage: cargo run -p xtask -- <conformance [--self-test] | bless | \
                  trace <point> --out <dir> | chaos [--seeds N] [--seed-base N] [--quick] \
                  [--shrink] [--self-test] [--no-corpus] [--recovery-frac F] [--out <json>] \
                  [--emit-shrunk <dir>]>"
             );
             ExitCode::FAILURE
         }
-    }
-}
-
-/// `analyze`: run `hermes-analyzer` over the tree (or its fixture
-/// corpus with `--self-test`), optionally writing the JSON report.
-fn analyze(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--self-test") {
-        return analyze_self_test();
-    }
-    let mut json_out: Option<&str> = None;
-    let mut update_baseline = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json_out = it.next().map(String::as_str),
-            "--update-baseline" => update_baseline = true,
-            other => {
-                eprintln!("xtask analyze: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let root = workspace_root();
-    let analysis = match hermes_analyzer::analyze_workspace(&root, update_baseline) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("xtask analyze: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(out) = json_out {
-        if let Err(e) = fs::write(out, hermes_analyzer::report_json(&analysis)) {
-            eprintln!("xtask analyze: writing {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("xtask analyze: wrote {out}");
-    }
-    if analysis.baseline_written {
-        println!(
-            "xtask analyze: rewrote analyzer_baseline.json with {} unsafe site(s)",
-            analysis.inventory.len()
-        );
-    }
-    if analysis.clean() {
-        println!("xtask analyze: {} files clean", analysis.scanned);
-        return ExitCode::SUCCESS;
-    }
-    for f in &analysis.findings {
-        println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.text);
-    }
-    println!(
-        "\nxtask analyze: {} finding(s) in {} files",
-        analysis.findings.len(),
-        analysis.scanned
-    );
-    let mut named: Vec<&str> = analysis.findings.iter().map(|f| f.rule).collect();
-    named.sort_unstable();
-    named.dedup();
-    for rule in named {
-        println!("  [{rule}] {}", hermes_analyzer::rule_why(rule));
-    }
-    ExitCode::FAILURE
-}
-
-/// `analyze --self-test`: every rule class must trip on its bad
-/// fixtures and stay quiet on the clean ones.
-fn analyze_self_test() -> ExitCode {
-    let outcomes = hermes_analyzer::self_test();
-    let mut ok = true;
-    for o in &outcomes {
-        println!(
-            "  [{}] {:<60} {}",
-            if o.ok { "ok" } else { "FAILED" },
-            o.label,
-            o.detail
-        );
-        ok &= o.ok;
-    }
-    if ok {
-        println!("xtask analyze --self-test: {} fixtures OK", outcomes.len());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask analyze --self-test: fixture failures (see above)");
-        ExitCode::FAILURE
     }
 }
 
@@ -554,25 +453,4 @@ fn workspace_root() -> PathBuf {
         .and_then(Path::parent)
         .expect("crates/xtask sits two levels below the workspace root")
         .to_path_buf()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn analyzer_runs_clean_via_the_xtask_root() {
-        // The path xtask hands to hermes-analyzer must be the same
-        // workspace root the analyzer's own tests use, and the tree
-        // must be clean through this entry point too.
-        let a = hermes_analyzer::analyze_workspace(&workspace_root(), false)
-            .expect("analyzable workspace");
-        assert!(a.scanned > 0);
-        let report: Vec<String> = a
-            .findings
-            .iter()
-            .map(|f| format!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.text))
-            .collect();
-        assert!(a.clean(), "findings:\n{}", report.join("\n"));
-    }
 }

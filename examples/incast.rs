@@ -32,7 +32,7 @@ fn main() {
             .filter_map(|q| query_completion(q, sim.records()))
             .map(|t| t.as_secs_f64() * 1e3)
             .collect();
-        qcts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        qcts.sort_by(|a, b| a.partial_cmp(b).expect("QCTs are finite"));
         let avg = qcts.iter().sum::<f64>() / qcts.len() as f64;
         let p99 = qcts[(qcts.len() as f64 * 0.99) as usize - 1];
         println!(

@@ -296,6 +296,10 @@ fn simulation_moved_to_another_thread_runs_identically() {
         let key = |r: &RunReport| (r.digest, r.events, records_hash(&r.records), r.conservation);
         let here = run_sim(build(), horizon, None);
         let sim = build();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this test moves a whole simulation to another thread"
+        )]
         let there = std::thread::spawn(move || run_sim(sim, horizon, None))
             .join()
             .expect("the simulation thread panicked");
@@ -375,5 +379,24 @@ fn staged_workload_drivers_are_deterministic_per_kind() {
             "{name}: staged workload did not drain within the budget"
         );
         assert!(a.conservation.balanced(), "{name}: conservation imbalance");
+    }
+}
+
+/// Randomness comes only from `SimRng`: no registry or git crate is
+/// linked into the workspace or the benchmark, so no `rand`,
+/// `getrandom` or other entropy source can reach a run.
+#[test]
+fn lockfiles_pull_no_registry_crates() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for lock in ["Cargo.lock", "benchmark/Cargo.lock"] {
+        let text = std::fs::read_to_string(root.join(lock)).expect("lockfile is committed");
+        let sourced: Vec<&str> = text
+            .lines()
+            .filter(|l| l.trim_start().starts_with("source ="))
+            .collect();
+        assert!(
+            sourced.is_empty(),
+            "{lock} names non-path crates: {sourced:?}"
+        );
     }
 }
