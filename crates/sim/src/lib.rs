@@ -41,7 +41,6 @@
 // the hot path cannot panic mid-run (DESIGN.md §13).
 #![warn(
     clippy::float_arithmetic,
-    clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
     clippy::unreachable,

@@ -197,7 +197,7 @@ pub fn enabled() -> bool {
 /// it changes nothing, and a run's digests are the same with or
 /// without a sink. A closure with a side effect does not compile:
 ///
-/// ```compile_fail
+/// ```compile_fail,E0594
 /// use hermes_sim::Time;
 /// use hermes_telemetry::{emit_with, Record};
 ///

@@ -21,9 +21,9 @@ cd "$(dirname "$0")/.."
 outdir=${1:-bench_results}
 mkdir -p "$outdir"
 
-# Fail fast on a determinism/concurrency violation (DESIGN.md §13)
-# before spending wall-clock on the full sweep.
-cargo run -q -p xtask -- analyze
+# Fail fast on a determinism/concurrency violation (the lint gate,
+# DESIGN.md §13) before spending wall-clock on the full sweep.
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 cargo build --release -p hermes-bench --bin fig
 fig=target/release/fig
