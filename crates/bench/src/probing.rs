@@ -7,9 +7,9 @@
 //!
 //! Model (per §3.1.3 and the numbers in Table 6):
 //!
-//! * **Piggybacking** (CLOVE/FlowBender): no probes; visibility is only
-//!   what the host's own flows touch — the Table 2 host-pair
-//!   measurement (< 0.01 flows per path).
+//! * **Piggybacking** (Table 6 cites CLOVE, FlowBender): no probes;
+//!   visibility is only what the host's own flows touch — the Table 2
+//!   host-pair measurement (< 0.01 flows per path).
 //! * **Brute force**: each host probes *every parallel path to every
 //!   other host* each interval (host granularity is what failure
 //!   patterns like per-pair blackholes would require).

@@ -21,9 +21,7 @@
 //! metrics are `f32` rather than 3-bit quantized, and the overlay
 //! encapsulation is the simulator's explicit path tag.
 
-use hermes_net::{
-    Dre, FabricLb, FlowId, HostId, LeafId, LinkRef, Packet, PathId, Topology, Uplinks,
-};
+use hermes_net::{Dre, FabricLb, FlowId, HostId, LeafId, LinkRef, Packet, PathId, Topology};
 use hermes_sim::{SimRng, Time};
 
 use crate::flowlet::FlowletTable;
@@ -133,11 +131,10 @@ impl FabricLb for Conga {
         leaf: LeafId,
         dst_leaf: LeafId,
         pkt: &Packet,
-        uplinks: Uplinks<'_>,
+        candidates: &[PathId],
         now: Time,
         rng: &mut SimRng,
     ) -> PathId {
-        let candidates = uplinks.paths;
         let key = (pkt.flow, leaf);
         if let Some(p) = self.flowlets.current(key, now) {
             if candidates.contains(&p) {
@@ -262,10 +259,7 @@ mod tests {
                 LeafId(0),
                 LeafId(1),
                 &data(f, 0, 16),
-                Uplinks {
-                    paths: &cands(8),
-                    qbytes: &[0; 8],
-                },
+                &cands(8),
                 now,
                 &mut rng,
             );
@@ -333,10 +327,7 @@ mod tests {
             LeafId(0),
             LeafId(1),
             &data(7, 0, 16),
-            Uplinks {
-                paths: &cands(8),
-                qbytes: &[0; 8],
-            },
+            &cands(8),
             Time::from_us(10),
             &mut rng,
         );
@@ -356,10 +347,7 @@ mod tests {
             LeafId(0),
             LeafId(1),
             &data(7, 0, 16),
-            Uplinks {
-                paths: &cands(8),
-                qbytes: &[0; 8],
-            },
+            &cands(8),
             Time::from_us(30),
             &mut rng,
         );
@@ -369,10 +357,7 @@ mod tests {
             LeafId(0),
             LeafId(1),
             &data(7, 0, 16),
-            Uplinks {
-                paths: &cands(8),
-                qbytes: &[0; 8],
-            },
+            &cands(8),
             Time::from_us(30 + 151),
             &mut rng,
         );

@@ -7,7 +7,7 @@
 //! §5.3.2): with steady traffic there are no flowlet gaps, so LetFlow
 //! converges slowly — and it cannot detect failures (§5.3.3).
 
-use hermes_net::{FabricLb, FlowId, LeafId, Packet, PathId, Uplinks};
+use hermes_net::{FabricLb, FlowId, LeafId, Packet, PathId};
 use hermes_sim::{SimRng, Time};
 
 use crate::flowlet::FlowletTable;
@@ -32,11 +32,10 @@ impl FabricLb for LetFlow {
         leaf: LeafId,
         _dst_leaf: LeafId,
         pkt: &Packet,
-        uplinks: Uplinks<'_>,
+        candidates: &[PathId],
         now: Time,
         rng: &mut SimRng,
     ) -> PathId {
-        let candidates = uplinks.paths;
         let key = (pkt.flow, leaf);
         if let Some(p) = self.flowlets.current(key, now) {
             if candidates.contains(&p) {
@@ -64,18 +63,14 @@ mod tests {
     fn sticky_within_flowlet_random_across() {
         let mut lb = LetFlow::new(Time::from_us(150));
         let mut rng = SimRng::new(3);
-        let uplinks = Uplinks {
-            paths: &CANDS,
-            qbytes: &[0; 4],
-        };
-        let p = lb.ingress_select(LeafId(0), LeafId(1), &pkt(1), uplinks, Time::ZERO, &mut rng);
+        let p = lb.ingress_select(LeafId(0), LeafId(1), &pkt(1), &CANDS, Time::ZERO, &mut rng);
         // Back-to-back packets: same path.
         for i in 1..10 {
             let q = lb.ingress_select(
                 LeafId(0),
                 LeafId(1),
                 &pkt(1),
-                uplinks,
+                &CANDS,
                 Time::from_us(i * 10),
                 &mut rng,
             );
@@ -86,7 +81,7 @@ mod tests {
         let mut t = Time::from_ms(1);
         for _ in 0..200 {
             t += Time::from_us(500); // > timeout: every packet a new flowlet
-            seen.insert(lb.ingress_select(LeafId(0), LeafId(1), &pkt(1), uplinks, t, &mut rng));
+            seen.insert(lb.ingress_select(LeafId(0), LeafId(1), &pkt(1), &CANDS, t, &mut rng));
         }
         assert_eq!(seen.len(), 4, "random choice must reach every path");
     }
@@ -97,10 +92,6 @@ mod tests {
         // stream never re-hashes (its path histogram is a point mass),
         // while the same flow with inter-packet gaps above the timeout
         // spreads across all paths with no path starved or dominant.
-        let uplinks = Uplinks {
-            paths: &CANDS,
-            qbytes: &[0; 4],
-        };
         let mut steady = LetFlow::new(Time::from_us(150));
         let mut rng = SimRng::new(11);
         let mut steady_hist = [0u32; 4];
@@ -110,7 +101,7 @@ mod tests {
                 LeafId(0),
                 LeafId(1),
                 &pkt(7),
-                uplinks,
+                &CANDS,
                 Time::from_us(i * 10),
                 &mut rng,
             );
@@ -130,7 +121,7 @@ mod tests {
                 LeafId(0),
                 LeafId(1),
                 &pkt(7),
-                uplinks,
+                &CANDS,
                 Time::from_us(i * 500),
                 &mut rng,
             );
@@ -153,17 +144,13 @@ mod tests {
         // than one path.
         let mut lb = LetFlow::new(Time::from_us(150));
         let mut rng = SimRng::new(5);
-        let uplinks = Uplinks {
-            paths: &CANDS,
-            qbytes: &[0; 4],
-        };
         let mut seen = std::collections::BTreeSet::new();
         for f in 0..32 {
             seen.insert(lb.ingress_select(
                 LeafId(0),
                 LeafId(1),
                 &pkt(f),
-                uplinks,
+                &CANDS,
                 Time::ZERO,
                 &mut rng,
             ));
@@ -177,11 +164,7 @@ mod tests {
         // keeps independent flowlet state.
         let mut lb = LetFlow::new(Time::from_us(150));
         let mut rng = SimRng::new(4);
-        let uplinks = Uplinks {
-            paths: &CANDS,
-            qbytes: &[0; 4],
-        };
-        let a = lb.ingress_select(LeafId(0), LeafId(1), &pkt(1), uplinks, Time::ZERO, &mut rng);
+        let a = lb.ingress_select(LeafId(0), LeafId(1), &pkt(1), &CANDS, Time::ZERO, &mut rng);
         // Choose repeatedly at leaf 1 until it diverges — they're
         // independent random draws, so this must happen quickly.
         let mut diverged = false;
@@ -190,7 +173,7 @@ mod tests {
                 LeafId(1),
                 LeafId(0),
                 &pkt(1),
-                uplinks,
+                &CANDS,
                 Time::from_ms(1 + i),
                 &mut rng,
             );

@@ -1,16 +1,13 @@
 //! # hermes-lb — baseline datacenter load balancers
 //!
-//! Every scheme the paper compares Hermes against (Table 1):
+//! Every scheme the paper's evaluation (§5) compares Hermes against:
 //!
 //! | Scheme | Kind | Granularity | Congestion awareness |
 //! |---|---|---|---|
 //! | [`Ecmp`] | edge | flow | oblivious |
-//! | [`RoundRobinSpray`] (DRB) | edge | packet | oblivious |
 //! | [`PrestoSpray`] (Presto*) | edge | packet (weighted) | oblivious |
-//! | [`FlowBender`] | edge | flow (reactive rehash) | end-host ECN |
 //! | [`CloveEcn`] | edge | flowlet | end-host ECN weights |
 //! | [`LetFlow`] | switch | flowlet | oblivious (implicit) |
-//! | [`Drill`] | switch | packet | switch-local queues |
 //! | [`Conga`] | switch | flowlet | global (in-band feedback) |
 //!
 //! Edge schemes implement `hermes_net::EdgeLb`; switch schemes implement
@@ -18,18 +15,14 @@
 
 mod clove;
 mod conga;
-mod drill;
 mod ecmp;
-mod flowbender;
 mod flowlet;
 mod letflow;
 mod spray;
 
 pub use clove::{CloveCfg, CloveEcn};
 pub use conga::{Conga, CongaCfg};
-pub use drill::Drill;
 pub use ecmp::Ecmp;
-pub use flowbender::{FlowBender, FlowBenderCfg};
 pub use flowlet::FlowletTable;
 pub use letflow::LetFlow;
-pub use spray::{PrestoSpray, RoundRobinSpray};
+pub use spray::PrestoSpray;

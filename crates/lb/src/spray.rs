@@ -1,46 +1,18 @@
-//! Congestion-oblivious packet spraying: DRB and Presto*.
+//! Congestion-oblivious packet spraying: Presto*.
 //!
-//! * **DRB** (Cao et al., CoNEXT 2013) — per-packet round robin.
-//! * **Presto\*** (He et al., SIGCOMM 2015, as modified in §5.1) — the
-//!   paper sprays *packets* instead of 64 KB flowcells and masks the
-//!   resulting reordering with a receive-side buffer; under asymmetry it
-//!   is given static topology-dependent weights (§5.2), implemented here
-//!   with smooth weighted round-robin.
+//! **Presto\*** (He et al., SIGCOMM 2015, as modified in §5.1) — the
+//! paper sprays *packets* instead of 64 KB flowcells and masks the
+//! resulting reordering with a receive-side buffer; under asymmetry it
+//! is given static topology-dependent weights (§5.2), implemented here
+//! with smooth weighted round-robin.
 //!
-//! Both are oblivious to congestion and failures — which is exactly the
+//! It is oblivious to congestion and failures — which is exactly the
 //! behaviour Figs. 2, 3, 16 and 17 exercise.
 
 use std::collections::BTreeMap;
 
 use hermes_net::{EdgeLb, FlowCtx, LeafId, PathId};
 use hermes_sim::{SimRng, Time};
-
-/// Per-packet round robin (DRB), one cursor per destination leaf.
-#[derive(Default)]
-pub struct RoundRobinSpray {
-    cursor: BTreeMap<LeafId, usize>,
-}
-
-impl RoundRobinSpray {
-    pub fn new() -> RoundRobinSpray {
-        RoundRobinSpray::default()
-    }
-}
-
-impl EdgeLb for RoundRobinSpray {
-    fn select_path(
-        &mut self,
-        ctx: &FlowCtx,
-        candidates: &[PathId],
-        _now: Time,
-        _rng: &mut SimRng,
-    ) -> PathId {
-        let c = self.cursor.entry(ctx.dst_leaf).or_insert(0);
-        let p = candidates[*c % candidates.len()];
-        *c = (*c + 1) % candidates.len();
-        p
-    }
-}
 
 /// Smooth weighted round-robin state for one destination leaf.
 struct Swrr {
@@ -143,29 +115,6 @@ mod tests {
             timed_out: false,
             since_change: Time::MAX,
         }
-    }
-
-    #[test]
-    fn drb_cycles_every_path() {
-        let mut lb = RoundRobinSpray::new();
-        let mut rng = SimRng::new(0);
-        let cands = [PathId(0), PathId(1), PathId(2)];
-        let picks: Vec<u16> = (0..6)
-            .map(|_| lb.select_path(&ctx(1), &cands, Time::ZERO, &mut rng).0)
-            .collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn drb_cursor_is_shared_across_flows() {
-        // Round robin is per destination, not per flow — consecutive
-        // packets of *different* flows also alternate.
-        let mut lb = RoundRobinSpray::new();
-        let mut rng = SimRng::new(0);
-        let cands = [PathId(0), PathId(1)];
-        let a = lb.select_path(&ctx(1), &cands, Time::ZERO, &mut rng);
-        let b = lb.select_path(&ctx(2), &cands, Time::ZERO, &mut rng);
-        assert_ne!(a, b);
     }
 
     #[test]

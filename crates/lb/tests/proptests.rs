@@ -1,12 +1,7 @@
 //! Property-based tests of the baseline load balancers.
 
-use hermes_lb::{
-    CloveCfg, CloveEcn, Conga, CongaCfg, Drill, Ecmp, FlowletTable, LetFlow, PrestoSpray,
-    RoundRobinSpray,
-};
-use hermes_net::{
-    EdgeLb, FabricLb, FlowCtx, FlowId, HostId, LeafId, Packet, PathId, Topology, Uplinks,
-};
+use hermes_lb::{CloveCfg, CloveEcn, Conga, CongaCfg, Ecmp, FlowletTable, LetFlow, PrestoSpray};
+use hermes_net::{EdgeLb, FabricLb, FlowCtx, FlowId, HostId, LeafId, Packet, PathId, Topology};
 use hermes_sim::{SimRng, Time};
 use proptest::prelude::*;
 
@@ -43,7 +38,6 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let mut schemes: Vec<Box<dyn EdgeLb>> = vec![
             Box::new(Ecmp::new()),
-            Box::new(RoundRobinSpray::new()),
             Box::new(PrestoSpray::equal()),
             Box::new(CloveEcn::new(CloveCfg::default())),
         ];
@@ -107,7 +101,7 @@ proptest! {
         }
     }
 
-    /// DRILL and LetFlow (fabric schemes) always pick live candidates.
+    /// LetFlow and CONGA (fabric schemes) always pick live candidates.
     #[test]
     fn fabric_schemes_always_pick_live_candidates(
         n_paths in 1u16..9,
@@ -115,50 +109,17 @@ proptest! {
         calls in proptest::collection::vec((0u64..10, 0u64..20_000), 1..100),
     ) {
         let cs = cands(n_paths);
-        let q: Vec<u64> = (0..n_paths as usize).map(|i| (i * 7919) as u64).collect();
         let mut rng = SimRng::new(seed);
         let mut letflow = LetFlow::new(Time::from_us(150));
-        let mut drill = Drill::new(2);
         let topo = Topology::sim_baseline();
         let mut conga = Conga::new(&topo, CongaCfg::default());
         for &(flow, t_us) in &calls {
             let pkt = Packet::data(FlowId(flow), HostId(0), HostId(20), 0, 1460, false);
             let now = Time::from_us(t_us);
-            for lb in [&mut letflow as &mut dyn FabricLb, &mut drill, &mut conga] {
-                let uplinks = Uplinks {
-                    paths: &cs,
-                    qbytes: &q,
-                };
-                let p = lb.ingress_select(LeafId(0), LeafId(1), &pkt, uplinks, now, &mut rng);
+            for lb in [&mut letflow as &mut dyn FabricLb, &mut conga] {
+                let p = lb.ingress_select(LeafId(0), LeafId(1), &pkt, &cs, now, &mut rng);
                 prop_assert!(cs.contains(&p));
             }
         }
-    }
-
-    /// DRILL picks a queue no worse than the best of any single random
-    /// probe could guarantee: its choice is never the strict maximum
-    /// when more than one candidate exists.
-    #[test]
-    fn drill_avoids_unique_worst_queue(seed in 0u64..500) {
-        let cs = cands(4);
-        // One clearly-worst queue, rest empty.
-        let q = [0u64, 0, 1_000_000, 0];
-        let mut rng = SimRng::new(seed);
-        let mut drill = Drill::new(2);
-        let mut worst_picks = 0;
-        for f in 0..50u64 {
-            let pkt = Packet::data(FlowId(f), HostId(0), HostId(20), 0, 1460, false);
-            let uplinks = Uplinks {
-                paths: &cs,
-                qbytes: &q,
-            };
-            let p = drill.ingress_select(LeafId(0), LeafId(1), &pkt, uplinks, Time::ZERO, &mut rng);
-            if p == PathId(2) {
-                worst_picks += 1;
-            }
-        }
-        // Picking the worst requires both samples AND memory to land on
-        // it — memory never stays there, so it is at most a rare blip.
-        prop_assert!(worst_picks <= 2, "picked the worst queue {worst_picks}/50 times");
     }
 }

@@ -15,7 +15,7 @@ use hermes_telemetry::DropReason;
 
 use self::ports::PortTable;
 use crate::failure::SpineFailure;
-use crate::lbapi::{FabricLb, LinkRef, Uplinks};
+use crate::lbapi::{FabricLb, LinkRef};
 use crate::packet::Packet;
 use crate::pool::{PacketPool, PoolStats};
 use crate::port::{Enqueue, Port};
@@ -73,10 +73,6 @@ pub struct Fabric {
     /// Arena of retired packet allocations, reused by `host_send` so the
     /// steady-state fast path performs no heap allocation per packet.
     pool: PacketPool,
-    /// Reused buffer for per-candidate queue depths handed to fabric
-    /// LBs on ingress (avoids a Vec allocation per uplink-forwarded
-    /// packet). Always left empty between calls.
-    qbytes_scratch: Vec<u64>,
     /// Packets currently propagating on links (scheduled `Arrive`
     /// events). Together with the port census this gives an accounting
     /// of in-flight packets that is independent of the drop/delivery
@@ -88,9 +84,12 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Build a fabric from a validated topology. `rng` drives failure
-    /// randomness only (so failure injection never perturbs workload or
-    /// load-balancer random streams).
+    /// Build a fabric from a validated topology. `rng` is one stream
+    /// shared by the random drops at failed spines and the switch LB's
+    /// draws in [`FabricLb::ingress_select`] (LetFlow's and CONGA's
+    /// choices), so a drop draw shifts the switch LB's later choices.
+    /// Workload and edge-LB streams are separate; faults never perturb
+    /// those.
     pub fn new(topo: Topology, rng: SimRng) -> Fabric {
         topo.validate();
         let ports = PortTable::new(&topo);
@@ -117,7 +116,6 @@ impl Fabric {
             rng,
             next_pkt_id: 0,
             pool: PacketPool::new(),
-            qbytes_scratch: Vec::new(),
             on_wire: 0,
             #[cfg(feature = "audit")]
             ledger: crate::audit::Ledger::default(),
@@ -125,7 +123,7 @@ impl Fabric {
         }
     }
 
-    /// Install a switch-resident load balancer (CONGA/LetFlow/DRILL).
+    /// Install a switch-resident load balancer (CONGA/LetFlow).
     pub fn set_fabric_lb(&mut self, lb: Box<dyn FabricLb>) {
         self.lb = Some(lb);
     }
@@ -360,21 +358,7 @@ impl Fabric {
             return self.retire(q.now(), pkt, DropReason::Disconnected);
         }
         let path = if let Some(lb) = self.lb.as_mut() {
-            let mut qbytes = std::mem::take(&mut self.qbytes_scratch);
-            let ports = &self.ports;
-            qbytes.extend(cands.iter().map(|p| {
-                ports
-                    .get(node, ports.up_idx(SpineId(p.0)))
-                    .map_or(0, Port::queued_bytes)
-            }));
-            let uplinks = Uplinks {
-                paths: cands,
-                qbytes: &qbytes,
-            };
-            let path = lb.ingress_select(l, dst_leaf, &pkt, uplinks, q.now(), &mut self.rng);
-            qbytes.clear();
-            self.qbytes_scratch = qbytes;
-            path
+            lb.ingress_select(l, dst_leaf, &pkt, cands, q.now(), &mut self.rng)
         } else if cands.contains(&pkt.path) {
             pkt.path
         } else {

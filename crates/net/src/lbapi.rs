@@ -3,11 +3,11 @@
 //! Two families of scheme plug into the fabric:
 //!
 //! * **Edge-based** ([`EdgeLb`]) — run at the sending host/hypervisor
-//!   (ECMP, Presto*, CLOVE-ECN, FlowBender, **Hermes**). They pick the
+//!   (ECMP, Presto*, CLOVE-ECN, **Hermes**). They pick the
 //!   explicit path stamped on every outgoing data packet and observe
 //!   transport-level signals (ACK ECN/RTT, retransmissions, timeouts).
 //! * **Fabric-based** ([`FabricLb`]) — run inside switches (CONGA,
-//!   LetFlow, DRILL). They pick the uplink at the source leaf and may
+//!   LetFlow). They pick the uplink at the source leaf and may
 //!   read/write in-band metadata at every hop.
 //!
 //! The runtime drives exactly one of the two per experiment.
@@ -55,7 +55,7 @@ pub struct ProbeTarget {
 
 /// An edge-based (end-host) load balancer.
 ///
-/// An instance serves one host (ECMP, Presto*, FlowBender, CLOVE) *or*
+/// An instance serves one host (ECMP, Presto*, CLOVE) *or*
 /// one rack (Hermes, whose sensing table is rack-wide); the runtime owns
 /// the instances and picks the right one per call. Every flow hook
 /// names the sending host as `ctx.src`, so a rack-wide instance keeps
@@ -146,28 +146,20 @@ pub enum LinkRef {
     HostDown { leaf: LeafId },
 }
 
-/// The candidate uplinks at a source leaf, paired with their current
-/// queue occupancies: `qbytes[i]` is the queued byte count of the
-/// uplink toward `paths[i]` (for DRILL-style local decisions).
-#[derive(Clone, Copy, Debug)]
-pub struct Uplinks<'a> {
-    pub paths: &'a [PathId],
-    pub qbytes: &'a [u64],
-}
-
 /// A switch-resident load balancer (one object holds the state of every
 /// switch — the simulator is single-threaded, so "distributed" state is
 /// simply indexed by switch id). `Send` for the same reason as
 /// [`EdgeLb`].
 pub trait FabricLb: Send {
     /// At the source leaf: choose the uplink for an inter-rack packet
-    /// from the live candidates in `uplinks`.
+    /// from `candidates`, the live spine paths to `dst_leaf` (never
+    /// empty).
     fn ingress_select(
         &mut self,
         leaf: LeafId,
         dst_leaf: LeafId,
         pkt: &Packet,
-        uplinks: Uplinks<'_>,
+        candidates: &[PathId],
         now: Time,
         rng: &mut SimRng,
     ) -> PathId;

@@ -109,7 +109,7 @@ impl Port {
     }
 
     /// Bytes waiting in the low-priority (data) queue — the quantity the
-    /// ECN marker and DRILL-style local decisions look at.
+    /// ECN marker looks at.
     #[inline]
     pub fn low_queue_bytes(&self) -> u64 {
         self.low_bytes

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use hermes_core::HermesParams;
-use hermes_lb::{CloveCfg, CongaCfg, FlowBenderCfg};
+use hermes_lb::{CloveCfg, CongaCfg};
 use hermes_net::{LeafId, PathId, Topology};
 use hermes_sim::Time;
 use hermes_transport::TransportCfg;
@@ -13,21 +13,15 @@ use hermes_transport::TransportCfg;
 pub enum Scheme {
     /// Per-flow random hashing.
     Ecmp,
-    /// DRB: per-packet round robin (congestion-oblivious).
-    Drb,
     /// Presto* — per-packet spray with a receive-side reordering mask.
     /// With `weighted`, every host gets static per-destination path
     /// weights proportional to bottleneck capacity (§5.2's
     /// topology-dependent weights for asymmetry).
     Presto { weighted: bool },
-    /// FlowBender: reactive random rehashing on ECN/timeouts.
-    FlowBender(FlowBenderCfg),
     /// CLOVE-ECN: edge flowlets with ECN-driven weighted round robin.
     Clove(CloveCfg),
     /// LetFlow: switch flowlets with random choice.
     LetFlow { flowlet_timeout: Time },
-    /// DRILL: switch-local per-packet power-of-two-choices.
-    Drill { samples: usize },
     /// CONGA: fabric-wide congestion-aware flowlet switching.
     Conga(CongaCfg),
     /// Hermes (the paper's scheme).
@@ -37,15 +31,12 @@ pub enum Scheme {
 impl Scheme {
     /// Every name [`Scheme::by_name`] resolves: the spellings scenario
     /// files, golden-digest keys and `hermes-cli --scheme` use.
-    pub const NAMES: [&'static str; 10] = [
+    pub const NAMES: [&'static str; 7] = [
         "ecmp",
-        "drb",
         "presto",
         "presto_weighted",
-        "flowbender",
         "clove",
         "letflow",
-        "drill",
         "conga",
         "hermes",
     ];
@@ -57,15 +48,12 @@ impl Scheme {
     pub fn by_name(name: &str, topo: &Topology) -> Option<Scheme> {
         Some(match name {
             "ecmp" => Scheme::Ecmp,
-            "drb" => Scheme::Drb,
             "presto" => Scheme::presto(),
             "presto_weighted" => Scheme::presto_weighted(),
-            "flowbender" => Scheme::FlowBender(FlowBenderCfg::default()),
             "clove" => Scheme::Clove(CloveCfg::default()),
             "letflow" => Scheme::LetFlow {
                 flowlet_timeout: Time::from_us(150),
             },
-            "drill" => Scheme::Drill { samples: 2 },
             "conga" => Scheme::Conga(CongaCfg::default()),
             "hermes" => Scheme::Hermes(HermesParams::from_topology(topo)),
             _ => return None,
@@ -82,13 +70,10 @@ impl Scheme {
         Scheme::Presto { weighted: true }
     }
 
-    /// Whether the receiver should mask reordering (packet-spraying
-    /// schemes need it; Presto* is defined with it).
+    /// Whether the receiver should mask reordering (packet spraying
+    /// needs it; Presto* is defined with it).
     pub fn wants_reorder_mask(&self) -> bool {
-        matches!(
-            self,
-            Scheme::Presto { .. } | Scheme::Drb | Scheme::Drill { .. }
-        )
+        matches!(self, Scheme::Presto { .. })
     }
 }
 

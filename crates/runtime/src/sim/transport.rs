@@ -3,7 +3,7 @@
 //! per-flow signal reaches through one seam, [`EdgeLbs::for_flow`].
 
 use hermes_core::Hermes;
-use hermes_lb::{CloveEcn, Conga, Drill, Ecmp, FlowBender, LetFlow, PrestoSpray, RoundRobinSpray};
+use hermes_lb::{CloveEcn, Conga, Ecmp, LetFlow, PrestoSpray};
 use hermes_net::{
     AckInfo, Dre, EdgeLb, Fabric, FlowCtx, FlowId, HostId, LeafId, Packet, PacketKind, PathId,
     Topology,
@@ -72,7 +72,6 @@ impl EdgeLbs {
         };
         match scheme {
             Scheme::Ecmp => per_host(&|_| Box::new(Ecmp::new())),
-            Scheme::Drb => per_host(&|_| Box::new(RoundRobinSpray::new())),
             Scheme::Presto { weighted } => per_host(&|h| {
                 Box::new(if *weighted {
                     PrestoSpray::weighted(presto_weights_for(topo, topo.host_leaf(h)))
@@ -80,7 +79,6 @@ impl EdgeLbs {
                     PrestoSpray::equal()
                 })
             }),
-            Scheme::FlowBender(fb) => per_host(&|_| Box::new(FlowBender::new(*fb))),
             Scheme::Clove(cl) => per_host(&|_| Box::new(CloveEcn::new(*cl))),
             Scheme::Hermes(params) => EdgeLbs::PerRack {
                 racks: (0..topo.n_leaves)
@@ -90,10 +88,6 @@ impl EdgeLbs {
             },
             Scheme::LetFlow { flowlet_timeout } => {
                 fabric.set_fabric_lb(Box::new(LetFlow::new(*flowlet_timeout)));
-                EdgeLbs::SwitchBased
-            }
-            Scheme::Drill { samples } => {
-                fabric.set_fabric_lb(Box::new(Drill::new(*samples)));
                 EdgeLbs::SwitchBased
             }
             Scheme::Conga(cc) => {

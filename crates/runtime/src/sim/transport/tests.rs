@@ -118,7 +118,7 @@ fn each_scheme_builds_the_edge_lb_shape_it_runs_on() {
             }
         };
         let want = match name {
-            "letflow" | "drill" | "conga" => "switch",
+            "letflow" | "conga" => "switch",
             "hermes" => "rack",
             _ => "host",
         };

@@ -33,8 +33,7 @@ impl PathClass {
     }
 }
 
-/// Outcome of one load-balancer placement decision — Algorithm 2's
-/// branches for Hermes, plus the single rehash verdict FlowBender has.
+/// Outcome of one Hermes placement decision — Algorithm 2's branches.
 /// "Held" verdicts record *why* a cautious reroute was suppressed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RerouteVerdict {
@@ -54,8 +53,6 @@ pub enum RerouteVerdict {
     HeldCooldown,
     /// Gates passed but no candidate was notably better.
     HeldNoMargin,
-    /// FlowBender-style rehash after a marked RTT window or dead path.
-    Bounce,
 }
 
 impl RerouteVerdict {
@@ -70,7 +67,6 @@ impl RerouteVerdict {
             RerouteVerdict::HeldRate => "held_rate",
             RerouteVerdict::HeldCooldown => "held_cooldown",
             RerouteVerdict::HeldNoMargin => "held_no_margin",
-            RerouteVerdict::Bounce => "bounce",
         }
     }
 
@@ -82,7 +78,6 @@ impl RerouteVerdict {
                 | RerouteVerdict::Failover
                 | RerouteVerdict::TimeoutReplace
                 | RerouteVerdict::Rerouted
-                | RerouteVerdict::Bounce
         )
     }
 }
@@ -253,7 +248,6 @@ mod tests {
         assert!(RerouteVerdict::Failover.moved());
         assert!(RerouteVerdict::TimeoutReplace.moved());
         assert!(RerouteVerdict::Rerouted.moved());
-        assert!(RerouteVerdict::Bounce.moved());
         assert!(!RerouteVerdict::HeldSize.moved());
         assert!(!RerouteVerdict::HeldRate.moved());
         assert!(!RerouteVerdict::HeldCooldown.moved());

@@ -49,9 +49,6 @@
 //! seeds = [1, 2, 3]
 //! lbs = ["hermes", "conga", "ecmp"]
 //! drain_ms = 2000                # optional (default 3000)
-//! letflow_timeout_us = 800       # optional LB parameter overrides
-//! drill_samples = 2
-//! goodput_interval_us = 1000     # optional (default 500)
 //!
 //! [fault]                        # optional, time-triggered
 //! kind = "blackhole"             # "blackhole" | "random_drop"
@@ -170,8 +167,8 @@ pub struct ScenarioSpec {
     pub base: PointCfg,
     pub seeds: Vec<u64>,
     /// The LBs under test: the spec-file name (used in job labels,
-    /// digest keys and envelope references) and the scheme it resolved
-    /// to, `[run]` parameter overrides applied.
+    /// digest keys and envelope references) and the scheme
+    /// [`Scheme::by_name`] resolved it to.
     pub lbs: Vec<(String, Scheme)>,
     pub invariants: InvariantCfg,
     pub envelopes: Vec<EnvelopeSpec>,
@@ -235,37 +232,23 @@ fn kb_bytes(t: &Table, key: &str, file: &str) -> Result<u64, SpecError> {
     }
 }
 
-/// An optional duration key counted in `unit_ns`-nanosecond units: at
-/// least `min` units and representable in nanoseconds. `None` when the
-/// key is absent.
-fn duration(
-    t: &Table,
-    key: &str,
-    unit_ns: u64,
-    min: u64,
-    file: &str,
-) -> Result<Option<Time>, SpecError> {
+/// An optional duration key counted in milliseconds: non-negative and
+/// representable in nanoseconds. `None` when the key is absent.
+fn duration_ms(t: &Table, key: &str, file: &str) -> Result<Option<Time>, SpecError> {
     let Some(i) = get(t, key).and_then(Value::as_int) else {
         return Ok(None);
     };
-    let ns = u64::try_from(i)
-        .ok()
-        .filter(|&v| v >= min)
-        .and_then(|v| v.checked_mul(unit_ns));
-    match ns {
+    match u64::try_from(i).ok().and_then(|v| v.checked_mul(1_000_000)) {
         Some(ns) => Ok(Some(Time::from_ns(ns))),
         None => serr(
             file,
-            format!("`{key}` = {i}: must be an integer ≥ {min} that fits in nanoseconds"),
+            format!("`{key}` = {i}: must be an integer ≥ 0 that fits in nanoseconds"),
         ),
     }
 }
 
-const US: u64 = 1_000;
-const MS: u64 = 1_000_000;
-
 fn time_ms(t: &Table, key: &str, file: &str) -> Result<Time, SpecError> {
-    match duration(t, key, MS, 0, file)? {
+    match duration_ms(t, key, file)? {
         Some(d) => Ok(d),
         None => serr(file, format!("missing integer `{key}`")),
     }
@@ -329,19 +312,16 @@ const TOP_KEYS: &[&str] = &[
     "envelope",
 ];
 const TOPOLOGY_KEYS: &[&str] = &["kind", "cut", "degrade"];
-const RUN_KEYS: &[&str] = &[
-    "seeds",
-    "lbs",
-    "drain_ms",
-    "letflow_timeout_us",
-    "drill_samples",
-    "goodput_interval_us",
-];
+const RUN_KEYS: &[&str] = &["seeds", "lbs", "drain_ms"];
 const FAULT_KEYS: &[&str] = &[
     "kind", "spine", "src_leaf", "dst_leaf", "frac", "start_ms", "end_ms",
 ];
 const INVARIANT_KEYS: &[&str] = &["max_unfinished_frac", "incast_floor_frac"];
 const ENVELOPE_KEYS: &[&str] = &["metric", "lb", "baseline", "max_ratio"];
+
+/// The goodput sampler's period in every scenario. Its events enter the
+/// event digest, so the golden digests hold at this period only.
+const GOODPUT_INTERVAL: Time = Time::from_us(500);
 
 /// `[workload]` keys allowed for each `kind`.
 fn workload_keys(kind: &str) -> &'static [&'static str] {
@@ -539,14 +519,6 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
     if seeds.is_empty() {
         return serr(file, "`seeds` must be non-empty");
     }
-    let letflow_timeout = duration(run_t, "letflow_timeout_us", US, 1, file)?;
-    let drill_samples = match get(run_t, "drill_samples").and_then(Value::as_int) {
-        None => None,
-        Some(i) => match usize::try_from(i) {
-            Ok(n) if n >= 1 => Some(n),
-            _ => return serr(file, format!("`drill_samples` = {i}: must be at least 1")),
-        },
-    };
     let Some(items) = get(run_t, "lbs").and_then(Value::as_array) else {
         return serr(file, "missing `lbs` in [run]");
     };
@@ -555,26 +527,15 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
         let Some(name) = item.as_str() else {
             return serr(file, "`lbs` must be strings");
         };
-        // The paper-default scheme, then the scenario's overrides.
-        let scheme = match Scheme::by_name(name, &topo) {
-            Some(Scheme::LetFlow { flowlet_timeout }) => Scheme::LetFlow {
-                flowlet_timeout: letflow_timeout.unwrap_or(flowlet_timeout),
-            },
-            Some(Scheme::Drill { samples }) => Scheme::Drill {
-                samples: drill_samples.unwrap_or(samples),
-            },
-            Some(scheme) => scheme,
-            None => return serr(file, format!("unknown lb `{name}`")),
+        let Some(scheme) = Scheme::by_name(name, &topo) else {
+            return serr(file, format!("unknown lb `{name}`"));
         };
         lbs.push((name.to_string(), scheme));
     }
     let Some((_, first_scheme)) = lbs.first() else {
         return serr(file, "`lbs` must be non-empty");
     };
-    let drain = duration(run_t, "drain_ms", MS, 0, file)?.unwrap_or(Time::from_ms(3000));
-    // A zero interval would re-arm the sampler at `now` forever.
-    let goodput_interval =
-        duration(run_t, "goodput_interval_us", US, 1, file)?.unwrap_or(Time::from_us(500));
+    let drain = duration_ms(run_t, "drain_ms", file)?.unwrap_or(Time::from_ms(3000));
 
     // [fault] (optional, time-triggered window)
     let fault_plan = match get(&root, "fault").and_then(Value::as_table) {
@@ -660,7 +621,7 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
         .seed(seeds[0])
         .capacity(healthy_capacity)
         .drain(drain)
-        .goodput_interval(goodput_interval);
+        .goodput_interval(GOODPUT_INTERVAL);
     base.fault_plan = fault_plan;
     if let Err(e) = base.validate() {
         let key = match e.field {
@@ -879,9 +840,6 @@ mod tests {
                 "`dst_leaf`",
             ),
             (run("drain_ms = -5"), "`drain_ms`"),
-            (run("goodput_interval_us = 0"), "`goodput_interval_us`"),
-            (run("letflow_timeout_us = 0"), "`letflow_timeout_us`"),
-            (run("drill_samples = 0"), "`drill_samples`"),
             // One more rank / client than the testbed has hosts for.
             (ring(13, 64), "`ranks`"),
             (incast(7, 32), "`fanout`"),
@@ -1008,6 +966,14 @@ mod tests {
         )
         .expect_err("kind-mismatched key must fail");
         assert!(e.msg.contains("unknown key `ranks`"), "{}", e.msg);
+
+        // Retired [run] keys are unknown keys like any other.
+        for key in ["letflow_timeout_us", "drill_samples", "goodput_interval_us"] {
+            let e = parse_scenario(&format!("{MINIMAL}\n{key} = 500\n"), "mem", "x")
+                .expect_err("retired key must fail");
+            assert!(e.msg.contains(&format!("unknown key `{key}`")), "{}", e.msg);
+            assert!(e.msg.contains("[run]"), "{}", e.msg);
+        }
 
         // Unknown key inside [[envelope]].
         let e = parse_scenario(

@@ -1,8 +1,9 @@
 //! Partition–aggregate ("incast") workload.
 //!
 //! The paper's §6 notes Hermes "does not directly handle microbursts"
-//! (it needs at least an RTT to sense); DRILL is built for exactly
-//! that regime. This generator produces the classic incast pattern
+//! (it needs at least an RTT to sense); per-packet spraying (Presto*)
+//! absorbs them without sensing (`examples/incast.rs` measures both).
+//! This generator produces the classic incast pattern
 //! from the DCTCP paper: an aggregator fans a query out to `fanout`
 //! workers under *other* racks, each replies with `reply_bytes`
 //! simultaneously, and the query completes when the last reply lands —

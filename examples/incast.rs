@@ -3,10 +3,12 @@
 //!
 //! §6 of the paper is candid that Hermes "takes at least one RTT to
 //! sense and react to uncertainties, and thus, it does not directly
-//! handle microbursts" — DRILL's per-packet switch-local decisions are
-//! built for exactly that. This example measures query completion time
-//! (the slowest of 32 synchronized replies) under ECMP, DRILL, and
-//! Hermes.
+//! handle microbursts". Per-packet spraying needs no sensing: Presto*
+//! spreads every reply over all spine paths, so no single path choice
+//! sets a query's completion time. This example measures query
+//! completion time (the slowest of 32 synchronized replies) under ECMP,
+//! Presto*, and Hermes. On the 8×8 fabric Presto*'s p99 QCT (≈ 2.6 ms)
+//! stays close to its mean, while ECMP's and Hermes' p99 reach ≈ 11 ms.
 //!
 //! ```sh
 //! cargo run --release --example incast
@@ -20,7 +22,7 @@ use hermes_workload::{query_completion, IncastGen};
 fn main() {
     let topo = Topology::sim_baseline();
     println!("32-way incast, 64 KB replies, one query per ms, 40 queries:\n");
-    for name in ["ecmp", "drill", "hermes"] {
+    for name in ["ecmp", "presto", "hermes"] {
         let scheme = Scheme::by_name(name, &topo).expect("a Scheme::NAMES entry");
         let mut gen = IncastGen::new(&topo, 32, 64_000, Time::from_ms(1), SimRng::new(11));
         let (queries, specs) = gen.schedule(40);
@@ -41,6 +43,6 @@ fn main() {
         );
     }
     println!("\nQCT is gated by the slowest reply, so a single unlucky path choice");
-    println!("dominates; per-packet local balancing (DRILL) absorbs the burst, while");
-    println!("RTT-scale sensing (Hermes) cannot react within it — matching §6.");
+    println!("dominates; per-packet spraying (Presto*) spreads every reply and absorbs");
+    println!("the burst, while RTT-scale sensing (Hermes) cannot react within it — §6.");
 }

@@ -7,10 +7,10 @@
 //!              [--workload web|dm] [--load F] [--flows N] [--seed N]
 //!              [--drop SPINE:RATE] [--blackhole SPINE:SRC:DST:FRAC]
 //!              [--cut LEAF:SPINE] [--transport dctcp|tcp] [--runs N]
-//!
-//! SCHEMES:
-//!   ecmp drb presto presto-w flowbender clove letflow drill conga hermes
 //! ```
+//!
+//! `--scheme` takes any name in [`Scheme::NAMES`], which the usage text
+//! prints.
 //!
 //! Examples:
 //! ```sh
@@ -53,7 +53,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("                  [--workload web|dm] [--load F] [--flows N] [--seed N]");
     eprintln!("                  [--drop SPINE:RATE] [--blackhole SPINE:SRC:DST:FRAC]");
     eprintln!("                  [--cut LEAF:SPINE] [--transport dctcp|tcp] [--runs N]");
-    eprintln!("schemes: ecmp drb presto presto-w flowbender clove letflow drill conga hermes");
+    eprintln!("schemes: {}", Scheme::NAMES.join(" "));
     std::process::exit(2)
 }
 
@@ -194,11 +194,7 @@ fn spine_failures(a: &Args) -> Result<Vec<(SpineId, SpineFailure)>, String> {
 /// `--scheme` through the one name table, then the CLI's own Hermes
 /// parameter choice (TCP and the 1 Gbps testbed have tuned presets).
 fn resolve_scheme(a: &Args, topo: &Topology) -> Scheme {
-    let name = match a.scheme.as_str() {
-        "presto-w" => "presto_weighted",
-        other => other,
-    };
-    match Scheme::by_name(name, topo) {
+    match Scheme::by_name(&a.scheme, topo) {
         Some(Scheme::Hermes(_)) if a.transport == "tcp" => {
             Scheme::Hermes(HermesParams::for_tcp(topo))
         }

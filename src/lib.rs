@@ -8,8 +8,7 @@
 //! * [`hermes_net`] — packet-level leaf-spine fabric with ECN and
 //!   switch-failure injection,
 //! * [`hermes_transport`] — DCTCP / TCP NewReno,
-//! * [`hermes_lb`] — ECMP, DRB, Presto*, FlowBender, CLOVE-ECN,
-//!   LetFlow, DRILL, CONGA,
+//! * [`hermes_lb`] — ECMP, Presto*, CLOVE-ECN, LetFlow, CONGA,
 //! * [`hermes_core`] — **Hermes** itself (sensing, probing, rerouting),
 //! * [`hermes_workload`] — web-search/data-mining workloads + metrics,
 //! * [`hermes_runtime`] — the experiment harness gluing it all.

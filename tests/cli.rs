@@ -50,6 +50,8 @@ fn out_of_range_flags_exit_2_with_usage_and_no_panic() {
         ),
         // Run 1 would need seed 2^64.
         (&["--seed", "18446744073709551615", "--runs", "2"], "--seed"),
+        // A scheme outside `Scheme::NAMES`.
+        (&["--scheme", "drill"], "drill"),
     ];
     for (args, flag) in bad {
         let out = cli(args);
