@@ -1,11 +1,11 @@
 //! Emit one named trace point as JSONL (events) + CSV (metrics).
 //!
-//! Usually invoked through
-//! `cargo run -p xtask -- trace <point> --out <dir>`, which rebuilds
-//! this bin with the `telemetry` feature on.
+//! `cargo run --release -p hermes-bench --bin trace_point -- --point
+//! <name> --out <dir>`. The telemetry layer is always compiled in; this
+//! bin installs the sink on its thread for the one run. A bad argument,
+//! an unknown point or an `--out` that cannot be written exits 2.
 
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn usage() -> ! {
     eprintln!("usage: trace_point --point <name> --out <dir>");
@@ -13,6 +13,12 @@ fn usage() -> ! {
     for p in hermes_bench::TRACE_POINTS {
         eprintln!("  {:<28} {}", p.name, p.about);
     }
+    std::process::exit(2);
+}
+
+/// Report an `--out` that cannot be written and exit 2.
+fn out_error(path: &Path, e: &std::io::Error) -> ! {
+    eprintln!("trace_point: --out {}: {e}", path.display());
     std::process::exit(2);
 }
 
@@ -34,23 +40,18 @@ fn main() {
         eprintln!("unknown trace point `{point}`");
         usage()
     };
-    if !hermes_telemetry::compiled() {
-        eprintln!(
-            "hermes-telemetry is compiled out; rebuild with \
-             `--features hermes-bench/telemetry` (xtask trace does this)"
-        );
-        std::process::exit(2);
+    // Before the run, so a bad `--out` costs no simulation.
+    if let Err(e) = std::fs::create_dir_all(&out) {
+        out_error(&out, &e);
     }
     let res = hermes_bench::run_trace_point(p);
-    std::fs::create_dir_all(&out).expect("create output dir");
     let jsonl = out.join(format!("{point}.trace.jsonl"));
     let csv = out.join(format!("{point}.metrics.csv"));
-    std::fs::File::create(&jsonl)
-        .and_then(|mut f| f.write_all(res.jsonl.as_bytes()))
-        .expect("write trace jsonl");
-    std::fs::File::create(&csv)
-        .and_then(|mut f| f.write_all(res.csv.as_bytes()))
-        .expect("write metrics csv");
+    for (path, body) in [(&jsonl, &res.jsonl), (&csv, &res.csv)] {
+        if let Err(e) = std::fs::write(path, body) {
+            out_error(path, &e);
+        }
+    }
     println!(
         "{point}: {} events ({} shed), {} unfinished flows, digest {:#018x}",
         res.events.len(),

@@ -1,11 +1,10 @@
 //! Structured-trace points: run one scenario with the telemetry sink
 //! installed and export the event trace (JSONL) plus sampled metrics
-//! (CSV). `cargo run -p xtask -- trace <point> --out <dir>` is the CLI
-//! entry; `tests/telemetry.rs` replays the mini point in-process.
+//! (CSV). The `trace_point` bin is the CLI entry; `tests/telemetry.rs`
+//! replays the mini point in-process.
 //!
-//! Only meaningful when hermes-telemetry is compiled in (the
-//! `telemetry` feature of this crate); without it the sim still runs
-//! but the trace comes back empty.
+//! The telemetry layer is compiled into every build; installing the
+//! sink on the running thread is what turns it on.
 
 use hermes_core::HermesParams;
 use hermes_net::{FaultPlan, FlowId, HostId, LeafId, LinkCfg, SpineId, Topology};
@@ -32,7 +31,7 @@ pub struct TracePoint {
     gap_us: u64,
 }
 
-/// The registry `xtask trace` resolves names against.
+/// The registry `trace_point --point` resolves names against.
 pub const TRACE_POINTS: &[TracePoint] = &[
     TracePoint {
         name: "fig17_transient_recovery",
@@ -92,7 +91,7 @@ pub struct TraceOut {
     pub jsonl: String,
     /// Cadence-sampled metrics as `at_ns,name,value` rows.
     pub csv: String,
-    /// The run's determinism digest (identical to a telemetry-off run).
+    /// The run's determinism digest (identical to a run without a sink).
     pub digest: u64,
     /// Events the bounded ring had to shed (0 unless the sink capacity
     /// is undersized for the scenario).
@@ -144,9 +143,6 @@ mod tests {
 
     #[test]
     fn mini_point_emits_a_parseable_trace() {
-        if !hermes_telemetry::compiled() {
-            return;
-        }
         let out = run_trace_point(trace_point("fig17_mini").unwrap());
         assert_eq!(out.shed, 0, "sink capacity must hold the mini trace");
         assert!(!out.events.is_empty());

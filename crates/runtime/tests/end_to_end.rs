@@ -349,9 +349,6 @@ fn intra_rack_flows_complete_without_spine_paths() {
 
 #[test]
 fn telemetry_traces_the_flow_lifecycle_without_perturbing_the_run() {
-    if !hermes_telemetry::compiled() {
-        return;
-    }
     use hermes_net::FaultPlan;
     use hermes_telemetry::Record;
 
@@ -455,9 +452,6 @@ fn telemetry_traces_the_flow_lifecycle_without_perturbing_the_run() {
 
 #[test]
 fn telemetry_metrics_sample_on_cadence() {
-    if !hermes_telemetry::compiled() {
-        return;
-    }
     hermes_telemetry::install(hermes_telemetry::SinkConfig::default());
     let topo = Topology::testbed();
     let mut sim = Simulation::new(SimConfig::new(topo, Scheme::Ecmp).with_seed(5));

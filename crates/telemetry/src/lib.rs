@@ -1,4 +1,4 @@
-//! # hermes-telemetry — zero-overhead-when-off tracing and metrics
+//! # hermes-telemetry — tracing and metrics, compiled in, off until a sink is installed
 //!
 //! A structured observation layer for the Hermes reproduction: typed
 //! trace records ([`Record`]) covering path-state sensing, placement
@@ -10,14 +10,15 @@
 //!
 //! Two properties are load-bearing (DESIGN.md §12):
 //!
-//! * **Zero overhead when off.** Without the `on` feature every entry
-//!   point is an inline no-op and [`enabled`] is a compile-time
-//!   `false`, so guarded instrumentation sites vanish from the build.
-//!   Instrumented crates expose this as their own `telemetry` feature.
+//! * **Off until a sink is installed.** The layer is always compiled
+//!   in; the one switch is [`install`] on the thread that runs the
+//!   simulation. Without a sink, [`enabled`] is one thread-local read
+//!   returning `false`, and every instrumentation site guarded by it
+//!   skips its work.
 //! * **Digest neutrality when on.** The sink observes; it never
 //!   schedules events, consumes randomness, or feeds back into
-//!   simulation state. A telemetry-on run produces the same
-//!   `hermes-net::audit` event-trace digest as a telemetry-off run
+//!   simulation state. A run with a sink produces the same
+//!   `hermes-net::audit` event-trace digest as a run without one
 //!   (enforced by `tests/telemetry.rs` against the conformance
 //!   goldens).
 
@@ -30,6 +31,6 @@ pub use export::{event_to_json, to_csv, to_jsonl};
 pub use metrics::{Histogram, Metrics, MetricsRow, FCT_EDGES_US};
 pub use record::{DropReason, PathClass, Record, RerouteVerdict, TraceEvent};
 pub use sink::{
-    compiled, counter, counter_add, drain, dropped, emit_with, enabled, gauge_set, hist,
-    hist_observe, install, on_cadence, sample_metrics, take_metric_rows, uninstall, SinkConfig,
+    counter, counter_add, drain, dropped, emit_with, enabled, gauge_set, hist, hist_observe,
+    install, on_cadence, sample_metrics, take_metric_rows, uninstall, SinkConfig,
 };

@@ -3,9 +3,9 @@
 //!
 //! Everything here is plain deterministic data: `BTreeMap` keyed by
 //! `&'static str` (stable iteration order), no clocks, no RNG. The
-//! types compile unconditionally — only the process-wide registry in
-//! [`crate::sink`] is feature-gated — so the histogram math is unit-
-//! and property-testable without the `on` feature.
+//! types stand apart from the per-thread registry in [`crate::sink`],
+//! so the histogram math is unit- and property-testable without a
+//! sink installed.
 
 use std::collections::BTreeMap;
 

@@ -12,20 +12,25 @@
 //! this crate — `clippy.toml`'s wall-clock ban covers it like every
 //! other crate in the workspace.
 //!
-//! # Zero overhead when off
+//! # Compiled in, off until a sink is installed
 //!
-//! Without the `on` feature every public function here is an empty
-//! `#[inline]` shim: `enabled()` is a compile-time `false`, so
-//! instrumentation guarded by `if hermes_telemetry::enabled()` folds
-//! away entirely, and `emit_with` never constructs its record closure.
+//! The layer is always built; the one switch is whether this thread
+//! has a sink ([`install`] / [`uninstall`]). Without one, [`enabled`]
+//! is a single thread-local read that returns `false`, so
+//! instrumentation guarded by `if hermes_telemetry::enabled()` skips
+//! its work, and `emit_with` never constructs its record closure.
 //! The sink is thread-local so the testkit's multi-threaded scenario
 //! grid keeps per-cell traces independent. Thread contract: install
 //! the sink on the thread that *runs* the simulation — a `Simulation`
 //! is `Send`, and one moved elsewhere emits into that thread's sink (or
 //! nowhere, if none is installed there).
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
+
 use hermes_sim::Time;
 
+use crate::metrics::{Histogram, Metrics, MetricsRow};
 use crate::record::{Record, TraceEvent};
 
 /// Sink configuration.
@@ -47,147 +52,50 @@ impl Default for SinkConfig {
     }
 }
 
-/// Whether the telemetry layer was compiled in (`on` feature).
-#[inline(always)]
-pub fn compiled() -> bool {
-    cfg!(feature = "on")
+struct SinkState {
+    cfg: SinkConfig,
+    ring: VecDeque<TraceEvent>,
+    next_seq: u64,
+    dropped: u64,
+    next_cadence: Time,
+    metrics: Metrics,
 }
 
-#[cfg(feature = "on")]
+thread_local! {
+    static SINK: RefCell<Option<SinkState>> = const { RefCell::new(None) };
+}
+
+/// Run `f` on this thread's sink; `None` when no sink is installed.
 #[expect(
     clippy::disallowed_methods,
     reason = "the sink's own thread-local is the one RefCell that telemetry mutates"
 )]
-mod imp {
-    use std::cell::RefCell;
-    use std::collections::VecDeque;
-
-    use hermes_sim::Time;
-
-    use super::SinkConfig;
-    use crate::metrics::{Metrics, MetricsRow};
-    use crate::record::{Record, TraceEvent};
-
-    pub struct SinkState {
-        cfg: SinkConfig,
-        ring: VecDeque<TraceEvent>,
-        next_seq: u64,
-        dropped: u64,
-        next_cadence: Time,
-        metrics: Metrics,
-    }
-
-    thread_local! {
-        static SINK: RefCell<Option<SinkState>> = const { RefCell::new(None) };
-    }
-
-    pub fn install(cfg: SinkConfig) {
-        SINK.with(|s| {
-            *s.borrow_mut() = Some(SinkState {
-                cfg,
-                ring: VecDeque::new(),
-                next_seq: 0,
-                dropped: 0,
-                next_cadence: Time::ZERO,
-                metrics: Metrics::default(),
-            });
-        });
-    }
-
-    pub fn uninstall() {
-        SINK.with(|s| *s.borrow_mut() = None);
-    }
-
-    pub fn installed() -> bool {
-        SINK.with(|s| s.borrow().is_some())
-    }
-
-    pub fn emit(at: Time, record: Record) {
-        SINK.with(|s| {
-            if let Some(st) = s.borrow_mut().as_mut() {
-                if st.ring.len() >= st.cfg.capacity {
-                    st.ring.pop_front();
-                    st.dropped += 1;
-                }
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.ring.push_back(TraceEvent { seq, at, record });
-            }
-        });
-    }
-
-    pub fn on_cadence(now: Time) -> bool {
-        SINK.with(|s| {
-            let mut b = s.borrow_mut();
-            let Some(st) = b.as_mut() else { return false };
-            if now < st.next_cadence {
-                return false;
-            }
-            // Advance to the first boundary strictly past `now` without
-            // looping per elapsed period (faults can idle the clock).
-            let period = st.cfg.metrics_cadence.as_ns().max(1);
-            let next = (now.as_ns() / period + 1) * period;
-            st.next_cadence = Time::from_ns(next);
-            true
-        })
-    }
-
-    pub fn with_metrics<R>(f: impl FnOnce(&mut Metrics) -> R) -> Option<R> {
-        SINK.with(|s| s.borrow_mut().as_mut().map(|st| f(&mut st.metrics)))
-    }
-
-    pub fn drain() -> Vec<TraceEvent> {
-        SINK.with(|s| {
-            s.borrow_mut()
-                .as_mut()
-                .map(|st| st.ring.drain(..).collect())
-                .unwrap_or_default()
-        })
-    }
-
-    pub fn take_metric_rows() -> Vec<MetricsRow> {
-        with_metrics(Metrics::take_rows).unwrap_or_default()
-    }
-
-    pub fn dropped() -> u64 {
-        SINK.with(|s| s.borrow().as_ref().map_or(0, |st| st.dropped))
-    }
+fn with_sink<R>(f: impl FnOnce(&mut SinkState) -> R) -> Option<R> {
+    SINK.with(|s| s.borrow_mut().as_mut().map(f))
 }
 
-// ---------------------------------------------------------------------
-// Public API. With the feature off these are empty inline shims.
-// ---------------------------------------------------------------------
-
 /// Install a fresh sink on this thread, replacing any previous one.
-/// No-op when the layer is compiled out.
-#[inline]
 pub fn install(cfg: SinkConfig) {
-    #[cfg(feature = "on")]
-    imp::install(cfg);
-    #[cfg(not(feature = "on"))]
-    let _ = cfg;
+    SINK.set(Some(SinkState {
+        cfg,
+        ring: VecDeque::new(),
+        next_seq: 0,
+        dropped: 0,
+        next_cadence: Time::ZERO,
+        metrics: Metrics::default(),
+    }));
 }
 
 /// Remove this thread's sink, discarding buffered events.
-#[inline]
 pub fn uninstall() {
-    #[cfg(feature = "on")]
-    imp::uninstall();
+    SINK.set(None);
 }
 
-/// Whether a sink is installed on this thread *and* the layer is
-/// compiled in. The `if enabled()` guard at every instrumentation site
-/// is a constant `false` in off builds, so the whole site folds away.
+/// Whether a sink is installed on this thread: one thread-local read,
+/// the guard every instrumentation site puts its work behind.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "on")]
-    {
-        imp::installed()
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        false
-    }
+    SINK.with(|s| s.borrow().is_some())
 }
 
 /// Emit one record stamped `at`; the closure is only evaluated when a
@@ -210,14 +118,18 @@ pub fn enabled() -> bool {
 /// ```
 #[inline]
 pub fn emit_with<F: Fn() -> Record>(at: Time, f: F) {
-    #[cfg(feature = "on")]
-    {
-        if imp::installed() {
-            imp::emit(at, f());
-        }
+    if enabled() {
+        let record = f();
+        with_sink(|st| {
+            if st.ring.len() >= st.cfg.capacity {
+                st.ring.pop_front();
+                st.dropped += 1;
+            }
+            let seq = st.next_seq;
+            st.next_seq += 1;
+            st.ring.push_back(TraceEvent { seq, at, record });
+        });
     }
-    #[cfg(not(feature = "on"))]
-    let _ = (at, f);
 }
 
 /// Lazy cadence check: true when `now` reached the next metrics
@@ -227,128 +139,68 @@ pub fn emit_with<F: Fn() -> Record>(at: Time, f: F) {
 /// the trace digest) identical to an uninstrumented run.
 #[inline]
 pub fn on_cadence(now: Time) -> bool {
-    #[cfg(feature = "on")]
-    {
-        imp::on_cadence(now)
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        let _ = now;
-        false
-    }
+    with_sink(|st| {
+        if now < st.next_cadence {
+            return false;
+        }
+        // Advance to the first boundary strictly past `now` without
+        // looping per elapsed period (faults can idle the clock).
+        let period = st.cfg.metrics_cadence.as_ns().max(1);
+        st.next_cadence = Time::from_ns((now.as_ns() / period + 1) * period);
+        true
+    })
+    .unwrap_or(false)
 }
 
 /// Add `v` to a named counter.
 #[inline]
 pub fn counter_add(name: &'static str, v: u64) {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.counter_add(name, v));
-    }
-    #[cfg(not(feature = "on"))]
-    let _ = (name, v);
+    with_sink(|st| st.metrics.counter_add(name, v));
 }
 
 /// Set a named gauge.
 #[inline]
 pub fn gauge_set(name: &'static str, v: f64) {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.gauge_set(name, v));
-    }
-    #[cfg(not(feature = "on"))]
-    let _ = (name, v);
+    with_sink(|st| st.metrics.gauge_set(name, v));
 }
 
 /// Observe `v` in a named fixed-bucket histogram (created with `edges`
 /// on first use).
 #[inline]
 pub fn hist_observe(name: &'static str, edges: &'static [f64], v: f64) {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.hist_observe(name, edges, v));
-    }
-    #[cfg(not(feature = "on"))]
-    let _ = (name, edges, v);
+    with_sink(|st| st.metrics.hist_observe(name, edges, v));
 }
 
 /// Snapshot all metrics into the sampled time series at `now`.
 #[inline]
 pub fn sample_metrics(now: Time) {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.sample(now));
-    }
-    #[cfg(not(feature = "on"))]
-    let _ = now;
+    with_sink(|st| st.metrics.sample(now));
 }
 
 /// Take every buffered trace event (oldest first), leaving the sink
-/// installed. Empty when the layer is off or no sink is installed.
-#[inline]
+/// installed. Empty when no sink is installed.
 pub fn drain() -> Vec<TraceEvent> {
-    #[cfg(feature = "on")]
-    {
-        imp::drain()
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        Vec::new()
-    }
+    with_sink(|st| st.ring.drain(..).collect()).unwrap_or_default()
 }
 
 /// Take the cadence-sampled metrics rows accumulated so far.
-#[inline]
-pub fn take_metric_rows() -> Vec<crate::metrics::MetricsRow> {
-    #[cfg(feature = "on")]
-    {
-        imp::take_metric_rows()
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        Vec::new()
-    }
+pub fn take_metric_rows() -> Vec<MetricsRow> {
+    with_sink(|st| st.metrics.take_rows()).unwrap_or_default()
 }
 
 /// Events dropped because the ring was full.
-#[inline]
 pub fn dropped() -> u64 {
-    #[cfg(feature = "on")]
-    {
-        imp::dropped()
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        0
-    }
+    with_sink(|st| st.dropped).unwrap_or(0)
 }
 
 /// Read a live counter value (testing/inspection).
-#[inline]
 pub fn counter(name: &'static str) -> u64 {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.counter(name)).unwrap_or(0)
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        let _ = name;
-        0
-    }
+    with_sink(|st| st.metrics.counter(name)).unwrap_or(0)
 }
 
 /// Clone a live histogram (testing/inspection).
-#[inline]
-pub fn hist(name: &'static str) -> Option<crate::metrics::Histogram> {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.hist(name).cloned()).flatten()
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        let _ = name;
-        None
-    }
+pub fn hist(name: &'static str) -> Option<Histogram> {
+    with_sink(|st| st.metrics.hist(name).cloned()).flatten()
 }
 
 #[cfg(test)]
@@ -366,23 +218,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn off_build_is_inert() {
-        if compiled() {
-            return;
-        }
-        install(SinkConfig::default());
+    fn assert_inert() {
         assert!(!enabled());
-        emit_with(Time::from_us(1), sample_record);
+        emit_with(Time::from_us(1), || {
+            unreachable!("closure ran without a sink")
+        });
         assert!(drain().is_empty());
         assert!(!on_cadence(Time::from_secs(1)));
     }
 
     #[test]
+    fn no_sink_is_inert() {
+        // A fresh test thread has no sink.
+        assert_inert();
+        install(SinkConfig::default());
+        assert!(enabled());
+        emit_with(Time::from_us(1), sample_record);
+        uninstall();
+        assert_inert();
+    }
+
+    #[test]
     fn emit_is_seq_ordered_and_closure_lazy() {
-        if !compiled() {
-            return;
-        }
         uninstall();
         // Not installed: the closure must not run.
         emit_with(Time::ZERO, || panic!("closure ran without a sink"));
@@ -399,9 +256,6 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        if !compiled() {
-            return;
-        }
         install(SinkConfig {
             capacity: 2,
             ..SinkConfig::default()
@@ -418,9 +272,6 @@ mod tests {
 
     #[test]
     fn cadence_fires_once_per_boundary() {
-        if !compiled() {
-            return;
-        }
         install(SinkConfig {
             metrics_cadence: Time::from_ms(1),
             ..SinkConfig::default()
@@ -438,9 +289,6 @@ mod tests {
 
     #[test]
     fn metrics_roundtrip_through_the_sink() {
-        if !compiled() {
-            return;
-        }
         install(SinkConfig::default());
         counter_add("pkts", 2);
         counter_add("pkts", 3);

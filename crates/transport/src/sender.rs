@@ -783,9 +783,6 @@ mod tests {
 
     #[test]
     fn telemetry_snapshots_window_rollover_and_rto() {
-        if !hermes_telemetry::compiled() {
-            return;
-        }
         use hermes_telemetry::Record;
         hermes_telemetry::install(hermes_telemetry::SinkConfig::default());
         let mut s = sender(10_000 * MSS);

@@ -7,9 +7,6 @@
 //! * `cargo run -p xtask -- bless` — regenerate the golden stores (event-
 //!   trace digests and flow-record hashes) after an intended change, and
 //!   report how many cells moved in each;
-//! * `cargo run -p xtask -- trace <point> --out <dir>` — rebuild
-//!   `hermes-bench` with the `telemetry` feature and capture one named
-//!   point's event trace and cadence-sampled metrics (DESIGN.md §12);
 //! * `cargo run -p xtask -- chaos [--seeds N] [--quick] [--shrink]
 //!   [--self-test]` — the chaos campaign engine (DESIGN.md §14):
 //!   replay the committed counterexample corpus
@@ -20,6 +17,10 @@
 //!   corpus format), `--recovery-frac` tightens the recovery SLO for
 //!   corpus mining, and `--self-test` proves each SLO checker and the
 //!   shrinker trip on planted fixtures.
+//!
+//! Capturing a point's telemetry trace needs no task: the layer is
+//! always compiled in, so it is `cargo run --release -p hermes-bench
+//! --bin trace_point -- --point <name> --out <dir>` (DESIGN.md §12).
 //!
 //! The source-level determinism rules (no wall clock, no hash-order
 //! iteration, no threads or locks in the simulation, no unscheduled
@@ -41,14 +42,12 @@ fn main() -> ExitCode {
             conformance()
         }
         Some("bless") => bless_goldens(),
-        Some("trace") => trace(&args[1..]),
         Some("chaos") => chaos(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <conformance [--self-test] | bless | \
-                 trace <point> --out <dir> | chaos [--seeds N] [--seed-base N] [--quick] \
-                 [--shrink] [--self-test] [--no-corpus] [--recovery-frac F] [--out <json>] \
-                 [--emit-shrunk <dir>]>"
+                 chaos [--seeds N] [--seed-base N] [--quick] [--shrink] [--self-test] \
+                 [--no-corpus] [--recovery-frac F] [--out <json>] [--emit-shrunk <dir>]>"
             );
             ExitCode::FAILURE
         }
@@ -186,49 +185,6 @@ fn bless_goldens() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// `trace <point> --out <dir>`: rebuild `hermes-bench` with the
-/// `telemetry` feature and run its `trace_point` bin, which writes
-/// `<point>.trace.jsonl` (event trace) and `<point>.metrics.csv`
-/// (cadence-sampled metrics) into `<dir>`.
-fn trace(args: &[String]) -> ExitCode {
-    let mut point: Option<&str> = None;
-    let mut out: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().map(String::as_str),
-            p if point.is_none() && !p.starts_with('-') => point = Some(p),
-            other => {
-                eprintln!("xtask trace: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (Some(point), Some(out)) = (point, out) else {
-        eprintln!("usage: cargo run -p xtask -- trace <point> --out <dir>");
-        return ExitCode::FAILURE;
-    };
-    let root = workspace_root();
-    let status = std::process::Command::new("cargo")
-        .current_dir(&root)
-        .args(["run", "--release", "-q", "-p", "hermes-bench"])
-        .args(["--features", "hermes-bench/telemetry"])
-        .args(["--bin", "trace_point", "--"])
-        .args(["--point", point, "--out", out])
-        .status();
-    match status {
-        Ok(st) if st.success() => ExitCode::SUCCESS,
-        Ok(st) => {
-            eprintln!("xtask trace: trace_point exited with {st}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("xtask trace: spawning cargo: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// `chaos`: replay the committed counterexample corpus, then run a
