@@ -329,7 +329,6 @@ pub fn run_sim(mut sim: Simulation, horizon: Time, goodput: Option<usize>) -> Ru
     let (vis_switch, vis_host) = sim.visibility();
     RunReport {
         fct: summarize(sim.records(), horizon),
-        records: sim.records().to_vec(),
         events: sim.stats.events,
         sim_time: sim.now(),
         horizon,
@@ -341,6 +340,7 @@ pub fn run_sim(mut sim: Simulation, horizon: Time, goodput: Option<usize>) -> Ru
         pending_events: sim.pending_events(),
         vis_switch,
         vis_host,
+        records: sim.into_records(),
     }
 }
 
@@ -475,6 +475,31 @@ mod tests {
         assert_eq!(a.fct.avg, b.fct.avg);
         assert_eq!(a.fct.unfinished, 0);
         assert!(a.fct.avg > 0.0);
+    }
+
+    #[test]
+    fn run_sim_moves_out_the_records_the_run_made() {
+        let cfg = PointCfg::new(
+            Topology::testbed(),
+            Scheme::Ecmp,
+            FlowSizeDist::web_search(),
+            0.3,
+        )
+        .flows(40);
+        let build = || {
+            let sim_cfg = SimConfig::new(cfg.topo.clone(), cfg.scheme.clone()).with_seed(cfg.seed);
+            let mut sim = Simulation::new(sim_cfg);
+            let rng = SimRng::new(cfg.seed).split(0x6E4);
+            let mut gen = FlowGen::new(&cfg.topo, cfg.dist.clone(), cfg.load, None, rng);
+            sim.add_flows(gen.schedule(cfg.n_flows));
+            sim
+        };
+        let horizon = Time::from_secs(1);
+        let mut sim = build();
+        sim.run_to_completion(horizon);
+        let before_move = sim.records().to_vec();
+        assert_eq!(before_move.len(), 40);
+        assert_eq!(run_sim(build(), horizon, None).records, before_move);
     }
 
     #[test]

@@ -306,6 +306,12 @@ impl Simulation {
         &self.records
     }
 
+    /// Consume the finished run and keep only its flow records, so a
+    /// caller holds them once instead of copying them out.
+    pub fn into_records(self) -> Vec<FlowRecord> {
+        self.records
+    }
+
     /// Rack sensing tables by leaf id (empty unless the scheme is Hermes).
     pub fn hermes_racks(&self) -> impl Iterator<Item = &RackSensing> {
         let racks: &[Hermes] = match &self.edge {

@@ -104,11 +104,20 @@ impl Time {
     /// computation in the fabric, so rounding behaviour is centralized
     /// here: rounding *up* guarantees a link never transmits faster than
     /// its configured rate.
+    ///
+    /// Every size the simulator sends fits `bytes · 8·10⁹` in a `u64`,
+    /// so the division is a 64-bit one; only larger products take the
+    /// 128-bit path.
     #[inline]
     pub fn tx_time(bytes: u64, rate_bps: u64) -> Time {
         debug_assert!(rate_bps > 0, "link rate must be positive");
-        let bits = bytes as u128 * 8 * 1_000_000_000;
-        Time(bits.div_ceil(rate_bps as u128) as u64)
+        match bytes.checked_mul(8 * 1_000_000_000) {
+            Some(bit_ns) => Time(bit_ns.div_ceil(rate_bps)),
+            None => {
+                let bit_ns = u128::from(bytes) * 8 * 1_000_000_000;
+                Time(bit_ns.div_ceil(u128::from(rate_bps)) as u64)
+            }
+        }
     }
 
     /// Scale by a float factor (e.g. RTO backoff, EWMA horizons).
@@ -226,6 +235,45 @@ mod tests {
         // A 1 GB transfer at 1 bps must not overflow intermediate math.
         let t = Time::tx_time(1_000_000_000, 1);
         assert_eq!(t.as_ns(), 8_000_000_000_000_000_000);
+    }
+
+    /// `tx_time` as one 128-bit division, for every input.
+    fn tx_time_u128(bytes: u64, rate_bps: u64) -> Time {
+        let bit_ns = u128::from(bytes) * 8 * 1_000_000_000;
+        Time(bit_ns.div_ceil(u128::from(rate_bps)) as u64)
+    }
+
+    #[test]
+    fn tx_time_u64_path_equals_u128_at_the_overflow_boundary() {
+        let last_fit = u64::MAX / 8_000_000_000;
+        assert!(last_fit.checked_mul(8_000_000_000).is_some());
+        assert!((last_fit + 1).checked_mul(8_000_000_000).is_none());
+        for bytes in [0, 1, 1500, last_fit - 1, last_fit, last_fit + 1, u64::MAX] {
+            for rate in [1, 3, 10_000_000_000, u64::MAX - 1, u64::MAX] {
+                assert_eq!(
+                    Time::tx_time(bytes, rate),
+                    tx_time_u128(bytes, rate),
+                    "{bytes} B at {rate} bps"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Byte counts on both sides of the overflow boundary, at any rate.
+        #[test]
+        fn tx_time_equals_the_u128_formula(
+            bytes in proptest::prop_oneof![
+                0u64..100_000_000,
+                u64::MAX / 8_000_000_000 - 1_000..u64::MAX / 8_000_000_000 + 1_000,
+                proptest::arbitrary::any::<u64>(),
+            ],
+            rate in proptest::prop_oneof![1u64..100, 1u64..u64::MAX],
+        ) {
+            proptest::prop_assert_eq!(Time::tx_time(bytes, rate), tx_time_u128(bytes, rate));
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! is `Send`, and one moved elsewhere emits into that thread's sink (or
 //! nowhere, if none is installed there).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 
 use hermes_sim::Time;
@@ -63,6 +63,10 @@ struct SinkState {
 
 thread_local! {
     static SINK: RefCell<Option<SinkState>> = const { RefCell::new(None) };
+    /// Whether `SINK` holds a sink. A `const`-initialised `Cell<bool>`
+    /// has no destructor and no borrow flag, so [`enabled`] compiles to
+    /// one load of it.
+    static ON: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Run `f` on this thread's sink; `None` when no sink is installed.
@@ -84,18 +88,20 @@ pub fn install(cfg: SinkConfig) {
         next_cadence: Time::ZERO,
         metrics: Metrics::default(),
     }));
+    ON.set(true);
 }
 
 /// Remove this thread's sink, discarding buffered events.
 pub fn uninstall() {
     SINK.set(None);
+    ON.set(false);
 }
 
 /// Whether a sink is installed on this thread: one thread-local read,
 /// the guard every instrumentation site puts its work behind.
 #[inline(always)]
 pub fn enabled() -> bool {
-    SINK.with(|s| s.borrow().is_some())
+    ON.get()
 }
 
 /// Emit one record stamped `at`; the closure is only evaluated when a
@@ -234,6 +240,23 @@ mod tests {
         install(SinkConfig::default());
         assert!(enabled());
         emit_with(Time::from_us(1), sample_record);
+        uninstall();
+        assert_inert();
+    }
+
+    #[test]
+    fn install_and_uninstall_toggle_enabled_each_time() {
+        uninstall();
+        assert!(!enabled());
+        install(SinkConfig::default());
+        assert!(enabled());
+        uninstall();
+        assert!(!enabled());
+        install(SinkConfig::default());
+        assert!(enabled());
+        // Re-installing replaces the sink and stays enabled.
+        install(SinkConfig::default());
+        assert!(enabled());
         uninstall();
         assert_inert();
     }

@@ -12,7 +12,7 @@ pub const SMALL_FLOW_BYTES: u64 = 100_000;
 pub const LARGE_FLOW_BYTES: u64 = 10_000_000;
 
 /// The lifecycle record of one flow.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowRecord {
     pub id: FlowId,
     pub src: HostId,
@@ -84,62 +84,233 @@ impl FctSummary {
     }
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-fn avg(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
-}
-
 /// Summarize records against a measurement horizon (simulation end).
+///
+/// One `n`-long buffer holds every FCT: small-band flows fill it from
+/// the front, all others from the back, so the small band's percentile
+/// is a selection on the front part and the overall ones a selection on
+/// the whole. Each percentile is the value at rank `round(p·(len−1))`
+/// of the ascending order, which selection finds without sorting; the
+/// band sums run in record order.
 pub fn summarize(records: &[FlowRecord], horizon: Time) -> FctSummary {
-    let mut all: Vec<f64> = Vec::with_capacity(records.len());
-    let mut small: Vec<f64> = Vec::new();
-    let mut large: Vec<f64> = Vec::new();
-    let mut unfinished = 0;
+    let n = records.len();
+    let mut fcts = vec![0.0; n];
+    let (mut n_small, mut back) = (0, n);
+    let (mut unfinished, mut n_large) = (0, 0);
+    let (mut sum, mut sum_small, mut sum_large) = (0.0, 0.0, 0.0);
     for r in records {
         if r.finish.is_none() {
             unfinished += 1;
         }
         let fct = r.fct_at(horizon).as_secs_f64();
-        all.push(fct);
+        sum += fct;
         if r.size < SMALL_FLOW_BYTES {
-            small.push(fct);
-        } else if r.size > LARGE_FLOW_BYTES {
-            large.push(fct);
+            fcts[n_small] = fct;
+            n_small += 1;
+            sum_small += fct;
+        } else {
+            back -= 1;
+            fcts[back] = fct;
+            if r.size > LARGE_FLOW_BYTES {
+                n_large += 1;
+                sum_large += fct;
+            }
         }
     }
-    let mut sorted = all.clone();
-    sorted.sort_by(f64::total_cmp);
-    let mut small_sorted = small.clone();
-    small_sorted.sort_by(f64::total_cmp);
+    let p99_small = select(&mut fcts[..n_small], 0.99);
     FctSummary {
-        n: records.len(),
+        n,
         unfinished,
-        avg: avg(&all),
-        p50: percentile(&sorted, 0.50),
-        p95: percentile(&sorted, 0.95),
-        p99: percentile(&sorted, 0.99),
-        n_small: small.len(),
-        avg_small: avg(&small),
-        p99_small: percentile(&small_sorted, 0.99),
-        n_large: large.len(),
-        avg_large: avg(&large),
+        avg: mean(sum, n),
+        p50: select(&mut fcts, 0.50),
+        p95: select(&mut fcts, 0.95),
+        p99: select(&mut fcts, 0.99),
+        n_small,
+        avg_small: mean(sum_small, n_small),
+        p99_small,
+        n_large,
+        avg_large: mean(sum_large, n_large),
     }
+}
+
+/// `sum / n`, or 0 for an empty band.
+fn mean(sum: f64, n: usize) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+/// The `p`-quantile of `v` at rank `round(p·(len−1))`, or 0 when `v` is
+/// empty. Reorders `v`.
+fn select(v: &mut [f64], p: f64) -> f64 {
+    if v.is_empty() {
+        return 0.0;
+    }
+    let rank = (p * (v.len() - 1) as f64).round() as usize;
+    *v.select_nth_unstable_by(rank, f64::total_cmp).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The sort-based `summarize` that selection replaced, kept as the
+    /// oracle: two sorted copies, percentiles read by index.
+    fn summarize_by_sorting(records: &[FlowRecord], horizon: Time) -> FctSummary {
+        fn percentile(sorted: &[f64], p: f64) -> f64 {
+            if sorted.is_empty() {
+                return 0.0;
+            }
+            let rank = (p * (sorted.len() - 1) as f64).round() as usize;
+            sorted[rank.min(sorted.len() - 1)]
+        }
+        fn avg(v: &[f64]) -> f64 {
+            if v.is_empty() {
+                0.0
+            } else {
+                v.iter().sum::<f64>() / v.len() as f64
+            }
+        }
+        let mut all: Vec<f64> = Vec::with_capacity(records.len());
+        let mut small: Vec<f64> = Vec::new();
+        let mut large: Vec<f64> = Vec::new();
+        let mut unfinished = 0;
+        for r in records {
+            if r.finish.is_none() {
+                unfinished += 1;
+            }
+            let fct = r.fct_at(horizon).as_secs_f64();
+            all.push(fct);
+            if r.size < SMALL_FLOW_BYTES {
+                small.push(fct);
+            } else if r.size > LARGE_FLOW_BYTES {
+                large.push(fct);
+            }
+        }
+        let mut sorted = all.clone();
+        sorted.sort_by(f64::total_cmp);
+        let mut small_sorted = small.clone();
+        small_sorted.sort_by(f64::total_cmp);
+        FctSummary {
+            n: records.len(),
+            unfinished,
+            avg: avg(&all),
+            p50: percentile(&sorted, 0.50),
+            p95: percentile(&sorted, 0.95),
+            p99: percentile(&sorted, 0.99),
+            n_small: small.len(),
+            avg_small: avg(&small),
+            p99_small: percentile(&small_sorted, 0.99),
+            n_large: large.len(),
+            avg_large: avg(&large),
+        }
+    }
+
+    /// Every field of a summary, floats by their bits.
+    fn bits(s: &FctSummary) -> [u64; 11] {
+        [
+            s.n as u64,
+            s.unfinished as u64,
+            s.avg.to_bits(),
+            s.p50.to_bits(),
+            s.p95.to_bits(),
+            s.p99.to_bits(),
+            s.n_small as u64,
+            s.avg_small.to_bits(),
+            s.p99_small.to_bits(),
+            s.n_large as u64,
+            s.avg_large.to_bits(),
+        ]
+    }
+
+    fn assert_matches_oracle(records: &[FlowRecord], horizon: Time) {
+        assert_eq!(
+            bits(&summarize(records, horizon)),
+            bits(&summarize_by_sorting(records, horizon)),
+            "records {records:?}"
+        );
+    }
+
+    /// One record from the three bands; FCTs come from a handful of
+    /// values so duplicates are common, and a quarter never finish.
+    /// Starts run past the 4 ms horizon the property uses, so some
+    /// unfinished flows are charged zero.
+    fn record() -> impl Strategy<Value = FlowRecord> {
+        let size = prop_oneof![
+            3 => 1u64..SMALL_FLOW_BYTES,
+            2 => SMALL_FLOW_BYTES..LARGE_FLOW_BYTES + 1,
+            2 => LARGE_FLOW_BYTES + 1..4 * LARGE_FLOW_BYTES,
+        ];
+        let fct = prop_oneof![
+            3 => (0u64..6).prop_map(|f| Some(f * 250)),
+            2 => (0u64..3_000).prop_map(Some),
+            2 => Just(None),
+        ];
+        (size, 0u64..5_000, fct).prop_map(|(size, start_us, fct_us)| rec(size, start_us, fct_us))
+    }
+
+    /// Record sets of every shape the summary branches on: empty, one
+    /// flow, all small, none small, and mixed.
+    fn record_sets() -> impl Strategy<Value = Vec<FlowRecord>> {
+        prop_oneof![
+            1 => Just(Vec::new()),
+            2 => proptest::collection::vec(record(), 1..2),
+            2 => proptest::collection::vec(record(), 1..40).prop_map(|mut v| {
+                v.iter_mut().for_each(|r| r.size %= SMALL_FLOW_BYTES);
+                v
+            }),
+            2 => proptest::collection::vec(record(), 1..40).prop_map(|mut v| {
+                v.iter_mut().for_each(|r| r.size = r.size.max(SMALL_FLOW_BYTES));
+                v
+            }),
+            6 => proptest::collection::vec(record(), 2..300),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Selecting in one buffer gives every field of the sort-based
+        /// summary, bit for bit.
+        #[test]
+        fn one_buffer_summary_matches_the_sorting_oracle(records in record_sets()) {
+            assert_matches_oracle(&records, Time::from_ms(4));
+        }
+    }
+
+    #[test]
+    fn oracle_agrees_on_the_edge_shapes() {
+        let horizon = Time::from_ms(4);
+        let shapes: [&[FlowRecord]; 7] = [
+            &[],
+            &[rec(50_000, 0, Some(100))],
+            &[rec(1, 0, Some(3)), rec(99_999, 5, Some(1)), rec(7, 1, None)],
+            &[
+                rec(SMALL_FLOW_BYTES, 0, Some(9)),
+                rec(LARGE_FLOW_BYTES, 2, Some(4)),
+            ],
+            &[
+                rec(LARGE_FLOW_BYTES + 1, 0, Some(8)),
+                rec(5 * LARGE_FLOW_BYTES, 0, None),
+            ],
+            &[
+                rec(1_000, 3_000, None),
+                rec(1_000, 5_000, None),
+                rec(2_000_000, 0, None),
+            ],
+            &[
+                rec(10, 0, Some(5)),
+                rec(2_000_000, 0, Some(5)),
+                rec(10, 0, Some(5)),
+            ],
+        ];
+        for records in shapes {
+            assert_matches_oracle(records, horizon);
+        }
+    }
 
     fn rec(size: u64, start_us: u64, fct_us: Option<u64>) -> FlowRecord {
         FlowRecord {
