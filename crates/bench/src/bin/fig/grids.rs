@@ -9,12 +9,18 @@ use hermes_bench::{asym_topology, baseline_capacity, PointCfg};
 use hermes_core::HermesParams;
 use hermes_lb::{CloveCfg, CongaCfg};
 use hermes_net::{LeafId, SpineFailure, SpineId, Topology};
-use hermes_runtime::Scheme;
+use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
 use hermes_transport::TransportCfg;
 use hermes_workload::FlowSizeDist;
 
 use crate::{paper, GridSpec};
+
+/// A grid's template on `topo`: [`GridSpec`] sets each cell's scheme,
+/// load and seed.
+fn cell_template(topo: &Topology, dist: FlowSizeDist) -> PointCfg {
+    PointCfg::new(SimConfig::new(topo.clone(), Scheme::Ecmp), dist, 0.0)
+}
 
 /// **Figure 9** — testbed-scale, symmetric topology: overall average FCT
 /// vs. load for the web-search and data-mining workloads.
@@ -37,7 +43,7 @@ pub fn fig9() -> Vec<GridSpec> {
     .map(|(dist, base, drain_s)| {
         GridSpec::new(
             "Figure 9: testbed symmetric — overall avg FCT",
-            PointCfg::new(topo.clone(), Scheme::Ecmp, dist, 0.0)
+            cell_template(&topo, dist)
                 .flows(base)
                 .drain(Time::from_secs(drain_s)),
         )
@@ -82,7 +88,7 @@ pub fn fig10() -> Vec<GridSpec> {
     .map(|(dist, base, normalize, drain_s)| {
         let g = GridSpec::new(
             "Figure 10/11: testbed asymmetric (one uplink cut)",
-            PointCfg::new(topo.clone(), Scheme::Ecmp, dist, 0.0)
+            cell_template(&topo, dist)
                 .flows(base)
                 .capacity(healthy)
                 .drain(Time::from_secs(drain_s)),
@@ -123,7 +129,7 @@ pub fn fig12() -> Vec<GridSpec> {
     .map(|(dist, base, drain_s)| {
         GridSpec::new(
             "Figure 12: 8x8 baseline (symmetric) — overall avg FCT",
-            PointCfg::new(topo.clone(), Scheme::Ecmp, dist, 0.0)
+            cell_template(&topo, dist)
                 .flows(base)
                 .drain(Time::from_secs(drain_s)),
         )
@@ -155,7 +161,7 @@ pub fn fig13() -> Vec<GridSpec> {
     let topo = asym_topology();
     vec![GridSpec::new(
         "Figure 13: 8x8 asymmetric — web-search (normalized to Hermes)",
-        PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::web_search(), 0.0)
+        cell_template(&topo, FlowSizeDist::web_search())
             .flows(2000)
             .capacity(baseline_capacity()),
     )
@@ -183,7 +189,7 @@ pub fn fig14() -> Vec<GridSpec> {
     let topo = asym_topology();
     vec![GridSpec::new(
         "Figure 14: 8x8 asymmetric — data-mining (normalized to Hermes)",
-        PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::data_mining(), 0.0)
+        cell_template(&topo, FlowSizeDist::data_mining())
             .flows(400)
             .capacity(baseline_capacity())
             .drain(Time::from_secs(8)),
@@ -214,12 +220,15 @@ pub fn fig15() -> Vec<GridSpec> {
     let topo = asym_topology();
     let mut spec = GridSpec::new(
         "Figure 15: CONGA flowlet-timeout sweep (web-search, 80% load, reordering masked)",
-        PointCfg::new(topo, Scheme::Ecmp, FlowSizeDist::web_search(), 0.0)
-            .flows(2000)
-            .capacity(baseline_capacity())
+        PointCfg::new(
             // Mask reordering for every variant so only congestion
             // mismatch differentiates them (the paper's methodology).
-            .reorder_mask(Some(Time::from_us(300))),
+            SimConfig::new(topo, Scheme::Ecmp).with_reorder_mask(Some(Time::from_us(300))),
+            FlowSizeDist::web_search(),
+            0.0,
+        )
+        .flows(2000)
+        .capacity(baseline_capacity()),
     )
     .loads(&[0.8]);
     for timeout_us in [500u64, 150, 50] {
@@ -253,7 +262,7 @@ pub fn fig16() -> Vec<GridSpec> {
     let topo = Topology::sim_baseline();
     vec![GridSpec::new(
         "Figure 16: silent random drops (2% at one spine) — web-search",
-        PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::web_search(), 0.0)
+        cell_template(&topo, FlowSizeDist::web_search())
             .flows(1200)
             .failure(SpineId(3), SpineFailure::random_drops(0.02)),
     )
@@ -291,7 +300,7 @@ pub fn fig17() -> Vec<GridSpec> {
     let hole = SpineFailure::blackhole(LeafId(0), LeafId(7), 0.5);
     vec![GridSpec::new(
         "Figure 17: packet blackhole (half of rack1→rack8 pairs) — web-search",
-        PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::web_search(), 0.0)
+        cell_template(&topo, FlowSizeDist::web_search())
             .flows(1200)
             .failure(SpineId(5), hole)
             .drain(Time::from_secs(2)),
@@ -330,7 +339,7 @@ pub fn fig18() -> Vec<GridSpec> {
     let mut neither = base;
     neither.enable_probing = false;
     neither.enable_reroute = false;
-    let template = PointCfg::new(topo, Scheme::Ecmp, FlowSizeDist::data_mining(), 0.0)
+    let template = cell_template(&topo, FlowSizeDist::data_mining())
         .flows(400)
         .capacity(baseline_capacity())
         .drain(Time::from_secs(8));
@@ -383,7 +392,7 @@ pub fn fig19() -> Vec<GridSpec> {
         (FlowSizeDist::web_search(), 1500),
         (FlowSizeDist::data_mining(), 300),
     ] {
-        let template = PointCfg::new(topo.clone(), Scheme::Ecmp, dist, 0.0)
+        let template = cell_template(&topo, dist)
             .flows(nflows)
             .capacity(baseline_capacity())
             .drain(Time::from_secs(6));
@@ -437,10 +446,13 @@ pub fn tcp() -> Vec<GridSpec> {
     .map(|(dist, base)| {
         GridSpec::new(
             "§5.4: plain TCP transport (8x8 baseline)",
-            PointCfg::new(topo.clone(), Scheme::Ecmp, dist, 0.0)
-                .flows(base)
-                .transport(TransportCfg::tcp())
-                .drain(Time::from_secs(6)),
+            PointCfg::new(
+                SimConfig::new(topo.clone(), Scheme::Ecmp).with_transport(TransportCfg::tcp()),
+                dist,
+                0.0,
+            )
+            .flows(base)
+            .drain(Time::from_secs(6)),
         )
         .scheme("ecmp", paper("ecmp", &topo))
         .scheme("conga-500us", Scheme::Conga(conga))

@@ -195,12 +195,14 @@ impl GridSpec {
         for (_, scheme) in &self.schemes {
             for &load in &self.loads {
                 for seed in 0..knobs.runs as u64 {
-                    let cfg = PointCfg {
-                        scheme: scheme.clone(),
+                    let mut cfg = PointCfg {
                         load,
                         ..self.base.clone()
-                    };
-                    cfgs.push(cfg.flows(knobs.flows(self.base.n_flows)).seed(1_000 + seed));
+                    }
+                    .flows(knobs.flows(self.base.n_flows));
+                    cfg.sim.scheme = scheme.clone();
+                    cfg.sim.seed = 1_000 + seed;
+                    cfgs.push(cfg);
                 }
             }
         }

@@ -3,11 +3,11 @@
 //! congestion-oblivious spraying), Table 6 (probing cost) and Fig. 7
 //! (the evaluation workloads). Each runs its own small scenario.
 
-use hermes_bench::{run_points, PointCfg, ProbingCostModel, TextTable};
+use hermes_bench::{run_points, PointCfg, ProbingCostModel, RunReport, TextTable};
 use hermes_net::{FlowId, HostId, LeafId, LinkCfg, PathId, SpineId, Topology};
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
 use hermes_sim::Time;
-use hermes_workload::{FlowSizeDist, FlowSpec};
+use hermes_workload::{FlowSizeDist, FlowSpec, WorkloadKind};
 
 use crate::{paper, Knobs};
 
@@ -38,12 +38,10 @@ pub fn table2(knobs: Knobs) {
         for load in [0.6, 0.8] {
             // A ToR observes a flow for as long as its flow-table entry
             // lives; model a 50 ms aging window (see EXPERIMENTS.md).
-            cfgs.push(
-                PointCfg::new(topo.clone(), Scheme::Ecmp, dist.clone(), load)
-                    .flows(knobs.flows(base))
-                    .visibility_linger(Time::from_ms(50))
-                    .seed(42),
-            );
+            let sim = SimConfig::new(topo.clone(), Scheme::Ecmp)
+                .with_visibility_linger(Time::from_ms(50))
+                .with_seed(42);
+            cfgs.push(PointCfg::new(sim, dist.clone(), load).flows(knobs.flows(base)));
         }
     }
     let mut sw_row = vec!["switch pair".to_string()];
@@ -177,14 +175,35 @@ pub fn fig1(_: Knobs) {
         "1.00x".into(),
         "-".into(),
     ]);
-    for (label, name) in [
+    let schemes = [
         ("CONGA (flowlet 150us)", "conga"),
         ("LetFlow (flowlet 150us)", "letflow"),
         ("Hermes", "hermes"),
-    ] {
-        let (fct, n) = fig1_collided_fct(name, seeds);
+    ];
+    let t = micro(2, 2, 4);
+    let flows = WorkloadKind::Flows(vec![
+        flow(0, 0, 4, FIG1_SMALL, Time::ZERO),
+        flow(1, 1, 5, FIG1_SMALL, Time::from_us(50)),
+        // C, D arrive once A/B have ramped up (~5 ms).
+        flow(2, 2, 6, FIG1_LARGE, Time::from_us(5_000)),
+        flow(3, 3, 7, FIG1_LARGE, Time::from_us(5_050)),
+    ]);
+    let cfgs: Vec<PointCfg> = schemes
+        .iter()
+        .flat_map(|&(_, name)| (0..seeds).map(move |seed| (name, seed)))
+        .map(|(name, seed)| {
+            let sim = SimConfig::new(t.clone(), paper(name, &t)).with_seed(100 + seed);
+            // Every flow finishes long before the drain runs out.
+            PointCfg::new(sim, FlowSizeDist::web_search(), 0.0)
+                .workload(flows.clone())
+                .drain(Time::from_secs(10))
+        })
+        .collect();
+    let reports = run_points(&cfgs);
+    for ((label, _), runs) in schemes.iter().zip(reports.chunks(seeds as usize)) {
+        let (fct, n) = fig1_collided_fct(runs);
         tab.row(vec![
-            label.into(),
+            (*label).into(),
             format!("{:.1}", fct * 1e3),
             format!("{:.2}x", fct / ideal),
             format!("{n}"),
@@ -203,22 +222,11 @@ pub fn fig1(_: Knobs) {
 /// Fig. 1's (mean large FCT, runs used) over seeds where the adversarial
 /// placement (C and D sharing one path) actually formed — detected by
 /// both large flows finishing notably slower than line rate.
-fn fig1_collided_fct(scheme: &str, seeds: u64) -> (f64, usize) {
-    let t = micro(2, 2, 4);
+fn fig1_collided_fct(runs: &[RunReport]) -> (f64, usize) {
     let mut fcts = Vec::new();
-    for seed in 0..seeds {
-        let cfg = SimConfig::new(t.clone(), paper(scheme, &t)).with_seed(100 + seed);
-        let mut sim = Simulation::new(cfg);
-        sim.add_flows([
-            flow(0, 0, 4, FIG1_SMALL, Time::ZERO),
-            flow(1, 1, 5, FIG1_SMALL, Time::from_us(50)),
-            // C, D arrive once A/B have ramped up (~5 ms).
-            flow(2, 2, 6, FIG1_LARGE, Time::from_us(5_000)),
-            flow(3, 3, 7, FIG1_LARGE, Time::from_us(5_050)),
-        ]);
-        sim.run_to_completion(Time::from_secs(10));
-        let large: Vec<f64> = sim
-            .records()
+    for r in runs {
+        let large: Vec<f64> = r
+            .records
             .iter()
             .filter(|r| r.size == FIG1_LARGE)
             .map(|r| (r.finish.expect("must finish") - r.start).as_secs_f64())

@@ -3,12 +3,9 @@
 //! and a ring-allreduce stalled by a mid-run link degrade. Both replay
 //! their Hermes point with the same seed and demand an identical digest.
 
-use hermes_bench::{
-    run_points, trace_flows, trace_plan, trace_topo, PointCfg, TextTable, CLEAR, HORIZON, ONSET,
-    SEED, TRACE_POINTS,
-};
+use hermes_bench::{run_points, trace_point, PointCfg, TextTable, CLEAR, ONSET};
 use hermes_net::{FaultPlan, LeafId, SpineId, Topology};
-use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
+use hermes_runtime::SimConfig;
 use hermes_sim::Time;
 use hermes_workload::{
     degradation_report, DegradationCfg, FlowRecord, FlowSizeDist, RingCfg, WorkloadKind,
@@ -41,7 +38,24 @@ pub fn fig17_transient(_: Knobs) {
         "== Figure 17 (transient): rack0→rack3 blackhole on spine 0, \
          onset 150 ms, clear 450 ms =="
     );
-    let t = trace_topo();
+    // The registry's traced point, here under each scheme, then the
+    // same-seed Hermes replay. 2 400 × 100 KB, one arrival per 250 µs →
+    // 3.2 Gb/s offered.
+    let hermes = trace_point("fig17_transient_recovery")
+        .expect("registered trace point")
+        .point
+        .goodput_interval(SAMPLE);
+    let names = ["ecmp", "letflow", "conga", "hermes"];
+    let cfgs: Vec<PointCfg> = names
+        .iter()
+        .chain(&["hermes"])
+        .map(|name| {
+            let mut cfg = hermes.clone();
+            cfg.sim.scheme = paper(name, &cfg.sim.topo);
+            cfg
+        })
+        .collect();
+    let reports = run_points(&cfgs);
     let cfg = DegradationCfg::default();
     let mut tab = TextTable::new(&[
         "scheme",
@@ -52,41 +66,41 @@ pub fn fig17_transient(_: Knobs) {
         "stranded@clear",
         "unfinished",
     ]);
-    let mut hermes_out = None;
-    for name in ["ecmp", "letflow", "conga", "hermes"] {
-        let out = transient_run(paper(name, &t));
-        let rep = degradation_report(&out.series, ONSET, &cfg, out.stranded_at_clear);
+    for (name, r) in names.iter().zip(&reports) {
+        let stranded_at_clear = r
+            .records
+            .iter()
+            .filter(|r| r.start < CLEAR && r.finish.is_none_or(|f| f > CLEAR))
+            .count();
+        let rep = degradation_report(&r.goodput, ONSET, &cfg, stranded_at_clear);
         tab.row(vec![
-            name.into(),
+            (*name).into(),
             gbps(rep.baseline_bps),
             gbps(rep.dip_min_bps),
             ms_or_dash(rep.time_to_impact),
             ms_or_dash(rep.time_to_recover),
             format!("{}", rep.stranded),
-            format!("{}", out.unfinished),
+            format!("{}", r.fct.unfinished),
         ]);
-        if name == "hermes" {
-            hermes_out = Some(out);
-        }
     }
     tab.print();
-    let h = hermes_out.expect("hermes scheme ran");
+    let (h, again) = (&reports[3], &reports[4]);
+    let (failed, readmitted, recoveries) = h.rack0_sensing.expect("hermes senses");
     println!(
         "\nhermes sensing: detected {} ms after onset; re-admitted the healed \
          paths {} ms after clearance ({} probation recoveries)",
-        ms_or_dash(h.detect),
-        ms_or_dash(h.readmit),
-        h.recoveries
+        ms_or_dash(failed.map(|t| t.saturating_sub(ONSET))),
+        ms_or_dash(readmitted.map(|t| t.saturating_sub(CLEAR))),
+        recoveries
     );
     // Same-seed replay: the fault schedule flows through the event
     // queue, so the whole transient run must fingerprint identically.
-    let again = transient_run(paper("hermes", &t));
     assert_eq!(
         h.digest, again.digest,
         "same-seed transient runs must have identical trace digests"
     );
     assert!(
-        h.conservation_balanced && again.conservation_balanced,
+        h.conservation.balanced() && again.conservation.balanced(),
         "every injected packet must be delivered, counted dropped, or in flight"
     );
     println!(
@@ -100,54 +114,6 @@ pub fn fig17_transient(_: Knobs) {
          drain after clearance via RTO backoff; CONGA mistakes the blackholed\n\
          paths for idle ones and strands even more.)"
     );
-}
-
-struct TransientOut {
-    series: Vec<(Time, u64)>,
-    digest: u64,
-    stranded_at_clear: usize,
-    unfinished: usize,
-    conservation_balanced: bool,
-    /// Hermes only: onset → first path declared Failed.
-    detect: Option<Time>,
-    /// Hermes only: clearance → first path re-admitted via probation.
-    readmit: Option<Time>,
-    recoveries: u64,
-}
-
-fn transient_run(scheme: Scheme) -> TransientOut {
-    let cfg = SimConfig::new(trace_topo(), scheme)
-        .with_seed(SEED)
-        .with_fault_plan(trace_plan());
-    let mut sim = Simulation::new(cfg);
-    // Sampler before flows: flow 40 and the first sample tie at 10 ms.
-    let sampler = sim.add_sampler(SAMPLE, Probe::TotalGoodput);
-    // 2 400 × 100 KB, one arrival per 250 µs → 3.2 Gb/s offered.
-    sim.add_flows(trace_flows(&TRACE_POINTS[0]));
-    sim.run_to_completion(HORIZON);
-    let stranded_at_clear = sim
-        .records()
-        .iter()
-        .filter(|r| r.start < CLEAR && r.finish.is_none_or(|f| f > CLEAR))
-        .count();
-    let unfinished = sim.records().iter().filter(|r| r.finish.is_none()).count();
-    let (detect, readmit, recoveries) = sim.hermes_racks().next().map_or((None, None, 0), |s| {
-        (
-            s.first_failure_at.map(|t| t.saturating_sub(ONSET)),
-            s.first_recovery_at.map(|t| t.saturating_sub(CLEAR)),
-            s.stat_recoveries,
-        )
-    });
-    TransientOut {
-        series: sim.sampler_series(sampler).to_vec(),
-        digest: sim.trace_digest(),
-        stranded_at_clear,
-        unfinished,
-        conservation_balanced: sim.conservation().balanced(),
-        detect,
-        readmit,
-        recoveries,
-    }
 }
 
 fn gbps(bps: f64) -> String {
@@ -213,11 +179,11 @@ pub fn collective_stall(_: Knobs) {
         .flat_map(|&name| RING_SEEDS.map(|seed| (name, seed)))
         .chain([("hermes", RING_SEEDS[0])])
         .map(|(name, seed)| {
-            let scheme = paper(name, &testbed);
-            PointCfg::new(testbed.clone(), scheme, FlowSizeDist::web_search(), 0.0)
+            let sim = SimConfig::new(testbed.clone(), paper(name, &testbed))
+                .with_fault_plan(plan.clone())
+                .with_seed(seed);
+            PointCfg::new(sim, FlowSizeDist::web_search(), 0.0)
                 .workload(WorkloadKind::RingAllreduce(RING))
-                .fault(plan.clone())
-                .seed(seed)
                 .drain(Time::from_ms(3_000))
         })
         .collect();

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 fn usage() -> ! {
     eprintln!("usage: trace_point --point <name> --out <dir>");
     eprintln!("points:");
-    for p in hermes_bench::TRACE_POINTS {
+    for p in hermes_bench::trace_points() {
         eprintln!("  {:<28} {}", p.name, p.about);
     }
     std::process::exit(2);
@@ -44,7 +44,7 @@ fn main() {
     if let Err(e) = std::fs::create_dir_all(&out) {
         out_error(&out, &e);
     }
-    let res = hermes_bench::run_trace_point(p);
+    let res = hermes_bench::run_trace_point(&p.point);
     let jsonl = out.join(format!("{point}.trace.jsonl"));
     let csv = out.join(format!("{point}.metrics.csv"));
     for (path, body) in [(&jsonl, &res.jsonl), (&csv, &res.csv)] {

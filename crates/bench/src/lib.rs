@@ -4,15 +4,19 @@
 //! (`cargo run --release -p hermes-bench --bin fig -- <name>`; with no
 //! name it lists them, and `DESIGN.md` §4 has the index). This library
 //! holds the shared pieces: the one point runner, `run_point(&PointCfg)
-//! -> RunReport`, and its pool, `run_points(&[PointCfg]) ->
+//! -> RunReport`, where a `PointCfg` is a `SimConfig` plus the workload
+//! that drives it, and its pool, `run_points(&[PointCfg]) ->
 //! Vec<RunReport>`, which runs a list of points one worker per core
 //! with results in input order (what `hermes-cli --runs`, the figure
-//! grids, the conformance grid and the chaos campaigns all run). This
-//! is the only crate that spawns threads, and only across whole runs.
-//! `run_sim` harvests the same report from a hand-built `Simulation`,
-//! and `assert_deterministic` replays one to check the determinism
-//! contract. It also holds the fig17 trace points, the probing-cost
-//! calculator behind Table 6 and a plain text table printer. The
+//! grids, Fig 1, the Fig 17 transient, the conformance grid and the
+//! chaos campaigns all run). This is the only crate that spawns
+//! threads, and only across whole runs. `run_sim` harvests the same
+//! report from a hand-built `Simulation` (Figs 2–4 and the tests), and
+//! `assert_deterministic` replays one to check the determinism
+//! contract. It also holds the fig17 trace points (named `PointCfg`s
+//! that `run_trace_point` runs with the telemetry sink installed), the
+//! probing-cost calculator behind Table 6 and a plain text table
+//! printer. The
 //! simulator's own speed is not measured here: that record is the
 //! repo-root `benchmark/` crate.
 //!
@@ -39,8 +43,7 @@ pub use runner::{
 };
 pub use table::{fmt_ms, fmt_ratio, TextTable};
 pub use trace::{
-    run_trace_point, trace_flows, trace_plan, trace_point, trace_topo, TraceOut, TracePoint, CLEAR,
-    HORIZON, ONSET, SEED, TRACE_POINTS,
+    fig17_point, run_trace_point, trace_point, trace_points, TraceOut, TracePoint, CLEAR, ONSET,
 };
 
 /// The paper's §5.3.2 asymmetric topology: the 8×8 baseline with 20% of

@@ -2,46 +2,39 @@
 //! seed) tuple → [`RunReport`], a list of them across every core, and
 //! the same-seed replay check over a hand-built [`Simulation`].
 
-use hermes_net::{ConservationReport, FaultAction, FaultPlan, SpineFailure, SpineId, Topology};
-use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
+use hermes_net::{ConservationReport, FaultAction, FaultPlan, SpineFailure, SpineId};
+use hermes_runtime::{Probe, SimConfig, Simulation, MAX_FLOW_ID};
 use hermes_sim::{SimRng, Time};
-use hermes_transport::TransportCfg;
 use hermes_workload::{
     records_hash, summarize, ElephantMiceGen, FctSummary, FlowGen, FlowRecord, FlowSizeDist,
-    IncastDriver, RingAllreduce, WorkloadKind,
+    FlowSpec, IncastDriver, RingAllreduce, WorkloadKind,
 };
 
-/// One experiment point.
+/// One experiment point: the simulation it builds plus the workload
+/// that drives it.
 #[derive(Clone, Debug)]
 pub struct PointCfg {
-    pub topo: Topology,
-    pub scheme: Scheme,
+    /// Topology, scheme, seed, transport and the fault plan: everything
+    /// [`Simulation::new`] takes.
+    pub sim: SimConfig,
     /// Which traffic shape drives the point. `Poisson` (the default)
-    /// pre-schedules `n_flows` open-loop arrivals from `dist`; the
-    /// staged-dependency kinds install a [`hermes_workload::FlowDriver`]
-    /// and ignore `dist`/`n_flows`.
+    /// pre-schedules `n_flows` open-loop arrivals from `dist`; `Flows`
+    /// schedules its own list; the staged-dependency kinds install a
+    /// [`hermes_workload::FlowDriver`]. Only `Poisson` and
+    /// `ElephantMice` read `load` and `n_flows`.
     pub workload: WorkloadKind,
     pub dist: FlowSizeDist,
     /// Offered load relative to `capacity_override` (or the topology's
     /// live uplink capacity).
     pub load: f64,
     pub n_flows: usize,
-    pub seed: u64,
     /// Load is usually defined against the *healthy* fabric even when
     /// the topology under test is degraded (the paper's convention).
     pub capacity_override: Option<u64>,
-    pub transport: TransportCfg,
-    /// Explicit reorder-mask override (None = scheme default).
-    pub reorder_mask: Option<Option<Time>>,
     pub failures: Vec<(SpineId, SpineFailure)>,
-    /// Time-triggered fault schedule (onset *and* clearance) replayed
-    /// through the event queue — the transient-failure experiments.
-    pub fault_plan: Option<FaultPlan>,
     /// Extra simulated time after the last arrival before declaring
     /// remaining flows unfinished.
     pub drain: Time,
-    /// Visibility observation window (Table 2).
-    pub visibility_linger: Time,
     /// Sample total goodput at this cadence into [`RunReport::goodput`].
     /// The sampler's ticks are `Global` events in the digested trace, so
     /// a digest is comparable only between runs with the same interval
@@ -52,38 +45,22 @@ pub struct PointCfg {
 }
 
 impl PointCfg {
-    pub fn new(topo: Topology, scheme: Scheme, dist: FlowSizeDist, load: f64) -> PointCfg {
+    pub fn new(sim: SimConfig, dist: FlowSizeDist, load: f64) -> PointCfg {
         PointCfg {
-            topo,
-            scheme,
+            sim,
             workload: WorkloadKind::Poisson,
             dist,
             load,
             n_flows: 500,
-            seed: 1,
             capacity_override: None,
-            transport: TransportCfg::dctcp(),
-            reorder_mask: None,
             failures: Vec::new(),
-            fault_plan: None,
             drain: Time::from_secs(3),
-            visibility_linger: Time::ZERO,
             goodput_interval: None,
         }
     }
 
-    pub fn visibility_linger(mut self, l: Time) -> PointCfg {
-        self.visibility_linger = l;
-        self
-    }
-
     pub fn flows(mut self, n: usize) -> PointCfg {
         self.n_flows = n;
-        self
-    }
-
-    pub fn seed(mut self, s: u64) -> PointCfg {
-        self.seed = s;
         self
     }
 
@@ -94,21 +71,6 @@ impl PointCfg {
 
     pub fn failure(mut self, s: SpineId, f: SpineFailure) -> PointCfg {
         self.failures.push((s, f));
-        self
-    }
-
-    pub fn fault(mut self, plan: FaultPlan) -> PointCfg {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    pub fn transport(mut self, t: TransportCfg) -> PointCfg {
-        self.transport = t;
-        self
-    }
-
-    pub fn reorder_mask(mut self, m: Option<Time>) -> PointCfg {
-        self.reorder_mask = Some(m);
         self
     }
 
@@ -134,6 +96,8 @@ impl PointCfg {
     ///   and at least one flow;
     /// * ring ranks, the incast fanout and the elephant/mice mix fit the
     ///   topology;
+    /// * an explicit flow list is not empty, and every flow has an id
+    ///   the timers can carry and two distinct hosts of the topology;
     /// * each static failure names a distinct spine and passes the rules
     ///   [`FaultPlan::validate_on`] applies to a `SetSpineFailure`;
     /// * the fault plan passes [`FaultPlan::validate_on`];
@@ -145,7 +109,7 @@ impl PointCfg {
             false => Err(PointError { field, msg }),
         };
         let one = || "must be at least 1".to_string();
-        let topo = &self.topo;
+        let topo = &self.sim.topo;
         if matches!(
             self.workload,
             WorkloadKind::Poisson | WorkloadKind::ElephantMice(_)
@@ -155,7 +119,7 @@ impl PointCfg {
             need(Load, load, format!("{} must lie in (0, 1.5]", self.load))?;
             need(Flows, self.n_flows >= 1, one())?;
         }
-        match self.workload {
+        match &self.workload {
             WorkloadKind::RingAllreduce(r) => {
                 let hosts = topo.n_hosts();
                 let msg = format!("{} must lie in [2, {hosts}], the topology's hosts", r.ranks);
@@ -182,6 +146,25 @@ impl PointCfg {
                 let msg = format!("{} must lie in [0, 1]", m.elephant_frac);
                 need(W("elephant_frac"), frac, msg)?;
             }
+            WorkloadKind::Flows(specs) => {
+                need(Flows, !specs.is_empty(), "must not be empty".into())?;
+                let hosts = topo.n_hosts();
+                for f in specs {
+                    let (id, src, dst) = (f.id.0, f.src.0 as usize, f.dst.0 as usize);
+                    let refuse = |field, what| need(W(field), false, format!("flow {id}: {what}"));
+                    if id > MAX_FLOW_ID {
+                        refuse("id", format!("exceeds MAX_FLOW_ID ({MAX_FLOW_ID})"))?;
+                    }
+                    for (field, host) in [("src", src), ("dst", dst)] {
+                        if host >= hosts {
+                            refuse(field, format!("host {host} must lie below {hosts}"))?;
+                        }
+                    }
+                    if src == dst {
+                        refuse("dst", "must differ from src".into())?;
+                    }
+                }
+            }
             WorkloadKind::Poisson => {}
         }
         for (i, &(spine, failure)) in self.failures.iter().enumerate() {
@@ -191,7 +174,7 @@ impl PointCfg {
             let fits = FaultPlan::new().at(Time::ZERO, set).validate_on(topo);
             fits.or_else(|e| need(Faults, false, e.to_string()))?;
         }
-        if let Some(plan) = &self.fault_plan {
+        if let Some(plan) = &self.sim.fault_plan {
             let fits = plan.validate_on(topo);
             fits.or_else(|e| need(Faults, false, e.to_string()))?;
         }
@@ -225,7 +208,8 @@ pub struct PointError {
 /// The outcome of a point: the FCT summary plus the raw evidence the
 /// conformance and chaos checkers need (per-flow records, the
 /// event-trace digest, the packet-conservation snapshot, the goodput
-/// timeline) and the Table 2 visibility measurements.
+/// timeline), the Table 2 visibility measurements and, under Hermes,
+/// rack 0's sensing record.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     pub fct: FctSummary,
@@ -255,66 +239,60 @@ pub struct RunReport {
     /// Table 2 visibility measurements.
     pub vis_switch: f64,
     pub vis_host: f64,
+    /// The first Hermes rack's sensing record, `(first_failure_at,
+    /// first_recovery_at, stat_recoveries)`; `None` under other schemes.
+    pub rack0_sensing: Option<(Option<Time>, Option<Time>, u64)>,
 }
 
-/// Run one point: build the sim, wire failures/faults, schedule the
-/// workload, run to the drain horizon. Deterministic in `(cfg, seed)`.
+/// Run one point: build the sim, wire failures, schedule the workload,
+/// run to the drain horizon. Deterministic in `cfg` (its seed included).
 ///
-/// Open-loop kinds (`Poisson`, `ElephantMice`) pre-schedule their
-/// arrivals and drain for `cfg.drain` past the last one. The
+/// Open-loop kinds (`Poisson`, `ElephantMice`, `Flows`) pre-schedule
+/// their arrivals and drain for `cfg.drain` past the last one. The
 /// staged-dependency kinds (`RingAllreduce`, `Incast`) have no arrival
 /// schedule — flows are released by completions — so `cfg.drain` is the
 /// whole run's time budget.
 pub fn run_point(cfg: &PointCfg) -> RunReport {
+    let topo = &cfg.sim.topo;
     // The workload RNG stream, disjoint from the sim's internal streams.
-    let wl_rng = SimRng::new(cfg.seed).split(0x6E4);
-    let mut sim_cfg = SimConfig::new(cfg.topo.clone(), cfg.scheme.clone())
-        .with_seed(cfg.seed)
-        .with_transport(cfg.transport)
-        .with_visibility_linger(cfg.visibility_linger);
-    if let Some(mask) = cfg.reorder_mask {
-        sim_cfg = sim_cfg.with_reorder_mask(mask);
-    }
-    let mut sim = Simulation::new(sim_cfg);
-    // Registered first: the goldens digest the schedule order sampler →
-    // static failures → fault plan → workload.
+    let wl_rng = SimRng::new(cfg.sim.seed).split(0x6E4);
+    // `new` schedules the fault plan, so the goldens digest the order
+    // fault plan → sampler → workload (the Fig 17 transient's flow 40
+    // ties its first 10 ms goodput sample).
+    let mut sim = Simulation::new(cfg.sim.clone());
     let sampler = cfg
         .goodput_interval
         .map(|interval| sim.add_sampler(interval, Probe::TotalGoodput));
     for (s, f) in &cfg.failures {
         sim.set_spine_failure(*s, *f);
     }
-    if let Some(plan) = &cfg.fault_plan {
-        sim.set_fault_plan(plan);
-    }
-    let horizon = match cfg.workload {
+    let mut open_loop = |specs: Vec<FlowSpec>| {
+        let last_arrival = specs.iter().map(|s| s.start).max().unwrap_or(Time::ZERO);
+        sim.add_flows(specs);
+        last_arrival + cfg.drain
+    };
+    let horizon = match &cfg.workload {
         WorkloadKind::Poisson => {
             let mut gen = FlowGen::new(
-                &cfg.topo,
+                topo,
                 cfg.dist.clone(),
                 cfg.load,
                 cfg.capacity_override,
                 wl_rng,
             );
-            let specs = gen.schedule(cfg.n_flows);
-            let last_arrival = specs.last().map_or(Time::ZERO, |s| s.start);
-            sim.add_flows(specs);
-            last_arrival + cfg.drain
+            open_loop(gen.schedule(cfg.n_flows))
         }
         WorkloadKind::ElephantMice(mix) => {
-            let mut gen =
-                ElephantMiceGen::new(&cfg.topo, mix, cfg.load, cfg.capacity_override, wl_rng);
-            let specs = gen.schedule(cfg.n_flows);
-            let last_arrival = specs.last().map_or(Time::ZERO, |s| s.start);
-            sim.add_flows(specs);
-            last_arrival + cfg.drain
+            let mut gen = ElephantMiceGen::new(topo, *mix, cfg.load, cfg.capacity_override, wl_rng);
+            open_loop(gen.schedule(cfg.n_flows))
         }
+        WorkloadKind::Flows(specs) => open_loop(specs.clone()),
         WorkloadKind::RingAllreduce(ring) => {
-            sim.set_driver(Box::new(RingAllreduce::new(&cfg.topo, ring)));
+            sim.set_driver(Box::new(RingAllreduce::new(topo, *ring)));
             cfg.drain
         }
         WorkloadKind::Incast(incast) => {
-            sim.set_driver(Box::new(IncastDriver::new(&cfg.topo, incast, wl_rng)));
+            sim.set_driver(Box::new(IncastDriver::new(topo, *incast, wl_rng)));
             cfg.drain
         }
     };
@@ -327,6 +305,10 @@ pub fn run_point(cfg: &PointCfg) -> RunReport {
 pub fn run_sim(mut sim: Simulation, horizon: Time, goodput: Option<usize>) -> RunReport {
     sim.run_to_completion(horizon);
     let (vis_switch, vis_host) = sim.visibility();
+    let rack0_sensing = sim
+        .hermes_racks()
+        .next()
+        .map(|s| (s.first_failure_at, s.first_recovery_at, s.stat_recoveries));
     RunReport {
         fct: summarize(sim.records(), horizon),
         events: sim.stats.events,
@@ -340,6 +322,7 @@ pub fn run_sim(mut sim: Simulation, horizon: Time, goodput: Option<usize>) -> Ru
         pending_events: sim.pending_events(),
         vis_switch,
         vis_host,
+        rack0_sensing,
         records: sim.into_records(),
     }
 }
@@ -463,12 +446,18 @@ pub fn avg_summaries(v: &[FctSummary]) -> FctSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_net::LeafId;
+    use hermes_net::{LeafId, Topology};
+    use hermes_runtime::Scheme;
+
+    /// ECMP on the 1G testbed, web-search at 0.3 load.
+    fn testbed_ecmp() -> PointCfg {
+        let sim = SimConfig::new(Topology::testbed(), Scheme::Ecmp);
+        PointCfg::new(sim, FlowSizeDist::web_search(), 0.3)
+    }
 
     #[test]
     fn point_runs_and_is_deterministic() {
-        let topo = Topology::testbed();
-        let cfg = PointCfg::new(topo, Scheme::Ecmp, FlowSizeDist::web_search(), 0.3).flows(50);
+        let cfg = testbed_ecmp().flows(50);
         let a = run_point(&cfg);
         let b = run_point(&cfg);
         assert_eq!(a.events, b.events);
@@ -479,18 +468,11 @@ mod tests {
 
     #[test]
     fn run_sim_moves_out_the_records_the_run_made() {
-        let cfg = PointCfg::new(
-            Topology::testbed(),
-            Scheme::Ecmp,
-            FlowSizeDist::web_search(),
-            0.3,
-        )
-        .flows(40);
+        let cfg = testbed_ecmp().flows(40);
         let build = || {
-            let sim_cfg = SimConfig::new(cfg.topo.clone(), cfg.scheme.clone()).with_seed(cfg.seed);
-            let mut sim = Simulation::new(sim_cfg);
-            let rng = SimRng::new(cfg.seed).split(0x6E4);
-            let mut gen = FlowGen::new(&cfg.topo, cfg.dist.clone(), cfg.load, None, rng);
+            let mut sim = Simulation::new(cfg.sim.clone());
+            let rng = SimRng::new(cfg.sim.seed).split(0x6E4);
+            let mut gen = FlowGen::new(&cfg.sim.topo, cfg.dist.clone(), cfg.load, None, rng);
             sim.add_flows(gen.schedule(cfg.n_flows));
             sim
         };
@@ -504,8 +486,7 @@ mod tests {
 
     #[test]
     fn failure_points_report_unfinished() {
-        let topo = Topology::testbed();
-        let cfg = PointCfg::new(topo, Scheme::Ecmp, FlowSizeDist::web_search(), 0.3)
+        let cfg = testbed_ecmp()
             .flows(60)
             .failure(
                 SpineId(0),
@@ -518,8 +499,7 @@ mod tests {
 
     #[test]
     fn detailed_run_matches_plain_fct() {
-        let topo = Topology::testbed();
-        let cfg = PointCfg::new(topo, Scheme::Ecmp, FlowSizeDist::web_search(), 0.3).flows(50);
+        let cfg = testbed_ecmp().flows(50);
         let plain = run_point(&cfg);
         assert!(plain.goodput.is_empty(), "no interval, no sampler");
         let cfg = cfg.goodput_interval(Time::from_ms(1));
@@ -541,19 +521,14 @@ mod tests {
     #[test]
     fn ring_workload_runs_every_step_to_completion() {
         use hermes_workload::RingCfg;
-        let cfg = PointCfg::new(
-            Topology::testbed(),
-            Scheme::Ecmp,
-            FlowSizeDist::web_search(),
-            0.3,
-        )
-        .workload(WorkloadKind::RingAllreduce(RingCfg {
-            ranks: 4,
-            steps: 3,
-            chunk_bytes: 32_000,
-        }))
-        .drain(Time::from_secs(2))
-        .goodput_interval(Time::from_ms(1));
+        let cfg = testbed_ecmp()
+            .workload(WorkloadKind::RingAllreduce(RingCfg {
+                ranks: 4,
+                steps: 3,
+                chunk_bytes: 32_000,
+            }))
+            .drain(Time::from_secs(2))
+            .goodput_interval(Time::from_ms(1));
         let det = run_point(&cfg);
         assert_eq!(det.records.len(), 12, "ranks × steps flows must run");
         assert_eq!(det.fct.unfinished, 0);
@@ -566,19 +541,14 @@ mod tests {
     #[test]
     fn incast_workload_releases_bursts_sequentially() {
         use hermes_workload::IncastCfg;
-        let cfg = PointCfg::new(
-            Topology::testbed(),
-            Scheme::Ecmp,
-            FlowSizeDist::web_search(),
-            0.3,
-        )
-        .workload(WorkloadKind::Incast(IncastCfg {
-            fanout: 4,
-            reply_bytes: 16_000,
-            bursts: 3,
-        }))
-        .drain(Time::from_secs(2))
-        .goodput_interval(Time::from_ms(1));
+        let cfg = testbed_ecmp()
+            .workload(WorkloadKind::Incast(IncastCfg {
+                fanout: 4,
+                reply_bytes: 16_000,
+                bursts: 3,
+            }))
+            .drain(Time::from_secs(2))
+            .goodput_interval(Time::from_ms(1));
         let det = run_point(&cfg);
         assert_eq!(det.records.len(), 12);
         assert_eq!(det.fct.unfinished, 0);
@@ -600,23 +570,35 @@ mod tests {
 
     #[test]
     fn pooled_points_match_the_sequential_reference() {
+        use hermes_net::{FlowId, HostId};
         use hermes_workload::{records_hash, IncastCfg};
         assert!(run_points(&[]).is_empty());
-        let topo = Topology::testbed();
-        let poisson =
-            PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::web_search(), 0.3).flows(30);
-        let hermes = Scheme::by_name("hermes", &topo).expect("registered scheme");
-        let faulted = PointCfg {
-            scheme: hermes,
-            ..poisson.clone()
-        }
-        .fault(FaultPlan::new().random_drop_window(
+        let poisson = testbed_ecmp().flows(30);
+        let topo = &poisson.sim.topo;
+        let hermes = Scheme::by_name("hermes", topo).expect("registered scheme");
+        let drops = FaultPlan::new().random_drop_window(
             SpineId(0),
             0.05,
             Time::from_ms(1),
             Time::from_ms(5),
-        ))
+        );
+        let faulted = PointCfg {
+            sim: SimConfig::new(topo.clone(), hermes).with_fault_plan(drops),
+            ..poisson.clone()
+        }
         .drain(Time::from_ms(800));
+        // An explicit schedule through the same faults, listed latest
+        // first.
+        let specs = (0..12u64)
+            .map(|i| FlowSpec {
+                id: FlowId(i),
+                src: HostId((i % 6) as u32),
+                dst: HostId((6 + (i + 1) % 6) as u32),
+                size: 20_000 + 5_000 * i,
+                start: Time::from_us(400 * (12 - i)),
+            })
+            .collect();
+        let listed = faulted.clone().workload(WorkloadKind::Flows(specs));
         let incast = poisson
             .clone()
             .workload(WorkloadKind::Incast(IncastCfg {
@@ -627,12 +609,16 @@ mod tests {
             .drain(Time::from_secs(1));
         // More cells than cores, so every worker pulls several.
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let cfgs: Vec<PointCfg> = [poisson, faulted, incast]
+        let cfgs: Vec<PointCfg> = [poisson, faulted, listed, incast]
             .iter()
             .cycle()
-            .take(2 * cores + 1)
+            .take(2 * cores + 2)
             .zip(1..)
-            .map(|(cfg, seed)| cfg.clone().seed(seed))
+            .map(|(cfg, seed)| {
+                let mut cfg = cfg.clone();
+                cfg.sim.seed = seed;
+                cfg
+            })
             .collect();
         let pooled = run_points(&cfgs);
         assert_eq!(pooled.len(), cfgs.len());
@@ -642,17 +628,17 @@ mod tests {
                 (p.digest, p.events, records_hash(&p.records)),
                 (r.digest, r.events, records_hash(&r.records)),
                 "seed {}",
-                cfg.seed
+                cfg.sim.seed
             );
         }
     }
 
     #[test]
     fn validate_names_the_field_it_refuses() {
-        use hermes_net::LeafId;
+        use hermes_net::{FlowId, HostId};
         use hermes_workload::{IncastCfg, MixCfg, RingCfg};
-        let topo = Topology::testbed();
-        let ok = PointCfg::new(topo.clone(), Scheme::Ecmp, FlowSizeDist::web_search(), 0.3);
+        let ok = testbed_ecmp();
+        let topo = &ok.sim.topo;
         assert_eq!(ok.validate(), Ok(()));
         let refused = |cfg: PointCfg| cfg.validate().expect_err("refused");
         let ring = |ranks| {
@@ -674,6 +660,16 @@ mod tests {
             elephant_bytes: 5000,
             elephant_frac: 0.1,
         };
+        // One flow from host `src` to host `dst` (the testbed has 12).
+        let flow = |id, src, dst| {
+            ok.clone().workload(WorkloadKind::Flows(vec![FlowSpec {
+                id: FlowId(id),
+                src: HostId(src),
+                dst: HostId(dst),
+                size: 1000,
+                start: Time::ZERO,
+            }]))
+        };
         let mut cut = topo.clone();
         for s in 0..4 {
             cut.cut_link(LeafId(0), SpineId(s));
@@ -688,6 +684,14 @@ mod tests {
                 PointField::Load,
             ),
             (ok.clone().flows(0), PointField::Flows),
+            (
+                ok.clone().workload(WorkloadKind::Flows(Vec::new())),
+                PointField::Flows,
+            ),
+            (flow(MAX_FLOW_ID + 1, 0, 6), PointField::Workload("id")),
+            (flow(0, 12, 6), PointField::Workload("src")),
+            (flow(0, 0, 12), PointField::Workload("dst")),
+            (flow(0, 3, 3), PointField::Workload("dst")),
             (ring(13), PointField::Workload("ranks")),
             (incast(7), PointField::Workload("fanout")),
             (
@@ -696,16 +700,22 @@ mod tests {
             ),
             (ok.clone().failure(SpineId(4), drop), PointField::Faults),
             (
-                ok.clone().fault(FaultPlan::new().spine_outage(
-                    SpineId(9),
-                    Time::from_ms(1),
-                    Time::from_ms(2),
-                )),
+                PointCfg {
+                    sim: ok
+                        .sim
+                        .clone()
+                        .with_fault_plan(FaultPlan::new().spine_outage(
+                            SpineId(9),
+                            Time::from_ms(1),
+                            Time::from_ms(2),
+                        )),
+                    ..ok.clone()
+                },
                 PointField::Faults,
             ),
             (
                 PointCfg {
-                    topo: cut,
+                    sim: SimConfig::new(cut, Scheme::Ecmp),
                     ..ok.clone()
                 },
                 PointField::Topology,
@@ -726,6 +736,9 @@ mod tests {
         // The in-range neighbours pass; a staged workload ignores the
         // open-loop load and flow count.
         ring(12).validate().expect("one rank per host");
+        flow(MAX_FLOW_ID, 11, 0)
+            .validate()
+            .expect("the widest id, the last host");
         incast(6).validate().expect("the whole other rack");
         ok.clone()
             .failure(SpineId(3), drop)

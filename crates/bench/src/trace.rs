@@ -1,6 +1,7 @@
-//! Structured-trace points: run one scenario with the telemetry sink
-//! installed and export the event trace (JSONL) plus sampled metrics
-//! (CSV). The `trace_point` bin is the CLI entry; `tests/telemetry.rs`
+//! Structured-trace points: run a [`PointCfg`] through [`run_point`]
+//! with the telemetry sink installed and export the event trace (JSONL)
+//! plus sampled metrics (CSV). The registry names the fig17-style
+//! points; the `trace_point` bin is the CLI entry; `tests/telemetry.rs`
 //! replays the mini point in-process.
 //!
 //! The telemetry layer is compiled into every build; installing the
@@ -8,9 +9,11 @@
 
 use hermes_core::HermesParams;
 use hermes_net::{FaultPlan, FlowId, HostId, LeafId, LinkCfg, SpineId, Topology};
-use hermes_runtime::{Scheme, SimConfig, Simulation};
+use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
-use hermes_workload::FlowSpec;
+use hermes_workload::{FlowSizeDist, FlowSpec, WorkloadKind};
+
+use crate::{run_point, PointCfg};
 
 /// Fault window shared by every fig17-style point: a rack0→rack3
 /// blackhole on spine 0 from `ONSET` until `CLEAR`.
@@ -18,69 +21,68 @@ pub const ONSET: Time = Time::from_ms(150);
 /// See [`ONSET`].
 pub const CLEAR: Time = Time::from_ms(450);
 /// How long every fig17-style point runs.
-pub const HORIZON: Time = Time::from_ms(1_500);
+const HORIZON: Time = Time::from_ms(1_500);
 /// The seed every fig17-style point runs under.
-pub const SEED: u64 = 7;
+const SEED: u64 = 7;
 
-/// A named traceable scenario.
-pub struct TracePoint {
-    pub name: &'static str,
-    pub about: &'static str,
-    flows: u64,
-    flow_bytes: u64,
-    gap_us: u64,
-}
-
-/// The registry `trace_point --point` resolves names against.
-pub const TRACE_POINTS: &[TracePoint] = &[
-    TracePoint {
-        name: "fig17_transient_recovery",
-        about: "rack0→rack3 blackhole on spine 0 (150→450 ms), Hermes at full fig17 load",
-        flows: 2_400,
-        flow_bytes: 100_000,
-        gap_us: 250,
-    },
-    TracePoint {
-        name: "fig17_mini",
-        about: "scaled-down fig17 transient used by the tier-1 telemetry suite",
-        flows: 2_000,
-        flow_bytes: 50_000,
-        gap_us: 250,
-    },
-];
-
-/// Look up a registered point by name.
-pub fn trace_point(name: &str) -> Option<&'static TracePoint> {
-    TRACE_POINTS.iter().find(|p| p.name == name)
-}
-
-/// The 4×4×8 10G leaf–spine fabric of the fig17-style points.
-pub fn trace_topo() -> Topology {
-    Topology::leaf_spine(
+/// A fig17-style point under Hermes: on a 4×4×8 10G leaf–spine fabric,
+/// `flows` equal `flow_bytes` flows from rack 0 to rack 3, one every
+/// 250 µs, through the `ONSET`→`CLEAR` blackhole, run to `HORIZON`.
+pub fn fig17_point(flows: u64, flow_bytes: u64) -> PointCfg {
+    let topo = Topology::leaf_spine(
         4,
         4,
         8,
         LinkCfg::new(10_000_000_000, Time::from_us(5)),
         LinkCfg::new(10_000_000_000, Time::from_us(10)),
-    )
-}
-
-/// The `ONSET`→`CLEAR` blackhole window.
-pub fn trace_plan() -> FaultPlan {
-    FaultPlan::new().blackhole_window(SpineId(0), LeafId(0), LeafId(3), 1.0, ONSET, CLEAR)
-}
-
-/// `p`'s steady open-loop stream of equal-size rack0→rack3 flows.
-pub fn trace_flows(p: &TracePoint) -> Vec<FlowSpec> {
-    (0..p.flows)
+    );
+    let plan =
+        FaultPlan::new().blackhole_window(SpineId(0), LeafId(0), LeafId(3), 1.0, ONSET, CLEAR);
+    let specs: Vec<FlowSpec> = (0..flows)
         .map(|i| FlowSpec {
             id: FlowId(i),
             src: HostId((i % 8) as u32),
             dst: HostId((24 + (i * 5 + 3) % 8) as u32),
-            size: p.flow_bytes,
-            start: Time::from_us(i * p.gap_us),
+            size: flow_bytes,
+            start: Time::from_us(i * 250),
         })
-        .collect()
+        .collect();
+    let last_start = specs.last().map_or(Time::ZERO, |s| s.start);
+    let hermes = Scheme::Hermes(HermesParams::from_topology(&topo));
+    let sim = SimConfig::new(topo, hermes)
+        .with_seed(SEED)
+        .with_fault_plan(plan);
+    PointCfg::new(sim, FlowSizeDist::web_search(), 0.0)
+        .workload(WorkloadKind::Flows(specs))
+        .drain(HORIZON - last_start)
+}
+
+/// A named traceable point.
+pub struct TracePoint {
+    pub name: &'static str,
+    pub about: &'static str,
+    pub point: PointCfg,
+}
+
+/// The registry `trace_point --point` resolves names against.
+pub fn trace_points() -> [TracePoint; 2] {
+    [
+        TracePoint {
+            name: "fig17_transient_recovery",
+            about: "rack0→rack3 blackhole on spine 0 (150→450 ms), Hermes at full fig17 load",
+            point: fig17_point(2_400, 100_000),
+        },
+        TracePoint {
+            name: "fig17_mini",
+            about: "scaled-down fig17 transient used by the tier-1 telemetry suite",
+            point: fig17_point(2_000, 50_000),
+        },
+    ]
+}
+
+/// Look up a registered point by name.
+pub fn trace_point(name: &str) -> Option<TracePoint> {
+    trace_points().into_iter().find(|p| p.name == name)
 }
 
 /// Everything a trace run produces.
@@ -100,22 +102,16 @@ pub struct TraceOut {
     pub unfinished: usize,
 }
 
-/// Run `p` under Hermes with the sink installed and export the trace.
-pub fn run_trace_point(p: &TracePoint) -> TraceOut {
+/// Run `cfg` with the sink installed and export the trace.
+pub fn run_trace_point(cfg: &PointCfg) -> TraceOut {
     hermes_telemetry::install(hermes_telemetry::SinkConfig {
         capacity: 1 << 22,
         ..Default::default()
     });
-    let t = trace_topo();
-    let cfg = SimConfig::new(t.clone(), Scheme::Hermes(HermesParams::from_topology(&t)))
-        .with_seed(SEED)
-        .with_fault_plan(trace_plan());
-    let mut sim = Simulation::new(cfg);
-    sim.add_flows(trace_flows(p));
-    sim.run_to_completion(HORIZON);
+    let report = run_point(cfg);
     // Final flush: cadence sampling rides event dispatch, so metrics
     // observed by the very last events need one end-of-run snapshot.
-    hermes_telemetry::sample_metrics(sim.now());
+    hermes_telemetry::sample_metrics(report.sim_time);
     let events = hermes_telemetry::drain();
     let rows = hermes_telemetry::take_metric_rows();
     let shed = hermes_telemetry::dropped();
@@ -123,9 +119,9 @@ pub fn run_trace_point(p: &TracePoint) -> TraceOut {
     TraceOut {
         jsonl: hermes_telemetry::to_jsonl(&events),
         csv: hermes_telemetry::to_csv(&rows),
-        digest: sim.trace_digest(),
+        digest: report.digest,
         shed,
-        unfinished: sim.records().iter().filter(|r| r.finish.is_none()).count(),
+        unfinished: report.fct.unfinished,
         events,
     }
 }
@@ -143,7 +139,7 @@ mod tests {
 
     #[test]
     fn mini_point_emits_a_parseable_trace() {
-        let out = run_trace_point(trace_point("fig17_mini").unwrap());
+        let out = run_trace_point(&trace_point("fig17_mini").unwrap().point);
         assert_eq!(out.shed, 0, "sink capacity must hold the mini trace");
         assert!(!out.events.is_empty());
         let first = out.jsonl.lines().next().expect("nonempty jsonl");

@@ -215,7 +215,16 @@ impl Simulation {
             "flow id {} exceeds MAX_FLOW_ID ({MAX_FLOW_ID}): its timers would alias another flow's",
             spec.id.0
         );
-        self.pending.push_back(spec);
+        // Each `Arrival` starts the earliest pending spec, so `pending`
+        // stays ordered by start (ties in insertion order); an in-order
+        // caller only ever appends.
+        match self.pending.back() {
+            Some(last) if spec.start < last.start => {
+                let at = self.pending.partition_point(|p| p.start <= spec.start);
+                self.pending.insert(at, spec);
+            }
+            _ => self.pending.push_back(spec),
+        }
         self.q.schedule(spec.start, Token::Arrival.global());
     }
 

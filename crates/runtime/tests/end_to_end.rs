@@ -68,6 +68,26 @@ fn flow_id_wider_than_the_timer_token_is_rejected() {
     finish_through_an_rto(1 << 40);
 }
 
+/// Flows added out of start order each start at their own instant:
+/// an arrival starts the earliest pending spec, not the first added.
+#[test]
+fn flows_added_out_of_start_order_keep_their_own_starts() {
+    let mut sim = Simulation::new(SimConfig::new(Topology::testbed(), Scheme::Ecmp));
+    let late = FlowSpec {
+        start: Time::from_ms(5),
+        ..one_flow(10_000)
+    };
+    let early = FlowSpec {
+        id: FlowId(1),
+        start: Time::from_ms(1),
+        ..one_flow(10_000)
+    };
+    sim.add_flows([late, early]);
+    sim.run_to_completion(Time::from_secs(1));
+    let starts: Vec<(FlowId, Time)> = sim.records().iter().map(|r| (r.id, r.start)).collect();
+    assert_eq!(starts, [(FlowId(1), early.start), (FlowId(0), late.start)]);
+}
+
 /// A plan naming a switch the fabric lacks is refused when installed,
 /// naming the event — not an index out of bounds when the event fires.
 #[test]

@@ -36,7 +36,7 @@ pub use slo::{SloCfg, SloClass, SloViolation};
 
 use hermes_bench::{run_points, PointCfg, RunReport};
 use hermes_net::{FaultPlan, FnvDigest, Topology};
-use hermes_runtime::Scheme;
+use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
 use hermes_workload::FlowSizeDist;
 
@@ -64,9 +64,9 @@ fn point(topo: &Topology, lb: &str, seed: u64, quick: bool) -> PointCfg {
         (120, 0.35, Time::from_secs(2))
     };
     let scheme = Scheme::by_name(lb, topo).expect("every LBS entry is a Scheme::NAMES entry");
-    PointCfg::new(topo.clone(), scheme, FlowSizeDist::web_search(), load)
+    let sim = SimConfig::new(topo.clone(), scheme).with_seed(seed);
+    PointCfg::new(sim, FlowSizeDist::web_search(), load)
         .flows(flows)
-        .seed(seed)
         .drain(drain)
         .goodput_interval(GOODPUT_INTERVAL)
 }
@@ -92,7 +92,9 @@ fn run_plans(plans: &[(&FaultPlan, u64)], quick: bool) -> Vec<CellRuns> {
         .flat_map(|&(plan, seed)| {
             LBS.into_iter().flat_map(move |lb| {
                 let base = point(topo, lb, seed, quick);
-                [base.clone(), base.fault(plan.clone())]
+                let mut faulted = base.clone();
+                faulted.sim.fault_plan = Some(plan.clone());
+                [base, faulted]
             })
         })
         .collect();

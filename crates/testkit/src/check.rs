@@ -133,7 +133,7 @@ pub fn check_invariants(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure> {
     // (d) FCT sanity: a finished flow can never beat its own
     // serialization time on the host link (ideal lower bound; see
     // tests/properties.rs for the single-flow version).
-    let rate = spec.base.topo.host_link.rate_bps;
+    let rate = spec.base.sim.topo.host_link.rate_bps;
     for rec in &r.records {
         let Some(finish) = rec.finish else { continue };
         if finish < rec.start {
@@ -304,7 +304,7 @@ pub fn check_incast_floor(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure>
         });
     };
     let r = &out.result;
-    let line_rate = spec.base.topo.host_link.rate_bps as f64;
+    let line_rate = spec.base.sim.topo.host_link.rate_bps as f64;
     let floor = spec.invariants.incast_floor_frac * line_rate;
 
     let mut by_burst: Vec<Vec<&hermes_workload::FlowRecord>> = vec![Vec::new(); cfg.bursts];

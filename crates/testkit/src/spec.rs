@@ -76,7 +76,7 @@ use std::path::{Path, PathBuf};
 
 use hermes_bench::{PointCfg, PointField};
 use hermes_net::{FaultPlan, LeafId, SpineId, Topology};
-use hermes_runtime::Scheme;
+use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
 use hermes_workload::{FlowSizeDist, IncastCfg, MixCfg, RingCfg, WorkloadKind};
 
@@ -181,8 +181,8 @@ impl ScenarioSpec {
     /// scheme and seed.
     pub fn materialize(&self, lb_idx: usize, seed: u64) -> PointCfg {
         let mut cfg = self.base.clone();
-        cfg.scheme = self.lbs[lb_idx].1.clone();
-        cfg.seed = seed;
+        cfg.sim.scheme = self.lbs[lb_idx].1.clone();
+        cfg.sim.seed = seed;
         cfg
     }
 
@@ -615,14 +615,16 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
 
     // The paper's convention: offered load is defined against the
     // healthy fabric even when the fabric under test lost capacity.
-    let mut base = PointCfg::new(topo, first_scheme.clone(), dist, load)
+    let sim = SimConfig {
+        fault_plan,
+        ..SimConfig::new(topo, first_scheme.clone()).with_seed(seeds[0])
+    };
+    let base = PointCfg::new(sim, dist, load)
         .workload(workload)
         .flows(n_flows)
-        .seed(seeds[0])
         .capacity(healthy_capacity)
         .drain(drain)
         .goodput_interval(GOODPUT_INTERVAL);
-    base.fault_plan = fault_plan;
     if let Err(e) = base.validate() {
         let key = match e.field {
             PointField::Load => "`load`".to_string(),
@@ -715,7 +717,7 @@ mod tests {
         assert_eq!(s.lbs.len(), 2);
         assert_eq!(s.base.drain, Time::from_ms(3000));
         assert!(!s.pin_digests);
-        assert!(s.base.fault_plan.is_none());
+        assert!(s.base.sim.fault_plan.is_none());
         assert_eq!(s.invariants.max_unfinished_frac, 1.0);
     }
 
@@ -736,10 +738,10 @@ mod tests {
         let s = parse_scenario(src, "mem", "asym").expect("parses");
         let healthy = Topology::testbed().total_uplink_bps();
         assert_eq!(s.base.capacity_override, Some(healthy));
-        assert!(s.base.topo.total_uplink_bps() < healthy);
+        assert!(s.base.sim.topo.total_uplink_bps() < healthy);
         let cfg = s.materialize(0, 7);
-        assert_eq!(cfg.seed, 7);
-        assert!(matches!(cfg.scheme, Scheme::Conga(_)));
+        assert_eq!(cfg.sim.seed, 7);
+        assert!(matches!(cfg.sim.scheme, Scheme::Conga(_)));
         assert_eq!(cfg.capacity_override, Some(healthy));
     }
 
@@ -771,10 +773,10 @@ mod tests {
         "#;
         let s = parse_scenario(src, "mem", "bh").expect("parses");
         // One window = an onset and a clearance event.
-        assert_eq!(s.base.fault_plan.as_ref().map(FaultPlan::len), Some(2));
+        assert_eq!(s.base.sim.fault_plan.as_ref().map(FaultPlan::len), Some(2));
         assert_eq!(s.envelopes.len(), 1);
         assert_eq!(s.envelopes[0].metric, Metric::Avg);
-        assert!(s.materialize(0, 1).fault_plan.is_some());
+        assert!(s.materialize(0, 1).sim.fault_plan.is_some());
     }
 
     #[test]

@@ -39,9 +39,9 @@ pub trait FlowDriver: Send {
 }
 
 /// Which workload a benchmark/conformance point runs. `Poisson` is the
-/// paper's open-loop generator ([`crate::FlowGen`]); the others are the
-/// staged-dependency and bimodal additions.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// paper's open-loop generator ([`crate::FlowGen`]); `Flows` is a fixed
+/// schedule; the others are the staged-dependency and bimodal additions.
+#[derive(Clone, Debug, PartialEq)]
 pub enum WorkloadKind {
     /// Open-loop Poisson arrivals from an empirical size CDF (§5.1).
     Poisson,
@@ -51,6 +51,9 @@ pub enum WorkloadKind {
     Incast(IncastCfg),
     /// Open-loop Poisson with bimodal sizes: see [`crate::ElephantMiceGen`].
     ElephantMice(MixCfg),
+    /// Open loop: exactly these flows, each at its own `start` (the
+    /// motivation examples and the fig17 transient).
+    Flows(Vec<FlowSpec>),
 }
 
 /// Ring-allreduce shape: `ranks` peers exchange `steps` chunked rounds;

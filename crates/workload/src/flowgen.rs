@@ -9,7 +9,7 @@ use hermes_sim::{SimRng, Time};
 use crate::dist::FlowSizeDist;
 
 /// One generated flow.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlowSpec {
     pub id: FlowId,
     pub src: HostId,

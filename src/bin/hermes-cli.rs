@@ -28,7 +28,7 @@ use hermes_bench::{
 };
 use hermes_core::HermesParams;
 use hermes_net::{Blackhole, LeafId, SpineFailure, SpineId, Topology};
-use hermes_runtime::Scheme;
+use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
 use hermes_transport::TransportCfg;
 use hermes_workload::{FctSummary, FlowSizeDist};
@@ -247,10 +247,10 @@ fn main() {
         other => usage(&format!("unknown transport {other}")),
     };
     let scheme = resolve_scheme(&a, &topo);
-    let mut cfg = PointCfg::new(topo, scheme, dist, a.load)
+    let sim = SimConfig::new(topo, scheme).with_transport(transport);
+    let mut cfg = PointCfg::new(sim, dist, a.load)
         .flows(a.flows)
         .capacity(capacity)
-        .transport(transport)
         .drain(Time::from_secs(10));
     cfg.failures = spine_failures(&a).unwrap_or_else(|e| usage(&e));
     if let Err(e) = cfg.validate() {
@@ -274,7 +274,11 @@ fn main() {
         a.runs
     );
     let cfgs: Vec<PointCfg> = (0..a.runs)
-        .map(|run| cfg.clone().seed(a.seed + run))
+        .map(|run| {
+            let mut run_cfg = cfg.clone();
+            run_cfg.sim.seed = a.seed + run;
+            run_cfg
+        })
         .collect();
     let sums: Vec<FctSummary> = run_points(&cfgs).into_iter().map(|r| r.fct).collect();
     if a.runs > 1 {

@@ -233,7 +233,7 @@ fn mine_overlapping_counterexample() {
 fn staged_workloads_do_not_perturb_chaos_digests() {
     use hermes_bench::{run_point, PointCfg};
     use hermes_net::Topology;
-    use hermes_runtime::Scheme;
+    use hermes_runtime::{Scheme, SimConfig};
     use hermes_workload::{FlowSizeDist, IncastCfg, RingCfg, WorkloadKind};
 
     let cfg = CampaignCfg {
@@ -256,16 +256,11 @@ fn staged_workloads_do_not_perturb_chaos_digests() {
             bursts: 2,
         }),
     ] {
-        let point = PointCfg::new(
-            Topology::testbed(),
-            Scheme::Ecmp,
-            FlowSizeDist::web_search(),
-            0.3,
-        )
-        .workload(kind)
-        .seed(5)
-        .drain(Time::from_ms(800))
-        .goodput_interval(Time::from_ms(1));
+        let sim = SimConfig::new(Topology::testbed(), Scheme::Ecmp).with_seed(5);
+        let point = PointCfg::new(sim, FlowSizeDist::web_search(), 0.3)
+            .workload(kind)
+            .drain(Time::from_ms(800))
+            .goodput_interval(Time::from_ms(1));
         let det = run_point(&point);
         assert!(det.conservation.balanced());
     }

@@ -347,17 +347,14 @@ fn staged_workload_drivers_are_deterministic_per_kind() {
         ),
     ];
     for (name, kind) in kinds {
-        let cfg = PointCfg::new(
-            Topology::testbed(),
-            Scheme::Hermes(HermesParams::from_topology(&Topology::testbed())),
-            FlowSizeDist::web_search(),
-            0.3,
-        )
-        .workload(kind)
-        .flows(30)
-        .seed(23)
-        .drain(Time::from_ms(1200))
-        .goodput_interval(Time::from_ms(1));
+        let topo = Topology::testbed();
+        let hermes = Scheme::Hermes(HermesParams::from_topology(&topo));
+        let sim = SimConfig::new(topo, hermes).with_seed(23);
+        let cfg = PointCfg::new(sim, FlowSizeDist::web_search(), 0.3)
+            .workload(kind)
+            .flows(30)
+            .drain(Time::from_ms(1200))
+            .goodput_interval(Time::from_ms(1));
         let a = run_point(&cfg);
         let b = run_point(&cfg);
         assert_eq!(a.digest, b.digest, "{name}: same-seed digests differ");

@@ -27,7 +27,7 @@ fn scenario_dir() -> PathBuf {
 /// trace must carry that narrative in order.
 #[test]
 fn fig17_trace_tells_the_failure_story() {
-    let out = run_trace_point(trace_point("fig17_mini").expect("registered point"));
+    let out = run_trace_point(&trace_point("fig17_mini").expect("registered point").point);
     assert_eq!(out.shed, 0, "sink must hold the whole mini trace");
     let evs = &out.events;
 
@@ -253,12 +253,18 @@ fn gray_failure_faults_are_traced_and_digest_neutral() {
 /// writes are a pure function of (config, seed).
 #[test]
 fn fig17_trace_is_byte_identical_across_runs() {
-    let p = trace_point("fig17_mini").expect("registered point");
-    let a = run_trace_point(p);
-    let b = run_trace_point(p);
+    let p = trace_point("fig17_mini").expect("registered point").point;
+    let a = run_trace_point(&p);
+    let b = run_trace_point(&p);
     assert_eq!(a.digest, b.digest, "sim digests must match");
     assert_eq!(a.jsonl, b.jsonl, "event JSONL must be byte-identical");
     assert_eq!(a.csv, b.csv, "metrics CSV must be byte-identical");
+    // And a fixed function: the mini point's trace and run are pinned.
+    assert_eq!(
+        (a.events.len(), a.digest),
+        (22_721, 0x2a72_085b_ab6e_f7ff),
+        "fig17_mini's event count and run digest moved"
+    );
 }
 
 /// Differential off/on check: with the sink installed and recording,
