@@ -2,7 +2,7 @@
 //! seed) tuple → [`RunReport`], a list of them across every core, and
 //! the same-seed replay check over a hand-built [`Simulation`].
 
-use hermes_net::{ConservationReport, FaultAction, FaultPlan, SpineFailure, SpineId};
+use hermes_net::{ConservationReport, FaultAction, SpineFailure, SpineId};
 use hermes_runtime::{Probe, SimConfig, Simulation, MAX_FLOW_ID};
 use hermes_sim::{SimRng, Time};
 use hermes_workload::{
@@ -31,7 +31,6 @@ pub struct PointCfg {
     /// Load is usually defined against the *healthy* fabric even when
     /// the topology under test is degraded (the paper's convention).
     pub capacity_override: Option<u64>,
-    pub failures: Vec<(SpineId, SpineFailure)>,
     /// Extra simulated time after the last arrival before declaring
     /// remaining flows unfinished.
     pub drain: Time,
@@ -53,7 +52,6 @@ impl PointCfg {
             load,
             n_flows: 500,
             capacity_override: None,
-            failures: Vec::new(),
             drain: Time::from_secs(3),
             goodput_interval: None,
         }
@@ -69,8 +67,11 @@ impl PointCfg {
         self
     }
 
-    pub fn failure(mut self, s: SpineId, f: SpineFailure) -> PointCfg {
-        self.failures.push((s, f));
+    /// Fail `spine` for the whole run: a `SetSpineFailure` at
+    /// `Time::ZERO` appended to the fault plan.
+    pub fn failure(mut self, spine: SpineId, failure: SpineFailure) -> PointCfg {
+        let set = FaultAction::SetSpineFailure { spine, failure };
+        self.sim.fault_plan = std::mem::take(&mut self.sim.fault_plan).at(Time::ZERO, set);
         self
     }
 
@@ -98,9 +99,8 @@ impl PointCfg {
     ///   topology;
     /// * an explicit flow list is not empty, and every flow has an id
     ///   the timers can carry and two distinct hosts of the topology;
-    /// * each static failure names a distinct spine and passes the rules
-    ///   [`FaultPlan::validate_on`] applies to a `SetSpineFailure`;
-    /// * the fault plan passes [`FaultPlan::validate_on`];
+    /// * the fault plan, static failures included, passes
+    ///   [`hermes_net::FaultPlan::validate_on`];
     /// * every pair of leaves still shares a live spine.
     pub fn validate(&self) -> Result<(), PointError> {
         use PointField::{Faults, Flows, Load, Topology as Topo, Workload as W};
@@ -167,17 +167,8 @@ impl PointCfg {
             }
             WorkloadKind::Poisson => {}
         }
-        for (i, &(spine, failure)) in self.failures.iter().enumerate() {
-            let once = !self.failures[..i].iter().any(|&(s, _)| s == spine);
-            need(Faults, once, format!("spine {} is listed twice", spine.0))?;
-            let set = FaultAction::SetSpineFailure { spine, failure };
-            let fits = FaultPlan::new().at(Time::ZERO, set).validate_on(topo);
-            fits.or_else(|e| need(Faults, false, e.to_string()))?;
-        }
-        if let Some(plan) = &self.sim.fault_plan {
-            let fits = plan.validate_on(topo);
-            fits.or_else(|e| need(Faults, false, e.to_string()))?;
-        }
+        let fits = self.sim.fault_plan.validate_on(topo);
+        fits.or_else(|e| need(Faults, false, e.to_string()))?;
         topo.check_connected().or_else(|msg| need(Topo, false, msg))
     }
 }
@@ -191,7 +182,7 @@ pub enum PointField {
     /// A parameter of the staged or mixed workload, by its field name
     /// in the workload's config.
     Workload(&'static str),
-    /// The static failures or the fault plan.
+    /// The fault plan, static failures included.
     Faults,
     /// The topology under test, its cuts applied.
     Topology,
@@ -244,8 +235,9 @@ pub struct RunReport {
     pub rack0_sensing: Option<(Option<Time>, Option<Time>, u64)>,
 }
 
-/// Run one point: build the sim, wire failures, schedule the workload,
-/// run to the drain horizon. Deterministic in `cfg` (its seed included).
+/// Run one point: build the sim (its fault plan scheduled), schedule
+/// the workload, run to the drain horizon. Deterministic in `cfg` (its
+/// seed included).
 ///
 /// Open-loop kinds (`Poisson`, `ElephantMice`, `Flows`) pre-schedule
 /// their arrivals and drain for `cfg.drain` past the last one. The
@@ -263,9 +255,6 @@ pub fn run_point(cfg: &PointCfg) -> RunReport {
     let sampler = cfg
         .goodput_interval
         .map(|interval| sim.add_sampler(interval, Probe::TotalGoodput));
-    for (s, f) in &cfg.failures {
-        sim.set_spine_failure(*s, *f);
-    }
     let mut open_loop = |specs: Vec<FlowSpec>| {
         let last_arrival = specs.iter().map(|s| s.start).max().unwrap_or(Time::ZERO);
         sim.add_flows(specs);
@@ -446,7 +435,7 @@ pub fn avg_summaries(v: &[FctSummary]) -> FctSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_net::{LeafId, Topology};
+    use hermes_net::{FaultPlan, LeafId, Topology};
     use hermes_runtime::Scheme;
 
     /// ECMP on the 1G testbed, web-search at 0.3 load.
@@ -731,7 +720,10 @@ mod tests {
         let e = refused(twice);
         assert_eq!(
             (e.field, e.msg.as_str()),
-            (PointField::Faults, "spine 1 is listed twice")
+            (
+                PointField::Faults,
+                "SetSpineFailure at 0ns for spine 1 replaces another at the same instant"
+            )
         );
         // The in-range neighbours pass; a staged workload ignores the
         // open-loop load and flow count.

@@ -1,8 +1,7 @@
 //! Fault application. [`Fabric::apply_fault`] is the one entry point a
-//! [`crate::FaultPlan`] replays through; the link and outage mutators
-//! behind it are private to the fabric, so no other crate can bypass the
-//! event queue with them. [`Fabric::set_spine_failure`] stays public for
-//! static, before-the-run failures.
+//! [`crate::FaultPlan`] replays through; the spine, link and outage
+//! mutators behind it are private to the fabric, so no other crate can
+//! bypass the event queue with them.
 
 use super::Fabric;
 use crate::failure::SpineFailure;
@@ -11,7 +10,7 @@ use crate::types::{LeafId, NodeId, SpineId};
 
 impl Fabric {
     /// Inject a failure at a spine switch.
-    pub fn set_spine_failure(&mut self, spine: SpineId, f: SpineFailure) {
+    pub(super) fn set_spine_failure(&mut self, spine: SpineId, f: SpineFailure) {
         self.failures[spine.0 as usize] = f;
         // ECN mute lives at the muted switch's egress ports — only its
         // own marking engine goes quiet; leaf ports downstream keep
@@ -94,13 +93,9 @@ impl Fabric {
 
     /// Apply one scheduled fault action. This is the single entry point
     /// the runtime's event dispatcher uses to replay a
-    /// [`crate::FaultPlan`]; calling it (or `set_spine_failure`) from
-    /// anywhere outside the event queue breaks trace determinism (the
-    /// `clippy::disallowed_methods` entry in `clippy.toml` enforces this).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "hermes-net defines the fault mutators; apply_fault dispatches to them"
-    )]
+    /// [`crate::FaultPlan`]; calling it from anywhere outside the event
+    /// queue breaks trace determinism (the `clippy::disallowed_methods`
+    /// entry in `clippy.toml` enforces this).
     pub fn apply_fault(&mut self, action: &FaultAction) {
         match *action {
             FaultAction::SetSpineFailure { spine, failure } => {

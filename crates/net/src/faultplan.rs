@@ -1,13 +1,14 @@
 //! Time-triggered fault schedules — the "chaos schedule".
 //!
-//! The static failure API ([`crate::Fabric::set_spine_failure`]) can
-//! only break the fabric before a run starts, which cannot reproduce the
-//! paper's transient story: a switch starts misbehaving mid-run, Hermes
-//! detects and evacuates, the operator fixes it, and traffic returns
-//! (§2.1's "in the wild" failures, §5.3.3's evaluation). A [`FaultPlan`]
-//! is a declarative list of *(simulation time, fault action)* pairs that
-//! the runtime replays through the one shared event queue, so fault
-//! injection obeys the determinism contract like every other event:
+//! A [`FaultPlan`] is the one way to fault a run: a declarative list of
+//! *(simulation time, fault action)* pairs that the runtime replays
+//! through the one shared event queue, so fault injection obeys the
+//! determinism contract like every other event. A failure that lasts the
+//! whole run (§5.3.3's random drops and blackhole) is one
+//! `SetSpineFailure` at `Time::ZERO`. The same plan tells the transient
+//! story — a switch starts misbehaving mid-run, Hermes detects and
+//! evacuates, the operator fixes it, and traffic returns (§2.1's "in the
+//! wild" failures):
 //!
 //! * spine failure **onset and clearance** (blackholes, silent random
 //!   drops, and stepwise drop-rate ramps),
@@ -142,6 +143,10 @@ pub enum PlanError {
     SpineUpWithoutDown { spine: SpineId, at: Time },
     /// A `SpineDown` on a spine that is already out of service.
     SpineAlreadyDown { spine: SpineId, at: Time },
+    /// A second `SetSpineFailure` for one spine at one instant: it would
+    /// silently replace the first. (The merge actions, `FlowBlackhole`
+    /// and `EcnMute`, compose and may share the instant.)
+    SpineFailureSetTwice { spine: SpineId, at: Time },
     /// A probability/fraction outside `[0, 1]` (`what` names the field).
     FractionOutOfRange {
         what: &'static str,
@@ -187,6 +192,11 @@ impl core::fmt::Display for PlanError {
             PlanError::SpineAlreadyDown { spine, at } => write!(
                 f,
                 "SpineDown at {at} for spine {} overlaps an earlier outage",
+                spine.0
+            ),
+            PlanError::SpineFailureSetTwice { spine, at } => write!(
+                f,
+                "SetSpineFailure at {at} for spine {} replaces another at the same instant",
                 spine.0
             ),
             PlanError::FractionOutOfRange { what, value, at } => {
@@ -417,9 +427,10 @@ impl FaultPlan {
     /// Check the plan is applicable to *some* fabric: link and spine
     /// up/down events pair correctly (no `LinkUp` without a prior
     /// `LinkDown`, no contradictory overlapping down windows on the
-    /// same link or spine) and every probability/fraction/rate is in
-    /// range. Events are checked in the order the runtime will apply
-    /// them: by time, insertion order within an instant.
+    /// same link or spine), no spine gets two `SetSpineFailure`s at one
+    /// instant, and every probability/fraction/rate is in range. Events
+    /// are checked in the order the runtime will apply them: by time,
+    /// insertion order within an instant.
     ///
     /// The chainable builders already enforce these shapes, but a plan
     /// assembled from raw [`FaultPlan::at`] calls — or sampled and
@@ -430,6 +441,8 @@ impl FaultPlan {
         order.sort_by_key(|e| e.at); // stable: insertion order within an instant
         let mut link_down: BTreeMap<(u16, u16), bool> = BTreeMap::new();
         let mut spine_down: BTreeMap<u16, bool> = BTreeMap::new();
+        // The last instant each spine's failure was set.
+        let mut spine_set: BTreeMap<u16, Time> = BTreeMap::new();
         for ev in order {
             let at = ev.at;
             let frac = |what: &'static str, value: f64| match value {
@@ -437,7 +450,10 @@ impl FaultPlan {
                 _ => Err(PlanError::FractionOutOfRange { what, value, at }),
             };
             match ev.action {
-                FaultAction::SetSpineFailure { failure, .. } => {
+                FaultAction::SetSpineFailure { spine, failure } => {
+                    if spine_set.insert(spine.0, at) == Some(at) {
+                        return Err(PlanError::SpineFailureSetTwice { spine, at });
+                    }
                     frac("random_drop", failure.random_drop)?;
                     if let Some(bh) = failure.blackhole {
                         frac("pair_fraction", bh.pair_fraction)?;
@@ -813,6 +829,41 @@ mod tests {
                 at: Time::from_ms(2),
             })
         );
+    }
+
+    #[test]
+    fn validate_rejects_a_spine_failure_set_twice_at_one_instant() {
+        let spine = SpineId(1);
+        let set = FaultAction::SetSpineFailure {
+            spine,
+            failure: SpineFailure::random_drops(0.1),
+        };
+        let t = Time::ZERO;
+        assert_eq!(
+            FaultPlan::new().at(t, set).at(t, set).validate(),
+            Err(PlanError::SpineFailureSetTwice { spine, at: t })
+        );
+        // The merge actions compose with a set at the same instant, and
+        // one spine may be set again later (a ramp's next step).
+        let merged = FaultPlan::new()
+            .at(t, set)
+            .at(
+                t,
+                FaultAction::FlowBlackhole {
+                    spine,
+                    victim_fraction: 0.5,
+                },
+            )
+            .at(t, FaultAction::EcnMute { spine });
+        assert_eq!(merged.validate(), Ok(()));
+        let later = FaultPlan::new().at(t, set).at(Time::from_ms(1), set);
+        assert_eq!(later.validate(), Ok(()));
+        // Other spines at the same instant are independent.
+        let other = FaultAction::SetSpineFailure {
+            spine: SpineId(2),
+            failure: SpineFailure::random_drops(0.1),
+        };
+        assert_eq!(FaultPlan::new().at(t, set).at(t, other).validate(), Ok(()));
     }
 
     #[test]

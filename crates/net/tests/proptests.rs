@@ -201,10 +201,11 @@ proptest! {
     /// statistically plausible for the configured probability.
     #[test]
     fn random_drop_accounting(seed in 0u64..200) {
-        use hermes_net::{SpineFailure, SpineId};
+        use hermes_net::{FaultAction, SpineFailure, SpineId};
         let topo = Topology::testbed();
         let mut fab = Fabric::new(topo, SimRng::new(seed));
-        fab.set_spine_failure(SpineId(0), SpineFailure::random_drops(0.3));
+        let failure = SpineFailure::random_drops(0.3);
+        fab.apply_fault(&FaultAction::SetSpineFailure { spine: SpineId(0), failure });
         let mut q = EventQueue::new();
         let n = 400;
         for i in 0..n {

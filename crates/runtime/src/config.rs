@@ -123,8 +123,9 @@ pub struct SimConfig {
     /// a monitor keeps "seeing" a finished flow; 0 = instantaneous).
     pub visibility_linger: Time,
     /// Time-triggered fault schedule replayed through the event queue
-    /// (onset *and* clearance — the transient-failure story).
-    pub fault_plan: Option<hermes_net::FaultPlan>,
+    /// (onset *and* clearance — the transient-failure story; a failure
+    /// for the whole run is an entry at `Time::ZERO`). Empty: no faults.
+    pub fault_plan: hermes_net::FaultPlan,
 }
 
 /// Default reordering-buffer hold: a few one-way delays, enough for a
@@ -140,12 +141,12 @@ impl SimConfig {
             reorder_mask: None,
             seed: 1,
             visibility_linger: Time::ZERO,
-            fault_plan: None,
+            fault_plan: hermes_net::FaultPlan::new(),
         }
     }
 
     pub fn with_fault_plan(mut self, plan: hermes_net::FaultPlan) -> SimConfig {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 

@@ -6,10 +6,7 @@
 use std::collections::BTreeMap;
 
 use hermes_core::{Hermes, RackSensing};
-use hermes_net::{
-    Event, Fabric, FaultEvent, FaultPlan, FlowId, HostId, LeafId, Packet, PathId, SpineFailure,
-    SpineId,
-};
+use hermes_net::{Event, Fabric, FlowId, HostId, LeafId, Packet, PathId, SpineId};
 use hermes_sim::{EventQueue, SimRng, Time};
 use hermes_transport::{RecvAction, SendAction};
 use hermes_workload::{FlowDriver, FlowRecord, FlowSpec, VisibilityTracker};
@@ -99,8 +96,6 @@ pub struct Simulation {
     driver: Option<Box<dyn FlowDriver>>,
     samplers: Vec<SamplerRt>,
     visibility: VisibilityTracker,
-    /// Scheduled fault events, indexed by their `Token::Fault` index.
-    faults: Vec<FaultEvent>,
     /// Cumulative in-order payload bytes delivered across all TCP flows.
     goodput_bytes: u64,
     /// Retransmissions within this window after a path change are
@@ -127,6 +122,19 @@ const _: () = {
 };
 
 impl Simulation {
+    /// Build the run `cfg` describes, its fault plan scheduled: one
+    /// `Global` event per entry, dispatched through the shared queue at
+    /// its instant, so fault injection is part of the digested event
+    /// trace. Nothing else is scheduled at `Time::ZERO` before the plan,
+    /// so a plan entry at `Time::ZERO` (a failure for the whole run)
+    /// fires before any flow starts.
+    ///
+    /// Panics if [`hermes_net::FaultPlan::validate_on`] rejects the plan
+    /// for this fabric — an invalid schedule (unpaired `LinkUp`,
+    /// contradictory overlapping windows, one spine's failure set twice
+    /// at one instant, out-of-range rates, a switch or link the topology
+    /// lacks) would otherwise run to a nonsense result or die mid-run
+    /// when the event fires.
     pub fn new(cfg: SimConfig) -> Simulation {
         let root = SimRng::new(cfg.seed);
         let topo = cfg.topo.clone();
@@ -138,6 +146,12 @@ impl Simulation {
         if let Some((_, p)) = edge.probing() {
             q.schedule_in(p.interval, Token::ProbeTick.global());
         }
+        if let Err(e) = cfg.fault_plan.validate_on(&topo) {
+            panic!("invalid fault plan: {e}");
+        }
+        for (i, ev) in cfg.fault_plan.events().iter().enumerate() {
+            q.schedule(ev.at, Token::Fault(i).global());
+        }
         // Decorrelate LB randomness from everything else.
         let _ = rng_lb.u64();
 
@@ -148,7 +162,7 @@ impl Simulation {
             cfg.visibility_linger,
         );
         let reorder_grace = topo.base_rtt() * 3;
-        let mut sim = Simulation {
+        Simulation {
             cfg,
             q,
             fabric,
@@ -161,51 +175,16 @@ impl Simulation {
             driver: None,
             samplers: Vec::new(),
             visibility,
-            faults: Vec::new(),
             goodput_bytes: 0,
             reorder_grace,
             digest: hermes_net::audit::FnvDigest::new(),
             send_scratch: Vec::new(),
             recv_scratch: Vec::new(),
             stats: SimStats::default(),
-        };
-        if let Some(plan) = sim.cfg.fault_plan.clone() {
-            sim.set_fault_plan(&plan);
         }
-        sim
     }
 
     // ---- experiment wiring ----------------------------------------
-
-    /// Inject a switch failure (before or during the run).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the runtime owns the fabric: a static failure before the run"
-    )]
-    pub fn set_spine_failure(&mut self, spine: SpineId, f: SpineFailure) {
-        self.fabric.set_spine_failure(spine, f);
-    }
-
-    /// Schedule a fault plan: one `Global` event per entry, dispatched
-    /// through the shared queue at its instant (so fault injection is
-    /// part of the digested event trace). Entries whose time already
-    /// passed apply at the current instant, in plan order.
-    ///
-    /// Panics if [`FaultPlan::validate_on`] rejects the plan for this
-    /// fabric — an invalid schedule (unpaired `LinkUp`, contradictory
-    /// overlapping windows, out-of-range rates, a switch or link the
-    /// topology lacks) would otherwise run to a nonsense result or die
-    /// mid-run when the event fires.
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        if let Err(e) = plan.validate_on(self.fabric.topology()) {
-            panic!("invalid fault plan: {e}");
-        }
-        for ev in plan.events() {
-            let token = Token::Fault(self.faults.len());
-            self.faults.push(*ev);
-            self.q.schedule(ev.at.max(self.q.now()), token.global());
-        }
-    }
 
     /// Schedule a TCP flow.
     pub fn add_flow(&mut self, spec: FlowSpec) {
@@ -462,7 +441,7 @@ impl Simulation {
             Token::Sampler(idx) => self.on_sampler(idx),
             Token::Udp(idx) => self.on_udp_tick(idx),
             Token::Fault(idx) => {
-                let action = self.faults[idx].action;
+                let action = self.cfg.fault_plan.events()[idx].action;
                 if hermes_telemetry::enabled() {
                     let kind = action.kind();
                     hermes_telemetry::emit_with(self.q.now(), || {

@@ -97,8 +97,9 @@ fn fault_plan_naming_a_missing_leaf_is_refused_at_install() {
         leaf: LeafId(9),
         spine: SpineId(0),
     };
-    let mut sim = Simulation::new(SimConfig::new(Topology::testbed(), Scheme::Ecmp));
-    sim.set_fault_plan(&FaultPlan::new().at(Time::from_ms(5), down));
+    let plan = FaultPlan::new().at(Time::from_ms(5), down);
+    let _ =
+        Simulation::new(SimConfig::new(Topology::testbed(), Scheme::Ecmp).with_fault_plan(plan));
 }
 
 #[test]
@@ -114,8 +115,7 @@ fn flapping_a_link_the_topology_cut_is_refused_at_install() {
         Time::from_ms(3),
         Time::from_ms(9),
     );
-    let mut sim = Simulation::new(SimConfig::new(topo, Scheme::Ecmp));
-    sim.set_fault_plan(&plan);
+    let _ = Simulation::new(SimConfig::new(topo, Scheme::Ecmp).with_fault_plan(plan));
 }
 
 #[test]
@@ -200,11 +200,12 @@ fn blackhole_strands_ecmp_but_not_hermes() {
         .collect();
 
     let run = |scheme: Scheme| {
-        let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(2));
-        sim.set_spine_failure(
-            SpineId(0),
-            SpineFailure::blackhole(LeafId(0), LeafId(1), 1.0),
-        );
+        let hole = FaultAction::SetSpineFailure {
+            spine: SpineId(0),
+            failure: SpineFailure::blackhole(LeafId(0), LeafId(1), 1.0),
+        };
+        let cfg = SimConfig::new(topo.clone(), scheme).with_seed(2);
+        let mut sim = Simulation::new(cfg.with_fault_plan(FaultPlan::new().at(Time::ZERO, hole)));
         sim.add_flows(flows.clone());
         sim.run_to_completion(Time::from_secs(3));
         sim.records().iter().filter(|r| r.finish.is_none()).count()
@@ -246,8 +247,12 @@ fn silent_random_drops_inflate_ecmp_tail_but_not_hermes() {
         .collect();
 
     let run = |scheme: Scheme| {
-        let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(2));
-        sim.set_spine_failure(SpineId(0), SpineFailure::random_drops(0.02));
+        let drops = FaultAction::SetSpineFailure {
+            spine: SpineId(0),
+            failure: SpineFailure::random_drops(0.02),
+        };
+        let cfg = SimConfig::new(topo.clone(), scheme).with_seed(2);
+        let mut sim = Simulation::new(cfg.with_fault_plan(FaultPlan::new().at(Time::ZERO, drops)));
         sim.add_flows(flows.clone());
         sim.run_to_completion(Time::from_secs(3));
         let unfinished = sim.records().iter().filter(|r| r.finish.is_none()).count();
@@ -378,7 +383,6 @@ fn telemetry_traces_the_flow_lifecycle_without_perturbing_the_run() {
             hermes_telemetry::install(hermes_telemetry::SinkConfig::default());
         }
         let topo = Topology::testbed();
-        let mut sim = Simulation::new(SimConfig::new(topo, Scheme::Ecmp).with_seed(5));
         // One down/up pair, both inside the flow's lifetime.
         let plan = FaultPlan::new().link_flap(
             LeafId(0),
@@ -388,7 +392,8 @@ fn telemetry_traces_the_flow_lifecycle_without_perturbing_the_run() {
             Time::from_ms(10),
             Time::from_ms(2),
         );
-        sim.set_fault_plan(&plan);
+        let cfg = SimConfig::new(topo, Scheme::Ecmp).with_seed(5);
+        let mut sim = Simulation::new(cfg.with_fault_plan(plan));
         sim.add_flow(one_flow(300_000));
         sim.run_to_completion(Time::from_secs(5));
         let digest = sim.trace_digest();
@@ -421,7 +426,6 @@ fn telemetry_traces_the_flow_lifecycle_without_perturbing_the_run() {
     // The recorded FCT matches the flow record.
     let (rec_start, rec_finish) = {
         let topo = Topology::testbed();
-        let mut sim = Simulation::new(SimConfig::new(topo, Scheme::Ecmp).with_seed(5));
         // One down/up pair, both inside the flow's lifetime.
         let plan = FaultPlan::new().link_flap(
             LeafId(0),
@@ -431,7 +435,8 @@ fn telemetry_traces_the_flow_lifecycle_without_perturbing_the_run() {
             Time::from_ms(10),
             Time::from_ms(2),
         );
-        sim.set_fault_plan(&plan);
+        let cfg = SimConfig::new(topo, Scheme::Ecmp).with_seed(5);
+        let mut sim = Simulation::new(cfg.with_fault_plan(plan));
         sim.add_flow(one_flow(300_000));
         sim.run_to_completion(Time::from_secs(5));
         let r = &sim.records()[0];

@@ -93,7 +93,7 @@ fn run_plans(plans: &[(&FaultPlan, u64)], quick: bool) -> Vec<CellRuns> {
             LBS.into_iter().flat_map(move |lb| {
                 let base = point(topo, lb, seed, quick);
                 let mut faulted = base.clone();
-                faulted.sim.fault_plan = Some(plan.clone());
+                faulted.sim.fault_plan = plan.clone();
                 [base, faulted]
             })
         })

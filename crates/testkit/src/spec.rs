@@ -552,7 +552,7 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
             if end <= start {
                 return serr(file, "fault `end_ms` must exceed `start_ms`");
             }
-            Some(match req_str(ft, "kind", file)?.as_str() {
+            match req_str(ft, "kind", file)?.as_str() {
                 // `spine` silently drops `frac` of the src→dst leaf
                 // pair's packets between `start` and `end`.
                 "blackhole" => FaultPlan::new().blackhole_window(
@@ -568,9 +568,9 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
                     FaultPlan::new().random_drop_window(spine, fault_frac(ft, file)?, start, end)
                 }
                 other => return serr(file, format!("unknown fault kind `{other}`")),
-            })
+            }
         }
-        None => None,
+        None => FaultPlan::new(),
     };
 
     // [invariants] (optional)
@@ -635,7 +635,7 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
                 None => format!("`{name}`"),
             },
             PointField::Topology => "`cut`".to_string(),
-            // A scenario file sets a fault plan, never static failures.
+            // A scenario file's only fault is its `[fault]` window.
             PointField::Faults => "[fault]".to_string(),
         };
         return serr(file, format!("{key}: {}", e.msg));
@@ -717,7 +717,7 @@ mod tests {
         assert_eq!(s.lbs.len(), 2);
         assert_eq!(s.base.drain, Time::from_ms(3000));
         assert!(!s.pin_digests);
-        assert!(s.base.sim.fault_plan.is_none());
+        assert!(s.base.sim.fault_plan.is_empty());
         assert_eq!(s.invariants.max_unfinished_frac, 1.0);
     }
 
@@ -773,10 +773,10 @@ mod tests {
         "#;
         let s = parse_scenario(src, "mem", "bh").expect("parses");
         // One window = an onset and a clearance event.
-        assert_eq!(s.base.sim.fault_plan.as_ref().map(FaultPlan::len), Some(2));
+        assert_eq!(s.base.sim.fault_plan.len(), 2);
         assert_eq!(s.envelopes.len(), 1);
         assert_eq!(s.envelopes[0].metric, Metric::Avg);
-        assert!(s.materialize(0, 1).sim.fault_plan.is_some());
+        assert_eq!(s.materialize(0, 1).sim.fault_plan.len(), 2);
     }
 
     #[test]

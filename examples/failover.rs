@@ -1,13 +1,14 @@
-//! Failure-resilience demo: a spine switch develops a packet blackhole
-//! mid-run; watch Hermes detect it from timeouts and evacuate, while
-//! ECMP strands every flow hashed onto the dead paths.
+//! Failure-resilience demo: a spine switch blackholes packets for the
+//! whole run (a fault-plan entry at t = 0); watch Hermes detect it from
+//! timeouts and evacuate, while ECMP strands every flow hashed onto the
+//! dead paths.
 //!
 //! ```sh
 //! cargo run --release --example failover
 //! ```
 
 use hermes_core::HermesParams;
-use hermes_net::{LeafId, SpineFailure, SpineId, Topology};
+use hermes_net::{FaultAction, FaultPlan, LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
 use hermes_workload::{FlowGen, FlowSizeDist};
@@ -15,14 +16,18 @@ use hermes_workload::{FlowGen, FlowSizeDist};
 fn main() {
     let topo = Topology::sim_baseline();
     // Every src–dst pair from rack 0 to rack 7 blackholes at spine 5.
-    let hole = SpineFailure::blackhole(LeafId(0), LeafId(7), 1.0);
+    let hole = FaultAction::SetSpineFailure {
+        spine: SpineId(5),
+        failure: SpineFailure::blackhole(LeafId(0), LeafId(7), 1.0),
+    };
+    let plan = FaultPlan::new().at(Time::ZERO, hole);
 
     for (name, scheme) in [
         ("ecmp", Scheme::Ecmp),
         ("hermes", Scheme::Hermes(HermesParams::from_topology(&topo))),
     ] {
-        let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(3));
-        sim.set_spine_failure(SpineId(5), hole);
+        let cfg = SimConfig::new(topo.clone(), scheme).with_seed(3);
+        let mut sim = Simulation::new(cfg.with_fault_plan(plan.clone()));
         let mut gen = FlowGen::new(&topo, FlowSizeDist::web_search(), 0.4, None, SimRng::new(9));
         // Keep only rack0 → rack7 flows so every flow is exposed to the
         // blackhole risk.

@@ -159,10 +159,11 @@ fn build_topo(a: &Args) -> (Topology, u64) {
     (topo, healthy)
 }
 
-/// The static failures `--drop` and `--blackhole` ask for: one
-/// `SpineFailure` per spine, so a drop and a blackhole on one spine
-/// combine. `Err` names the flag that lists a spine twice. The values
-/// are not range-checked here; `PointCfg::validate` does that.
+/// The failures for the whole run that `--drop` and `--blackhole` ask
+/// for: one `SpineFailure` per spine, so a drop and a blackhole on one
+/// spine combine, each installed with `PointCfg::failure` as a fault-plan
+/// entry at t = 0. `Err` names the flag that lists a spine twice. The
+/// values are not range-checked here; `PointCfg::validate` does that.
 fn spine_failures(a: &Args) -> Result<Vec<(SpineId, SpineFailure)>, String> {
     let mut merged: BTreeMap<u16, (Option<f64>, Option<Blackhole>)> = BTreeMap::new();
     for &(s, rate) in &a.drops {
@@ -248,11 +249,14 @@ fn main() {
     };
     let scheme = resolve_scheme(&a, &topo);
     let sim = SimConfig::new(topo, scheme).with_transport(transport);
-    let mut cfg = PointCfg::new(sim, dist, a.load)
+    let point = PointCfg::new(sim, dist, a.load)
         .flows(a.flows)
         .capacity(capacity)
         .drain(Time::from_secs(10));
-    cfg.failures = spine_failures(&a).unwrap_or_else(|e| usage(&e));
+    let failures = spine_failures(&a).unwrap_or_else(|e| usage(&e));
+    let cfg = failures
+        .into_iter()
+        .fold(point, |cfg, (s, f)| cfg.failure(s, f));
     if let Err(e) = cfg.validate() {
         let flag = match e.field {
             PointField::Load => "--load",

@@ -13,7 +13,7 @@
 
 use hermes_bench::{assert_deterministic, run_point, run_sim, PointCfg, RunReport};
 use hermes_core::HermesParams;
-use hermes_net::{FaultPlan, LeafId, SpineFailure, SpineId, Topology};
+use hermes_net::{FaultAction, FaultPlan, LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
 use hermes_workload::{records_hash, FlowGen, FlowSizeDist};
@@ -33,11 +33,13 @@ fn quickstart_sim(scheme: Scheme) -> Simulation {
 fn failover_sim() -> Simulation {
     let topo = Topology::sim_baseline();
     let scheme = Scheme::Hermes(HermesParams::from_topology(&topo));
-    let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(3));
-    sim.set_spine_failure(
-        SpineId(5),
-        SpineFailure::blackhole(LeafId(0), LeafId(7), 1.0),
-    );
+    let hole = FaultAction::SetSpineFailure {
+        spine: SpineId(5),
+        failure: SpineFailure::blackhole(LeafId(0), LeafId(7), 1.0),
+    };
+    let plan = FaultPlan::new().at(Time::ZERO, hole);
+    let cfg = SimConfig::new(topo.clone(), scheme).with_seed(3);
+    let mut sim = Simulation::new(cfg.with_fault_plan(plan));
     let mut gen = FlowGen::new(&topo, FlowSizeDist::web_search(), 0.4, None, SimRng::new(9));
     let mut flows = Vec::new();
     while flows.len() < 40 {

@@ -3,10 +3,15 @@
 
 use hermes_core::HermesParams;
 use hermes_lb::CongaCfg;
-use hermes_net::{LeafId, LinkCfg, SpineFailure, SpineId, Topology};
+use hermes_net::{FaultAction, FaultPlan, LeafId, LinkCfg, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
 use hermes_workload::{summarize, FlowGen, FlowSizeDist};
+
+/// A plan failing `spine` with `failure` for the whole run.
+fn static_failure(spine: SpineId, failure: SpineFailure) -> FaultPlan {
+    FaultPlan::new().at(Time::ZERO, FaultAction::SetSpineFailure { spine, failure })
+}
 
 /// Run a workload and return (avg FCT seconds, unfinished count).
 fn run(
@@ -25,10 +30,9 @@ fn run(
         capacity,
         SimRng::new(42),
     );
-    let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(7));
-    if let Some((s, f)) = failure {
-        sim.set_spine_failure(s, f);
-    }
+    let plan = failure.map_or_else(FaultPlan::new, |(s, f)| static_failure(s, f));
+    let cfg = SimConfig::new(topo.clone(), scheme).with_seed(7);
+    let mut sim = Simulation::new(cfg.with_fault_plan(plan));
     sim.add_flows(gen.schedule(n));
     sim.run_to_completion(horizon);
     let s = summarize(sim.records(), horizon);
@@ -111,8 +115,8 @@ fn blackhole_hermes_finishes_everything_ecmp_does_not() {
         v
     };
     let run_bh = |scheme: Scheme| {
-        let mut sim = Simulation::new(SimConfig::new(topo.clone(), scheme).with_seed(2));
-        sim.set_spine_failure(failure.0, failure.1);
+        let cfg = SimConfig::new(topo.clone(), scheme).with_seed(2);
+        let mut sim = Simulation::new(cfg.with_fault_plan(static_failure(failure.0, failure.1)));
         sim.add_flows(mk_flows());
         sim.run_to_completion(horizon);
         sim.records().iter().filter(|r| r.finish.is_none()).count()

@@ -8,9 +8,9 @@
 
 use std::path::PathBuf;
 
-use hermes_bench::{run_trace_point, trace_point, CLEAR, ONSET};
+use hermes_bench::{run_trace_point, trace_point, PointCfg, CLEAR, ONSET};
 use hermes_core::HermesParams;
-use hermes_net::{FaultPlan, LeafId, SpineId, Topology};
+use hermes_net::{FaultPlan, LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
 use hermes_telemetry::{DropReason, PathClass, Record, RerouteVerdict};
@@ -183,6 +183,33 @@ fn fig17_trace_tells_the_failure_story() {
     for w in evs.windows(2) {
         assert!(w[1].at >= w[0].at);
     }
+}
+
+/// A failure for the whole run is a fault-plan entry at t = 0, so the
+/// trace shows it like any other fault, before any flow starts.
+#[test]
+fn static_failure_is_traced_at_time_zero() {
+    let sim = SimConfig::new(Topology::testbed(), Scheme::Ecmp);
+    let cfg = PointCfg::new(sim, FlowSizeDist::web_search(), 0.3)
+        .flows(20)
+        .failure(SpineId(1), SpineFailure::random_drops(0.02));
+    let out = run_trace_point(&cfg);
+    let faults: Vec<(Time, &str)> = out
+        .events
+        .iter()
+        .filter_map(|e| match e.record {
+            Record::FaultApplied { kind } => Some((e.at, kind)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(faults, [(Time::ZERO, "set_spine_failure")]);
+    let at = |pick: fn(&Record) -> bool| out.events.iter().position(|e| pick(&e.record));
+    let fault = at(|r| matches!(r, Record::FaultApplied { .. }));
+    let first_flow = at(|r| matches!(r, Record::FlowStarted { .. }));
+    assert!(
+        fault < first_flow,
+        "the failure is in place before any flow starts"
+    );
 }
 
 /// The chaos engine's gray-failure actions surface in the trace — and
