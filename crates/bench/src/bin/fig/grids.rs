@@ -333,11 +333,11 @@ pub fn fig18() -> Vec<GridSpec> {
 
     // (a) component ablation.
     let mut no_probe = base;
-    no_probe.enable_probing = false;
+    no_probe.probe_interval = Time::MAX;
     let mut no_reroute = base;
     no_reroute.enable_reroute = false;
     let mut neither = base;
-    neither.enable_probing = false;
+    neither.probe_interval = Time::MAX;
     neither.enable_reroute = false;
     let template = cell_template(&topo, FlowSizeDist::data_mining())
         .flows(400)

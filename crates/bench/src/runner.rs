@@ -98,7 +98,8 @@ impl PointCfg {
     /// * ring ranks, the incast fanout and the elephant/mice mix fit the
     ///   topology;
     /// * an explicit flow list is not empty, and every flow has an id
-    ///   the timers can carry and two distinct hosts of the topology;
+    ///   the timers can carry, listed once, and two distinct hosts of
+    ///   the topology;
     /// * the fault plan, static failures included, passes
     ///   [`hermes_net::FaultPlan::validate_on`];
     /// * every pair of leaves still shares a live spine.
@@ -149,11 +150,15 @@ impl PointCfg {
             WorkloadKind::Flows(specs) => {
                 need(Flows, !specs.is_empty(), "must not be empty".into())?;
                 let hosts = topo.n_hosts();
+                let mut seen = std::collections::BTreeSet::new();
                 for f in specs {
                     let (id, src, dst) = (f.id.0, f.src.0 as usize, f.dst.0 as usize);
                     let refuse = |field, what| need(W(field), false, format!("flow {id}: {what}"));
                     if id > MAX_FLOW_ID {
                         refuse("id", format!("exceeds MAX_FLOW_ID ({MAX_FLOW_ID})"))?;
+                    }
+                    if !seen.insert(id) {
+                        refuse("id", "listed twice".into())?;
                     }
                     for (field, host) in [("src", src), ("dst", dst)] {
                         if host >= hosts {
@@ -199,8 +204,7 @@ pub struct PointError {
 /// The outcome of a point: the FCT summary plus the raw evidence the
 /// conformance and chaos checkers need (per-flow records, the
 /// event-trace digest, the packet-conservation snapshot, the goodput
-/// timeline), the Table 2 visibility measurements and, under Hermes,
-/// rack 0's sensing record.
+/// timeline) and, under Hermes, rack 0's sensing record.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     pub fct: FctSummary,
@@ -227,9 +231,6 @@ pub struct RunReport {
     /// run that leaves one event per superseded timer re-arm behind
     /// grows it with load, not with flows.
     pub pending_events: usize,
-    /// Table 2 visibility measurements.
-    pub vis_switch: f64,
-    pub vis_host: f64,
     /// The first Hermes rack's sensing record, `(first_failure_at,
     /// first_recovery_at, stat_recoveries)`; `None` under other schemes.
     pub rack0_sensing: Option<(Option<Time>, Option<Time>, u64)>,
@@ -293,7 +294,6 @@ pub fn run_point(cfg: &PointCfg) -> RunReport {
 /// the series of the sampler at that index, if any.
 pub fn run_sim(mut sim: Simulation, horizon: Time, goodput: Option<usize>) -> RunReport {
     sim.run_to_completion(horizon);
-    let (vis_switch, vis_host) = sim.visibility();
     let rack0_sensing = sim
         .hermes_racks()
         .next()
@@ -309,8 +309,6 @@ pub fn run_sim(mut sim: Simulation, horizon: Time, goodput: Option<usize>) -> Ru
         queue_clamps: sim.queue_clamps(),
         queue_fallback: sim.queue_fallback_count(),
         pending_events: sim.pending_events(),
-        vis_switch,
-        vis_host,
         rack0_sensing,
         records: sim.into_records(),
     }
@@ -659,6 +657,14 @@ mod tests {
                 start: Time::ZERO,
             }]))
         };
+        // Flow 5 twice, the second from another host.
+        let mut repeated = flow(5, 0, 6);
+        if let WorkloadKind::Flows(specs) = &mut repeated.workload {
+            specs.push(FlowSpec {
+                src: HostId(1),
+                ..specs[0]
+            });
+        }
         let mut cut = topo.clone();
         for s in 0..4 {
             cut.cut_link(LeafId(0), SpineId(s));
@@ -678,6 +684,7 @@ mod tests {
                 PointField::Flows,
             ),
             (flow(MAX_FLOW_ID + 1, 0, 6), PointField::Workload("id")),
+            (repeated.clone(), PointField::Workload("id")),
             (flow(0, 12, 6), PointField::Workload("src")),
             (flow(0, 0, 12), PointField::Workload("dst")),
             (flow(0, 3, 3), PointField::Workload("dst")),
@@ -725,6 +732,7 @@ mod tests {
                 "SetSpineFailure at 0ns for spine 1 replaces another at the same instant"
             )
         );
+        assert_eq!(refused(repeated).msg, "flow 5: listed twice");
         // The in-range neighbours pass; a staged workload ignores the
         // open-loop load and flow count.
         ring(12).validate().expect("one rank per host");

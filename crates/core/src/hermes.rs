@@ -289,9 +289,6 @@ impl EdgeLb for Hermes {
 
     fn probe_plan(&mut self, now: Time, rng: &mut SimRng) -> Vec<ProbeTarget> {
         let sh = &mut self.sensing;
-        if !sh.params.enable_probing {
-            return Vec::new();
-        }
         let my = sh.my_leaf;
         let params = sh.params;
         let choices = params.probe_choices;
@@ -641,16 +638,6 @@ mod tests {
         assert!(plan
             .iter()
             .any(|t| t.dst_leaf == LeafId(3) && t.path == PathId(6)));
-    }
-
-    #[test]
-    fn probing_ablation_disables_plans() {
-        let topo = Topology::sim_baseline();
-        let mut params = HermesParams::from_topology(&topo);
-        params.enable_probing = false;
-        let mut h = Hermes::new(&topo, LeafId(0), params);
-        let mut rng = SimRng::new(1);
-        assert!(h.probe_plan(Time::from_ms(1), &mut rng).is_empty());
     }
 
     #[test]

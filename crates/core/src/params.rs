@@ -27,7 +27,8 @@ pub struct HermesParams {
     /// Minimum packets sent in a window before the fraction is trusted.
     pub retx_min_samples: u32,
     // --- Probing (§3.1.3) ---
-    /// Probe interval (100–500 µs; default 500 µs). `Time::MAX` disables.
+    /// Probe interval (100–500 µs; default 500 µs). `Time::MAX` disables
+    /// probing ("Hermes without probing", Fig. 18).
     pub probe_interval: Time,
     /// Random probes per destination rack per interval (power of two
     /// choices), plus one on the previously best path.
@@ -73,8 +74,6 @@ pub struct HermesParams {
     /// A path with no sample newer than this is Gray (unknown).
     pub stale_horizon: Time,
     // --- Ablation switches (§5.4, Fig. 18) and §5.4's TCP mode ---
-    /// Disable active probing ("Hermes without probing").
-    pub enable_probing: bool,
     /// Disable congested-path rerouting ("Hermes without rerouting";
     /// new-flow placement and failure evasion stay active).
     pub enable_reroute: bool,
@@ -109,7 +108,6 @@ impl HermesParams {
             ecn_ewma: 1.0 / 16.0,
             rtt_ewma: 0.25,
             stale_horizon: Time::from_ms(5),
-            enable_probing: true,
             enable_reroute: true,
             rtt_only: false,
         }

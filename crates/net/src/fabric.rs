@@ -156,11 +156,6 @@ impl Fabric {
             .map_or(0, Port::queued_bytes)
     }
 
-    /// Per-port statistics of a leaf uplink.
-    pub fn leaf_up_stats(&self, leaf: LeafId, spine: SpineId) -> Option<crate::port::PortStats> {
-        self.leaf_up(leaf, spine).map(|p| p.stats)
-    }
-
     /// Sum of tail drops across every port in the fabric.
     pub fn total_drops_full(&self) -> u64 {
         self.ports.iter().map(|p| p.stats.drops_full).sum()

@@ -176,59 +176,3 @@ pub trait FabricLb: Send {
         let _ = (leaf, pkt, now);
     }
 }
-
-/// The trivial edge scheme: stick to the first candidate. Useful in
-/// tests and as a base case.
-#[derive(Default)]
-pub struct PinnedPath;
-
-impl EdgeLb for PinnedPath {
-    fn select_path(
-        &mut self,
-        ctx: &FlowCtx,
-        candidates: &[PathId],
-        _now: Time,
-        _rng: &mut SimRng,
-    ) -> PathId {
-        if ctx.current_path.is_spine() && candidates.contains(&ctx.current_path) {
-            ctx.current_path
-        } else {
-            candidates[0]
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ctx(current: PathId, is_new: bool) -> FlowCtx {
-        FlowCtx {
-            flow: FlowId(1),
-            src: HostId(0),
-            dst: HostId(20),
-            src_leaf: LeafId(0),
-            dst_leaf: LeafId(1),
-            bytes_sent: 0,
-            rate_bps: 0.0,
-            current_path: current,
-            is_new,
-            timed_out: false,
-            since_change: Time::MAX,
-        }
-    }
-
-    #[test]
-    fn pinned_path_sticks() {
-        let mut lb = PinnedPath;
-        let mut rng = SimRng::new(0);
-        let cands = [PathId(0), PathId(1), PathId(2)];
-        let first = lb.select_path(&ctx(PathId::UNSET, true), &cands, Time::ZERO, &mut rng);
-        assert_eq!(first, PathId(0));
-        let again = lb.select_path(&ctx(PathId(2), false), &cands, Time::ZERO, &mut rng);
-        assert_eq!(again, PathId(2));
-        // Current path no longer a candidate → falls back to first.
-        let moved = lb.select_path(&ctx(PathId(7), false), &cands, Time::ZERO, &mut rng);
-        assert_eq!(moved, PathId(0));
-    }
-}

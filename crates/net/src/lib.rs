@@ -38,7 +38,7 @@ pub use audit::{ConservationReport, FnvDigest};
 pub use fabric::{Event, Fabric, FabricStats};
 pub use failure::{flow_unit, pair_unit, Blackhole, FlowBlackhole, SpineFailure};
 pub use faultplan::{FaultAction, FaultEvent, FaultPlan, PlanError};
-pub use lbapi::{EdgeLb, FabricLb, FlowCtx, LinkRef, PinnedPath, ProbeTarget};
+pub use lbapi::{EdgeLb, FabricLb, FlowCtx, LinkRef, ProbeTarget};
 pub use packet::{AckInfo, LbMeta, Packet, PacketKind, ACK_SIZE, HDR, MSS, PROBE_SIZE};
 pub use pool::{PacketPool, PoolStats};
 pub use port::{Enqueue, Port, PortStats};

@@ -119,9 +119,6 @@ pub struct SimConfig {
     pub reorder_mask: Option<Option<Time>>,
     /// Master seed; every subsystem derives a split stream from it.
     pub seed: u64,
-    /// Observation window for the Table 2 visibility tracker (how long
-    /// a monitor keeps "seeing" a finished flow; 0 = instantaneous).
-    pub visibility_linger: Time,
     /// Time-triggered fault schedule replayed through the event queue
     /// (onset *and* clearance — the transient-failure story; a failure
     /// for the whole run is an entry at `Time::ZERO`). Empty: no faults.
@@ -140,18 +137,12 @@ impl SimConfig {
             transport: TransportCfg::dctcp(),
             reorder_mask: None,
             seed: 1,
-            visibility_linger: Time::ZERO,
             fault_plan: hermes_net::FaultPlan::new(),
         }
     }
 
     pub fn with_fault_plan(mut self, plan: hermes_net::FaultPlan) -> SimConfig {
         self.fault_plan = plan;
-        self
-    }
-
-    pub fn with_visibility_linger(mut self, linger: Time) -> SimConfig {
-        self.visibility_linger = linger;
         self
     }
 

@@ -9,7 +9,7 @@ use hermes_core::{Hermes, RackSensing};
 use hermes_net::{Event, Fabric, FlowId, HostId, LeafId, Packet, PathId, SpineId};
 use hermes_sim::{EventQueue, SimRng, Time};
 use hermes_transport::{RecvAction, SendAction};
-use hermes_workload::{FlowDriver, FlowRecord, FlowSpec, VisibilityTracker};
+use hermes_workload::{FlowDriver, FlowRecord, FlowSpec};
 
 use crate::config::SimConfig;
 
@@ -95,7 +95,6 @@ pub struct Simulation {
     /// rest of `self` to schedule released flows).
     driver: Option<Box<dyn FlowDriver>>,
     samplers: Vec<SamplerRt>,
-    visibility: VisibilityTracker,
     /// Cumulative in-order payload bytes delivered across all TCP flows.
     goodput_bytes: u64,
     /// Retransmissions within this window after a path change are
@@ -155,12 +154,6 @@ impl Simulation {
         // Decorrelate LB randomness from everything else.
         let _ = rng_lb.u64();
 
-        let visibility = VisibilityTracker::with_linger(
-            topo.n_leaves,
-            topo.hosts_per_leaf,
-            topo.n_spines.max(1),
-            cfg.visibility_linger,
-        );
         let reorder_grace = topo.base_rtt() * 3;
         Simulation {
             cfg,
@@ -174,7 +167,6 @@ impl Simulation {
             pending: std::collections::VecDeque::new(),
             driver: None,
             samplers: Vec::new(),
-            visibility,
             goodput_bytes: 0,
             reorder_grace,
             digest: hermes_net::audit::FnvDigest::new(),
@@ -307,15 +299,6 @@ impl Simulation {
             _ => &[],
         };
         racks.iter().map(Hermes::sensing)
-    }
-
-    /// Table 2 visibility metrics `(switch_pair, host_pair)`.
-    pub fn visibility(&mut self) -> (f64, f64) {
-        let now = self.q.now();
-        (
-            self.visibility.switch_pair_visibility(now),
-            self.visibility.host_pair_visibility(now),
-        )
     }
 
     /// Bytes received by a UDP pseudo-flow.

@@ -32,7 +32,7 @@ impl Prober {
     /// The probe state of racks running `params`; `None` if they do not
     /// probe.
     pub(super) fn new(params: &HermesParams, topo: &Topology) -> Option<Prober> {
-        (params.enable_probing && params.probe_interval < Time::MAX).then(|| Prober {
+        (params.probe_interval < Time::MAX).then(|| Prober {
             interval: params.probe_interval,
             // Several round trips: generous against queueing, far below
             // the failure quiet period.
@@ -183,5 +183,33 @@ mod tests {
         let ids: Vec<u64> = p.outstanding.keys().map(|k| k - PROBE_FLOW_BASE).collect();
         assert_eq!(ids, [6, 7, 8]);
         assert_eq!(p.seq, 9);
+    }
+
+    #[test]
+    fn probing_ablation_disables_plans() {
+        // `probe_interval = Time::MAX` is the one off switch: the rack
+        // set gets no prober, so no tick ever asks a rack for its plan.
+        use crate::{Scheme, SimConfig, Simulation};
+        use hermes_net::HostId;
+        use hermes_workload::FlowSpec;
+        let topo = Topology::testbed();
+        let probes_sent = |params| {
+            let mut sim = Simulation::new(SimConfig::new(topo.clone(), Scheme::Hermes(params)));
+            sim.add_flows([FlowSpec {
+                id: FlowId(0),
+                src: HostId(0),
+                dst: HostId(6),
+                size: 1_000_000,
+                start: Time::ZERO,
+            }]);
+            sim.run_to_completion(Time::from_secs(1));
+            sim.stats.probes_sent
+        };
+        let mut params = HermesParams::from_topology(&topo);
+        assert!(Prober::new(&params, &topo).is_some());
+        assert!(probes_sent(params) > 0);
+        params.probe_interval = Time::MAX;
+        assert!(Prober::new(&params, &topo).is_none());
+        assert_eq!(probes_sent(params), 0);
     }
 }

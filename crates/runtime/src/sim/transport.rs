@@ -162,8 +162,6 @@ impl Simulation {
             start: now,
             finish: None,
         });
-        self.visibility
-            .flow_started(spec.id, spec.src, spec.dst, src_leaf, dst_leaf, now);
         let ack_path = if src_leaf != dst_leaf {
             let rev = self.fabric.candidates(dst_leaf, src_leaf);
             if rev.is_empty() {
@@ -377,7 +375,6 @@ impl Simulation {
                             hermes_telemetry::counter_add("flows_completed", 1);
                         }
                     }
-                    self.visibility.flow_finished(FlowId(fid), now);
                     self.stats.flows_completed += 1;
                 }
             }

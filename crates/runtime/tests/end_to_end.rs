@@ -7,7 +7,7 @@ use hermes_net::{
 };
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation, MAX_FLOW_ID};
 use hermes_sim::{SimRng, Time};
-use hermes_workload::{FlowGen, FlowSizeDist, FlowSpec};
+use hermes_workload::{visibility, FlowGen, FlowSizeDist, FlowSpec};
 
 fn one_flow(size: u64) -> FlowSpec {
     FlowSpec {
@@ -346,13 +346,16 @@ fn zero_sampler_interval_fails_fast_instead_of_spinning() {
 fn visibility_gap_between_switch_and_host_pairs() {
     let topo = Topology::testbed();
     let mut gen = FlowGen::new(&topo, FlowSizeDist::web_search(), 0.6, None, SimRng::new(9));
-    let mut sim = Simulation::new(SimConfig::new(topo, Scheme::Ecmp).with_seed(4));
+    let mut sim = Simulation::new(SimConfig::new(topo.clone(), Scheme::Ecmp).with_seed(4));
     sim.add_flows(gen.schedule(80));
     sim.run_to_completion(Time::from_secs(30));
-    let (switch, host) = sim.visibility();
+    let (switch, host) = visibility(sim.records(), &topo, Time::ZERO, sim.now());
     assert!(switch > 0.0);
+    // Both rows integrate the same live-flow count over a different
+    // number of pairs: the gap is exactly hosts_per_leaf² (36 here).
+    let ratio = (topo.hosts_per_leaf * topo.hosts_per_leaf) as f64;
     assert!(
-        switch > 5.0 * host,
+        (switch / host / ratio - 1.0).abs() < 1e-9,
         "Table 2's asymmetry: switch {switch} vs host {host}"
     );
 }

@@ -85,12 +85,6 @@ impl Time {
         self.0 as f64 / 1e6
     }
 
-    /// Fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction: `a.saturating_sub(b)` is zero when `b > a`.
     #[inline]
     pub const fn saturating_sub(self, rhs: Time) -> Time {

@@ -170,11 +170,6 @@ impl Sender {
         self.srtt
     }
 
-    /// The current (adaptive) duplicate-ACK threshold.
-    pub fn dupack_threshold(&self) -> u32 {
-        self.dyn_dupthresh
-    }
-
     /// Payload bytes handed to the fabric so far, retransmissions
     /// included (the paper's `s_sent`).
     pub fn bytes_sent(&self) -> u64 {

@@ -9,8 +9,8 @@
 //!   size bands (<100 KB small, >10 MB large) and unfinished-flow
 //!   accounting for the failure experiments; [`records_hash`]
 //!   fingerprints a run's records for the conformance goldens.
-//! * [`VisibilityTracker`] — Table 2's concurrent-flows-per-path
-//!   visibility metric for switch pairs vs. host pairs.
+//! * [`visibility`] — Table 2's concurrent-flows-per-path visibility
+//!   for switch pairs vs. host pairs, one sweep over a run's records.
 //! * [`IncastGen`] — the partition–aggregate microburst pattern (§6's
 //!   discussion of bursts Hermes cannot sense within an RTT).
 //! * [`degradation_report`] — goodput-timeline degradation metrics for
@@ -41,4 +41,4 @@ pub use metrics::{
     records_hash, summarize, FctSummary, FlowRecord, LARGE_FLOW_BYTES, SMALL_FLOW_BYTES,
 };
 pub use mix::ElephantMiceGen;
-pub use visibility::VisibilityTracker;
+pub use visibility::visibility;
