@@ -12,14 +12,29 @@ use hermes_net::{LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
 use hermes_transport::TransportCfg;
-use hermes_workload::FlowSizeDist;
+use hermes_workload::{FlowSizeDist, PoissonCfg, WorkloadKind};
 
 use crate::{paper, GridSpec};
 
-/// A grid's template on `topo`: [`GridSpec`] sets each cell's scheme,
-/// load and seed.
-fn cell_template(topo: &Topology, dist: FlowSizeDist) -> PointCfg {
-    PointCfg::new(SimConfig::new(topo.clone(), Scheme::Ecmp), dist, 0.0)
+/// A grid's template on `topo`: `flows` arrivals from `dist`, their
+/// load defined against `capacity` (the live fabric's if `None`).
+/// [`GridSpec`] sets each cell's scheme, load and seed.
+fn cell_template(
+    topo: &Topology,
+    dist: FlowSizeDist,
+    flows: usize,
+    capacity: Option<u64>,
+) -> PointCfg {
+    let poisson = PoissonCfg {
+        dist,
+        load: 0.0,
+        flows,
+        capacity,
+    };
+    PointCfg::new(
+        SimConfig::new(topo.clone(), Scheme::Ecmp),
+        WorkloadKind::Poisson(poisson),
+    )
 }
 
 /// **Figure 9** — testbed-scale, symmetric topology: overall average FCT
@@ -43,9 +58,7 @@ pub fn fig9() -> Vec<GridSpec> {
     .map(|(dist, base, drain_s)| {
         GridSpec::new(
             "Figure 9: testbed symmetric — overall avg FCT",
-            cell_template(&topo, dist)
-                .flows(base)
-                .drain(Time::from_secs(drain_s)),
+            cell_template(&topo, dist, base, None).drain(Time::from_secs(drain_s)),
         )
         .scheme("ecmp", paper("ecmp", &topo))
         .scheme("clove-ecn", Scheme::Clove(clove))
@@ -88,10 +101,7 @@ pub fn fig10() -> Vec<GridSpec> {
     .map(|(dist, base, normalize, drain_s)| {
         let g = GridSpec::new(
             "Figure 10/11: testbed asymmetric (one uplink cut)",
-            cell_template(&topo, dist)
-                .flows(base)
-                .capacity(healthy)
-                .drain(Time::from_secs(drain_s)),
+            cell_template(&topo, dist, base, Some(healthy)).drain(Time::from_secs(drain_s)),
         )
         .scheme("ecmp", paper("ecmp", &topo))
         .scheme("clove-ecn", Scheme::Clove(clove))
@@ -129,9 +139,7 @@ pub fn fig12() -> Vec<GridSpec> {
     .map(|(dist, base, drain_s)| {
         GridSpec::new(
             "Figure 12: 8x8 baseline (symmetric) — overall avg FCT",
-            cell_template(&topo, dist)
-                .flows(base)
-                .drain(Time::from_secs(drain_s)),
+            cell_template(&topo, dist, base, None).drain(Time::from_secs(drain_s)),
         )
         .scheme("ecmp", paper("ecmp", &topo))
         .scheme("letflow", paper("letflow", &topo))
@@ -161,9 +169,12 @@ pub fn fig13() -> Vec<GridSpec> {
     let topo = asym_topology();
     vec![GridSpec::new(
         "Figure 13: 8x8 asymmetric — web-search (normalized to Hermes)",
-        cell_template(&topo, FlowSizeDist::web_search())
-            .flows(2000)
-            .capacity(baseline_capacity()),
+        cell_template(
+            &topo,
+            FlowSizeDist::web_search(),
+            2000,
+            Some(baseline_capacity()),
+        ),
     )
     .scheme("hermes", paper("hermes", &topo))
     .scheme("conga", paper("conga", &topo))
@@ -189,10 +200,13 @@ pub fn fig14() -> Vec<GridSpec> {
     let topo = asym_topology();
     vec![GridSpec::new(
         "Figure 14: 8x8 asymmetric — data-mining (normalized to Hermes)",
-        cell_template(&topo, FlowSizeDist::data_mining())
-            .flows(400)
-            .capacity(baseline_capacity())
-            .drain(Time::from_secs(8)),
+        cell_template(
+            &topo,
+            FlowSizeDist::data_mining(),
+            400,
+            Some(baseline_capacity()),
+        )
+        .drain(Time::from_secs(8)),
     )
     .scheme("hermes", paper("hermes", &topo))
     .scheme("conga", paper("conga", &topo))
@@ -218,17 +232,18 @@ pub const FIG14_NOTE: &str = "\
 /// because reordering is masked here.
 pub fn fig15() -> Vec<GridSpec> {
     let topo = asym_topology();
+    let mut base = cell_template(
+        &topo,
+        FlowSizeDist::web_search(),
+        2000,
+        Some(baseline_capacity()),
+    );
+    // Mask reordering for every variant so only congestion mismatch
+    // differentiates them (the paper's methodology).
+    base.sim.reorder_mask = true;
     let mut spec = GridSpec::new(
         "Figure 15: CONGA flowlet-timeout sweep (web-search, 80% load, reordering masked)",
-        PointCfg::new(
-            // Mask reordering for every variant so only congestion
-            // mismatch differentiates them (the paper's methodology).
-            SimConfig::new(topo, Scheme::Ecmp).with_reorder_mask(Some(Time::from_us(300))),
-            FlowSizeDist::web_search(),
-            0.0,
-        )
-        .flows(2000)
-        .capacity(baseline_capacity()),
+        base,
     )
     .loads(&[0.8]);
     for timeout_us in [500u64, 150, 50] {
@@ -262,8 +277,7 @@ pub fn fig16() -> Vec<GridSpec> {
     let topo = Topology::sim_baseline();
     vec![GridSpec::new(
         "Figure 16: silent random drops (2% at one spine) — web-search",
-        cell_template(&topo, FlowSizeDist::web_search())
-            .flows(1200)
+        cell_template(&topo, FlowSizeDist::web_search(), 1200, None)
             .failure(SpineId(3), SpineFailure::random_drops(0.02)),
     )
     .scheme("ecmp", paper("ecmp", &topo))
@@ -300,8 +314,7 @@ pub fn fig17() -> Vec<GridSpec> {
     let hole = SpineFailure::blackhole(LeafId(0), LeafId(7), 0.5);
     vec![GridSpec::new(
         "Figure 17: packet blackhole (half of rack1→rack8 pairs) — web-search",
-        cell_template(&topo, FlowSizeDist::web_search())
-            .flows(1200)
+        cell_template(&topo, FlowSizeDist::web_search(), 1200, None)
             .failure(SpineId(5), hole)
             .drain(Time::from_secs(2)),
     )
@@ -339,10 +352,13 @@ pub fn fig18() -> Vec<GridSpec> {
     let mut neither = base;
     neither.probe_interval = Time::MAX;
     neither.enable_reroute = false;
-    let template = cell_template(&topo, FlowSizeDist::data_mining())
-        .flows(400)
-        .capacity(baseline_capacity())
-        .drain(Time::from_secs(8));
+    let template = cell_template(
+        &topo,
+        FlowSizeDist::data_mining(),
+        400,
+        Some(baseline_capacity()),
+    )
+    .drain(Time::from_secs(8));
     let ablation = GridSpec::new(
         "Figure 18a: Hermes ablation (data-mining, asymmetric)",
         template.clone(),
@@ -392,10 +408,8 @@ pub fn fig19() -> Vec<GridSpec> {
         (FlowSizeDist::web_search(), 1500),
         (FlowSizeDist::data_mining(), 300),
     ] {
-        let template = cell_template(&topo, dist)
-            .flows(nflows)
-            .capacity(baseline_capacity())
-            .drain(Time::from_secs(6));
+        let template =
+            cell_template(&topo, dist, nflows, Some(baseline_capacity())).drain(Time::from_secs(6));
         // (a) T_RTT_high sweep (absolute values, paper: 140–280 µs).
         let mut high = GridSpec::new(
             "Figure 19a: sensitivity to T_RTT_high (80% load)",
@@ -444,23 +458,16 @@ pub fn tcp() -> Vec<GridSpec> {
     ]
     .into_iter()
     .map(|(dist, base)| {
-        GridSpec::new(
-            "§5.4: plain TCP transport (8x8 baseline)",
-            PointCfg::new(
-                SimConfig::new(topo.clone(), Scheme::Ecmp).with_transport(TransportCfg::tcp()),
-                dist,
-                0.0,
+        let mut template = cell_template(&topo, dist, base, None).drain(Time::from_secs(6));
+        template.sim.transport = TransportCfg::tcp();
+        GridSpec::new("§5.4: plain TCP transport (8x8 baseline)", template)
+            .scheme("ecmp", paper("ecmp", &topo))
+            .scheme("conga-500us", Scheme::Conga(conga))
+            .scheme(
+                "hermes-rtt-only",
+                Scheme::Hermes(HermesParams::for_tcp(&topo)),
             )
-            .flows(base)
-            .drain(Time::from_secs(6)),
-        )
-        .scheme("ecmp", paper("ecmp", &topo))
-        .scheme("conga-500us", Scheme::Conga(conga))
-        .scheme(
-            "hermes-rtt-only",
-            Scheme::Hermes(HermesParams::for_tcp(&topo)),
-        )
-        .loads(&[0.4, 0.6])
+            .loads(&[0.4, 0.6])
     })
     .collect()
 }

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use hermes_bench::{avg_summaries, fmt_ms, fmt_ratio, run_points, PointCfg, TextTable};
 use hermes_net::Topology;
 use hermes_runtime::Scheme;
-use hermes_workload::FctSummary;
+use hermes_workload::{FctSummary, PoissonCfg, WorkloadKind};
 use Figure::{Custom, Grids};
 
 /// How a figure is produced.
@@ -152,10 +152,11 @@ impl Knobs {
 /// normalized to one scheme).
 struct GridSpec {
     title: String,
-    /// Every cell's template. A cell is `base` with one of `schemes`,
-    /// one of `loads`, seed `1_000 + i` for `i < HERMES_RUNS`, and
-    /// `base.n_flows` scaled by `HERMES_SCALE`; the template's own
-    /// scheme, load and seed are placeholders.
+    /// Every cell's template, a Poisson workload. A cell is `base` with
+    /// one of `schemes`, one of `loads`, seed `1_000 + i` for
+    /// `i < HERMES_RUNS`, and the template's flow count scaled by
+    /// `HERMES_SCALE`; the template's own scheme, load and seed are
+    /// placeholders.
     base: PointCfg,
     schemes: Vec<(String, Scheme)>,
     loads: Vec<f64>,
@@ -189,17 +190,28 @@ impl GridSpec {
         self
     }
 
+    /// The template's open-loop workload.
+    fn poisson(&self) -> &PoissonCfg {
+        match &self.base.workload {
+            WorkloadKind::Poisson(p) => p,
+            other => unreachable!("a grid cell is Poisson, not {other:?}"),
+        }
+    }
+
     /// Every cell, scheme-major, then load, then seed.
     fn cells(&self, knobs: Knobs) -> Vec<PointCfg> {
+        let p = self.poisson();
         let mut cfgs = Vec::new();
         for (_, scheme) in &self.schemes {
             for &load in &self.loads {
                 for seed in 0..knobs.runs as u64 {
-                    let mut cfg = PointCfg {
+                    let mut cfg = self.base.clone();
+                    let flows = knobs.flows(p.flows);
+                    cfg.workload = WorkloadKind::Poisson(PoissonCfg {
                         load,
-                        ..self.base.clone()
-                    }
-                    .flows(knobs.flows(self.base.n_flows));
+                        flows,
+                        ..p.clone()
+                    });
                     cfg.sim.scheme = scheme.clone();
                     cfg.sim.seed = 1_000 + seed;
                     cfgs.push(cfg);
@@ -212,11 +224,12 @@ impl GridSpec {
     /// Print the header, each (scheme, load)'s seed-averaged progress
     /// line (stderr) and the table, from this grid's cell summaries.
     fn print(&self, fcts: &[FctSummary], knobs: Knobs) {
+        let p = self.poisson();
         println!("== {} ==", self.title);
         println!(
             "   workload={}  flows/point={}  seeds/point={}",
-            self.base.dist.name(),
-            knobs.flows(self.base.n_flows),
+            p.dist.name(),
+            knobs.flows(p.flows),
             knobs.runs,
         );
         let keys = self
@@ -228,7 +241,7 @@ impl GridSpec {
             let avg = avg_summaries(sums);
             eprintln!(
                 "   [{}] {name} load {load:.2}: avg {:.3} ms ({} unfinished)",
-                self.base.dist.name(),
+                p.dist.name(),
                 avg.avg * 1e3,
                 avg.unfinished,
             );

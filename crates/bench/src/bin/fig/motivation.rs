@@ -7,7 +7,7 @@ use hermes_bench::{run_points, PointCfg, ProbingCostModel, RunReport, TextTable}
 use hermes_net::{FlowId, HostId, LeafId, LinkCfg, PathId, SpineId, Topology};
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
 use hermes_sim::Time;
-use hermes_workload::{visibility, FlowSizeDist, FlowSpec, WorkloadKind};
+use hermes_workload::{visibility, FlowSizeDist, FlowSpec, PoissonCfg, WorkloadKind};
 
 use crate::{paper, Knobs};
 
@@ -40,18 +40,23 @@ pub fn table2(knobs: Knobs) {
     ] {
         for load in [0.6, 0.8] {
             let sim = SimConfig::new(topo.clone(), Scheme::Ecmp).with_seed(42);
-            cfgs.push(PointCfg::new(sim, dist.clone(), load).flows(knobs.flows(base)));
+            let poisson = PoissonCfg {
+                dist: dist.clone(),
+                load,
+                flows: knobs.flows(base),
+                capacity: None,
+            };
+            cfgs.push(PointCfg::new(sim, WorkloadKind::Poisson(poisson)));
         }
     }
     let mut sw_row = vec!["switch pair".to_string()];
     let mut host_row = vec!["host pair".to_string()];
     for (cfg, r) in cfgs.iter().zip(run_points(&cfgs)) {
         let (switch, host) = visibility(&r.records, &topo, LINGER, r.sim_time);
-        eprintln!(
-            "   {} @ {:.0}%: switch {switch:.3} host {host:.4}",
-            cfg.dist.name(),
-            cfg.load * 100.0,
-        );
+        if let WorkloadKind::Poisson(p) = &cfg.workload {
+            let (name, pct) = (p.dist.name(), p.load * 100.0);
+            eprintln!("   {name} @ {pct:.0}%: switch {switch:.3} host {host:.4}");
+        }
         sw_row.push(format!("{switch:.3}"));
         host_row.push(format!("{host:.4}"));
     }
@@ -192,9 +197,7 @@ pub fn fig1(_: Knobs) {
         .map(|(name, seed)| {
             let sim = SimConfig::new(t.clone(), paper(name, &t)).with_seed(100 + seed);
             // Every flow finishes long before the drain runs out.
-            PointCfg::new(sim, FlowSizeDist::web_search(), 0.0)
-                .workload(flows.clone())
-                .drain(Time::from_secs(10))
+            PointCfg::new(sim, flows.clone()).drain(Time::from_secs(10))
         })
         .collect();
     let reports = run_points(&cfgs);

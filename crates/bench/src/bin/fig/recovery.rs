@@ -7,9 +7,7 @@ use hermes_bench::{run_points, trace_point, PointCfg, TextTable, CLEAR, ONSET};
 use hermes_net::{FaultPlan, LeafId, SpineId, Topology};
 use hermes_runtime::SimConfig;
 use hermes_sim::Time;
-use hermes_workload::{
-    degradation_report, DegradationCfg, FlowRecord, FlowSizeDist, RingCfg, WorkloadKind,
-};
+use hermes_workload::{degradation_report, DegradationCfg, FlowRecord, RingCfg, WorkloadKind};
 
 use crate::{paper, Knobs};
 
@@ -171,8 +169,7 @@ pub fn collective_stall(_: Knobs) {
         Time::from_ms(2),
         Time::from_ms(2_500),
     );
-    // Every (scheme, seed) cell, then the same-seed Hermes replay. The
-    // ring has no arrival schedule, so `dist` and `load` are unused.
+    // Every (scheme, seed) cell, then the same-seed Hermes replay.
     let names = ["hermes", "conga", "ecmp"];
     let cfgs: Vec<PointCfg> = names
         .iter()
@@ -182,9 +179,7 @@ pub fn collective_stall(_: Knobs) {
             let sim = SimConfig::new(testbed.clone(), paper(name, &testbed))
                 .with_fault_plan(plan.clone())
                 .with_seed(seed);
-            PointCfg::new(sim, FlowSizeDist::web_search(), 0.0)
-                .workload(WorkloadKind::RingAllreduce(RING))
-                .drain(Time::from_ms(3_000))
+            PointCfg::new(sim, WorkloadKind::RingAllreduce(RING)).drain(Time::from_ms(3_000))
         })
         .collect();
     let reports = run_points(&cfgs);

@@ -1,13 +1,13 @@
-//! Experiment-point runners: one (topology, scheme, workload, load,
-//! seed) tuple → [`RunReport`], a list of them across every core, and
+//! Experiment-point runners: one (topology, scheme, workload, seed)
+//! tuple → [`RunReport`], a list of them across every core, and
 //! the same-seed replay check over a hand-built [`Simulation`].
 
 use hermes_net::{ConservationReport, FaultAction, SpineFailure, SpineId};
 use hermes_runtime::{Probe, SimConfig, Simulation, MAX_FLOW_ID};
 use hermes_sim::{SimRng, Time};
 use hermes_workload::{
-    records_hash, summarize, ElephantMiceGen, FctSummary, FlowGen, FlowRecord, FlowSizeDist,
-    FlowSpec, IncastDriver, RingAllreduce, WorkloadKind,
+    records_hash, summarize, FctSummary, FlowGen, FlowRecord, FlowSpec, IncastDriver,
+    RingAllreduce, WorkloadKind,
 };
 
 /// One experiment point: the simulation it builds plus the workload
@@ -17,20 +17,11 @@ pub struct PointCfg {
     /// Topology, scheme, seed, transport and the fault plan: everything
     /// [`Simulation::new`] takes.
     pub sim: SimConfig,
-    /// Which traffic shape drives the point. `Poisson` (the default)
-    /// pre-schedules `n_flows` open-loop arrivals from `dist`; `Flows`
-    /// schedules its own list; the staged-dependency kinds install a
-    /// [`hermes_workload::FlowDriver`]. Only `Poisson` and
-    /// `ElephantMice` read `load` and `n_flows`.
+    /// Which traffic shape drives the point, with its own parameters:
+    /// `Poisson` pre-schedules its open-loop arrivals, `Flows` its own
+    /// list; the staged-dependency kinds install a
+    /// [`hermes_workload::FlowDriver`].
     pub workload: WorkloadKind,
-    pub dist: FlowSizeDist,
-    /// Offered load relative to `capacity_override` (or the topology's
-    /// live uplink capacity).
-    pub load: f64,
-    pub n_flows: usize,
-    /// Load is usually defined against the *healthy* fabric even when
-    /// the topology under test is degraded (the paper's convention).
-    pub capacity_override: Option<u64>,
     /// Extra simulated time after the last arrival before declaring
     /// remaining flows unfinished.
     pub drain: Time,
@@ -44,27 +35,13 @@ pub struct PointCfg {
 }
 
 impl PointCfg {
-    pub fn new(sim: SimConfig, dist: FlowSizeDist, load: f64) -> PointCfg {
+    pub fn new(sim: SimConfig, workload: WorkloadKind) -> PointCfg {
         PointCfg {
             sim,
-            workload: WorkloadKind::Poisson,
-            dist,
-            load,
-            n_flows: 500,
-            capacity_override: None,
+            workload,
             drain: Time::from_secs(3),
             goodput_interval: None,
         }
-    }
-
-    pub fn flows(mut self, n: usize) -> PointCfg {
-        self.n_flows = n;
-        self
-    }
-
-    pub fn capacity(mut self, c: u64) -> PointCfg {
-        self.capacity_override = Some(c);
-        self
     }
 
     /// Fail `spine` for the whole run: a `SetSpineFailure` at
@@ -80,11 +57,6 @@ impl PointCfg {
         self
     }
 
-    pub fn workload(mut self, w: WorkloadKind) -> PointCfg {
-        self.workload = w;
-        self
-    }
-
     pub fn goodput_interval(mut self, i: Time) -> PointCfg {
         self.goodput_interval = Some(i);
         self
@@ -93,10 +65,9 @@ impl PointCfg {
     /// Check that the assembled point can run, before anything indexes
     /// the fabric with it:
     ///
-    /// * an open-loop workload has `load ∈ (0, 1.5]` (`FlowGen`'s range)
-    ///   and at least one flow;
-    /// * ring ranks, the incast fanout and the elephant/mice mix fit the
-    ///   topology;
+    /// * a Poisson workload has `load ∈ (0, 1.5]` (`FlowGen`'s range),
+    ///   at least one flow and, with the elephant/mice law, a valid mix;
+    /// * ring ranks and the incast fanout fit the topology;
     /// * an explicit flow list is not empty, and every flow has an id
     ///   the timers can carry, listed once, and two distinct hosts of
     ///   the topology;
@@ -111,16 +82,22 @@ impl PointCfg {
         };
         let one = || "must be at least 1".to_string();
         let topo = &self.sim.topo;
-        if matches!(
-            self.workload,
-            WorkloadKind::Poisson | WorkloadKind::ElephantMice(_)
-        ) {
-            // `contains` is false for NaN.
-            let load = (f64::MIN_POSITIVE..=1.5).contains(&self.load);
-            need(Load, load, format!("{} must lie in (0, 1.5]", self.load))?;
-            need(Flows, self.n_flows >= 1, one())?;
-        }
         match &self.workload {
+            WorkloadKind::Poisson(p) => {
+                // `contains` is false for NaN.
+                let load = (f64::MIN_POSITIVE..=1.5).contains(&p.load);
+                need(Load, load, format!("{} must lie in (0, 1.5]", p.load))?;
+                need(Flows, p.flows >= 1, one())?;
+                if let Some(m) = p.dist.mix() {
+                    need(W("mice_bytes"), m.mice_bytes >= 1, one())?;
+                    let (bigger, msg) =
+                        (m.elephant_bytes > m.mice_bytes, "must exceed the mice size");
+                    need(W("elephant_bytes"), bigger, msg.into())?;
+                    let frac = (0.0..=1.0).contains(&m.elephant_frac);
+                    let msg = format!("{} must lie in [0, 1]", m.elephant_frac);
+                    need(W("elephant_frac"), frac, msg)?;
+                }
+            }
             WorkloadKind::RingAllreduce(r) => {
                 let hosts = topo.n_hosts();
                 let msg = format!("{} must lie in [2, {hosts}], the topology's hosts", r.ranks);
@@ -138,14 +115,6 @@ impl PointCfg {
                 need(W("fanout"), (1..=clients).contains(&c.fanout), msg)?;
                 need(W("reply_bytes"), c.reply_bytes >= 1, one())?;
                 need(W("bursts"), c.bursts >= 1, one())?;
-            }
-            WorkloadKind::ElephantMice(m) => {
-                need(W("mice_bytes"), m.mice_bytes >= 1, one())?;
-                let (bigger, msg) = (m.elephant_bytes > m.mice_bytes, "must exceed the mice size");
-                need(W("elephant_bytes"), bigger, msg.into())?;
-                let frac = (0.0..=1.0).contains(&m.elephant_frac);
-                let msg = format!("{} must lie in [0, 1]", m.elephant_frac);
-                need(W("elephant_frac"), frac, msg)?;
             }
             WorkloadKind::Flows(specs) => {
                 need(Flows, !specs.is_empty(), "must not be empty".into())?;
@@ -170,7 +139,6 @@ impl PointCfg {
                     }
                 }
             }
-            WorkloadKind::Poisson => {}
         }
         let fits = self.sim.fault_plan.validate_on(topo);
         fits.or_else(|e| need(Faults, false, e.to_string()))?;
@@ -184,8 +152,8 @@ impl PointCfg {
 pub enum PointField {
     Load,
     Flows,
-    /// A parameter of the staged or mixed workload, by its field name
-    /// in the workload's config.
+    /// A parameter of the workload, by its field name in the
+    /// workload's config (a mix's in [`hermes_workload::MixCfg`]).
     Workload(&'static str),
     /// The fault plan, static failures included.
     Faults,
@@ -240,7 +208,7 @@ pub struct RunReport {
 /// the workload, run to the drain horizon. Deterministic in `cfg` (its
 /// seed included).
 ///
-/// Open-loop kinds (`Poisson`, `ElephantMice`, `Flows`) pre-schedule
+/// Open-loop kinds (`Poisson`, `Flows`) pre-schedule
 /// their arrivals and drain for `cfg.drain` past the last one. The
 /// staged-dependency kinds (`RingAllreduce`, `Incast`) have no arrival
 /// schedule — flows are released by completions — so `cfg.drain` is the
@@ -262,19 +230,9 @@ pub fn run_point(cfg: &PointCfg) -> RunReport {
         last_arrival + cfg.drain
     };
     let horizon = match &cfg.workload {
-        WorkloadKind::Poisson => {
-            let mut gen = FlowGen::new(
-                topo,
-                cfg.dist.clone(),
-                cfg.load,
-                cfg.capacity_override,
-                wl_rng,
-            );
-            open_loop(gen.schedule(cfg.n_flows))
-        }
-        WorkloadKind::ElephantMice(mix) => {
-            let mut gen = ElephantMiceGen::new(topo, *mix, cfg.load, cfg.capacity_override, wl_rng);
-            open_loop(gen.schedule(cfg.n_flows))
+        WorkloadKind::Poisson(p) => {
+            let mut gen = FlowGen::new(topo, p.dist.clone(), p.load, p.capacity, wl_rng);
+            open_loop(gen.schedule(p.flows))
         }
         WorkloadKind::Flows(specs) => open_loop(specs.clone()),
         WorkloadKind::RingAllreduce(ring) => {
@@ -435,16 +393,32 @@ mod tests {
     use super::*;
     use hermes_net::{FaultPlan, LeafId, Topology};
     use hermes_runtime::Scheme;
+    use hermes_workload::{FlowSizeDist, PoissonCfg};
 
-    /// ECMP on the 1G testbed, web-search at 0.3 load.
-    fn testbed_ecmp() -> PointCfg {
-        let sim = SimConfig::new(Topology::testbed(), Scheme::Ecmp);
-        PointCfg::new(sim, FlowSizeDist::web_search(), 0.3)
+    fn testbed() -> SimConfig {
+        SimConfig::new(Topology::testbed(), Scheme::Ecmp)
+    }
+
+    /// `flows` web-search flows at 0.3 load.
+    fn web_search(flows: usize) -> WorkloadKind {
+        let dist = FlowSizeDist::web_search();
+        let capacity = None;
+        WorkloadKind::Poisson(PoissonCfg {
+            dist,
+            load: 0.3,
+            flows,
+            capacity,
+        })
+    }
+
+    /// ECMP on the 1G testbed, `flows` web-search flows at 0.3 load.
+    fn testbed_ecmp(flows: usize) -> PointCfg {
+        PointCfg::new(testbed(), web_search(flows))
     }
 
     #[test]
     fn point_runs_and_is_deterministic() {
-        let cfg = testbed_ecmp().flows(50);
+        let cfg = testbed_ecmp(50);
         let a = run_point(&cfg);
         let b = run_point(&cfg);
         assert_eq!(a.events, b.events);
@@ -455,13 +429,13 @@ mod tests {
 
     #[test]
     fn run_sim_moves_out_the_records_the_run_made() {
-        let cfg = testbed_ecmp().flows(40);
+        let sim = testbed();
         let build = || {
-            let mut sim = Simulation::new(cfg.sim.clone());
-            let rng = SimRng::new(cfg.sim.seed).split(0x6E4);
-            let mut gen = FlowGen::new(&cfg.sim.topo, cfg.dist.clone(), cfg.load, None, rng);
-            sim.add_flows(gen.schedule(cfg.n_flows));
-            sim
+            let mut built = Simulation::new(sim.clone());
+            let rng = SimRng::new(sim.seed).split(0x6E4);
+            let mut gen = FlowGen::new(&sim.topo, FlowSizeDist::web_search(), 0.3, None, rng);
+            built.add_flows(gen.schedule(40));
+            built
         };
         let horizon = Time::from_secs(1);
         let mut sim = build();
@@ -473,8 +447,7 @@ mod tests {
 
     #[test]
     fn failure_points_report_unfinished() {
-        let cfg = testbed_ecmp()
-            .flows(60)
+        let cfg = testbed_ecmp(60)
             .failure(
                 SpineId(0),
                 SpineFailure::blackhole(LeafId(0), LeafId(1), 1.0),
@@ -486,7 +459,7 @@ mod tests {
 
     #[test]
     fn detailed_run_matches_plain_fct() {
-        let cfg = testbed_ecmp().flows(50);
+        let cfg = testbed_ecmp(50);
         let plain = run_point(&cfg);
         assert!(plain.goodput.is_empty(), "no interval, no sampler");
         let cfg = cfg.goodput_interval(Time::from_ms(1));
@@ -508,12 +481,12 @@ mod tests {
     #[test]
     fn ring_workload_runs_every_step_to_completion() {
         use hermes_workload::RingCfg;
-        let cfg = testbed_ecmp()
-            .workload(WorkloadKind::RingAllreduce(RingCfg {
-                ranks: 4,
-                steps: 3,
-                chunk_bytes: 32_000,
-            }))
+        let ring = RingCfg {
+            ranks: 4,
+            steps: 3,
+            chunk_bytes: 32_000,
+        };
+        let cfg = PointCfg::new(testbed(), WorkloadKind::RingAllreduce(ring))
             .drain(Time::from_secs(2))
             .goodput_interval(Time::from_ms(1));
         let det = run_point(&cfg);
@@ -528,12 +501,12 @@ mod tests {
     #[test]
     fn incast_workload_releases_bursts_sequentially() {
         use hermes_workload::IncastCfg;
-        let cfg = testbed_ecmp()
-            .workload(WorkloadKind::Incast(IncastCfg {
-                fanout: 4,
-                reply_bytes: 16_000,
-                bursts: 3,
-            }))
+        let incast = IncastCfg {
+            fanout: 4,
+            reply_bytes: 16_000,
+            bursts: 3,
+        };
+        let cfg = PointCfg::new(testbed(), WorkloadKind::Incast(incast))
             .drain(Time::from_secs(2))
             .goodput_interval(Time::from_ms(1));
         let det = run_point(&cfg);
@@ -560,7 +533,7 @@ mod tests {
         use hermes_net::{FlowId, HostId};
         use hermes_workload::{records_hash, IncastCfg};
         assert!(run_points(&[]).is_empty());
-        let poisson = testbed_ecmp().flows(30);
+        let poisson = testbed_ecmp(30);
         let topo = &poisson.sim.topo;
         let hermes = Scheme::by_name("hermes", topo).expect("registered scheme");
         let drops = FaultPlan::new().random_drop_window(
@@ -585,15 +558,17 @@ mod tests {
                 start: Time::from_us(400 * (12 - i)),
             })
             .collect();
-        let listed = faulted.clone().workload(WorkloadKind::Flows(specs));
-        let incast = poisson
-            .clone()
-            .workload(WorkloadKind::Incast(IncastCfg {
-                fanout: 4,
-                reply_bytes: 16_000,
-                bursts: 2,
-            }))
-            .drain(Time::from_secs(1));
+        let listed = PointCfg {
+            workload: WorkloadKind::Flows(specs),
+            ..faulted.clone()
+        };
+        let incast = IncastCfg {
+            fanout: 4,
+            reply_bytes: 16_000,
+            bursts: 2,
+        };
+        let incast =
+            PointCfg::new(testbed(), WorkloadKind::Incast(incast)).drain(Time::from_secs(1));
         // More cells than cores, so every worker pulls several.
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         let cfgs: Vec<PointCfg> = [poisson, faulted, listed, incast]
@@ -624,32 +599,48 @@ mod tests {
     fn validate_names_the_field_it_refuses() {
         use hermes_net::{FlowId, HostId};
         use hermes_workload::{IncastCfg, MixCfg, RingCfg};
-        let ok = testbed_ecmp();
+        let ok = testbed_ecmp(30);
         let topo = &ok.sim.topo;
         assert_eq!(ok.validate(), Ok(()));
         let refused = |cfg: PointCfg| cfg.validate().expect_err("refused");
+        let with = |workload| PointCfg {
+            workload,
+            ..ok.clone()
+        };
+        let poisson = |dist, load, flows| {
+            let capacity = None;
+            with(WorkloadKind::Poisson(PoissonCfg {
+                dist,
+                load,
+                flows,
+                capacity,
+            }))
+        };
         let ring = |ranks| {
-            ok.clone().workload(WorkloadKind::RingAllreduce(RingCfg {
+            with(WorkloadKind::RingAllreduce(RingCfg {
                 ranks,
                 steps: 2,
                 chunk_bytes: 1000,
             }))
         };
         let incast = |fanout| {
-            ok.clone().workload(WorkloadKind::Incast(IncastCfg {
+            with(WorkloadKind::Incast(IncastCfg {
                 fanout,
                 reply_bytes: 1000,
                 bursts: 2,
             }))
         };
-        let mix = MixCfg {
-            mice_bytes: 5000,
-            elephant_bytes: 5000,
-            elephant_frac: 0.1,
+        let mix = |mice_bytes, elephant_bytes, elephant_frac| {
+            let mix = MixCfg {
+                mice_bytes,
+                elephant_bytes,
+                elephant_frac,
+            };
+            poisson(FlowSizeDist::elephant_mice(mix), 0.3, 30)
         };
         // One flow from host `src` to host `dst` (the testbed has 12).
         let flow = |id, src, dst| {
-            ok.clone().workload(WorkloadKind::Flows(vec![FlowSpec {
+            with(WorkloadKind::Flows(vec![FlowSpec {
                 id: FlowId(id),
                 src: HostId(src),
                 dst: HostId(dst),
@@ -672,17 +663,14 @@ mod tests {
         let drop = SpineFailure::random_drops(0.1);
         let rows = [
             (
-                PointCfg {
-                    load: f64::NAN,
-                    ..ok.clone()
-                },
+                poisson(FlowSizeDist::web_search(), f64::NAN, 30),
                 PointField::Load,
             ),
-            (ok.clone().flows(0), PointField::Flows),
             (
-                ok.clone().workload(WorkloadKind::Flows(Vec::new())),
+                poisson(FlowSizeDist::web_search(), 0.3, 0),
                 PointField::Flows,
             ),
+            (with(WorkloadKind::Flows(Vec::new())), PointField::Flows),
             (flow(MAX_FLOW_ID + 1, 0, 6), PointField::Workload("id")),
             (repeated.clone(), PointField::Workload("id")),
             (flow(0, 12, 6), PointField::Workload("src")),
@@ -690,9 +678,11 @@ mod tests {
             (flow(0, 3, 3), PointField::Workload("dst")),
             (ring(13), PointField::Workload("ranks")),
             (incast(7), PointField::Workload("fanout")),
+            (mix(0, 5000, 0.1), PointField::Workload("mice_bytes")),
+            (mix(5000, 5000, 0.1), PointField::Workload("elephant_bytes")),
             (
-                ok.clone().workload(WorkloadKind::ElephantMice(mix)),
-                PointField::Workload("elephant_bytes"),
+                mix(5000, 9000, f64::NAN),
+                PointField::Workload("elephant_frac"),
             ),
             (ok.clone().failure(SpineId(4), drop), PointField::Faults),
             (
@@ -733,8 +723,12 @@ mod tests {
             )
         );
         assert_eq!(refused(repeated).msg, "flow 5: listed twice");
-        // The in-range neighbours pass; a staged workload ignores the
-        // open-loop load and flow count.
+        assert_eq!(
+            refused(mix(5000, 5000, 0.1)).msg,
+            "must exceed the mice size"
+        );
+        assert_eq!(refused(mix(1, 2, 1.5)).msg, "1.5 must lie in [0, 1]");
+        // The in-range neighbours pass.
         ring(12).validate().expect("one rank per host");
         flow(MAX_FLOW_ID, 11, 0)
             .validate()
@@ -744,15 +738,9 @@ mod tests {
             .failure(SpineId(3), drop)
             .validate()
             .expect("last spine");
-        assert_eq!(
-            PointCfg {
-                load: 0.0,
-                ..ring(2)
-            }
-            .flows(0)
-            .validate(),
-            Ok(())
-        );
+        for frac in [0.0, 1.0] {
+            mix(1, 2, frac).validate().expect("the smallest mix");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use hermes_core::HermesParams;
 use hermes_net::{FaultPlan, FlowId, HostId, LeafId, LinkCfg, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
-use hermes_workload::{FlowSizeDist, FlowSpec, WorkloadKind};
+use hermes_workload::{FlowSpec, WorkloadKind};
 
 use crate::{run_point, PointCfg};
 
@@ -52,9 +52,7 @@ pub fn fig17_point(flows: u64, flow_bytes: u64) -> PointCfg {
     let sim = SimConfig::new(topo, hermes)
         .with_seed(SEED)
         .with_fault_plan(plan);
-    PointCfg::new(sim, FlowSizeDist::web_search(), 0.0)
-        .workload(WorkloadKind::Flows(specs))
-        .drain(HORIZON - last_start)
+    PointCfg::new(sim, WorkloadKind::Flows(specs)).drain(HORIZON - last_start)
 }
 
 /// A named traceable point.

@@ -113,10 +113,9 @@ pub struct SimConfig {
     pub topo: Topology,
     pub scheme: Scheme,
     pub transport: TransportCfg,
-    /// Receive-side reordering buffer hold time, if masking is wanted.
-    /// `None` defers to `scheme.wants_reorder_mask()` with the default
-    /// hold below.
-    pub reorder_mask: Option<Option<Time>>,
+    /// Mask reordering at the receiver (a [`REORDER_HOLD`] buffer) even
+    /// if the scheme does not ask for it (`scheme.wants_reorder_mask()`).
+    pub reorder_mask: bool,
     /// Master seed; every subsystem derives a split stream from it.
     pub seed: u64,
     /// Time-triggered fault schedule replayed through the event queue
@@ -125,9 +124,9 @@ pub struct SimConfig {
     pub fault_plan: hermes_net::FaultPlan,
 }
 
-/// Default reordering-buffer hold: a few one-way delays, enough for a
-/// late sprayed packet to arrive, far below an RTO.
-pub const DEFAULT_REORDER_HOLD: Time = Time::from_us(300);
+/// Reordering-buffer hold: a few one-way delays, enough for a late
+/// sprayed packet to arrive, far below an RTO.
+pub const REORDER_HOLD: Time = Time::from_us(300);
 
 impl SimConfig {
     pub fn new(topo: Topology, scheme: Scheme) -> SimConfig {
@@ -135,7 +134,7 @@ impl SimConfig {
             topo,
             scheme,
             transport: TransportCfg::dctcp(),
-            reorder_mask: None,
+            reorder_mask: false,
             seed: 1,
             fault_plan: hermes_net::FaultPlan::new(),
         }
@@ -156,17 +155,9 @@ impl SimConfig {
         self
     }
 
-    /// Force the reordering mask on/off regardless of scheme defaults.
-    pub fn with_reorder_mask(mut self, mask: Option<Time>) -> SimConfig {
-        self.reorder_mask = Some(mask);
-        self
-    }
-
     /// The effective receiver hold time.
     pub fn effective_reorder_hold(&self) -> Option<Time> {
-        let masks = self.scheme.wants_reorder_mask();
-        self.reorder_mask
-            .unwrap_or(masks.then_some(DEFAULT_REORDER_HOLD))
+        (self.reorder_mask || self.scheme.wants_reorder_mask()).then_some(REORDER_HOLD)
     }
 }
 
@@ -178,13 +169,16 @@ mod tests {
     fn reorder_mask_defaults() {
         let topo = Topology::sim_baseline();
         let presto = SimConfig::new(topo.clone(), Scheme::presto());
-        assert_eq!(presto.effective_reorder_hold(), Some(DEFAULT_REORDER_HOLD));
+        assert_eq!(presto.effective_reorder_hold(), Some(REORDER_HOLD));
         let ecmp = SimConfig::new(topo.clone(), Scheme::Ecmp);
         assert_eq!(ecmp.effective_reorder_hold(), None);
-        // Explicit override wins (e.g. CONGA + mask for Fig. 15).
-        let conga = SimConfig::new(topo, Scheme::Conga(CongaCfg::default()))
-            .with_reorder_mask(Some(Time::from_us(200)));
-        assert_eq!(conga.effective_reorder_hold(), Some(Time::from_us(200)));
+        // The switch masks a scheme that does not ask (CONGA in Fig. 15)
+        // and cannot unmask one that does.
+        for scheme in [Scheme::Conga(CongaCfg::default()), Scheme::presto()] {
+            let mut masked = SimConfig::new(topo.clone(), scheme);
+            masked.reorder_mask = true;
+            assert_eq!(masked.effective_reorder_hold(), Some(REORDER_HOLD));
+        }
     }
 
     #[test]

@@ -27,5 +27,5 @@ mod config;
 mod sim;
 mod timer;
 
-pub use config::{presto_weights_for, Scheme, SimConfig, DEFAULT_REORDER_HOLD};
+pub use config::{presto_weights_for, Scheme, SimConfig, REORDER_HOLD};
 pub use sim::{Probe, SimStats, Simulation, MAX_FLOW_ID};

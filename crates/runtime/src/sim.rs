@@ -178,7 +178,8 @@ impl Simulation {
 
     // ---- experiment wiring ----------------------------------------
 
-    /// Schedule a TCP flow.
+    /// Schedule a TCP flow. Its id may repeat a retired flow's, but a
+    /// flow that starts while another with its id is live panics.
     pub fn add_flow(&mut self, spec: FlowSpec) {
         assert!(spec.start >= self.q.now(), "flow arrival in the past");
         assert!(

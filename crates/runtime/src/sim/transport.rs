@@ -36,13 +36,11 @@ pub(super) struct FlowRt {
     last_path_change: Time,
     timed_out: bool,
     bytes_routed: u64,
-    pkts_routed: u64,
     /// The sender's RTO: at most one event queued (see [`LazyTimer`]).
     rto: LazyTimer,
     hold_gen: u64,
     rate: Dre,
     rec_idx: usize,
-    sender_done: bool,
 }
 
 /// The edge LBs of a run, in the one shape its [`Scheme`] implies.
@@ -135,7 +133,8 @@ impl EdgeLbs {
             bytes_sent: f.bytes_routed,
             rate_bps: f.rate.rate_bps(now),
             current_path: f.current_path,
-            is_new: f.pkts_routed == 0,
+            // No `Tx` is empty, so a flow is new until its first one.
+            is_new: f.bytes_routed == 0,
             timed_out: f.timed_out,
             since_change: if f.last_path_change == Time::ZERO {
                 Time::MAX
@@ -187,12 +186,10 @@ impl Simulation {
             last_path_change: Time::ZERO,
             timed_out: false,
             bytes_routed: 0,
-            pkts_routed: 0,
             rto: LazyTimer::new(),
             hold_gen: 0,
             rate: Dre::default_horizon(),
             rec_idx,
-            sender_done: false,
         };
         self.stats.flows_started += 1;
         if hermes_telemetry::enabled() {
@@ -208,7 +205,12 @@ impl Simulation {
         }
         let mut buf = std::mem::take(&mut self.send_scratch);
         f.sender.start(now, &mut buf);
-        self.flows.insert(spec.id.0, f);
+        let was_live = self.flows.insert(spec.id.0, f).is_some();
+        assert!(
+            !was_live,
+            "flow {} started while a flow with its id is live",
+            spec.id.0
+        );
         self.process_send_actions(spec.id.0, buf);
     }
 
@@ -252,7 +254,6 @@ impl Simulation {
                     }
                     f.current_path = path;
                     f.bytes_routed += len as u64;
-                    f.pkts_routed += 1;
                     f.rate.add(len as u64, now);
                     if !retx {
                         // New data: the loss episode (if any) is over.
@@ -301,7 +302,6 @@ impl Simulation {
                 }
                 SendAction::FullyAcked => {
                     if let Some(f) = self.flows.get_mut(&fid) {
-                        f.sender_done = true;
                         self.stats.ooo_packets += f.receiver.ooo_packets();
                         if let Some((lb, ctx)) = self.edge.for_flow(f, now) {
                             lb.on_flow_finished(&ctx, now);
@@ -398,11 +398,8 @@ impl Simulation {
     pub(super) fn on_rto(&mut self, fid: u64, gen: u64) {
         let now = self.q.now();
         let Some(f) = self.flows.get_mut(&fid) else {
-            return;
+            return; // the flow retired: a stale timer
         };
-        if f.sender_done {
-            return; // stale timer
-        }
         match f.rto.pop(gen, now) {
             Popped::Stale => return,
             Popped::Resched(at) => {

@@ -38,7 +38,7 @@ use hermes_bench::{run_points, PointCfg, RunReport};
 use hermes_net::{FaultPlan, FnvDigest, Topology};
 use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
-use hermes_workload::FlowSizeDist;
+use hermes_workload::{FlowSizeDist, PoissonCfg, WorkloadKind};
 
 /// The schemes every campaign cell runs, in report order.
 pub const LBS: [&str; 3] = ["hermes", "conga", "ecmp"];
@@ -65,8 +65,13 @@ fn point(topo: &Topology, lb: &str, seed: u64, quick: bool) -> PointCfg {
     };
     let scheme = Scheme::by_name(lb, topo).expect("every LBS entry is a Scheme::NAMES entry");
     let sim = SimConfig::new(topo.clone(), scheme).with_seed(seed);
-    PointCfg::new(sim, FlowSizeDist::web_search(), load)
-        .flows(flows)
+    let poisson = PoissonCfg {
+        dist: FlowSizeDist::web_search(),
+        load,
+        flows,
+        capacity: None,
+    };
+    PointCfg::new(sim, WorkloadKind::Poisson(poisson))
         .drain(drain)
         .goodput_interval(GOODPUT_INTERVAL)
 }

@@ -78,7 +78,7 @@ use hermes_bench::{PointCfg, PointField};
 use hermes_net::{FaultPlan, LeafId, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
-use hermes_workload::{FlowSizeDist, IncastCfg, MixCfg, RingCfg, WorkloadKind};
+use hermes_workload::{FlowSizeDist, IncastCfg, MixCfg, PoissonCfg, RingCfg, WorkloadKind};
 
 use crate::toml::{self, KeyLines, Table, Value};
 
@@ -162,8 +162,7 @@ pub struct ScenarioSpec {
     /// (cuts and degrades applied, load defined against the healthy
     /// fabric), workload, drain, fault plan and goodput cadence. Its
     /// `scheme` and `seed` are the first cell's; [`Self::materialize`]
-    /// sets them per cell. For the staged-dependency workload kinds,
-    /// `dist`, `load` and `n_flows` hold unused placeholders.
+    /// sets them per cell.
     pub base: PointCfg,
     pub seeds: Vec<u64>,
     /// The LBs under test: the spec-file name (used in job labels,
@@ -461,22 +460,22 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
     let Some(work_t) = get(&root, "workload").and_then(Value::as_table) else {
         return serr(file, "missing [workload] table");
     };
-    // Placeholders for the staged-dependency kinds, which have no
-    // size CDF / load / flow count (PointCfg carries them unused).
-    let mut dist = FlowSizeDist::web_search();
-    let mut load = 0.3;
-    let mut n_flows = 0;
+    // The paper's convention: offered load is defined against the
+    // healthy fabric even when the fabric under test lost capacity.
+    let poisson = |dist| -> Result<WorkloadKind, SpecError> {
+        Ok(WorkloadKind::Poisson(PoissonCfg {
+            dist,
+            load: req_float(work_t, "load", file)?,
+            flows: req_usize(work_t, "flows", file)?,
+            capacity: Some(healthy_capacity),
+        }))
+    };
     let workload = match wl_kind.as_str() {
-        "poisson" => {
-            dist = match req_str(work_t, "dist", file)?.as_str() {
-                "web_search" => FlowSizeDist::web_search(),
-                "data_mining" => FlowSizeDist::data_mining(),
-                other => return serr(file, format!("unknown dist `{other}`")),
-            };
-            load = req_float(work_t, "load", file)?;
-            n_flows = req_usize(work_t, "flows", file)?;
-            WorkloadKind::Poisson
-        }
+        "poisson" => poisson(match req_str(work_t, "dist", file)?.as_str() {
+            "web_search" => FlowSizeDist::web_search(),
+            "data_mining" => FlowSizeDist::data_mining(),
+            other => return serr(file, format!("unknown dist `{other}`")),
+        })?,
         "ring_allreduce" => WorkloadKind::RingAllreduce(RingCfg {
             ranks: req_usize(work_t, "ranks", file)?,
             steps: req_usize(work_t, "steps", file)?,
@@ -487,15 +486,11 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
             reply_bytes: kb_bytes(work_t, "reply_kb", file)?,
             bursts: req_usize(work_t, "bursts", file)?,
         }),
-        "elephant_mice" => {
-            load = req_float(work_t, "load", file)?;
-            n_flows = req_usize(work_t, "flows", file)?;
-            WorkloadKind::ElephantMice(MixCfg {
-                mice_bytes: kb_bytes(work_t, "mice_kb", file)?,
-                elephant_bytes: kb_bytes(work_t, "elephant_kb", file)?,
-                elephant_frac: req_float(work_t, "elephant_frac", file)?,
-            })
-        }
+        "elephant_mice" => poisson(FlowSizeDist::elephant_mice(MixCfg {
+            mice_bytes: kb_bytes(work_t, "mice_kb", file)?,
+            elephant_bytes: kb_bytes(work_t, "elephant_kb", file)?,
+            elephant_frac: req_float(work_t, "elephant_frac", file)?,
+        }))?,
         other => return serr(file, format!("unknown workload kind `{other}`")),
     };
 
@@ -613,16 +608,11 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
         }
     }
 
-    // The paper's convention: offered load is defined against the
-    // healthy fabric even when the fabric under test lost capacity.
     let sim = SimConfig {
         fault_plan,
         ..SimConfig::new(topo, first_scheme.clone()).with_seed(seeds[0])
     };
-    let base = PointCfg::new(sim, dist, load)
-        .workload(workload)
-        .flows(n_flows)
-        .capacity(healthy_capacity)
+    let base = PointCfg::new(sim, workload)
         .drain(drain)
         .goodput_interval(GOODPUT_INTERVAL);
     if let Err(e) = base.validate() {
@@ -737,12 +727,16 @@ mod tests {
         "#;
         let s = parse_scenario(src, "mem", "asym").expect("parses");
         let healthy = Topology::testbed().total_uplink_bps();
-        assert_eq!(s.base.capacity_override, Some(healthy));
+        let capacity = |cfg: &PointCfg| match &cfg.workload {
+            WorkloadKind::Poisson(p) => p.capacity,
+            other => panic!("wrong kind: {other:?}"),
+        };
+        assert_eq!(capacity(&s.base), Some(healthy));
         assert!(s.base.sim.topo.total_uplink_bps() < healthy);
         let cfg = s.materialize(0, 7);
         assert_eq!(cfg.sim.seed, 7);
         assert!(matches!(cfg.sim.scheme, Scheme::Conga(_)));
-        assert_eq!(cfg.capacity_override, Some(healthy));
+        assert_eq!(capacity(&cfg), Some(healthy));
     }
 
     #[test]
@@ -933,13 +927,14 @@ mod tests {
             lbs = ["conga"]
         "#;
         let s = parse_scenario(src, "mem", "mix").expect("parses");
-        let WorkloadKind::ElephantMice(mix) = s.base.workload else {
+        let WorkloadKind::Poisson(p) = s.base.workload else {
             panic!("wrong kind: {:?}", s.base.workload);
         };
+        let mix = p.dist.mix().expect("the two-point law");
         assert_eq!(mix.mice_bytes, 20_000);
         assert_eq!(mix.elephant_bytes, 1_000_000);
-        assert_eq!(s.base.load, 0.3);
-        assert_eq!(s.base.n_flows, 60);
+        assert_eq!(mix.elephant_frac, 0.1);
+        assert_eq!((p.load, p.flows), (0.3, 60));
     }
 
     #[test]

@@ -10,16 +10,37 @@
 //! The CDF control points below are the ones shipped with the flow
 //! generator the paper uses ([8], the HKUST-SING traffic generator).
 //! Sampling inverts the piecewise-linear CDF.
+//!
+//! A third law, [`FlowSizeDist::elephant_mice`], is DiffFlow's bimodal
+//! mix: every flow is either a mouse or an elephant, nothing between.
 
 use hermes_sim::SimRng;
 
-/// A flow-size distribution given as a piecewise-linear CDF over bytes.
-#[derive(Clone, Debug)]
+/// A flow-size distribution: a piecewise-linear CDF over bytes, or a
+/// two-point elephant/mice law.
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlowSizeDist {
     name: &'static str,
+    law: Law,
+}
+
+#[derive(Clone, Debug, PartialEq)]
+enum Law {
     /// `(size_bytes, cumulative_probability)`, strictly increasing in
     /// both coordinates, first probability 0, last probability 1.
-    points: Vec<(f64, f64)>,
+    Cdf(Vec<(f64, f64)>),
+    /// A mouse or an elephant per draw.
+    TwoPoint(MixCfg),
+}
+
+/// Bimodal size mix: mice with probability `1 - elephant_frac`,
+/// elephants otherwise.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct MixCfg {
+    pub mice_bytes: u64,
+    pub elephant_bytes: u64,
+    /// Probability a draw is an elephant, in `[0, 1]`.
+    pub elephant_frac: f64,
 }
 
 /// Web-search CDF control points (bytes, cum. prob.).
@@ -79,7 +100,17 @@ impl FlowSizeDist {
         }
         FlowSizeDist {
             name,
-            points: pts.to_vec(),
+            law: Law::Cdf(pts.to_vec()),
+        }
+    }
+
+    /// DiffFlow's elephant/mice mix. [`crate::FlowGen::new`] refuses a
+    /// mix outside `elephant_bytes > mice_bytes ≥ 1` and
+    /// `elephant_frac ∈ [0, 1]`.
+    pub fn elephant_mice(mix: MixCfg) -> FlowSizeDist {
+        FlowSizeDist {
+            name: "elephant-mice",
+            law: Law::TwoPoint(mix),
         }
     }
 
@@ -87,27 +118,49 @@ impl FlowSizeDist {
         self.name
     }
 
-    /// Smallest and largest producible sizes.
+    /// The two-point law's mix; `None` for a CDF.
+    pub fn mix(&self) -> Option<MixCfg> {
+        match self.law {
+            Law::TwoPoint(m) => Some(m),
+            Law::Cdf(_) => None,
+        }
+    }
+
+    /// Smallest and largest producible sizes (a two-point law's two
+    /// modes).
     pub fn support(&self) -> (u64, u64) {
-        (
-            self.points[0].0.max(1.0) as u64,
-            self.points[self.points.len() - 1].0 as u64,
-        )
+        match &self.law {
+            Law::Cdf(pts) => (pts[0].0.max(1.0) as u64, pts[pts.len() - 1].0 as u64),
+            Law::TwoPoint(m) => (m.mice_bytes, m.elephant_bytes),
+        }
     }
 
-    /// The distribution mean, integrated exactly over the
-    /// piecewise-linear CDF (uniform within each segment).
+    /// The distribution mean: integrated exactly over the
+    /// piecewise-linear CDF (uniform within each segment), or the mix's
+    /// weighted mean.
     pub fn mean_bytes(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| (w[1].1 - w[0].1) * (w[0].0 + w[1].0) / 2.0)
-            .sum()
+        match &self.law {
+            Law::Cdf(pts) => pts
+                .windows(2)
+                .map(|w| (w[1].1 - w[0].1) * (w[0].0 + w[1].0) / 2.0)
+                .sum(),
+            Law::TwoPoint(m) => {
+                m.elephant_frac * m.elephant_bytes as f64
+                    + (1.0 - m.elephant_frac) * m.mice_bytes as f64
+            }
+        }
     }
 
-    /// Inverse-CDF at probability `p ∈ [0, 1]`.
+    /// Inverse-CDF at probability `p ∈ [0, 1]` (a two-point law's is a
+    /// step: mice up to `1 - elephant_frac`, elephants above).
     pub fn quantile(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
-        for w in self.points.windows(2) {
+        let pts = match &self.law {
+            Law::Cdf(pts) => pts,
+            Law::TwoPoint(m) if p <= 1.0 - m.elephant_frac => return m.mice_bytes as f64,
+            Law::TwoPoint(m) => return m.elephant_bytes as f64,
+        };
+        for w in pts.windows(2) {
             let (x0, p0) = w[0];
             let (x1, p1) = w[1];
             if p <= p1 {
@@ -117,15 +170,22 @@ impl FlowSizeDist {
                 return x0 + (x1 - x0) * (p - p0) / (p1 - p0);
             }
         }
-        self.points[self.points.len() - 1].0
+        pts[pts.len() - 1].0
     }
 
-    /// CDF value at `size` (for plotting Fig. 7).
+    /// CDF value at `size` (for plotting Fig. 7; a step for a
+    /// two-point law).
     pub fn cdf(&self, size: f64) -> f64 {
-        if size <= self.points[0].0 {
+        let pts = match &self.law {
+            Law::Cdf(pts) => pts,
+            Law::TwoPoint(m) if size < m.mice_bytes as f64 => return 0.0,
+            Law::TwoPoint(m) if size < m.elephant_bytes as f64 => return 1.0 - m.elephant_frac,
+            Law::TwoPoint(_) => return 1.0,
+        };
+        if size <= pts[0].0 {
             return 0.0;
         }
-        for w in self.points.windows(2) {
+        for w in pts.windows(2) {
             let (x0, p0) = w[0];
             let (x1, p1) = w[1];
             if size <= x1 {
@@ -135,9 +195,15 @@ impl FlowSizeDist {
         1.0
     }
 
-    /// Draw one flow size (at least 1 byte).
+    /// Draw one flow size (at least 1 byte): one uniform draw for a
+    /// CDF, one [`SimRng::chance`] for a two-point law (none at all
+    /// when `elephant_frac` is 0 or 1).
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        (self.quantile(rng.f64()).round() as u64).max(1)
+        match &self.law {
+            Law::Cdf(_) => (self.quantile(rng.f64()).round() as u64).max(1),
+            Law::TwoPoint(m) if rng.chance(m.elephant_frac) => m.elephant_bytes,
+            Law::TwoPoint(m) => m.mice_bytes,
+        }
     }
 }
 
@@ -167,8 +233,10 @@ mod tests {
         );
         // Bytes above 35 MB / total bytes.
         let total = dm.mean_bytes();
-        let above: f64 = dm
-            .points
+        let Law::Cdf(pts) = &dm.law else {
+            unreachable!("data-mining is a CDF")
+        };
+        let above: f64 = pts
             .windows(2)
             .map(|w| {
                 let (x0, p0) = w[0];
@@ -206,22 +274,66 @@ mod tests {
 
     #[test]
     fn sample_stays_in_support_and_tracks_mean() {
-        let dist = FlowSizeDist::web_search();
-        let (lo, hi) = dist.support();
-        let mut rng = SimRng::new(12);
-        let n = 200_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let s = dist.sample(&mut rng);
-            assert!(s >= lo && s <= hi);
-            sum += s as f64;
+        for dist in [FlowSizeDist::web_search(), FlowSizeDist::elephant_mice(MIX)] {
+            let (lo, hi) = dist.support();
+            let mut rng = SimRng::new(12);
+            let n = 200_000;
+            let mut sum = 0.0;
+            for _ in 0..n {
+                let s = dist.sample(&mut rng);
+                assert!(s >= lo && s <= hi);
+                sum += s as f64;
+            }
+            let got = sum / n as f64;
+            let want = dist.mean_bytes();
+            assert!(
+                (got - want).abs() / want < 0.05,
+                "{}: sample mean {got:.3e} vs analytic {want:.3e}",
+                dist.name()
+            );
         }
-        let got = sum / n as f64;
-        let want = dist.mean_bytes();
-        assert!(
-            (got - want).abs() / want < 0.05,
-            "sample mean {got:.3e} vs analytic {want:.3e}"
+    }
+
+    const MIX: MixCfg = MixCfg {
+        mice_bytes: 20_000,
+        elephant_bytes: 1_000_000,
+        elephant_frac: 0.1,
+    };
+
+    #[test]
+    fn two_point_law_answers_as_a_step() {
+        let d = FlowSizeDist::elephant_mice(MIX);
+        assert_eq!(
+            (d.name(), d.mix(), d.support()),
+            ("elephant-mice", Some(MIX), (20_000, 1_000_000))
         );
+        assert_eq!(d.mean_bytes(), 0.1 * 1e6 + 0.9 * 2e4);
+        for (p, x) in [(0.0, 2e4), (0.9, 2e4), (0.91, 1e6), (1.0, 1e6)] {
+            assert_eq!(d.quantile(p), x, "quantile({p})");
+        }
+        for (x, p) in [(19_999.0, 0.0), (2e4, 0.9), (999_999.0, 0.9), (1e6, 1.0)] {
+            assert_eq!(d.cdf(x), p, "cdf({x})");
+        }
+        assert_eq!(FlowSizeDist::web_search().mix(), None);
+    }
+
+    #[test]
+    fn a_certain_mix_draws_no_randomness() {
+        // `chance` at 0 or 1 consumes nothing: the stream stays aligned.
+        for elephant_frac in [0.0, 1.0] {
+            let d = FlowSizeDist::elephant_mice(MixCfg {
+                elephant_frac,
+                ..MIX
+            });
+            let (mut rng, mut twin) = (SimRng::new(5), SimRng::new(5));
+            let want = if elephant_frac == 1.0 {
+                1_000_000
+            } else {
+                20_000
+            };
+            assert_eq!(d.sample(&mut rng), want);
+            assert_eq!(rng.u64(), twin.u64());
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use hermes_net::FlowId;
 use hermes_sim::Time;
 
+use crate::dist::FlowSizeDist;
 use crate::flowgen::FlowSpec;
 
 /// A workload that reacts to flow completions.
@@ -39,21 +40,35 @@ pub trait FlowDriver: Send {
 }
 
 /// Which workload a benchmark/conformance point runs. `Poisson` is the
-/// paper's open-loop generator ([`crate::FlowGen`]); `Flows` is a fixed
-/// schedule; the others are the staged-dependency and bimodal additions.
+/// paper's open-loop generator ([`crate::FlowGen`]) with its own
+/// parameters; `Flows` is a fixed schedule; the others are the
+/// staged-dependency additions.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorkloadKind {
-    /// Open-loop Poisson arrivals from an empirical size CDF (§5.1).
-    Poisson,
+    /// Open-loop Poisson arrivals (§5.1), sizes from any
+    /// [`FlowSizeDist`] (the elephant/mice mix included).
+    Poisson(PoissonCfg),
     /// Ring-allreduce collective: see [`crate::RingAllreduce`].
     RingAllreduce(RingCfg),
     /// N-to-1 synchronized bursts: see [`crate::IncastDriver`].
     Incast(IncastCfg),
-    /// Open-loop Poisson with bimodal sizes: see [`crate::ElephantMiceGen`].
-    ElephantMice(MixCfg),
     /// Open loop: exactly these flows, each at its own `start` (the
     /// motivation examples and the fig17 transient).
     Flows(Vec<FlowSpec>),
+}
+
+/// An open-loop Poisson workload: `flows` arrivals from
+/// [`crate::FlowGen`] with sizes from `dist`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PoissonCfg {
+    pub dist: FlowSizeDist,
+    /// Offered load relative to `capacity` (or the topology's live
+    /// uplink capacity).
+    pub load: f64,
+    pub flows: usize,
+    /// Load is usually defined against the *healthy* fabric even when
+    /// the topology under test is degraded (the paper's convention).
+    pub capacity: Option<u64>,
 }
 
 /// Ring-allreduce shape: `ranks` peers exchange `steps` chunked rounds;
@@ -112,42 +127,6 @@ impl IncastCfg {
     }
 }
 
-/// Bimodal size mix: mice with probability `1 - elephant_frac`,
-/// elephants otherwise, arriving open-loop at the configured load.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MixCfg {
-    pub mice_bytes: u64,
-    pub elephant_bytes: u64,
-    /// Probability a draw is an elephant, in `[0, 1]`.
-    pub elephant_frac: f64,
-}
-
-/// A flow's class under a [`MixCfg`], recovered from its size (specs
-/// carry no tag field; the two modes are disjoint by construction).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlowClass {
-    Mice,
-    Elephant,
-}
-
-impl MixCfg {
-    /// Mean draw size in bytes.
-    pub fn mean_bytes(&self) -> f64 {
-        self.elephant_frac * self.elephant_bytes as f64
-            + (1.0 - self.elephant_frac) * self.mice_bytes as f64
-    }
-
-    /// Classify a generated flow by size banding (the midpoint is the
-    /// boundary; draws are exactly one of the two modes).
-    pub fn class_of(&self, size: u64) -> FlowClass {
-        if size * 2 >= self.mice_bytes + self.elephant_bytes {
-            FlowClass::Elephant
-        } else {
-            FlowClass::Mice
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,18 +158,5 @@ mod tests {
                 assert_eq!(cfg.decode(cfg.flow_id(b, i)), (b, i));
             }
         }
-    }
-
-    #[test]
-    fn mix_classes_are_disjoint_by_size() {
-        let cfg = MixCfg {
-            mice_bytes: 20_000,
-            elephant_bytes: 1_000_000,
-            elephant_frac: 0.1,
-        };
-        assert_eq!(cfg.class_of(20_000), FlowClass::Mice);
-        assert_eq!(cfg.class_of(1_000_000), FlowClass::Elephant);
-        let mean = cfg.mean_bytes();
-        assert!(mean > 20_000.0 && mean < 1_000_000.0);
     }
 }

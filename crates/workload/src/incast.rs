@@ -14,7 +14,7 @@ use hermes_net::{FlowId, HostId, Topology};
 use hermes_sim::{SimRng, Time};
 
 use crate::driver::{FlowDriver, IncastCfg};
-use crate::flowgen::FlowSpec;
+use crate::flowgen::{host_under_other_leaf, FlowSpec};
 use crate::metrics::FlowRecord;
 
 /// One query: `fanout` synchronized reply flows toward one aggregator.
@@ -72,16 +72,8 @@ impl IncastGen {
         let mut flows = Vec::with_capacity(self.fanout);
         let mut specs = Vec::with_capacity(self.fanout);
         for _ in 0..self.fanout {
-            // A worker under a different rack.
-            let leaf = {
-                let r = self.rng.below(self.n_leaves - 1);
-                if r >= agg_leaf {
-                    r + 1
-                } else {
-                    r
-                }
-            };
-            let worker = leaf * self.hosts_per_leaf + self.rng.below(self.hosts_per_leaf);
+            let worker =
+                host_under_other_leaf(&mut self.rng, agg_leaf, self.n_leaves, self.hosts_per_leaf);
             let id = FlowId(self.next_id);
             self.next_id += 1;
             flows.push(id);
@@ -167,17 +159,10 @@ impl IncastDriver {
         let agg_leaf = agg / self.hosts_per_leaf;
         (0..self.cfg.fanout)
             .map(|i| {
-                // A worker under a different rack (workers may repeat:
-                // a host can serve several shards of the same query).
-                let leaf = {
-                    let r = self.rng.below(self.n_leaves - 1);
-                    if r >= agg_leaf {
-                        r + 1
-                    } else {
-                        r
-                    }
-                };
-                let worker = leaf * self.hosts_per_leaf + self.rng.below(self.hosts_per_leaf);
+                // Workers may repeat: a host can serve several shards
+                // of the same query.
+                let (n_leaves, per_leaf) = (self.n_leaves, self.hosts_per_leaf);
+                let worker = host_under_other_leaf(&mut self.rng, agg_leaf, n_leaves, per_leaf);
                 FlowSpec {
                     id: self.cfg.flow_id(burst, i),
                     src: HostId(worker as u32),

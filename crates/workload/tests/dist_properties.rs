@@ -6,7 +6,7 @@
 
 use hermes_net::Topology;
 use hermes_sim::{SimRng, Time};
-use hermes_workload::{FlowGen, FlowSizeDist};
+use hermes_workload::{FlowGen, FlowSizeDist, MixCfg};
 use proptest::prelude::*;
 
 /// Turn raw `(size_step, prob_weight)` pairs into well-formed CDF
@@ -104,28 +104,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The open-loop generator inherits the distribution's support and
-    /// the topology's structure for any load and seed: sizes in
-    /// support, flows strictly inter-rack, arrivals nondecreasing,
-    /// ids dense.
+    /// the topology's structure for any size law, load and seed: sizes
+    /// in support (a two-point law's are exactly its two modes), flows
+    /// strictly inter-rack, arrivals nondecreasing, ids dense.
     #[test]
     fn flowgen_respects_support_and_topology(
         load in 0.1f64..1.0,
         seed in any::<u64>(),
-        heavy in any::<bool>(),
+        law in 0..3usize,
+        elephant_frac in 0.0f64..1.0,
     ) {
         let topo = Topology::sim_baseline();
-        let dist = if heavy {
-            FlowSizeDist::data_mining()
-        } else {
-            FlowSizeDist::web_search()
+        let dist = match law {
+            0 => FlowSizeDist::web_search(),
+            1 => FlowSizeDist::data_mining(),
+            _ => FlowSizeDist::elephant_mice(MixCfg {
+                mice_bytes: 20_000,
+                elephant_bytes: 1_000_000,
+                elephant_frac,
+            }),
         };
         let (lo, hi) = dist.support();
+        let two_point = dist.mix().is_some();
         let mut g = FlowGen::new(&topo, dist, load, None, SimRng::new(seed));
         let flows = g.schedule(256);
         let mut last = Time::ZERO;
         for (i, f) in flows.iter().enumerate() {
             prop_assert_eq!(f.id.0, i as u64);
             prop_assert!(f.size >= lo && f.size <= hi);
+            prop_assert!(!two_point || f.size == lo || f.size == hi);
             let (src_leaf, dst_leaf) = (
                 f.src.0 as usize / topo.hosts_per_leaf,
                 f.dst.0 as usize / topo.hosts_per_leaf,

@@ -31,7 +31,7 @@ use hermes_net::{Blackhole, LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
 use hermes_transport::TransportCfg;
-use hermes_workload::{FctSummary, FlowSizeDist};
+use hermes_workload::{FctSummary, FlowSizeDist, PoissonCfg, WorkloadKind};
 
 struct Args {
     topo: String,
@@ -249,10 +249,14 @@ fn main() {
     };
     let scheme = resolve_scheme(&a, &topo);
     let sim = SimConfig::new(topo, scheme).with_transport(transport);
-    let point = PointCfg::new(sim, dist, a.load)
-        .flows(a.flows)
-        .capacity(capacity)
-        .drain(Time::from_secs(10));
+    let workload = dist.name();
+    let poisson = PoissonCfg {
+        dist,
+        load: a.load,
+        flows: a.flows,
+        capacity: Some(capacity),
+    };
+    let point = PointCfg::new(sim, WorkloadKind::Poisson(poisson)).drain(Time::from_secs(10));
     let failures = spine_failures(&a).unwrap_or_else(|e| usage(&e));
     let cfg = failures
         .into_iter()
@@ -263,19 +267,13 @@ fn main() {
             PointField::Flows => "--flows",
             PointField::Faults => "--drop/--blackhole",
             PointField::Topology => "--cut",
-            PointField::Workload(_) => unreachable!("the CLI runs open-loop workloads only"),
+            PointField::Workload(_) => unreachable!("the CLI runs no elephant/mice mix"),
         };
         usage(&format!("{flag}: {}", e.msg));
     }
     println!(
         "topology={} scheme={} workload={} load={:.2} flows={} seed={} runs={}",
-        a.topo,
-        a.scheme,
-        cfg.dist.name(),
-        a.load,
-        a.flows,
-        a.seed,
-        a.runs
+        a.topo, a.scheme, workload, a.load, a.flows, a.seed, a.runs
     );
     let cfgs: Vec<PointCfg> = (0..a.runs)
         .map(|run| {

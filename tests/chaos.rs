@@ -234,7 +234,7 @@ fn staged_workloads_do_not_perturb_chaos_digests() {
     use hermes_bench::{run_point, PointCfg};
     use hermes_net::Topology;
     use hermes_runtime::{Scheme, SimConfig};
-    use hermes_workload::{FlowSizeDist, IncastCfg, RingCfg, WorkloadKind};
+    use hermes_workload::{IncastCfg, RingCfg, WorkloadKind};
 
     let cfg = CampaignCfg {
         seeds: 2,
@@ -257,8 +257,7 @@ fn staged_workloads_do_not_perturb_chaos_digests() {
         }),
     ] {
         let sim = SimConfig::new(Topology::testbed(), Scheme::Ecmp).with_seed(5);
-        let point = PointCfg::new(sim, FlowSizeDist::web_search(), 0.3)
-            .workload(kind)
+        let point = PointCfg::new(sim, kind)
             .drain(Time::from_ms(800))
             .goodput_interval(Time::from_ms(1));
         let det = run_point(&point);

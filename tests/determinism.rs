@@ -320,7 +320,7 @@ fn staged_workload_drivers_are_deterministic_per_kind() {
     // themselves simulation outputs. Same seed must still reproduce the
     // whole run bit-for-bit: full event-trace digest, FCT vector, and
     // record timeline, for each driver kind.
-    use hermes_workload::{FlowSizeDist, IncastCfg, MixCfg, RingCfg, WorkloadKind};
+    use hermes_workload::{FlowSizeDist, IncastCfg, MixCfg, PoissonCfg, RingCfg, WorkloadKind};
 
     let kinds = [
         (
@@ -341,10 +341,15 @@ fn staged_workload_drivers_are_deterministic_per_kind() {
         ),
         (
             "elephant_mice",
-            WorkloadKind::ElephantMice(MixCfg {
-                mice_bytes: 20_000,
-                elephant_bytes: 500_000,
-                elephant_frac: 0.1,
+            WorkloadKind::Poisson(PoissonCfg {
+                dist: FlowSizeDist::elephant_mice(MixCfg {
+                    mice_bytes: 20_000,
+                    elephant_bytes: 500_000,
+                    elephant_frac: 0.1,
+                }),
+                load: 0.3,
+                flows: 30,
+                capacity: None,
             }),
         ),
     ];
@@ -352,9 +357,7 @@ fn staged_workload_drivers_are_deterministic_per_kind() {
         let topo = Topology::testbed();
         let hermes = Scheme::Hermes(HermesParams::from_topology(&topo));
         let sim = SimConfig::new(topo, hermes).with_seed(23);
-        let cfg = PointCfg::new(sim, FlowSizeDist::web_search(), 0.3)
-            .workload(kind)
-            .flows(30)
+        let cfg = PointCfg::new(sim, kind)
             .drain(Time::from_ms(1200))
             .goodput_interval(Time::from_ms(1));
         let a = run_point(&cfg);

@@ -16,7 +16,7 @@ use hermes_sim::{SimRng, Time};
 use hermes_telemetry::{DropReason, PathClass, Record, RerouteVerdict};
 use hermes_testkit::load_goldens;
 use hermes_testkit::ScenarioSpec;
-use hermes_workload::{FlowGen, FlowSizeDist};
+use hermes_workload::{FlowGen, FlowSizeDist, PoissonCfg, WorkloadKind};
 
 fn scenario_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios")
@@ -190,8 +190,13 @@ fn fig17_trace_tells_the_failure_story() {
 #[test]
 fn static_failure_is_traced_at_time_zero() {
     let sim = SimConfig::new(Topology::testbed(), Scheme::Ecmp);
-    let cfg = PointCfg::new(sim, FlowSizeDist::web_search(), 0.3)
-        .flows(20)
+    let poisson = PoissonCfg {
+        dist: FlowSizeDist::web_search(),
+        load: 0.3,
+        flows: 20,
+        capacity: None,
+    };
+    let cfg = PointCfg::new(sim, WorkloadKind::Poisson(poisson))
         .failure(SpineId(1), SpineFailure::random_drops(0.02));
     let out = run_trace_point(&cfg);
     let faults: Vec<(Time, &str)> = out
