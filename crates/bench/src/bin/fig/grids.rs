@@ -5,37 +5,16 @@
 //! A scheme at its paper defaults comes from `Scheme::by_name` under its
 //! display label; only the variants a figure changes are spelled out.
 
-use hermes_bench::{asym_topology, baseline_capacity, PointCfg};
+use hermes_bench::{asym_topology, baseline_capacity};
 use hermes_core::HermesParams;
 use hermes_lb::{CloveCfg, CongaCfg};
 use hermes_net::{LeafId, SpineFailure, SpineId, Topology};
-use hermes_runtime::{Scheme, SimConfig};
+use hermes_runtime::Scheme;
 use hermes_sim::Time;
 use hermes_transport::TransportCfg;
-use hermes_workload::{FlowSizeDist, PoissonCfg, WorkloadKind};
+use hermes_workload::FlowSizeDist;
 
 use crate::{paper, GridSpec};
-
-/// A grid's template on `topo`: `flows` arrivals from `dist`, their
-/// load defined against `capacity` (the live fabric's if `None`).
-/// [`GridSpec`] sets each cell's scheme, load and seed.
-fn cell_template(
-    topo: &Topology,
-    dist: FlowSizeDist,
-    flows: usize,
-    capacity: Option<u64>,
-) -> PointCfg {
-    let poisson = PoissonCfg {
-        dist,
-        load: 0.0,
-        flows,
-        capacity,
-    };
-    PointCfg::new(
-        SimConfig::new(topo.clone(), Scheme::Ecmp),
-        WorkloadKind::Poisson(poisson),
-    )
-}
 
 /// **Figure 9** — testbed-scale, symmetric topology: overall average FCT
 /// vs. load for the web-search and data-mining workloads.
@@ -58,8 +37,12 @@ pub fn fig9() -> Vec<GridSpec> {
     .map(|(dist, base, drain_s)| {
         GridSpec::new(
             "Figure 9: testbed symmetric — overall avg FCT",
-            cell_template(&topo, dist, base, None).drain(Time::from_secs(drain_s)),
+            &topo,
+            dist,
+            base,
+            None,
         )
+        .drain(Time::from_secs(drain_s))
         .scheme("ecmp", paper("ecmp", &topo))
         .scheme("clove-ecn", Scheme::Clove(clove))
         .scheme("presto*", paper("presto", &topo))
@@ -101,8 +84,12 @@ pub fn fig10() -> Vec<GridSpec> {
     .map(|(dist, base, normalize, drain_s)| {
         let g = GridSpec::new(
             "Figure 10/11: testbed asymmetric (one uplink cut)",
-            cell_template(&topo, dist, base, Some(healthy)).drain(Time::from_secs(drain_s)),
+            &topo,
+            dist,
+            base,
+            Some(healthy),
         )
+        .drain(Time::from_secs(drain_s))
         .scheme("ecmp", paper("ecmp", &topo))
         .scheme("clove-ecn", Scheme::Clove(clove))
         .scheme("presto*-weighted", paper("presto_weighted", &topo))
@@ -139,8 +126,12 @@ pub fn fig12() -> Vec<GridSpec> {
     .map(|(dist, base, drain_s)| {
         GridSpec::new(
             "Figure 12: 8x8 baseline (symmetric) — overall avg FCT",
-            cell_template(&topo, dist, base, None).drain(Time::from_secs(drain_s)),
+            &topo,
+            dist,
+            base,
+            None,
         )
+        .drain(Time::from_secs(drain_s))
         .scheme("ecmp", paper("ecmp", &topo))
         .scheme("letflow", paper("letflow", &topo))
         .scheme("clove-ecn", paper("clove", &topo))
@@ -169,12 +160,10 @@ pub fn fig13() -> Vec<GridSpec> {
     let topo = asym_topology();
     vec![GridSpec::new(
         "Figure 13: 8x8 asymmetric — web-search (normalized to Hermes)",
-        cell_template(
-            &topo,
-            FlowSizeDist::web_search(),
-            2000,
-            Some(baseline_capacity()),
-        ),
+        &topo,
+        FlowSizeDist::web_search(),
+        2000,
+        Some(baseline_capacity()),
     )
     .scheme("hermes", paper("hermes", &topo))
     .scheme("conga", paper("conga", &topo))
@@ -200,14 +189,12 @@ pub fn fig14() -> Vec<GridSpec> {
     let topo = asym_topology();
     vec![GridSpec::new(
         "Figure 14: 8x8 asymmetric — data-mining (normalized to Hermes)",
-        cell_template(
-            &topo,
-            FlowSizeDist::data_mining(),
-            400,
-            Some(baseline_capacity()),
-        )
-        .drain(Time::from_secs(8)),
+        &topo,
+        FlowSizeDist::data_mining(),
+        400,
+        Some(baseline_capacity()),
     )
+    .drain(Time::from_secs(8))
     .scheme("hermes", paper("hermes", &topo))
     .scheme("conga", paper("conga", &topo))
     .scheme("letflow", paper("letflow", &topo))
@@ -232,20 +219,17 @@ pub const FIG14_NOTE: &str = "\
 /// because reordering is masked here.
 pub fn fig15() -> Vec<GridSpec> {
     let topo = asym_topology();
-    let mut base = cell_template(
+    let mut spec = GridSpec::new(
+        "Figure 15: CONGA flowlet-timeout sweep (web-search, 80% load, reordering masked)",
         &topo,
         FlowSizeDist::web_search(),
         2000,
         Some(baseline_capacity()),
-    );
-    // Mask reordering for every variant so only congestion mismatch
-    // differentiates them (the paper's methodology).
-    base.sim.reorder_mask = true;
-    let mut spec = GridSpec::new(
-        "Figure 15: CONGA flowlet-timeout sweep (web-search, 80% load, reordering masked)",
-        base,
     )
     .loads(&[0.8]);
+    // Mask reordering for every variant so only congestion mismatch
+    // differentiates them (the paper's methodology).
+    spec.sim.reorder_mask = true;
     for timeout_us in [500u64, 150, 50] {
         let cfg = CongaCfg {
             flowlet_timeout: Time::from_us(timeout_us),
@@ -277,9 +261,12 @@ pub fn fig16() -> Vec<GridSpec> {
     let topo = Topology::sim_baseline();
     vec![GridSpec::new(
         "Figure 16: silent random drops (2% at one spine) — web-search",
-        cell_template(&topo, FlowSizeDist::web_search(), 1200, None)
-            .failure(SpineId(3), SpineFailure::random_drops(0.02)),
+        &topo,
+        FlowSizeDist::web_search(),
+        1200,
+        None,
     )
+    .failure(SpineId(3), SpineFailure::random_drops(0.02))
     .scheme("ecmp", paper("ecmp", &topo))
     .scheme("presto*", paper("presto", &topo))
     .scheme("letflow", paper("letflow", &topo))
@@ -314,10 +301,13 @@ pub fn fig17() -> Vec<GridSpec> {
     let hole = SpineFailure::blackhole(LeafId(0), LeafId(7), 0.5);
     vec![GridSpec::new(
         "Figure 17: packet blackhole (half of rack1→rack8 pairs) — web-search",
-        cell_template(&topo, FlowSizeDist::web_search(), 1200, None)
-            .failure(SpineId(5), hole)
-            .drain(Time::from_secs(2)),
+        &topo,
+        FlowSizeDist::web_search(),
+        1200,
+        None,
     )
+    .failure(SpineId(5), hole)
+    .drain(Time::from_secs(2))
     .scheme("ecmp", paper("ecmp", &topo))
     .scheme("presto*", paper("presto", &topo))
     .scheme("letflow", paper("letflow", &topo))
@@ -352,38 +342,29 @@ pub fn fig18() -> Vec<GridSpec> {
     let mut neither = base;
     neither.probe_interval = Time::MAX;
     neither.enable_reroute = false;
-    let template = cell_template(
-        &topo,
-        FlowSizeDist::data_mining(),
-        400,
-        Some(baseline_capacity()),
-    )
-    .drain(Time::from_secs(8));
-    let ablation = GridSpec::new(
-        "Figure 18a: Hermes ablation (data-mining, asymmetric)",
-        template.clone(),
-    )
-    .scheme("hermes", Scheme::Hermes(base))
-    .scheme("no-probing", Scheme::Hermes(no_probe))
-    .scheme("no-rerouting", Scheme::Hermes(no_reroute))
-    .scheme("neither", Scheme::Hermes(neither))
-    .loads(&[0.6, 0.8])
-    .normalize_to("hermes");
+    let grid = |title| {
+        let dist = FlowSizeDist::data_mining();
+        GridSpec::new(title, &topo, dist, 400, Some(baseline_capacity())).drain(Time::from_secs(8))
+    };
+    let ablation = grid("Figure 18a: Hermes ablation (data-mining, asymmetric)")
+        .scheme("hermes", Scheme::Hermes(base))
+        .scheme("no-probing", Scheme::Hermes(no_probe))
+        .scheme("no-rerouting", Scheme::Hermes(no_reroute))
+        .scheme("neither", Scheme::Hermes(neither))
+        .loads(&[0.6, 0.8])
+        .normalize_to("hermes");
 
     // (b) probe interval sweep.
     let mut p100 = base;
     p100.probe_interval = Time::from_us(100);
     let mut p500 = base;
     p500.probe_interval = Time::from_us(500);
-    let interval = GridSpec::new(
-        "Figure 18b: probe-interval sweep (data-mining, asymmetric)",
-        template,
-    )
-    .scheme("probe-100us", Scheme::Hermes(p100))
-    .scheme("probe-500us", Scheme::Hermes(p500))
-    .scheme("probe-off", Scheme::Hermes(no_probe))
-    .loads(&[0.8])
-    .normalize_to("probe-500us");
+    let interval = grid("Figure 18b: probe-interval sweep (data-mining, asymmetric)")
+        .scheme("probe-100us", Scheme::Hermes(p100))
+        .scheme("probe-500us", Scheme::Hermes(p500))
+        .scheme("probe-off", Scheme::Hermes(no_probe))
+        .loads(&[0.8])
+        .normalize_to("probe-500us");
     vec![ablation, interval]
 }
 
@@ -408,22 +389,26 @@ pub fn fig19() -> Vec<GridSpec> {
         (FlowSizeDist::web_search(), 1500),
         (FlowSizeDist::data_mining(), 300),
     ] {
-        let template =
-            cell_template(&topo, dist, nflows, Some(baseline_capacity())).drain(Time::from_secs(6));
+        let grid = |title| {
+            GridSpec::new(
+                title,
+                &topo,
+                dist.clone(),
+                nflows,
+                Some(baseline_capacity()),
+            )
+            .drain(Time::from_secs(6))
+            .loads(&[0.8])
+        };
         // (a) T_RTT_high sweep (absolute values, paper: 140–280 µs).
-        let mut high = GridSpec::new(
-            "Figure 19a: sensitivity to T_RTT_high (80% load)",
-            template.clone(),
-        )
-        .loads(&[0.8]);
+        let mut high = grid("Figure 19a: sensitivity to T_RTT_high (80% load)");
         for high_us in [140u64, 180, 220, 280] {
             let mut p = base;
             p.t_rtt_high = Time::from_us(high_us);
             high = high.scheme(&format!("Thigh-{high_us}us"), Scheme::Hermes(p));
         }
         // (b) Δ_RTT sweep (paper default: one-hop delay = 80 µs).
-        let mut delta =
-            GridSpec::new("Figure 19b: sensitivity to Δ_RTT (80% load)", template).loads(&[0.8]);
+        let mut delta = grid("Figure 19b: sensitivity to Δ_RTT (80% load)");
         for delta_us in [40u64, 80, 120, 160] {
             let mut p = base;
             p.delta_rtt = Time::from_us(delta_us);
@@ -458,10 +443,16 @@ pub fn tcp() -> Vec<GridSpec> {
     ]
     .into_iter()
     .map(|(dist, base)| {
-        let mut template = cell_template(&topo, dist, base, None).drain(Time::from_secs(6));
-        template.sim.transport = TransportCfg::tcp();
-        GridSpec::new("§5.4: plain TCP transport (8x8 baseline)", template)
-            .scheme("ecmp", paper("ecmp", &topo))
+        let mut grid = GridSpec::new(
+            "§5.4: plain TCP transport (8x8 baseline)",
+            &topo,
+            dist,
+            base,
+            None,
+        )
+        .drain(Time::from_secs(6));
+        grid.sim.transport = TransportCfg::tcp();
+        grid.scheme("ecmp", paper("ecmp", &topo))
             .scheme("conga-500us", Scheme::Conga(conga))
             .scheme(
                 "hermes-rtt-only",

@@ -20,9 +20,10 @@ use std::env::VarError;
 use std::process::ExitCode;
 
 use hermes_bench::{avg_summaries, fmt_ms, fmt_ratio, run_points, PointCfg, TextTable};
-use hermes_net::Topology;
-use hermes_runtime::Scheme;
-use hermes_workload::{FctSummary, PoissonCfg, WorkloadKind};
+use hermes_net::{FaultAction, FaultPlan, SpineFailure, SpineId, Topology};
+use hermes_runtime::{Scheme, SimConfig};
+use hermes_sim::Time;
+use hermes_workload::{FctSummary, FlowSizeDist, PoissonCfg, WorkloadKind};
 use Figure::{Custom, Grids};
 
 /// How a figure is produced.
@@ -150,14 +151,23 @@ impl Knobs {
 /// reported the way the paper's FCT figures are (overall avg, small
 /// avg, small 99th, large avg, unfinished fraction; optionally
 /// normalized to one scheme).
+///
+/// A cell is one of `schemes` at one of `loads` with seed `1_000 + i`
+/// for `i < HERMES_RUNS`; everything else is the grid's.
 struct GridSpec {
     title: String,
-    /// Every cell's template, a Poisson workload. A cell is `base` with
-    /// one of `schemes`, one of `loads`, seed `1_000 + i` for
-    /// `i < HERMES_RUNS`, and the template's flow count scaled by
-    /// `HERMES_SCALE`; the template's own scheme, load and seed are
-    /// placeholders.
-    base: PointCfg,
+    /// Every cell's fabric, transport, reorder mask and faults; a cell
+    /// sets its scheme and seed.
+    sim: SimConfig,
+    /// The open-loop arrivals' size law.
+    dist: FlowSizeDist,
+    /// Arrivals per cell, before `HERMES_SCALE`.
+    flows: usize,
+    /// The capacity the load is defined against (the live fabric's if
+    /// `None`).
+    capacity: Option<u64>,
+    /// The drain after the last arrival (`PointCfg::new`'s if `None`).
+    drain: Option<Time>,
     schemes: Vec<(String, Scheme)>,
     loads: Vec<f64>,
     /// Normalize output ratios to this scheme's values.
@@ -165,14 +175,38 @@ struct GridSpec {
 }
 
 impl GridSpec {
-    fn new(title: &str, base: PointCfg) -> GridSpec {
+    /// A grid on `topo` of `flows` arrivals from `dist`, their load
+    /// defined against `capacity`.
+    fn new(
+        title: &str,
+        topo: &Topology,
+        dist: FlowSizeDist,
+        flows: usize,
+        capacity: Option<u64>,
+    ) -> GridSpec {
         GridSpec {
             title: title.to_string(),
-            base,
+            sim: SimConfig::new(topo.clone(), Scheme::Ecmp),
+            dist,
+            flows,
+            capacity,
+            drain: None,
             schemes: Vec::new(),
             loads: Vec::new(),
             normalize_to: None,
         }
+    }
+
+    fn drain(mut self, d: Time) -> GridSpec {
+        self.drain = Some(d);
+        self
+    }
+
+    /// `spine` fails as `failure` for the whole run.
+    fn failure(mut self, spine: SpineId, failure: SpineFailure) -> GridSpec {
+        let set = FaultAction::SetSpineFailure { spine, failure };
+        self.sim.fault_plan = FaultPlan::new().at(Time::ZERO, set);
+        self
     }
 
     fn scheme(mut self, name: &str, s: Scheme) -> GridSpec {
@@ -190,31 +224,28 @@ impl GridSpec {
         self
     }
 
-    /// The template's open-loop workload.
-    fn poisson(&self) -> &PoissonCfg {
-        match &self.base.workload {
-            WorkloadKind::Poisson(p) => p,
-            other => unreachable!("a grid cell is Poisson, not {other:?}"),
-        }
-    }
-
     /// Every cell, scheme-major, then load, then seed.
     fn cells(&self, knobs: Knobs) -> Vec<PointCfg> {
-        let p = self.poisson();
         let mut cfgs = Vec::new();
         for (_, scheme) in &self.schemes {
             for &load in &self.loads {
                 for seed in 0..knobs.runs as u64 {
-                    let mut cfg = self.base.clone();
-                    let flows = knobs.flows(p.flows);
-                    cfg.workload = WorkloadKind::Poisson(PoissonCfg {
+                    let sim = SimConfig {
+                        scheme: scheme.clone(),
+                        seed: 1_000 + seed,
+                        ..self.sim.clone()
+                    };
+                    let poisson = PoissonCfg {
+                        dist: self.dist.clone(),
                         load,
-                        flows,
-                        ..p.clone()
+                        flows: knobs.flows(self.flows),
+                        capacity: self.capacity,
+                    };
+                    let cfg = PointCfg::new(sim, WorkloadKind::Poisson(poisson));
+                    cfgs.push(match self.drain {
+                        Some(d) => cfg.drain(d),
+                        None => cfg,
                     });
-                    cfg.sim.scheme = scheme.clone();
-                    cfg.sim.seed = 1_000 + seed;
-                    cfgs.push(cfg);
                 }
             }
         }
@@ -224,12 +255,11 @@ impl GridSpec {
     /// Print the header, each (scheme, load)'s seed-averaged progress
     /// line (stderr) and the table, from this grid's cell summaries.
     fn print(&self, fcts: &[FctSummary], knobs: Knobs) {
-        let p = self.poisson();
         println!("== {} ==", self.title);
         println!(
             "   workload={}  flows/point={}  seeds/point={}",
-            p.dist.name(),
-            knobs.flows(p.flows),
+            self.dist.name(),
+            knobs.flows(self.flows),
             knobs.runs,
         );
         let keys = self
@@ -241,7 +271,7 @@ impl GridSpec {
             let avg = avg_summaries(sums);
             eprintln!(
                 "   [{}] {name} load {load:.2}: avg {:.3} ms ({} unfinished)",
-                p.dist.name(),
+                self.dist.name(),
                 avg.avg * 1e3,
                 avg.unfinished,
             );

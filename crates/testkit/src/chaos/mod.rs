@@ -1,15 +1,18 @@
 //! Chaos campaign engine: seeded fault-space fuzzing with plan
-//! shrinking, degradation SLOs, and a committed counterexample corpus.
+//! shrinking and degradation SLOs.
 //!
-//! The conformance grid (`crate::suite`) replays *hand-written* fault
-//! scenarios; this module samples the fault space instead. One
-//! campaign = N seeds; each seed deterministically expands to a
-//! [`hermes_net::FaultPlan`] drawn from the full grammar ([`gen`]),
-//! runs across the hermes/conga/ecmp schemes with a matching
-//! fault-free baseline per scheme, and is judged against four
-//! graceful-degradation SLOs ([`slo`]). A failing plan can be shrunk
-//! to a minimal counterexample ([`shrink`]) and committed to
-//! `tests/chaos/corpus/` ([`corpus`]), which CI replays forever after.
+//! The conformance grid (`crate::suite`) replays scenario files; this
+//! module samples the fault space instead. One campaign = N seeds; each
+//! seed deterministically expands to a [`hermes_net::FaultPlan`] drawn
+//! from the full grammar ([`gen`]) and becomes one scenario, the
+//! campaign cell ([`cell_scenario`]): the hermes/conga/ecmp schemes on
+//! the testbed, each with a fault-free twin, judged against four
+//! graceful-degradation SLOs ([`slo`]). It runs through the same
+//! [`crate::run_grid`] as every scenario file. A failing plan can be
+//! shrunk to a minimal counterexample ([`shrink`]) and written as a
+//! scenario file; the committed ones live in `tests/chaos/corpus/`,
+//! which `xtask conformance` replays with the other scenario
+//! directories.
 //!
 //! Everything is deterministic: same seed range + same config ⇒ the
 //! same campaign report, byte for byte (cells run in one
@@ -20,99 +23,91 @@
 //!
 //! Entry point: `cargo run -p xtask -- chaos` (see `xtask --help`).
 
-pub mod corpus;
 pub mod gen;
 pub mod selftest;
 pub mod shrink;
 pub mod slo;
 
-pub use corpus::{
-    entry_from_toml, load_corpus, plan_to_toml, replay_corpus, CorpusEntry, CorpusReplay,
-};
 pub use gen::{sample_plan, GenCfg};
 pub use selftest::{chaos_self_test_passed, run_chaos_self_test, ChaosSelfTestCase};
 pub use shrink::{shrink_plan, ShrinkOutcome};
 pub use slo::{SloCfg, SloClass, SloViolation};
 
-use hermes_bench::{run_points, PointCfg, RunReport};
-use hermes_net::{FaultPlan, FnvDigest, Topology};
-use hermes_runtime::{Scheme, SimConfig};
-use hermes_sim::Time;
-use hermes_workload::{FlowSizeDist, PoissonCfg, WorkloadKind};
+use hermes_net::{FaultPlan, FnvDigest};
+
+use crate::events::plan_to_toml;
+use crate::run::{run_grid, RunOutcome};
+use crate::spec::{parse_scenario, ScenarioSpec, SloTag};
+
+/// The comment that opens a shrunk counterexample's scenario file.
+pub const SHRUNK_HEADER: &str = "\
+# Shrunk chaos counterexample: the campaign cell it was mined in
+# (testbed web-search, hermes/conga/ecmp, one seed) under its shrunk
+# plan. Replayed green at the default SLOs by `xtask conformance`.
+";
 
 /// The schemes every campaign cell runs, in report order.
 pub const LBS: [&str; 3] = ["hermes", "conga", "ecmp"];
 
-/// Goodput sampling cadence for recovery checks.
-const GOODPUT_INTERVAL: Time = Time::from_ms(1);
-
-/// One scheme's pair of runs for one plan: faulted and fault-free,
-/// same workload seed.
-pub struct CellRuns {
-    pub lb: &'static str,
-    pub fault: RunReport,
-    pub base: RunReport,
-}
-
-fn point(topo: &Topology, lb: &str, seed: u64, quick: bool) -> PointCfg {
+/// The scenario file of one campaign cell: the testbed under the quick
+/// or full web-search workload, every [`LBS`] scheme, `seed`, `[slo]`
+/// with `tag`, and `plan` as its `[[event]]` list. The campaign runs
+/// it; `xtask chaos --emit-shrunk` writes it.
+pub fn cell_scenario(
+    description: &str,
+    seed: u64,
+    plan: &FaultPlan,
+    quick: bool,
+    tag: &SloTag,
+) -> String {
     // Quick keeps CI smoke affordable; full is the overnight setting.
     // Both drain far past the generator's 52 ms last-fault bound so the
     // drain SLO judges "stuck forever", not "slow".
-    let (flows, load, drain) = if quick {
-        (40, 0.25, Time::from_secs(1))
+    let (flows, load, drain_ms) = if quick {
+        (40, 0.25, 1000)
     } else {
-        (120, 0.35, Time::from_secs(2))
+        (120, 0.35, 2000)
     };
-    let scheme = Scheme::by_name(lb, topo).expect("every LBS entry is a Scheme::NAMES entry");
-    let sim = SimConfig::new(topo.clone(), scheme).with_seed(seed);
-    let poisson = PoissonCfg {
-        dist: FlowSizeDist::web_search(),
-        load,
-        flows,
-        capacity: None,
-    };
-    PointCfg::new(sim, WorkloadKind::Poisson(poisson))
-        .drain(drain)
-        .goodput_interval(GOODPUT_INTERVAL)
+    let lbs = LBS.map(|lb| format!("\"{lb}\"")).join(", ");
+    let mut s = format!(
+        "description = \"{}\"\n\n[topology]\nkind = \"testbed\"\n\n\
+         [workload]\ndist = \"web_search\"\nload = {load:?}\nflows = {flows}\n\n\
+         [run]\nseeds = [{seed}]\nlbs = [{lbs}]\ndrain_ms = {drain_ms}\n\n[slo]\n",
+        esc(description)
+    );
+    if let Some(class) = tag.class {
+        s.push_str(&format!("class = \"{}\"\n", class.as_str()));
+    }
+    if let Some(cell) = &tag.cell {
+        s.push_str(&format!("cell = \"{}\"\n", esc(cell)));
+    }
+    s + &plan_to_toml(plan)
 }
 
-/// The fabric every campaign cell and corpus replay runs on.
-fn topology() -> Topology {
-    Topology::testbed()
+/// [`cell_scenario`] loaded: the scenario a campaign seed runs.
+pub fn cell_spec(seed: u64, plan: &FaultPlan, quick: bool) -> ScenarioSpec {
+    let desc = format!("chaos campaign seed {seed}");
+    let src = cell_scenario(&desc, seed, plan, quick, &SloTag::default());
+    parse_scenario(&src, "chaos", &format!("seed{seed}"))
+        .unwrap_or_else(|e| panic!("a campaign cell is a valid scenario: {e}"))
 }
 
-/// Run one plan across every scheme, with per-scheme fault-free
-/// baselines: six points in one [`run_points`] call.
-pub fn run_cells(plan: &FaultPlan, seed: u64, quick: bool) -> Vec<CellRuns> {
-    run_plans(&[(plan, seed)], quick)
+/// Run one plan's campaign cell: every scheme with its fault-free twin,
+/// in one [`run_grid`] call.
+pub fn run_cell(plan: &FaultPlan, seed: u64, quick: bool) -> (ScenarioSpec, Vec<RunOutcome>) {
+    let spec = cell_spec(seed, plan, quick);
+    let outs = run_grid(std::slice::from_ref(&spec));
+    (spec, outs)
 }
 
-/// Run every `(plan, seed)` the way [`run_cells`] runs one, all in a
-/// single [`run_points`] call: `LBS.len()` cells per plan, in input
-/// order, whatever the core count.
-fn run_plans(plans: &[(&FaultPlan, u64)], quick: bool) -> Vec<CellRuns> {
-    let topo = &topology();
-    let cfgs: Vec<PointCfg> = plans
-        .iter()
-        .flat_map(|&(plan, seed)| {
-            LBS.into_iter().flat_map(move |lb| {
-                let base = point(topo, lb, seed, quick);
-                let mut faulted = base.clone();
-                faulted.sim.fault_plan = plan.clone();
-                [base, faulted]
-            })
-        })
-        .collect();
-    let mut reports = run_points(&cfgs).into_iter();
-    plans
-        .iter()
-        .flat_map(|_| LBS)
-        .map(|lb| CellRuns {
-            lb,
-            base: reports.next().expect("a fault-free report per cell"),
-            fault: reports.next().expect("a faulted report per cell"),
-        })
-        .collect()
+/// Judge a campaign cell by every SLO at `cfg`: per-LB cells are
+/// labelled `seed=<n>/<lb>`, the cross-LB check `seed=<n>`.
+pub fn judge(spec: &ScenarioSpec, outs: &[RunOutcome], cfg: &SloCfg) -> Vec<SloViolation> {
+    let seed = spec.seeds[0];
+    slo::check_seed(spec, outs, seed, cfg, |lb| match lb {
+        Some(lb) => format!("seed={seed}/{lb}"),
+        None => format!("seed={seed}"),
+    })
 }
 
 /// Campaign shape: how many seeds, how heavy each cell, whether to
@@ -152,7 +147,7 @@ pub struct CellSummary {
     pub unfinished: usize,
 }
 
-/// A shrunk counterexample, ready for the corpus.
+/// A shrunk counterexample, ready to be written as a scenario.
 #[derive(Clone, Debug)]
 pub struct ShrunkCase {
     pub class: SloClass,
@@ -249,8 +244,8 @@ impl CampaignReport {
                 s.push_str(&format!(
                     "{{\"class\": \"{}\", \"cell\": \"{}\", \"detail\": \"{}\"}}",
                     v.class.as_str(),
-                    json_esc(&v.cell),
-                    json_esc(&v.detail)
+                    esc(&v.cell),
+                    esc(&v.detail)
                 ));
             }
             s.push_str("], \"shrunk\": [");
@@ -262,7 +257,7 @@ impl CampaignReport {
                     "{{\"class\": \"{}\", \"cell\": \"{}\", \"from_events\": {}, \
                      \"to_events\": {}, \"evals\": {}}}",
                     sh.class.as_str(),
-                    json_esc(&sh.cell),
+                    esc(&sh.cell),
                     sh.from_events,
                     sh.plan.len(),
                     sh.evals
@@ -277,34 +272,65 @@ impl CampaignReport {
         s.push_str("  ]\n}\n");
         s
     }
+
+    /// Each shrunk counterexample as a scenario file, `(file name,
+    /// contents)`: its campaign cell under the shrunk plan, `[slo]`
+    /// naming the class it tripped and the cell that tripped it.
+    pub fn shrunk_scenarios(&self) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        for o in &self.outcomes {
+            for sh in &o.shrunk {
+                let description = format!(
+                    "shrunk from seed {} ({} -> {} events); tripped {} in {}",
+                    o.seed,
+                    sh.from_events,
+                    sh.plan.len(),
+                    sh.class.as_str(),
+                    sh.cell
+                );
+                let lb = sh.cell.rsplit_once('/').map_or("cross", |(_, lb)| lb);
+                let tag = SloTag {
+                    class: Some(sh.class),
+                    cell: Some(lb.to_string()),
+                };
+                let text = cell_scenario(&description, o.seed, &sh.plan, self.cfg.quick, &tag);
+                out.push((
+                    format!("seed{}-{}.toml", o.seed, sh.class.as_str()),
+                    format!("{SHRUNK_HEADER}{text}"),
+                ));
+            }
+        }
+        out
+    }
 }
 
-fn json_esc(s: &str) -> String {
+/// A string escaped for a JSON or TOML string literal.
+fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Run a full campaign: sample → run → judge → (optionally) shrink.
-/// Every seed's cells run in one [`run_points`] call; the seeds are
-/// then judged, and shrunk, in order.
+/// Every seed's cells run in one [`run_grid`] call; the seeds are then
+/// judged, and shrunk, in order.
 pub fn run_campaign(cfg: &CampaignCfg) -> CampaignReport {
     let gen_cfg = GenCfg::testbed();
-    let plans: Vec<(u64, FaultPlan)> = (0..cfg.seeds)
+    let specs: Vec<ScenarioSpec> = (0..cfg.seeds)
         .map(|i| cfg.seed_base + i)
-        .map(|seed| (seed, sample_plan(seed, &gen_cfg)))
+        .map(|seed| cell_spec(seed, &sample_plan(seed, &gen_cfg), cfg.quick))
         .collect();
-    let jobs: Vec<(&FaultPlan, u64)> = plans.iter().map(|(seed, plan)| (plan, *seed)).collect();
-    let all_runs = run_plans(&jobs, cfg.quick);
+    let outs = run_grid(&specs);
     let mut outcomes = Vec::new();
-    for ((seed, plan), runs) in plans.into_iter().zip(all_runs.chunks(LBS.len())) {
-        let label = format!("seed={seed}");
-        let violations = slo::check_cell(&label, runs, plan.end_time(), &cfg.slo);
+    for (spec, runs) in specs.iter().zip(outs.chunks(LBS.len())) {
+        let seed = spec.seeds[0];
+        let plan = &spec.base.sim.fault_plan;
+        let violations = judge(spec, runs, &cfg.slo);
         let cells = runs
             .iter()
-            .map(|c| CellSummary {
-                lb: c.lb,
-                digest: c.fault.digest,
-                events: c.fault.events,
-                unfinished: c.fault.fct.unfinished,
+            .map(|o| CellSummary {
+                lb: LBS[o.lb_idx],
+                digest: o.result.digest,
+                events: o.result.events,
+                unfinished: o.result.fct.unfinished,
             })
             .collect();
         let mut shrunk = Vec::new();
@@ -312,12 +338,12 @@ pub fn run_campaign(cfg: &CampaignCfg) -> CampaignReport {
             if let Some(v) = violations.first() {
                 let class = v.class;
                 let fails = |cand: &FaultPlan| {
-                    let runs = run_cells(cand, seed, cfg.quick);
-                    slo::check_cell(&label, &runs, cand.end_time(), &cfg.slo)
+                    let (spec, outs) = run_cell(cand, seed, cfg.quick);
+                    judge(&spec, &outs, &cfg.slo)
                         .iter()
                         .any(|w| w.class == class)
                 };
-                let out = shrink_plan(&plan, fails, cfg.max_shrink_evals);
+                let out = shrink_plan(plan, fails, cfg.max_shrink_evals);
                 shrunk.push(ShrunkCase {
                     class,
                     cell: v.cell.clone(),
@@ -329,7 +355,7 @@ pub fn run_campaign(cfg: &CampaignCfg) -> CampaignReport {
         }
         outcomes.push(SeedOutcome {
             seed,
-            plan,
+            plan: plan.clone(),
             cells,
             violations,
             shrunk,
@@ -338,5 +364,67 @@ pub fn run_campaign(cfg: &CampaignCfg) -> CampaignReport {
     CampaignReport {
         cfg: cfg.clone(),
         outcomes,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hermes_net::{FaultAction, SpineFailure, SpineId};
+    use hermes_sim::Time;
+
+    #[test]
+    fn shrunk_scenarios_parse_back_to_the_plan_seed_and_point() {
+        let plan = FaultPlan::new()
+            .random_drop_window(SpineId(2), 0.03, Time::from_ms(4), Time::from_ms(9))
+            .at(
+                Time::from_ms(5),
+                FaultAction::SetSpineFailure {
+                    spine: SpineId(1),
+                    failure: SpineFailure::random_drops(0.5),
+                },
+            );
+        let shrunk = |class, cell: &str| ShrunkCase {
+            class,
+            cell: cell.to_string(),
+            plan: plan.clone(),
+            evals: 3,
+            from_events: 6,
+        };
+        let outcome = SeedOutcome {
+            seed: 41,
+            plan: plan.clone(),
+            cells: Vec::new(),
+            violations: Vec::new(),
+            shrunk: vec![
+                shrunk(SloClass::Recovery, "seed=41/conga"),
+                shrunk(SloClass::CrossLb, "seed=41"),
+            ],
+        };
+        for quick in [true, false] {
+            let report = CampaignReport {
+                cfg: CampaignCfg {
+                    quick,
+                    ..CampaignCfg::default()
+                },
+                outcomes: vec![outcome.clone()],
+            };
+            let files = report.shrunk_scenarios();
+            let names: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, ["seed41-recovery.toml", "seed41-cross_lb.toml"]);
+            let cells = [(SloClass::Recovery, "conga"), (SloClass::CrossLb, "cross")];
+            let campaign = cell_spec(41, &plan, quick);
+            for ((name, text), (class, cell)) in files.iter().zip(cells) {
+                let spec = parse_scenario(text, name, "shrunk").expect("a shrunk file loads");
+                assert_eq!(spec.base.sim.fault_plan, plan);
+                assert_eq!(spec.seeds, [41]);
+                let tag = spec.slo.as_ref().expect("[slo]");
+                assert_eq!((tag.class, tag.cell.as_deref()), (Some(class), Some(cell)));
+                for li in 0..LBS.len() {
+                    let (a, b) = (spec.materialize(li, 41), campaign.materialize(li, 41));
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                }
+            }
+        }
     }
 }

@@ -9,11 +9,9 @@
 use hermes_net::{FaultAction, FaultPlan, LeafId, SpineId};
 use hermes_sim::Time;
 
-use super::run_cells;
 use super::shrink::shrink_plan;
-use super::slo::{
-    check_cell, check_conservation, check_cross_lb, check_drain, check_recovery, SloCfg,
-};
+use super::slo::{check_conservation, check_cross_lb, check_drain, check_recovery, SloCfg};
+use super::{judge, run_cell};
 
 /// One self-test verdict. `ok` means the case behaved as planted
 /// (checker tripped on the doctored fixture, stayed quiet on the
@@ -40,11 +38,11 @@ pub fn run_chaos_self_test() -> Vec<ChaosSelfTestCase> {
     let cfg = SloCfg::default();
     let plan =
         FaultPlan::new().random_drop_window(SpineId(0), 0.05, Time::from_ms(5), Time::from_ms(20));
-    let runs = run_cells(&plan, 7, true);
+    let (spec, outs) = run_cell(&plan, 7, true);
 
     // 1. Honest evidence must be clean — otherwise every "tripped"
     // below would be meaningless.
-    let clean = check_cell("selftest", &runs, plan.end_time(), &cfg);
+    let clean = judge(&spec, &outs, &cfg);
     cases.push(case(
         "honest-run-is-clean",
         clean.is_empty(),
@@ -59,13 +57,14 @@ pub fn run_chaos_self_test() -> Vec<ChaosSelfTestCase> {
         },
     ));
 
-    let Some(ecmp) = runs.iter().find(|c| c.lb == "ecmp") else {
+    let ecmp = outs.iter().find(|o| spec.lbs[o.lb_idx].0 == "ecmp");
+    let Some((fault, base)) = ecmp.and_then(|o| Some((&o.result, o.baseline.as_ref()?))) else {
         cases.push(case("fixtures", false, "no ecmp cell produced".to_string()));
         return cases;
     };
 
     // 2. Conservation: misaccount one injected packet.
-    let mut tampered = ecmp.fault.clone();
+    let mut tampered = fault.clone();
     tampered.conservation.injected += 1;
     let tripped = check_conservation("selftest/ecmp", &tampered).is_some();
     cases.push(case(
@@ -75,7 +74,7 @@ pub fn run_chaos_self_test() -> Vec<ChaosSelfTestCase> {
     ));
 
     // 3. Drain: doctor one flow to never finish.
-    let mut tampered = ecmp.fault.clone();
+    let mut tampered = fault.clone();
     let tripped = if let Some(rec) = tampered.records.first_mut() {
         rec.finish = None;
         check_drain("selftest/ecmp", &tampered).is_some()
@@ -90,23 +89,15 @@ pub fn run_chaos_self_test() -> Vec<ChaosSelfTestCase> {
 
     // 4. Recovery: freeze the faulted goodput series at half the
     // fault-free total so it never reaches the recovery target.
-    let total = ecmp.base.goodput.last().map_or(0, |&(_, b)| b);
-    let mut tampered = ecmp.fault.clone();
-    tampered.goodput = ecmp
-        .base
+    let total = base.goodput.last().map_or(0, |&(_, b)| b);
+    let mut tampered = fault.clone();
+    tampered.goodput = base
         .goodput
         .iter()
         .map(|&(t, b)| (t, b.min(total / 2)))
         .collect();
     let tripped = total > 0
-        && check_recovery(
-            "selftest/ecmp",
-            &tampered,
-            &ecmp.base,
-            plan.end_time(),
-            &cfg,
-        )
-        .is_some();
+        && check_recovery("selftest/ecmp", &tampered, base, plan.end_time(), &cfg).is_some();
     cases.push(case(
         "recovery-checker-trips",
         tripped,
@@ -114,14 +105,14 @@ pub fn run_chaos_self_test() -> Vec<ChaosSelfTestCase> {
     ));
 
     // 5. Cross-LB: a fake "hermes" that strands flows ECMP finished.
-    let mut fake_hermes = ecmp.fault.clone();
-    fake_hermes.fct.unfinished = ecmp.fault.fct.unfinished + 3;
+    let mut fake_hermes = fault.clone();
+    fake_hermes.fct.unfinished = fault.fct.unfinished + 3;
     let n = fake_hermes.records.len();
     for rec in fake_hermes.records.iter_mut().skip(n.saturating_sub(3)) {
         rec.finish = None;
     }
     let tripped =
-        !check_cross_lb("selftest", &fake_hermes, &ecmp.fault, plan.end_time(), &cfg).is_empty();
+        !check_cross_lb("selftest", &fake_hermes, fault, plan.end_time(), &cfg).is_empty();
     cases.push(case(
         "cross-lb-checker-trips",
         tripped,

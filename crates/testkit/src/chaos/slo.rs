@@ -17,13 +17,15 @@
 //!    flow-time past the last fault event (beyond a tolerance band).
 //!
 //! Checkers never panic; they return [`SloViolation`]s so a campaign
-//! can keep running and report everything it found — mirroring the
-//! conformance checkers in [`crate::check`].
+//! can keep running and report everything it found. A scenario with
+//! `[slo]` is judged by all four at their defaults as the conformance
+//! checker class [`crate::CheckClass::Slo`].
 
 use hermes_bench::RunReport;
 use hermes_sim::Time;
 
-use super::CellRuns;
+use crate::run::RunOutcome;
+use crate::spec::ScenarioSpec;
 
 /// Which degradation contract a violation falls under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,7 +37,7 @@ pub enum SloClass {
 }
 
 impl SloClass {
-    /// Stable lowercase name used in reports and corpus files.
+    /// Stable lowercase name used in reports and `[slo]` tables.
     pub fn as_str(self) -> &'static str {
         match self {
             SloClass::Conservation => "conservation",
@@ -45,7 +47,7 @@ impl SloClass {
         }
     }
 
-    /// Parse the stable name back (corpus files carry it).
+    /// Parse the stable name back (`[slo]` tables carry it).
     pub fn parse(s: &str) -> Option<SloClass> {
         match s {
             "conservation" => Some(SloClass::Conservation),
@@ -57,11 +59,11 @@ impl SloClass {
     }
 }
 
-/// One SLO breach in one campaign cell.
+/// One SLO breach in one cell.
 #[derive(Clone, Debug)]
 pub struct SloViolation {
     pub class: SloClass,
-    /// `seed=<n>/<lb>` for per-LB checks, `seed=<n>` for cross-LB.
+    /// The cell as its judge labelled it: per LB, or cross-LB.
     pub cell: String,
     pub detail: String,
 }
@@ -71,8 +73,7 @@ pub struct SloViolation {
 /// The defaults are tuned so a healthy tree (`main`) passes a
 /// 32-seed quick campaign with zero violations; a *stricter* config
 /// (higher `recovery_frac`, smaller slacks) is how new corpus
-/// counterexamples are mined — see `tests/chaos/corpus/README` and
-/// DESIGN.md §14.
+/// counterexamples are mined — see `tests/README.md` and DESIGN.md §14.
 #[derive(Clone, Copy, Debug)]
 pub struct SloCfg {
     /// Fault-run cumulative goodput must reach this fraction of the
@@ -238,26 +239,35 @@ pub fn check_cross_lb(
     out
 }
 
-/// Run every SLO over one seed's cells (all LBs, fault + baseline).
-pub fn check_cell(
-    seed_label: &str,
-    runs: &[CellRuns],
-    plan_end: Time,
+/// Run every SLO over one seed of an `[slo]` scenario's outcomes, each
+/// cell against its fault-free twin and the scenario's fault plan.
+/// `label(Some(lb))` names a per-LB cell, `label(None)` the cross-LB one.
+pub fn check_seed<'a>(
+    spec: &'a ScenarioSpec,
+    outs: impl IntoIterator<Item = &'a RunOutcome>,
+    seed: u64,
     cfg: &SloCfg,
+    label: impl Fn(Option<&str>) -> String,
 ) -> Vec<SloViolation> {
+    let plan_end = spec.base.sim.fault_plan.end_time();
     let mut out = Vec::new();
-    for cr in runs {
-        let cell = format!("{seed_label}/{}", cr.lb);
-        out.extend(check_conservation(&cell, &cr.fault));
-        out.extend(check_drain(&cell, &cr.fault));
-        out.extend(check_recovery(&cell, &cr.fault, &cr.base, plan_end, cfg));
+    let (mut hermes, mut ecmp) = (None, None);
+    for o in outs.into_iter().filter(|o| o.seed == seed) {
+        let (lb, fault) = (spec.lbs[o.lb_idx].0.as_str(), &o.result);
+        let cell = label(Some(lb));
+        out.extend(check_conservation(&cell, fault));
+        out.extend(check_drain(&cell, fault));
+        if let Some(base) = &o.baseline {
+            out.extend(check_recovery(&cell, fault, base, plan_end, cfg));
+        }
+        match lb {
+            "hermes" => hermes = Some(fault),
+            "ecmp" => ecmp = Some(fault),
+            _ => {}
+        }
     }
-    let hermes = runs.iter().find(|c| c.lb == "hermes");
-    let ecmp = runs.iter().find(|c| c.lb == "ecmp");
     if let (Some(h), Some(e)) = (hermes, ecmp) {
-        out.extend(check_cross_lb(
-            seed_label, &h.fault, &e.fault, plan_end, cfg,
-        ));
+        out.extend(check_cross_lb(&label(None), h, e, plan_end, cfg));
     }
     out
 }

@@ -1,5 +1,6 @@
 //! The checker classes: invariants, golden digests and flow records,
-//! envelopes, ring-step conservation, and the incast goodput floor.
+//! envelopes, ring-step conservation, the incast goodput floor, and the
+//! degradation SLOs.
 //!
 //! Every check produces [`Failure`]s rather than panicking, so one
 //! broken cell doesn't mask the rest of the grid and the self-test can
@@ -12,6 +13,7 @@ use std::fmt;
 use hermes_sim::Time;
 use hermes_workload::{records_hash, WorkloadKind};
 
+use crate::chaos::slo::{check_seed, SloCfg};
 use crate::run::RunOutcome;
 use crate::spec::{Metric, ScenarioSpec};
 
@@ -36,6 +38,9 @@ pub enum CheckClass {
     /// Incast burst-drain goodput stayed above the configured fraction
     /// of the aggregator's line rate (and below the line rate itself).
     IncastFloor,
+    /// `[slo]` scenarios only: a degradation SLO (conservation, drain,
+    /// recovery, cross-LB) broke against the cell's fault-free twin.
+    Slo,
 }
 
 impl fmt::Display for CheckClass {
@@ -47,6 +52,7 @@ impl fmt::Display for CheckClass {
             CheckClass::Envelope => write!(f, "envelope"),
             CheckClass::RingStep => write!(f, "ring_step"),
             CheckClass::IncastFloor => write!(f, "incast_floor"),
+            CheckClass::Slo => write!(f, "slo"),
         }
     }
 }
@@ -380,6 +386,28 @@ pub fn check_incast_floor(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure>
                 ),
             );
         }
+    }
+    fails
+}
+
+/// Judge an `[slo]` scenario seed by seed by all four degradation SLOs
+/// at [`SloCfg::default`], each cell against its twin: a no-op for
+/// every other scenario. Per-LB cells are named like digest keys, the
+/// cross-LB check `scenario/cross/seed`.
+pub fn check_slos(spec: &ScenarioSpec, outs: &[&RunOutcome]) -> Vec<Failure> {
+    if spec.slo.is_none() {
+        return Vec::new();
+    }
+    let cfg = SloCfg::default();
+    let mut fails = Vec::new();
+    for &seed in &spec.seeds {
+        let label = |lb: Option<&str>| format!("{}/{}/{seed}", spec.name, lb.unwrap_or("cross"));
+        let violations = check_seed(spec, outs.iter().copied(), seed, &cfg, label);
+        fails.extend(violations.into_iter().map(|v| Failure {
+            class: CheckClass::Slo,
+            cell: v.cell,
+            detail: format!("{}: {}", v.class.as_str(), v.detail),
+        }));
     }
     fails
 }

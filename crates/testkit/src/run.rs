@@ -1,10 +1,12 @@
 //! Multi-seed scenario execution.
 //!
 //! Each `(scenario, lb, seed)` grid cell is one fully independent
-//! deterministic simulation: the job list is materialized into
-//! `PointCfg`s and handed to [`hermes_bench::run_points`], whose
-//! results land by index, so the outcomes are in job order whatever
-//! the core count.
+//! deterministic simulation, plus its fault-free twin when the scenario
+//! carries `[slo]`: the job list is materialized into `PointCfg`s and
+//! handed to [`hermes_bench::run_points`], whose results land by index,
+//! so the outcomes are in job order whatever the core count. This is
+//! the one runner of scenarios: the conformance suite and the chaos
+//! campaign both call [`run_grid`].
 
 use hermes_bench::{run_points, RunReport};
 
@@ -19,6 +21,8 @@ pub struct RunOutcome {
     pub lb_idx: usize,
     pub seed: u64,
     pub result: RunReport,
+    /// The fault-free twin's report, for an `[slo]` scenario.
+    pub baseline: Option<RunReport>,
 }
 
 /// Flatten the scenarios into the deterministic job list.
@@ -34,21 +38,30 @@ fn jobs(specs: &[ScenarioSpec]) -> Vec<(usize, usize, u64)> {
     out
 }
 
-/// Run every `(scenario, lb, seed)` cell in one [`run_points`] call.
-/// Returns outcomes in job order. Sim panics propagate.
+/// Run every `(scenario, lb, seed)` cell, and each twin, in one
+/// [`run_points`] call. Returns outcomes in job order. Sim panics
+/// propagate.
 pub fn run_grid(specs: &[ScenarioSpec]) -> Vec<RunOutcome> {
     let jobs = jobs(specs);
     let cfgs: Vec<_> = jobs
         .iter()
-        .map(|&(si, li, seed)| specs[si].materialize(li, seed))
+        .flat_map(|&(si, li, seed)| {
+            let spec = &specs[si];
+            let twin = spec.slo.as_ref().map(|_| spec.twin(li, seed));
+            std::iter::once(spec.materialize(li, seed)).chain(twin)
+        })
         .collect();
+    let mut reports = run_points(&cfgs).into_iter();
     jobs.into_iter()
-        .zip(run_points(&cfgs))
-        .map(|((scenario, lb_idx, seed), result)| RunOutcome {
+        .map(|(scenario, lb_idx, seed)| RunOutcome {
             scenario,
             lb_idx,
             seed,
-            result,
+            result: reports.next().expect("a report per cell"),
+            baseline: specs[scenario]
+                .slo
+                .as_ref()
+                .map(|_| reports.next().expect("a report per twin")),
         })
         .collect()
 }

@@ -9,13 +9,13 @@
 //! run's evidence to
 //! reach checker branches a correct simulator can't trigger
 //! (conservation imbalance, impossible FCTs, a clamped past-time
-//! schedule, time reversal).
+//! schedule, time reversal, a wedged flow under `[slo]`).
 
 use hermes_workload::records_hash;
 
 use crate::check::{
     check_digests, check_envelopes, check_incast_floor, check_invariants, check_ring_steps,
-    CheckClass, Failure, Goldens,
+    check_slos, CheckClass, Failure, Goldens,
 };
 use crate::run::{run_grid, RunOutcome};
 use crate::spec::{parse_scenario, ScenarioSpec, SpecError};
@@ -30,7 +30,7 @@ pub struct SelfTestCase {
 fn fixture(extra: &str, stem: &str) -> Result<(ScenarioSpec, Vec<RunOutcome>), SpecError> {
     // The splice point is the top of the file: top-level keys (e.g.
     // `pin_digests`) must precede the first table header, and extra
-    // tables ([fault], [[envelope]]) may appear in any order.
+    // tables ([[event]], [[envelope]]) may appear in any order.
     let src = format!(
         r#"
         {extra}
@@ -59,14 +59,18 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     // ECMP flows, violating a declared zero-unfinished bound.
     let (spec, outs) = fixture(
         r#"
-        [fault]
-        kind = "blackhole"
+        [[event]]
+        at_ns = 2000000
+        kind = "set_spine_failure"
         spine = 0
-        src_leaf = 0
-        dst_leaf = 1
-        frac = 1.0
-        start_ms = 2
-        end_ms = 800
+        random_drop = 0.0
+        bh_src_leaf = 0
+        bh_dst_leaf = 1
+        bh_pair_fraction = 1.0
+        [[event]]
+        at_ns = 800000000
+        kind = "clear_spine_failure"
+        spine = 0
         [invariants]
         max_unfinished_frac = 0.0
         "#,
@@ -218,6 +222,17 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
         failures: check_incast_floor(&spec, &outs[0]),
     });
 
+    // -- Slo: a healthy `[slo]` run with one flow doctored to never
+    // finish — the drain SLO must catch the wedged flow.
+    let (spec, mut outs) = fixture("[slo]", "broken_slo_drain")?;
+    outs[0].result.records[0].finish = None;
+    let refs: Vec<&RunOutcome> = outs.iter().collect();
+    cases.push(SelfTestCase {
+        name: "degradation SLO (a flow never finished)",
+        expect: CheckClass::Slo,
+        failures: check_slos(&spec, &refs),
+    });
+
     Ok(cases)
 }
 
@@ -252,6 +267,7 @@ mod tests {
         assert!(classes.contains(&CheckClass::Envelope));
         assert!(classes.contains(&CheckClass::RingStep));
         assert!(classes.contains(&CheckClass::IncastFloor));
+        assert!(classes.contains(&CheckClass::Slo));
         assert!(self_test_passed(&cases));
     }
 }

@@ -8,6 +8,9 @@
 //! [`hermes_bench::PointCfg`] template held by the [`ScenarioSpec`];
 //! each `(lb, seed)` cell of the grid is that template plus a scheme
 //! and a seed ([`ScenarioSpec::materialize`]), ready for `run_point`.
+//! An `[slo]` scenario also runs each cell's fault-free twin
+//! ([`ScenarioSpec::twin`]). An optional key of the wrong type is an
+//! error naming it, never its default.
 //!
 //! ## Schema
 //!
@@ -46,29 +49,29 @@
 //! # elephant_frac = 0.1
 //!
 //! [run]
-//! seeds = [1, 2, 3]
-//! lbs = ["hermes", "conga", "ecmp"]
+//! seeds = [1, 2, 3]              # distinct
+//! lbs = ["hermes", "conga", "ecmp"]  # distinct
 //! drain_ms = 2000                # optional (default 3000)
 //!
-//! [fault]                        # optional, time-triggered
-//! kind = "blackhole"             # "blackhole" | "random_drop"
+//! [[event]]                      # optional fault plan, any number
+//! at_ns = 5000000                # of events (every kind: `crate::events`)
+//! kind = "spine_down"
 //! spine = 0
-//! src_leaf = 0                   # blackhole only
-//! dst_leaf = 1                   # blackhole only
-//! frac = 1.0                     # blackhole pair fraction | drop rate
-//! start_ms = 5
-//! end_ms = 120
 //!
-//! [invariants]
-//! max_unfinished_frac = 0.0      # optional (default 1.0 = no bound)
-//! incast_floor_frac = 0.25       # optional; incast scenarios only:
-//!                                # per-burst goodput ≥ frac × line rate
+//! [invariants]                   # both optional, in [0, 1]
+//! max_unfinished_frac = 0.0      # default 1.0 = no bound
+//! incast_floor_frac = 0.25       # incast only: per-burst goodput
+//!                                # ≥ frac × line rate
 //!
 //! [[envelope]]                   # optional statistical envelopes
 //! metric = "avg"                 # "avg" | "p99"
 //! lb = "hermes"
 //! baseline = "conga"
-//! max_ratio = 1.15               # mean-over-seeds(lb) ≤ ratio × baseline
+//! max_ratio = 1.15               # > 0: mean-over-seeds(lb) ≤ ratio × baseline
+//!
+//! [slo]                          # optional: judge by the SLOs against
+//! class = "recovery"             # fault-free twins, goodput every 1 ms;
+//! cell = "hermes"                # both keys optional provenance
 //! ```
 
 use std::fmt;
@@ -80,7 +83,9 @@ use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
 use hermes_workload::{FlowSizeDist, IncastCfg, MixCfg, PoissonCfg, RingCfg, WorkloadKind};
 
-use crate::toml::{self, KeyLines, Table, Value};
+use crate::chaos::SloClass;
+use crate::events;
+use crate::toml::{self, opt, req, uint, KeyLines, Table, Value};
 
 /// A spec-level error: what went wrong, and in which file.
 #[derive(Clone, Debug)]
@@ -96,13 +101,6 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-fn serr<T>(file: &str, msg: impl Into<String>) -> Result<T, SpecError> {
-    Err(SpecError {
-        file: file.to_string(),
-        msg: msg.into(),
-    })
-}
 
 /// A statistical envelope: `mean_over_seeds(metric(lb))` must stay
 /// within `max_ratio ×` the same metric of `baseline`.
@@ -153,6 +151,18 @@ impl Default for InvariantCfg {
     }
 }
 
+/// An `[slo]` table: the scenario is judged by the four degradation
+/// SLOs, each cell against its fault-free twin. Its keys are provenance
+/// only: they select nothing.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SloTag {
+    /// The SLO class the scenario was mined for.
+    pub class: Option<SloClass>,
+    /// The cell that tripped it: an LB of the scenario, or `cross` for
+    /// the cross-LB contract.
+    pub cell: Option<String>,
+}
+
 /// One fully-parsed scenario file.
 #[derive(Clone, Debug)]
 pub struct ScenarioSpec {
@@ -173,6 +183,8 @@ pub struct ScenarioSpec {
     pub envelopes: Vec<EnvelopeSpec>,
     /// Whether `(scenario, lb, seed)` digests are pinned as goldens.
     pub pin_digests: bool,
+    /// `Some` for a scenario judged by the degradation SLOs.
+    pub slo: Option<SloTag>,
 }
 
 impl ScenarioSpec {
@@ -185,6 +197,14 @@ impl ScenarioSpec {
         cfg
     }
 
+    /// [`Self::materialize`] with no faults: the baseline an `[slo]`
+    /// scenario judges the cell against.
+    pub fn twin(&self, lb_idx: usize, seed: u64) -> PointCfg {
+        let mut cfg = self.materialize(lb_idx, seed);
+        cfg.sim.fault_plan = FaultPlan::new();
+        cfg
+    }
+
     /// Key for a golden-digest entry.
     pub fn digest_key(&self, lb_idx: usize, seed: u64) -> String {
         format!("{}/{}/{}", self.name, self.lbs[lb_idx].0, seed)
@@ -193,112 +213,82 @@ impl ScenarioSpec {
 
 // ---- TOML → spec ----------------------------------------------------
 
-fn get<'a>(t: &'a Table, key: &str) -> Option<&'a Value> {
-    t.get(key)
+fn opt_str(t: &Table, key: &str) -> Result<Option<String>, String> {
+    Ok(opt(t, key, "a string", Value::as_str)?.map(str::to_string))
 }
 
-fn req_str(t: &Table, key: &str, file: &str) -> Result<String, SpecError> {
-    match get(t, key).and_then(Value::as_str) {
-        Some(s) => Ok(s.to_string()),
-        None => serr(file, format!("missing string `{key}`")),
+fn req_str(t: &Table, key: &str) -> Result<String, String> {
+    Ok(req(t, key, "a string", Value::as_str)?.to_string())
+}
+
+fn req_float(t: &Table, key: &str) -> Result<f64, String> {
+    req(t, key, "a number", Value::as_float)
+}
+
+/// An optional fraction key in [0, 1], `default` when absent.
+fn frac(t: &Table, key: &str, default: f64) -> Result<f64, String> {
+    match opt(t, key, "a number", Value::as_float)? {
+        None => Ok(default),
+        Some(f) if (0.0..=1.0).contains(&f) => Ok(f),
+        Some(f) => Err(format!("`{key}` = {f}: must lie in [0, 1]")),
     }
-}
-
-fn req_float(t: &Table, key: &str, file: &str) -> Result<f64, SpecError> {
-    match get(t, key).and_then(Value::as_float) {
-        Some(f) => Ok(f),
-        None => serr(file, format!("missing number `{key}`")),
-    }
-}
-
-fn req_usize(t: &Table, key: &str, file: &str) -> Result<usize, SpecError> {
-    let Some(i) = get(t, key).and_then(Value::as_int) else {
-        return serr(file, format!("missing integer `{key}`"));
-    };
-    usize::try_from(i).map_err(|_| SpecError {
-        file: file.to_string(),
-        msg: format!("`{key}` must be non-negative"),
-    })
 }
 
 /// A size key counted in KB (1000 B), as bytes. A product past `u64`
 /// is an error naming the key, not a wrap.
-fn kb_bytes(t: &Table, key: &str, file: &str) -> Result<u64, SpecError> {
-    let kb = req_usize(t, key, file)? as u64;
+fn kb_bytes(t: &Table, key: &str) -> Result<u64, String> {
+    let kb: u64 = uint(t, key)?;
     match kb.checked_mul(1000) {
         Some(bytes) => Ok(bytes),
-        None => serr(file, format!("`{key}` = {kb}: too large to count in bytes")),
+        None => Err(format!("`{key}` = {kb}: too large to count in bytes")),
     }
 }
 
 /// An optional duration key counted in milliseconds: non-negative and
 /// representable in nanoseconds. `None` when the key is absent.
-fn duration_ms(t: &Table, key: &str, file: &str) -> Result<Option<Time>, SpecError> {
-    let Some(i) = get(t, key).and_then(Value::as_int) else {
+fn duration_ms(t: &Table, key: &str) -> Result<Option<Time>, String> {
+    let Some(i) = opt(t, key, "an integer", Value::as_int)? else {
         return Ok(None);
     };
     match u64::try_from(i).ok().and_then(|v| v.checked_mul(1_000_000)) {
         Some(ns) => Ok(Some(Time::from_ns(ns))),
-        None => serr(
-            file,
-            format!("`{key}` = {i}: must be an integer ≥ 0 that fits in nanoseconds"),
-        ),
-    }
-}
-
-fn time_ms(t: &Table, key: &str, file: &str) -> Result<Time, SpecError> {
-    match duration_ms(t, key, file)? {
-        Some(d) => Ok(d),
-        None => serr(file, format!("missing integer `{key}`")),
+        None => Err(format!(
+            "`{key}` = {i}: must be an integer ≥ 0 that fits in nanoseconds"
+        )),
     }
 }
 
 /// A leaf or spine index from the file, range-checked against the
 /// chosen topology's `n` switches of that tier before it indexes
 /// anything.
-fn switch_idx(i: i64, n: usize, tier: &str, key: &str, file: &str) -> Result<u16, SpecError> {
+fn switch_idx(i: i64, n: usize, tier: &str, key: &str) -> Result<u16, String> {
     match u16::try_from(i) {
         Ok(v) if usize::from(v) < n => Ok(v),
-        _ => serr(
-            file,
-            format!("`{key}`: {tier} {i} out of range (topology has {n})"),
-        ),
+        _ => Err(format!(
+            "`{key}`: {tier} {i} out of range (topology has {n})"
+        )),
     }
 }
 
 /// The `[leaf, spine, ..]` head of one `cut`/`degrade` entry.
-fn link(
-    item: &Value,
-    base: &Topology,
-    key: &str,
-    file: &str,
-) -> Result<(LeafId, SpineId), SpecError> {
+fn link(item: &Value, base: &Topology, key: &str) -> Result<(LeafId, SpineId), String> {
     let entry = item.as_array().unwrap_or(&[]);
     let (Some(l), Some(s)) = (
         entry.first().and_then(Value::as_int),
         entry.get(1).and_then(Value::as_int),
     ) else {
-        return serr(file, format!("`{key}` entries must start [leaf, spine]"));
+        return Err(format!("`{key}` entries must start [leaf, spine]"));
     };
     Ok((
-        LeafId(switch_idx(l, base.n_leaves, "leaf", key, file)?),
-        SpineId(switch_idx(s, base.n_spines, "spine", key, file)?),
+        LeafId(switch_idx(l, base.n_leaves, "leaf", key)?),
+        SpineId(switch_idx(s, base.n_spines, "spine", key)?),
     ))
-}
-
-/// A fault's `frac` (blackhole pair fraction or drop rate) in [0, 1].
-fn fault_frac(ft: &Table, file: &str) -> Result<f64, SpecError> {
-    let frac = req_float(ft, "frac", file)?;
-    if (0.0..=1.0).contains(&frac) {
-        Ok(frac)
-    } else {
-        serr(file, format!("fault `frac` {frac} outside [0, 1]"))
-    }
 }
 
 /// Per-section allowed key sets. A key outside these is a hard error
 /// with the offending line — typos (`flws`) must not silently become
-/// defaults.
+/// defaults. `[[event]]` keys depend on each event's kind and are
+/// checked by [`events::plan_from_toml`].
 const TOP_KEYS: &[&str] = &[
     "name",
     "description",
@@ -306,21 +296,25 @@ const TOP_KEYS: &[&str] = &[
     "topology",
     "workload",
     "run",
-    "fault",
+    "event",
     "invariants",
     "envelope",
+    "slo",
 ];
 const TOPOLOGY_KEYS: &[&str] = &["kind", "cut", "degrade"];
 const RUN_KEYS: &[&str] = &["seeds", "lbs", "drain_ms"];
-const FAULT_KEYS: &[&str] = &[
-    "kind", "spine", "src_leaf", "dst_leaf", "frac", "start_ms", "end_ms",
-];
 const INVARIANT_KEYS: &[&str] = &["max_unfinished_frac", "incast_floor_frac"];
 const ENVELOPE_KEYS: &[&str] = &["metric", "lb", "baseline", "max_ratio"];
+const SLO_KEYS: &[&str] = &["class", "cell"];
 
-/// The goodput sampler's period in every scenario. Its events enter the
-/// event digest, so the golden digests hold at this period only.
+/// The goodput sampler's period in a scenario without `[slo]`. Its
+/// events enter the event digest, so the golden digests hold at this
+/// period only.
 const GOODPUT_INTERVAL: Time = Time::from_us(500);
+
+/// The goodput sampler's period in an `[slo]` scenario: the chaos
+/// cadence the recovery budgets and the campaign digest are defined at.
+const SLO_GOODPUT_INTERVAL: Time = Time::from_ms(1);
 
 /// `[workload]` keys allowed for each `kind`.
 fn workload_keys(kind: &str) -> &'static [&'static str] {
@@ -342,20 +336,14 @@ fn workload_keys(kind: &str) -> &'static [&'static str] {
 
 /// Reject unknown keys anywhere in the document, naming the source
 /// line. `wl_kind` selects which `[workload]` keys are legal.
-fn validate_keys(key_lines: &KeyLines, wl_kind: &str, file: &str) -> Result<(), SpecError> {
-    let unknown = |line: usize, key: &str, section: &str| -> Result<(), SpecError> {
-        serr(
-            file,
-            format!("line {line}: unknown key `{key}` in {section}"),
-        )
+fn validate_keys(key_lines: &KeyLines, wl_kind: &str) -> Result<(), String> {
+    let unknown = |line: usize, key: &str, section: &str| -> Result<(), String> {
+        Err(format!("line {line}: unknown key `{key}` in {section}"))
     };
     for (path, &line) in key_lines {
         let segs: Vec<&str> = path.split('.').collect();
         if !TOP_KEYS.contains(&segs[0]) {
-            return serr(
-                file,
-                format!("line {line}: unknown top-level key `{}`", segs[0]),
-            );
+            return Err(format!("line {line}: unknown top-level key `{}`", segs[0]));
         }
         if segs.len() == 1 {
             continue;
@@ -364,10 +352,11 @@ fn validate_keys(key_lines: &KeyLines, wl_kind: &str, file: &str) -> Result<(), 
             "topology" => ("[topology]", TOPOLOGY_KEYS, 1),
             "workload" => ("[workload]", workload_keys(wl_kind), 1),
             "run" => ("[run]", RUN_KEYS, 1),
-            "fault" => ("[fault]", FAULT_KEYS, 1),
             "invariants" => ("[invariants]", INVARIANT_KEYS, 1),
+            "slo" => ("[slo]", SLO_KEYS, 1),
             // AoT paths carry the element index: envelope.<i>.<key>.
             "envelope" => ("[[envelope]]", ENVELOPE_KEYS, 2),
+            "event" => continue,
             _ => {
                 // Scalar top-level key used as a table (`[name.x]`).
                 return unknown(line, segs[1], &format!("[{}]", segs[0]));
@@ -382,64 +371,65 @@ fn validate_keys(key_lines: &KeyLines, wl_kind: &str, file: &str) -> Result<(), 
     Ok(())
 }
 
+/// A `[run]` list that must be non-empty and name each entry once.
+fn distinct<T: PartialEq + fmt::Debug>(items: &[T], key: &str) -> Result<(), String> {
+    match (1..items.len()).find(|&i| items[..i].contains(&items[i])) {
+        _ if items.is_empty() => Err(format!("`{key}` must be non-empty")),
+        Some(i) => Err(format!("`{key}` lists {:?} twice", items[i])),
+        None => Ok(()),
+    }
+}
+
 /// Parse one scenario file's contents. `file` is used for error
 /// context; `stem` is the default scenario name.
 pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec, SpecError> {
-    let (root, key_lines) = toml::parse_with_lines(src).map_err(|e| SpecError {
+    parse(src, stem).map_err(|msg| SpecError {
         file: file.to_string(),
-        msg: e.to_string(),
-    })?;
-    let wl_kind = get(&root, "workload")
-        .and_then(Value::as_table)
-        .and_then(|t| get(t, "kind"))
-        .and_then(Value::as_str)
-        .unwrap_or("poisson")
-        .to_string();
-    validate_keys(&key_lines, &wl_kind, file)?;
+        msg,
+    })
+}
 
-    let name = match get(&root, "name").and_then(Value::as_str) {
-        Some(s) => s.to_string(),
-        None => stem.to_string(),
+fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
+    let (root, key_lines) = toml::parse_with_lines(src).map_err(|e| e.to_string())?;
+    let wl_kind = match root.get("workload").and_then(Value::as_table) {
+        Some(t) => opt_str(t, "kind")?,
+        None => None,
     };
-    let description = get(&root, "description")
-        .and_then(Value::as_str)
-        .unwrap_or("")
-        .to_string();
-    let pin_digests = get(&root, "pin_digests")
-        .and_then(Value::as_bool)
-        .unwrap_or(false);
+    let wl_kind = wl_kind.unwrap_or_else(|| "poisson".to_string());
+    validate_keys(&key_lines, &wl_kind)?;
+
+    let name = opt_str(&root, "name")?.unwrap_or_else(|| stem.to_string());
+    let description = opt_str(&root, "description")?.unwrap_or_default();
+    let pin_digests = opt(&root, "pin_digests", "a boolean", Value::as_bool)?.unwrap_or(false);
 
     // [topology]
-    let Some(topo_t) = get(&root, "topology").and_then(Value::as_table) else {
-        return serr(file, "missing [topology] table");
+    let Some(topo_t) = root.get("topology").and_then(Value::as_table) else {
+        return Err("missing [topology] table".into());
     };
-    let mut topo = match req_str(topo_t, "kind", file)?.as_str() {
+    let mut topo = match req_str(topo_t, "kind")?.as_str() {
         // 2 leaves × 4 spines × 6 hosts/leaf, 1 Gbps (the paper's testbed).
         "testbed" => Topology::testbed(),
         // 8 leaves × 8 spines × 16 hosts/leaf, 10 Gbps (§5 simulations).
         "sim_baseline" => Topology::sim_baseline(),
-        other => return serr(file, format!("unknown topology kind `{other}`")),
+        other => return Err(format!("unknown topology kind `{other}`")),
     };
     let healthy_capacity = topo.total_uplink_bps();
-    let entries = |key: &str| match get(topo_t, key).map(Value::as_array) {
+    let entries = |key: &str| match topo_t.get(key).map(Value::as_array) {
         None => Ok(&[][..]),
         Some(Some(items)) => Ok(items),
-        Some(None) => serr(file, format!("`{key}` must be an array")),
+        Some(None) => Err(format!("`{key}` must be an array")),
     };
     for item in entries("cut")? {
-        let (l, s) = link(item, &topo, "cut", file)?;
+        let (l, s) = link(item, &topo, "cut")?;
         topo.cut_link(l, s);
     }
     for item in entries("degrade")? {
-        let (l, s) = link(item, &topo, "degrade", file)?;
+        let (l, s) = link(item, &topo, "degrade")?;
         if topo.up[usize::from(l.0)][usize::from(s.0)].is_none() {
-            return serr(
-                file,
-                format!(
-                    "`degrade` names link [{}, {}], which `cut` removes",
-                    l.0, s.0
-                ),
-            );
+            return Err(format!(
+                "`degrade` names link [{}, {}], which `cut` removes",
+                l.0, s.0
+            ));
         }
         let mbps = item
             .as_array()
@@ -448,173 +438,164 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
             .and_then(|m| u64::try_from(m).ok())
             .filter(|&m| m >= 1 && m.checked_mul(1_000_000).is_some());
         let Some(mbps) = mbps else {
-            return serr(
-                file,
-                "`degrade` entries must be [leaf, spine, rate_mbps] with rate_mbps ≥ 1",
+            return Err(
+                "`degrade` entries must be [leaf, spine, rate_mbps] with rate_mbps ≥ 1".into(),
             );
         };
         topo.degrade_link(l, s, mbps * 1_000_000);
     }
 
     // [workload]
-    let Some(work_t) = get(&root, "workload").and_then(Value::as_table) else {
-        return serr(file, "missing [workload] table");
+    let Some(work_t) = root.get("workload").and_then(Value::as_table) else {
+        return Err("missing [workload] table".into());
     };
     // The paper's convention: offered load is defined against the
     // healthy fabric even when the fabric under test lost capacity.
-    let poisson = |dist| -> Result<WorkloadKind, SpecError> {
+    let poisson = |dist| -> Result<WorkloadKind, String> {
         Ok(WorkloadKind::Poisson(PoissonCfg {
             dist,
-            load: req_float(work_t, "load", file)?,
-            flows: req_usize(work_t, "flows", file)?,
+            load: req_float(work_t, "load")?,
+            flows: uint(work_t, "flows")?,
             capacity: Some(healthy_capacity),
         }))
     };
     let workload = match wl_kind.as_str() {
-        "poisson" => poisson(match req_str(work_t, "dist", file)?.as_str() {
+        "poisson" => poisson(match req_str(work_t, "dist")?.as_str() {
             "web_search" => FlowSizeDist::web_search(),
             "data_mining" => FlowSizeDist::data_mining(),
-            other => return serr(file, format!("unknown dist `{other}`")),
+            other => return Err(format!("unknown dist `{other}`")),
         })?,
         "ring_allreduce" => WorkloadKind::RingAllreduce(RingCfg {
-            ranks: req_usize(work_t, "ranks", file)?,
-            steps: req_usize(work_t, "steps", file)?,
-            chunk_bytes: kb_bytes(work_t, "chunk_kb", file)?,
+            ranks: uint(work_t, "ranks")?,
+            steps: uint(work_t, "steps")?,
+            chunk_bytes: kb_bytes(work_t, "chunk_kb")?,
         }),
         "incast" => WorkloadKind::Incast(IncastCfg {
-            fanout: req_usize(work_t, "fanout", file)?,
-            reply_bytes: kb_bytes(work_t, "reply_kb", file)?,
-            bursts: req_usize(work_t, "bursts", file)?,
+            fanout: uint(work_t, "fanout")?,
+            reply_bytes: kb_bytes(work_t, "reply_kb")?,
+            bursts: uint(work_t, "bursts")?,
         }),
         "elephant_mice" => poisson(FlowSizeDist::elephant_mice(MixCfg {
-            mice_bytes: kb_bytes(work_t, "mice_kb", file)?,
-            elephant_bytes: kb_bytes(work_t, "elephant_kb", file)?,
-            elephant_frac: req_float(work_t, "elephant_frac", file)?,
+            mice_bytes: kb_bytes(work_t, "mice_kb")?,
+            elephant_bytes: kb_bytes(work_t, "elephant_kb")?,
+            elephant_frac: req_float(work_t, "elephant_frac")?,
         }))?,
-        other => return serr(file, format!("unknown workload kind `{other}`")),
+        other => return Err(format!("unknown workload kind `{other}`")),
     };
 
     // [run]
-    let Some(run_t) = get(&root, "run").and_then(Value::as_table) else {
-        return serr(file, "missing [run] table");
+    let Some(run_t) = root.get("run").and_then(Value::as_table) else {
+        return Err("missing [run] table".into());
     };
-    let seeds: Vec<u64> = match get(run_t, "seeds").and_then(Value::as_array) {
-        Some(items) => {
-            let mut out = Vec::new();
-            for item in items {
-                match item.as_int() {
-                    Some(i) if i >= 0 => out.push(i as u64),
-                    _ => return serr(file, "`seeds` must be non-negative integers"),
-                }
-            }
-            out
+    let Some(items) = run_t.get("seeds").and_then(Value::as_array) else {
+        return Err("missing `seeds` in [run]".into());
+    };
+    let mut seeds: Vec<u64> = Vec::with_capacity(items.len());
+    for item in items {
+        match item.as_int().map(u64::try_from) {
+            Some(Ok(seed)) => seeds.push(seed),
+            _ => return Err("`seeds` must be non-negative integers".into()),
         }
-        None => return serr(file, "missing `seeds` in [run]"),
-    };
-    if seeds.is_empty() {
-        return serr(file, "`seeds` must be non-empty");
     }
-    let Some(items) = get(run_t, "lbs").and_then(Value::as_array) else {
-        return serr(file, "missing `lbs` in [run]");
+    distinct(&seeds, "seeds")?;
+    let Some(items) = run_t.get("lbs").and_then(Value::as_array) else {
+        return Err("missing `lbs` in [run]".into());
     };
     let mut lbs = Vec::with_capacity(items.len());
     for item in items {
         let Some(name) = item.as_str() else {
-            return serr(file, "`lbs` must be strings");
+            return Err("`lbs` must be strings".into());
         };
         let Some(scheme) = Scheme::by_name(name, &topo) else {
-            return serr(file, format!("unknown lb `{name}`"));
+            return Err(format!("unknown lb `{name}`"));
         };
         lbs.push((name.to_string(), scheme));
     }
-    let Some((_, first_scheme)) = lbs.first() else {
-        return serr(file, "`lbs` must be non-empty");
-    };
-    let drain = duration_ms(run_t, "drain_ms", file)?.unwrap_or(Time::from_ms(3000));
+    let names: Vec<&str> = lbs.iter().map(|(n, _)| n.as_str()).collect();
+    distinct(&names, "lbs")?;
+    let drain = duration_ms(run_t, "drain_ms")?.unwrap_or(Time::from_ms(3000));
 
-    // [fault] (optional, time-triggered window)
-    let fault_plan = match get(&root, "fault").and_then(Value::as_table) {
-        Some(ft) => {
-            let idx = |key: &str, n: usize, tier: &str| -> Result<u16, SpecError> {
-                match get(ft, key).and_then(Value::as_int) {
-                    Some(i) => switch_idx(i, n, tier, key, file),
-                    None => serr(file, format!("missing integer `{key}`")),
-                }
-            };
-            let spine = SpineId(idx("spine", topo.n_spines, "spine")?);
-            let start = time_ms(ft, "start_ms", file)?;
-            let end = time_ms(ft, "end_ms", file)?;
-            if end <= start {
-                return serr(file, "fault `end_ms` must exceed `start_ms`");
-            }
-            match req_str(ft, "kind", file)?.as_str() {
-                // `spine` silently drops `frac` of the src→dst leaf
-                // pair's packets between `start` and `end`.
-                "blackhole" => FaultPlan::new().blackhole_window(
-                    spine,
-                    LeafId(idx("src_leaf", topo.n_leaves, "leaf")?),
-                    LeafId(idx("dst_leaf", topo.n_leaves, "leaf")?),
-                    fault_frac(ft, file)?,
-                    start,
-                    end,
-                ),
-                // `spine` drops each packet with probability `frac`.
-                "random_drop" => {
-                    FaultPlan::new().random_drop_window(spine, fault_frac(ft, file)?, start, end)
-                }
-                other => return serr(file, format!("unknown fault kind `{other}`")),
-            }
-        }
-        None => FaultPlan::new(),
-    };
+    // [[event]] (optional): the fault plan, which must fit the fabric.
+    let fault_plan = events::plan_from_toml(&root, &key_lines)?;
+    if let Err(e) = fault_plan.validate_on(&topo) {
+        return Err(events::plan_error(&fault_plan, &topo, &e));
+    }
 
     // [invariants] (optional)
-    let invariants = match get(&root, "invariants").and_then(Value::as_table) {
-        Some(it) => InvariantCfg {
-            max_unfinished_frac: get(it, "max_unfinished_frac")
-                .and_then(Value::as_float)
-                .unwrap_or(1.0),
-            incast_floor_frac: get(it, "incast_floor_frac")
-                .and_then(Value::as_float)
-                .unwrap_or_else(|| InvariantCfg::default().incast_floor_frac),
-        },
+    let invariants = match root.get("invariants").and_then(Value::as_table) {
+        Some(it) => {
+            let dflt = InvariantCfg::default();
+            InvariantCfg {
+                max_unfinished_frac: frac(it, "max_unfinished_frac", dflt.max_unfinished_frac)?,
+                incast_floor_frac: frac(it, "incast_floor_frac", dflt.incast_floor_frac)?,
+            }
+        }
         None => InvariantCfg::default(),
     };
 
     // [[envelope]] (optional)
     let mut envelopes = Vec::new();
-    if let Some(items) = get(&root, "envelope").and_then(Value::as_array) {
+    if let Some(items) = root.get("envelope").and_then(Value::as_array) {
         for item in items {
             let Some(et) = item.as_table() else {
-                return serr(file, "[[envelope]] entries must be tables");
+                return Err("[[envelope]] entries must be tables".into());
             };
-            let metric = match req_str(et, "metric", file)?.as_str() {
+            let metric = match req_str(et, "metric")?.as_str() {
                 "avg" => Metric::Avg,
                 "p99" => Metric::P99,
-                other => return serr(file, format!("unknown metric `{other}`")),
+                other => return Err(format!("unknown metric `{other}`")),
             };
             let env = EnvelopeSpec {
                 metric,
-                lb: req_str(et, "lb", file)?,
-                baseline: req_str(et, "baseline", file)?,
-                max_ratio: req_float(et, "max_ratio", file)?,
+                lb: req_str(et, "lb")?,
+                baseline: req_str(et, "baseline")?,
+                max_ratio: req_float(et, "max_ratio")?,
             };
+            if !(env.max_ratio.is_finite() && env.max_ratio > 0.0) {
+                return Err(format!(
+                    "`max_ratio` = {}: must be finite and > 0",
+                    env.max_ratio
+                ));
+            }
             for who in [&env.lb, &env.baseline] {
-                if !lbs.iter().any(|(name, _)| name == who) {
-                    return serr(file, format!("envelope references `{who}` not in `lbs`"));
+                if !names.contains(&who.as_str()) {
+                    return Err(format!("envelope references `{who}` not in `lbs`"));
                 }
             }
             envelopes.push(env);
         }
     }
 
+    // [slo] (optional)
+    let slo = match root.get("slo").and_then(Value::as_table) {
+        Some(st) => {
+            let class = opt_str(st, "class")?
+                .map(|c| SloClass::parse(&c).ok_or(format!("`class`: unknown SLO class `{c}`")));
+            let cell = opt_str(st, "cell")?;
+            if let Some(c) = cell
+                .as_deref()
+                .filter(|&c| c != "cross" && !names.contains(&c))
+            {
+                return Err(format!("`cell`: `{c}` is neither in `lbs` nor `cross`"));
+            }
+            Some(SloTag {
+                class: class.transpose()?,
+                cell,
+            })
+        }
+        None => None,
+    };
+
     let sim = SimConfig {
         fault_plan,
-        ..SimConfig::new(topo, first_scheme.clone()).with_seed(seeds[0])
+        ..SimConfig::new(topo, lbs[0].1.clone()).with_seed(seeds[0])
     };
     let base = PointCfg::new(sim, workload)
         .drain(drain)
-        .goodput_interval(GOODPUT_INTERVAL);
+        .goodput_interval(match slo {
+            Some(_) => SLO_GOODPUT_INTERVAL,
+            None => GOODPUT_INTERVAL,
+        });
     if let Err(e) = base.validate() {
         let key = match e.field {
             PointField::Load => "`load`".to_string(),
@@ -625,10 +606,9 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
                 None => format!("`{name}`"),
             },
             PointField::Topology => "`cut`".to_string(),
-            // A scenario file's only fault is its `[fault]` window.
-            PointField::Faults => "[fault]".to_string(),
+            PointField::Faults => "[[event]]".to_string(),
         };
-        return serr(file, format!("{key}: {}", e.msg));
+        return Err(format!("{key}: {}", e.msg));
     }
     Ok(ScenarioSpec {
         name,
@@ -639,6 +619,7 @@ pub fn parse_scenario(src: &str, file: &str, stem: &str) -> Result<ScenarioSpec,
         invariants,
         envelopes,
         pin_digests,
+        slo,
     })
 }
 
@@ -709,6 +690,25 @@ mod tests {
         assert!(!s.pin_digests);
         assert!(s.base.sim.fault_plan.is_empty());
         assert_eq!(s.invariants.max_unfinished_frac, 1.0);
+        assert!(s.slo.is_none());
+    }
+
+    #[test]
+    fn slo_table_parses_and_sets_the_chaos_cadence() {
+        let src = format!("{MINIMAL}\n[slo]\nclass = \"cross_lb\"\ncell = \"cross\"\n");
+        let s = parse_scenario(&src, "mem", "x").expect("parses");
+        let tag = SloTag {
+            class: Some(SloClass::CrossLb),
+            cell: Some("cross".to_string()),
+        };
+        assert_eq!(s.slo, Some(tag));
+        assert_eq!(s.base.goodput_interval, Some(SLO_GOODPUT_INTERVAL));
+        // Both keys are optional; the table alone judges by the SLOs.
+        let s = parse_scenario(&format!("{MINIMAL}\n[slo]\n"), "mem", "x").expect("parses");
+        assert_eq!(s.slo, Some(SloTag::default()));
+        // A twin is the cell without its faults.
+        assert!(s.twin(0, 1).sim.fault_plan.is_empty());
+        assert_eq!(s.twin(1, 2).sim.seed, 2);
     }
 
     #[test]
@@ -740,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_and_envelope_blocks_parse() {
+    fn event_and_envelope_blocks_parse() {
         let src = r#"
             [topology]
             kind = "testbed"
@@ -751,14 +751,18 @@ mod tests {
             [run]
             seeds = [1]
             lbs = ["hermes", "ecmp"]
-            [fault]
-            kind = "blackhole"
+            [[event]]
+            at_ns = 5000000
+            kind = "set_spine_failure"
             spine = 0
-            src_leaf = 0
-            dst_leaf = 1
-            frac = 1.0
-            start_ms = 5
-            end_ms = 100
+            random_drop = 0.0
+            bh_src_leaf = 0
+            bh_dst_leaf = 1
+            bh_pair_fraction = 1.0
+            [[event]]
+            at_ns = 100000000
+            kind = "clear_spine_failure"
+            spine = 0
             [[envelope]]
             metric = "avg"
             lb = "hermes"
@@ -767,7 +771,17 @@ mod tests {
         "#;
         let s = parse_scenario(src, "mem", "bh").expect("parses");
         // One window = an onset and a clearance event.
-        assert_eq!(s.base.sim.fault_plan.len(), 2);
+        let window = FaultPlan::new().blackhole_window(
+            SpineId(0),
+            LeafId(0),
+            LeafId(1),
+            1.0,
+            Time::from_ms(5),
+            Time::from_ms(100),
+        );
+        assert_eq!(s.base.sim.fault_plan, window);
+        assert!(s.slo.is_none());
+        assert_eq!(s.base.goodput_interval, Some(GOODPUT_INTERVAL));
         assert_eq!(s.envelopes.len(), 1);
         assert_eq!(s.envelopes[0].metric, Metric::Avg);
         assert_eq!(s.materialize(0, 1).sim.fault_plan.len(), 2);
@@ -786,11 +800,21 @@ mod tests {
 
     #[test]
     fn out_of_range_values_are_errors_naming_the_key() {
-        const FAULT: &str = "[fault]\nkind = \"blackhole\"\nsrc_leaf = 0\ndst_leaf = 1\nstart_ms = 5\nend_ms = 100\n";
         let topo = |extra: &str| MINIMAL.replace("[workload]", &format!("{extra}\n[workload]"));
         let run = |extra: &str| format!("{MINIMAL}\n{extra}\n");
-        let fault =
-            |spine: i64, frac: f64| format!("{MINIMAL}\n{FAULT}spine = {spine}\nfrac = {frac}\n");
+        let top = |extra: &str| format!("{extra}\n{MINIMAL}");
+        let table = |extra: &str| format!("{MINIMAL}\n{extra}\n");
+        // A pair-blackhole onset on `spine` for leaf 0 -> `dst`, then
+        // its clearance (the retired `[fault]` window as two events).
+        let fault = |spine: i64, dst: i64, frac: f64| {
+            format!(
+                "{MINIMAL}\n[[event]]\nat_ns = 5000000\nkind = \"set_spine_failure\"\n\
+                 spine = {spine}\nrandom_drop = 0.0\nbh_src_leaf = 0\nbh_dst_leaf = {dst}\n\
+                 bh_pair_fraction = {frac}\n\n[[event]]\nat_ns = 100000000\n\
+                 kind = \"clear_spine_failure\"\nspine = {spine}\n"
+            )
+        };
+        let event = |body: &str| format!("{MINIMAL}\n[[event]]\nat_ns = 5000000\n{body}\n");
         // MINIMAL (12-host testbed) with its [workload] table replaced.
         let workload = |body: &str| {
             MINIMAL.replace(
@@ -829,13 +853,60 @@ mod tests {
             (topo("cut = [[0, 0], [0, 1], [1, 2], [1, 3]]"), "`cut`"),
             (MINIMAL.replace("load = 0.3", "load = 0.0"), "`load`"),
             (MINIMAL.replace("flows = 40", "flows = 0"), "`flows`"),
-            (fault(9, 1.0), "`spine`"),
-            (fault(0, 1.5), "`frac`"),
+            (fault(9, 1, 1.0), "[[event]] #0 (`set_spine_failure`) `spine`"),
+            (fault(0, 1, 1.5), "[[event]] #0 (`set_spine_failure`) `bh_pair_fraction`"),
+            (fault(0, 2, 1.0), "[[event]] #0 (`set_spine_failure`) `bh_dst_leaf`"),
+            // Leaf 9 of the testbed's two, and a link_up with no link_down.
             (
-                fault(0, 1.0).replace("dst_leaf = 1", "dst_leaf = 2"),
-                "`dst_leaf`",
+                event("kind = \"link_down\"\nleaf = 9\nspine = 0"),
+                "[[event]] #0 (`link_down`) `leaf`",
+            ),
+            (
+                event("kind = \"link_up\"\nleaf = 0\nspine = 0"),
+                "[[event]] #0 (`link_up`): LinkUp",
             ),
             (run("drain_ms = -5"), "`drain_ms`"),
+            (run("drain_ms = \"5\""), "`drain_ms`"),
+            // Optional keys of the wrong type are errors, not defaults.
+            (top("pin_digests = \"true\""), "`pin_digests`"),
+            (top("name = 7"), "`name`"),
+            (top("description = true"), "`description`"),
+            (workload("kind = 3\nload = 0.3\nflows = 40"), "`kind`"),
+            (
+                table("[invariants]\nmax_unfinished_frac = \"0.0\""),
+                "`max_unfinished_frac`",
+            ),
+            (
+                table("[invariants]\nincast_floor_frac = true"),
+                "`incast_floor_frac`",
+            ),
+            // Both fractions lie in [0, 1].
+            (
+                table("[invariants]\nincast_floor_frac = -3.0"),
+                "`incast_floor_frac`",
+            ),
+            (
+                table("[invariants]\nmax_unfinished_frac = 1.5"),
+                "`max_unfinished_frac`",
+            ),
+            // A ratio bound is finite and positive.
+            (
+                table("[[envelope]]\nmetric = \"avg\"\nlb = \"hermes\"\nbaseline = \"ecmp\"\nmax_ratio = 0.0"),
+                "`max_ratio`",
+            ),
+            (
+                table("[[envelope]]\nmetric = \"avg\"\nlb = \"hermes\"\nbaseline = \"ecmp\"\nmax_ratio = inf"),
+                "`max_ratio`",
+            ),
+            // Each seed and each LB once: two cells must not share a key.
+            (MINIMAL.replace("seeds = [1, 2]", "seeds = [1, 1]"), "`seeds`"),
+            (
+                MINIMAL.replace("lbs = [\"hermes\", \"ecmp\"]", "lbs = [\"hermes\", \"hermes\"]"),
+                "`lbs`",
+            ),
+            (table("[slo]\nclass = \"latency\""), "`class`"),
+            (table("[slo]\ncell = \"conga\""), "`cell`"),
+            (table("[slo]\nclass = 3"), "`class`"),
             // One more rank / client than the testbed has hosts for.
             (ring(13, 64), "`ranks`"),
             (incast(7, 32), "`fanout`"),
@@ -853,7 +924,9 @@ mod tests {
         // The in-range neighbours of those rows still parse.
         let ok = topo("cut = [[1, 3]]\ndegrade = [[0, 1, 100]]");
         parse_scenario(&ok, "mem", "x").expect("in-range cut and degrade");
-        parse_scenario(&fault(3, 0.0), "mem", "x").expect("in-range fault");
+        parse_scenario(&fault(3, 1, 0.0), "mem", "x").expect("in-range fault");
+        let edges = table("[invariants]\nmax_unfinished_frac = 0\nincast_floor_frac = 1.0");
+        parse_scenario(&edges, "mem", "x").expect("fractions at the edges of [0, 1]");
         parse_scenario(&ring(12, 64), "mem", "x").expect("one rank per host");
         parse_scenario(&incast(6, 32), "mem", "x").expect("the whole other rack");
         parse_scenario(&mix(50, 1000), "mem", "x").expect("in-range mix");
@@ -946,11 +1019,27 @@ mod tests {
         assert!(e.msg.contains("line 8"), "{}", e.msg);
         assert!(e.msg.contains("[workload]"), "{}", e.msg);
 
-        // Unknown top-level table.
-        let e = parse_scenario(&format!("{MINIMAL}\n[faultx]\nspine = 0\n"), "mem", "x")
-            .expect_err("unknown section must fail");
+        // Unknown top-level tables, the retired `[fault]` window included.
+        for section in ["faultx", "fault"] {
+            let e = parse_scenario(&format!("{MINIMAL}\n[{section}]\nspine = 0\n"), "mem", "x")
+                .expect_err("unknown section must fail");
+            assert!(
+                e.msg
+                    .contains(&format!("unknown top-level key `{section}`")),
+                "{}",
+                e.msg
+            );
+        }
+
+        // A key the event's kind does not read, with its line.
+        let e = parse_scenario(
+            &format!("{MINIMAL}\n[[event]]\nat_ns = 5\nkind = \"spine_down\"\nspine = 0\nrandom_drop = 0.5\n"),
+            "mem",
+            "x",
+        )
+        .expect_err("stray event key must fail");
         assert!(
-            e.msg.contains("unknown top-level key `faultx`"),
+            e.msg.contains("line 17: unknown key `random_drop`"),
             "{}",
             e.msg
         );

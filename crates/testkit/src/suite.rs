@@ -10,7 +10,7 @@ use hermes_workload::records_hash;
 
 use crate::check::{
     check_digests, check_envelopes, check_incast_floor, check_invariants, check_ring_steps,
-    format_store, parse_store, Failure, Goldens,
+    check_slos, format_store, parse_store, Failure, Goldens,
 };
 use crate::run::{run_grid, RunOutcome};
 use crate::spec::{load_dir, ScenarioSpec, SpecError};
@@ -147,6 +147,7 @@ pub fn run_conformance(dir: &Path) -> Result<ConformanceReport, SpecError> {
         }
         failures.extend(check_digests(spec, &mine, &goldens));
         failures.extend(check_envelopes(spec, &mine));
+        failures.extend(check_slos(spec, &mine));
     }
     Ok(ConformanceReport {
         scenarios,

@@ -1,5 +1,5 @@
-//! A minimal TOML-subset parser for scenario specs, golden stores and
-//! the chaos corpus.
+//! A minimal TOML-subset parser for scenario specs and golden stores,
+//! and the typed key getters their readers share.
 //!
 //! The build environment is air-gapped (every dependency is vendored
 //! in-tree), so rather than vendoring a full `toml` crate the testkit
@@ -101,6 +101,38 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// An optional key of `t`: `None` when absent, an error naming the key
+/// when present with another type than `what` (`conv` reads it).
+pub fn opt<'a, T>(
+    t: &'a Table,
+    key: &str,
+    what: &str,
+    conv: fn(&'a Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match t.get(key).map(conv) {
+        None => Ok(None),
+        Some(Some(v)) => Ok(Some(v)),
+        Some(None) => Err(format!("`{key}` must be {what}")),
+    }
+}
+
+/// [`opt`], for a key that must be present.
+pub fn req<'a, T>(
+    t: &'a Table,
+    key: &str,
+    what: &str,
+    conv: fn(&'a Value) -> Option<T>,
+) -> Result<T, String> {
+    opt(t, key, what, conv)?.ok_or_else(|| format!("missing `{key}` ({what})"))
+}
+
+/// An integer key narrowed to the unsigned type its field has: a
+/// negative or too-wide value is an error naming the key, never a wrap.
+pub fn uint<T: TryFrom<i64>>(t: &Table, key: &str) -> Result<T, String> {
+    let v = req(t, key, "an integer", Value::as_int)?;
+    T::try_from(v).map_err(|_| format!("`{key}` = {v} is out of range"))
 }
 
 /// 1-based source line of every key and table header, keyed by dotted

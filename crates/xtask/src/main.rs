@@ -1,22 +1,25 @@
 //! Workspace tasks. Subcommands:
 //!
 //! * `cargo run -p xtask -- conformance [--self-test]` — run the full
-//!   scenario conformance grid (`tests/scenarios/` plus the extended
-//!   directory) through `hermes-testkit`, or prove each checker class
-//!   fails on its deliberately-broken fixture;
+//!   scenario conformance grid (`tests/scenarios/`, the extended
+//!   directory and the chaos corpus `tests/chaos/corpus/`) through
+//!   `hermes-testkit`, or prove each checker class fails on its
+//!   deliberately-broken fixture;
 //! * `cargo run -p xtask -- bless` — regenerate the golden stores (event-
 //!   trace digests and flow-record hashes) after an intended change, and
 //!   report how many cells moved in each;
 //! * `cargo run -p xtask -- chaos [--seeds N] [--quick] [--shrink]
-//!   [--self-test]` — the chaos campaign engine (DESIGN.md §14):
-//!   replay the committed counterexample corpus
-//!   (`tests/chaos/corpus/`), then sample N seeded fault plans from
-//!   the full fault grammar and judge hermes/conga/ecmp against the
-//!   graceful-degradation SLOs; `--shrink` delta-debugs failing plans
-//!   to minimal counterexamples (`--emit-shrunk <dir>` writes them in
-//!   corpus format), `--recovery-frac` tightens the recovery SLO for
-//!   corpus mining, and `--self-test` proves each SLO checker and the
-//!   shrinker trip on planted fixtures.
+//!   [--self-test]` — the chaos campaign engine (DESIGN.md §14): sample
+//!   N seeded fault plans from the full fault grammar and judge
+//!   hermes/conga/ecmp against the graceful-degradation SLOs;
+//!   `--shrink` delta-debugs failing plans to minimal counterexamples
+//!   (`--emit-shrunk <dir>` writes them as scenario files),
+//!   `--recovery-frac` tightens the recovery SLO for corpus mining, and
+//!   `--self-test` proves each SLO checker and the shrinker trip on
+//!   planted fixtures.
+//!
+//! An unknown argument, or a flag without its value, is a usage error
+//! (exit code 2).
 //!
 //! Capturing a point's telemetry trace needs no task: the layer is
 //! always compiled in, so it is `cargo run --release -p hermes-bench
@@ -32,40 +35,48 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: cargo run -p xtask -- <conformance [--self-test] | bless | \
+                     chaos [--seeds N] [--seed-base N] [--quick] [--shrink] [--self-test] \
+                     [--recovery-frac F] [--recovery-slack-ms MS] [--stranded-slack-ms MS] \
+                     [--out <json>] [--emit-shrunk <dir>]>";
+
+fn usage(msg: &str) -> ExitCode {
+    eprintln!("xtask: {msg}\n{USAGE}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("conformance") => {
-            if args.iter().any(|a| a == "--self-test") {
-                return conformance_self_test();
-            }
-            conformance()
+    let (cmd, rest) = match args.split_first() {
+        Some((cmd, rest)) => (cmd.as_str(), rest),
+        None => return usage("no subcommand"),
+    };
+    match (cmd, rest) {
+        ("conformance", []) => conformance(),
+        ("conformance", [flag]) if flag == "--self-test" => conformance_self_test(),
+        ("bless", []) => bless_goldens(),
+        ("chaos", _) => chaos(rest),
+        ("conformance" | "bless", [arg, ..]) => {
+            usage(&format!("{cmd}: unexpected argument `{arg}`"))
         }
-        Some("bless") => bless_goldens(),
-        Some("chaos") => chaos(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- <conformance [--self-test] | bless | \
-                 chaos [--seeds N] [--seed-base N] [--quick] [--shrink] [--self-test] \
-                 [--no-corpus] [--recovery-frac F] [--out <json>] [--emit-shrunk <dir>]>"
-            );
-            ExitCode::FAILURE
-        }
+        _ => usage(&format!("unknown subcommand `{cmd}`")),
     }
 }
 
-/// The scenario directories, tier-1 grid first, then the extended grid
-/// that only this subcommand (not `tests/conformance.rs`) runs.
+/// The scenario directories: the tier-1 grid first, then the extended
+/// grid that only this subcommand (not `tests/conformance.rs`) runs,
+/// then the chaos corpus.
 fn scenario_dirs() -> Vec<PathBuf> {
     let root = workspace_root();
     vec![
         root.join("tests/scenarios"),
         root.join("tests/scenarios/extended"),
+        root.join("tests/chaos/corpus"),
     ]
 }
 
-/// Run the full conformance grid (tier-1 scenarios plus the extended
-/// directory) and print per-LB FCT summaries for every scenario.
+/// Run the full conformance grid (every scenario directory) and print
+/// per-LB FCT summaries for every scenario.
 fn conformance() -> ExitCode {
     let mut ok = true;
     for dir in scenario_dirs() {
@@ -187,92 +198,57 @@ fn bless_goldens() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `chaos`: replay the committed counterexample corpus, then run a
-/// seeded fault-space fuzzing campaign under the degradation SLOs
-/// (DESIGN.md §14). `--self-test` proves every SLO checker and the
+/// `chaos`: a seeded fault-space fuzzing campaign under the degradation
+/// SLOs (DESIGN.md §14). `--self-test` proves every SLO checker and the
 /// shrinker trip on planted fixtures instead.
 fn chaos(args: &[String]) -> ExitCode {
+    use hermes_sim::Time;
     use hermes_testkit::chaos;
 
-    let mut cfg = chaos::CampaignCfg {
-        quick: false,
-        ..Default::default()
-    };
+    let mut cfg = chaos::CampaignCfg::default();
     let mut json_out: Option<&str> = None;
     let mut emit_shrunk: Option<&str> = None;
     let mut self_test = false;
-    let mut skip_corpus = false;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.seeds = n,
-                None => return chaos_usage("--seeds needs a count"),
-            },
-            "--seed-base" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.seed_base = n,
-                None => return chaos_usage("--seed-base needs a seed"),
-            },
-            "--recovery-frac" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) => cfg.slo.recovery_frac = f,
-                None => return chaos_usage("--recovery-frac needs a fraction"),
-            },
-            "--recovery-slack-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => cfg.slo.recovery_slack = hermes_sim::Time::from_ms(ms),
-                None => return chaos_usage("--recovery-slack-ms needs a duration"),
-            },
-            "--stranded-slack-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => cfg.slo.stranded_slack = hermes_sim::Time::from_ms(ms),
-                None => return chaos_usage("--stranded-slack-ms needs a duration"),
-            },
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
             "--quick" => cfg.quick = true,
             "--shrink" => cfg.shrink = true,
             "--self-test" => self_test = true,
-            "--no-corpus" => skip_corpus = true,
-            "--out" => json_out = it.next().map(String::as_str),
-            "--emit-shrunk" => emit_shrunk = it.next().map(String::as_str),
-            other => return chaos_usage(&format!("unexpected argument `{other}`")),
+            _ => {
+                // A flag's value: the next argument, unless it is a flag.
+                let value = it
+                    .next()
+                    .map(String::as_str)
+                    .filter(|v| !v.starts_with("--"));
+                let set = match flag.as_str() {
+                    "--seeds" => value.and_then(|v| v.parse().ok()).map(|n| cfg.seeds = n),
+                    "--seed-base" => value
+                        .and_then(|v| v.parse().ok())
+                        .map(|n| cfg.seed_base = n),
+                    "--recovery-frac" => value
+                        .and_then(|v| v.parse().ok())
+                        .map(|f| cfg.slo.recovery_frac = f),
+                    "--recovery-slack-ms" => value
+                        .and_then(|v| v.parse().ok())
+                        .map(|ms| cfg.slo.recovery_slack = Time::from_ms(ms)),
+                    "--stranded-slack-ms" => value
+                        .and_then(|v| v.parse().ok())
+                        .map(|ms| cfg.slo.stranded_slack = Time::from_ms(ms)),
+                    "--out" => value.map(|v| json_out = Some(v)),
+                    "--emit-shrunk" => value.map(|v| emit_shrunk = Some(v)),
+                    other => return usage(&format!("chaos: unexpected argument `{other}`")),
+                };
+                if set.is_none() {
+                    return usage(&format!("chaos: `{flag}` needs a valid value"));
+                }
+            }
         }
     }
     if self_test {
         return chaos_self_test();
     }
 
-    // Phase 1: the committed corpus must replay green — every entry is
-    // a shrunk counterexample of a since-fixed behavior.
-    let corpus_dir = workspace_root().join("tests/chaos/corpus");
-    if !skip_corpus && corpus_dir.is_dir() {
-        match chaos::replay_corpus(&corpus_dir, &cfg.slo, cfg.quick) {
-            Ok(replay) => {
-                for v in &replay.violations {
-                    eprintln!(
-                        "  [REGRESSED] {} {}: {}",
-                        v.class.as_str(),
-                        v.cell,
-                        v.detail
-                    );
-                }
-                if !replay.violations.is_empty() {
-                    eprintln!(
-                        "xtask chaos: corpus replay FAILED ({} violation(s))",
-                        replay.violations.len()
-                    );
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "xtask chaos: corpus replay green ({} entr{})",
-                    replay.files.len(),
-                    if replay.files.len() == 1 { "y" } else { "ies" }
-                );
-            }
-            Err(e) => {
-                eprintln!("xtask chaos: corpus: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // Phase 2: the sampled campaign.
     let report = chaos::run_campaign(&cfg);
     for o in &report.outcomes {
         println!(
@@ -326,53 +302,21 @@ fn chaos(args: &[String]) -> ExitCode {
     }
 }
 
-/// Write each shrunk counterexample as a corpus-format TOML file for
-/// triage (and, if it earns it, committing to `tests/chaos/corpus/`).
+/// Write each shrunk counterexample as a scenario file for triage (and,
+/// if it earns it, committing to `tests/chaos/corpus/`).
 fn write_shrunk(report: &hermes_testkit::chaos::CampaignReport, dir: &Path) -> Result<(), String> {
-    use hermes_testkit::chaos;
-
     fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let mut written = 0;
-    for o in &report.outcomes {
-        for sh in &o.shrunk {
-            let entry = chaos::CorpusEntry {
-                description: format!(
-                    "shrunk from seed {} ({} -> {} events); tripped {} in {}",
-                    o.seed,
-                    sh.from_events,
-                    sh.plan.len(),
-                    sh.class.as_str(),
-                    sh.cell
-                ),
-                seed: o.seed,
-                slo: sh.class.as_str().to_string(),
-                lb: sh
-                    .cell
-                    .rsplit_once('/')
-                    .map_or("cross", |(_, lb)| lb)
-                    .to_string(),
-                plan: sh.plan.clone(),
-            };
-            let path = dir.join(format!("seed{}-{}.toml", o.seed, sh.class.as_str()));
-            fs::write(&path, chaos::plan_to_toml(&entry))
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-            written += 1;
-        }
+    let files = report.shrunk_scenarios();
+    for (name, text) in &files {
+        let path = dir.join(name);
+        fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
     }
     println!(
-        "xtask chaos: wrote {written} shrunk plan(s) to {}",
+        "xtask chaos: wrote {} shrunk scenario(s) to {}",
+        files.len(),
         dir.display()
     );
     Ok(())
-}
-
-fn chaos_usage(msg: &str) -> ExitCode {
-    eprintln!("xtask chaos: {msg}");
-    eprintln!(
-        "usage: cargo run -p xtask -- chaos [--seeds N] [--seed-base N] [--quick] [--shrink] \
-         [--self-test] [--no-corpus] [--recovery-frac F] [--out <json>] [--emit-shrunk <dir>]"
-    );
-    ExitCode::FAILURE
 }
 
 /// Prove every chaos SLO checker and the plan shrinker trip on their

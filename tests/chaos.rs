@@ -2,8 +2,9 @@
 //! the SLO/shrinker self-test (DESIGN.md §14).
 //!
 //! Tier-1 cut of `cargo run -p xtask -- chaos`: the committed
-//! counterexample corpus must replay green under the default SLOs, a
-//! campaign must be byte-deterministic in its seed range, and every
+//! counterexample corpus — scenario files with `[slo]` — must pass
+//! conformance (the SLOs at their defaults among its checker classes),
+//! a campaign must be byte-deterministic in its seed range, and every
 //! planted self-test fixture must trip its checker. The `mine_*` test
 //! at the bottom is `#[ignore]`d — it is the documented harness that
 //! produced the overlapping-fault corpus entry, kept runnable so the
@@ -16,45 +17,80 @@ use hermes_sim::Time;
 use hermes_testkit::chaos::{
     self, chaos_self_test_passed, run_chaos_self_test, slo, CampaignCfg, SloCfg,
 };
+use hermes_testkit::{load_dir, run_conformance, ConformanceReport, SloTag};
 
 fn corpus_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/chaos/corpus"))
 }
 
+fn failures(report: &ConformanceReport) -> Vec<String> {
+    report.failures.iter().map(ToString::to_string).collect()
+}
+
 /// Every committed counterexample replays green at the default SLOs:
-/// the degradations those plans once exposed stay within contract.
+/// the degradations those plans once exposed stay within contract. Each
+/// entry is a campaign cell, so it runs every scheme with its twin.
 #[test]
 fn corpus_replays_green_at_default_slos() {
-    let replay = chaos::replay_corpus(corpus_dir(), &SloCfg::default(), true)
-        .expect("corpus must load and run");
+    let report = run_conformance(corpus_dir()).expect("corpus must load and run");
     assert!(
-        replay.files.len() >= 3,
-        "corpus thinned below the committed minimum: {:?}",
-        replay.files
+        report.scenarios.len() >= 3,
+        "corpus thinned below the committed minimum: {}",
+        report.scenarios.len()
     );
+    for spec in &report.scenarios {
+        assert!(
+            spec.slo.is_some(),
+            "{}: a corpus entry carries [slo]",
+            spec.name
+        );
+        assert_eq!(spec.lbs.len(), chaos::LBS.len(), "{}", spec.name);
+    }
     assert!(
-        replay.violations.is_empty(),
-        "corpus regressed: {:?}",
-        replay
-            .violations
-            .iter()
-            .map(|v| format!("{} {}: {}", v.class.as_str(), v.cell, v.detail))
-            .collect::<Vec<_>>()
+        report.outcomes.iter().all(|o| o.baseline.is_some()),
+        "every corpus cell runs its fault-free twin"
     );
+    assert!(report.passed(), "corpus regressed: {:?}", failures(&report));
+}
+
+/// Each corpus entry is exactly the file the shrinker writes for its
+/// cell: [`chaos::cell_scenario`] of its own description, seed, plan and
+/// `[slo]` under the quick workload, behind [`chaos::SHRUNK_HEADER`].
+#[test]
+fn corpus_entries_are_campaign_cells() {
+    for entry in std::fs::read_dir(corpus_dir()).expect("corpus dir") {
+        let path = entry.expect("entry").path();
+        let text = std::fs::read_to_string(&path).expect("corpus file");
+        let spec = hermes_testkit::load_file(&path).expect("corpus entry loads");
+        let tag = spec.slo.clone().expect("[slo]");
+        let plan = &spec.base.sim.fault_plan;
+        let cell = chaos::cell_scenario(&spec.description, spec.seeds[0], plan, true, &tag);
+        let want = format!("{}{cell}", chaos::SHRUNK_HEADER);
+        assert_eq!(text, want, "{}", path.display());
+        let cell_spec = chaos::cell_spec(spec.seeds[0], plan, true);
+        for li in 0..spec.lbs.len() {
+            let (a, b) = (
+                spec.materialize(li, spec.seeds[0]),
+                cell_spec.materialize(li, spec.seeds[0]),
+            );
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{}", path.display());
+        }
+    }
 }
 
 /// At least one corpus entry exercises *concurrent* faults — two
 /// fault windows overlapping in time — per the corpus charter.
 #[test]
 fn corpus_keeps_an_overlapping_fault_entry() {
-    let entries = chaos::load_corpus(corpus_dir()).expect("corpus must load");
-    let has_overlap = entries.iter().any(|(_, e)| {
+    let entries = load_dir(corpus_dir()).expect("corpus must load");
+    let has_overlap = entries.iter().any(|spec| {
+        let plan = &spec.base.sim.fault_plan;
         // Two fault windows are concurrent iff a second onset-like
         // event fires while an earlier window is still open (its
         // clear-like event comes later).
         let mut open = 0usize;
         let mut max_open = 0usize;
-        let mut evs: Vec<_> = e.plan.events().iter().collect();
+        let mut evs: Vec<_> = plan.events().iter().collect();
         evs.sort_by_key(|ev| ev.at);
         for ev in evs {
             use hermes_net::FaultAction as A;
@@ -75,7 +111,7 @@ fn corpus_keeps_an_overlapping_fault_entry() {
                 | A::SpineUp { .. } => open = open.saturating_sub(1),
             }
         }
-        max_open >= 2 && e.plan.len() >= 4
+        max_open >= 2 && plan.len() >= 4
     });
     assert!(
         has_overlap,
@@ -157,11 +193,11 @@ fn mine_overlapping_counterexample() {
     // SpineUp would make the outage permanent, strand ECMP flows, and
     // fail the default drain check on replay.
     let judge = |plan: &FaultPlan, strict: &SloCfg| -> (bool, bool) {
-        let runs = chaos::run_cells(plan, seed, true);
-        let trips = slo::check_cell("mine", &runs, plan.end_time(), strict)
+        let (spec, outs) = chaos::run_cell(plan, seed, true);
+        let trips = chaos::judge(&spec, &outs, strict)
             .iter()
             .any(|v| v.class == slo::SloClass::Recovery);
-        let clean = slo::check_cell("mine", &runs, plan.end_time(), &SloCfg::default()).is_empty();
+        let clean = chaos::judge(&spec, &outs, &SloCfg::default()).is_empty();
         (trips, clean)
     };
     let mut picked: Option<(SloCfg, FaultPlan)> = None;
@@ -202,25 +238,24 @@ fn mine_overlapping_counterexample() {
         out.plan.len(),
         out.evals
     );
-    let runs = chaos::run_cells(&out.plan, seed, true);
-    let lb = slo::check_cell("mine", &runs, out.plan.end_time(), &cfg)
+    let (spec, outs) = chaos::run_cell(&out.plan, seed, true);
+    let lb = chaos::judge(&spec, &outs, &cfg)
         .iter()
         .find(|v| v.class == slo::SloClass::Recovery)
         .and_then(|v| v.cell.rsplit_once('/').map(|(_, lb)| lb.to_string()))
         .unwrap_or_else(|| "cross".to_string());
-    let entry = chaos::CorpusEntry {
-        description: format!(
-            "dual concurrent spine outage (spines 0+1) trips recovery at frac {:?} \
-             slack {} while either outage alone passes; mined by tests/chaos.rs \
-             mine_overlapping_counterexample",
-            cfg.recovery_frac, cfg.recovery_slack
-        ),
-        seed,
-        slo: "recovery".to_string(),
-        lb,
-        plan: out.plan,
+    let description = format!(
+        "dual concurrent spine outage (spines 0+1) trips recovery at frac {:?} \
+         slack {} while either outage alone passes; mined by tests/chaos.rs \
+         mine_overlapping_counterexample",
+        cfg.recovery_frac, cfg.recovery_slack
+    );
+    let tag = SloTag {
+        class: Some(slo::SloClass::Recovery),
+        cell: Some(lb),
     };
-    println!("--- corpus entry ---\n{}", chaos::plan_to_toml(&entry));
+    let text = chaos::cell_scenario(&description, seed, &out.plan, true, &tag);
+    println!("--- corpus entry ---\n{text}");
 }
 
 /// The staged-dependency workloads (ring-allreduce, incast) release
@@ -264,11 +299,11 @@ fn staged_workloads_do_not_perturb_chaos_digests() {
         assert!(det.conservation.balanced());
     }
 
-    let replay = chaos::replay_corpus(corpus_dir(), &SloCfg::default(), true)
-        .expect("corpus must load and run");
+    let replay = run_conformance(corpus_dir()).expect("corpus must load and run");
     assert!(
-        replay.violations.is_empty(),
-        "corpus regressed after staged workloads ran"
+        replay.passed(),
+        "corpus regressed after staged workloads ran: {:?}",
+        failures(&replay)
     );
     let after = chaos::run_campaign(&cfg);
     assert_eq!(

@@ -5,19 +5,71 @@
 //! parallel and held to all six checker classes — physical
 //! invariants, golden event-trace digests, golden flow-record hashes,
 //! the paper's FCT-ratio envelopes, ring-step conservation, and the
-//! incast goodput floor.
-//! The extended grid (8×8 fabric, wider LB field) runs via `cargo run
-//! -p xtask -- conformance`; goldens regenerate via `cargo run -p
-//! xtask -- bless`. See DESIGN.md §10 and §15.
+//! incast goodput floor (the seventh class, the degradation SLOs, judges
+//! the `[slo]` scenarios of the chaos corpus; see `tests/chaos.rs`).
+//! The extended grid (8×8 fabric, wider LB field) and the corpus run
+//! via `cargo run -p xtask -- conformance`, and every scenario directory
+//! loads here; goldens regenerate via `cargo run -p xtask -- bless`.
+//! See DESIGN.md §10 and §15.
 
 use std::path::{Path, PathBuf};
 
 use hermes_bench::{run_point, run_points};
-use hermes_testkit::{run_conformance, run_self_test, self_test_passed, CheckClass};
+use hermes_net::{FaultPlan, LeafId, SpineId};
+use hermes_sim::Time;
+use hermes_testkit::{
+    load_dir, load_file, run_conformance, run_self_test, self_test_passed, CheckClass,
+};
 use hermes_workload::records_hash;
 
 fn scenario_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios")
+}
+
+/// Every scenario directory `xtask conformance` runs loads — parsed and
+/// validated, nothing run — so a broken file in a directory tier-1 does
+/// not run still fails here.
+#[test]
+fn every_scenario_directory_loads() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (dir, at_least) in [
+        ("tests/scenarios", 7),
+        ("tests/scenarios/extended", 3),
+        ("tests/chaos/corpus", 5),
+    ] {
+        let specs = load_dir(&root.join(dir)).unwrap_or_else(|e| panic!("{e}"));
+        assert!(
+            specs.len() >= at_least,
+            "{dir}: {} scenario(s)",
+            specs.len()
+        );
+    }
+}
+
+/// The scenarios whose fault was a `[fault]` window spell it as two
+/// `[[event]]`s: the plan equals the window builder's with the old
+/// values, so their goldens hold.
+#[test]
+fn fault_windows_load_as_the_builders_plans() {
+    let ms = Time::from_ms;
+    let (s0, l0, l1) = (SpineId(0), LeafId(0), LeafId(1));
+    for (file, plan) in [
+        (
+            "blackhole.toml",
+            FaultPlan::new().blackhole_window(s0, l0, l1, 1.0, ms(10), ms(4000)),
+        ),
+        (
+            "random_drop.toml",
+            FaultPlan::new().random_drop_window(s0, 0.02, ms(10), ms(4000)),
+        ),
+        (
+            "extended/drop_ramp_8x8.toml",
+            FaultPlan::new().random_drop_window(s0, 0.02, ms(5), ms(4000)),
+        ),
+    ] {
+        let spec = load_file(&scenario_dir().join(file)).expect(file);
+        assert_eq!(spec.base.sim.fault_plan, plan, "{file}");
+    }
 }
 
 #[test]
@@ -104,6 +156,7 @@ fn checker_self_test_trips_every_class() {
         CheckClass::Envelope,
         CheckClass::RingStep,
         CheckClass::IncastFloor,
+        CheckClass::Slo,
     ] {
         assert!(
             cases.iter().any(|c| c.expect == class),

@@ -4,7 +4,7 @@
 use hermes_net::{LinkCfg, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
-use hermes_testkit::chaos;
+use hermes_testkit::{chaos, parse_scenario, SloTag};
 use hermes_workload::{FlowGen, FlowSizeDist};
 use proptest::prelude::*;
 
@@ -110,28 +110,32 @@ proptest! {
     }
 
     /// Every chaos-sampled fault plan is valid, deterministic in its
-    /// seed, and survives the corpus TOML round-trip exactly — the
-    /// serialization the counterexample corpus depends on loses
-    /// nothing from the full fault grammar.
+    /// seed, and survives the scenario round-trip exactly: the campaign
+    /// cell written for it (the file the shrinker emits) parses back to
+    /// the same plan, seed and `[slo]`, and writes back to the same
+    /// bytes — the `[[event]]` syntax loses nothing from the full fault
+    /// grammar.
     #[test]
     fn sampled_chaos_plans_validate_and_round_trip(seed in 0u64..100_000) {
         let gen_cfg = chaos::GenCfg::testbed();
         let plan = chaos::sample_plan(seed, &gen_cfg);
         prop_assert_eq!(plan.validate(), Ok(()));
         prop_assert_eq!(&chaos::sample_plan(seed, &gen_cfg), &plan);
-        let entry = chaos::CorpusEntry {
-            description: format!("round-trip probe for seed {seed} (\"quoted\\path\")"),
-            seed,
-            slo: "recovery".to_string(),
-            lb: "hermes".to_string(),
-            plan: plan.clone(),
+        let description = format!("round-trip probe for seed {seed} (\"quoted\\path\")");
+        let tag = SloTag {
+            class: Some(chaos::SloClass::Recovery),
+            cell: Some("hermes".to_string()),
         };
-        let text = chaos::plan_to_toml(&entry);
-        let back = chaos::entry_from_toml(&text)
+        let text = chaos::cell_scenario(&description, seed, &plan, true, &tag);
+        let back = parse_scenario(&text, "probe", "probe")
             .unwrap_or_else(|e| panic!("reparse failed: {e}\n{text}"));
-        prop_assert_eq!(&back, &entry, "TOML round-trip must be lossless");
+        prop_assert_eq!(&back.base.sim.fault_plan, &plan, "TOML round-trip must be lossless");
+        prop_assert_eq!(&back.seeds, &vec![seed]);
+        prop_assert_eq!(&back.description, &description);
+        prop_assert_eq!(back.slo.as_ref(), Some(&tag));
         // Serialization is canonical: re-serializing the reparsed
-        // entry reproduces the bytes.
-        prop_assert_eq!(chaos::plan_to_toml(&back), text);
+        // scenario reproduces the bytes.
+        let again = chaos::cell_scenario(&back.description, back.seeds[0], &back.base.sim.fault_plan, true, &tag);
+        prop_assert_eq!(again, text);
     }
 }
