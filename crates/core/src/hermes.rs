@@ -36,6 +36,19 @@ pub struct Hermes {
     /// Host-local per-path aggregate sending rate `r_p`, one table per
     /// host under the leaf, indexed by `Topology::host_slot`.
     r_p: Vec<BTreeMap<(LeafId, PathId), Dre>>,
+    /// The candidates of the `select_path` call in progress, each
+    /// classified once. Kept across calls, so choosing a path allocates
+    /// nothing once the buffer has grown to the spine count.
+    cands: Vec<Cand>,
+}
+
+/// One classified candidate path.
+struct Cand {
+    path: PathId,
+    class: PathType,
+    /// The host's local sending rate on `path` if it is in the set the
+    /// current [`Hermes::argmin_rp`] call ranks, else `None`.
+    rate: Option<f64>,
 }
 
 impl Hermes {
@@ -43,6 +56,7 @@ impl Hermes {
         Hermes {
             sensing: RackSensing::new(topo, leaf, params),
             r_p: vec![BTreeMap::new(); topo.hosts_per_leaf],
+            cands: Vec::new(),
         }
     }
 
@@ -57,42 +71,54 @@ impl Hermes {
         debug_assert_eq!(ctx.src_leaf, self.sensing.my_leaf, "flow of another rack");
     }
 
-    /// `host`'s own `r_p` table (`Topology::host_slot`: hosts are
-    /// numbered leaf-major, and `r_p` has one entry per host slot).
-    fn rp_of(&mut self, host: HostId) -> &mut BTreeMap<(LeafId, PathId), Dre> {
-        let slot = host.0 as usize % self.r_p.len();
-        &mut self.r_p[slot]
+    /// The index of `host`'s own `r_p` table (`Topology::host_slot`:
+    /// hosts are numbered leaf-major, and `r_p` has one entry per host
+    /// slot).
+    fn rp_slot(&self, host: HostId) -> usize {
+        host.0 as usize % self.r_p.len()
     }
 
-    /// Among `set`, the path with the smallest local sending rate
-    /// (Algorithm 2's `Argmin r_p`). Ties — which are the common case,
-    /// since most paths carry none of this host's traffic — break
-    /// *randomly*: a deterministic tie-break would herd every host onto
-    /// the same lowest-indexed path (§3.1.3's synchronization concern).
+    /// The class of candidate `path`, if it is one.
+    fn class_of(&self, path: PathId) -> Option<PathType> {
+        self.cands.iter().find(|c| c.path == path).map(|c| c.class)
+    }
+
+    /// Among the candidates of class `t` — only those notably better
+    /// than `margin_over`, when given — the path with the smallest local
+    /// sending rate (Algorithm 2's `Argmin r_p`); `None` if there is no
+    /// such candidate. Ties — which are the common case, since most
+    /// paths carry none of this host's traffic — break *randomly*: a
+    /// deterministic tie-break would herd every host onto the same
+    /// lowest-indexed path (§3.1.3's synchronization concern).
     fn argmin_rp(
         &mut self,
         host: HostId,
         dst: LeafId,
-        set: &[PathId],
+        t: PathType,
+        margin_over: Option<PathId>,
         now: Time,
         rng: &mut SimRng,
     ) -> Option<PathId> {
-        let r_p = self.rp_of(host);
-        let rates: Vec<(f64, PathId)> = set
-            .iter()
-            .map(|&p| (r_p.get_mut(&(dst, p)).map_or(0.0, |d| d.rate_bps(now)), p))
-            .collect();
-        let min = rates.iter().map(|&(r, _)| r).fold(f64::INFINITY, f64::min);
-        let tied: Vec<PathId> = rates
-            .iter()
-            .filter(|&&(r, _)| r <= min * 1.001 + 1.0)
-            .map(|&(_, p)| p)
-            .collect();
-        if tied.is_empty() {
-            None
-        } else {
-            Some(tied[rng.below(tied.len())])
+        let slot = self.rp_slot(host);
+        let r_p = &mut self.r_p[slot];
+        let sh = &self.sensing;
+        let cur = margin_over.map(|p| sh.path_state(dst, p));
+        let mut min = f64::INFINITY;
+        for c in &mut self.cands {
+            let ranked = c.class == t
+                && cur.is_none_or(|s| notably_better(&sh.params, s, sh.path_state(dst, c.path)));
+            c.rate = ranked.then(|| r_p.get_mut(&(dst, c.path)).map_or(0.0, |d| d.rate_bps(now)));
+            if let Some(r) = c.rate {
+                min = min.min(r);
+            }
         }
+        let tied = |c: &&Cand| c.rate.is_some_and(|r| r <= min * 1.001 + 1.0);
+        let n = self.cands.iter().filter(tied).count();
+        if n == 0 {
+            return None;
+        }
+        let k = rng.below(n);
+        self.cands.iter().filter(tied).nth(k).map(|c| c.path)
     }
 }
 
@@ -119,22 +145,17 @@ impl EdgeLb for Hermes {
         self.check(ctx);
         let params = self.sensing.params;
         let d = ctx.dst_leaf;
-        // Classify every candidate once.
-        let classes: Vec<(PathId, PathType)> = candidates
-            .iter()
-            .map(|&p| (p, self.sensing.characterize(d, p, now)))
-            .collect();
-        let class_of = |p: PathId| classes.iter().find(|(q, _)| *q == p).map(|(_, t)| *t);
+        // Classify every candidate once: `characterize` updates path state.
+        let sh = &mut self.sensing;
+        self.cands.clear();
+        self.cands.extend(candidates.iter().map(|&path| Cand {
+            path,
+            class: sh.characterize(d, path, now),
+            rate: None,
+        }));
         let cur = ctx.current_path;
-        let cur_class = if cur.is_spine() { class_of(cur) } else { None };
+        let cur_class = self.class_of(cur); // `None` for a new flow's unset path
 
-        let of = |t: PathType| -> Vec<PathId> {
-            classes
-                .iter()
-                .filter(|(_, c)| *c == t)
-                .map(|(p, _)| *p)
-                .collect()
-        };
         // One Reroute record per decision; free unless a sink is installed.
         let trace = |to: PathId, verdict: hermes_telemetry::RerouteVerdict| {
             hermes_telemetry::emit_with(now, || hermes_telemetry::Record::Reroute {
@@ -152,28 +173,25 @@ impl EdgeLb for Hermes {
             || cur_class.is_none()
             || cur_class == Some(PathType::Failed);
         if needs_placement {
-            let good = of(PathType::Good);
-            let chosen = if let Some(p) = self.argmin_rp(ctx.src, d, &good, now, rng) {
+            let chosen = if let Some(p) = self.argmin_rp(ctx.src, d, PathType::Good, None, now, rng)
+            {
+                p
+            } else if let Some(p) = self.argmin_rp(ctx.src, d, PathType::Gray, None, now, rng) {
                 p
             } else {
-                let gray = of(PathType::Gray);
-                if let Some(p) = self.argmin_rp(ctx.src, d, &gray, now, rng) {
-                    p
-                } else {
-                    // Random path with no failure; if everything is
-                    // failed, random among all (keep trying).
-                    let mut non_failed = of(PathType::Congested);
-                    if non_failed.is_empty() {
-                        non_failed = candidates.to_vec();
-                    }
-                    non_failed[rng.below(non_failed.len())]
+                // Random path with no failure; if everything is
+                // failed, random among all (keep trying).
+                let congested = || self.cands.iter().filter(|c| c.class == PathType::Congested);
+                match congested().count() {
+                    0 => candidates[rng.below(candidates.len())],
+                    n => congested().nth(rng.below(n)).expect("nth of n").path,
                 }
             };
             // Algorithm 2 line 12: a failed path is eligible only when
             // every candidate has failed (keep trying *somewhere*).
             debug_assert!(
-                classes.iter().all(|&(_, c)| c == PathType::Failed)
-                    || class_of(chosen) != Some(PathType::Failed),
+                self.cands.iter().all(|c| c.class == PathType::Failed)
+                    || self.class_of(chosen) != Some(PathType::Failed),
                 "Algorithm 2 placed a flow on a failed path despite a live alternative"
             );
             let sh = &mut self.sensing;
@@ -201,21 +219,15 @@ impl EdgeLb for Hermes {
             let slow_enough = ctx.rate_bps < params.rate_threshold_bps;
             let cooled_down = ctx.since_change > params.reroute_cooldown;
             if big_enough && slow_enough && cooled_down {
-                let sh = &self.sensing;
-                let notably = |p: &PathId| {
-                    notably_better(&params, sh.path_state(d, cur), sh.path_state(d, *p))
-                };
-                let mut pick = of(PathType::Good);
-                pick.retain(notably);
-                if pick.is_empty() {
-                    pick = of(PathType::Gray);
-                    pick.retain(notably);
-                }
-                if let Some(p) = self.argmin_rp(ctx.src, d, &pick, now, rng) {
+                // A good path notably better than `cur`, else a gray one.
+                let pick = self
+                    .argmin_rp(ctx.src, d, PathType::Good, Some(cur), now, rng)
+                    .or_else(|| self.argmin_rp(ctx.src, d, PathType::Gray, Some(cur), now, rng));
+                if let Some(p) = pick {
                     // Reroute targets come from the good/gray classes
                     // only — never a failed path.
                     debug_assert_ne!(
-                        class_of(p),
+                        self.class_of(p),
                         Some(PathType::Failed),
                         "cautious reroute chose a failed path"
                     );
@@ -281,7 +293,8 @@ impl EdgeLb for Hermes {
         }
         let p = self.sensing.params;
         self.sensing.st(ctx.dst_leaf, path).on_sent(&p, now);
-        self.rp_of(ctx.src)
+        let slot = self.rp_slot(ctx.src);
+        self.r_p[slot]
             .entry((ctx.dst_leaf, path))
             .or_insert_with(Dre::default_horizon)
             .add(bytes, now);
@@ -377,6 +390,7 @@ mod tests {
             is_new: true,
             timed_out: false,
             since_change: Time::MAX,
+            since_tx: Time::MAX,
         }
     }
 

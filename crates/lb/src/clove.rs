@@ -6,13 +6,15 @@
 //! multiplicatively and redistribute it to the others; new flowlets pick
 //! a path by weighted choice. Visibility is limited to paths the host's
 //! own traffic touches — the limitation Table 2 and §5.3.2 quantify.
+//!
+//! A flowlet lasts while the flow's inter-packet gap (`FlowCtx::since_tx`)
+//! stays within the timeout; its path is `FlowCtx::current_path`. Both
+//! come from the runtime, so the only state here is the weights.
 
 use std::collections::BTreeMap;
 
-use hermes_net::{EdgeLb, FlowCtx, FlowId, LeafId, PathId};
+use hermes_net::{EdgeLb, FlowCtx, LeafId, PathId};
 use hermes_sim::{SimRng, Time};
-
-use crate::flowlet::FlowletTable;
 
 /// CLOVE-ECN parameters.
 #[derive(Clone, Copy, Debug)]
@@ -95,13 +97,15 @@ impl Weights {
 pub struct CloveEcn {
     cfg: CloveCfg,
     weights: BTreeMap<LeafId, Weights>,
-    flowlets: FlowletTable<FlowId>,
 }
 
 impl CloveEcn {
     pub fn new(cfg: CloveCfg) -> CloveEcn {
+        assert!(
+            cfg.flowlet_timeout > Time::ZERO,
+            "flowlet timeout must be positive"
+        );
         CloveEcn {
-            flowlets: FlowletTable::new(cfg.flowlet_timeout),
             weights: BTreeMap::new(),
             cfg,
         }
@@ -121,22 +125,18 @@ impl EdgeLb for CloveEcn {
         &mut self,
         ctx: &FlowCtx,
         candidates: &[PathId],
-        now: Time,
+        _now: Time,
         rng: &mut SimRng,
     ) -> PathId {
-        if let Some(p) = self.flowlets.current(ctx.flow, now) {
-            if candidates.contains(&p) {
-                return p;
-            }
+        if ctx.since_tx <= self.cfg.flowlet_timeout && candidates.contains(&ctx.current_path) {
+            return ctx.current_path;
         }
         let w = self
             .weights
             .entry(ctx.dst_leaf)
             .or_insert_with(|| Weights::new(candidates));
         w.ensure(candidates);
-        let p = w.choose(candidates, rng);
-        self.flowlets.assign(ctx.flow, p, now);
-        p
+        w.choose(candidates, rng)
     }
 
     fn on_ack(
@@ -154,16 +154,12 @@ impl EdgeLb for CloveEcn {
             }
         }
     }
-
-    fn on_flow_finished(&mut self, ctx: &FlowCtx, _now: Time) {
-        self.flowlets.remove(ctx.flow);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_net::HostId;
+    use hermes_net::{FlowId, HostId};
 
     fn ctx(flow: u64) -> FlowCtx {
         FlowCtx {
@@ -178,6 +174,16 @@ mod tests {
             is_new: false,
             timed_out: false,
             since_change: Time::MAX,
+            since_tx: Time::MAX,
+        }
+    }
+
+    /// Flow 1 on `current_path`, `since_tx` after its previous packet.
+    fn sent(current_path: PathId, since_tx: Time) -> FlowCtx {
+        FlowCtx {
+            current_path,
+            since_tx,
+            ..ctx(1)
         }
     }
 
@@ -187,12 +193,41 @@ mod tests {
     fn flowlet_stickiness() {
         let mut lb = CloveEcn::new(CloveCfg::default());
         let mut rng = SimRng::new(5);
+        // `twin` mirrors the draws `rng` should have made.
+        let mut twin = SimRng::new(5);
         let p = lb.select_path(&ctx(1), &CANDS, Time::ZERO, &mut rng);
+        twin.f64();
         // Packets 10 us apart stay on the same path.
         for i in 1..20 {
-            let q = lb.select_path(&ctx(1), &CANDS, Time::from_us(i * 10), &mut rng);
+            let q = lb.select_path(
+                &sent(p, Time::from_us(10)),
+                &CANDS,
+                Time::from_us(i * 10),
+                &mut rng,
+            );
             assert_eq!(p, q);
         }
+        // A gap equal to the timeout is still the same flowlet.
+        let timeout = CloveCfg::default().flowlet_timeout;
+        assert_eq!(
+            lb.select_path(&sent(p, timeout), &CANDS, Time::ZERO, &mut rng),
+            p
+        );
+        // None of those calls drew.
+        assert_eq!(rng.u64(), twin.u64());
+        // A gap 1 ns longer starts a new flowlet: one weighted draw.
+        lb.select_path(
+            &sent(p, timeout + Time::from_ns(1)),
+            &CANDS,
+            Time::ZERO,
+            &mut rng,
+        );
+        twin.f64();
+        assert_eq!(rng.u64(), twin.u64());
+        // A flowlet whose path died moves even within the timeout.
+        let rest: Vec<PathId> = CANDS.iter().copied().filter(|&x| x != p).collect();
+        let q = lb.select_path(&sent(p, Time::from_us(10)), &rest, Time::ZERO, &mut rng);
+        assert!(rest.contains(&q));
     }
 
     #[test]

@@ -4,21 +4,20 @@
 //! moves, regardless of congestion, timeouts, or failures. This is what
 //! makes it collapse under blackholes in Fig. 17: a deterministic subset
 //! of flows is pinned to the failed switch forever.
+//!
+//! The flow's path is `FlowCtx::current_path`, which the runtime keeps,
+//! so the balancer itself holds no state.
 
-use std::collections::BTreeMap;
-
-use hermes_net::{EdgeLb, FlowCtx, FlowId, PathId};
+use hermes_net::{EdgeLb, FlowCtx, PathId};
 use hermes_sim::{SimRng, Time};
 
 /// Per-flow random hashing.
 #[derive(Default)]
-pub struct Ecmp {
-    assigned: BTreeMap<FlowId, PathId>,
-}
+pub struct Ecmp;
 
 impl Ecmp {
     pub fn new() -> Ecmp {
-        Ecmp::default()
+        Ecmp
     }
 }
 
@@ -30,28 +29,20 @@ impl EdgeLb for Ecmp {
         _now: Time,
         rng: &mut SimRng,
     ) -> PathId {
-        if let Some(&p) = self.assigned.get(&ctx.flow) {
-            if candidates.contains(&p) {
-                return p;
-            }
+        if candidates.contains(&ctx.current_path) {
+            return ctx.current_path;
         }
-        // New flow (or its hashed path's link was cut before it started).
-        let p = candidates[rng.below(candidates.len())];
-        self.assigned.insert(ctx.flow, p);
-        p
-    }
-
-    fn on_flow_finished(&mut self, ctx: &FlowCtx, _now: Time) {
-        self.assigned.remove(&ctx.flow);
+        // New flow (or its hashed path's link was cut).
+        candidates[rng.below(candidates.len())]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_net::{HostId, LeafId};
+    use hermes_net::{FlowId, HostId, LeafId};
 
-    fn ctx(flow: u64) -> FlowCtx {
+    fn ctx(flow: u64, current_path: PathId) -> FlowCtx {
         FlowCtx {
             flow: FlowId(flow),
             src: HostId(0),
@@ -60,10 +51,11 @@ mod tests {
             dst_leaf: LeafId(1),
             bytes_sent: 0,
             rate_bps: 0.0,
-            current_path: PathId::UNSET,
-            is_new: true,
+            current_path,
+            is_new: current_path == PathId::UNSET,
             timed_out: false,
             since_change: Time::MAX,
+            since_tx: Time::MAX,
         }
     }
 
@@ -72,9 +64,11 @@ mod tests {
         let mut lb = Ecmp::new();
         let mut rng = SimRng::new(1);
         let cands = [PathId(0), PathId(1), PathId(2), PathId(3)];
-        let first = lb.select_path(&ctx(7), &cands, Time::ZERO, &mut rng);
+        let first = lb.select_path(&ctx(7, PathId::UNSET), &cands, Time::ZERO, &mut rng);
+        let mut cur = first;
         for _ in 0..100 {
-            assert_eq!(lb.select_path(&ctx(7), &cands, Time::ZERO, &mut rng), first);
+            cur = lb.select_path(&ctx(7, cur), &cands, Time::ZERO, &mut rng);
+            assert_eq!(cur, first);
         }
     }
 
@@ -85,7 +79,7 @@ mod tests {
         let cands = [PathId(0), PathId(1), PathId(2), PathId(3)];
         let mut counts = [0usize; 4];
         for f in 0..4000 {
-            let p = lb.select_path(&ctx(f), &cands, Time::ZERO, &mut rng);
+            let p = lb.select_path(&ctx(f, PathId::UNSET), &cands, Time::ZERO, &mut rng);
             counts[p.0 as usize] += 1;
         }
         for c in counts {
@@ -94,26 +88,17 @@ mod tests {
     }
 
     #[test]
-    fn finished_flows_are_forgotten() {
-        let mut lb = Ecmp::new();
-        let mut rng = SimRng::new(3);
-        let cands = [PathId(0), PathId(1)];
-        lb.select_path(&ctx(1), &cands, Time::ZERO, &mut rng);
-        assert_eq!(lb.assigned.len(), 1);
-        lb.on_flow_finished(&ctx(1), Time::ZERO);
-        assert!(lb.assigned.is_empty());
-    }
-
-    #[test]
     fn rehashes_only_when_path_dies() {
         let mut lb = Ecmp::new();
         let mut rng = SimRng::new(4);
         let all = [PathId(0), PathId(1), PathId(2), PathId(3)];
-        let p = lb.select_path(&ctx(9), &all, Time::ZERO, &mut rng);
+        let p = lb.select_path(&ctx(9, PathId::UNSET), &all, Time::ZERO, &mut rng);
         // Remove the assigned path from candidates (link cut): re-hash.
         let rest: Vec<PathId> = all.iter().copied().filter(|&x| x != p).collect();
-        let p2 = lb.select_path(&ctx(9), &rest, Time::ZERO, &mut rng);
+        let p2 = lb.select_path(&ctx(9, p), &rest, Time::ZERO, &mut rng);
         assert_ne!(p, p2);
         assert!(rest.contains(&p2));
+        // The new path sticks while it stays a candidate.
+        assert_eq!(lb.select_path(&ctx(9, p2), &rest, Time::ZERO, &mut rng), p2);
     }
 }

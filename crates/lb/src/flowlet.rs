@@ -1,11 +1,13 @@
-//! A flowlet table, shared by every flowlet-switching scheme (LetFlow,
-//! CONGA, CLOVE-ECN).
+//! A flowlet table for the switch-resident flowlet schemes (LetFlow,
+//! CONGA).
 //!
 //! A *flowlet* starts whenever a flow's inter-packet gap exceeds the
 //! configured timeout (Sinha et al., HotNets 2004). The table maps a
 //! flow key to its current path and last-activity time; a lookup either
 //! returns the sticky path (gap below timeout) or reports that a new
-//! flowlet began and stores the caller's fresh choice.
+//! flowlet began and stores the caller's fresh choice. A switch sees
+//! only packets, so it keeps this state itself; an edge scheme
+//! (CLOVE-ECN) reads the same gap and path from its `FlowCtx` instead.
 
 use std::collections::BTreeMap;
 
@@ -39,11 +41,6 @@ impl<K: Ord + Copy> FlowletTable<K> {
         }
     }
 
-    /// The configured flowlet gap.
-    pub fn timeout(&self) -> Time {
-        self.timeout
-    }
-
     /// Look up `key` at `now`. Returns `Some(path)` when the packet
     /// belongs to the current flowlet (and refreshes the activity time);
     /// `None` when a new flowlet begins (caller must `assign`).
@@ -67,19 +64,6 @@ impl<K: Ord + Copy> FlowletTable<K> {
     /// CONGA consults it to prefer sticking when metrics tie.
     pub fn previous_path(&self, key: K) -> Option<PathId> {
         self.entries.get(&key).map(|e| e.path)
-    }
-
-    /// Drop a finished flow's entry.
-    pub fn remove(&mut self, key: K) {
-        self.entries.remove(&key);
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     fn maybe_gc(&mut self, now: Time) {
@@ -130,8 +114,9 @@ mod tests {
         t.assign(2, PathId(1), Time::ZERO);
         assert_eq!(t.current(1, Time::from_us(10)), Some(PathId(0)));
         assert_eq!(t.current(2, Time::from_us(10)), Some(PathId(1)));
-        t.remove(1);
-        assert_eq!(t.current(1, Time::from_us(11)), None);
-        assert_eq!(t.len(), 1);
+        // A new flowlet of key 1 leaves key 2's flowlet alone.
+        t.assign(1, PathId(2), Time::from_us(11));
+        assert_eq!(t.current(1, Time::from_us(12)), Some(PathId(2)));
+        assert_eq!(t.current(2, Time::from_us(12)), Some(PathId(1)));
     }
 }

@@ -114,6 +114,7 @@ mod tests {
             is_new: false,
             timed_out: false,
             since_change: Time::MAX,
+            since_tx: Time::MAX,
         }
     }
 

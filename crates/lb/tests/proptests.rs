@@ -18,6 +18,7 @@ fn ctx(flow: u64, current: PathId, is_new: bool) -> FlowCtx {
         is_new,
         timed_out: false,
         since_change: Time::MAX,
+        since_tx: Time::MAX,
     }
 }
 

@@ -6,6 +6,9 @@
 //!   (ECMP, Presto*, CLOVE-ECN, **Hermes**). They pick the
 //!   explicit path stamped on every outgoing data packet and observe
 //!   transport-level signals (ACK ECN/RTT, retransmissions, timeouts).
+//!   They keep no per-flow state: the runtime owns each flow's status
+//!   and hands it to every hook in a [`FlowCtx`], so an instance holds
+//!   only state that spans flows (weights, path tables, rates).
 //! * **Fabric-based** ([`FabricLb`]) — run inside switches (CONGA,
 //!   LetFlow). They pick the uplink at the source leaf and may
 //!   read/write in-band metadata at every hop.
@@ -44,6 +47,10 @@ pub struct FlowCtx {
     /// Time since the flow last changed paths (`Time::MAX` if never) —
     /// lets schemes damp reroute flip-flopping.
     pub since_change: Time,
+    /// Time since the flow's previous data transmission (`Time::MAX`
+    /// before its first) — the inter-packet gap a flowlet scheme
+    /// compares with its timeout.
+    pub since_tx: Time,
 }
 
 /// A probe the scheme wants sent this tick.
@@ -64,9 +71,10 @@ pub struct ProbeTarget {
 pub trait EdgeLb: Send {
     /// Pick the path for the next outgoing data packet of `flow`.
     ///
-    /// Called for *every* data packet, so per-flow/per-flowlet schemes
-    /// must memoize internally. `candidates` is the set of live spine
-    /// paths to `ctx.dst_leaf`, never empty.
+    /// Called for *every* data packet. A per-flow or per-flowlet scheme
+    /// decides stickiness from `ctx` (`current_path`, `since_tx`) and
+    /// keeps no per-flow memo of its own. `candidates` is the set of
+    /// live spine paths to `ctx.dst_leaf`, never empty.
     fn select_path(
         &mut self,
         ctx: &FlowCtx,
@@ -104,11 +112,6 @@ pub trait EdgeLb: Send {
     /// `bytes` of data were handed to the fabric on `path`.
     fn on_data_sent(&mut self, ctx: &FlowCtx, path: PathId, bytes: u64, now: Time) {
         let _ = (ctx, path, bytes, now);
-    }
-
-    /// The flow delivered its last byte.
-    fn on_flow_finished(&mut self, ctx: &FlowCtx, now: Time) {
-        let _ = (ctx, now);
     }
 
     /// Active-probing plan for this probe tick (empty = scheme does not

@@ -34,6 +34,9 @@ pub(super) struct FlowRt {
     blame_path: PathId,
     /// When the flow last switched paths (reorder-grace bookkeeping).
     last_path_change: Time,
+    /// When the flow last handed a data packet to the fabric
+    /// (meaningless before its first `Tx`, while `bytes_routed` is 0).
+    last_tx: Time,
     timed_out: bool,
     bytes_routed: u64,
     /// The sender's RTO: at most one event queued (see [`LazyTimer`]).
@@ -124,6 +127,8 @@ impl EdgeLbs {
             EdgeLbs::PerHost(lbs) => lbs[f.src.0 as usize].as_mut(),
             EdgeLbs::PerRack { racks, .. } => &mut racks[f.src_leaf.0 as usize],
         };
+        // No `Tx` is empty, so a flow is new until its first one.
+        let is_new = f.bytes_routed == 0;
         let ctx = FlowCtx {
             flow: f.id,
             src: f.src,
@@ -133,13 +138,17 @@ impl EdgeLbs {
             bytes_sent: f.bytes_routed,
             rate_bps: f.rate.rate_bps(now),
             current_path: f.current_path,
-            // No `Tx` is empty, so a flow is new until its first one.
-            is_new: f.bytes_routed == 0,
+            is_new,
             timed_out: f.timed_out,
             since_change: if f.last_path_change == Time::ZERO {
                 Time::MAX
             } else {
                 now.saturating_sub(f.last_path_change)
+            },
+            since_tx: if is_new {
+                Time::MAX
+            } else {
+                now.saturating_sub(f.last_tx)
             },
         };
         Some((lb, ctx))
@@ -184,6 +193,7 @@ impl Simulation {
             ack_path,
             blame_path: PathId::UNSET,
             last_path_change: Time::ZERO,
+            last_tx: Time::ZERO,
             timed_out: false,
             bytes_routed: 0,
             rto: LazyTimer::new(),
@@ -214,14 +224,13 @@ impl Simulation {
         self.process_send_actions(spec.id.0, buf);
     }
 
+    /// Run `fid`'s sender actions in order, the flow looked up once.
     fn process_send_actions(&mut self, fid: u64, mut actions: Vec<SendAction>) {
         let now = self.q.now();
+        let f = self.flows.get_mut(&fid).expect("the caller found the flow");
         for a in actions.drain(..) {
             match a {
                 SendAction::Tx { seq, len, retx } => {
-                    let Some(f) = self.flows.get_mut(&fid) else {
-                        continue;
-                    };
                     // The path the flow was on when the loss (if any)
                     // happened — retransmissions are evidence against
                     // *that* path, not whatever path the flow evacuates
@@ -253,6 +262,7 @@ impl Simulation {
                         }
                     }
                     f.current_path = path;
+                    f.last_tx = now;
                     f.bytes_routed += len as u64;
                     f.rate.add(len as u64, now);
                     if !retx {
@@ -288,37 +298,30 @@ impl Simulation {
                     self.fabric.host_send(&mut self.q, pkt);
                 }
                 SendAction::ArmRto { deadline } => {
-                    if let Some(f) = self.flows.get_mut(&fid) {
-                        if let Some((at, gen)) = f.rto.arm(deadline, now) {
-                            let token = Token::Rto { flow: fid, gen };
-                            self.q.schedule(at, token.at_host(f.src));
-                        }
+                    if let Some((at, gen)) = f.rto.arm(deadline, now) {
+                        let token = Token::Rto { flow: fid, gen };
+                        self.q.schedule(at, token.at_host(f.src));
                     }
                 }
-                SendAction::DisarmRto => {
-                    if let Some(f) = self.flows.get_mut(&fid) {
-                        f.rto.disarm();
-                    }
-                }
+                SendAction::DisarmRto => f.rto.disarm(),
                 SendAction::FullyAcked => {
-                    if let Some(f) = self.flows.get_mut(&fid) {
-                        self.stats.ooo_packets += f.receiver.ooo_packets();
-                        if let Some((lb, ctx)) = self.edge.for_flow(f, now) {
-                            lb.on_flow_finished(&ctx, now);
-                        }
-                    }
-                    // Retire the flow: its record stays, trailing events
-                    // (stale timers, duplicate ACKs) are ignored.
+                    self.stats.ooo_packets += f.receiver.ooo_packets();
+                    // Retire the flow: its record stays, the rest of the
+                    // batch and trailing events (stale timers, duplicate
+                    // ACKs) are ignored.
                     self.flows.remove(&fid);
+                    break;
                 }
             }
         }
         self.send_scratch = actions;
     }
 
+    /// Run `fid`'s receiver actions in order, the flow looked up once.
     fn process_recv_actions(&mut self, fid: u64, mut actions: Vec<RecvAction>) {
         let now = self.q.now();
         let mut completed = false;
+        let f = self.flows.get_mut(&fid).expect("the caller found the flow");
         for a in actions.drain(..) {
             match a {
                 RecvAction::SendAck {
@@ -328,9 +331,6 @@ impl Simulation {
                     echo_path,
                     echo_retx,
                 } => {
-                    let Some(f) = self.flows.get(&fid) else {
-                        continue;
-                    };
                     let info = AckInfo {
                         ack,
                         ecn_echo,
@@ -343,37 +343,29 @@ impl Simulation {
                     self.fabric.host_send(&mut self.q, pkt);
                 }
                 RecvAction::ArmHold { deadline } => {
-                    if let Some(f) = self.flows.get_mut(&fid) {
-                        f.hold_gen += 1;
-                        let token = Token::Hold {
-                            flow: fid,
-                            gen: f.hold_gen,
-                        };
-                        self.q.schedule(deadline.max(now), token.at_host(f.dst));
-                    }
+                    f.hold_gen += 1;
+                    let token = Token::Hold {
+                        flow: fid,
+                        gen: f.hold_gen,
+                    };
+                    self.q.schedule(deadline.max(now), token.at_host(f.dst));
                 }
-                RecvAction::DisarmHold => {
-                    if let Some(f) = self.flows.get_mut(&fid) {
-                        f.hold_gen += 1;
-                    }
-                }
+                RecvAction::DisarmHold => f.hold_gen += 1,
                 RecvAction::Complete => {
                     completed = true;
-                    if let Some(f) = self.flows.get(&fid) {
-                        self.records[f.rec_idx].finish = Some(now);
-                        if hermes_telemetry::enabled() {
-                            let fct = now.saturating_sub(self.records[f.rec_idx].start);
-                            let fct_ns = fct.as_ns();
-                            hermes_telemetry::emit_with(now, || {
-                                hermes_telemetry::Record::FlowCompleted { flow: fid, fct_ns }
-                            });
-                            hermes_telemetry::hist_observe(
-                                "fct_us",
-                                hermes_telemetry::FCT_EDGES_US,
-                                fct.as_us() as f64,
-                            );
-                            hermes_telemetry::counter_add("flows_completed", 1);
-                        }
+                    self.records[f.rec_idx].finish = Some(now);
+                    if hermes_telemetry::enabled() {
+                        let fct = now.saturating_sub(self.records[f.rec_idx].start);
+                        let fct_ns = fct.as_ns();
+                        hermes_telemetry::emit_with(now, || {
+                            hermes_telemetry::Record::FlowCompleted { flow: fid, fct_ns }
+                        });
+                        hermes_telemetry::hist_observe(
+                            "fct_us",
+                            hermes_telemetry::FCT_EDGES_US,
+                            fct.as_us() as f64,
+                        );
+                        hermes_telemetry::counter_add("flows_completed", 1);
                     }
                     self.stats.flows_completed += 1;
                 }

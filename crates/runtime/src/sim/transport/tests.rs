@@ -31,9 +31,6 @@ impl EdgeLb for Forbidden {
     fn on_data_sent(&mut self, _: &FlowCtx, _: PathId, _: u64, _: Time) {
         reached("on_data_sent")
     }
-    fn on_flow_finished(&mut self, _: &FlowCtx, _: Time) {
-        reached("on_flow_finished")
-    }
 }
 
 fn forbidden_lbs(topo: &Topology) -> EdgeLbs {
@@ -60,6 +57,7 @@ fn flow(src: u32, dst: u32) -> FlowRt {
         ack_path: PathId::UNSET,
         blame_path: PathId::UNSET,
         last_path_change: Time::ZERO,
+        last_tx: Time::from_us(10),
         timed_out: false,
         bytes_routed: 1500,
         rto: LazyTimer::new(),
@@ -94,6 +92,7 @@ fn the_seam_builds_a_ctx_only_for_an_inter_rack_edge_flow() {
         (HostId(0), LeafId(1), 1500)
     );
     assert!(!ctx.is_new && ctx.since_change == Time::MAX);
+    assert_eq!(ctx.since_tx, Time::from_us(40));
     assert_ne!(dre(&inter), before);
 }
 

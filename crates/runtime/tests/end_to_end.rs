@@ -335,6 +335,38 @@ fn samplers_record_queue_buildup() {
     );
 }
 
+/// A retired flow's sampler reads the newest flow with its id: flow 7
+/// runs twice, 10 KB then 30 KB, and after the second retires the
+/// sampler must report 30 KB, not the first run's 10 KB.
+#[test]
+fn flow_delivered_reads_the_latest_flow_with_a_reused_id() {
+    let mut sim = Simulation::new(SimConfig::new(Topology::testbed(), Scheme::Ecmp));
+    let spec = |src, dst, size, start| FlowSpec {
+        id: FlowId(7),
+        src: HostId(src),
+        dst: HostId(dst),
+        size,
+        start,
+    };
+    sim.add_flows([
+        spec(0, 6, 10_000, Time::ZERO),
+        spec(1, 7, 30_000, Time::from_ms(20)),
+    ]);
+    let s = sim.add_sampler(Time::from_ms(1), Probe::FlowDelivered(FlowId(7)));
+    sim.run_until(Time::from_ms(60));
+    assert!(sim.records().iter().all(|r| r.finish.is_some()));
+    let series = sim.sampler_series(s);
+    let at = |ms| {
+        series
+            .iter()
+            .find(|&&(t, _)| t == Time::from_ms(ms))
+            .map(|&(_, v)| v)
+    };
+    // Between the two runs the first one's size shows.
+    assert_eq!(at(19), Some(10_000));
+    assert_eq!(series.last().map(|&(_, v)| v), Some(30_000));
+}
+
 #[test]
 #[should_panic(expected = "sampler interval must be positive")]
 fn zero_sampler_interval_fails_fast_instead_of_spinning() {
