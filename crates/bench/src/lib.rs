@@ -9,14 +9,16 @@
 //! Vec<RunReport>`, which runs a list of points one worker per core
 //! with results in input order (what `hermes-cli --runs`, the figure
 //! grids, Fig 1, the Fig 17 transient, the conformance grid and the
-//! chaos campaigns all run). This is the only crate that spawns
-//! threads, and only across whole runs. `run_sim` harvests the same
+//! chaos campaigns all run). Underneath it, `run_points_with` runs any
+//! per-point job on the same workers; `hermes-cli --trace` traces and
+//! writes each run there. This is the only crate that spawns threads,
+//! and only across whole runs. `run_sim` harvests the same
 //! report from a hand-built `Simulation` (Figs 2–4 and the tests), and
 //! `assert_deterministic` replays one to check the determinism
 //! contract. It also holds the fig17 trace points (named `PointCfg`s
-//! that `run_trace_point` runs with the telemetry sink installed), the
-//! probing-cost calculator behind Table 6 and a plain text table
-//! printer. The
+//! that `hermes-cli --point` runs), `run_trace_point` (one run with the
+//! telemetry sink installed on the running thread), the probing-cost
+//! calculator behind Table 6 and a plain text table printer. The
 //! simulator's own speed is not measured here: that record is the
 //! repo-root `benchmark/` crate.
 //!
@@ -38,8 +40,8 @@ mod trace;
 
 pub use probing::{ProbingCostModel, ProbingRow};
 pub use runner::{
-    assert_deterministic, avg_summaries, run_point, run_points, run_sim, PointCfg, PointError,
-    PointField, RunReport,
+    assert_deterministic, avg_summaries, run_point, run_points, run_points_with, run_sim, PointCfg,
+    PointError, PointField, RunReport,
 };
 pub use table::{fmt_ms, fmt_ratio, TextTable};
 pub use trace::{

@@ -310,24 +310,34 @@ pub fn assert_deterministic(mut build: impl FnMut() -> Simulation, horizon: Time
 }
 
 /// Run every point, one worker per available core (never more workers
-/// than points). Each point is an independent deterministic run, so
-/// workers pull the next index from an atomic counter and results land
-/// by index: `run_points(cfgs)` equals `cfgs.iter().map(run_point)`,
-/// whatever the core count or scheduling. A panicking point re-raises
-/// its panic here once every worker has stopped.
+/// than points), with results in input order: `run_points(cfgs)` equals
+/// `cfgs.iter().map(run_point)`, whatever the core count or scheduling.
+pub fn run_points(cfgs: &[PointCfg]) -> Vec<RunReport> {
+    run_points_with(cfgs, run_point)
+}
+
+/// The one pool: `job(cfg)` for every point, one worker per available
+/// core (never more workers than points). Each point is an independent
+/// deterministic run, so workers pull the next index from an atomic
+/// counter and results land by index: the output equals
+/// `cfgs.iter().map(job)`. A worker finishes one job before it takes
+/// the next point, so a job that writes its run's bulk output itself and
+/// returns only a summary (as `hermes-cli --trace` does with a trace)
+/// holds one run's output per worker. A panicking job re-raises its
+/// panic here once every worker has stopped.
 #[expect(
     clippy::disallowed_types,
     clippy::disallowed_methods,
     reason = "the one pool: whole independent runs, one per worker, results by index"
 )]
-pub fn run_points(cfgs: &[PointCfg]) -> Vec<RunReport> {
+pub fn run_points_with<T: Send>(cfgs: &[PointCfg], job: impl Fn(&PointCfg) -> T + Sync) -> Vec<T> {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let workers = std::thread::available_parallelism()
         .map_or(1, std::num::NonZero::get)
         .min(cfgs.len());
     let next = AtomicUsize::new(0);
-    let mut done: Vec<(usize, RunReport)> = std::thread::scope(|scope| {
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
@@ -337,7 +347,7 @@ pub fn run_points(cfgs: &[PointCfg]) -> Vec<RunReport> {
                         let Some(cfg) = cfgs.get(i) else {
                             return mine;
                         };
-                        mine.push((i, run_point(cfg)));
+                        mine.push((i, job(cfg)));
                     }
                 })
             })

@@ -1,8 +1,9 @@
 //! Structured-trace points: run a [`PointCfg`] through [`run_point`]
 //! with the telemetry sink installed and export the event trace (JSONL)
 //! plus sampled metrics (CSV). The registry names the fig17-style
-//! points; the `trace_point` bin is the CLI entry; `tests/telemetry.rs`
-//! replays the mini point in-process.
+//! points; `hermes-cli --point NAME` runs one and `hermes-cli --trace
+//! DIR` traces any point it runs, each run on a [`crate::run_points_with`]
+//! worker; `tests/telemetry.rs` replays the mini point in-process.
 //!
 //! The telemetry layer is compiled into every build; installing the
 //! sink on the running thread is what turns it on.
@@ -13,7 +14,7 @@ use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
 use hermes_workload::{FlowSpec, WorkloadKind};
 
-use crate::{run_point, PointCfg};
+use crate::{run_point, PointCfg, RunReport};
 
 /// Fault window shared by every fig17-style point: a rack0→rack3
 /// blackhole on spine 0 from `ONSET` until `CLEAR`.
@@ -62,7 +63,7 @@ pub struct TracePoint {
     pub point: PointCfg,
 }
 
-/// The registry `trace_point --point` resolves names against.
+/// The registry `hermes-cli --point` resolves names against.
 pub fn trace_points() -> [TracePoint; 2] {
     [
         TracePoint {
@@ -91,16 +92,16 @@ pub struct TraceOut {
     pub jsonl: String,
     /// Cadence-sampled metrics as `at_ns,name,value` rows.
     pub csv: String,
-    /// The run's determinism digest (identical to a run without a sink).
-    pub digest: u64,
     /// Events the bounded ring had to shed (0 unless the sink capacity
     /// is undersized for the scenario).
     pub shed: u64,
-    /// Flows that missed the horizon.
-    pub unfinished: usize,
+    /// The run's report; its digest is identical to a run without a
+    /// sink.
+    pub report: RunReport,
 }
 
-/// Run `cfg` with the sink installed and export the trace.
+/// Run `cfg` with the sink installed on this thread and export the
+/// trace; the sink is gone again when it returns.
 pub fn run_trace_point(cfg: &PointCfg) -> TraceOut {
     hermes_telemetry::install(hermes_telemetry::SinkConfig {
         capacity: 1 << 22,
@@ -117,10 +118,9 @@ pub fn run_trace_point(cfg: &PointCfg) -> TraceOut {
     TraceOut {
         jsonl: hermes_telemetry::to_jsonl(&events),
         csv: hermes_telemetry::to_csv(&rows),
-        digest: report.digest,
         shed,
-        unfinished: report.fct.unfinished,
         events,
+        report,
     }
 }
 

@@ -40,6 +40,9 @@ pub struct Hermes {
     /// classified once. Kept across calls, so choosing a path allocates
     /// nothing once the buffer has grown to the spine count.
     cands: Vec<Cand>,
+    /// The candidate indices a `probe_plan` call samples for one
+    /// destination; kept across calls like `cands`.
+    picks: Vec<usize>,
 }
 
 /// One classified candidate path.
@@ -57,6 +60,7 @@ impl Hermes {
             sensing: RackSensing::new(topo, leaf, params),
             r_p: vec![BTreeMap::new(); topo.hosts_per_leaf],
             cands: Vec::new(),
+            picks: Vec::new(),
         }
     }
 
@@ -300,55 +304,53 @@ impl EdgeLb for Hermes {
             .add(bytes, now);
     }
 
-    fn probe_plan(&mut self, now: Time, rng: &mut SimRng) -> Vec<ProbeTarget> {
+    fn probe_plan(&mut self, now: Time, rng: &mut SimRng, plan: &mut Vec<ProbeTarget>) {
         let sh = &mut self.sensing;
         let my = sh.my_leaf;
         let params = sh.params;
-        let choices = params.probe_choices;
-        let mut plan = Vec::new();
+        let start = plan.len();
         for d in 0..sh.candidates.len() {
             let dst = LeafId(d as u16);
-            if dst == my {
+            let n = sh.candidates[d].len();
+            if dst == my || n == 0 {
                 continue;
             }
-            let cands = sh.candidates[d].clone();
-            if cands.is_empty() {
-                continue;
-            }
-            let mut targets: Vec<PathId> = rng
-                .sample_distinct(cands.len(), choices)
-                .into_iter()
-                .map(|i| cands[i])
-                .collect();
+            rng.sample_distinct_into(n, params.probe_choices, &mut self.picks);
+            let first = plan.len();
+            plan.extend(self.picks.iter().map(|&i| ProbeTarget {
+                dst_leaf: dst,
+                path: sh.candidates[d][i],
+            }));
+            // Append `path` unless this destination already probes it.
+            let add = |plan: &mut Vec<ProbeTarget>, path: PathId| {
+                if !plan[first..].iter().any(|t| t.path == path) {
+                    plan.push(ProbeTarget {
+                        dst_leaf: dst,
+                        path,
+                    });
+                }
+            };
             // "an extra probe on the previously observed best path"
             if let Some(best) = sh.best_path(dst) {
-                if !targets.contains(&best) {
-                    targets.push(best);
-                }
+                add(plan, best);
             }
             // Recovery sensing: every path in probation is probed each
             // tick — probes are the only traffic allowed to test it, so
             // re-admission latency is bounded by
             // recovery_probe_count × probe_interval.
-            for &p in &cands {
+            for k in 0..n {
+                let p = sh.candidates[d][k];
                 if sh.st(dst, p).in_probation(&params, now) {
                     if hermes_telemetry::enabled() {
                         // Probe planning is where Failed ages out into
                         // Probation — report the transition here.
                         sh.trace_path(dst, p, now);
                     }
-                    if !targets.contains(&p) {
-                        targets.push(p);
-                    }
+                    add(plan, p);
                 }
             }
-            plan.extend(targets.into_iter().map(|path| ProbeTarget {
-                dst_leaf: dst,
-                path,
-            }));
         }
-        sh.stat_probes += plan.len() as u64;
-        plan
+        sh.stat_probes += (plan.len() - start) as u64;
     }
 
     fn on_probe_result(&mut self, dst_leaf: LeafId, path: PathId, rtt: Time, ecn: bool, now: Time) {
@@ -564,7 +566,8 @@ mod tests {
         // Quiet period passes with no evidence → the probe plan must
         // target the probation path toward dst leaf 1.
         let t1 = t0 + params.failure_quiet_period;
-        let plan = h.probe_plan(t1, &mut rng);
+        let mut plan = Vec::new();
+        h.probe_plan(t1, &mut rng, &mut plan);
         assert!(
             plan.iter()
                 .any(|t| t.dst_leaf == LeafId(1) && t.path == PathId(2)),
@@ -599,7 +602,7 @@ mod tests {
         let mut t = t0;
         for _ in 0..5 {
             t += params.failure_quiet_period;
-            let _ = h.probe_plan(t, &mut rng);
+            h.probe_plan(t, &mut rng, &mut Vec::new());
             h.on_probe_timeout(LeafId(1), PathId(2), t);
             assert!(
                 h.sensing().path_state(LeafId(1), PathId(2)).failed(),
@@ -641,7 +644,8 @@ mod tests {
             false,
             Time::from_ms(1),
         );
-        let plan = h.probe_plan(Time::from_ms(1), &mut rng);
+        let mut plan = Vec::new();
+        h.probe_plan(Time::from_ms(1), &mut rng, &mut plan);
         // 7 destination racks; 2 or 3 probes each.
         let per_dst: Vec<usize> = (0..8u16)
             .filter(|&d| d != 0)
@@ -748,7 +752,7 @@ mod tests {
         // Quiet period → probation (reported from probe planning).
         let t1 = t0 + params.failure_quiet_period;
         let mut rng = SimRng::new(1);
-        let _ = h.probe_plan(t1, &mut rng);
+        h.probe_plan(t1, &mut rng, &mut Vec::new());
         let tr = drained(|r| matches!(r, Record::PathTransition { .. }));
         assert!(
             tr.contains(&Record::PathTransition {

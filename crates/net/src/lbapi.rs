@@ -114,13 +114,13 @@ pub trait EdgeLb: Send {
         let _ = (ctx, path, bytes, now);
     }
 
-    /// Active-probing plan for this probe tick (empty = scheme does not
-    /// probe). Called once per rack, on the instance serving the rack's
-    /// probe agent; the probe hooks carry no host because probed state
+    /// Append this probe tick's active-probing plan to `plan` (nothing
+    /// = scheme does not probe). Called once per rack, on the instance
+    /// serving the rack's probe agent, with a buffer the caller keeps
+    /// across ticks; the probe hooks carry no host because probed state
     /// is rack-level.
-    fn probe_plan(&mut self, now: Time, rng: &mut SimRng) -> Vec<ProbeTarget> {
-        let _ = (now, rng);
-        Vec::new()
+    fn probe_plan(&mut self, now: Time, rng: &mut SimRng, plan: &mut Vec<ProbeTarget>) {
+        let _ = (now, rng, plan);
     }
 
     /// A probe response came back: round-trip `rtt` on `path` toward

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use hermes_core::HermesParams;
-use hermes_net::{EdgeLb, Event, Fabric, FlowId, LeafId, Packet, PathId, Topology};
+use hermes_net::{EdgeLb, Event, Fabric, FlowId, LeafId, Packet, PathId, ProbeTarget, Topology};
 use hermes_sim::{EventQueue, SimRng, Time};
 
 use super::token::Token;
@@ -26,6 +26,9 @@ pub(super) struct Prober {
     /// expiry sweep is deterministic): `(sending rack, dst leaf, path,
     /// sent at)`.
     outstanding: BTreeMap<u64, (usize, LeafId, PathId, Time)>,
+    /// One rack's plan for the tick in progress; kept across ticks so
+    /// planning allocates nothing once it has grown.
+    plan: Vec<ProbeTarget>,
 }
 
 impl Prober {
@@ -39,6 +42,7 @@ impl Prober {
             timeout: topo.base_rtt() * 8,
             seq: 0,
             outstanding: BTreeMap::new(),
+            plan: Vec::new(),
         })
     }
 
@@ -67,7 +71,9 @@ impl Prober {
             });
         for (l, rack) in racks.iter_mut().enumerate() {
             let agent = fabric.topology().leaf_agent(LeafId(l as u16));
-            for t in rack.probe_plan(now, rng) {
+            self.plan.clear();
+            rack.probe_plan(now, rng, &mut self.plan);
+            for &t in &self.plan {
                 let dst_agent = fabric.topology().leaf_agent(t.dst_leaf);
                 let flow = FlowId(PROBE_FLOW_BASE + self.seq);
                 self.seq += 1;
@@ -107,7 +113,7 @@ impl Prober {
 mod tests {
     use std::sync::{Arc, Mutex};
 
-    use hermes_net::{FlowCtx, ProbeTarget};
+    use hermes_net::FlowCtx;
 
     use super::*;
 
@@ -122,12 +128,12 @@ mod tests {
         fn select_path(&mut self, _: &FlowCtx, c: &[PathId], _: Time, _: &mut SimRng) -> PathId {
             c[0]
         }
-        fn probe_plan(&mut self, _: Time, _: &mut SimRng) -> Vec<ProbeTarget> {
+        fn probe_plan(&mut self, _: Time, _: &mut SimRng, plan: &mut Vec<ProbeTarget>) {
             self.log.lock().unwrap().push(format!("plan {}", self.leaf));
-            vec![ProbeTarget {
+            plan.push(ProbeTarget {
                 dst_leaf: LeafId(1 - self.leaf),
                 path: PathId(2),
-            }]
+            });
         }
         fn on_probe_timeout(&mut self, dst_leaf: LeafId, path: PathId, _: Time) {
             let entry = format!("timeout {} {}->{}", self.leaf, dst_leaf.0, path.0);

@@ -124,14 +124,23 @@ impl SimRng {
     /// replacement (partial Fisher–Yates). If `k >= n`, returns all of
     /// `0..n` in shuffled order.
     pub fn sample_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut idx = Vec::new();
+        self.sample_distinct_into(n, k, &mut idx);
+        idx
+    }
+
+    /// [`Self::sample_distinct`] into a caller-kept buffer, replacing its
+    /// contents: the same draws, and no allocation once `idx` has held
+    /// `n` indices.
+    pub fn sample_distinct_into(&mut self, n: usize, k: usize, idx: &mut Vec<usize>) {
         let k = k.min(n);
-        let mut idx: Vec<usize> = (0..n).collect();
+        idx.clear();
+        idx.extend(0..n);
         for i in 0..k {
             let j = i + self.below(n - i);
             idx.swap(i, j);
         }
         idx.truncate(k);
-        idx
     }
 }
 
@@ -210,6 +219,17 @@ mod tests {
         let mut v = r.sample_distinct(4, 10);
         v.sort_unstable();
         assert_eq!(v, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn sample_distinct_into_makes_the_same_draws_in_a_reused_buffer() {
+        let (mut a, mut b) = (SimRng::new(9), SimRng::new(9));
+        let mut buf = vec![99; 16];
+        for (n, k) in [(8, 2), (3, 5), (8, 2), (0, 2)] {
+            b.sample_distinct_into(n, k, &mut buf);
+            assert_eq!(a.sample_distinct(n, k), buf);
+        }
+        assert_eq!(a.u64(), b.u64(), "the two streams stay in step");
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! (exit code 2).
 //!
 //! Capturing a point's telemetry trace needs no task: the layer is
-//! always compiled in, so it is `cargo run --release -p hermes-bench
-//! --bin trace_point -- --point <name> --out <dir>` (DESIGN.md §12).
+//! always compiled in, so it is `cargo run --release --bin hermes-cli
+//! -- <point flags or --point NAME> --trace <dir>` (DESIGN.md §12).
 //!
 //! The source-level determinism rules (no wall clock, no hash-order
 //! iteration, no threads or locks in the simulation, no unscheduled

@@ -1,16 +1,10 @@
 //! `hermes-cli` — run one load-balancing experiment from the command
-//! line and print the FCT summary.
+//! line and print the FCT summary; `--trace DIR` also writes each run's
+//! event trace and sampled metrics.
 //!
-//! ```text
-//! USAGE:
-//!   hermes-cli [--topo testbed|baseline|asym] [--scheme NAME]
-//!              [--workload web|dm] [--load F] [--flows N] [--seed N]
-//!              [--drop SPINE:RATE] [--blackhole SPINE:SRC:DST:FRAC]
-//!              [--cut LEAF:SPINE] [--transport dctcp|tcp] [--runs N]
-//! ```
-//!
-//! `--scheme` takes any name in [`Scheme::NAMES`], which the usage text
-//! prints.
+//! `hermes-cli --help` prints the flags ([`USAGE`]), the names
+//! `--scheme` takes ([`Scheme::NAMES`]) and the points `--point` runs
+//! ([`hermes_bench::trace_points`]).
 //!
 //! Examples:
 //! ```sh
@@ -19,12 +13,15 @@
 //!     --workload dm --load 0.7 --flows 300
 //! cargo run --release --bin hermes-cli -- --scheme conga \
 //!     --drop 3:0.02 --load 0.5
+//! cargo run --release --bin hermes-cli -- --point fig17_mini --trace traces
 //! ```
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use hermes_bench::{
-    asym_topology, avg_summaries, baseline_capacity, run_points, PointCfg, PointField,
+    asym_topology, avg_summaries, baseline_capacity, run_points, run_points_with, run_trace_point,
+    trace_point, trace_points, PointCfg, PointField, RunReport,
 };
 use hermes_core::HermesParams;
 use hermes_net::{Blackhole, LeafId, SpineFailure, SpineId, Topology};
@@ -45,15 +42,31 @@ struct Args {
     drops: Vec<(u16, f64)>,
     blackholes: Vec<(u16, u16, u16, f64)>,
     cuts: Vec<(u16, u16)>,
+    point: Option<String>,
+    trace: Option<PathBuf>,
+    /// The first shaping flag given, if any.
+    shaped: Option<String>,
+}
+
+/// The flags; [`usage_text`] adds the schemes and the points.
+const USAGE: &str = "usage: hermes-cli [--topo testbed|baseline|asym] [--scheme NAME]
+                  [--workload web|dm] [--load F] [--flows N] [--seed N]
+                  [--drop SPINE:RATE] [--blackhole SPINE:SRC:DST:FRAC]
+                  [--cut LEAF:SPINE] [--transport dctcp|tcp] [--runs N] [--trace DIR]
+       hermes-cli --point NAME [--runs N] [--trace DIR]
+Run i uses seed --seed + i, or the point's own seed + i with --point.
+--trace writes each run's DIR/STEM.trace.jsonl and DIR/STEM.metrics.csv:
+STEM is the --point NAME or `run`, plus `.seedS` (S: the run's seed) if --runs > 1.
+";
+
+fn usage_text() -> String {
+    let points = trace_points().map(|p| format!("\n  {:<26} {}", p.name, p.about));
+    let schemes = Scheme::NAMES.join(" ");
+    format!("{USAGE}schemes: {schemes}\npoints:{}\n", points.concat())
 }
 
 fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}\n");
-    eprintln!("usage: hermes-cli [--topo testbed|baseline|asym] [--scheme NAME]");
-    eprintln!("                  [--workload web|dm] [--load F] [--flows N] [--seed N]");
-    eprintln!("                  [--drop SPINE:RATE] [--blackhole SPINE:SRC:DST:FRAC]");
-    eprintln!("                  [--cut LEAF:SPINE] [--transport dctcp|tcp] [--runs N]");
-    eprintln!("schemes: {}", Scheme::NAMES.join(" "));
+    eprint!("error: {msg}\n\n{}", usage_text());
     std::process::exit(2)
 }
 
@@ -70,6 +83,9 @@ fn parse_args(argv: &[String]) -> Args {
         drops: Vec::new(),
         blackholes: Vec::new(),
         cuts: Vec::new(),
+        point: None,
+        trace: None,
+        shaped: None,
     };
     let mut i = 0;
     let next = |i: &mut usize| -> String {
@@ -81,6 +97,10 @@ fn parse_args(argv: &[String]) -> Args {
     while i < argv.len() {
         let flag = argv[i].clone();
         i += 1;
+        // Every other flag shapes the point, so none may go with `--point`.
+        if !matches!(flag.as_str(), "--point" | "--trace" | "--runs") {
+            args.shaped.get_or_insert(flag.clone());
+        }
         match flag.as_str() {
             "--topo" => args.topo = next(&mut i),
             "--scheme" => args.scheme = next(&mut i),
@@ -123,16 +143,20 @@ fn parse_args(argv: &[String]) -> Args {
                     s.parse().unwrap_or_else(|_| usage("bad spine")),
                 ));
             }
-            "--help" | "-h" => usage("help requested"),
+            "--point" => args.point = Some(next(&mut i)),
+            "--trace" => args.trace = Some(next(&mut i).into()),
+            "--help" | "-h" => {
+                print!("{}", usage_text());
+                std::process::exit(0)
+            }
             other => usage(&format!("unknown flag {other}")),
         }
     }
     if args.runs == 0 {
         usage("--runs must be at least 1");
     }
-    // Run `i` uses seed `--seed + i`.
-    if args.seed.checked_add(args.runs - 1).is_none() {
-        usage("--seed plus --runs overflows a 64-bit seed");
+    if let (Some(_), Some(flag)) = (&args.point, &args.shaped) {
+        usage(&format!("{flag} cannot be combined with --point"));
     }
     args
 }
@@ -208,35 +232,22 @@ fn resolve_scheme(a: &Args, topo: &Topology) -> Scheme {
 }
 
 fn print_summary(s: &FctSummary) {
-    println!("flows               {}", s.n);
-    println!(
-        "unfinished          {} ({:.2}%)",
-        s.unfinished,
-        100.0 * s.unfinished_frac()
-    );
-    println!("avg FCT             {:.3} ms", s.avg * 1e3);
-    println!(
-        "p50 / p95 / p99     {:.3} / {:.3} / {:.3} ms",
-        s.p50 * 1e3,
-        s.p95 * 1e3,
-        s.p99 * 1e3
-    );
-    println!(
-        "small (<100KB) avg  {:.3} ms   p99 {:.3} ms   (n={})",
-        s.avg_small * 1e3,
-        s.p99_small * 1e3,
-        s.n_small
-    );
-    println!(
-        "large (>10MB)  avg  {:.3} ms   (n={})",
-        s.avg_large * 1e3,
-        s.n_large
-    );
+    let (n, unfinished, n_small, n_large) = (s.n, s.unfinished, s.n_small, s.n_large);
+    let pct = 100.0 * s.unfinished_frac();
+    let [avg, p50, p95, p99] = [s.avg, s.p50, s.p95, s.p99].map(|x| x * 1e3);
+    let [small, small99, large] = [s.avg_small, s.p99_small, s.avg_large].map(|x| x * 1e3);
+    println!("flows               {n}");
+    println!("unfinished          {unfinished} ({pct:.2}%)");
+    println!("avg FCT             {avg:.3} ms");
+    println!("p50 / p95 / p99     {p50:.3} / {p95:.3} / {p99:.3} ms");
+    println!("small (<100KB) avg  {small:.3} ms   p99 {small99:.3} ms   (n={n_small})");
+    println!("large (>10MB)  avg  {large:.3} ms   (n={n_large})");
 }
 
-fn main() {
-    let a = parse_args(&std::env::args().skip(1).collect::<Vec<_>>());
-    let (topo, capacity) = build_topo(&a);
+/// The point the shaping flags describe, and the start of the header
+/// line that names it.
+fn flag_point(a: &Args) -> (PointCfg, String) {
+    let (topo, capacity) = build_topo(a);
     let dist = match a.workload.as_str() {
         "web" => FlowSizeDist::web_search(),
         "dm" => FlowSizeDist::data_mining(),
@@ -247,9 +258,14 @@ fn main() {
         "tcp" => TransportCfg::tcp(),
         other => usage(&format!("unknown transport {other}")),
     };
-    let scheme = resolve_scheme(&a, &topo);
-    let sim = SimConfig::new(topo, scheme).with_transport(transport);
+    let scheme = resolve_scheme(a, &topo);
+    let mut sim = SimConfig::new(topo, scheme).with_transport(transport);
+    sim.seed = a.seed;
     let workload = dist.name();
+    let header = format!(
+        "topology={} scheme={} workload={workload} load={:.2} flows={}",
+        a.topo, a.scheme, a.load, a.flows
+    );
     let poisson = PoissonCfg {
         dist,
         load: a.load,
@@ -257,32 +273,80 @@ fn main() {
         capacity: Some(capacity),
     };
     let point = PointCfg::new(sim, WorkloadKind::Poisson(poisson)).drain(Time::from_secs(10));
-    let failures = spine_failures(&a).unwrap_or_else(|e| usage(&e));
+    let failures = spine_failures(a).unwrap_or_else(|e| usage(&e));
     let cfg = failures
         .into_iter()
         .fold(point, |cfg, (s, f)| cfg.failure(s, f));
+    (cfg, header)
+}
+
+/// Run `cfg` traced and write its two files into `dir`, named as
+/// [`USAGE`] says; return its report and the line that names the trace
+/// and the files. The trace is dropped before the worker's next point.
+fn traced_run(cfg: &PointCfg, a: &Args, dir: &Path) -> Result<(RunReport, String), String> {
+    let seed = (a.runs > 1).then(|| format!(".seed{}", cfg.sim.seed));
+    let stem = a.point.as_deref().unwrap_or("run").to_string() + &seed.unwrap_or_default();
+    let out = run_trace_point(cfg);
+    let (events, shed, report) = (out.events.len(), out.shed, &out.report);
+    let mut line = format!(
+        "{stem}: {events} events ({shed} shed), {} unfinished flows, digest {:#018x}",
+        report.fct.unfinished, report.digest
+    );
+    for (ext, body) in [("trace.jsonl", &out.jsonl), ("metrics.csv", &out.csv)] {
+        let path = dir.join(format!("{stem}.{ext}"));
+        std::fs::write(&path, body).map_err(|e| format!("--trace {}: {e}", path.display()))?;
+        line += &format!("\n  {}", path.display());
+    }
+    Ok((out.report, line))
+}
+
+fn main() {
+    let a = parse_args(&std::env::args().skip(1).collect::<Vec<_>>());
+    let (cfg, header) = match &a.point {
+        Some(name) => {
+            let p = trace_point(name).unwrap_or_else(|| usage(&format!("unknown point {name}")));
+            (p.point, format!("point={name}"))
+        }
+        None => flag_point(&a),
+    };
     if let Err(e) = cfg.validate() {
-        let flag = match e.field {
+        let field = match e.field {
             PointField::Load => "--load",
             PointField::Flows => "--flows",
             PointField::Faults => "--drop/--blackhole",
             PointField::Topology => "--cut",
-            PointField::Workload(_) => unreachable!("the CLI runs no elephant/mice mix"),
+            PointField::Workload(field) => field,
         };
-        usage(&format!("{flag}: {}", e.msg));
+        usage(&format!("{field}: {}", e.msg));
     }
-    println!(
-        "topology={} scheme={} workload={} load={:.2} flows={} seed={} runs={}",
-        a.topo, a.scheme, workload, a.load, a.flows, a.seed, a.runs
-    );
+    let seed = cfg.sim.seed;
+    if seed.checked_add(a.runs - 1).is_none() {
+        usage("the run seeds overflow 64 bits (--seed plus --runs)");
+    }
+    // Before any run, so a bad `--trace` costs no simulation.
+    if let Some(dir) = &a.trace {
+        let made = std::fs::create_dir_all(dir);
+        made.unwrap_or_else(|e| usage(&format!("--trace {}: {e}", dir.display())));
+    }
+    println!("{header} seed={seed} runs={}", a.runs);
     let cfgs: Vec<PointCfg> = (0..a.runs)
         .map(|run| {
             let mut run_cfg = cfg.clone();
-            run_cfg.sim.seed = a.seed + run;
+            run_cfg.sim.seed = seed + run;
             run_cfg
         })
         .collect();
-    let sums: Vec<FctSummary> = run_points(&cfgs).into_iter().map(|r| r.fct).collect();
+    let reports = match &a.trace {
+        None => run_points(&cfgs),
+        Some(dir) => {
+            let runs = run_points_with(&cfgs, |cfg| traced_run(cfg, &a, dir));
+            let runs: Result<Vec<_>, _> = runs.into_iter().collect();
+            let runs = runs.unwrap_or_else(|e| usage(&e));
+            runs.iter().for_each(|(_, line)| println!("{line}"));
+            runs.into_iter().map(|(report, _)| report).collect()
+        }
+    };
+    let sums: Vec<FctSummary> = reports.into_iter().map(|r| r.fct).collect();
     if a.runs > 1 {
         for (run, fct) in sums.iter().enumerate() {
             eprintln!("run {run}: avg {:.3} ms", fct.avg * 1e3);

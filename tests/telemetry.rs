@@ -288,12 +288,12 @@ fn fig17_trace_is_byte_identical_across_runs() {
     let p = trace_point("fig17_mini").expect("registered point").point;
     let a = run_trace_point(&p);
     let b = run_trace_point(&p);
-    assert_eq!(a.digest, b.digest, "sim digests must match");
+    assert_eq!(a.report.digest, b.report.digest, "sim digests must match");
     assert_eq!(a.jsonl, b.jsonl, "event JSONL must be byte-identical");
     assert_eq!(a.csv, b.csv, "metrics CSV must be byte-identical");
     // And a fixed function: the mini point's trace and run are pinned.
     assert_eq!(
-        (a.events.len(), a.digest),
+        (a.events.len(), a.report.digest),
         (22_721, 0x2a72_085b_ab6e_f7ff),
         "fig17_mini's event count and run digest moved"
     );
