@@ -66,7 +66,8 @@ impl PointCfg {
     /// the fabric with it:
     ///
     /// * a Poisson workload has `load ∈ (0, 1.5]` (`FlowGen`'s range),
-    ///   at least one flow and, with the elephant/mice law, a valid mix;
+    ///   between one flow and one per id the timers can carry (flow ids
+    ///   run `0..flows`) and, with the elephant/mice law, a valid mix;
     /// * ring ranks and the incast fanout fit the topology;
     /// * an explicit flow list is not empty, and every flow has an id
     ///   the timers can carry, listed once, and two distinct hosts of
@@ -88,6 +89,9 @@ impl PointCfg {
                 let load = (f64::MIN_POSITIVE..=1.5).contains(&p.load);
                 need(Load, load, format!("{} must lie in (0, 1.5]", p.load))?;
                 need(Flows, p.flows >= 1, one())?;
+                let ids = u64::try_from(p.flows).is_ok_and(|n| n <= MAX_FLOW_ID + 1);
+                let msg = format!("{} exceeds MAX_FLOW_ID + 1 ({})", p.flows, MAX_FLOW_ID + 1);
+                need(Flows, ids, msg)?;
                 if let Some(m) = p.dist.mix() {
                     need(W("mice_bytes"), m.mice_bytes >= 1, one())?;
                     let (bigger, msg) =
@@ -678,6 +682,11 @@ mod tests {
             ),
             (
                 poisson(FlowSizeDist::web_search(), 0.3, 0),
+                PointField::Flows,
+            ),
+            // Ids 0..flows run past MAX_FLOW_ID.
+            (
+                poisson(FlowSizeDist::web_search(), 0.3, usize::MAX),
                 PointField::Flows,
             ),
             (with(WorkloadKind::Flows(Vec::new())), PointField::Flows),

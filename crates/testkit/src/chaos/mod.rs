@@ -6,35 +6,35 @@
 //! seed deterministically expands to a [`hermes_net::FaultPlan`] drawn
 //! from the full grammar ([`gen`]) and becomes one scenario, the
 //! campaign cell ([`cell_scenario`]): the hermes/conga/ecmp schemes on
-//! the testbed, each with a fault-free twin, judged against four
-//! graceful-degradation SLOs ([`slo`]). It runs through the same
-//! [`crate::run_grid`] as every scenario file. A failing plan can be
-//! shrunk to a minimal counterexample ([`shrink`]) and written as a
-//! scenario file; the committed ones live in `tests/chaos/corpus/`,
-//! which `xtask conformance` replays with the other scenario
-//! directories.
+//! the testbed, each with a fault-free twin. It runs through the same
+//! [`crate::run_grid`] as every scenario file and is judged by the same
+//! [`check_scenario`]: the invariants (an `[slo]` scenario bounds its
+//! unfinished flows at zero) and the two graceful-degradation SLOs
+//! ([`slo`]) among its classes. A failing plan can be shrunk to a
+//! minimal counterexample ([`shrink`]) and written as a scenario file;
+//! the committed ones live in `tests/chaos/corpus/`, which `xtask
+//! conformance` replays with the other scenario directories. The
+//! conformance self-test ([`crate::selftest`]) proves the SLO classes
+//! trip on a tampered campaign cell.
 //!
 //! Everything is deterministic: same seed range + same config ⇒ the
 //! same campaign report, byte for byte (cells run in one
 //! [`hermes_bench::run_points`] call, whose results land by index, so
-//! report bytes cannot depend on thread interleaving). A
-//! planted-defect self-test ([`selftest`]) proves
-//! each SLO checker and the shrinker actually trip.
+//! report bytes cannot depend on thread interleaving).
 //!
 //! Entry point: `cargo run -p xtask -- chaos` (see `xtask --help`).
 
 pub mod gen;
-pub mod selftest;
 pub mod shrink;
 pub mod slo;
 
 pub use gen::{sample_plan, GenCfg};
-pub use selftest::{chaos_self_test_passed, run_chaos_self_test, ChaosSelfTestCase};
 pub use shrink::{shrink_plan, ShrinkOutcome};
-pub use slo::{SloCfg, SloClass, SloViolation};
+pub use slo::{SloCfg, SloClass};
 
 use hermes_net::{FaultPlan, FnvDigest};
 
+use crate::check::{check_scenario, CheckClass, Failure, Goldens};
 use crate::events::plan_to_toml;
 use crate::run::{run_grid, RunOutcome};
 use crate::spec::{parse_scenario, ScenarioSpec, SloTag};
@@ -62,7 +62,7 @@ pub fn cell_scenario(
 ) -> String {
     // Quick keeps CI smoke affordable; full is the overnight setting.
     // Both drain far past the generator's 52 ms last-fault bound so the
-    // drain SLO judges "stuck forever", not "slow".
+    // unfinished-flow bound judges "stuck forever", not "slow".
     let (flows, load, drain_ms) = if quick {
         (40, 0.25, 1000)
     } else {
@@ -100,24 +100,15 @@ pub fn run_cell(plan: &FaultPlan, seed: u64, quick: bool) -> (ScenarioSpec, Vec<
     (spec, outs)
 }
 
-/// Judge a campaign cell by every SLO at `cfg`: per-LB cells are
-/// labelled `seed=<n>/<lb>`, the cross-LB check `seed=<n>`.
-pub fn judge(spec: &ScenarioSpec, outs: &[RunOutcome], cfg: &SloCfg) -> Vec<SloViolation> {
-    let seed = spec.seeds[0];
-    slo::check_seed(spec, outs, seed, cfg, |lb| match lb {
-        Some(lb) => format!("seed={seed}/{lb}"),
-        None => format!("seed={seed}"),
-    })
-}
-
 /// Campaign shape: how many seeds, how heavy each cell, whether to
 /// shrink failures, and the SLO thresholds to judge against.
 #[derive(Clone, Debug)]
 pub struct CampaignCfg {
+    /// Seeds `seed_base .. seed_base + seeds`; the last must fit a `u64`.
     pub seeds: u64,
     pub seed_base: u64,
     pub quick: bool,
-    /// Shrink the first violation of each failing seed to a minimal
+    /// Shrink the first failure of each failing seed to a minimal
     /// counterexample (costs up to `max_shrink_evals` extra cell runs
     /// per failing seed).
     pub shrink: bool,
@@ -150,7 +141,7 @@ pub struct CellSummary {
 /// A shrunk counterexample, ready to be written as a scenario.
 #[derive(Clone, Debug)]
 pub struct ShrunkCase {
-    pub class: SloClass,
+    pub class: CheckClass,
     pub cell: String,
     pub plan: FaultPlan,
     pub evals: usize,
@@ -163,7 +154,8 @@ pub struct SeedOutcome {
     pub seed: u64,
     pub plan: FaultPlan,
     pub cells: Vec<CellSummary>,
-    pub violations: Vec<SloViolation>,
+    /// What [`check_scenario`] found in the seed's cell.
+    pub violations: Vec<Failure>,
     pub shrunk: Vec<ShrunkCase>,
 }
 
@@ -243,7 +235,7 @@ impl CampaignReport {
                 }
                 s.push_str(&format!(
                     "{{\"class\": \"{}\", \"cell\": \"{}\", \"detail\": \"{}\"}}",
-                    v.class.as_str(),
+                    v.class,
                     esc(&v.cell),
                     esc(&v.detail)
                 ));
@@ -256,7 +248,7 @@ impl CampaignReport {
                 s.push_str(&format!(
                     "{{\"class\": \"{}\", \"cell\": \"{}\", \"from_events\": {}, \
                      \"to_events\": {}, \"evals\": {}}}",
-                    sh.class.as_str(),
+                    sh.class,
                     esc(&sh.cell),
                     sh.from_events,
                     sh.plan.len(),
@@ -275,7 +267,8 @@ impl CampaignReport {
 
     /// Each shrunk counterexample as a scenario file, `(file name,
     /// contents)`: its campaign cell under the shrunk plan, `[slo]`
-    /// naming the class it tripped and the cell that tripped it.
+    /// naming the LB (or `cross`) that tripped and, for an SLO failure,
+    /// the SLO.
     pub fn shrunk_scenarios(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for o in &self.outcomes {
@@ -285,17 +278,20 @@ impl CampaignReport {
                     o.seed,
                     sh.from_events,
                     sh.plan.len(),
-                    sh.class.as_str(),
+                    sh.class,
                     sh.cell
                 );
-                let lb = sh.cell.rsplit_once('/').map_or("cross", |(_, lb)| lb);
+                // The cell is `scenario/lb/seed` or `scenario/cross/seed`.
                 let tag = SloTag {
-                    class: Some(sh.class),
-                    cell: Some(lb.to_string()),
+                    class: match sh.class {
+                        CheckClass::Slo(slo) => Some(slo),
+                        _ => None,
+                    },
+                    cell: sh.cell.split('/').nth(1).map(str::to_string),
                 };
                 let text = cell_scenario(&description, o.seed, &sh.plan, self.cfg.quick, &tag);
                 out.push((
-                    format!("seed{}-{}.toml", o.seed, sh.class.as_str()),
+                    format!("seed{}-{}.toml", o.seed, sh.class),
                     format!("{SHRUNK_HEADER}{text}"),
                 ));
             }
@@ -319,51 +315,63 @@ pub fn run_campaign(cfg: &CampaignCfg) -> CampaignReport {
         .map(|seed| cell_spec(seed, &sample_plan(seed, &gen_cfg), cfg.quick))
         .collect();
     let outs = run_grid(&specs);
-    let mut outcomes = Vec::new();
-    for (spec, runs) in specs.iter().zip(outs.chunks(LBS.len())) {
-        let seed = spec.seeds[0];
-        let plan = &spec.base.sim.fault_plan;
-        let violations = judge(spec, runs, &cfg.slo);
-        let cells = runs
-            .iter()
-            .map(|o| CellSummary {
-                lb: LBS[o.lb_idx],
-                digest: o.result.digest,
-                events: o.result.events,
-                unfinished: o.result.fct.unfinished,
-            })
-            .collect();
-        let mut shrunk = Vec::new();
-        if cfg.shrink {
-            if let Some(v) = violations.first() {
-                let class = v.class;
-                let fails = |cand: &FaultPlan| {
-                    let (spec, outs) = run_cell(cand, seed, cfg.quick);
-                    judge(&spec, &outs, &cfg.slo)
-                        .iter()
-                        .any(|w| w.class == class)
-                };
-                let out = shrink_plan(plan, fails, cfg.max_shrink_evals);
-                shrunk.push(ShrunkCase {
-                    class,
-                    cell: v.cell.clone(),
-                    plan: out.plan,
-                    evals: out.evals,
-                    from_events: out.from_events,
-                });
-            }
-        }
-        outcomes.push(SeedOutcome {
-            seed,
-            plan: plan.clone(),
-            cells,
-            violations,
-            shrunk,
-        });
-    }
+    let outcomes = specs
+        .iter()
+        .zip(outs.chunks(LBS.len()))
+        .map(|(spec, runs)| seed_outcome(spec, runs, cfg))
+        .collect();
     CampaignReport {
         cfg: cfg.clone(),
         outcomes,
+    }
+}
+
+/// [`check_scenario`] over a campaign cell: nothing pinned, the SLOs at
+/// `slo`.
+fn check_cell(spec: &ScenarioSpec, outs: &[RunOutcome], slo: &SloCfg) -> Vec<Failure> {
+    let refs: Vec<&RunOutcome> = outs.iter().collect();
+    check_scenario(spec, &refs, &Goldens::default(), slo)
+}
+
+/// Judge one seed's cell and, under `cfg.shrink`, shrink its first
+/// failure to a plan that still fails with the same class.
+fn seed_outcome(spec: &ScenarioSpec, runs: &[RunOutcome], cfg: &CampaignCfg) -> SeedOutcome {
+    let seed = spec.seeds[0];
+    let plan = &spec.base.sim.fault_plan;
+    let violations = check_cell(spec, runs, &cfg.slo);
+    let cells = runs
+        .iter()
+        .map(|o| CellSummary {
+            lb: LBS[o.lb_idx],
+            digest: o.result.digest,
+            events: o.result.events,
+            unfinished: o.result.fct.unfinished,
+        })
+        .collect();
+    let mut shrunk = Vec::new();
+    if let Some(v) = violations.first().filter(|_| cfg.shrink) {
+        let class = v.class;
+        let fails = |cand: &FaultPlan| {
+            let (spec, outs) = run_cell(cand, seed, cfg.quick);
+            check_cell(&spec, &outs, &cfg.slo)
+                .iter()
+                .any(|w| w.class == class)
+        };
+        let out = shrink_plan(plan, fails, cfg.max_shrink_evals);
+        shrunk.push(ShrunkCase {
+            class,
+            cell: v.cell.clone(),
+            plan: out.plan,
+            evals: out.evals,
+            from_events: out.from_events,
+        });
+    }
+    SeedOutcome {
+        seed,
+        plan: plan.clone(),
+        cells,
+        violations,
+        shrunk,
     }
 }
 
@@ -397,8 +405,8 @@ mod tests {
             cells: Vec::new(),
             violations: Vec::new(),
             shrunk: vec![
-                shrunk(SloClass::Recovery, "seed=41/conga"),
-                shrunk(SloClass::CrossLb, "seed=41"),
+                shrunk(CheckClass::Slo(SloClass::Recovery), "seed41/conga/41"),
+                shrunk(CheckClass::Slo(SloClass::CrossLb), "seed41/cross/41"),
             ],
         };
         for quick in [true, false] {
@@ -426,5 +434,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The campaign judges its cells with every conformance class: a
+    /// clamped past-time schedule, an invariant no SLO ever read, is
+    /// reported as [`CheckClass::Invariant`] in the cell it broke.
+    #[test]
+    fn a_campaign_reports_a_broken_invariant_of_its_cell() {
+        let cfg = CampaignCfg {
+            seeds: 1,
+            quick: true,
+            ..CampaignCfg::default()
+        };
+        let plan = FaultPlan::new().random_drop_window(
+            SpineId(0),
+            0.05,
+            Time::from_ms(5),
+            Time::from_ms(20),
+        );
+        let (spec, mut outs) = run_cell(&plan, 7, true);
+        assert!(seed_outcome(&spec, &outs, &cfg).violations.is_empty());
+        outs[1].result.queue_clamps = 1;
+        let found = seed_outcome(&spec, &outs, &cfg).violations;
+        let cells: Vec<_> = found.iter().map(|f| (f.class, f.cell.as_str())).collect();
+        assert_eq!(
+            cells,
+            [(CheckClass::Invariant, "seed7/conga/7")],
+            "{found:?}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Counterexample shrinking: delta-debugging over fault events, then
 //! severity narrowing.
 //!
-//! A sampled plan that trips an SLO usually carries events that have
+//! A sampled plan that fails a check usually carries events that have
 //! nothing to do with the failure (the sampler composes up to three
 //! primitives, and flaps/ramps expand into many events). Before a plan
 //! is worth committing to the corpus it is shrunk to a minimal
@@ -18,9 +18,10 @@
 //!    plan keeps failing.
 //!
 //! The failure predicate is caller-supplied — typically "re-run the
-//! campaign cell and check the same [`super::slo::SloClass`] still
-//! trips" — and every predicate call is an expensive simulation, so
-//! the whole search is budgeted by `max_evals`.
+//! campaign cell and check a failure of the same
+//! [`crate::CheckClass`] still turns up" — and every predicate call is
+//! an expensive simulation, so the whole search is budgeted by
+//! `max_evals`.
 
 use hermes_net::{FaultAction, FaultEvent, FaultPlan, SpineFailure};
 

@@ -1,37 +1,31 @@
 //! Graceful-degradation SLOs for chaos campaigns.
 //!
 //! A sampled fault plan is not judged on exact FCTs — those vary with
-//! the plan — but on four *degradation contracts* that must hold for
+//! the plan — but on two *degradation contracts* that must hold for
 //! every plan whose faults all clear before the drain horizon:
 //!
-//! 1. **Conservation** — packet conservation balances with faults
-//!    active (every injected packet is delivered, accounted as a
-//!    classified drop, or still in flight).
-//! 2. **Drain** — no stuck flows: once every fault has cleared, all
-//!    flows eventually finish within the drain window.
-//! 3. **Recovery** — cumulative goodput under faults reaches a fixed
+//! 1. **Recovery** — cumulative goodput under faults reaches a fixed
 //!    fraction of the fault-free run's total within the fault-free
 //!    time-to-target plus the plan span plus a slack budget.
-//! 4. **Cross-LB** — Hermes is never meaningfully worse than ECMP on
+//! 2. **Cross-LB** — Hermes is never meaningfully worse than ECMP on
 //!    the same plan: not more unfinished flows, and not more stranded
 //!    flow-time past the last fault event (beyond a tolerance band).
 //!
-//! Checkers never panic; they return [`SloViolation`]s so a campaign
-//! can keep running and report everything it found. A scenario with
-//! `[slo]` is judged by all four at their defaults as the conformance
-//! checker class [`crate::CheckClass::Slo`].
+//! Packet conservation and "every flow finished" are invariants, not
+//! SLOs: an `[slo]` scenario's unfinished-flow bound defaults to zero,
+//! so [`crate::check::check_invariants`] holds a faulted cell to both.
+//! The checkers here never panic; they return [`Failure`]s of class
+//! [`CheckClass::Slo`], which [`crate::check::check_slos`] collects for
+//! every `[slo]` scenario, campaign cells included.
 
 use hermes_bench::RunReport;
 use hermes_sim::Time;
 
-use crate::run::RunOutcome;
-use crate::spec::ScenarioSpec;
+use crate::check::{CheckClass, Failure};
 
-/// Which degradation contract a violation falls under.
+/// Which degradation contract a failure falls under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SloClass {
-    Conservation,
-    Drain,
     Recovery,
     CrossLb,
 }
@@ -40,8 +34,6 @@ impl SloClass {
     /// Stable lowercase name used in reports and `[slo]` tables.
     pub fn as_str(self) -> &'static str {
         match self {
-            SloClass::Conservation => "conservation",
-            SloClass::Drain => "drain",
             SloClass::Recovery => "recovery",
             SloClass::CrossLb => "cross_lb",
         }
@@ -50,8 +42,6 @@ impl SloClass {
     /// Parse the stable name back (`[slo]` tables carry it).
     pub fn parse(s: &str) -> Option<SloClass> {
         match s {
-            "conservation" => Some(SloClass::Conservation),
-            "drain" => Some(SloClass::Drain),
             "recovery" => Some(SloClass::Recovery),
             "cross_lb" => Some(SloClass::CrossLb),
             _ => None,
@@ -59,13 +49,13 @@ impl SloClass {
     }
 }
 
-/// One SLO breach in one cell.
-#[derive(Clone, Debug)]
-pub struct SloViolation {
-    pub class: SloClass,
-    /// The cell as its judge labelled it: per LB, or cross-LB.
-    pub cell: String,
-    pub detail: String,
+/// A failure of `class` in `cell`.
+fn breach(class: SloClass, cell: &str, detail: String) -> Failure {
+    Failure {
+        class: CheckClass::Slo(class),
+        cell: cell.to_string(),
+        detail,
+    }
 }
 
 /// Thresholds for the recovery and cross-LB contracts.
@@ -102,45 +92,7 @@ impl Default for SloCfg {
     }
 }
 
-/// SLO 1: packet conservation balanced at end of run.
-pub fn check_conservation(cell: &str, r: &RunReport) -> Option<SloViolation> {
-    if r.conservation.balanced() {
-        None
-    } else {
-        Some(SloViolation {
-            class: SloClass::Conservation,
-            cell: cell.to_string(),
-            detail: format!("conservation broken under faults: {}", r.conservation),
-        })
-    }
-}
-
-/// SLO 2: every flow finished — nothing stays stuck once the plan's
-/// faults have all cleared. Callers guarantee the plan end precedes
-/// the drain horizon by a comfortable margin (the generator does).
-pub fn check_drain(cell: &str, r: &RunReport) -> Option<SloViolation> {
-    let stuck: Vec<u64> = r
-        .records
-        .iter()
-        .filter(|rec| rec.finish.is_none())
-        .map(|rec| rec.id.0)
-        .collect();
-    if stuck.is_empty() {
-        None
-    } else {
-        Some(SloViolation {
-            class: SloClass::Drain,
-            cell: cell.to_string(),
-            detail: format!(
-                "{} flow(s) never finished after all faults cleared (first: flow {})",
-                stuck.len(),
-                stuck[0]
-            ),
-        })
-    }
-}
-
-/// SLO 3: goodput recovers — the faulted run reaches
+/// Recovery: goodput recovers — the faulted run reaches
 /// `recovery_frac × (fault-free final goodput)` within the fault-free
 /// time-to-target + plan span + slack.
 ///
@@ -153,7 +105,7 @@ pub fn check_recovery(
     base: &RunReport,
     plan_end: Time,
     cfg: &SloCfg,
-) -> Option<SloViolation> {
+) -> Option<Failure> {
     let total = base.goodput.last().map_or(0, |&(_, b)| b);
     if total == 0 {
         return None;
@@ -169,22 +121,22 @@ pub fn check_recovery(
     let budget = t_base + plan_end + cfg.recovery_slack;
     match reach(&fault.goodput) {
         Some(t) if t <= budget => None,
-        Some(t) => Some(SloViolation {
-            class: SloClass::Recovery,
-            cell: cell.to_string(),
-            detail: format!(
+        Some(t) => Some(breach(
+            SloClass::Recovery,
+            cell,
+            format!(
                 "goodput reached {target} B at {t}, past the budget {budget} \
                  (fault-free target time {t_base} + plan span {plan_end} + slack)"
             ),
-        }),
-        None => Some(SloViolation {
-            class: SloClass::Recovery,
-            cell: cell.to_string(),
-            detail: format!(
+        )),
+        None => Some(breach(
+            SloClass::Recovery,
+            cell,
+            format!(
                 "goodput never reached {target} B ({:?} of the fault-free total {total} B)",
                 cfg.recovery_frac
             ),
-        }),
+        )),
     }
 }
 
@@ -201,73 +153,40 @@ pub fn stranded_duration(r: &RunReport, clear: Time) -> Time {
         .fold(Time::ZERO, |acc, d| acc + d)
 }
 
-/// SLO 4: Hermes never meaningfully worse than ECMP on the same plan —
+/// Cross-LB: Hermes never meaningfully worse than ECMP on the same plan —
 /// not more unfinished flows, and stranded flow-time within
 /// `stranded_factor × ECMP + stranded_slack`.
 pub fn check_cross_lb(
-    seed_label: &str,
+    cell: &str,
     hermes: &RunReport,
     ecmp: &RunReport,
     plan_end: Time,
     cfg: &SloCfg,
-) -> Vec<SloViolation> {
+) -> Vec<Failure> {
     let mut out = Vec::new();
     if hermes.fct.unfinished > ecmp.fct.unfinished {
-        out.push(SloViolation {
-            class: SloClass::CrossLb,
-            cell: seed_label.to_string(),
-            detail: format!(
+        out.push(breach(
+            SloClass::CrossLb,
+            cell,
+            format!(
                 "hermes stranded {} flow(s) vs ecmp {} on the same plan",
                 hermes.fct.unfinished, ecmp.fct.unfinished
             ),
-        });
+        ));
     }
     let sh = stranded_duration(hermes, plan_end);
     let se = stranded_duration(ecmp, plan_end);
     let bound = se.mul_f64(cfg.stranded_factor) + cfg.stranded_slack;
     if sh > bound {
-        out.push(SloViolation {
-            class: SloClass::CrossLb,
-            cell: seed_label.to_string(),
-            detail: format!(
+        out.push(breach(
+            SloClass::CrossLb,
+            cell,
+            format!(
                 "hermes stranded flow-time {sh} exceeds bound {bound} \
                  ({:?} x ecmp's {se} + slack)",
                 cfg.stranded_factor
             ),
-        });
-    }
-    out
-}
-
-/// Run every SLO over one seed of an `[slo]` scenario's outcomes, each
-/// cell against its fault-free twin and the scenario's fault plan.
-/// `label(Some(lb))` names a per-LB cell, `label(None)` the cross-LB one.
-pub fn check_seed<'a>(
-    spec: &'a ScenarioSpec,
-    outs: impl IntoIterator<Item = &'a RunOutcome>,
-    seed: u64,
-    cfg: &SloCfg,
-    label: impl Fn(Option<&str>) -> String,
-) -> Vec<SloViolation> {
-    let plan_end = spec.base.sim.fault_plan.end_time();
-    let mut out = Vec::new();
-    let (mut hermes, mut ecmp) = (None, None);
-    for o in outs.into_iter().filter(|o| o.seed == seed) {
-        let (lb, fault) = (spec.lbs[o.lb_idx].0.as_str(), &o.result);
-        let cell = label(Some(lb));
-        out.extend(check_conservation(&cell, fault));
-        out.extend(check_drain(&cell, fault));
-        if let Some(base) = &o.baseline {
-            out.extend(check_recovery(&cell, fault, base, plan_end, cfg));
-        }
-        match lb {
-            "hermes" => hermes = Some(fault),
-            "ecmp" => ecmp = Some(fault),
-            _ => {}
-        }
-    }
-    if let (Some(h), Some(e)) = (hermes, ecmp) {
-        out.extend(check_cross_lb(&label(None), h, e, plan_end, cfg));
+        ));
     }
     out
 }

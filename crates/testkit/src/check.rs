@@ -1,6 +1,8 @@
 //! The checker classes: invariants, golden digests and flow records,
 //! envelopes, ring-step conservation, the incast goodput floor, and the
-//! degradation SLOs.
+//! degradation SLOs; [`check_scenario`] applies all of them to one
+//! scenario's outcomes, for the conformance suite and the chaos
+//! campaign alike.
 //!
 //! Every check produces [`Failure`]s rather than panicking, so one
 //! broken cell doesn't mask the rest of the grid and the self-test can
@@ -13,7 +15,7 @@ use std::fmt;
 use hermes_sim::Time;
 use hermes_workload::{records_hash, WorkloadKind};
 
-use crate::chaos::slo::{check_seed, SloCfg};
+use crate::chaos::slo::{check_cross_lb, check_recovery, SloCfg, SloClass};
 use crate::run::RunOutcome;
 use crate::spec::{Metric, ScenarioSpec};
 
@@ -21,7 +23,7 @@ use crate::spec::{Metric, ScenarioSpec};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckClass {
     /// Per-run physical invariants (conservation, monotonicity, FCT
-    /// sanity, unfinished bound).
+    /// sanity, causality, unfinished bound).
     Invariant,
     /// Golden event-trace digest mismatch or missing pin: the event
     /// stream moved.
@@ -38,9 +40,10 @@ pub enum CheckClass {
     /// Incast burst-drain goodput stayed above the configured fraction
     /// of the aggregator's line rate (and below the line rate itself).
     IncastFloor,
-    /// `[slo]` scenarios only: a degradation SLO (conservation, drain,
-    /// recovery, cross-LB) broke against the cell's fault-free twin.
-    Slo,
+    /// `[slo]` scenarios only: a degradation SLO (recovery, cross-LB)
+    /// broke against the cell's fault-free twin. Displays as the SLO's
+    /// own name.
+    Slo(SloClass),
 }
 
 impl fmt::Display for CheckClass {
@@ -52,7 +55,7 @@ impl fmt::Display for CheckClass {
             CheckClass::Envelope => write!(f, "envelope"),
             CheckClass::RingStep => write!(f, "ring_step"),
             CheckClass::IncastFloor => write!(f, "incast_floor"),
-            CheckClass::Slo => write!(f, "slo"),
+            CheckClass::Slo(slo) => write!(f, "{}", slo.as_str()),
         }
     }
 }
@@ -124,16 +127,20 @@ pub fn check_invariants(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure> {
         }
     }
 
-    // (c) Unfinished-flow bound.
-    let frac = r.fct.unfinished_frac();
-    if frac > spec.invariants.max_unfinished_frac {
-        fail(
-            &mut fails,
-            format!(
-                "unfinished fraction {:.3} exceeds bound {:.3}",
-                frac, spec.invariants.max_unfinished_frac
-            ),
-        );
+    // (c) Unfinished-flow bound, over the records with no finish.
+    let mut unfinished = r.records.iter().filter(|rec| rec.finish.is_none());
+    if let Some(first) = unfinished.next() {
+        let frac = (1 + unfinished.count()) as f64 / r.records.len() as f64;
+        let bound = spec.invariants.max_unfinished_frac;
+        if frac > bound {
+            fail(
+                &mut fails,
+                format!(
+                    "unfinished fraction {frac:.3} exceeds bound {bound:.3} (first: flow {})",
+                    first.id.0
+                ),
+            );
+        }
     }
 
     // (d) FCT sanity: a finished flow can never beat its own
@@ -390,24 +397,33 @@ pub fn check_incast_floor(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure>
     fails
 }
 
-/// Judge an `[slo]` scenario seed by seed by all four degradation SLOs
-/// at [`SloCfg::default`], each cell against its twin: a no-op for
-/// every other scenario. Per-LB cells are named like digest keys, the
-/// cross-LB check `scenario/cross/seed`.
-pub fn check_slos(spec: &ScenarioSpec, outs: &[&RunOutcome]) -> Vec<Failure> {
+/// Judge an `[slo]` scenario seed by seed by both degradation SLOs at
+/// `cfg`, each cell against its twin: a no-op for every other scenario.
+/// Recovery failures are named like digest keys, cross-LB ones
+/// `scenario/cross/seed`.
+pub fn check_slos(spec: &ScenarioSpec, outs: &[&RunOutcome], cfg: &SloCfg) -> Vec<Failure> {
     if spec.slo.is_none() {
         return Vec::new();
     }
-    let cfg = SloCfg::default();
+    let plan_end = spec.base.sim.fault_plan.end_time();
     let mut fails = Vec::new();
     for &seed in &spec.seeds {
-        let label = |lb: Option<&str>| format!("{}/{}/{seed}", spec.name, lb.unwrap_or("cross"));
-        let violations = check_seed(spec, outs.iter().copied(), seed, &cfg, label);
-        fails.extend(violations.into_iter().map(|v| Failure {
-            class: CheckClass::Slo,
-            cell: v.cell,
-            detail: format!("{}: {}", v.class.as_str(), v.detail),
-        }));
+        let (mut hermes, mut ecmp) = (None, None);
+        for o in outs.iter().filter(|o| o.seed == seed) {
+            let cell = spec.digest_key(o.lb_idx, seed);
+            if let Some(base) = &o.baseline {
+                fails.extend(check_recovery(&cell, &o.result, base, plan_end, cfg));
+            }
+            match spec.lbs[o.lb_idx].0.as_str() {
+                "hermes" => hermes = Some(&o.result),
+                "ecmp" => ecmp = Some(&o.result),
+                _ => {}
+            }
+        }
+        if let (Some(h), Some(e)) = (hermes, ecmp) {
+            let cell = format!("{}/cross/{seed}", spec.name);
+            fails.extend(check_cross_lb(&cell, h, e, plan_end, cfg));
+        }
     }
     fails
 }
@@ -526,6 +542,29 @@ pub fn check_envelopes(spec: &ScenarioSpec, outs: &[&RunOutcome]) -> Vec<Failure
             });
         }
     }
+    fails
+}
+
+/// Every checker class over one scenario's outcomes: the per-run
+/// invariants, ring steps and incast floor of each outcome, then the
+/// pinned goldens, the envelopes and, under `[slo]`, the SLOs at `slo`.
+/// The one judge of a scenario: `run_conformance` applies it to each
+/// scenario of a directory, the chaos campaign to each sampled cell.
+pub fn check_scenario(
+    spec: &ScenarioSpec,
+    outs: &[&RunOutcome],
+    goldens: &Goldens,
+    slo: &SloCfg,
+) -> Vec<Failure> {
+    let mut fails = Vec::new();
+    for out in outs {
+        fails.extend(check_invariants(spec, out));
+        fails.extend(check_ring_steps(spec, out));
+        fails.extend(check_incast_floor(spec, out));
+    }
+    fails.extend(check_digests(spec, outs, goldens));
+    fails.extend(check_envelopes(spec, outs));
+    fails.extend(check_slos(spec, outs, slo));
     fails
 }
 

@@ -14,16 +14,19 @@
 //!   thread pool; this crate spawns no threads itself);
 //! * **check** — seven checker classes over the evidence: physical
 //!   invariants (packet conservation, monotonic time, FCT sanity,
-//!   unfinished-flow bounds), golden event-trace digests and golden
-//!   flow-record hashes with a bless flow, statistical FCT-ratio
-//!   envelopes between LBs, ring-step
-//!   conservation for collective workloads, the incast goodput
-//!   floor for burst workloads, and the four degradation SLOs for
-//!   `[slo]` scenarios;
+//!   causality, unfinished-flow bounds), golden event-trace digests and
+//!   golden flow-record hashes with a bless flow, statistical FCT-ratio
+//!   envelopes between LBs, ring-step conservation for collective
+//!   workloads, the incast goodput floor for burst workloads, and the
+//!   two degradation SLOs (recovery, cross-LB) for `[slo]` scenarios;
+//!   [`check::check_scenario`] applies them all to one scenario, the
+//!   one judge of both the conformance suite and the chaos campaign;
 //! * **selftest** — deliberately-broken fixtures proving each checker
-//!   class actually fails when it should;
+//!   class actually fails when it should, and an honest chaos campaign
+//!   cell proving none fails when it should not;
 //! * **chaos** — the seeded fault-space campaign, whose cells are
-//!   scenarios run by the same [`run_grid`].
+//!   scenarios run by the same [`run_grid`] and judged by the same
+//!   [`check::check_scenario`].
 //!
 //! Entry points: [`suite::run_conformance`] for a directory pass,
 //! [`suite::bless`] to regenerate goldens, and
@@ -40,7 +43,7 @@ pub mod spec;
 pub mod suite;
 pub mod toml;
 
-pub use check::{CheckClass, Failure, Goldens};
+pub use check::{check_scenario, CheckClass, Failure, Goldens};
 pub use run::{run_grid, RunOutcome};
 pub use selftest::{run_self_test, self_test_passed};
 pub use spec::{load_dir, load_file, parse_scenario, ScenarioSpec, SloTag, SpecError};

@@ -2,29 +2,45 @@
 //!
 //! A conformance suite that never fails is indistinguishable from one
 //! that checks nothing, so `cargo run -p xtask -- conformance
-//! --self-test` runs one broken fixture per checker class and demands
-//! a failure of exactly that class. Two of the fixtures break at the
-//! scenario level (a real sim run violating a declared bound, a wrong
-//! pinned digest or flow-record golden); the rest tamper with a healthy
-//! run's evidence to
-//! reach checker branches a correct simulator can't trigger
-//! (conservation imbalance, impossible FCTs, a clamped past-time
-//! schedule, time reversal, a wedged flow under `[slo]`).
+//! --self-test` runs at least one broken fixture per checker class and
+//! demands a failure of exactly that class. Two of the fixtures break
+//! at the scenario level (a real sim run violating a declared bound, a
+//! wrong pinned digest or flow-record golden); the rest tamper with a
+//! healthy run's evidence to reach checker branches a correct simulator
+//! can't trigger (conservation imbalance, impossible FCTs, a clamped
+//! past-time schedule, time reversal, a wedged flow under `[slo]`, a
+//! stalled recovery, a Hermes that strands what ECMP finished). One
+//! honest chaos campaign cell must come out clean of every class, or
+//! the tampered ones prove nothing.
 
+use hermes_net::{FaultPlan, SpineId};
+use hermes_sim::Time;
 use hermes_workload::records_hash;
 
+use crate::chaos::{run_cell, SloCfg, SloClass, LBS};
 use crate::check::{
     check_digests, check_envelopes, check_incast_floor, check_invariants, check_ring_steps,
-    check_slos, CheckClass, Failure, Goldens,
+    check_scenario, check_slos, CheckClass, Failure, Goldens,
 };
 use crate::run::{run_grid, RunOutcome};
 use crate::spec::{parse_scenario, ScenarioSpec, SpecError};
 
-/// One self-test case: a broken fixture and the class it must trip.
+/// One self-test case: a fixture and the class it must trip, or `None`
+/// for an honest fixture that must trip nothing.
 pub struct SelfTestCase {
     pub name: &'static str,
-    pub expect: CheckClass,
+    pub expect: Option<CheckClass>,
     pub failures: Vec<Failure>,
+}
+
+impl SelfTestCase {
+    /// The fixture tripped its class, or an honest one stayed clean.
+    pub fn passed(&self) -> bool {
+        match self.expect {
+            Some(class) => self.failures.iter().any(|f| f.class == class),
+            None => self.failures.is_empty(),
+        }
+    }
 }
 
 fn fixture(extra: &str, stem: &str) -> Result<(ScenarioSpec, Vec<RunOutcome>), SpecError> {
@@ -78,7 +94,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     )?;
     cases.push(SelfTestCase {
         name: "unfinished-flow bound (real blackhole run)",
-        expect: CheckClass::Invariant,
+        expect: Some(CheckClass::Invariant),
         failures: check_invariants(&spec, &outs[0]),
     });
 
@@ -88,7 +104,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     outs[0].result.conservation.injected += 1;
     cases.push(SelfTestCase {
         name: "packet-conservation imbalance (tampered report)",
-        expect: CheckClass::Invariant,
+        expect: Some(CheckClass::Invariant),
         failures: check_invariants(&spec, &outs[0]),
     });
 
@@ -97,7 +113,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     outs[0].result.records[0].finish = Some(start);
     cases.push(SelfTestCase {
         name: "FCT below ideal serialization (tampered record)",
-        expect: CheckClass::Invariant,
+        expect: Some(CheckClass::Invariant),
         failures: check_invariants(&spec, &outs[0]),
     });
 
@@ -105,7 +121,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     outs[0].result.queue_clamps = 1;
     cases.push(SelfTestCase {
         name: "past-time schedule clamped by the event queue (tampered count)",
-        expect: CheckClass::Invariant,
+        expect: Some(CheckClass::Invariant),
         failures: check_invariants(&spec, &outs[0]),
     });
 
@@ -113,7 +129,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     outs[0].result.goodput.reverse();
     cases.push(SelfTestCase {
         name: "non-monotonic goodput timeline (reversed series)",
-        expect: CheckClass::Invariant,
+        expect: Some(CheckClass::Invariant),
         failures: check_invariants(&spec, &outs[0]),
     });
 
@@ -129,7 +145,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     };
     cases.push(SelfTestCase {
         name: "golden digest mismatch (stale pin)",
-        expect: CheckClass::Digest,
+        expect: Some(CheckClass::Digest),
         failures: check_digests(&spec, &refs, &wrong),
     });
 
@@ -143,7 +159,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     };
     cases.push(SelfTestCase {
         name: "golden flow-record mismatch (a finish moved 1 ns)",
-        expect: CheckClass::Records,
+        expect: Some(CheckClass::Records),
         failures: check_digests(&spec, &refs, &wrong),
     });
 
@@ -162,7 +178,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     let refs: Vec<&RunOutcome> = outs.iter().collect();
     cases.push(SelfTestCase {
         name: "impossible FCT-ratio envelope (self vs self at 0.5x)",
-        expect: CheckClass::Envelope,
+        expect: Some(CheckClass::Envelope),
         failures: check_envelopes(&spec, &refs),
     });
 
@@ -188,7 +204,7 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     outs[0].result.records.retain(|r| r.id.0 != 6);
     cases.push(SelfTestCase {
         name: "ring-step conservation (rank skipped a step)",
-        expect: CheckClass::RingStep,
+        expect: Some(CheckClass::RingStep),
         failures: check_ring_steps(&spec, &outs[0]),
     });
 
@@ -218,29 +234,81 @@ pub fn run_self_test() -> Result<Vec<SelfTestCase>, SpecError> {
     }
     cases.push(SelfTestCase {
         name: "incast goodput floor (starved responder)",
-        expect: CheckClass::IncastFloor,
+        expect: Some(CheckClass::IncastFloor),
         failures: check_incast_floor(&spec, &outs[0]),
     });
 
-    // -- Slo: a healthy `[slo]` run with one flow doctored to never
-    // finish — the drain SLO must catch the wedged flow.
-    let (spec, mut outs) = fixture("[slo]", "broken_slo_drain")?;
+    // -- Invariant under `[slo]`: a healthy run with one flow doctored
+    // to never finish — the unfinished bound, zero under `[slo]`, must
+    // catch the wedged flow.
+    let (spec, mut outs) = fixture("[slo]", "broken_slo_unfinished")?;
     outs[0].result.records[0].finish = None;
+    cases.push(SelfTestCase {
+        name: "unfinished flow under [slo] (a flow never finished)",
+        expect: Some(CheckClass::Invariant),
+        failures: check_invariants(&spec, &outs[0]),
+    });
+
+    // -- Slo: one chaos campaign cell (5% random drops on spine 0 over
+    // 5-20 ms, seed 7, quick workload), judged whole while honest, then
+    // with one scheme's evidence doctored per SLO.
+    let plan =
+        FaultPlan::new().random_drop_window(SpineId(0), 0.05, Time::from_ms(5), Time::from_ms(20));
+    let (spec, outs) = run_cell(&plan, 7, true);
+    let slo = SloCfg::default();
     let refs: Vec<&RunOutcome> = outs.iter().collect();
     cases.push(SelfTestCase {
-        name: "degradation SLO (a flow never finished)",
-        expect: CheckClass::Slo,
-        failures: check_slos(&spec, &refs),
+        name: "honest [slo] campaign cell (random drops, seed 7)",
+        expect: None,
+        failures: check_scenario(&spec, &refs, &Goldens::default(), &slo),
+    });
+    // One seed: the outcomes are in `LBS` order.
+    let lb = |name| LBS.iter().position(|&l| l == name).expect("a campaign LB");
+    let (hermes, ecmp) = (lb("hermes"), lb("ecmp"));
+
+    // Recovery: freeze ECMP's goodput at half its twin's total, so it
+    // never reaches the recovery target.
+    let mut tampered = outs.clone();
+    let base = outs[ecmp]
+        .baseline
+        .as_ref()
+        .expect("an [slo] cell runs its twin");
+    let half = base.goodput.last().map_or(0, |&(_, b)| b) / 2;
+    tampered[ecmp].result.goodput = base
+        .goodput
+        .iter()
+        .map(|&(t, b)| (t, b.min(half)))
+        .collect();
+    let refs: Vec<&RunOutcome> = tampered.iter().collect();
+    cases.push(SelfTestCase {
+        name: "recovery SLO (goodput frozen at half the twin's total)",
+        expect: Some(CheckClass::Slo(SloClass::Recovery)),
+        failures: check_slos(&spec, &refs, &slo),
+    });
+
+    // Cross-LB: a fake Hermes that strands 3 flows ECMP finished.
+    let mut tampered = outs.clone();
+    let fake = &mut tampered[hermes].result;
+    *fake = outs[ecmp].result.clone();
+    fake.fct.unfinished += 3;
+    let n = fake.records.len();
+    fake.records[n.saturating_sub(3)..]
+        .iter_mut()
+        .for_each(|rec| rec.finish = None);
+    let refs: Vec<&RunOutcome> = tampered.iter().collect();
+    cases.push(SelfTestCase {
+        name: "cross-LB SLO (hermes strands 3 flows ecmp finished)",
+        expect: Some(CheckClass::Slo(SloClass::CrossLb)),
+        failures: check_slos(&spec, &refs, &slo),
     });
 
     Ok(cases)
 }
 
-/// True when every broken fixture tripped its intended class.
+/// True when every broken fixture tripped its intended class and every
+/// honest one stayed clean.
 pub fn self_test_passed(cases: &[SelfTestCase]) -> bool {
-    cases
-        .iter()
-        .all(|c| c.failures.iter().any(|f| f.class == c.expect))
+    cases.iter().all(SelfTestCase::passed)
 }
 
 #[cfg(test)]
@@ -250,24 +318,33 @@ mod tests {
     #[test]
     fn every_checker_class_demonstrably_fails() {
         let cases = run_self_test().expect("fixtures run");
-        assert!(cases.len() >= 3);
         for c in &cases {
             assert!(
-                c.failures.iter().any(|f| f.class == c.expect),
-                "fixture `{}` did not trip {:?}: {:?}",
+                c.passed(),
+                "fixture `{}` expected {:?}: {:?}",
                 c.name,
                 c.expect,
                 c.failures
             );
         }
-        let classes: Vec<CheckClass> = cases.iter().map(|c| c.expect).collect();
-        assert!(classes.contains(&CheckClass::Invariant));
-        assert!(classes.contains(&CheckClass::Digest));
-        assert!(classes.contains(&CheckClass::Records));
-        assert!(classes.contains(&CheckClass::Envelope));
-        assert!(classes.contains(&CheckClass::RingStep));
-        assert!(classes.contains(&CheckClass::IncastFloor));
-        assert!(classes.contains(&CheckClass::Slo));
+        let classes: Vec<Option<CheckClass>> = cases.iter().map(|c| c.expect).collect();
+        for class in [
+            CheckClass::Invariant,
+            CheckClass::Digest,
+            CheckClass::Records,
+            CheckClass::Envelope,
+            CheckClass::RingStep,
+            CheckClass::IncastFloor,
+            CheckClass::Slo(SloClass::Recovery),
+            CheckClass::Slo(SloClass::CrossLb),
+        ] {
+            assert!(
+                classes.contains(&Some(class)),
+                "no fixture covers {class:?}"
+            );
+        }
+        // The honest campaign cell reports nothing of any class.
+        assert!(classes.contains(&None));
         assert!(self_test_passed(&cases));
     }
 }

@@ -59,7 +59,7 @@
 //! spine = 0
 //!
 //! [invariants]                   # both optional, in [0, 1]
-//! max_unfinished_frac = 0.0      # default 1.0 = no bound
+//! max_unfinished_frac = 0.0      # default 1.0 = no bound; 0.0 under [slo]
 //! incast_floor_frac = 0.25       # incast only: per-burst goodput
 //!                                # ≥ frac × line rate
 //!
@@ -133,7 +133,8 @@ impl fmt::Display for Metric {
 pub struct InvariantCfg {
     /// Upper bound on the unfinished-flow fraction per run. The default
     /// of 1.0 disables the bound (fault scenarios legitimately strand
-    /// flows under non-adaptive LBs).
+    /// flows under non-adaptive LBs); an `[slo]` scenario's default is
+    /// 0.0, since its faults clear long before the drain ends.
     pub max_unfinished_frac: f64,
     /// Incast scenarios only: every drained burst's aggregate goodput
     /// (`fanout × reply_bytes × 8 / drain time`) must stay at or above
@@ -151,9 +152,10 @@ impl Default for InvariantCfg {
     }
 }
 
-/// An `[slo]` table: the scenario is judged by the four degradation
-/// SLOs, each cell against its fault-free twin. Its keys are provenance
-/// only: they select nothing.
+/// An `[slo]` table: the scenario is judged by the two degradation
+/// SLOs, each cell against its fault-free twin, and no flow may stay
+/// unfinished unless `[invariants]` says otherwise. Its keys are
+/// provenance only: they select nothing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SloTag {
     /// The SLO class the scenario was mined for.
@@ -521,16 +523,17 @@ fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
         return Err(events::plan_error(&fault_plan, &topo, &e));
     }
 
-    // [invariants] (optional)
+    // [invariants] (optional); under [slo] every flow must finish.
+    let mut dflt = InvariantCfg::default();
+    if root.contains_key("slo") {
+        dflt.max_unfinished_frac = 0.0;
+    }
     let invariants = match root.get("invariants").and_then(Value::as_table) {
-        Some(it) => {
-            let dflt = InvariantCfg::default();
-            InvariantCfg {
-                max_unfinished_frac: frac(it, "max_unfinished_frac", dflt.max_unfinished_frac)?,
-                incast_floor_frac: frac(it, "incast_floor_frac", dflt.incast_floor_frac)?,
-            }
-        }
-        None => InvariantCfg::default(),
+        Some(it) => InvariantCfg {
+            max_unfinished_frac: frac(it, "max_unfinished_frac", dflt.max_unfinished_frac)?,
+            incast_floor_frac: frac(it, "incast_floor_frac", dflt.incast_floor_frac)?,
+        },
+        None => dflt,
     };
 
     // [[envelope]] (optional)
@@ -706,6 +709,12 @@ mod tests {
         // Both keys are optional; the table alone judges by the SLOs.
         let s = parse_scenario(&format!("{MINIMAL}\n[slo]\n"), "mem", "x").expect("parses");
         assert_eq!(s.slo, Some(SloTag::default()));
+        // Under [slo] no flow may stay unfinished, unless [invariants]
+        // says otherwise.
+        assert_eq!(s.invariants.max_unfinished_frac, 0.0);
+        let src = format!("{MINIMAL}\n[slo]\n[invariants]\nmax_unfinished_frac = 0.5\n");
+        let s = parse_scenario(&src, "mem", "x").expect("parses");
+        assert_eq!(s.invariants.max_unfinished_frac, 0.5);
         // A twin is the cell without its faults.
         assert!(s.twin(0, 1).sim.fault_plan.is_empty());
         assert_eq!(s.twin(1, 2).sim.seed, 2);
@@ -853,6 +862,11 @@ mod tests {
             (topo("cut = [[0, 0], [0, 1], [1, 2], [1, 3]]"), "`cut`"),
             (MINIMAL.replace("load = 0.3", "load = 0.0"), "`load`"),
             (MINIMAL.replace("flows = 40", "flows = 0"), "`flows`"),
+            // More flows than timer tokens have ids for.
+            (
+                MINIMAL.replace("flows = 40", "flows = 9223372036854775807"),
+                "`flows`",
+            ),
             (fault(9, 1, 1.0), "[[event]] #0 (`set_spine_failure`) `spine`"),
             (fault(0, 1, 1.5), "[[event]] #0 (`set_spine_failure`) `bh_pair_fraction`"),
             (fault(0, 2, 1.0), "[[event]] #0 (`set_spine_failure`) `bh_dst_leaf`"),

@@ -8,10 +8,8 @@ use std::path::Path;
 
 use hermes_workload::records_hash;
 
-use crate::check::{
-    check_digests, check_envelopes, check_incast_floor, check_invariants, check_ring_steps,
-    check_slos, format_store, parse_store, Failure, Goldens,
-};
+use crate::chaos::SloCfg;
+use crate::check::{check_scenario, format_store, parse_store, Failure, Goldens};
 use crate::run::{run_grid, RunOutcome};
 use crate::spec::{load_dir, ScenarioSpec, SpecError};
 
@@ -125,8 +123,9 @@ fn write_store(
     })
 }
 
-/// Run every scenario in `dir` across its grid and apply every checker
-/// class (the workload-specific ones are no-ops on other kinds).
+/// Run every scenario in `dir` across its grid and judge each with
+/// [`check_scenario`] (the workload-specific classes are no-ops on other
+/// kinds; the SLOs run at their defaults).
 pub fn run_conformance(dir: &Path) -> Result<ConformanceReport, SpecError> {
     let scenarios = load_dir(dir)?;
     if scenarios.is_empty() {
@@ -140,14 +139,7 @@ pub fn run_conformance(dir: &Path) -> Result<ConformanceReport, SpecError> {
     let mut failures = Vec::new();
     for (si, spec) in scenarios.iter().enumerate() {
         let mine: Vec<&RunOutcome> = outcomes.iter().filter(|o| o.scenario == si).collect();
-        for out in &mine {
-            failures.extend(check_invariants(spec, out));
-            failures.extend(check_ring_steps(spec, out));
-            failures.extend(check_incast_floor(spec, out));
-        }
-        failures.extend(check_digests(spec, &mine, &goldens));
-        failures.extend(check_envelopes(spec, &mine));
-        failures.extend(check_slos(spec, &mine));
+        failures.extend(check_scenario(spec, &mine, &goldens, &SloCfg::default()));
     }
     Ok(ConformanceReport {
         scenarios,

@@ -4,22 +4,22 @@
 //!   scenario conformance grid (`tests/scenarios/`, the extended
 //!   directory and the chaos corpus `tests/chaos/corpus/`) through
 //!   `hermes-testkit`, or prove each checker class fails on its
-//!   deliberately-broken fixture;
+//!   deliberately-broken fixture and none fails on an honest chaos
+//!   campaign cell;
 //! * `cargo run -p xtask -- bless` — regenerate the golden stores (event-
 //!   trace digests and flow-record hashes) after an intended change, and
 //!   report how many cells moved in each;
-//! * `cargo run -p xtask -- chaos [--seeds N] [--quick] [--shrink]
-//!   [--self-test]` — the chaos campaign engine (DESIGN.md §14): sample
-//!   N seeded fault plans from the full fault grammar and judge
-//!   hermes/conga/ecmp against the graceful-degradation SLOs;
-//!   `--shrink` delta-debugs failing plans to minimal counterexamples
-//!   (`--emit-shrunk <dir>` writes them as scenario files),
-//!   `--recovery-frac` tightens the recovery SLO for corpus mining, and
-//!   `--self-test` proves each SLO checker and the shrinker trip on
-//!   planted fixtures.
+//! * `cargo run -p xtask -- chaos [--seeds N] [--quick] [--shrink]` —
+//!   the chaos campaign engine (DESIGN.md §14): sample N seeded fault
+//!   plans from the full fault grammar and judge hermes/conga/ecmp with
+//!   the conformance checkers, the graceful-degradation SLOs among
+//!   them; `--shrink` delta-debugs failing plans to minimal
+//!   counterexamples (`--emit-shrunk <dir>` writes them as scenario
+//!   files), and `--recovery-frac` tightens the recovery SLO for corpus
+//!   mining.
 //!
-//! An unknown argument, or a flag without its value, is a usage error
-//! (exit code 2).
+//! An unknown argument, a flag without its value, or a chaos seed range
+//! past `u64::MAX` is a usage error (exit code 2).
 //!
 //! Capturing a point's telemetry trace needs no task: the layer is
 //! always compiled in, so it is `cargo run --release --bin hermes-cli
@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo run -p xtask -- <conformance [--self-test] | bless | \
-                     chaos [--seeds N] [--seed-base N] [--quick] [--shrink] [--self-test] \
+                     chaos [--seeds N] [--seed-base N] [--quick] [--shrink] \
                      [--recovery-frac F] [--recovery-slack-ms MS] [--stranded-slack-ms MS] \
                      [--out <json>] [--emit-shrunk <dir>]>";
 
@@ -126,8 +126,8 @@ fn conformance() -> ExitCode {
     }
 }
 
-/// Prove each checker class (invariant, digest, envelope) actually
-/// fails on its deliberately-broken fixture.
+/// Prove each checker class actually fails on its deliberately-broken
+/// fixture, and none on the honest one.
 fn conformance_self_test() -> ExitCode {
     let cases = match hermes_testkit::run_self_test() {
         Ok(c) => c,
@@ -138,25 +138,26 @@ fn conformance_self_test() -> ExitCode {
     };
     let mut ok = true;
     for case in &cases {
-        let tripped = case.failures.iter().any(|f| f.class == case.expect);
+        let passed = case.passed();
         println!(
             "  [{}] {:<55} {}",
-            if tripped { "ok" } else { "MISSED" },
+            if passed { "ok" } else { "MISSED" },
             case.name,
             case.failures
                 .first()
                 .map_or_else(|| "(no failure reported)".to_string(), ToString::to_string)
         );
-        ok &= tripped;
+        ok &= passed;
     }
     if ok {
         println!(
-            "xtask conformance --self-test: all {} broken fixtures tripped their checker class",
+            "xtask conformance --self-test: all {} fixtures tripped their checker class, \
+             or nothing if honest",
             cases.len()
         );
         ExitCode::SUCCESS
     } else {
-        eprintln!("xtask conformance --self-test: a checker class failed to fail");
+        eprintln!("xtask conformance --self-test: a checker class failed to fail, or fired on an honest run");
         ExitCode::FAILURE
     }
 }
@@ -198,9 +199,8 @@ fn bless_goldens() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `chaos`: a seeded fault-space fuzzing campaign under the degradation
-/// SLOs (DESIGN.md §14). `--self-test` proves every SLO checker and the
-/// shrinker trip on planted fixtures instead.
+/// `chaos`: a seeded fault-space fuzzing campaign judged by the
+/// conformance checkers, the degradation SLOs among them (DESIGN.md §14).
 fn chaos(args: &[String]) -> ExitCode {
     use hermes_sim::Time;
     use hermes_testkit::chaos;
@@ -208,13 +208,11 @@ fn chaos(args: &[String]) -> ExitCode {
     let mut cfg = chaos::CampaignCfg::default();
     let mut json_out: Option<&str> = None;
     let mut emit_shrunk: Option<&str> = None;
-    let mut self_test = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--quick" => cfg.quick = true,
             "--shrink" => cfg.shrink = true,
-            "--self-test" => self_test = true,
             _ => {
                 // A flag's value: the next argument, unless it is a flag.
                 let value = it
@@ -245,8 +243,9 @@ fn chaos(args: &[String]) -> ExitCode {
             }
         }
     }
-    if self_test {
-        return chaos_self_test();
+    let last_seed = cfg.seed_base.checked_add(cfg.seeds.saturating_sub(1));
+    if last_seed.is_none() {
+        return usage("chaos: the seeds overflow 64 bits (--seed-base plus --seeds)");
     }
 
     let report = chaos::run_campaign(&cfg);
@@ -263,7 +262,7 @@ fn chaos(args: &[String]) -> ExitCode {
             o.plan.end_time(),
         );
         for v in &o.violations {
-            println!("      {} {}: {}", v.class.as_str(), v.cell, v.detail);
+            println!("      {v}");
         }
         for sh in &o.shrunk {
             println!(
@@ -271,7 +270,7 @@ fn chaos(args: &[String]) -> ExitCode {
                 sh.from_events,
                 sh.plan.len(),
                 sh.evals,
-                sh.class.as_str()
+                sh.class
             );
         }
     }
@@ -317,32 +316,6 @@ fn write_shrunk(report: &hermes_testkit::chaos::CampaignReport, dir: &Path) -> R
         dir.display()
     );
     Ok(())
-}
-
-/// Prove every chaos SLO checker and the plan shrinker trip on their
-/// planted fixtures (mirrors `conformance --self-test`).
-fn chaos_self_test() -> ExitCode {
-    let cases = hermes_testkit::chaos::run_chaos_self_test();
-    let mut ok = true;
-    for case in &cases {
-        println!(
-            "  [{}] {:<32} {}",
-            if case.ok { "ok" } else { "MISSED" },
-            case.name,
-            case.detail
-        );
-        ok &= case.ok;
-    }
-    if ok {
-        println!(
-            "xtask chaos --self-test: all {} fixtures behaved (checkers trip, shrinker minimizes)",
-            cases.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask chaos --self-test: a planted fixture did not trip its checker");
-        ExitCode::FAILURE
-    }
 }
 
 /// The workspace root, two levels above this crate's manifest.

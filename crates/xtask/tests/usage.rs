@@ -1,11 +1,12 @@
-//! `xtask` refuses an unknown argument, or a flag without its value,
-//! with a usage error (exit code 2) before it runs anything.
+//! `xtask` refuses an unknown argument, a flag without its value, or a
+//! chaos seed range past `u64::MAX`, with a usage error (exit code 2)
+//! before it runs anything.
 
 use std::process::Command;
 
 #[test]
 fn bad_arguments_are_usage_errors() {
-    let cases: [&[&str]; 10] = [
+    let cases: [&[&str]; 12] = [
         &[],
         &["frobnicate"],
         &["conformance", "--slef-test"],
@@ -16,6 +17,16 @@ fn bad_arguments_are_usage_errors() {
         &["chaos", "--seeds", "many"],
         &["chaos", "--out", "--quick"],
         &["chaos", "--no-corpus"],
+        // The conformance self-test covers the chaos checkers.
+        &["chaos", "--self-test"],
+        // Seed 2^64 does not exist.
+        &[
+            "chaos",
+            "--seed-base",
+            "18446744073709551615",
+            "--seeds",
+            "2",
+        ],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_xtask"))

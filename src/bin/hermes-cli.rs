@@ -17,6 +17,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use hermes_bench::{
@@ -146,7 +147,7 @@ fn parse_args(argv: &[String]) -> Args {
             "--point" => args.point = Some(next(&mut i)),
             "--trace" => args.trace = Some(next(&mut i).into()),
             "--help" | "-h" => {
-                print!("{}", usage_text());
+                check_written(io::stdout().lock().write_all(usage_text().as_bytes()));
                 std::process::exit(0)
             }
             other => usage(&format!("unknown flag {other}")),
@@ -231,17 +232,20 @@ fn resolve_scheme(a: &Args, topo: &Topology) -> Scheme {
     }
 }
 
-fn print_summary(s: &FctSummary) {
+fn print_summary(out: &mut impl Write, s: &FctSummary) -> io::Result<()> {
     let (n, unfinished, n_small, n_large) = (s.n, s.unfinished, s.n_small, s.n_large);
     let pct = 100.0 * s.unfinished_frac();
     let [avg, p50, p95, p99] = [s.avg, s.p50, s.p95, s.p99].map(|x| x * 1e3);
     let [small, small99, large] = [s.avg_small, s.p99_small, s.avg_large].map(|x| x * 1e3);
-    println!("flows               {n}");
-    println!("unfinished          {unfinished} ({pct:.2}%)");
-    println!("avg FCT             {avg:.3} ms");
-    println!("p50 / p95 / p99     {p50:.3} / {p95:.3} / {p99:.3} ms");
-    println!("small (<100KB) avg  {small:.3} ms   p99 {small99:.3} ms   (n={n_small})");
-    println!("large (>10MB)  avg  {large:.3} ms   (n={n_large})");
+    writeln!(out, "flows               {n}")?;
+    writeln!(out, "unfinished          {unfinished} ({pct:.2}%)")?;
+    writeln!(out, "avg FCT             {avg:.3} ms")?;
+    writeln!(out, "p50 / p95 / p99     {p50:.3} / {p95:.3} / {p99:.3} ms")?;
+    writeln!(
+        out,
+        "small (<100KB) avg  {small:.3} ms   p99 {small99:.3} ms   (n={n_small})"
+    )?;
+    writeln!(out, "large (>10MB)  avg  {large:.3} ms   (n={n_large})")
 }
 
 /// The point the shaping flags describe, and the start of the header
@@ -328,7 +332,28 @@ fn main() {
         let made = std::fs::create_dir_all(dir);
         made.unwrap_or_else(|e| usage(&format!("--trace {}: {e}", dir.display())));
     }
-    println!("{header} seed={seed} runs={}", a.runs);
+    check_written(run_and_print(&mut io::stdout().lock(), &a, &cfg, &header));
+}
+
+/// End the program if a write to stdout failed: quietly (exit 0) when
+/// the reader closed the pipe (`| head`), which wants no more output, as
+/// the shell's own tools do; with the error (exit 1) otherwise.
+fn check_written(written: io::Result<()>) {
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1)
+        }
+    }
+}
+
+/// Run `cfg` `a.runs` times from its seed up and write the header line,
+/// each traced run's line and the averaged summary to `out`.
+fn run_and_print(out: &mut impl Write, a: &Args, cfg: &PointCfg, header: &str) -> io::Result<()> {
+    let seed = cfg.sim.seed;
+    writeln!(out, "{header} seed={seed} runs={}", a.runs)?;
     let cfgs: Vec<PointCfg> = (0..a.runs)
         .map(|run| {
             let mut run_cfg = cfg.clone();
@@ -339,10 +364,12 @@ fn main() {
     let reports = match &a.trace {
         None => run_points(&cfgs),
         Some(dir) => {
-            let runs = run_points_with(&cfgs, |cfg| traced_run(cfg, &a, dir));
+            let runs = run_points_with(&cfgs, |cfg| traced_run(cfg, a, dir));
             let runs: Result<Vec<_>, _> = runs.into_iter().collect();
             let runs = runs.unwrap_or_else(|e| usage(&e));
-            runs.iter().for_each(|(_, line)| println!("{line}"));
+            for (_, line) in &runs {
+                writeln!(out, "{line}")?;
+            }
             runs.into_iter().map(|(report, _)| report).collect()
         }
     };
@@ -352,7 +379,7 @@ fn main() {
             eprintln!("run {run}: avg {:.3} ms", fct.avg * 1e3);
         }
     }
-    print_summary(&avg_summaries(&sums));
+    print_summary(out, &avg_summaries(&sums))
 }
 
 #[cfg(test)]

@@ -1,23 +1,25 @@
-//! Chaos campaign engine: corpus replay, campaign determinism, and
-//! the SLO/shrinker self-test (DESIGN.md §14).
+//! Chaos campaign engine: corpus replay and campaign determinism
+//! (DESIGN.md §14).
 //!
 //! Tier-1 cut of `cargo run -p xtask -- chaos`: the committed
 //! counterexample corpus — scenario files with `[slo]` — must pass
 //! conformance (the SLOs at their defaults among its checker classes),
-//! a campaign must be byte-deterministic in its seed range, and every
-//! planted self-test fixture must trip its checker. The `mine_*` test
-//! at the bottom is `#[ignore]`d — it is the documented harness that
-//! produced the overlapping-fault corpus entry, kept runnable so the
-//! entry's provenance can be re-derived.
+//! and a campaign must be byte-deterministic in its seed range. The
+//! checkers' planted-defect cases are the conformance self-test's
+//! (`tests/conformance.rs`). The `mine_*` test at the bottom is
+//! `#[ignore]`d — it is the documented harness that produced the
+//! overlapping-fault corpus entry, kept runnable so the entry's
+//! provenance can be re-derived.
 
 use std::path::Path;
 
 use hermes_net::{FaultPlan, SpineId};
 use hermes_sim::Time;
-use hermes_testkit::chaos::{
-    self, chaos_self_test_passed, run_chaos_self_test, slo, CampaignCfg, SloCfg,
+use hermes_testkit::chaos::{self, CampaignCfg, SloCfg, SloClass};
+use hermes_testkit::{
+    check_scenario, load_dir, run_conformance, CheckClass, ConformanceReport, Failure, Goldens,
+    SloTag,
 };
-use hermes_testkit::{load_dir, run_conformance, ConformanceReport, SloTag};
 
 fn corpus_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/chaos/corpus"))
@@ -144,23 +146,7 @@ fn quick_campaign_is_byte_deterministic_and_green() {
         a.outcomes
             .iter()
             .flat_map(|o| &o.violations)
-            .map(|v| format!("{} {}: {}", v.class.as_str(), v.cell, v.detail))
-            .collect::<Vec<_>>()
-    );
-}
-
-/// Every planted SLO defect trips its checker and the shrinker finds
-/// the known-minimal plan.
-#[test]
-fn chaos_self_test_passes() {
-    let cases = run_chaos_self_test();
-    assert!(
-        chaos_self_test_passed(&cases),
-        "failed fixtures: {:?}",
-        cases
-            .iter()
-            .filter(|c| !c.ok)
-            .map(|c| format!("{}: {}", c.name, c.detail))
+            .map(ToString::to_string)
             .collect::<Vec<_>>()
     );
 }
@@ -188,18 +174,19 @@ fn mine_overlapping_counterexample() {
         ];
         (full, singles)
     };
-    // (trips strict recovery, clean at default SLOs): the second gate
-    // keeps every shrink candidate corpus-eligible — dropping a
-    // SpineUp would make the outage permanent, strand ECMP flows, and
-    // fail the default drain check on replay.
-    let judge = |plan: &FaultPlan, strict: &SloCfg| -> (bool, bool) {
+    // (the cell's failures at `strict`, clean at default SLOs), both
+    // as the campaign judges it: the second gate keeps every shrink
+    // candidate corpus-eligible — dropping a SpineUp would make the
+    // outage permanent, strand ECMP flows, and fail the default
+    // unfinished-flow bound on replay.
+    let judge = |plan: &FaultPlan, strict: &SloCfg| -> (Vec<Failure>, bool) {
         let (spec, outs) = chaos::run_cell(plan, seed, true);
-        let trips = chaos::judge(&spec, &outs, strict)
-            .iter()
-            .any(|v| v.class == slo::SloClass::Recovery);
-        let clean = chaos::judge(&spec, &outs, &SloCfg::default()).is_empty();
-        (trips, clean)
+        let refs: Vec<_> = outs.iter().collect();
+        let check = |slo| check_scenario(&spec, &refs, &Goldens::default(), slo);
+        (check(strict), check(&SloCfg::default()).is_empty())
     };
+    let recovery = |f: &&Failure| f.class == CheckClass::Slo(SloClass::Recovery);
+    let trips = |fails: Vec<Failure>| fails.iter().any(|f| recovery(&f));
     let mut picked: Option<(SloCfg, FaultPlan)> = None;
     'search: for end0_ms in [40, 60, 80, 100] {
         let (full, singles) = plans_for(end0_ms);
@@ -211,7 +198,8 @@ fn mine_overlapping_counterexample() {
                     ..SloCfg::default()
                 };
                 let (f, f_clean) = judge(&full, &cfg);
-                let s: Vec<bool> = singles.iter().map(|p| judge(p, &cfg).0).collect();
+                let f = trips(f);
+                let s: Vec<bool> = singles.iter().map(|p| trips(judge(p, &cfg).0)).collect();
                 println!(
                     "end0={end0_ms}ms frac={frac} slack={slack_ms}ms: full={f} \
                      (default-clean={f_clean}) singles={s:?}"
@@ -228,7 +216,7 @@ fn mine_overlapping_counterexample() {
         &full,
         |p| {
             let (t, c) = judge(p, &cfg);
-            t && c
+            trips(t) && c
         },
         64,
     );
@@ -238,11 +226,12 @@ fn mine_overlapping_counterexample() {
         out.plan.len(),
         out.evals
     );
-    let (spec, outs) = chaos::run_cell(&out.plan, seed, true);
-    let lb = chaos::judge(&spec, &outs, &cfg)
+    // The failing cell is `scenario/lb/seed`.
+    let lb = judge(&out.plan, &cfg)
+        .0
         .iter()
-        .find(|v| v.class == slo::SloClass::Recovery)
-        .and_then(|v| v.cell.rsplit_once('/').map(|(_, lb)| lb.to_string()))
+        .find(recovery)
+        .and_then(|f| f.cell.split('/').nth(1).map(str::to_string))
         .unwrap_or_else(|| "cross".to_string());
     let description = format!(
         "dual concurrent spine outage (spines 0+1) trips recovery at frac {:?} \
@@ -251,7 +240,7 @@ fn mine_overlapping_counterexample() {
         cfg.recovery_frac, cfg.recovery_slack
     );
     let tag = SloTag {
-        class: Some(slo::SloClass::Recovery),
+        class: Some(SloClass::Recovery),
         cell: Some(lb),
     };
     let text = chaos::cell_scenario(&description, seed, &out.plan, true, &tag);

@@ -1,9 +1,10 @@
 //! `hermes-cli` flag validation: bad input exits 2 with the usage text
 //! on stderr and never reaches a panic inside the library. Also
-//! `--help`, and `--trace`: its files per run and its digest.
+//! `--help`, a reader that closes stdout early, and `--trace`: its files
+//! per run and its digest.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use hermes_bench::{run_point, trace_point};
 
@@ -19,6 +20,8 @@ fn out_of_range_flags_exit_2_with_usage_and_no_panic() {
     // (arguments, flag the error message must name)
     let bad: &[(&[&str], &str)] = &[
         (&["--flows", "0"], "--flows"),
+        // Flow ids 0..flows would run past what a timer token carries.
+        (&["--flows", "18446744073709551615"], "--flows"),
         (&["--runs", "0"], "--runs"),
         (&["--load", "-1"], "--load"),
         (&["--load", "NaN"], "--load"),
@@ -76,6 +79,30 @@ fn a_small_valid_run_exits_0_and_prints_the_summary() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{out:?}");
     assert!(stdout.contains("flows               20"), "{stdout}");
+}
+
+/// A reader that closes the pipe early (`hermes-cli … | head -1`)
+/// ends the run quietly: exit 0, no panic. A run's summary is written
+/// after the runs, so some write meets the closed pipe.
+#[test]
+fn a_closed_stdout_exits_0_without_a_panic() {
+    let runs: [&[&str]; 2] = [
+        &["--flows", "20", "--scheme", "ecmp", "--runs", "2"],
+        &["--help"],
+    ];
+    for args in runs {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hermes-cli"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("hermes-cli spawns");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("hermes-cli ends");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

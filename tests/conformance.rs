@@ -6,7 +6,8 @@
 //! invariants, golden event-trace digests, golden flow-record hashes,
 //! the paper's FCT-ratio envelopes, ring-step conservation, and the
 //! incast goodput floor (the seventh class, the degradation SLOs, judges
-//! the `[slo]` scenarios of the chaos corpus; see `tests/chaos.rs`).
+//! the `[slo]` scenarios of the chaos corpus and the chaos campaign's
+//! cells; see `tests/chaos.rs`).
 //! The extended grid (8×8 fabric, wider LB field) and the corpus run
 //! via `cargo run -p xtask -- conformance`, and every scenario directory
 //! loads here; goldens regenerate via `cargo run -p xtask -- bless`.
@@ -17,6 +18,7 @@ use std::path::{Path, PathBuf};
 use hermes_bench::{run_point, run_points};
 use hermes_net::{FaultPlan, LeafId, SpineId};
 use hermes_sim::Time;
+use hermes_testkit::chaos::SloClass;
 use hermes_testkit::{
     load_dir, load_file, run_conformance, run_self_test, self_test_passed, CheckClass,
 };
@@ -147,6 +149,7 @@ fn grid_is_invariant_to_thread_count() {
 fn checker_self_test_trips_every_class() {
     // A suite that cannot fail checks nothing: each deliberately-broken
     // fixture must trip exactly the checker class it targets.
+    // An honest chaos campaign cell must trip nothing.
     let cases = run_self_test().expect("fixtures run");
     assert!(self_test_passed(&cases));
     for class in [
@@ -156,11 +159,16 @@ fn checker_self_test_trips_every_class() {
         CheckClass::Envelope,
         CheckClass::RingStep,
         CheckClass::IncastFloor,
-        CheckClass::Slo,
+        CheckClass::Slo(SloClass::Recovery),
+        CheckClass::Slo(SloClass::CrossLb),
     ] {
         assert!(
-            cases.iter().any(|c| c.expect == class),
+            cases.iter().any(|c| c.expect == Some(class)),
             "no fixture covers {class:?}"
         );
     }
+    assert!(
+        cases.iter().any(|c| c.expect.is_none()),
+        "no honest fixture"
+    );
 }
