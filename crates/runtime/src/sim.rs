@@ -3,7 +3,7 @@
 //! the wiring, accessors and run loop; `transport`, `probe` and `token`
 //! hold per-flow dispatch, probing and the typed event token.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use hermes_core::{Hermes, RackSensing};
 use hermes_net::{Event, Fabric, FlowId, HostId, LeafId, Packet, PathId, SpineId};
@@ -92,7 +92,11 @@ pub struct Simulation {
     flows: FlowMap,
     udps: Vec<UdpRt>,
     records: Vec<FlowRecord>,
-    pending: std::collections::VecDeque<FlowSpec>,
+    /// Flows not yet started, each with the event-queue seq reserved by
+    /// its `add_flow`, ordered by `(start, seq)`. Only the first
+    /// `arrivals_queued` have their `Arrival` in the queue.
+    pending: VecDeque<(FlowSpec, u64)>,
+    arrivals_queued: usize,
     /// Staged-dependency workload reacting to completions, if any.
     /// Taken out of the slot while its hook runs (the hook needs the
     /// rest of `self` to schedule released flows).
@@ -167,7 +171,8 @@ impl Simulation {
             flows: FlowMap::default(),
             udps: Vec::new(),
             records: Vec::new(),
-            pending: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
+            arrivals_queued: 0,
             driver: None,
             samplers: Vec::new(),
             goodput_bytes: 0,
@@ -190,17 +195,25 @@ impl Simulation {
             "flow id {} exceeds MAX_FLOW_ID ({MAX_FLOW_ID}): its timers would alias another flow's",
             spec.id.0
         );
-        // Each `Arrival` starts the earliest pending spec, so `pending`
-        // stays ordered by start (ties in insertion order); an in-order
-        // caller only ever appends.
-        match self.pending.back() {
-            Some(last) if spec.start < last.start => {
-                let at = self.pending.partition_point(|p| p.start <= spec.start);
-                self.pending.insert(at, spec);
+        // The spec's `Arrival` fires at the `(start, seq)` an eager
+        // schedule here would give it, but it is queued only once it
+        // precedes a queued arrival or none is queued; each `Arrival`
+        // starts the front spec and, when it was the last queued one,
+        // queues the next. An in-order caller only ever appends, and the
+        // queue holds one arrival however many flows are pending.
+        let seq = self.q.reserve_seq();
+        let at = match self.pending.back() {
+            Some((last, _)) if spec.start < last.start => {
+                self.pending.partition_point(|(p, _)| p.start <= spec.start)
             }
-            _ => self.pending.push_back(spec),
+            _ => self.pending.len(),
+        };
+        self.pending.insert(at, (spec, seq));
+        if at < self.arrivals_queued || self.arrivals_queued == 0 {
+            self.q
+                .schedule_reserved(spec.start, seq, Token::Arrival.global());
+            self.arrivals_queued += 1;
         }
-        self.q.schedule(spec.start, Token::Arrival.global());
     }
 
     /// Schedule a whole workload.
@@ -414,10 +427,7 @@ impl Simulation {
         match token {
             Token::Rto { flow, gen } => self.on_rto(flow, gen),
             Token::Hold { flow, gen } => self.on_hold(flow, gen),
-            Token::Arrival => {
-                let spec = self.pending.pop_front().expect("arrival without spec");
-                self.start_flow(spec);
-            }
+            Token::Arrival => self.on_arrival(),
             Token::ProbeTick => {
                 // Only a probing rack set schedules the tick.
                 if let Some((racks, p)) = self.edge.probing() {
@@ -442,6 +452,23 @@ impl Simulation {
                 self.fabric.apply_fault(&action);
             }
         }
+    }
+
+    /// Start the front pending spec; if its `Arrival` was the last one
+    /// queued, queue the next spec's under that spec's reserved seq.
+    #[cold]
+    fn on_arrival(&mut self) {
+        let (spec, _) = self.pending.pop_front().expect("arrival without spec");
+        debug_assert_eq!(spec.start, self.q.now(), "arrival off its spec's start");
+        self.arrivals_queued -= 1;
+        if self.arrivals_queued == 0 {
+            if let Some(&(next, seq)) = self.pending.front() {
+                self.q
+                    .schedule_reserved(next.start, seq, Token::Arrival.global());
+                self.arrivals_queued = 1;
+            }
+        }
+        self.start_flow(spec);
     }
 
     /// Telemetry metrics cadence: piggybacks on event dispatch (no

@@ -7,7 +7,7 @@ use hermes_net::{
 };
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation, MAX_FLOW_ID};
 use hermes_sim::{SimRng, Time};
-use hermes_workload::{visibility, FlowGen, FlowSizeDist, FlowSpec};
+use hermes_workload::{visibility, FlowDriver, FlowGen, FlowSizeDist, FlowSpec};
 
 fn one_flow(size: u64) -> FlowSpec {
     FlowSpec {
@@ -86,6 +86,75 @@ fn flows_added_out_of_start_order_keep_their_own_starts() {
     sim.run_to_completion(Time::from_secs(1));
     let starts: Vec<(FlowId, Time)> = sim.records().iter().map(|r| (r.id, r.start)).collect();
     assert_eq!(starts, [(FlowId(1), early.start), (FlowId(0), late.start)]);
+}
+
+/// Releases one flow at the instant a given flow completes.
+struct ReleaseOnCompletion {
+    initial: FlowSpec,
+    after: FlowId,
+    release: Option<FlowSpec>,
+}
+
+impl FlowDriver for ReleaseOnCompletion {
+    fn initial(&mut self, _: Time) -> Vec<FlowSpec> {
+        vec![self.initial]
+    }
+    fn on_flow_completed(&mut self, id: FlowId, now: Time, out: &mut Vec<FlowSpec>) {
+        if id == self.after {
+            out.extend(self.release.take().map(|s| FlowSpec { start: now, ..s }));
+        }
+    }
+}
+
+/// Flows start in `(start, add order)` however they are added: in order,
+/// ahead of the queued arrival, at an equal start, or released by a
+/// driver at `now` mid-run. An in-order batch queues one arrival, not
+/// one per flow.
+#[test]
+fn flows_start_in_start_then_add_order_with_one_queued_arrival_per_in_order_batch() {
+    let mut sim = Simulation::new(SimConfig::new(Topology::testbed(), Scheme::Ecmp));
+    let spec = |id: u64, start_us: u64| FlowSpec {
+        id: FlowId(id),
+        src: HostId(id as u32 % 6),
+        dst: HostId(6 + id as u32 % 6),
+        size: 10_000,
+        start: Time::from_us(start_us),
+    };
+    let base = sim.pending_events();
+    let batch: Vec<FlowSpec> = (0..5).map(|i| spec(i, 1_000 * (i + 1))).collect();
+    sim.add_flows(batch.iter().copied());
+    assert_eq!(sim.pending_events(), base + 1, "an in-order batch");
+    let mut added = batch;
+    // Earlier than the queued front, equal to a spec behind it, equal to
+    // the new front: only the two that land ahead of a queued arrival
+    // are queued now.
+    for (s, queued) in [(spec(5, 500), 2), (spec(6, 1_000), 2), (spec(7, 500), 3)] {
+        sim.add_flow(s);
+        added.push(s);
+        assert_eq!(sim.pending_events(), base + queued, "after flow {}", s.id.0);
+    }
+    let initial = spec(8, 3_000);
+    sim.set_driver(Box::new(ReleaseOnCompletion {
+        initial,
+        after: FlowId(5),
+        release: Some(spec(9, 0)),
+    }));
+    added.push(initial);
+    sim.run_to_completion(Time::from_secs(1));
+
+    let finish_of = |id: u64| {
+        let rec = sim.records().iter().find(|r| r.id == FlowId(id));
+        rec.and_then(|r| r.finish).expect("every flow finishes")
+    };
+    added.push(FlowSpec {
+        start: finish_of(5),
+        ..spec(9, 0)
+    });
+    // A stable sort keeps add order among equal starts.
+    added.sort_by_key(|s| s.start);
+    let want: Vec<(FlowId, Time)> = added.iter().map(|s| (s.id, s.start)).collect();
+    let got: Vec<(FlowId, Time)> = sim.records().iter().map(|r| (r.id, r.start)).collect();
+    assert_eq!(got, want);
 }
 
 /// A plan naming a switch the fabric lacks is refused when installed,

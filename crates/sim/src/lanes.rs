@@ -27,9 +27,15 @@
 //! takes one only if it is already among the last [`LANES`] misses (a
 //! doorkeeper ring) *and* some lane is empty — the least recently used
 //! empty lane is re-keyed to it. Everything else goes to the heap, the
-//! fallback for delays that do not recur (flow arrivals set up at time
-//! zero, fault-plan events, arbitrary timers). A lane is re-keyed only
-//! while empty, so no entry ever moves between a lane and the heap.
+//! fallback for delays that do not recur (flow arrivals, fault-plan
+//! events, arbitrary timers). A lane is re-keyed only while empty, so no
+//! entry ever moves between a lane and the heap.
+//!
+//! A caller may also take a seq now ([`LaneQueue::reserve_seq`]) and
+//! queue the entry under it later ([`LaneQueue::schedule_reserved`]).
+//! Such an entry always goes to the heap, since an old seq would break a
+//! lane's FIFO order; it pops where a schedule made at the reservation
+//! would have.
 //!
 //! # Memory
 //!
@@ -159,7 +165,8 @@ pub struct LaneQueue<E> {
     now: Time,
     seq: u64,
     len: usize,
-    /// Schedules that went to the heap instead of a lane.
+    /// Schedules that went to the heap instead of a lane, reserved ones
+    /// included.
     fallback: u64,
     /// Past-time schedules clamped to `now` (release builds). Nonzero
     /// means a caller violated causality — surfaced in `hermes-bench`'s
@@ -203,15 +210,7 @@ impl<E> LaneQueue<E> {
     /// builds clamp to `now` to stay safe — and count the clamp so the
     /// causality violation stays visible (see [`Self::clamp_count`]).
     pub fn schedule(&mut self, at: Time, payload: E) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at} < {}",
-            self.now
-        );
-        if at < self.now {
-            self.clamped += 1;
-        }
-        let at = at.max(self.now);
+        let at = self.causal(at);
         let e = Entry {
             at,
             seq: self.seq,
@@ -240,6 +239,48 @@ impl<E> LaneQueue<E> {
             lane.entries.push_back(e);
             return;
         }
+        self.push_heap(e);
+    }
+
+    /// Take the next schedule seq now, for an entry that
+    /// [`Self::schedule_reserved`] queues later. The entry then pops
+    /// exactly where a [`Self::schedule`] made at the reservation would
+    /// have put it, provided it is queued before the queue pops past its
+    /// `(at, seq)`.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Schedule `payload` at `at` under `seq`, a seq taken earlier with
+    /// [`Self::reserve_seq`]. It goes to the heap (a fallback schedule):
+    /// a lane is FIFO only because its seqs increase, which an old seq
+    /// breaks. Past-time `at` is treated as in [`Self::schedule`].
+    pub fn schedule_reserved(&mut self, at: Time, seq: u64, payload: E) {
+        debug_assert!(seq < self.seq, "seq {seq} was never reserved");
+        let at = self.causal(at);
+        self.len += 1;
+        self.push_heap(Entry { at, seq, payload });
+    }
+
+    /// `at`, clamped to `now` and counted if it lies in the past (debug
+    /// builds assert instead).
+    #[inline]
+    fn causal(&mut self, at: Time) -> Time {
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past: {at} < {}",
+            self.now
+        );
+        if at < self.now {
+            self.clamped += 1;
+        }
+        at.max(self.now)
+    }
+
+    /// Queue `e` in the heap, growing it in exact steps.
+    fn push_heap(&mut self, e: Entry<E>) {
         self.fallback += 1;
         if self.heap.len() == self.heap.capacity() {
             self.heap.reserve_exact(growth(self.heap.len()));
@@ -356,7 +397,8 @@ impl<E> LaneQueue<E> {
         self.len == 0
     }
 
-    /// Total number of events ever scheduled (monotone counter).
+    /// Seqs handed out so far, by schedules and reservations alike
+    /// (monotone counter).
     pub fn scheduled_count(&self) -> u64 {
         self.seq
     }
@@ -368,8 +410,9 @@ impl<E> LaneQueue<E> {
         self.clamped
     }
 
-    /// Schedules that went to the heap rather than a lane (monotone
-    /// counter). Only delays that do not recur belong there; a share of
+    /// Schedules that went to the heap rather than a lane, every
+    /// [`Self::schedule_reserved`] among them (monotone counter). Only
+    /// delays that do not recur belong there; a share of
     /// [`Self::scheduled_count`] that grows means the lanes stopped
     /// carrying the run.
     pub fn fallback_count(&self) -> u64 {

@@ -80,6 +80,23 @@ impl<E> HeapQueue<E> {
     /// builds clamp to `now` to stay safe — and count the clamp so the
     /// causality violation stays visible (see [`Self::clamp_count`]).
     pub fn schedule(&mut self, at: Time, payload: E) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, payload);
+    }
+
+    /// Take the next schedule seq now, for an entry that
+    /// [`Self::schedule_reserved`] queues later.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Schedule `payload` at `at` under `seq`, a seq taken earlier with
+    /// [`Self::reserve_seq`]. Past-time `at` is treated as in
+    /// [`Self::schedule`].
+    pub fn schedule_reserved(&mut self, at: Time, seq: u64, payload: E) {
+        debug_assert!(seq < self.seq, "seq {seq} was never reserved");
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
@@ -89,12 +106,7 @@ impl<E> HeapQueue<E> {
             self.clamped += 1;
         }
         let at = at.max(self.now);
-        self.heap.push(Entry {
-            at,
-            seq: self.seq,
-            payload,
-        });
-        self.seq += 1;
+        self.heap.push(Entry { at, seq, payload });
     }
 
     /// Schedule `payload` to fire `delay` after `now`.
@@ -134,7 +146,8 @@ impl<E> HeapQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (monotone counter).
+    /// Seqs handed out so far, by schedules and reservations alike
+    /// (monotone counter).
     pub fn scheduled_count(&self) -> u64 {
         self.seq
     }

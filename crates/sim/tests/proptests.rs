@@ -12,6 +12,11 @@ enum QueueOp {
     Pop,
     /// Pop one event if it is due within `now + horizon_ns`.
     PopDue(u64),
+    /// Reserve the next seq.
+    Reserve,
+    /// Queue a held reservation (picked by index, modulo how many are
+    /// held) at `now + delay_ns`; a no-op while none is held.
+    ScheduleReserved(u64, usize),
 }
 
 /// Delays the recurring arm draws from: the simulator's own recurring
@@ -32,7 +37,9 @@ fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
     // re-keying and equal-`at` ties between lanes and between a lane and
     // the heap dominate its scripts; extra draws over the six shortest
     // delays pile up same-instant ties, and one-offs keep the heap and
-    // the all-lanes-busy fallback in play.
+    // the all-lanes-busy fallback in play. Every arm also reserves
+    // seqs and queues them later, at its own kind of delay, so an old
+    // seq meets lane heads and heap entries at equal instants.
     let sparse = prop_oneof![
         3 => (0u64..8).prop_map(QueueOp::ScheduleIn),
         3 => (0u64..200).prop_map(QueueOp::ScheduleIn),
@@ -40,12 +47,16 @@ fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
         1 => (1u64 << 20..1u64 << 34).prop_map(QueueOp::ScheduleIn),
         4 => Just(QueueOp::Pop),
         1 => (0u64..10_000).prop_map(QueueOp::PopDue),
+        1 => Just(QueueOp::Reserve),
+        1 => (0u64..5_000, any::<usize>()).prop_map(|(d, k)| QueueOp::ScheduleReserved(d, k)),
     ];
     let dense = prop_oneof![
         4 => (0u64..64).prop_map(QueueOp::ScheduleIn),
         2 => (64u64..128).prop_map(QueueOp::ScheduleIn),
         3 => Just(QueueOp::Pop),
         1 => (0u64..128).prop_map(QueueOp::PopDue),
+        1 => Just(QueueOp::Reserve),
+        1 => (0u64..128, any::<usize>()).prop_map(|(d, k)| QueueOp::ScheduleReserved(d, k)),
     ];
     let recurring = prop_oneof![
         6 => (0..RECURRING_NS.len()).prop_map(|i| QueueOp::ScheduleIn(RECURRING_NS[i])),
@@ -54,6 +65,9 @@ fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
         5 => Just(QueueOp::Pop),
         1 => (0u64..12_000).prop_map(QueueOp::PopDue),
         1 => (0..RECURRING_NS.len()).prop_map(|i| QueueOp::PopDue(RECURRING_NS[i])),
+        1 => Just(QueueOp::Reserve),
+        1 => (0..RECURRING_NS.len(), any::<usize>())
+            .prop_map(|(i, k)| QueueOp::ScheduleReserved(RECURRING_NS[i], k)),
     ];
     prop_oneof![
         proptest::collection::vec(sparse, 1..400),
@@ -70,17 +84,35 @@ proptest! {
 
     /// Differential oracle: the lane queue and the plain binary heap
     /// must agree on every pop, peek, `now`, and length for any
-    /// interleaving of schedules and pops — this is what lets the lane
-    /// queue replace the heap without changing a single event trace.
+    /// interleaving of schedules, reservations and pops — this is what
+    /// lets the lane queue replace the heap without changing a single
+    /// event trace.
     #[test]
     fn lanes_match_heap_differentially(ops in queue_ops()) {
         let mut lanes: LaneQueue<usize> = LaneQueue::new();
         let mut heap: HeapQueue<usize> = HeapQueue::new();
+        // Reserved seqs not yet queued, with the index of their op.
+        let mut held: Vec<(u64, usize)> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             match op {
                 QueueOp::ScheduleIn(delay) => {
                     lanes.schedule_in(Time::from_ns(*delay), i);
                     heap.schedule_in(Time::from_ns(*delay), i);
+                }
+                QueueOp::Reserve => {
+                    let seq = lanes.reserve_seq();
+                    prop_assert_eq!(seq, heap.reserve_seq());
+                    held.push((seq, i));
+                }
+                QueueOp::ScheduleReserved(delay, pick) => {
+                    if !held.is_empty() {
+                        let (seq, id) = held.swap_remove(pick % held.len());
+                        let at = lanes.now() + Time::from_ns(*delay);
+                        let fallback = lanes.fallback_count();
+                        lanes.schedule_reserved(at, seq, id);
+                        heap.schedule_reserved(at, seq, id);
+                        prop_assert_eq!(lanes.fallback_count(), fallback + 1);
+                    }
                 }
                 QueueOp::Pop => {
                     prop_assert_eq!(lanes.pop(), heap.pop());
@@ -109,6 +141,61 @@ proptest! {
         prop_assert_eq!(lanes.clamp_count(), 0);
         prop_assert_eq!(heap.clamp_count(), 0);
     }
+}
+
+/// A reserved entry pops by its reserved seq in both queues, however it
+/// ties: at one instant sit a heap entry (the 5 µs delay's first
+/// sighting), a lane head (its second) and reserved entries whose seqs
+/// fall before, between and after those two.
+#[test]
+fn a_reserved_entry_ties_a_lane_head_and_a_heap_entry_by_seq() {
+    let mut lanes: LaneQueue<&str> = LaneQueue::new();
+    let mut heap: HeapQueue<&str> = HeapQueue::new();
+    let at = Time::from_us(5);
+    let mut seqs = Vec::new();
+    for (name, reserve) in [
+        ("reserved-first", true),
+        ("heap", false),
+        ("reserved-mid", true),
+        ("lane", false),
+        ("reserved-last", true),
+    ] {
+        if reserve {
+            let seq = lanes.reserve_seq();
+            assert_eq!(seq, heap.reserve_seq());
+            seqs.push((seq, name));
+        } else {
+            lanes.schedule(at, name);
+            heap.schedule(at, name);
+        }
+    }
+    assert_eq!(
+        lanes.fallback_count(),
+        1,
+        "the second 5 µs schedule took a lane"
+    );
+    // An entry due earlier pops first, so the reserved ones are queued
+    // mid-run, in reverse order of their seqs.
+    lanes.schedule(Time::from_us(1), "early");
+    heap.schedule(Time::from_us(1), "early");
+    assert_eq!(lanes.pop(), Some((Time::from_us(1), "early")));
+    assert_eq!(heap.pop(), Some((Time::from_us(1), "early")));
+    for &(seq, name) in seqs.iter().rev() {
+        lanes.schedule_reserved(at, seq, name);
+        heap.schedule_reserved(at, seq, name);
+    }
+    assert_eq!(lanes.fallback_count(), 5);
+    for want in [
+        "reserved-first",
+        "heap",
+        "reserved-mid",
+        "lane",
+        "reserved-last",
+    ] {
+        assert_eq!(lanes.pop(), Some((at, want)));
+        assert_eq!(heap.pop(), Some((at, want)));
+    }
+    assert!(lanes.is_empty() && heap.is_empty());
 }
 
 proptest! {

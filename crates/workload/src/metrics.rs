@@ -86,17 +86,14 @@ impl FctSummary {
 
 /// Summarize records against a measurement horizon (simulation end).
 ///
-/// One `n`-long buffer holds every FCT: small-band flows fill it from
-/// the front, all others from the back, so the small band's percentile
-/// is a selection on the front part and the overall ones a selection on
-/// the whole. Each percentile is the value at rank `round(p·(len−1))`
-/// of the ascending order, which selection finds without sorting; the
-/// band sums run in record order.
+/// The band sums run in record order. Each percentile is the FCT at rank
+/// `round(p·(len−1))` of the ascending order, selected over the records
+/// themselves by a radix select on the FCT in ns, so the summary
+/// allocates nothing. `as_secs_f64` is monotone, so converting the
+/// selected ns gives the value a sort of the `f64` FCTs has at that rank.
 pub fn summarize(records: &[FlowRecord], horizon: Time) -> FctSummary {
     let n = records.len();
-    let mut fcts = vec![0.0; n];
-    let (mut n_small, mut back) = (0, n);
-    let (mut unfinished, mut n_large) = (0, 0);
+    let (mut unfinished, mut n_small, mut n_large) = (0, 0, 0);
     let (mut sum, mut sum_small, mut sum_large) = (0.0, 0.0, 0.0);
     for r in records {
         if r.finish.is_none() {
@@ -105,29 +102,29 @@ pub fn summarize(records: &[FlowRecord], horizon: Time) -> FctSummary {
         let fct = r.fct_at(horizon).as_secs_f64();
         sum += fct;
         if r.size < SMALL_FLOW_BYTES {
-            fcts[n_small] = fct;
             n_small += 1;
             sum_small += fct;
-        } else {
-            back -= 1;
-            fcts[back] = fct;
-            if r.size > LARGE_FLOW_BYTES {
-                n_large += 1;
-                sum_large += fct;
-            }
+        } else if r.size > LARGE_FLOW_BYTES {
+            n_large += 1;
+            sum_large += fct;
         }
     }
-    let p99_small = select(&mut fcts[..n_small], 0.99);
+    let fct_ns = move |r: &FlowRecord| r.fct_at(horizon).as_ns();
+    let all = records.iter().map(fct_ns);
+    let small = records
+        .iter()
+        .filter(|r| r.size < SMALL_FLOW_BYTES)
+        .map(fct_ns);
     FctSummary {
         n,
         unfinished,
         avg: mean(sum, n),
-        p50: select(&mut fcts, 0.50),
-        p95: select(&mut fcts, 0.95),
-        p99: select(&mut fcts, 0.99),
+        p50: percentile(all.clone(), n, 0.50),
+        p95: percentile(all.clone(), n, 0.95),
+        p99: percentile(all, n, 0.99),
         n_small,
         avg_small: mean(sum_small, n_small),
-        p99_small,
+        p99_small: percentile(small, n_small, 0.99),
         n_large,
         avg_large: mean(sum_large, n_large),
     }
@@ -142,14 +139,39 @@ fn mean(sum: f64, n: usize) -> f64 {
     }
 }
 
-/// The `p`-quantile of `v` at rank `round(p·(len−1))`, or 0 when `v` is
-/// empty. Reorders `v`.
-fn select(v: &mut [f64], p: f64) -> f64 {
-    if v.is_empty() {
+/// The `p`-quantile, in seconds, of the `len` FCTs (ns) that `fcts`
+/// yields, at rank `round(p·(len−1))`; 0 when there are none.
+fn percentile(fcts: impl Iterator<Item = u64> + Clone, len: usize, p: f64) -> f64 {
+    if len == 0 {
         return 0.0;
     }
-    let rank = (p * (v.len() - 1) as f64).round() as usize;
-    *v.select_nth_unstable_by(rank, f64::total_cmp).1
+    let rank = (p * (len - 1) as f64).round() as usize;
+    Time::from_ns(radix_select(fcts, rank)).as_secs_f64()
+}
+
+/// The key at `rank` (0-based, ascending) among those `keys` yields,
+/// which must be more than `rank`. Most significant byte first: each
+/// pass counts, per byte value, the keys that share the bytes chosen so
+/// far, and keeps the byte whose count covers `rank`. One pass finds
+/// the highest byte set, then one runs per byte from there down; the
+/// only buffer is a 256-entry histogram.
+fn radix_select(keys: impl Iterator<Item = u64> + Clone, mut rank: usize) -> u64 {
+    let bits = 64 - keys.clone().fold(0, |acc, k| acc | k).leading_zeros();
+    let (mut prefix, mut mask) = (0u64, 0u64);
+    for shift in (0..bits.div_ceil(8)).rev().map(|byte| byte * 8) {
+        let mut hist = [0usize; 256];
+        for k in keys.clone().filter(|k| k & mask == prefix) {
+            hist[((k >> shift) & 0xFF) as usize] += 1;
+        }
+        let mut digit = 0;
+        while rank >= hist[digit] {
+            rank -= hist[digit];
+            digit += 1;
+        }
+        prefix |= (digit as u64) << shift;
+        mask |= 0xFF << shift;
+    }
+    prefix
 }
 
 #[cfg(test)]
@@ -158,7 +180,8 @@ mod tests {
     use proptest::prelude::*;
 
     /// The sort-based `summarize` that selection replaced, kept as the
-    /// oracle: two sorted copies, percentiles read by index.
+    /// oracle: two sorted copies of the `f64` FCTs, percentiles read by
+    /// index.
     fn summarize_by_sorting(records: &[FlowRecord], horizon: Time) -> FctSummary {
         fn percentile(sorted: &[f64], p: f64) -> f64 {
             if sorted.is_empty() {
@@ -273,11 +296,35 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Selecting in one buffer gives every field of the sort-based
-        /// summary, bit for bit.
+        /// Selecting over the records gives every field of the
+        /// sort-based summary, bit for bit.
         #[test]
-        fn one_buffer_summary_matches_the_sorting_oracle(records in record_sets()) {
+        fn bufferless_summary_matches_the_sorting_oracle(records in record_sets()) {
             assert_matches_oracle(&records, Time::from_ms(4));
+        }
+    }
+
+    proptest! {
+        /// Radix select finds the key a sort puts at each rank, for keys
+        /// of every width: all zero, sharing high bytes, full 64-bit.
+        #[test]
+        fn radix_select_matches_sorting(
+            keys in proptest::collection::vec(
+                prop_oneof![
+                    Just(0u64),
+                    0u64..256,
+                    (0u64..8).prop_map(|k| (1 << 40) + k),
+                    0u64..1 << 30,
+                    any::<u64>(),
+                ],
+                1..100,
+            ),
+        ) {
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            for (rank, want) in sorted.iter().enumerate() {
+                prop_assert_eq!(radix_select(keys.iter().copied(), rank), *want);
+            }
         }
     }
 

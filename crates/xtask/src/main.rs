@@ -18,8 +18,10 @@
 //!   files), and `--recovery-frac` tightens the recovery SLO for corpus
 //!   mining.
 //!
-//! An unknown argument, a flag without its value, or a chaos seed range
-//! past `u64::MAX` is a usage error (exit code 2).
+//! An unknown argument, a flag without its value, `--seeds 0` or a chaos
+//! seed range past `u64::MAX` is a usage error (exit code 2). Output goes
+//! through one locked stdout; when the reader closes it (`| head`),
+//! xtask stops quietly with exit code 0.
 //!
 //! Capturing a point's telemetry trace needs no task: the layer is
 //! always compiled in, so it is `cargo run --release --bin hermes-cli
@@ -32,6 +34,7 @@
 //! (DESIGN.md §13).
 
 use std::fs;
+use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -51,15 +54,26 @@ fn main() -> ExitCode {
         Some((cmd, rest)) => (cmd.as_str(), rest),
         None => return usage("no subcommand"),
     };
-    match (cmd, rest) {
-        ("conformance", []) => conformance(),
-        ("conformance", [flag]) if flag == "--self-test" => conformance_self_test(),
-        ("bless", []) => bless_goldens(),
-        ("chaos", _) => chaos(rest),
+    let out = &mut io::stdout().lock();
+    let run = match (cmd, rest) {
+        ("conformance", []) => conformance(out),
+        ("conformance", [flag]) if flag == "--self-test" => conformance_self_test(out),
+        ("bless", []) => bless_goldens(out),
+        ("chaos", _) => chaos(out, rest),
         ("conformance" | "bless", [arg, ..]) => {
-            usage(&format!("{cmd}: unexpected argument `{arg}`"))
+            return usage(&format!("{cmd}: unexpected argument `{arg}`"))
         }
-        _ => usage(&format!("unknown subcommand `{cmd}`")),
+        _ => return usage(&format!("unknown subcommand `{cmd}`")),
+    };
+    // A closed stdout wants no more output, as with the shell's own
+    // tools: stop quietly. Any other write error is a failure.
+    match run.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("xtask: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -77,15 +91,15 @@ fn scenario_dirs() -> Vec<PathBuf> {
 
 /// Run the full conformance grid (every scenario directory) and print
 /// per-LB FCT summaries for every scenario.
-fn conformance() -> ExitCode {
+fn conformance(out: &mut impl Write) -> io::Result<ExitCode> {
     let mut ok = true;
     for dir in scenario_dirs() {
-        println!("== {} ==", dir.display());
+        writeln!(out, "== {} ==", dir.display())?;
         let report = match hermes_testkit::run_conformance(&dir) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("xtask conformance: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         // Per-(scenario, lb) mean FCTs over seeds — the numbers the
@@ -104,61 +118,64 @@ fn conformance() -> ExitCode {
                 let avg = cells.iter().map(|o| o.result.fct.avg).sum::<f64>() / n;
                 let p99 = cells.iter().map(|o| o.result.fct.p99).sum::<f64>() / n;
                 let unfinished: usize = cells.iter().map(|o| o.result.fct.unfinished).sum();
-                println!(
+                writeln!(
+                    out,
                     "  {:<14} {:<10} avg {:>9.3} ms  p99 {:>9.3} ms  unfinished {}",
                     spec.name,
                     lb,
                     avg * 1e3,
                     p99 * 1e3,
                     unfinished
-                );
+                )?;
             }
         }
-        print!("{report}");
+        write!(out, "{report}")?;
         ok &= report.passed();
     }
     if ok {
-        println!("xtask conformance: PASS");
-        ExitCode::SUCCESS
+        writeln!(out, "xtask conformance: PASS")?;
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("xtask conformance: FAIL");
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
 /// Prove each checker class actually fails on its deliberately-broken
 /// fixture, and none on the honest one.
-fn conformance_self_test() -> ExitCode {
+fn conformance_self_test(out: &mut impl Write) -> io::Result<ExitCode> {
     let cases = match hermes_testkit::run_self_test() {
         Ok(c) => c,
         Err(e) => {
             eprintln!("xtask conformance --self-test: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut ok = true;
     for case in &cases {
         let passed = case.passed();
-        println!(
+        writeln!(
+            out,
             "  [{}] {:<55} {}",
             if passed { "ok" } else { "MISSED" },
             case.name,
             case.failures
                 .first()
                 .map_or_else(|| "(no failure reported)".to_string(), ToString::to_string)
-        );
+        )?;
         ok &= passed;
     }
     if ok {
-        println!(
+        writeln!(
+            out,
             "xtask conformance --self-test: all {} fixtures tripped their checker class, \
              or nothing if honest",
             cases.len()
-        );
-        ExitCode::SUCCESS
+        )?;
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("xtask conformance --self-test: a checker class failed to fail, or fired on an honest run");
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -166,21 +183,26 @@ fn conformance_self_test() -> ExitCode {
 /// every scenario directory that pins digests, and say how many cells
 /// moved in each: a digest that moves while its records hold is an
 /// event-order change, a moved record is a behaviour change.
-fn bless_goldens() -> ExitCode {
+fn bless_goldens(out: &mut impl Write) -> io::Result<ExitCode> {
     for dir in scenario_dirs() {
         let specs = match hermes_testkit::load_dir(&dir) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("xtask bless: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         if !specs.iter().any(|s| s.pin_digests) {
-            println!("bless: {} has no pinned scenarios, skipped", dir.display());
+            writeln!(
+                out,
+                "bless: {} has no pinned scenarios, skipped",
+                dir.display()
+            )?;
             continue;
         }
         match hermes_testkit::bless(&dir) {
-            Ok(r) => println!(
+            Ok(r) => writeln!(
+                out,
                 "bless: wrote {} pinned cell(s) to {}/{{{},{}}}: {} digest(s) moved, \
                  {} record hash(es) moved",
                 r.cells,
@@ -189,19 +211,19 @@ fn bless_goldens() -> ExitCode {
                 hermes_testkit::RECORDS_FILE,
                 r.digests_moved,
                 r.records_moved
-            ),
+            )?,
             Err(e) => {
                 eprintln!("xtask bless: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `chaos`: a seeded fault-space fuzzing campaign judged by the
 /// conformance checkers, the degradation SLOs among them (DESIGN.md §14).
-fn chaos(args: &[String]) -> ExitCode {
+fn chaos(out: &mut impl Write, args: &[String]) -> io::Result<ExitCode> {
     use hermes_sim::Time;
     use hermes_testkit::chaos;
 
@@ -235,22 +257,27 @@ fn chaos(args: &[String]) -> ExitCode {
                         .map(|ms| cfg.slo.stranded_slack = Time::from_ms(ms)),
                     "--out" => value.map(|v| json_out = Some(v)),
                     "--emit-shrunk" => value.map(|v| emit_shrunk = Some(v)),
-                    other => return usage(&format!("chaos: unexpected argument `{other}`")),
+                    other => return Ok(usage(&format!("chaos: unexpected argument `{other}`"))),
                 };
                 if set.is_none() {
-                    return usage(&format!("chaos: `{flag}` needs a valid value"));
+                    return Ok(usage(&format!("chaos: `{flag}` needs a valid value")));
                 }
             }
         }
     }
-    let last_seed = cfg.seed_base.checked_add(cfg.seeds.saturating_sub(1));
-    if last_seed.is_none() {
-        return usage("chaos: the seeds overflow 64 bits (--seed-base plus --seeds)");
+    if cfg.seeds == 0 {
+        return Ok(usage("chaos: --seeds 0 runs no cell; give at least 1"));
+    }
+    if cfg.seed_base.checked_add(cfg.seeds - 1).is_none() {
+        return Ok(usage(
+            "chaos: the seeds overflow 64 bits (--seed-base plus --seeds)",
+        ));
     }
 
     let report = chaos::run_campaign(&cfg);
     for o in &report.outcomes {
-        println!(
+        writeln!(
+            out,
             "  [{}] seed={:<4} plan: {:>2} event(s) ending {}",
             if o.violations.is_empty() {
                 "ok"
@@ -260,62 +287,66 @@ fn chaos(args: &[String]) -> ExitCode {
             o.seed,
             o.plan.len(),
             o.plan.end_time(),
-        );
+        )?;
         for v in &o.violations {
-            println!("      {v}");
+            writeln!(out, "      {v}")?;
         }
         for sh in &o.shrunk {
-            println!(
+            writeln!(
+                out,
                 "      shrunk {} -> {} event(s) in {} eval(s) [{}]",
                 sh.from_events,
                 sh.plan.len(),
                 sh.evals,
                 sh.class
-            );
+            )?;
         }
     }
     if let Some(dir) = emit_shrunk {
-        if let Err(e) = write_shrunk(&report, Path::new(dir)) {
-            eprintln!("xtask chaos: --emit-shrunk: {e}");
-            return ExitCode::FAILURE;
+        match write_shrunk(&report, Path::new(dir)) {
+            Ok(n) => writeln!(out, "xtask chaos: wrote {n} shrunk scenario(s) to {dir}")?,
+            Err(e) => {
+                eprintln!("xtask chaos: --emit-shrunk: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
         }
     }
-    if let Some(out) = json_out {
-        if let Err(e) = fs::write(out, report.to_json()) {
-            eprintln!("xtask chaos: writing {out}: {e}");
-            return ExitCode::FAILURE;
+    if let Some(path) = json_out {
+        if let Err(e) = fs::write(path, report.to_json()) {
+            eprintln!("xtask chaos: writing {path}: {e}");
+            return Ok(ExitCode::FAILURE);
         }
-        println!("xtask chaos: wrote {out}");
+        writeln!(out, "xtask chaos: wrote {path}")?;
     }
     let violations = report.total_violations();
-    println!(
+    writeln!(
+        out,
         "xtask chaos: {} seed(s), {} violation(s), campaign digest {:#018x}",
         report.outcomes.len(),
         violations,
         report.digest()
-    );
-    if violations == 0 {
+    )?;
+    Ok(if violations == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// Write each shrunk counterexample as a scenario file for triage (and,
-/// if it earns it, committing to `tests/chaos/corpus/`).
-fn write_shrunk(report: &hermes_testkit::chaos::CampaignReport, dir: &Path) -> Result<(), String> {
+/// if it earns it, committing to `tests/chaos/corpus/`); returns how
+/// many it wrote.
+fn write_shrunk(
+    report: &hermes_testkit::chaos::CampaignReport,
+    dir: &Path,
+) -> Result<usize, String> {
     fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let files = report.shrunk_scenarios();
     for (name, text) in &files {
         let path = dir.join(name);
         fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
     }
-    println!(
-        "xtask chaos: wrote {} shrunk scenario(s) to {}",
-        files.len(),
-        dir.display()
-    );
-    Ok(())
+    Ok(files.len())
 }
 
 /// The workspace root, two levels above this crate's manifest.

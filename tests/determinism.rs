@@ -65,10 +65,10 @@ fn quickstart_fct_vectors_identical_across_same_seed_runs() {
         assert_eq!(fp.records.len(), 80);
         assert!(fp.events > 100_000, "only {} events", fp.events);
         // The event queue's recurring-delay lanes carry the run: the
-        // schedules that reach its fallback heap (the flow arrivals set
-        // up at time zero and other one-off delays) stay under 1 % of the
-        // events dispatched. Routing traffic back through the heap would
-        // keep every digest intact, so only this count notices.
+        // schedules that reach its fallback heap (each flow's arrival and
+        // other one-off delays) stay under 1 % of the events dispatched.
+        // Routing traffic back through the heap would keep every digest
+        // intact, so only this count notices.
         assert!(
             fp.queue_fallback * 100 < fp.events,
             "{} schedules of a {}-event run reached the fallback heap",
