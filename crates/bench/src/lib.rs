@@ -1,9 +1,9 @@
 //! # hermes-bench — shared harness for the paper's tables and figures
 //!
-//! One binary, `fig`, regenerates every table and figure of the paper
-//! (`cargo run --release -p hermes-bench --bin fig -- <name>`; with no
-//! name it lists them, and `DESIGN.md` §4 has the index). This library
-//! holds the shared pieces: the one point runner, `run_point(&PointCfg)
+//! The `fig` binary that regenerates every table and figure of the
+//! paper lives in `hermes-testkit`, whose scenario format its FCT grids
+//! are written in (`DESIGN.md` §4 has the index). This library holds
+//! the shared pieces: the one point runner, `run_point(&PointCfg)
 //! -> RunReport`, where a `PointCfg` is a `SimConfig` plus the workload
 //! that drives it, and its pool, `run_points(&[PointCfg]) ->
 //! Vec<RunReport>`, which runs a list of points one worker per core
@@ -18,20 +18,12 @@
 //! contract. It also holds the fig17 trace points (named `PointCfg`s
 //! that `hermes-cli --point` runs), `run_trace_point` (one run with the
 //! telemetry sink installed on the running thread), the probing-cost
-//! calculator behind Table 6 and a plain text table printer. The
-//! simulator's own speed is not measured here: that record is the
-//! repo-root `benchmark/` crate.
-//!
-//! ## Scaling knobs (environment variables, read by `fig`)
-//!
-//! | Var | Meaning | Default |
-//! |---|---|---|
-//! | `HERMES_SCALE` | multiply per-point flow counts (a finite float > 0) | `1.0` |
-//! | `HERMES_RUNS`  | seeds averaged per point (an integer ≥ 1) | `1` |
-//!
-//! The paper averages 5 runs of 2 simulated seconds; the defaults here
-//! are sized for a single-core laptop run of the whole suite. Raise
-//! `HERMES_SCALE`/`HERMES_RUNS` to tighten confidence intervals.
+//! calculator behind Table 6, the asymmetric topology and Hermes
+//! parameter presets the figures share, and a plain text table
+//! printer. The simulator's own speed is not measured here: that
+//! record is the repo-root `benchmark/` crate.
+
+use hermes_core::HermesParams;
 
 mod probing;
 mod runner;
@@ -62,4 +54,16 @@ pub fn asym_topology() -> hermes_net::Topology {
 /// asymmetric runs, per the paper's convention).
 pub fn baseline_capacity() -> u64 {
     hermes_net::Topology::sim_baseline().total_uplink_bps()
+}
+
+/// A Hermes parameter preset by name: `testbed`, the 1 Gbps testbed's
+/// tuned thresholds ([`HermesParams::paper_testbed`]), or `tcp`, §5.4's
+/// RTT-only sensing ([`HermesParams::for_tcp`]). `None` for any other
+/// name. `hermes-cli` and the scenario loader both pick presets here.
+pub fn hermes_preset(name: &str, topo: &hermes_net::Topology) -> Option<HermesParams> {
+    match name {
+        "testbed" => Some(HermesParams::paper_testbed(topo)),
+        "tcp" => Some(HermesParams::for_tcp(topo)),
+        _ => None,
+    }
 }

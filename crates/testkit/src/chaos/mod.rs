@@ -429,7 +429,7 @@ mod tests {
                 let tag = spec.slo.as_ref().expect("[slo]");
                 assert_eq!((tag.class, tag.cell.as_deref()), (Some(class), Some(cell)));
                 for li in 0..LBS.len() {
-                    let (a, b) = (spec.materialize(li, 41), campaign.materialize(li, 41));
+                    let (a, b) = (spec.materialize(li, 0, 41), campaign.materialize(li, 0, 41));
                     assert_eq!(format!("{a:?}"), format!("{b:?}"));
                 }
             }

@@ -5,10 +5,11 @@
 //! Hermes ≈ CONGA under symmetry, graceful degradation under asymmetry
 //! and failure — so this crate encodes them as an executable grid:
 //!
-//! * **specs** — scenario TOML files (`tests/scenarios/`, and the chaos
-//!   corpus `tests/chaos/corpus/`) declaring a topology, workload, fault
-//!   plan (`[[event]]`, see [`events`]), the LBs under test, and seeds;
-//! * **run** — every `(scenario, lb, seed)` cell, plus its fault-free
+//! * **specs** — scenario TOML files (`tests/scenarios/`, the chaos
+//!   corpus `tests/chaos/corpus/` and the figures' `figures/`)
+//!   declaring a topology, workload, fault plan (`[[event]]`, see
+//!   [`events`]), the LBs under test, and seeds;
+//! * **run** — every `(scenario, lb, load, seed)` cell, plus its fault-free
 //!   twin under `[slo]`, executed as its own deterministic simulation,
 //!   all of them in one `hermes_bench::run_points` call (the only
 //!   thread pool; this crate spawns no threads itself);
@@ -33,6 +34,25 @@
 //! [`selftest::run_self_test`] for the checker self-test. The tier-1
 //! grid lives in the repo-root `tests/conformance.rs`; the extended
 //! grid and the corpus run via `cargo run -p xtask -- conformance`.
+//!
+//! The crate's one binary, `fig <name>`
+//! (`cargo run --release -p hermes-testkit --bin fig -- <name>`; with
+//! no name it lists them), regenerates each of the paper's tables and
+//! figures. Its FCT grids are scenario files too, the repo-root
+//! `figures/<name>/`, run by the same [`run_grid`]; the rest run their
+//! own scenarios.
+//!
+//! ## Scaling knobs (environment variables, read by `fig`)
+//!
+//! | Var | Meaning | Default |
+//! |---|---|---|
+//! | `HERMES_SCALE` | multiply per-point flow counts (a finite float > 0; at least 50 flows) | `1.0` |
+//! | `HERMES_RUNS`  | seeds averaged per point: a file's first seed and the next ones (an integer ≥ 1) | `1` |
+//!
+//! The paper averages 5 runs of 2 simulated seconds; the defaults here
+//! are sized for a single-core laptop run of the whole suite. Raise
+//! `HERMES_SCALE`/`HERMES_RUNS` to tighten confidence intervals. `fig`
+//! validates every scaled cell before any runs and exits 2 otherwise.
 
 pub mod chaos;
 pub mod check;

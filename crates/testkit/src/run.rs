@@ -1,6 +1,6 @@
 //! Multi-seed scenario execution.
 //!
-//! Each `(scenario, lb, seed)` grid cell is one fully independent
+//! Each `(scenario, lb, load, seed)` grid cell is one fully independent
 //! deterministic simulation, plus its fault-free twin when the scenario
 //! carries `[slo]`: the job list is materialized into `PointCfg`s and
 //! handed to [`hermes_bench::run_points`], whose results land by index,
@@ -19,43 +19,47 @@ pub struct RunOutcome {
     pub scenario: usize,
     /// Index into that scenario's `lbs`.
     pub lb_idx: usize,
+    /// Index into that scenario's `loads` (0 without a sweep).
+    pub load_idx: usize,
     pub seed: u64,
     pub result: RunReport,
     /// The fault-free twin's report, for an `[slo]` scenario.
     pub baseline: Option<RunReport>,
 }
 
-/// Flatten the scenarios into the deterministic job list.
-fn jobs(specs: &[ScenarioSpec]) -> Vec<(usize, usize, u64)> {
+/// Flatten the scenarios into the deterministic job list: scenario
+/// first, then each one's [`ScenarioSpec::cells`].
+fn jobs(specs: &[ScenarioSpec]) -> Vec<(usize, usize, usize, u64)> {
     let mut out = Vec::new();
     for (si, spec) in specs.iter().enumerate() {
-        for li in 0..spec.lbs.len() {
-            for &seed in &spec.seeds {
-                out.push((si, li, seed));
-            }
-        }
+        out.extend(
+            spec.cells()
+                .into_iter()
+                .map(|(li, ld, seed)| (si, li, ld, seed)),
+        );
     }
     out
 }
 
-/// Run every `(scenario, lb, seed)` cell, and each twin, in one
+/// Run every `(scenario, lb, load, seed)` cell, and each twin, in one
 /// [`run_points`] call. Returns outcomes in job order. Sim panics
 /// propagate.
 pub fn run_grid(specs: &[ScenarioSpec]) -> Vec<RunOutcome> {
     let jobs = jobs(specs);
     let cfgs: Vec<_> = jobs
         .iter()
-        .flat_map(|&(si, li, seed)| {
+        .flat_map(|&(si, li, ld, seed)| {
             let spec = &specs[si];
             let twin = spec.slo.as_ref().map(|_| spec.twin(li, seed));
-            std::iter::once(spec.materialize(li, seed)).chain(twin)
+            std::iter::once(spec.materialize(li, ld, seed)).chain(twin)
         })
         .collect();
     let mut reports = run_points(&cfgs).into_iter();
     jobs.into_iter()
-        .map(|(scenario, lb_idx, seed)| RunOutcome {
+        .map(|(scenario, lb_idx, load_idx, seed)| RunOutcome {
             scenario,
             lb_idx,
+            load_idx,
             seed,
             result: reports.next().expect("a report per cell"),
             baseline: specs[scenario]
@@ -89,9 +93,9 @@ mod tests {
         let spec = parse_scenario(TWO_LB, "mem", "par").expect("parses");
         let specs = [spec.clone(), spec];
         let order: Vec<_> = jobs(&specs);
-        assert_eq!(order[0], (0, 0, 1));
-        assert_eq!(order[3], (0, 1, 2));
-        assert_eq!(order[4], (1, 0, 1));
+        assert_eq!(order[0], (0, 0, 0, 1));
+        assert_eq!(order[3], (0, 1, 0, 2));
+        assert_eq!(order[4], (1, 0, 0, 1));
         assert_eq!(order.len(), 8);
     }
 }

@@ -6,11 +6,14 @@
 //! under test, the seeds to sweep, and the checks to apply. The loader
 //! builds the topology, schemes and fault plan straight into a
 //! [`hermes_bench::PointCfg`] template held by the [`ScenarioSpec`];
-//! each `(lb, seed)` cell of the grid is that template plus a scheme
-//! and a seed ([`ScenarioSpec::materialize`]), ready for `run_point`.
-//! An `[slo]` scenario also runs each cell's fault-free twin
-//! ([`ScenarioSpec::twin`]). An optional key of the wrong type is an
-//! error naming it, never its default.
+//! each `(lb, load, seed)` cell of the grid is that template plus a
+//! scheme, an offered load and a seed ([`ScenarioSpec::materialize`]),
+//! ready for `run_point`. An `[slo]` scenario also runs each cell's
+//! fault-free twin ([`ScenarioSpec::twin`]). An optional key of the
+//! wrong type is an error naming it, never its default. The paper's
+//! FCT figures are scenario files too (`figures/` at the repo root),
+//! which is what the load sweeps, the `[[lb]]` variants and the two
+//! print keys are for.
 //!
 //! ## Schema
 //!
@@ -18,9 +21,12 @@
 //! name = "asymmetric"            # defaults to the file stem
 //! description = "one uplink cut, load vs healthy fabric"
 //! pin_digests = true             # participate in golden digests
+//! normalize_to = "hermes"        # optional: `fig` prints ratios to this lb
+//! note = ["(paper: ...)"]        # optional: lines `fig` prints after the table
 //!
 //! [topology]
-//! kind = "testbed"               # "testbed" | "sim_baseline"
+//! kind = "testbed"               # "testbed" | "sim_baseline" | "asym"
+//!                                # (the 8x8 with 20% of links at 2 Gbps)
 //! cut = [[0, 3]]                 # optional [leaf, spine] cuts
 //! degrade = [[0, 2, 100]]        # optional [leaf, spine, rate_mbps]
 //!
@@ -28,7 +34,9 @@
 //! kind = "poisson"               # optional (default "poisson"); also
 //!                                # "ring_allreduce" | "incast" | "elephant_mice"
 //! dist = "web_search"            # poisson: "web_search" | "data_mining"
-//! load = 0.5                     # vs the healthy fabric when cut/degraded
+//! load = 0.5                     # vs the healthy fabric when cut/degraded;
+//!                                # a list [0.3, 0.5] sweeps (no pin_digests,
+//!                                # [[envelope]] or [slo] then)
 //! flows = 60
 //!
 //! # kind = "ring_allreduce":     barrier-stepped collective; drain_ms
@@ -50,8 +58,18 @@
 //!
 //! [run]
 //! seeds = [1, 2, 3]              # distinct
-//! lbs = ["hermes", "conga", "ecmp"]  # distinct
+//! lbs = ["hermes", "conga", "ecmp"]  # distinct: an [[lb]] name or a
+//!                                # `Scheme::NAMES` entry at its defaults
 //! drain_ms = 2000                # optional (default 3000)
+//! transport = "tcp"              # optional: "dctcp" (default) | "tcp"
+//! reorder_mask = true            # optional: mask reordering for every lb
+//!
+//! [[lb]]                         # optional labelled variants, each used
+//! name = "clove-800us"           # by `lbs`
+//! scheme = "clove"               # a `Scheme::NAMES` entry
+//! flowlet_timeout_us = 800       # clove, conga
+//! # hermes: preset = "testbed" | "tcp" (applied first), probe_interval_us,
+//! # probing = false, reroute = false, t_rtt_high_us, delta_rtt_us
 //!
 //! [[event]]                      # optional fault plan, any number
 //! at_ns = 5000000                # of events (every kind: `crate::events`)
@@ -77,10 +95,11 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use hermes_bench::{PointCfg, PointField};
+use hermes_bench::{asym_topology, baseline_capacity, hermes_preset, PointCfg, PointField};
 use hermes_net::{FaultPlan, LeafId, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
+use hermes_transport::TransportCfg;
 use hermes_workload::{FlowSizeDist, IncastCfg, MixCfg, PoissonCfg, RingCfg, WorkloadKind};
 
 use crate::chaos::SloClass;
@@ -173,13 +192,17 @@ pub struct ScenarioSpec {
     /// The point every grid cell starts from: the topology under test
     /// (cuts and degrades applied, load defined against the healthy
     /// fabric), workload, drain, fault plan and goodput cadence. Its
-    /// `scheme` and `seed` are the first cell's; [`Self::materialize`]
-    /// sets them per cell.
+    /// `scheme`, load and `seed` are the first cell's;
+    /// [`Self::materialize`] sets them per cell.
     pub base: PointCfg,
+    /// The offered loads the cells sweep: `[workload] load`'s list, or
+    /// its one value. Empty for a closed-loop workload, which has no
+    /// load and runs its base point.
+    pub loads: Vec<f64>,
     pub seeds: Vec<u64>,
-    /// The LBs under test: the spec-file name (used in job labels,
-    /// digest keys and envelope references) and the scheme
-    /// [`Scheme::by_name`] resolved it to.
+    /// The LBs under test: the spec-file label (used in job labels,
+    /// digest keys and envelope references) and the scheme it resolved
+    /// to, an `[[lb]]` variant or [`Scheme::by_name`]'s defaults.
     pub lbs: Vec<(String, Scheme)>,
     pub invariants: InvariantCfg,
     pub envelopes: Vec<EnvelopeSpec>,
@@ -187,24 +210,69 @@ pub struct ScenarioSpec {
     pub pin_digests: bool,
     /// `Some` for a scenario judged by the degradation SLOs.
     pub slo: Option<SloTag>,
+    /// The label of `lbs` whose values `fig` divides each row by.
+    pub normalize_to: Option<String>,
+    /// Lines `fig` prints after the scenario's table.
+    pub note: Vec<String>,
 }
 
 impl ScenarioSpec {
+    /// Every cell as `(lb_idx, load_idx, seed)`, in run order: lb
+    /// first, then load, then seed.
+    pub fn cells(&self) -> Vec<(usize, usize, u64)> {
+        let loads = self.loads.len().max(1);
+        let mut out = Vec::with_capacity(self.lbs.len() * loads * self.seeds.len());
+        for li in 0..self.lbs.len() {
+            for ld in 0..loads {
+                out.extend(self.seeds.iter().map(|&seed| (li, ld, seed)));
+            }
+        }
+        out
+    }
+
     /// One grid cell as a runnable point: the template plus the cell's
-    /// scheme and seed.
-    pub fn materialize(&self, lb_idx: usize, seed: u64) -> PointCfg {
+    /// scheme, load and seed.
+    pub fn materialize(&self, lb_idx: usize, load_idx: usize, seed: u64) -> PointCfg {
         let mut cfg = self.base.clone();
         cfg.sim.scheme = self.lbs[lb_idx].1.clone();
         cfg.sim.seed = seed;
+        if let (WorkloadKind::Poisson(p), Some(&load)) =
+            (&mut cfg.workload, self.loads.get(load_idx))
+        {
+            p.load = load;
+        }
         cfg
     }
 
     /// [`Self::materialize`] with no faults: the baseline an `[slo]`
-    /// scenario judges the cell against.
+    /// scenario, which has one load, judges the cell against.
     pub fn twin(&self, lb_idx: usize, seed: u64) -> PointCfg {
-        let mut cfg = self.materialize(lb_idx, seed);
+        let mut cfg = self.materialize(lb_idx, 0, seed);
         cfg.sim.fault_plan = FaultPlan::new();
         cfg
+    }
+
+    /// Check every cell with [`PointCfg::validate`], as the loader
+    /// does; the error names the file's key.
+    pub fn validate(&self) -> Result<(), String> {
+        for (li, ld, seed) in self.cells() {
+            let Err(e) = self.materialize(li, ld, seed).validate() else {
+                continue;
+            };
+            let key = match e.field {
+                PointField::Load => "`load`".to_string(),
+                PointField::Flows => "`flows`".to_string(),
+                // The file counts sizes in KB.
+                PointField::Workload(name) => match name.strip_suffix("_bytes") {
+                    Some(stem) => format!("`{stem}_kb`"),
+                    None => format!("`{name}`"),
+                },
+                PointField::Topology => "`cut`".to_string(),
+                PointField::Faults => "[[event]]".to_string(),
+            };
+            return Err(format!("{key}: {}", e.msg));
+        }
+        Ok(())
     }
 
     /// Key for a golden-digest entry.
@@ -246,16 +314,18 @@ fn kb_bytes(t: &Table, key: &str) -> Result<u64, String> {
     }
 }
 
-/// An optional duration key counted in milliseconds: non-negative and
-/// representable in nanoseconds. `None` when the key is absent.
-fn duration_ms(t: &Table, key: &str) -> Result<Option<Time>, String> {
+/// An optional duration key counted in units of `unit_ns`: an integer
+/// ≥ `min` and representable in nanoseconds. `None` when the key is
+/// absent.
+fn duration(t: &Table, key: &str, unit_ns: u64, min: u64) -> Result<Option<Time>, String> {
     let Some(i) = opt(t, key, "an integer", Value::as_int)? else {
         return Ok(None);
     };
-    match u64::try_from(i).ok().and_then(|v| v.checked_mul(1_000_000)) {
+    let ns = u64::try_from(i).ok().filter(|&v| v >= min);
+    match ns.and_then(|v| v.checked_mul(unit_ns)) {
         Some(ns) => Ok(Some(Time::from_ns(ns))),
         None => Err(format!(
-            "`{key}` = {i}: must be an integer ≥ 0 that fits in nanoseconds"
+            "`{key}` = {i}: must be an integer ≥ {min} that fits in nanoseconds"
         )),
     }
 }
@@ -295,16 +365,30 @@ const TOP_KEYS: &[&str] = &[
     "name",
     "description",
     "pin_digests",
+    "normalize_to",
+    "note",
     "topology",
     "workload",
     "run",
+    "lb",
     "event",
     "invariants",
     "envelope",
     "slo",
 ];
 const TOPOLOGY_KEYS: &[&str] = &["kind", "cut", "degrade"];
-const RUN_KEYS: &[&str] = &["seeds", "lbs", "drain_ms"];
+const RUN_KEYS: &[&str] = &["seeds", "lbs", "drain_ms", "transport", "reorder_mask"];
+const LB_KEYS: &[&str] = &[
+    "name",
+    "scheme",
+    "flowlet_timeout_us",
+    "preset",
+    "probe_interval_us",
+    "probing",
+    "reroute",
+    "t_rtt_high_us",
+    "delta_rtt_us",
+];
 const INVARIANT_KEYS: &[&str] = &["max_unfinished_frac", "incast_floor_frac"];
 const ENVELOPE_KEYS: &[&str] = &["metric", "lb", "baseline", "max_ratio"];
 const SLO_KEYS: &[&str] = &["class", "cell"];
@@ -358,6 +442,7 @@ fn validate_keys(key_lines: &KeyLines, wl_kind: &str) -> Result<(), String> {
             "slo" => ("[slo]", SLO_KEYS, 1),
             // AoT paths carry the element index: envelope.<i>.<key>.
             "envelope" => ("[[envelope]]", ENVELOPE_KEYS, 2),
+            "lb" => ("[[lb]]", LB_KEYS, 2),
             "event" => continue,
             _ => {
                 // Scalar top-level key used as a table (`[name.x]`).
@@ -367,7 +452,7 @@ fn validate_keys(key_lines: &KeyLines, wl_kind: &str) -> Result<(), String> {
         match segs.get(key_idx) {
             Some(key) if segs.len() == key_idx + 1 && allowed.contains(key) => {}
             Some(key) => return unknown(line, key, section),
-            None => {} // the AoT header itself (`envelope`)
+            None => {} // the AoT header itself (`envelope`, `lb`)
         }
     }
     Ok(())
@@ -380,6 +465,56 @@ fn distinct<T: PartialEq + fmt::Debug>(items: &[T], key: &str) -> Result<(), Str
         Some(i) => Err(format!("`{key}` lists {:?} twice", items[i])),
         None => Ok(()),
     }
+}
+
+/// One `[[lb]]` table: its label and the scheme it names, with the
+/// overrides its base takes applied (a Hermes `preset` first). An
+/// override the base does not take is an error naming the key.
+fn lb_variant(t: &Table, topo: &Topology) -> Result<(String, Scheme), String> {
+    let name = req_str(t, "name")?;
+    let base = req_str(t, "scheme")?;
+    let Some(mut scheme) = Scheme::by_name(&base, topo) else {
+        return Err(format!(
+            "[[lb]] `{name}`: `scheme`: unknown scheme `{base}`"
+        ));
+    };
+    // Every override but the flowlet timeout is Hermes'.
+    let takes = |key: &str| match scheme {
+        Scheme::Clove(_) | Scheme::Conga(_) => key == "flowlet_timeout_us",
+        Scheme::Hermes(_) => key != "flowlet_timeout_us",
+        _ => false,
+    };
+    let mut overrides = t
+        .keys()
+        .filter(|k| !matches!(k.as_str(), "name" | "scheme"));
+    if let Some(key) = overrides.find(|k| !takes(k)) {
+        return Err(format!(
+            "[[lb]] `{name}`: `{key}` does not apply to `{base}`"
+        ));
+    }
+    let us = |key| duration(t, key, 1_000, 1);
+    let flag = |key| opt(t, key, "a boolean", Value::as_bool);
+    let flowlet = us("flowlet_timeout_us")?;
+    match &mut scheme {
+        Scheme::Clove(c) => c.flowlet_timeout = flowlet.unwrap_or(c.flowlet_timeout),
+        Scheme::Conga(c) => c.flowlet_timeout = flowlet.unwrap_or(c.flowlet_timeout),
+        Scheme::Hermes(p) => {
+            if let Some(preset) = opt_str(t, "preset")? {
+                *p = hermes_preset(&preset, topo).ok_or(format!(
+                    "[[lb]] `{name}`: `preset`: unknown preset `{preset}`"
+                ))?;
+            }
+            p.probe_interval = us("probe_interval_us")?.unwrap_or(p.probe_interval);
+            if flag("probing")? == Some(false) {
+                p.probe_interval = Time::MAX;
+            }
+            p.enable_reroute = flag("reroute")?.unwrap_or(p.enable_reroute);
+            p.t_rtt_high = us("t_rtt_high_us")?.unwrap_or(p.t_rtt_high);
+            p.delta_rtt = us("delta_rtt_us")?.unwrap_or(p.delta_rtt);
+        }
+        _ => {}
+    }
+    Ok((name, scheme))
 }
 
 /// Parse one scenario file's contents. `file` is used for error
@@ -408,14 +543,21 @@ fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
     let Some(topo_t) = root.get("topology").and_then(Value::as_table) else {
         return Err("missing [topology] table".into());
     };
-    let mut topo = match req_str(topo_t, "kind")?.as_str() {
+    let kind = req_str(topo_t, "kind")?;
+    let mut topo = match kind.as_str() {
         // 2 leaves × 4 spines × 6 hosts/leaf, 1 Gbps (the paper's testbed).
         "testbed" => Topology::testbed(),
         // 8 leaves × 8 spines × 16 hosts/leaf, 10 Gbps (§5 simulations).
         "sim_baseline" => Topology::sim_baseline(),
+        // §5.3.2: the 8×8 with 20% of its links at 2 Gbps.
+        "asym" => asym_topology(),
         other => return Err(format!("unknown topology kind `{other}`")),
     };
-    let healthy_capacity = topo.total_uplink_bps();
+    // The asymmetric fabric's healthy capacity is the 8×8's.
+    let healthy_capacity = match kind.as_str() {
+        "asym" => baseline_capacity(),
+        _ => topo.total_uplink_bps(),
+    };
     let entries = |key: &str| match topo_t.get(key).map(Value::as_array) {
         None => Ok(&[][..]),
         Some(Some(items)) => Ok(items),
@@ -451,12 +593,25 @@ fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
     let Some(work_t) = root.get("workload").and_then(Value::as_table) else {
         return Err("missing [workload] table".into());
     };
+    // `load` is a number, or a list of them to sweep; a closed-loop
+    // kind has none.
+    let sweep = work_t.get("load").and_then(Value::as_array);
+    let loads = match sweep {
+        Some(items) => items
+            .iter()
+            .map(Value::as_float)
+            .collect::<Option<Vec<f64>>>()
+            .filter(|l| !l.is_empty())
+            .ok_or("`load` must be a number or a non-empty list of numbers")?,
+        None if work_t.contains_key("load") => vec![req_float(work_t, "load")?],
+        None => Vec::new(),
+    };
     // The paper's convention: offered load is defined against the
     // healthy fabric even when the fabric under test lost capacity.
     let poisson = |dist| -> Result<WorkloadKind, String> {
         Ok(WorkloadKind::Poisson(PoissonCfg {
             dist,
-            load: req_float(work_t, "load")?,
+            load: *loads.first().ok_or("missing `load` (a number)")?,
             flows: uint(work_t, "flows")?,
             capacity: Some(healthy_capacity),
         }))
@@ -500,6 +655,14 @@ fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
         }
     }
     distinct(&seeds, "seeds")?;
+    // [[lb]] (optional): the labelled variants `lbs` may name.
+    let mut variants = Vec::new();
+    for item in root.get("lb").and_then(Value::as_array).unwrap_or(&[]) {
+        let Some(lt) = item.as_table() else {
+            return Err("[[lb]] entries must be tables".into());
+        };
+        variants.push(lb_variant(lt, &topo)?);
+    }
     let Some(items) = run_t.get("lbs").and_then(Value::as_array) else {
         return Err("missing `lbs` in [run]".into());
     };
@@ -508,14 +671,33 @@ fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
         let Some(name) = item.as_str() else {
             return Err("`lbs` must be strings".into());
         };
-        let Some(scheme) = Scheme::by_name(name, &topo) else {
-            return Err(format!("unknown lb `{name}`"));
+        let variant = variants
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, s)| s.clone());
+        let Some(scheme) = variant.or_else(|| Scheme::by_name(name, &topo)) else {
+            return Err(format!(
+                "`lbs`: unknown lb `{name}` (neither an [[lb]] name nor a scheme)"
+            ));
         };
         lbs.push((name.to_string(), scheme));
     }
     let names: Vec<&str> = lbs.iter().map(|(n, _)| n.as_str()).collect();
     distinct(&names, "lbs")?;
-    let drain = duration_ms(run_t, "drain_ms")?.unwrap_or(Time::from_ms(3000));
+    let variant_names: Vec<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
+    if !variants.is_empty() {
+        distinct(&variant_names, "[[lb]] `name`")?;
+    }
+    if let Some(unused) = variant_names.iter().find(|n| !names.contains(n)) {
+        return Err(format!("[[lb]] `{unused}`: no `lbs` entry uses it"));
+    }
+    let drain = duration(run_t, "drain_ms", 1_000_000, 0)?.unwrap_or(Time::from_ms(3000));
+    let transport = match opt_str(run_t, "transport")?.as_deref() {
+        None | Some("dctcp") => TransportCfg::dctcp(),
+        Some("tcp") => TransportCfg::tcp(),
+        Some(other) => return Err(format!("`transport`: unknown transport `{other}`")),
+    };
+    let reorder_mask = opt(run_t, "reorder_mask", "a boolean", Value::as_bool)?.unwrap_or(false);
 
     // [[event]] (optional): the fault plan, which must fit the fabric.
     let fault_plan = events::plan_from_toml(&root, &key_lines)?;
@@ -589,7 +771,40 @@ fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
         None => None,
     };
 
+    // A sweep's cells share their digest keys, so nothing pins or
+    // compares them.
+    if sweep.is_some() {
+        let pinned = [
+            ("`pin_digests`", pin_digests),
+            ("[[envelope]]", !envelopes.is_empty()),
+            ("[slo]", slo.is_some()),
+        ];
+        if let Some((key, _)) = pinned.iter().find(|(_, set)| *set) {
+            return Err(format!("`load` lists loads: {key} needs a single load"));
+        }
+    }
+
+    // The print keys (optional).
+    let normalize_to = opt_str(&root, "normalize_to")?;
+    if let Some(n) = normalize_to.as_deref().filter(|n| !names.contains(n)) {
+        return Err(format!("`normalize_to`: `{n}` is not in `lbs`"));
+    }
+    let note = match root.get("note") {
+        None => Vec::new(),
+        Some(v) => v
+            .as_array()
+            .and_then(|items| {
+                items
+                    .iter()
+                    .map(|i| i.as_str().map(str::to_string))
+                    .collect()
+            })
+            .ok_or("`note` must be an array of strings")?,
+    };
+
     let sim = SimConfig {
+        transport,
+        reorder_mask,
         fault_plan,
         ..SimConfig::new(topo, lbs[0].1.clone()).with_seed(seeds[0])
     };
@@ -599,31 +814,22 @@ fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
             Some(_) => SLO_GOODPUT_INTERVAL,
             None => GOODPUT_INTERVAL,
         });
-    if let Err(e) = base.validate() {
-        let key = match e.field {
-            PointField::Load => "`load`".to_string(),
-            PointField::Flows => "`flows`".to_string(),
-            // The file counts sizes in KB.
-            PointField::Workload(name) => match name.strip_suffix("_bytes") {
-                Some(stem) => format!("`{stem}_kb`"),
-                None => format!("`{name}`"),
-            },
-            PointField::Topology => "`cut`".to_string(),
-            PointField::Faults => "[[event]]".to_string(),
-        };
-        return Err(format!("{key}: {}", e.msg));
-    }
-    Ok(ScenarioSpec {
+    let spec = ScenarioSpec {
         name,
         description,
         base,
+        loads,
         seeds,
         lbs,
         invariants,
         envelopes,
         pin_digests,
         slo,
-    })
+        normalize_to,
+        note,
+    };
+    spec.validate()?;
+    Ok(spec)
 }
 
 /// Load one scenario file from disk.
@@ -742,7 +948,7 @@ mod tests {
         };
         assert_eq!(capacity(&s.base), Some(healthy));
         assert!(s.base.sim.topo.total_uplink_bps() < healthy);
-        let cfg = s.materialize(0, 7);
+        let cfg = s.materialize(0, 0, 7);
         assert_eq!(cfg.sim.seed, 7);
         assert!(matches!(cfg.sim.scheme, Scheme::Conga(_)));
         assert_eq!(capacity(&cfg), Some(healthy));
@@ -793,7 +999,7 @@ mod tests {
         assert_eq!(s.base.goodput_interval, Some(GOODPUT_INTERVAL));
         assert_eq!(s.envelopes.len(), 1);
         assert_eq!(s.envelopes[0].metric, Metric::Avg);
-        assert_eq!(s.materialize(0, 1).sim.fault_plan.len(), 2);
+        assert_eq!(s.materialize(0, 0, 1).sim.fault_plan.len(), 2);
     }
 
     #[test]
@@ -847,6 +1053,8 @@ mod tests {
                  mice_kb = {mice}\nelephant_kb = {elephant}"
             ))
         };
+        // An [[lb]] named `c` on CONGA, with one more key.
+        let conga = |key: &str| table(&format!("[[lb]]\nname = \"c\"\nscheme = \"conga\"\n{key}"));
         // A KB count whose byte count overflows u64.
         const HUGE_KB: u64 = u64::MAX / 999;
         // (scenario, the key its error must name)
@@ -928,6 +1136,25 @@ mod tests {
             (incast(6, HUGE_KB), "`reply_kb`"),
             (mix(HUGE_KB, 50), "`mice_kb`"),
             (mix(50, HUGE_KB), "`elephant_kb`"),
+            // [[lb]] variants: only the overrides the base takes, a
+            // known base, and each one used.
+            (
+                conga("t_rtt_high_us = 100").replace("\"ecmp\"]", "\"c\"]"),
+                "`t_rtt_high_us`",
+            ),
+            (
+                table("[[lb]]\nname = \"c\"\nscheme = \"wecmp\""),
+                "`scheme`",
+            ),
+            (MINIMAL.replace("\"ecmp\"]", "\"wecmp\"]"), "`lbs`"),
+            (conga("flowlet_timeout_us = 500"), "[[lb]] `c`"),
+            (top("normalize_to = \"conga\""), "`normalize_to`"),
+            // A sweep checks every load, and pins nothing.
+            (MINIMAL.replace("load = 0.3", "load = [0.3, 2.0]"), "`load`"),
+            (
+                top("pin_digests = true").replace("load = 0.3", "load = [0.3, 0.5]"),
+                "`pin_digests`",
+            ),
         ];
         for (src, key) in &rows {
             match parse_scenario(src, "mem", "x") {
@@ -944,6 +1171,49 @@ mod tests {
         parse_scenario(&ring(12, 64), "mem", "x").expect("one rank per host");
         parse_scenario(&incast(6, 32), "mem", "x").expect("the whole other rack");
         parse_scenario(&mix(50, 1000), "mem", "x").expect("in-range mix");
+    }
+
+    #[test]
+    fn load_sweeps_and_lb_variants_parse() {
+        let sweep = MINIMAL.replace("load = 0.3", "load = [0.3, 0.5]");
+        let src = format!(
+            "note = [\"a\", \" b\"]\nnormalize_to = \"ecmp\"\n{sweep}\ntransport = \"tcp\"\nreorder_mask = true\n\
+             [[lb]]\nname = \"hermes\"\nscheme = \"hermes\"\npreset = \"testbed\"\nreroute = false\n"
+        );
+        let s = parse_scenario(&src, "mem", "x").expect("parses");
+        assert_eq!(s.loads, [0.3, 0.5]);
+        assert_eq!(s.note, ["a", " b"]);
+        assert_eq!(s.normalize_to.as_deref(), Some("ecmp"));
+        assert!(s.base.sim.reorder_mask);
+        assert_eq!(
+            format!("{:?}", s.base.sim.transport),
+            format!("{:?}", TransportCfg::tcp())
+        );
+        // lb first, then load, then seed; each cell at its own load.
+        let cells = s.cells();
+        assert_eq!(cells.len(), 8);
+        assert_eq!(
+            (cells[0], cells[1], cells[2]),
+            ((0, 0, 1), (0, 0, 2), (0, 1, 1))
+        );
+        let load = |cfg: PointCfg| match cfg.workload {
+            WorkloadKind::Poisson(p) => p.load,
+            other => panic!("wrong kind: {other:?}"),
+        };
+        assert_eq!(load(s.materialize(1, 1, 2)), 0.5);
+        // The label resolves to its [[lb]] before the scheme name.
+        let Scheme::Hermes(p) = s.lbs[0].1 else {
+            panic!("{:?}", s.lbs[0].1);
+        };
+        let testbed = hermes_preset("testbed", &s.base.sim.topo).expect("a preset");
+        assert_eq!(
+            (p.t_rtt_high, p.enable_reroute),
+            (testbed.t_rtt_high, false)
+        );
+        // A scalar load is a sweep of one, with the same keys as ever.
+        let s = parse_scenario(MINIMAL, "mem", "x").expect("parses");
+        assert_eq!(s.loads, [0.3]);
+        assert_eq!(s.cells().len(), 4);
     }
 
     #[test]
@@ -969,7 +1239,7 @@ mod tests {
                 chunk_bytes: 64_000,
             })
         );
-        assert_eq!(s.materialize(0, 1).workload, s.base.workload);
+        assert_eq!(s.materialize(0, 0, 1).workload, s.base.workload);
 
         let incast = r#"
             [topology]

@@ -25,7 +25,7 @@ mkdir -p "$outdir"
 # DESIGN.md §13) before spending wall-clock on the full sweep.
 cargo clippy -q --workspace --all-targets -- -D warnings
 
-cargo build --release -p hermes-bench --bin fig
+cargo build --release -p hermes-testkit --bin fig
 fig=target/release/fig
 
 for name in $("$fig"); do

@@ -21,10 +21,9 @@ use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use hermes_bench::{
-    asym_topology, avg_summaries, baseline_capacity, run_points, run_points_with, run_trace_point,
-    trace_point, trace_points, PointCfg, PointField, RunReport,
+    asym_topology, avg_summaries, baseline_capacity, hermes_preset, run_points, run_points_with,
+    run_trace_point, trace_point, trace_points, PointCfg, PointField, RunReport,
 };
-use hermes_core::HermesParams;
 use hermes_net::{Blackhole, LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
@@ -218,17 +217,19 @@ fn spine_failures(a: &Args) -> Result<Vec<(SpineId, SpineFailure)>, String> {
 }
 
 /// `--scheme` through the one name table, then the CLI's own Hermes
-/// parameter choice (TCP and the 1 Gbps testbed have tuned presets).
+/// preset choice (TCP and the 1 Gbps testbed have tuned presets).
 fn resolve_scheme(a: &Args, topo: &Topology) -> Scheme {
-    match Scheme::by_name(&a.scheme, topo) {
-        Some(Scheme::Hermes(_)) if a.transport == "tcp" => {
-            Scheme::Hermes(HermesParams::for_tcp(topo))
+    let preset = match (a.transport.as_str(), a.topo.as_str()) {
+        ("tcp", _) => Some("tcp"),
+        (_, "testbed") => Some("testbed"),
+        _ => None,
+    };
+    match (Scheme::by_name(&a.scheme, topo), preset) {
+        (Some(Scheme::Hermes(_)), Some(preset)) => {
+            Scheme::Hermes(hermes_preset(preset, topo).expect("a preset name"))
         }
-        Some(Scheme::Hermes(_)) if a.topo == "testbed" => {
-            Scheme::Hermes(HermesParams::paper_testbed(topo))
-        }
-        Some(scheme) => scheme,
-        None => usage(&format!("unknown scheme {}", a.scheme)),
+        (Some(scheme), _) => scheme,
+        (None, _) => usage(&format!("unknown scheme {}", a.scheme)),
     }
 }
 

@@ -72,8 +72,8 @@ fn corpus_entries_are_campaign_cells() {
         let cell_spec = chaos::cell_spec(spec.seeds[0], plan, true);
         for li in 0..spec.lbs.len() {
             let (a, b) = (
-                spec.materialize(li, spec.seeds[0]),
-                cell_spec.materialize(li, spec.seeds[0]),
+                spec.materialize(li, 0, spec.seeds[0]),
+                cell_spec.materialize(li, 0, spec.seeds[0]),
             );
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "{}", path.display());
         }

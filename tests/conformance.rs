@@ -130,9 +130,8 @@ fn grid_is_invariant_to_thread_count() {
         .into_iter()
         .find(|s| s.name == "symmetric")
         .expect("symmetric scenario");
-    let cells: Vec<_> = (0..spec.lbs.len())
-        .flat_map(|li| spec.seeds.iter().map(move |&seed| (li, seed)))
-        .map(|(li, seed)| spec.materialize(li, seed))
+    let cells: Vec<_> = (spec.cells().into_iter())
+        .map(|(li, ld, seed)| spec.materialize(li, ld, seed))
         .collect();
     let pooled = run_points(&cells);
     let serial: Vec<_> = cells.iter().map(run_point).collect();

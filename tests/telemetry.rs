@@ -322,7 +322,7 @@ fn telemetry_on_preserves_conformance_digests() {
             .position(|(name, _)| name == "hermes")
             .expect("every pinned scenario runs hermes");
         for seed in [1u64, 2] {
-            let det = hermes_bench::run_point(&spec.materialize(hermes_idx, seed));
+            let det = hermes_bench::run_point(&spec.materialize(hermes_idx, 0, seed));
             let key = spec.digest_key(hermes_idx, seed);
             let want = *goldens
                 .digests
