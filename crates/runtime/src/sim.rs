@@ -329,7 +329,7 @@ impl Simulation {
     }
 
     /// Fingerprint of the event trace dispatched so far. Equal seeds and
-    /// workloads must yield equal digests — `hermes-bench`'s
+    /// workloads must yield equal digests — `hermes-testkit`'s
     /// `assert_deterministic` replays a scenario to check.
     pub fn trace_digest(&self) -> u64 {
         self.digest.value()
@@ -342,7 +342,7 @@ impl Simulation {
 
     /// Past-time schedules the event queue clamped to `now` (release
     /// builds only; debug builds assert instead). Nonzero flags a
-    /// causality violation — surfaced in `hermes-bench`'s `RunReport`
+    /// causality violation — surfaced in `hermes-testkit`'s `RunReport`
     /// so it cannot vanish silently.
     pub fn queue_clamps(&self) -> u64 {
         self.q.clamp_count()

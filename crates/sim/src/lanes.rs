@@ -169,7 +169,7 @@ pub struct LaneQueue<E> {
     /// included.
     fallback: u64,
     /// Past-time schedules clamped to `now` (release builds). Nonzero
-    /// means a caller violated causality — surfaced in `hermes-bench`'s
+    /// means a caller violated causality — surfaced in `hermes-testkit`'s
     /// `RunReport` so the bug cannot vanish silently.
     clamped: u64,
 }

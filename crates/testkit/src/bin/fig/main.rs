@@ -14,17 +14,20 @@
 //! extensions) run their own scenarios.
 
 mod motivation;
+mod probing;
 mod recovery;
+mod table;
 
 use std::env::VarError;
+use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hermes_bench::{avg_summaries, fmt_ms, fmt_ratio, TextTable};
 use hermes_net::Topology;
 use hermes_runtime::Scheme;
-use hermes_testkit::{load_dir, run_grid, RunOutcome, ScenarioSpec};
+use hermes_testkit::{avg_summaries, load_dir, run_grid, RunOutcome, ScenarioSpec};
 use hermes_workload::{FctSummary, WorkloadKind};
+use table::{fmt_ms, fmt_ratio, TextTable};
 use Figure::{Custom, Grids};
 
 /// How a figure is produced.
@@ -32,7 +35,7 @@ enum Figure {
     /// The FCT grids of `figures/<name>/`, each file one table.
     Grids,
     /// A figure with its own scenario and output.
-    Custom(fn(Knobs)),
+    Custom(fn(&mut dyn Write, Knobs) -> io::Result<()>),
 }
 
 /// Every table and figure, in paper order.
@@ -62,11 +65,12 @@ const FIGURES: &[(&str, Figure)] = &[
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = &mut io::stdout().lock();
     let Some(name) = args.first() else {
-        for (name, _) in FIGURES {
-            println!("{name}");
-        }
-        return ExitCode::SUCCESS;
+        let names = FIGURES
+            .iter()
+            .try_for_each(|(name, _)| writeln!(out, "{name}"));
+        return finish(out, names);
     };
     let figure = FIGURES.iter().find(|(n, _)| n == name);
     let Some((_, figure)) = figure.filter(|_| args.len() == 1) else {
@@ -83,17 +87,31 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match figure {
+    let written = match figure {
         Grids => match grids(name, knobs) {
-            Ok(specs) => run_figure(&specs),
+            Ok(specs) => run_figure(out, &specs),
             Err(msg) => {
                 eprintln!("fig: {msg}");
                 return ExitCode::from(2);
             }
         },
-        Custom(run) => run(knobs),
+        Custom(run) => run(out, knobs),
+    };
+    finish(out, written)
+}
+
+/// The exit code once the figure is written. A closed stdout wants no
+/// more output, as with the shell's own tools: stop quietly (exit 0).
+/// Any other write error is a failure.
+fn finish(out: &mut impl Write, written: io::Result<()>) -> ExitCode {
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("fig: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
 /// A scheme at the paper's default parameters, by its
@@ -151,13 +169,20 @@ impl Knobs {
     }
 
     /// A figure file at these knobs: its first seed and the next
-    /// `runs - 1`, and its flow count scaled.
-    fn apply(self, spec: &mut ScenarioSpec) {
-        let first = spec.seeds[0];
-        spec.seeds = (0..self.runs as u64).map(|i| first + i).collect();
+    /// `runs - 1`, and its flow count scaled. Refused, before any seed
+    /// is listed, if the last seed would pass `u64::MAX`.
+    fn apply(self, spec: &mut ScenarioSpec) -> Result<(), String> {
+        let (first, runs) = (spec.seeds[0], self.runs as u64);
+        if first.checked_add(runs - 1).is_none() {
+            return Err(format!(
+                "HERMES_RUNS={runs} runs seeds past u64::MAX from the first seed {first}"
+            ));
+        }
+        spec.seeds = (0..runs).map(|i| first + i).collect();
         if let WorkloadKind::Poisson(p) = &mut spec.base.workload {
             p.flows = self.flows(p.flows);
         }
+        Ok(())
     }
 }
 
@@ -171,7 +196,9 @@ fn figures_dir() -> PathBuf {
 fn grids(name: &str, knobs: Knobs) -> Result<Vec<ScenarioSpec>, String> {
     let mut specs = load_dir(&figures_dir().join(name)).map_err(|e| e.to_string())?;
     for spec in &mut specs {
-        knobs.apply(spec);
+        knobs
+            .apply(spec)
+            .map_err(|e| format!("{name}/{}: {e}", spec.name))?;
         spec.validate().map_err(|e| {
             let scale = knobs.scale;
             format!("{name}/{}: with HERMES_SCALE={scale}, {e}", spec.name)
@@ -183,29 +210,31 @@ fn grids(name: &str, knobs: Knobs) -> Result<Vec<ScenarioSpec>, String> {
 /// Run every cell of every grid in one [`run_grid`] call; only then
 /// print each grid in order, so the output does not depend on how the
 /// pool scheduled the cells.
-fn run_figure(specs: &[ScenarioSpec]) {
+fn run_figure(out: &mut dyn Write, specs: &[ScenarioSpec]) -> io::Result<()> {
     let outs = run_grid(specs);
     let per_spec = outs.chunk_by(|a, b| a.scenario == b.scenario);
     for (spec, mine) in specs.iter().zip(per_spec) {
-        print_grid(spec, mine);
+        print_grid(out, spec, mine)?;
     }
+    Ok(())
 }
 
 /// One FCT table, reported the way the paper's FCT figures are
 /// (overall avg, small avg, small 99th, large avg, unfinished fraction;
 /// ratios to `normalize_to` if set): the header, each (lb, load)'s
 /// seed-averaged progress line (stderr), the table and the note.
-fn print_grid(spec: &ScenarioSpec, outs: &[RunOutcome]) {
+fn print_grid(out: &mut dyn Write, spec: &ScenarioSpec, outs: &[RunOutcome]) -> io::Result<()> {
     let WorkloadKind::Poisson(p) = &spec.base.workload else {
         panic!("{}: a figure grid is open-loop", spec.name);
     };
     let dist = p.dist.name();
     let runs = spec.seeds.len();
-    println!("== {} ==", spec.description);
-    println!(
+    writeln!(out, "== {} ==", spec.description)?;
+    writeln!(
+        out,
         "   workload={dist}  flows/point={}  seeds/point={runs}",
         p.flows
-    );
+    )?;
     let mut results = Vec::new();
     for cell in outs.chunks(runs) {
         let (name, load) = (&spec.lbs[cell[0].lb_idx].0, spec.loads[cell[0].load_idx]);
@@ -218,13 +247,18 @@ fn print_grid(spec: &ScenarioSpec, outs: &[RunOutcome]) {
         );
         results.push((name.clone(), load, avg));
     }
-    print_table(spec.normalize_to.as_deref(), &results);
+    print_table(out, spec.normalize_to.as_deref(), &results)?;
     for line in &spec.note {
-        println!("{line}");
+        writeln!(out, "{line}")?;
     }
+    Ok(())
 }
 
-fn print_table(normalize_to: Option<&str>, results: &[(String, f64, FctSummary)]) {
+fn print_table(
+    out: &mut dyn Write,
+    normalize_to: Option<&str>,
+    results: &[(String, f64, FctSummary)],
+) -> io::Result<()> {
     let unit = normalize_to.map_or("(ms)", |_| "(×)");
     let mut t = TextTable::new(&[
         "scheme",
@@ -256,8 +290,8 @@ fn print_table(normalize_to: Option<&str>, results: &[(String, f64, FctSummary)]
             format!("{:.2}%", 100.0 * s.unfinished_frac()),
         ]);
     }
-    t.print();
-    println!();
+    write!(out, "{}", t.render())?;
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -337,7 +371,7 @@ mod tests {
             };
         let debug = |x: &dyn std::fmt::Debug| format!("{x:?}");
         let fig9 = spec("fig9_testbed_symmetric", 0);
-        let testbed = hermes_bench::hermes_preset("testbed", &fig9.base.sim.topo).unwrap();
+        let testbed = hermes_testkit::hermes_preset("testbed", &fig9.base.sim.topo).unwrap();
         assert_eq!(debug(&hermes(&fig9, "hermes")), debug(&testbed));
         let probe_off = hermes(&spec("fig18_ablation", 1), "probe-off");
         assert_eq!(probe_off.probe_interval, hermes_sim::Time::MAX);

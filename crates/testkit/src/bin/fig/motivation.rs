@@ -3,12 +3,16 @@
 //! congestion-oblivious spraying), Table 6 (probing cost) and Fig. 7
 //! (the evaluation workloads). Each runs its own small scenario.
 
-use hermes_bench::{run_points, PointCfg, ProbingCostModel, RunReport, TextTable};
+use std::io::{self, Write};
+
 use hermes_net::{FlowId, HostId, LeafId, LinkCfg, PathId, SpineId, Topology};
 use hermes_runtime::{Probe, Scheme, SimConfig, Simulation};
 use hermes_sim::Time;
+use hermes_testkit::{run_points, PointCfg, RunReport};
 use hermes_workload::{visibility, FlowSizeDist, FlowSpec, PoissonCfg, WorkloadKind};
 
+use crate::probing::ProbingCostModel;
+use crate::table::TextTable;
 use crate::{paper, Knobs};
 
 /// **Table 2** — the average number of concurrent flows observed on the
@@ -20,8 +24,11 @@ use crate::{paper, Knobs};
 /// parallel path toward each destination rack, while a host pair sees
 /// two orders of magnitude fewer — piggybacking alone cannot provide
 /// enough visibility (§2.2.1).
-pub fn table2(knobs: Knobs) {
-    println!("== Table 2: visibility (avg concurrent flows per parallel path) ==");
+pub fn table2(out: &mut dyn Write, knobs: Knobs) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Table 2: visibility (avg concurrent flows per parallel path) =="
+    )?;
     let topo = Topology::sim_baseline();
     let mut t = TextTable::new(&[
         "entity pair",
@@ -62,9 +69,15 @@ pub fn table2(knobs: Knobs) {
     }
     t.row(sw_row);
     t.row(host_row);
-    t.print();
-    println!("\n(paper: switch pair 1.7–5.9, host pair 0.007–0.022 — the ~2 orders-of-");
-    println!(" magnitude gap between switch- and host-pair visibility is the claim)");
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
+        "\n(paper: switch pair 1.7–5.9, host pair 0.007–0.022 — the ~2 orders-of-"
+    )?;
+    writeln!(
+        out,
+        " magnitude gap between switch- and host-pair visibility is the claim)"
+    )
 }
 
 /// **Table 6** — comparison of probing schemes: visibility vs. probing
@@ -75,9 +88,10 @@ pub fn table2(knobs: Knobs) {
 /// (full visibility, ~100× a link's capacity in probes), power of two
 /// choices (>3 visibility, ~3×), Hermes (>3 visibility, ~3% thanks to
 /// per-rack probe agents and rack-wide sharing).
-pub fn table6(_: Knobs) {
+pub fn table6(out: &mut dyn Write, _: Knobs) -> io::Result<()> {
     let model = ProbingCostModel::default();
-    println!(
+    writeln!(
+        out,
         "== Table 6: probing schemes ({}x{} leaf-spine, {} hosts/rack, {} Gbps links, {} B probes every {} us) ==",
         model.n_leaves,
         model.n_spines,
@@ -85,7 +99,7 @@ pub fn table6(_: Knobs) {
         model.link_bps / 1e9,
         model.probe_bytes,
         model.interval_s * 1e6,
-    );
+    )?;
     let mut t = TextTable::new(&["scheme", "visibility (paths/dst)", "overhead (× edge link)"]);
     for row in model.rows() {
         let overhead = if row.overhead_frac == 0.0 {
@@ -102,14 +116,15 @@ pub fn table6(_: Knobs) {
         };
         t.row(vec![row.scheme.to_string(), vis, overhead]);
     }
-    t.print();
+    write!(out, "{}", t.render())?;
     let rows = model.rows();
-    println!();
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
         "hermes vs brute-force overhead: {:.0}x lower;  hermes vs piggyback visibility: {:.0}x higher",
         rows[1].overhead_frac / rows[3].overhead_frac,
         rows[3].visibility / rows[0].visibility,
-    );
+    )
 }
 
 /// A 10G leaf–spine microtopology with 5 µs host and 10 µs fabric links.
@@ -153,8 +168,11 @@ const FIG1_LARGE: u64 = 62_500_000; // C, D: 62.5 MB
 /// is the interesting half); C and D arrive once A/B are at line rate,
 /// so CONGA's utilization metric steers both onto the other path.
 /// The "ideal" row is computed analytically for the same byte schedule.
-pub fn fig1(_: Knobs) {
-    println!("== Figure 1: flowlet switching cannot split flows under stable traffic ==");
+pub fn fig1(out: &mut dyn Write, _: Knobs) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Figure 1: flowlet switching cannot split flows under stable traffic =="
+    )?;
     let seeds = 24;
     // Ideal for the collided schedule: C and D share one 10G path while
     // A, B drain the other (A, B finish ≈ (5000 µs gap accounted) —
@@ -210,14 +228,15 @@ pub fn fig1(_: Knobs) {
             format!("{n}"),
         ]);
     }
-    tab.print();
-    println!(
+    write!(out, "{}", tab.render())?;
+    writeln!(
+        out,
         "\n(paper: with DCTCP there are no flowlet gaps, so CONGA cannot split the\n\
          colliding large flows; ideal rerouting almost halves their FCT. Hermes'\n\
          R-gate also declines to move ~5 Gbps flows — its wins come from multi-flow\n\
          collisions in the macro workloads, §5.3.1 — so the motivation figure is\n\
          about the *gap to ideal* that passive flowlets leave on the table.)"
-    );
+    )
 }
 
 /// Fig. 1's (mean large FCT, runs used) over seeds where the adversarial
@@ -253,8 +272,11 @@ fn fig1_collided_fct(runs: &[RunReport]) -> (f64, usize) {
 /// congestion window, starving its S1 share too: A achieves ~1 Gbps
 /// while the S0→L2 queue oscillates. Hermes keeps A on S1 and delivers
 /// nearly line rate.
-pub fn fig2(_: Knobs) {
-    println!("== Figure 2: congestion mismatch under asymmetry (Presto vs Hermes) ==");
+pub fn fig2(out: &mut dyn Write, _: Knobs) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Figure 2: congestion mismatch under asymmetry (Presto vs Hermes) =="
+    )?;
     let mut topo = micro(3, 2, 2);
     topo.cut_link(LeafId(0), SpineId(1)); // the broken link of Fig. 2a
     let presto = fig2_run(&topo, paper("presto", &topo));
@@ -273,18 +295,22 @@ pub fn fig2(_: Knobs) {
             format!("{:.1}", o.q_max_kb),
         ]);
     }
-    tab.print();
-    println!("\nS0->L2 queue under Presto* (Fig. 2b time series, KB every 2 ms):");
+    write!(out, "{}", tab.render())?;
+    writeln!(
+        out,
+        "\nS0->L2 queue under Presto* (Fig. 2b time series, KB every 2 ms):"
+    )?;
     let line: Vec<String> = presto
         .q_series
         .iter()
         .map(|(_, kb)| format!("{kb:.0}"))
         .collect();
-    println!("  {}", line.join(" "));
-    println!(
+    writeln!(out, "  {}", line.join(" "))?;
+    writeln!(
+        out,
         "\n(paper: flow A stuck near 1 Gbps with large queue oscillations under\n\
          Presto; Hermes should sustain close to line rate on the clean S1 path)"
-    );
+    )
 }
 
 struct Fig2Outcome {
@@ -343,8 +369,11 @@ fn fig2_run(topo: &Topology, scheme: Scheme) -> Fig2Outcome {
 /// by the 10 Gbps path overrun the 1 Gbps queue. The paper measures only
 /// ≈5 Gbps of the 11 Gbps aggregate. Hermes simply keeps the flow on the
 /// big path.
-pub fn fig3(_: Knobs) {
-    println!("== Figure 3: weighted spray over 1G/10G heterogeneous paths ==");
+pub fn fig3(out: &mut dyn Write, _: Knobs) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Figure 3: weighted spray over 1G/10G heterogeneous paths =="
+    )?;
     let mut topo = micro(2, 2, 2);
     // Path 0 degraded to 1 Gbps on both legs (a 1G spine).
     topo.degrade_link(LeafId(0), SpineId(0), 1_000_000_000);
@@ -362,11 +391,12 @@ pub fn fig3(_: Knobs) {
         format!("{h_gbps:.2}"),
         format!("{h_qmax:.1}"),
     ]);
-    tab.print();
-    println!(
+    write!(out, "{}", tab.render())?;
+    writeln!(
+        out,
         "\n(paper: Presto achieves only ~5 of the 11 Gbps aggregate due to\n\
          congestion mismatch; Hermes pins the flow to the 10 Gbps path)"
-    );
+    )
 }
 
 /// Fig. 3's (flow A goodput in Gbps, 1G-path queue max in KB).
@@ -402,8 +432,11 @@ fn fig3_run(topo: &Topology, scheme: Scheme) -> (f64, f64) {
 /// looks empty, so A keeps jumping onto B's spine with a full-size
 /// window, spiking the S1→L2 queue (Fig. 4b). Hermes' probing sees B's
 /// path as non-good before each burst starts.
-pub fn fig4(_: Knobs) {
-    println!("== Figure 4: hidden terminal — queue spikes from stale-metric rerouting ==");
+pub fn fig4(out: &mut dyn Write, _: Knobs) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Figure 4: hidden terminal — queue spikes from stale-metric rerouting =="
+    )?;
     let topo = micro(3, 2, 2);
     let conga = fig4_run(&topo, paper("conga", &topo));
     let hermes = fig4_run(&topo, paper("hermes", &topo));
@@ -423,8 +456,9 @@ pub fn fig4(_: Knobs) {
             format!("{:.1}", o.b_fct_ms),
         ]);
     }
-    tab.print();
-    println!(
+    write!(out, "{}", tab.render())?;
+    writeln!(
+        out,
         "\n(paper: every time flow A reroutes onto B's spine with stale information,\n\
          the queue spikes — CONGA flips A on every flowlet because the unused path's\n\
          metric ages to zero within 10 ms. Hermes never reroutes mid-burst (its\n\
@@ -432,7 +466,7 @@ pub fn fig4(_: Knobs) {
          bursts modelled as fresh flows its *initial* placements are blind whenever\n\
          the busy spine shows no queue — the end-host visibility limit the paper\n\
          itself concedes in §6.)"
-    );
+    )
 }
 
 struct Fig4Outcome {
@@ -492,10 +526,13 @@ fn fig4_run(topo: &Topology, scheme: Scheme) -> Fig4Outcome {
 /// (web-search from DCTCP, data-mining from VL2), printed as
 /// `(size_bytes, cumulative_probability)` series plus the summary
 /// moments the paper quotes in §5.1.
-pub fn fig7(_: Knobs) {
-    println!("== Figure 7: traffic distributions used for evaluation ==");
+pub fn fig7(out: &mut dyn Write, _: Knobs) -> io::Result<()> {
+    writeln!(
+        out,
+        "== Figure 7: traffic distributions used for evaluation =="
+    )?;
     for dist in [FlowSizeDist::web_search(), FlowSizeDist::data_mining()] {
-        println!("\n-- {} --", dist.name());
+        writeln!(out, "\n-- {} --", dist.name())?;
         let mut t = TextTable::new(&["percentile", "flow size (bytes)"]);
         for p in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0] {
             t.row(vec![
@@ -503,22 +540,24 @@ pub fn fig7(_: Knobs) {
                 format!("{:.0}", dist.quantile(p)),
             ]);
         }
-        t.print();
-        println!("mean flow size: {:.2} MB", dist.mean_bytes() / 1e6);
+        write!(out, "{}", t.render())?;
+        writeln!(out, "mean flow size: {:.2} MB", dist.mean_bytes() / 1e6)?;
         let frac_small = dist.cdf(100_000.0);
         let frac_large = 1.0 - dist.cdf(10_000_000.0);
-        println!(
+        writeln!(
+            out,
             "flows < 100KB: {:.1}%   flows > 10MB: {:.1}%",
             frac_small * 100.0,
             frac_large * 100.0
-        );
+        )?;
     }
     // §5.1: "the data-mining workload is more skewed with 95% of all
     // data bytes belonging to about 3.6% of flows that are larger than
     // 35MB".
     let dm = FlowSizeDist::data_mining();
-    println!(
+    writeln!(
+        out,
         "\ndata-mining flows > 35MB: {:.1}% of flows",
         (1.0 - dm.cdf(35e6)) * 100.0
-    );
+    )
 }

@@ -3,12 +3,15 @@
 //! and a ring-allreduce stalled by a mid-run link degrade. Both replay
 //! their Hermes point with the same seed and demand an identical digest.
 
-use hermes_bench::{run_points, trace_point, PointCfg, TextTable, CLEAR, ONSET};
+use std::io::{self, Write};
+
 use hermes_net::{FaultPlan, LeafId, SpineId, Topology};
 use hermes_runtime::SimConfig;
 use hermes_sim::Time;
+use hermes_testkit::{run_points, trace_point, PointCfg, CLEAR, ONSET};
 use hermes_workload::{degradation_report, DegradationCfg, FlowRecord, RingCfg, WorkloadKind};
 
+use crate::table::TextTable;
 use crate::{paper, Knobs};
 
 const SAMPLE: Time = Time::from_ms(10);
@@ -31,11 +34,12 @@ const SAMPLE: Time = Time::from_ms(10);
 /// The Hermes point also runs twice with the same seed to demonstrate
 /// that the fault schedule is replayed deterministically through the
 /// event queue (identical trace digests, balanced conservation).
-pub fn fig17_transient(_: Knobs) {
-    println!(
+pub fn fig17_transient(out: &mut dyn Write, _: Knobs) -> io::Result<()> {
+    writeln!(
+        out,
         "== Figure 17 (transient): rack0→rack3 blackhole on spine 0, \
          onset 150 ms, clear 450 ms =="
-    );
+    )?;
     // The registry's traced point, here under each scheme, then the
     // same-seed Hermes replay. 2 400 × 100 KB, one arrival per 250 µs →
     // 3.2 Gb/s offered.
@@ -81,16 +85,17 @@ pub fn fig17_transient(_: Knobs) {
             format!("{}", r.fct.unfinished),
         ]);
     }
-    tab.print();
+    write!(out, "{}", tab.render())?;
     let (h, again) = (&reports[3], &reports[4]);
     let (failed, readmitted, recoveries) = h.rack0_sensing.expect("hermes senses");
-    println!(
+    writeln!(
+        out,
         "\nhermes sensing: detected {} ms after onset; re-admitted the healed \
          paths {} ms after clearance ({} probation recoveries)",
         ms_or_dash(failed.map(|t| t.saturating_sub(ONSET))),
         ms_or_dash(readmitted.map(|t| t.saturating_sub(CLEAR))),
         recoveries
-    );
+    )?;
     // Same-seed replay: the fault schedule flows through the event
     // queue, so the whole transient run must fingerprint identically.
     assert_eq!(
@@ -101,17 +106,19 @@ pub fn fig17_transient(_: Knobs) {
         h.conservation.balanced() && again.conservation.balanced(),
         "every injected packet must be delivered, counted dropped, or in flight"
     );
-    println!(
+    writeln!(
+        out,
         "determinism: same-seed replay digest {:#018x} matches; conservation balanced",
         h.digest
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "\n(expected: Hermes dips at onset, reroutes back to baseline well before\n\
          the 450 ms clearance, and re-admits the healed paths ~quiet-period after\n\
          it; ECMP's affected flows stay stranded for the full window and only\n\
          drain after clearance via RTO backoff; CONGA mistakes the blackholed\n\
          paths for idle ones and strands even more.)"
-    );
+    )
 }
 
 fn gbps(bps: f64) -> String {
@@ -156,11 +163,12 @@ const RING_SEEDS: [u64; 3] = [1, 2, 3];
 /// * the hermes point replays with the same seed to an identical trace
 ///   digest: the driver's completion-released flows are part of the
 ///   deterministic event order, not wall-clock scheduling.
-pub fn collective_stall(_: Knobs) {
-    println!(
+pub fn collective_stall(out: &mut dyn Write, _: Knobs) -> io::Result<()> {
+    writeln!(
+        out,
         "== Collective stall: 8-rank x 6-step ring-allreduce (256 KB chunks), \
          leaf0-spine0 degraded to 5 Mb/s at 2 ms =="
-    );
+    )?;
     let testbed = Topology::testbed();
     let plan = FaultPlan::new().link_degrade_window(
         LeafId(0),
@@ -215,14 +223,15 @@ pub fn collective_stall(_: Knobs) {
         }
         means.push((name, total / n_done.max(1) as f64, n_done));
     }
-    tab.print();
+    write!(out, "{}", tab.render())?;
 
-    println!();
+    writeln!(out)?;
     for (name, mean, n_done) in &means {
-        println!(
+        writeln!(
+            out,
             "{name}: mean ring completion {mean:.2} ms over {n_done}/{} finished seed(s)",
             RING_SEEDS.len()
-        );
+        )?;
     }
 
     // Same-seed replay: completion-released flows ride the event queue,
@@ -232,17 +241,19 @@ pub fn collective_stall(_: Knobs) {
         first.digest, again.digest,
         "same-seed ring-allreduce runs must have identical trace digests"
     );
-    println!(
+    writeln!(
+        out,
         "determinism: same-seed replay digest {:#018x} matches; conservation balanced",
         first.digest
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "\n(expected: hermes senses the crawling path through its timeouts and\n\
          reroutes within a few RTOs, closing every step near the healthy pace;\n\
          CONGA dodges some stalls but keeps steering flows into the \"idle\"\n\
          starved link; ECMP rehashes a victim onto it step after step, and the\n\
          barrier drags all eight ranks through each ~410 ms chunk crawl.)"
-    );
+    )
 }
 
 /// The ring's `(completion, worst step)`: first chunk start → last

@@ -1,4 +1,4 @@
-//! Plain-text table output shared by every bench binary.
+//! Plain-text table output shared by every figure.
 
 /// A simple fixed-width text table.
 pub struct TextTable {
@@ -51,10 +51,6 @@ impl TextTable {
             line(r, &w, &mut out);
         }
         out
-    }
-
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 

@@ -19,7 +19,7 @@
 //!
 //! Everything is deterministic: same seed range + same config ⇒ the
 //! same campaign report, byte for byte (cells run in one
-//! [`hermes_bench::run_points`] call, whose results land by index, so
+//! [`crate::run_points`] call, whose results land by index, so
 //! report bytes cannot depend on thread interleaving).
 //!
 //! Entry point: `cargo run -p xtask -- chaos` (see `xtask --help`).

@@ -18,10 +18,10 @@
 //! [`CheckClass::Slo`], which [`crate::check::check_slos`] collects for
 //! every `[slo]` scenario, campaign cells included.
 
-use hermes_bench::RunReport;
 use hermes_sim::Time;
 
 use crate::check::{CheckClass, Failure};
+use crate::point::RunReport;
 
 /// Which degradation contract a failure falls under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,6 +1,7 @@
 //! Experiment-point runners: one (topology, scheme, workload, seed)
-//! tuple → [`RunReport`], a list of them across every core, and
-//! the same-seed replay check over a hand-built [`Simulation`].
+//! tuple → [`RunReport`], and the same-seed replay check over a
+//! hand-built [`Simulation`]. [`crate::run_points`] runs a list of them
+//! across every core.
 
 use hermes_net::{ConservationReport, FaultAction, SpineFailure, SpineId};
 use hermes_runtime::{Probe, SimConfig, Simulation, MAX_FLOW_ID};
@@ -313,58 +314,6 @@ pub fn assert_deterministic(mut build: impl FnMut() -> Simulation, horizon: Time
     a
 }
 
-/// Run every point, one worker per available core (never more workers
-/// than points), with results in input order: `run_points(cfgs)` equals
-/// `cfgs.iter().map(run_point)`, whatever the core count or scheduling.
-pub fn run_points(cfgs: &[PointCfg]) -> Vec<RunReport> {
-    run_points_with(cfgs, run_point)
-}
-
-/// The one pool: `job(cfg)` for every point, one worker per available
-/// core (never more workers than points). Each point is an independent
-/// deterministic run, so workers pull the next index from an atomic
-/// counter and results land by index: the output equals
-/// `cfgs.iter().map(job)`. A worker finishes one job before it takes
-/// the next point, so a job that writes its run's bulk output itself and
-/// returns only a summary (as `hermes-cli --trace` does with a trace)
-/// holds one run's output per worker. A panicking job re-raises its
-/// panic here once every worker has stopped.
-#[expect(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "the one pool: whole independent runs, one per worker, results by index"
-)]
-pub fn run_points_with<T: Send>(cfgs: &[PointCfg], job: impl Fn(&PointCfg) -> T + Sync) -> Vec<T> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZero::get)
-        .min(cfgs.len());
-    let next = AtomicUsize::new(0);
-    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cfg) = cfgs.get(i) else {
-                            return mine;
-                        };
-                        mine.push((i, job(cfg)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Average FCT summaries over multiple seeds (component-wise). A
 /// size band's statistics are averaged over the seeds that had flows
 /// in that band — an empty band reports 0.0, which is "no data", not a
@@ -544,6 +493,7 @@ mod tests {
 
     #[test]
     fn pooled_points_match_the_sequential_reference() {
+        use crate::run::run_points;
         use hermes_net::{FlowId, HostId};
         use hermes_workload::{records_hash, IncastCfg};
         assert!(run_points(&[]).is_empty());

@@ -1,16 +1,72 @@
-//! Multi-seed scenario execution.
+//! The one pool, and multi-seed scenario execution over it.
+//!
+//! [`run_points_with`] runs any per-point job one worker per core, with
+//! results by index; [`run_points`] is it with [`run_point`] as the job.
+//! Outside tests, this is the only code in the workspace that spawns
+//! threads, and only across whole runs.
 //!
 //! Each `(scenario, lb, load, seed)` grid cell is one fully independent
 //! deterministic simulation, plus its fault-free twin when the scenario
 //! carries `[slo]`: the job list is materialized into `PointCfg`s and
-//! handed to [`hermes_bench::run_points`], whose results land by index,
-//! so the outcomes are in job order whatever the core count. This is
-//! the one runner of scenarios: the conformance suite and the chaos
-//! campaign both call [`run_grid`].
+//! handed to [`run_points`], whose results land by index, so the
+//! outcomes are in job order whatever the core count. This is the one
+//! runner of scenarios: the conformance suite and the chaos campaign
+//! both call [`run_grid`].
 
-use hermes_bench::{run_points, RunReport};
-
+use crate::point::{run_point, PointCfg, RunReport};
 use crate::spec::ScenarioSpec;
+
+/// Run every point, one worker per available core (never more workers
+/// than points), with results in input order: `run_points(cfgs)` equals
+/// `cfgs.iter().map(run_point)`, whatever the core count or scheduling.
+pub fn run_points(cfgs: &[PointCfg]) -> Vec<RunReport> {
+    run_points_with(cfgs, run_point)
+}
+
+/// The one pool: `job(cfg)` for every point, one worker per available
+/// core (never more workers than points). Each point is an independent
+/// deterministic run, so workers pull the next index from an atomic
+/// counter and results land by index: the output equals
+/// `cfgs.iter().map(job)`. A worker finishes one job before it takes
+/// the next point, so a job that writes its run's bulk output itself and
+/// returns only a summary (as `hermes-cli --trace` does with a trace)
+/// holds one run's output per worker. A panicking job re-raises its
+/// panic here once every worker has stopped.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the one pool: whole independent runs, one per worker, results by index"
+)]
+pub fn run_points_with<T: Send>(cfgs: &[PointCfg], job: impl Fn(&PointCfg) -> T + Sync) -> Vec<T> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let workers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZero::get)
+        .min(cfgs.len());
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(cfg) = cfgs.get(i) else {
+                            return mine;
+                        };
+                        mine.push((i, job(cfg)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
 
 /// One completed grid cell.
 #[derive(Clone, Debug)]
@@ -87,6 +143,39 @@ mod tests {
         lbs = ["ecmp", "letflow"]
         drain_ms = 1000
     "#;
+
+    /// `n` testbed points with seeds `1..=n`; the jobs below run none.
+    fn seeded(n: u64) -> Vec<PointCfg> {
+        use hermes_net::Topology;
+        use hermes_runtime::{Scheme, SimConfig};
+        use hermes_workload::WorkloadKind;
+        let sim = SimConfig::new(Topology::testbed(), Scheme::Ecmp);
+        (1..=n)
+            .map(|seed| PointCfg::new(sim.clone().with_seed(seed), WorkloadKind::Flows(Vec::new())))
+            .collect()
+    }
+
+    #[test]
+    fn the_pool_returns_results_in_input_order() {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let n = 2 * cores as u64 + 1;
+        let seeds = run_points_with(&seeded(n), |cfg| cfg.sim.seed);
+        assert_eq!(seeds, (1..=n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panicking_job_re_raises_its_panic_in_the_caller() {
+        let cfgs = seeded(5);
+        let caught = std::panic::catch_unwind(|| {
+            run_points_with(&cfgs, |cfg| match cfg.sim.seed {
+                seed @ 3 => panic!("point with seed {seed} failed"),
+                seed => seed,
+            })
+        });
+        let payload = caught.expect_err("the job's panic reaches the caller");
+        let msg = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(msg, Some("point with seed 3 failed"));
+    }
 
     #[test]
     fn job_order_is_scenario_major() {

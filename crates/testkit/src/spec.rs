@@ -5,7 +5,7 @@
 //! root) describing a topology, a workload mix, a fault plan, the LBs
 //! under test, the seeds to sweep, and the checks to apply. The loader
 //! builds the topology, schemes and fault plan straight into a
-//! [`hermes_bench::PointCfg`] template held by the [`ScenarioSpec`];
+//! [`PointCfg`] template held by the [`ScenarioSpec`];
 //! each `(lb, load, seed)` cell of the grid is that template plus a
 //! scheme, an offered load and a seed ([`ScenarioSpec::materialize`]),
 //! ready for `run_point`. An `[slo]` scenario also runs each cell's
@@ -95,15 +95,16 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use hermes_bench::{asym_topology, baseline_capacity, hermes_preset, PointCfg, PointField};
+use hermes_core::HermesParams;
 use hermes_net::{FaultPlan, LeafId, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig};
-use hermes_sim::Time;
+use hermes_sim::{SimRng, Time};
 use hermes_transport::TransportCfg;
 use hermes_workload::{FlowSizeDist, IncastCfg, MixCfg, PoissonCfg, RingCfg, WorkloadKind};
 
 use crate::chaos::SloClass;
 use crate::events;
+use crate::point::{PointCfg, PointField};
 use crate::toml::{self, opt, req, uint, KeyLines, Table, Value};
 
 /// A spec-level error: what went wrong, and in which file.
@@ -464,6 +465,34 @@ fn distinct<T: PartialEq + fmt::Debug>(items: &[T], key: &str) -> Result<(), Str
         _ if items.is_empty() => Err(format!("`{key}` must be non-empty")),
         Some(i) => Err(format!("`{key}` lists {:?} twice", items[i])),
         None => Ok(()),
+    }
+}
+
+/// The paper's §5.3.2 asymmetric topology: the 8×8 baseline with 20% of
+/// leaf-spine links degraded from 10 Gbps to 2 Gbps, chosen by a fixed
+/// seed so every figure sees the same asymmetry.
+pub fn asym_topology() -> Topology {
+    let mut topo = Topology::sim_baseline();
+    let mut rng = SimRng::new(0xA5);
+    topo.degrade_random_links(0.2, 2_000_000_000, &mut rng);
+    topo
+}
+
+/// Healthy-fabric capacity of the 8×8 baseline (load reference for
+/// asymmetric runs, per the paper's convention).
+pub fn baseline_capacity() -> u64 {
+    Topology::sim_baseline().total_uplink_bps()
+}
+
+/// A Hermes parameter preset by name: `testbed`, the 1 Gbps testbed's
+/// tuned thresholds ([`HermesParams::paper_testbed`]), or `tcp`, §5.4's
+/// RTT-only sensing ([`HermesParams::for_tcp`]). `None` for any other
+/// name. `hermes-cli` and the scenario loader both pick presets here.
+pub fn hermes_preset(name: &str, topo: &Topology) -> Option<HermesParams> {
+    match name {
+        "testbed" => Some(HermesParams::paper_testbed(topo)),
+        "tcp" => Some(HermesParams::for_tcp(topo)),
+        _ => None,
     }
 }
 

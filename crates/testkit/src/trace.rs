@@ -14,7 +14,7 @@ use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
 use hermes_workload::{FlowSpec, WorkloadKind};
 
-use crate::{run_point, PointCfg, RunReport};
+use crate::point::{run_point, PointCfg, RunReport};
 
 /// Fault window shared by every fig17-style point: a rack0→rack3
 /// blackhole on spine 0 from `ONSET` until `CLEAR`.

@@ -4,7 +4,7 @@
 //!
 //! `hermes-cli --help` prints the flags ([`USAGE`]), the names
 //! `--scheme` takes ([`Scheme::NAMES`]) and the points `--point` runs
-//! ([`hermes_bench::trace_points`]).
+//! ([`hermes_testkit::trace_points`]).
 //!
 //! Examples:
 //! ```sh
@@ -20,13 +20,13 @@ use std::collections::BTreeMap;
 use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
-use hermes_bench::{
-    asym_topology, avg_summaries, baseline_capacity, hermes_preset, run_points, run_points_with,
-    run_trace_point, trace_point, trace_points, PointCfg, PointField, RunReport,
-};
 use hermes_net::{Blackhole, LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig};
 use hermes_sim::Time;
+use hermes_testkit::{
+    asym_topology, avg_summaries, baseline_capacity, hermes_preset, run_points, run_points_with,
+    run_trace_point, trace_point, trace_points, PointCfg, PointField, RunReport,
+};
 use hermes_transport::TransportCfg;
 use hermes_workload::{FctSummary, FlowSizeDist, PoissonCfg, WorkloadKind};
 

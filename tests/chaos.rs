@@ -255,9 +255,9 @@ fn mine_overlapping_counterexample() {
 /// leaks between the workload drivers and the fault harness.
 #[test]
 fn staged_workloads_do_not_perturb_chaos_digests() {
-    use hermes_bench::{run_point, PointCfg};
     use hermes_net::Topology;
     use hermes_runtime::{Scheme, SimConfig};
+    use hermes_testkit::{run_point, PointCfg};
     use hermes_workload::{IncastCfg, RingCfg, WorkloadKind};
 
     let cfg = CampaignCfg {

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
-use hermes_bench::{run_point, trace_point};
+use hermes_testkit::{run_point, trace_point};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hermes-cli"))

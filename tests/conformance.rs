@@ -15,12 +15,12 @@
 
 use std::path::{Path, PathBuf};
 
-use hermes_bench::{run_point, run_points};
 use hermes_net::{FaultPlan, LeafId, SpineId};
 use hermes_sim::Time;
 use hermes_testkit::chaos::SloClass;
 use hermes_testkit::{
-    load_dir, load_file, run_conformance, run_self_test, self_test_passed, CheckClass,
+    load_dir, load_file, run_conformance, run_point, run_points, run_self_test, self_test_passed,
+    CheckClass,
 };
 use hermes_workload::records_hash;
 

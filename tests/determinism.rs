@@ -11,11 +11,11 @@
 //! Run with `--features audit` to additionally engage the exact
 //! per-packet ledger inside the fabric.
 
-use hermes_bench::{assert_deterministic, run_point, run_sim, PointCfg, RunReport};
 use hermes_core::HermesParams;
 use hermes_net::{FaultAction, FaultPlan, LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
+use hermes_testkit::{assert_deterministic, run_point, run_sim, PointCfg, RunReport};
 use hermes_workload::{records_hash, FlowGen, FlowSizeDist};
 
 /// The quickstart example's scenario: web-search flows at 60% load on

@@ -8,14 +8,14 @@
 
 use std::path::PathBuf;
 
-use hermes_bench::{run_trace_point, trace_point, PointCfg, CLEAR, ONSET};
 use hermes_core::HermesParams;
 use hermes_net::{FaultPlan, LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
 use hermes_telemetry::{DropReason, PathClass, Record, RerouteVerdict};
-use hermes_testkit::load_goldens;
-use hermes_testkit::ScenarioSpec;
+use hermes_testkit::{
+    load_goldens, run_point, run_trace_point, trace_point, PointCfg, ScenarioSpec, CLEAR, ONSET,
+};
 use hermes_workload::{FlowGen, FlowSizeDist, PoissonCfg, WorkloadKind};
 
 fn scenario_dir() -> PathBuf {
@@ -322,7 +322,7 @@ fn telemetry_on_preserves_conformance_digests() {
             .position(|(name, _)| name == "hermes")
             .expect("every pinned scenario runs hermes");
         for seed in [1u64, 2] {
-            let det = hermes_bench::run_point(&spec.materialize(hermes_idx, 0, seed));
+            let det = run_point(&spec.materialize(hermes_idx, 0, seed));
             let key = spec.digest_key(hermes_idx, seed);
             let want = *goldens
                 .digests
