@@ -30,6 +30,18 @@ use crate::params::HermesParams;
 use crate::sensing::RackSensing;
 use crate::state::{PathState, PathType};
 
+/// Random probes per destination rack per interval (power of two
+/// choices, §3.1.3), plus one on the previously best path.
+pub const PROBE_CHOICES: usize = 2;
+
+/// `Δ_ECN`: a reroute target must beat the current path by this much
+/// ECN fraction (3–10%; default 5%, §3.2).
+pub const DELTA_ECN: f64 = 0.05;
+
+/// `S`: minimum bytes sent before a flow may be rerouted
+/// (100–800 KB; default 600 KB, §3.2).
+pub const SIZE_THRESHOLD: u64 = 600_000;
+
 /// One rack's Hermes instance, serving every host under the leaf.
 pub struct Hermes {
     sensing: RackSensing,
@@ -135,7 +147,7 @@ fn notably_better(params: &HermesParams, cur: &PathState, cand: &PathState) -> b
     if cur_rtt.saturating_sub(cand_rtt) <= params.delta_rtt {
         return false;
     }
-    params.rtt_only || cur.f_ecn() - cand.f_ecn() > params.delta_ecn
+    params.rtt_only || cur.f_ecn() - cand.f_ecn() > DELTA_ECN
 }
 
 impl EdgeLb for Hermes {
@@ -219,7 +231,7 @@ impl EdgeLb for Hermes {
             // The three cautious gates, split out so telemetry can name
             // the first one that held (plain comparisons: hoisting them
             // does not change Algorithm 2's behaviour).
-            let big_enough = ctx.bytes_sent > params.size_threshold;
+            let big_enough = ctx.bytes_sent > SIZE_THRESHOLD;
             let slow_enough = ctx.rate_bps < params.rate_threshold_bps;
             let cooled_down = ctx.since_change > params.reroute_cooldown;
             if big_enough && slow_enough && cooled_down {
@@ -277,7 +289,7 @@ impl EdgeLb for Hermes {
     fn on_timeout(&mut self, ctx: &FlowCtx, path: PathId, now: Time) {
         self.check(ctx);
         let sh = &mut self.sensing;
-        let failed = sh.observe(ctx.dst_leaf, path, now, |st, p| st.on_timeout(p, now));
+        let failed = sh.observe(ctx.dst_leaf, path, now, |st, _| st.on_timeout(now));
         if failed == Some(true) {
             sh.note_failure(now);
         }
@@ -315,7 +327,7 @@ impl EdgeLb for Hermes {
             if dst == my || n == 0 {
                 continue;
             }
-            rng.sample_distinct_into(n, params.probe_choices, &mut self.picks);
+            rng.sample_distinct_into(n, PROBE_CHOICES, &mut self.picks);
             let first = plan.len();
             plan.extend(self.picks.iter().map(|&i| ProbeTarget {
                 dst_leaf: dst,
@@ -337,7 +349,7 @@ impl EdgeLb for Hermes {
             // Recovery sensing: every path in probation is probed each
             // tick — probes are the only traffic allowed to test it, so
             // re-admission latency is bounded by
-            // recovery_probe_count × probe_interval.
+            // RECOVERY_PROBE_COUNT × probe_interval.
             for k in 0..n {
                 let p = sh.candidates[d][k];
                 if sh.st(dst, p).in_probation(&params, now) {
@@ -372,6 +384,7 @@ impl EdgeLb for Hermes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::{FAILURE_QUIET_PERIOD, RECOVERY_PROBE_COUNT};
 
     fn setup() -> (Hermes, HermesParams) {
         let topo = Topology::sim_baseline();
@@ -465,7 +478,7 @@ mod tests {
         c.rate_bps = 0.0;
         assert_eq!(h.select_path(&c, &cands(), now, &mut rng), PathId(0));
         // Large slow flow: reroutes to the notably better good path.
-        c.bytes_sent = params.size_threshold + 1;
+        c.bytes_sent = SIZE_THRESHOLD + 1;
         assert_eq!(h.select_path(&c, &cands(), now, &mut rng), PathId(4));
         assert_eq!(h.sensing().stat_reroutes, 1);
         // High-rate flow: stays (R check).
@@ -485,7 +498,7 @@ mod tests {
         let mut c = ctx_new();
         c.is_new = false;
         c.current_path = PathId(0);
-        c.bytes_sent = params.size_threshold + 1;
+        c.bytes_sent = SIZE_THRESHOLD + 1;
         // Just rerouted: must stay despite the notably better path.
         c.since_change = params.reroute_cooldown / 2;
         assert_eq!(h.select_path(&c, &cands(), now, &mut rng), PathId(0));
@@ -507,7 +520,7 @@ mod tests {
         let mut c = ctx_new();
         c.is_new = false;
         c.current_path = PathId(0);
-        c.bytes_sent = params.size_threshold + 1;
+        c.bytes_sent = SIZE_THRESHOLD + 1;
         assert_eq!(
             h.select_path(&c, &cands(), now, &mut rng),
             PathId(0),
@@ -565,7 +578,7 @@ mod tests {
         assert_eq!(h.sensing().first_failure_at, Some(t0));
         // Quiet period passes with no evidence → the probe plan must
         // target the probation path toward dst leaf 1.
-        let t1 = t0 + params.failure_quiet_period;
+        let t1 = t0 + FAILURE_QUIET_PERIOD;
         let mut plan = Vec::new();
         h.probe_plan(t1, &mut rng, &mut plan);
         assert!(
@@ -574,7 +587,7 @@ mod tests {
             "probation path must be probed: {plan:?}"
         );
         // Enough successful probes re-admit it.
-        for k in 0..params.recovery_probe_count {
+        for k in 0..RECOVERY_PROBE_COUNT {
             h.on_probe_result(
                 LeafId(1),
                 PathId(2),
@@ -591,7 +604,7 @@ mod tests {
 
     #[test]
     fn still_dead_path_is_never_readmitted() {
-        let (mut h, params) = setup();
+        let (mut h, _) = setup();
         let mut rng = SimRng::new(1);
         let t0 = Time::from_ms(1);
         let c0 = ctx_new();
@@ -601,7 +614,7 @@ mod tests {
         // Cycle: quiet period → probation → probe lost → failed again.
         let mut t = t0;
         for _ in 0..5 {
-            t += params.failure_quiet_period;
+            t += FAILURE_QUIET_PERIOD;
             h.probe_plan(t, &mut rng, &mut Vec::new());
             h.on_probe_timeout(LeafId(1), PathId(2), t);
             assert!(
@@ -627,7 +640,7 @@ mod tests {
         let mut c = ctx_new();
         c.is_new = false;
         c.current_path = PathId(0);
-        c.bytes_sent = params.size_threshold + 1;
+        c.bytes_sent = SIZE_THRESHOLD + 1;
         assert_eq!(h.select_path(&c, &cands(), now, &mut rng), PathId(0));
     }
 
@@ -750,7 +763,7 @@ mod tests {
             "exactly one Gray→Failed transition at the blackhole rule"
         );
         // Quiet period → probation (reported from probe planning).
-        let t1 = t0 + params.failure_quiet_period;
+        let t1 = t0 + FAILURE_QUIET_PERIOD;
         let mut rng = SimRng::new(1);
         h.probe_plan(t1, &mut rng, &mut Vec::new());
         let tr = drained(|r| matches!(r, Record::PathTransition { .. }));
@@ -765,7 +778,7 @@ mod tests {
             "Failed→Probation must be traced: {tr:?}"
         );
         // Successful probes re-admit: Probation → a live class.
-        for k in 0..params.recovery_probe_count {
+        for k in 0..RECOVERY_PROBE_COUNT {
             h.on_probe_result(
                 LeafId(1),
                 PathId(2),
@@ -824,7 +837,7 @@ mod tests {
             .collect();
         assert_eq!(v, vec![RerouteVerdict::HeldSize]);
         // Gates pass with a notably better path → Rerouted.
-        c.bytes_sent = params.size_threshold + 1;
+        c.bytes_sent = SIZE_THRESHOLD + 1;
         let to = h.select_path(&c, &cands(), now, &mut rng);
         assert_eq!(to, PathId(4));
         let rr = drained(|r| matches!(r, Record::Reroute { .. }));

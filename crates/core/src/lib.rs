@@ -18,15 +18,20 @@
 //!   its local sending rates stay per host): per-packet granularity,
 //!   immediate reaction to failures/timeouts, and a cost-benefit gate
 //!   (`S`, `R`, `Δ_RTT`, `Δ_ECN`) before any congestion-driven reroute.
-//! * [`HermesParams`] — every Table 4 parameter with the §3.3 rules of
-//!   thumb, plus ablation switches for the Fig. 18 experiments.
+//! * [`HermesParams`] — the Table 4 parameters an experiment varies or
+//!   the §3.3 rules of thumb derive from the topology, plus ablation
+//!   switches for the Fig. 18 experiments; the rest of Table 4 are
+//!   constants ([`T_ECN`], [`SIZE_THRESHOLD`], …).
 
 mod hermes;
 mod params;
 mod sensing;
 mod state;
 
-pub use hermes::Hermes;
+pub use hermes::{Hermes, DELTA_ECN, PROBE_CHOICES, SIZE_THRESHOLD};
 pub use params::HermesParams;
 pub use sensing::RackSensing;
-pub use state::{PathState, PathType};
+pub use state::{
+    PathState, PathType, ECN_EWMA, FAILURE_QUIET_PERIOD, RECOVERY_PROBE_COUNT, RETX_FAIL_FRACTION,
+    RETX_MIN_SAMPLES, RETX_WINDOW, RTT_EWMA, STALE_HORIZON, TIMEOUT_FAIL_COUNT, T_ECN,
+};

@@ -4,44 +4,31 @@
 use hermes_net::Topology;
 use hermes_sim::Time;
 
-/// All tunables of Hermes, with the paper's recommended defaults.
+/// The Hermes parameters an experiment varies, or that the §3.3 rules
+/// of thumb derive from the topology. The rest of Table 4 sits at the
+/// paper's recommended defaults as constants beside the code that
+/// reads them: [`T_ECN`](crate::T_ECN), the failure-sensing and
+/// recovery thresholds and the estimator gains in `state.rs`,
+/// [`PROBE_CHOICES`](crate::PROBE_CHOICES),
+/// [`DELTA_ECN`](crate::DELTA_ECN) and
+/// [`SIZE_THRESHOLD`](crate::SIZE_THRESHOLD) in `hermes.rs`.
 #[derive(Clone, Copy, Debug)]
 pub struct HermesParams {
     // --- Congestion sensing (§3.1.1) ---
-    /// `T_ECN`: ECN fraction above which a path may be congested (40%).
-    pub t_ecn: f64,
     /// `T_RTT_low`: RTT below which a path may be good
     /// (base RTT + 20–40 µs; default +20 µs).
     pub t_rtt_low: Time,
     /// `T_RTT_high`: RTT above which a path may be congested
     /// (base RTT + 1.5 × one-hop delay).
     pub t_rtt_high: Time,
-    // --- Failure sensing (§3.1.2) ---
-    /// Timeouts with zero ACKs that flag a blackhole (3).
-    pub timeout_fail_count: u32,
-    /// Retransmission fraction that flags silent random drops (1%).
-    pub retx_fail_fraction: f64,
-    /// The τ window over which the retransmission fraction is measured
-    /// (10 ms).
-    pub retx_window: Time,
-    /// Minimum packets sent in a window before the fraction is trusted.
-    pub retx_min_samples: u32,
     // --- Probing (§3.1.3) ---
     /// Probe interval (100–500 µs; default 500 µs). `Time::MAX` disables
     /// probing ("Hermes without probing", Fig. 18).
     pub probe_interval: Time,
-    /// Random probes per destination rack per interval (power of two
-    /// choices), plus one on the previously best path.
-    pub probe_choices: usize,
     // --- Cautious rerouting (§3.2) ---
     /// `Δ_RTT`: a path must beat the current one by this much RTT
     /// (one-hop delay).
     pub delta_rtt: Time,
-    /// `Δ_ECN`: and by this much ECN fraction (3–10%; default 5%).
-    pub delta_ecn: f64,
-    /// `S`: minimum bytes sent before a flow may be rerouted
-    /// (100–800 KB; default 600 KB).
-    pub size_threshold: u64,
     /// `R`: flows sending faster than this are not rerouted
     /// (20–40% of link capacity; default 30%).
     pub rate_threshold_bps: f64,
@@ -54,25 +41,9 @@ pub struct HermesParams {
     /// chase them dozens of times per second (set to ~50 base RTTs).
     pub reroute_cooldown: Time,
     // --- Failure recovery (transient faults) ---
-    /// Quiet period after the last failure evidence before a Failed path
-    /// enters probation. Sized to several blackhole-detection times
-    /// (3 × min RTO) so a still-dead path re-fails from its own probe
-    /// losses before ever being trusted — "timely yet cautious" applied
-    /// to recovery.
-    pub failure_quiet_period: Time,
-    /// Consecutive successful probes a path in probation must return
-    /// before it is re-admitted for data.
-    pub recovery_probe_count: u32,
     /// Disable recovery entirely: failed paths stay failed for the run
     /// (the pre-recovery behaviour, useful for ablations).
     pub enable_recovery: bool,
-    // --- Sensing estimator details ---
-    /// EWMA gain for the per-path ECN fraction.
-    pub ecn_ewma: f64,
-    /// EWMA gain for the per-path RTT.
-    pub rtt_ewma: f64,
-    /// A path with no sample newer than this is Gray (unknown).
-    pub stale_horizon: Time,
     // --- Ablation switches (§5.4, Fig. 18) and §5.4's TCP mode ---
     /// Disable congested-path rerouting ("Hermes without rerouting";
     /// new-flow placement and failure evasion stay active).
@@ -88,26 +59,13 @@ impl HermesParams {
         let base = topo.base_rtt();
         let hop = topo.one_hop_delay();
         HermesParams {
-            t_ecn: 0.40,
             t_rtt_low: base + Time::from_us(20),
             t_rtt_high: base + hop.mul_f64(1.5),
-            timeout_fail_count: 3,
-            retx_fail_fraction: 0.01,
-            retx_window: Time::from_ms(10),
-            retx_min_samples: 30,
             probe_interval: Time::from_us(500),
-            probe_choices: 2,
             delta_rtt: hop,
-            delta_ecn: 0.05,
-            size_threshold: 600_000,
             rate_threshold_bps: 0.30 * topo.host_link.rate_bps as f64,
             reroute_cooldown: base * 50,
-            failure_quiet_period: Time::from_ms(25),
-            recovery_probe_count: 3,
             enable_recovery: true,
-            ecn_ewma: 1.0 / 16.0,
-            rtt_ewma: 0.25,
-            stale_horizon: Time::from_ms(5),
             enable_reroute: true,
             rtt_only: false,
         }
@@ -151,7 +109,6 @@ mod tests {
         assert!((150..=210).contains(&high), "T_RTT_high {high}us");
         assert_eq!(p.delta_rtt, Time::from_us(80));
         assert!((p.rate_threshold_bps - 3e9).abs() < 1.0);
-        assert_eq!(p.size_threshold, 600_000);
         assert!(p.t_rtt_low < p.t_rtt_high);
     }
 
@@ -163,7 +120,7 @@ mod tests {
         assert!(t.rtt_only);
         assert!(t.t_rtt_high > d.t_rtt_high);
         assert!(t.delta_rtt > d.delta_rtt);
-        assert_eq!(t.t_ecn, d.t_ecn);
+        assert_eq!(t.t_rtt_low, d.t_rtt_low);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!
 //! ```text
 //! Ok ──(blackhole/random-drop rule)──▶ Failed
-//! Failed ──(no failure evidence for failure_quiet_period)──▶ Probation
-//! Probation ──(recovery_probe_count successful probes)──▶ Ok
+//! Failed ──(no failure evidence for FAILURE_QUIET_PERIOD)──▶ Probation
+//! Probation ──(RECOVERY_PROBE_COUNT successful probes)──▶ Ok
 //! Probation ──(timeout / retransmit / lost probe)──▶ Failed
 //! ```
 //!
@@ -37,6 +37,50 @@
 use hermes_sim::Time;
 
 use crate::params::HermesParams;
+
+// --- Congestion sensing (§3.1.1) ---
+
+/// `T_ECN`: ECN fraction above which a path may be congested (40%).
+pub const T_ECN: f64 = 0.40;
+
+// --- Failure sensing (§3.1.2) ---
+
+/// Timeouts with zero ACKs that flag a blackhole (3).
+pub const TIMEOUT_FAIL_COUNT: u32 = 3;
+
+/// Retransmission fraction that flags silent random drops (1%).
+pub const RETX_FAIL_FRACTION: f64 = 0.01;
+
+/// The τ window over which the retransmission fraction is measured
+/// (10 ms).
+pub const RETX_WINDOW: Time = Time::from_ms(10);
+
+/// Minimum packets sent in a window before the fraction is trusted.
+pub const RETX_MIN_SAMPLES: u32 = 30;
+
+// --- Failure recovery (transient faults) ---
+
+/// Quiet period after the last failure evidence before a Failed path
+/// enters probation. Sized to several blackhole-detection times
+/// (3 × min RTO) so a still-dead path re-fails from its own probe
+/// losses before ever being trusted — "timely yet cautious" applied
+/// to recovery.
+pub const FAILURE_QUIET_PERIOD: Time = Time::from_ms(25);
+
+/// Consecutive successful probes a path in probation must return
+/// before it is re-admitted for data.
+pub const RECOVERY_PROBE_COUNT: u32 = 3;
+
+// --- Sensing estimator details ---
+
+/// EWMA gain for the per-path ECN fraction.
+pub const ECN_EWMA: f64 = 1.0 / 16.0;
+
+/// EWMA gain for the per-path RTT.
+pub const RTT_EWMA: f64 = 0.25;
+
+/// A path with no sample newer than this is Gray (unknown).
+pub const STALE_HORIZON: Time = Time::from_ms(5);
 
 /// Algorithm 1's outcome.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -161,7 +205,7 @@ impl PathState {
     fn age_out(&mut self, p: &HermesParams, now: Time) {
         if self.phase == FailPhase::Failed
             && p.enable_recovery
-            && now.saturating_sub(self.last_fail_evidence) >= p.failure_quiet_period
+            && now.saturating_sub(self.last_fail_evidence) >= FAILURE_QUIET_PERIOD
         {
             self.phase = FailPhase::Probation;
             self.probation_ok = 0;
@@ -199,7 +243,7 @@ impl PathState {
     /// Record an RTT+ECN sample (data ACK or probe response). Returns
     /// true iff this sample just re-admitted a path from probation: in
     /// probation every successful round-trip counts, and the
-    /// `recovery_probe_count`-th one restores the path to service with
+    /// [`RECOVERY_PROBE_COUNT`]-th one restores the path to service with
     /// its failure counters and τ-window cleared (stale pre-failure
     /// retransmission history must not instantly re-fail it).
     pub fn sample(&mut self, rtt: Option<Time>, ecn: bool, p: &HermesParams, now: Time) -> bool {
@@ -211,13 +255,12 @@ impl PathState {
         if let Some(r) = rtt {
             self.win_max_rtt = self.win_max_rtt.max(r);
         }
-        self.f_ecn = (1.0 - p.ecn_ewma) * self.f_ecn + p.ecn_ewma * if ecn { 1.0 } else { 0.0 };
+        self.f_ecn = (1.0 - ECN_EWMA) * self.f_ecn + ECN_EWMA * if ecn { 1.0 } else { 0.0 };
         if let Some(r) = rtt {
             self.t_rtt = Some(match self.t_rtt {
                 None => r,
                 Some(prev) => Time::from_ns(
-                    ((1.0 - p.rtt_ewma) * prev.as_ns() as f64 + p.rtt_ewma * r.as_ns() as f64)
-                        as u64,
+                    ((1.0 - RTT_EWMA) * prev.as_ns() as f64 + RTT_EWMA * r.as_ns() as f64) as u64,
                 ),
             });
         }
@@ -226,7 +269,7 @@ impl PathState {
         self.n_timeout = 0;
         if self.phase == FailPhase::Probation {
             self.probation_ok += 1;
-            if self.probation_ok >= p.recovery_probe_count {
+            if self.probation_ok >= RECOVERY_PROBE_COUNT {
                 self.phase = FailPhase::Ok;
                 self.probation_ok = 0;
                 self.bad_windows = 0;
@@ -259,13 +302,13 @@ impl PathState {
 
     /// A flow on this path hit its RTO. Returns true if this pushed the
     /// path into the failed state (blackhole rule).
-    pub fn on_timeout(&mut self, p: &HermesParams, now: Time) -> bool {
+    pub fn on_timeout(&mut self, now: Time) -> bool {
         self.n_timeout += 1;
         // "Once it observes 3 timeouts on a path, it further checks if
         //  any of the packets on that path have been successfully ACKed"
         // — n_timeout is reset by every ACK, so reaching the threshold
         // means nothing was ACKed in between.
-        let newly = self.phase == FailPhase::Ok && self.n_timeout >= p.timeout_fail_count;
+        let newly = self.phase == FailPhase::Ok && self.n_timeout >= TIMEOUT_FAIL_COUNT;
         if newly {
             self.phase = FailPhase::Failed;
             self.last_fail_evidence = now;
@@ -278,8 +321,8 @@ impl PathState {
     /// Close the τ window if due, publishing the retransmission fraction
     /// together with the window's congestion evidence.
     fn roll_window(&mut self, p: &HermesParams, now: Time) {
-        if now.saturating_sub(self.win_start) >= p.retx_window {
-            if self.win_sent >= p.retx_min_samples {
+        if now.saturating_sub(self.win_start) >= RETX_WINDOW {
+            if self.win_sent >= RETX_MIN_SAMPLES {
                 self.retx_fraction = self.win_retx as f64 / self.win_sent as f64;
                 self.retx_fraction_valid = true;
                 // Congestion evidence *within* this window: meaningful
@@ -289,9 +332,8 @@ impl PathState {
                 } else {
                     0.0
                 };
-                self.last_win_congested =
-                    ecn_frac > p.t_ecn / 2.0 || self.win_max_rtt > p.t_rtt_high;
-                if self.retx_fraction > p.retx_fail_fraction && !self.last_win_congested {
+                self.last_win_congested = ecn_frac > T_ECN / 2.0 || self.win_max_rtt > p.t_rtt_high;
+                if self.retx_fraction > RETX_FAIL_FRACTION && !self.last_win_congested {
                     self.bad_windows += 1;
                 } else {
                     self.bad_windows = 0;
@@ -328,7 +370,7 @@ impl PathState {
         let Some(rtt) = self.t_rtt else {
             return PathType::Gray; // never sampled
         };
-        if now.saturating_sub(self.last_sample) > p.stale_horizon {
+        if now.saturating_sub(self.last_sample) > STALE_HORIZON {
             return PathType::Gray; // information too old to act on
         }
         if p.rtt_only {
@@ -341,9 +383,9 @@ impl PathState {
             }
             return PathType::Gray;
         }
-        if self.f_ecn < p.t_ecn && rtt < p.t_rtt_low {
+        if self.f_ecn < T_ECN && rtt < p.t_rtt_low {
             PathType::Good
-        } else if self.f_ecn > p.t_ecn && rtt > p.t_rtt_high {
+        } else if self.f_ecn > T_ECN && rtt > p.t_rtt_high {
             PathType::Congested
         } else {
             PathType::Gray
@@ -448,7 +490,7 @@ mod tests {
         let mut never = PathState::default();
         assert_eq!(never.characterize(&p, now), PathType::Gray);
         let mut stale = fresh(&p, 50, 0.0, now);
-        let later = now + p.stale_horizon + Time::from_us(1);
+        let later = now + STALE_HORIZON + Time::from_us(1);
         assert_eq!(stale.characterize(&p, later), PathType::Gray);
     }
 
@@ -457,9 +499,9 @@ mod tests {
         let p = params();
         let mut s = PathState::default();
         let t = Time::from_ms(10);
-        assert!(!s.on_timeout(&p, t));
-        assert!(!s.on_timeout(&p, t));
-        assert!(s.on_timeout(&p, t), "third timeout must fail the path");
+        assert!(!s.on_timeout(t));
+        assert!(!s.on_timeout(t));
+        assert!(s.on_timeout(t), "third timeout must fail the path");
         assert_eq!(s.characterize(&p, Time::from_ms(11)), PathType::Failed);
     }
 
@@ -467,11 +509,11 @@ mod tests {
     fn ack_between_timeouts_resets_suspicion() {
         let p = params();
         let mut s = PathState::default();
-        s.on_timeout(&p, Time::from_ms(10));
-        s.on_timeout(&p, Time::from_ms(20));
+        s.on_timeout(Time::from_ms(10));
+        s.on_timeout(Time::from_ms(20));
         // An ACK proves the path forwards *some* packets: not a blackhole.
         s.sample(Some(Time::from_us(100)), false, &p, Time::from_ms(25));
-        assert!(!s.on_timeout(&p, Time::from_ms(30)));
+        assert!(!s.on_timeout(Time::from_ms(30)));
         assert!(!s.failed());
         assert_eq!(s.n_timeout(), 1);
     }
@@ -493,7 +535,7 @@ mod tests {
             }
         }
         // Roll past a window boundary and check.
-        now += p.retx_window;
+        now += RETX_WINDOW;
         s.on_sent(&p, now);
         assert_eq!(s.characterize(&p, now), PathType::Failed);
     }
@@ -512,7 +554,7 @@ mod tests {
             }
             s.sample(Some(high), true, &p, now); // congested signals
         }
-        now += p.retx_window;
+        now += RETX_WINDOW;
         s.on_sent(&p, now); // rolls the τ window, publishing the fraction
         s.sample(Some(high), true, &p, now); // signals stay fresh while data flows
         assert_eq!(
@@ -526,7 +568,7 @@ mod tests {
     fn too_few_samples_never_fail_a_path() {
         let p = params();
         let mut s = PathState::default();
-        // 5 packets, 2 retx = 40% — but below retx_min_samples.
+        // 5 packets, 2 retx = 40% — but below RETX_MIN_SAMPLES.
         for i in 0..5 {
             s.on_sent(&p, Time::from_us(i));
         }
@@ -554,12 +596,12 @@ mod tests {
         let mut s = PathState::default();
         let t0 = Time::from_ms(10);
         for _ in 0..3 {
-            s.on_timeout(&p, t0);
+            s.on_timeout(t0);
         }
         assert!(s.failed());
         // Even a perfect sample inside the quiet period does not clear
         // it — recovery goes through probation, never directly.
-        let t1 = t0 + p.failure_quiet_period / 2;
+        let t1 = t0 + FAILURE_QUIET_PERIOD / 2;
         s.sample(Some(Time::from_us(60)), false, &p, t1);
         assert_eq!(s.characterize(&p, t1), PathType::Failed);
         assert!(!s.in_probation(&p, t1));
@@ -571,16 +613,16 @@ mod tests {
         let mut s = PathState::default();
         let t0 = Time::from_ms(10);
         for _ in 0..3 {
-            s.on_timeout(&p, t0);
+            s.on_timeout(t0);
         }
         // Quiet period elapses with no further evidence → probation.
-        let t1 = t0 + p.failure_quiet_period;
+        let t1 = t0 + FAILURE_QUIET_PERIOD;
         assert!(s.in_probation(&p, t1));
         // Probation still reads Failed to data placement.
         assert!(s.failed());
         assert_eq!(s.characterize(&p, t1), PathType::Failed);
         // K − 1 probes: still barred.
-        for k in 0..p.recovery_probe_count - 1 {
+        for k in 0..RECOVERY_PROBE_COUNT - 1 {
             let recovered = s.sample(
                 Some(Time::from_us(60)),
                 false,
@@ -603,14 +645,14 @@ mod tests {
         let mut s = PathState::default();
         let t0 = Time::from_ms(10);
         for _ in 0..3 {
-            s.on_timeout(&p, t0);
+            s.on_timeout(t0);
         }
-        let t1 = t0 + p.failure_quiet_period;
+        let t1 = t0 + FAILURE_QUIET_PERIOD;
         assert!(s.in_probation(&p, t1));
         s.on_probe_lost(t1);
         assert!(!s.in_probation(&p, t1), "lost probe must demote");
         // The quiet period restarts from the lost probe, not t0.
-        let t2 = t1 + p.failure_quiet_period - Time::from_us(1);
+        let t2 = t1 + FAILURE_QUIET_PERIOD - Time::from_us(1);
         assert!(!s.in_probation(&p, t2));
         assert!(s.in_probation(&p, t2 + Time::from_us(1)));
     }
@@ -631,9 +673,9 @@ mod tests {
         let mut s = PathState::default();
         let t0 = Time::from_ms(10);
         for _ in 0..3 {
-            s.on_timeout(&p, t0);
+            s.on_timeout(t0);
         }
-        let much_later = t0 + p.failure_quiet_period * 100;
+        let much_later = t0 + FAILURE_QUIET_PERIOD * 100;
         assert!(!s.in_probation(&p, much_later));
         assert_eq!(s.characterize(&p, much_later), PathType::Failed);
     }
@@ -654,13 +696,13 @@ mod tests {
                 s.sample(Some(Time::from_us(70)), false, &p, now);
             }
         }
-        now += p.retx_window;
+        now += RETX_WINDOW;
         s.on_sent(&p, now);
         assert_eq!(s.characterize(&p, now), PathType::Failed);
         // Recover through probation.
-        let t1 = now + p.failure_quiet_period;
+        let t1 = now + FAILURE_QUIET_PERIOD;
         assert!(s.in_probation(&p, t1));
-        for k in 0..p.recovery_probe_count {
+        for k in 0..RECOVERY_PROBE_COUNT {
             s.sample(
                 Some(Time::from_us(60)),
                 false,
@@ -670,7 +712,7 @@ mod tests {
         }
         assert!(!s.failed());
         // The pre-failure retransmission history must not re-fail it.
-        let t2 = t1 + p.retx_window;
+        let t2 = t1 + RETX_WINDOW;
         s.on_sent(&p, t2);
         assert_ne!(s.characterize(&p, t2), PathType::Failed);
     }

@@ -16,27 +16,12 @@ use std::collections::BTreeMap;
 use hermes_net::{EdgeLb, FlowCtx, LeafId, PathId};
 use hermes_sim::{SimRng, Time};
 
-/// CLOVE-ECN parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct CloveCfg {
-    /// Flowlet gap (150 µs in simulations, 800 µs testbed-scale — §5.1).
-    pub flowlet_timeout: Time,
-    /// Multiplicative decrease applied to a path's weight per
-    /// ECN-marked ACK.
-    pub beta: f64,
-    /// Floor so no path's weight can reach zero (keeps probing alive).
-    pub min_weight: f64,
-}
+/// Multiplicative decrease applied to a path's weight per ECN-marked
+/// ACK.
+const BETA: f64 = 0.25;
 
-impl Default for CloveCfg {
-    fn default() -> CloveCfg {
-        CloveCfg {
-            flowlet_timeout: Time::from_us(150),
-            beta: 0.25,
-            min_weight: 0.01,
-        }
-    }
-}
+/// Floor so no path's weight can reach zero (keeps probing alive).
+const MIN_WEIGHT: f64 = 0.01;
 
 /// Per-destination-leaf weight vector.
 struct Weights {
@@ -73,8 +58,8 @@ impl Weights {
         *candidates.last().expect("empty candidates")
     }
 
-    /// ECN on `path`: shift `beta` of its weight to the other paths.
-    fn punish(&mut self, path: PathId, beta: f64, min_weight: f64) {
+    /// ECN on `path`: shift [`BETA`] of its weight to the other paths.
+    fn punish(&mut self, path: PathId) {
         let n = self.w.len();
         if n <= 1 {
             return;
@@ -82,7 +67,7 @@ impl Weights {
         let Some(cur) = self.w.get_mut(&path) else {
             return;
         };
-        let removed = (*cur * beta).min(*cur - min_weight).max(0.0);
+        let removed = (*cur * BETA).min(*cur - MIN_WEIGHT).max(0.0);
         *cur -= removed;
         let share = removed / (n - 1) as f64;
         for (p, w) in &mut self.w {
@@ -95,19 +80,20 @@ impl Weights {
 
 /// CLOVE-ECN.
 pub struct CloveEcn {
-    cfg: CloveCfg,
+    /// Flowlet gap (150 µs in simulations, 800 µs testbed-scale — §5.1).
+    flowlet_timeout: Time,
     weights: BTreeMap<LeafId, Weights>,
 }
 
 impl CloveEcn {
-    pub fn new(cfg: CloveCfg) -> CloveEcn {
+    pub fn new(flowlet_timeout: Time) -> CloveEcn {
         assert!(
-            cfg.flowlet_timeout > Time::ZERO,
+            flowlet_timeout > Time::ZERO,
             "flowlet timeout must be positive"
         );
         CloveEcn {
+            flowlet_timeout,
             weights: BTreeMap::new(),
-            cfg,
         }
     }
 
@@ -128,7 +114,7 @@ impl EdgeLb for CloveEcn {
         _now: Time,
         rng: &mut SimRng,
     ) -> PathId {
-        if ctx.since_tx <= self.cfg.flowlet_timeout && candidates.contains(&ctx.current_path) {
+        if ctx.since_tx <= self.flowlet_timeout && candidates.contains(&ctx.current_path) {
             return ctx.current_path;
         }
         let w = self
@@ -150,7 +136,7 @@ impl EdgeLb for CloveEcn {
     ) {
         if ecn && path.is_spine() {
             if let Some(w) = self.weights.get_mut(&ctx.dst_leaf) {
-                w.punish(path, self.cfg.beta, self.cfg.min_weight);
+                w.punish(path);
             }
         }
     }
@@ -159,6 +145,7 @@ impl EdgeLb for CloveEcn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FLOWLET_TIMEOUT;
     use hermes_net::{FlowId, HostId};
 
     fn ctx(flow: u64) -> FlowCtx {
@@ -191,7 +178,7 @@ mod tests {
 
     #[test]
     fn flowlet_stickiness() {
-        let mut lb = CloveEcn::new(CloveCfg::default());
+        let mut lb = CloveEcn::new(FLOWLET_TIMEOUT);
         let mut rng = SimRng::new(5);
         // `twin` mirrors the draws `rng` should have made.
         let mut twin = SimRng::new(5);
@@ -208,7 +195,7 @@ mod tests {
             assert_eq!(p, q);
         }
         // A gap equal to the timeout is still the same flowlet.
-        let timeout = CloveCfg::default().flowlet_timeout;
+        let timeout = FLOWLET_TIMEOUT;
         assert_eq!(
             lb.select_path(&sent(p, timeout), &CANDS, Time::ZERO, &mut rng),
             p
@@ -232,7 +219,7 @@ mod tests {
 
     #[test]
     fn ecn_shifts_weight_away() {
-        let mut lb = CloveEcn::new(CloveCfg::default());
+        let mut lb = CloveEcn::new(FLOWLET_TIMEOUT);
         let mut rng = SimRng::new(5);
         lb.select_path(&ctx(1), &CANDS, Time::ZERO, &mut rng);
         let before = lb.weight(LeafId(1), PathId(0)).unwrap();
@@ -251,7 +238,7 @@ mod tests {
 
     #[test]
     fn punished_path_is_rarely_chosen() {
-        let mut lb = CloveEcn::new(CloveCfg::default());
+        let mut lb = CloveEcn::new(FLOWLET_TIMEOUT);
         let mut rng = SimRng::new(5);
         lb.select_path(&ctx(0), &CANDS, Time::ZERO, &mut rng);
         for _ in 0..40 {
@@ -269,19 +256,19 @@ mod tests {
 
     #[test]
     fn weights_never_hit_zero() {
-        let mut lb = CloveEcn::new(CloveCfg::default());
+        let mut lb = CloveEcn::new(FLOWLET_TIMEOUT);
         let mut rng = SimRng::new(5);
         lb.select_path(&ctx(0), &CANDS, Time::ZERO, &mut rng);
         for _ in 0..10_000 {
             lb.on_ack(&ctx(0), PathId(1), None, true, 1460, Time::ZERO);
         }
         let w = lb.weight(LeafId(1), PathId(1)).unwrap();
-        assert!(w >= CloveCfg::default().min_weight * 0.99, "weight {w}");
+        assert!(w >= MIN_WEIGHT * 0.99, "weight {w}");
     }
 
     #[test]
     fn unmarked_acks_leave_weights_alone() {
-        let mut lb = CloveEcn::new(CloveCfg::default());
+        let mut lb = CloveEcn::new(FLOWLET_TIMEOUT);
         let mut rng = SimRng::new(5);
         lb.select_path(&ctx(0), &CANDS, Time::ZERO, &mut rng);
         for _ in 0..100 {

@@ -26,29 +26,11 @@ use hermes_sim::{SimRng, Time};
 
 use crate::flowlet::FlowletTable;
 
-/// CONGA parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct CongaCfg {
-    /// Flowlet gap. The paper tunes this to 150 µs for DCTCP (§5.1).
-    pub flowlet_timeout: Time,
-    /// DRE horizon τ.
-    pub dre_tau: Time,
-    /// Congestion-to-leaf metric aging (10 ms, per §2.2.2).
-    pub metric_age: Time,
-    /// Metrics within this of the minimum count as tied.
-    pub tie_epsilon: f64,
-}
+/// Congestion-to-leaf metric aging (10 ms, per §2.2.2).
+const METRIC_AGE: Time = Time::from_ms(10);
 
-impl Default for CongaCfg {
-    fn default() -> CongaCfg {
-        CongaCfg {
-            flowlet_timeout: Time::from_us(150),
-            dre_tau: Dre::DEFAULT_TAU,
-            metric_age: Time::from_ms(10),
-            tie_epsilon: 0.02,
-        }
-    }
-}
+/// Metrics within this of the minimum count as tied.
+const TIE_EPSILON: f64 = 0.02;
 
 /// A remote metric with its refresh time.
 #[derive(Clone, Copy, Debug)]
@@ -60,7 +42,6 @@ struct Aged {
 /// CONGA: one object holds every switch's state (the simulation is
 /// single-threaded; "distributed" state is indexed by switch id).
 pub struct Conga {
-    cfg: CongaCfg,
     n_spines: usize,
     hosts_per_leaf: usize,
     /// Leaf uplink rates (0 where cut) and DREs.
@@ -78,7 +59,10 @@ pub struct Conga {
 }
 
 impl Conga {
-    pub fn new(topo: &Topology, cfg: CongaCfg) -> Conga {
+    /// CONGA on `topo` with DREs of horizon [`Dre::DEFAULT_TAU`] and
+    /// the given flowlet gap (the paper tunes it to 150 µs for DCTCP,
+    /// §5.1).
+    pub fn new(topo: &Topology, flowlet_timeout: Time) -> Conga {
         let (nl, ns) = (topo.n_leaves, topo.n_spines);
         let up_rate: Vec<Vec<u64>> = (0..nl)
             .map(|l| {
@@ -91,13 +75,12 @@ impl Conga {
             n_spines: ns,
             hosts_per_leaf: topo.hosts_per_leaf,
             up_rate,
-            up_dre: vec![vec![Dre::new(cfg.dre_tau); ns]; nl],
-            down_dre: vec![vec![Dre::new(cfg.dre_tau); nl]; ns],
+            up_dre: vec![vec![Dre::new(Dre::DEFAULT_TAU); ns]; nl],
+            down_dre: vec![vec![Dre::new(Dre::DEFAULT_TAU); nl]; ns],
             to_leaf: vec![vec![vec![None; ns]; nl]; nl],
             from_leaf: vec![vec![vec![None; ns]; nl]; nl],
             fb_cursor: vec![vec![0; nl]; nl],
-            flowlets: FlowletTable::new(cfg.flowlet_timeout),
-            cfg,
+            flowlets: FlowletTable::new(flowlet_timeout),
         }
     }
 
@@ -109,7 +92,7 @@ impl Conga {
     /// The remote (aged) metric for a path, 0 when absent or expired.
     fn remote_metric(&self, leaf: usize, dst_leaf: usize, spine: usize, now: Time) -> f64 {
         match self.to_leaf[leaf][dst_leaf][spine] {
-            Some(a) if now.saturating_sub(a.stamp) <= self.cfg.metric_age => a.ce,
+            Some(a) if now.saturating_sub(a.stamp) <= METRIC_AGE => a.ce,
             _ => 0.0,
         }
     }
@@ -154,7 +137,7 @@ impl FabricLb for Conga {
             .collect();
         let min = metrics.iter().cloned().fold(f64::INFINITY, f64::min);
         let tied: Vec<usize> = (0..candidates.len())
-            .filter(|&i| metrics[i] <= min + self.cfg.tie_epsilon)
+            .filter(|&i| metrics[i] <= min + TIE_EPSILON)
             .collect();
         // Prefer the flow's previous path on ties (stability), else random.
         let prev = self.flowlets.previous_path(key);
@@ -223,6 +206,7 @@ impl FabricLb for Conga {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FLOWLET_TIMEOUT;
 
     fn topo() -> Topology {
         Topology::sim_baseline() // 8 leaves, 8 spines, 16 hosts/leaf
@@ -238,7 +222,7 @@ mod tests {
 
     #[test]
     fn new_flowlet_avoids_locally_hot_uplink() {
-        let mut c = Conga::new(&topo(), CongaCfg::default());
+        let mut c = Conga::new(&topo(), FLOWLET_TIMEOUT);
         let mut rng = SimRng::new(1);
         let now = Time::from_us(100);
         // Saturate uplink 0 of leaf 0 via the DRE.
@@ -270,7 +254,7 @@ mod tests {
 
     #[test]
     fn feedback_loop_fills_to_leaf_table() {
-        let mut c = Conga::new(&topo(), CongaCfg::default());
+        let mut c = Conga::new(&topo(), FLOWLET_TIMEOUT);
         let now = Time::from_us(50);
         // 1. A packet from leaf 0 → leaf 1 via spine 3 arrives congested.
         let mut p = data(1, 0, 16);
@@ -300,7 +284,7 @@ mod tests {
 
     #[test]
     fn metric_ages_to_zero() {
-        let mut c = Conga::new(&topo(), CongaCfg::default());
+        let mut c = Conga::new(&topo(), FLOWLET_TIMEOUT);
         let now = Time::from_ms(1);
         let mut rev = data(2, 16, 0);
         rev.meta.fb_tag = 2;
@@ -321,7 +305,7 @@ mod tests {
 
     #[test]
     fn flowlets_stick_across_metric_changes() {
-        let mut c = Conga::new(&topo(), CongaCfg::default());
+        let mut c = Conga::new(&topo(), FLOWLET_TIMEOUT);
         let mut rng = SimRng::new(2);
         let p0 = c.ingress_select(
             LeafId(0),
@@ -366,7 +350,7 @@ mod tests {
 
     #[test]
     fn ce_accumulates_max_along_path() {
-        let mut c = Conga::new(&topo(), CongaCfg::default());
+        let mut c = Conga::new(&topo(), FLOWLET_TIMEOUT);
         let now = Time::from_us(10);
         let mut p = data(1, 0, 16);
         // Load the downlink DRE of spine 2 → leaf 1 heavily.

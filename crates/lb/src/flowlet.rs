@@ -14,6 +14,11 @@ use std::collections::BTreeMap;
 use hermes_net::PathId;
 use hermes_sim::Time;
 
+/// The flowlet gap every flowlet scheme uses unless a scenario sets
+/// its own: the paper tunes it to 150 µs for DCTCP in simulations
+/// (§5.1; 800 µs at testbed scale).
+pub const FLOWLET_TIMEOUT: Time = Time::from_us(150);
+
 /// One table entry.
 #[derive(Clone, Copy, Debug)]
 struct Entry {

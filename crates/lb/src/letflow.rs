@@ -10,19 +10,24 @@
 use hermes_net::{FabricLb, FlowId, LeafId, Packet, PathId};
 use hermes_sim::{SimRng, Time};
 
-use crate::flowlet::FlowletTable;
+use crate::flowlet::{FlowletTable, FLOWLET_TIMEOUT};
 
-/// LetFlow.
+/// LetFlow, at the paper's 150 µs flowlet gap ([`FLOWLET_TIMEOUT`]).
 pub struct LetFlow {
     flowlets: FlowletTable<(FlowId, LeafId)>,
 }
 
 impl LetFlow {
-    /// `timeout` — flowlet gap (150 µs in the paper's simulations).
-    pub fn new(timeout: Time) -> LetFlow {
+    pub fn new() -> LetFlow {
         LetFlow {
-            flowlets: FlowletTable::new(timeout),
+            flowlets: FlowletTable::new(FLOWLET_TIMEOUT),
         }
+    }
+}
+
+impl Default for LetFlow {
+    fn default() -> LetFlow {
+        LetFlow::new()
     }
 }
 
@@ -61,7 +66,7 @@ mod tests {
 
     #[test]
     fn sticky_within_flowlet_random_across() {
-        let mut lb = LetFlow::new(Time::from_us(150));
+        let mut lb = LetFlow::new();
         let mut rng = SimRng::new(3);
         let p = lb.ingress_select(LeafId(0), LeafId(1), &pkt(1), &CANDS, Time::ZERO, &mut rng);
         // Back-to-back packets: same path.
@@ -92,7 +97,7 @@ mod tests {
         // stream never re-hashes (its path histogram is a point mass),
         // while the same flow with inter-packet gaps above the timeout
         // spreads across all paths with no path starved or dominant.
-        let mut steady = LetFlow::new(Time::from_us(150));
+        let mut steady = LetFlow::new();
         let mut rng = SimRng::new(11);
         let mut steady_hist = [0u32; 4];
         for i in 0..400u64 {
@@ -113,7 +118,7 @@ mod tests {
             "steady traffic must never re-hash: {steady_hist:?}"
         );
 
-        let mut gapped = LetFlow::new(Time::from_us(150));
+        let mut gapped = LetFlow::new();
         let mut hist = [0u32; 4];
         for i in 0..400u64 {
             // 500 µs spacing: every packet opens a new flowlet.
@@ -142,7 +147,7 @@ mod tests {
         // Two flows at the same leaf must not share a flowlet entry:
         // with enough flows, simultaneous first packets land on more
         // than one path.
-        let mut lb = LetFlow::new(Time::from_us(150));
+        let mut lb = LetFlow::new();
         let mut rng = SimRng::new(5);
         let mut seen = std::collections::BTreeSet::new();
         for f in 0..32 {
@@ -162,7 +167,7 @@ mod tests {
     fn directions_are_independent() {
         // The same flow id seen at two leaves (data vs ACK direction)
         // keeps independent flowlet state.
-        let mut lb = LetFlow::new(Time::from_us(150));
+        let mut lb = LetFlow::new();
         let mut rng = SimRng::new(4);
         let a = lb.ingress_select(LeafId(0), LeafId(1), &pkt(1), &CANDS, Time::ZERO, &mut rng);
         // Choose repeatedly at leaf 1 until it diverges — they're

@@ -20,9 +20,9 @@ mod flowlet;
 mod letflow;
 mod spray;
 
-pub use clove::{CloveCfg, CloveEcn};
-pub use conga::{Conga, CongaCfg};
+pub use clove::CloveEcn;
+pub use conga::Conga;
 pub use ecmp::Ecmp;
-pub use flowlet::FlowletTable;
+pub use flowlet::{FlowletTable, FLOWLET_TIMEOUT};
 pub use letflow::LetFlow;
 pub use spray::PrestoSpray;

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use hermes_lb::{CloveCfg, CloveEcn, Ecmp};
+use hermes_lb::{CloveEcn, Ecmp};
 use hermes_net::{EdgeLb, FlowCtx, FlowId, HostId, LeafId, PathId};
 use hermes_sim::{SimRng, Time};
 use proptest::prelude::*;
@@ -47,11 +47,11 @@ struct MemoClove {
 }
 
 impl MemoClove {
-    fn new(cfg: CloveCfg) -> MemoClove {
+    fn new(timeout: Time) -> MemoClove {
         MemoClove {
-            timeout: cfg.flowlet_timeout,
+            timeout,
             flowlets: BTreeMap::new(),
-            weights: CloveEcn::new(cfg),
+            weights: CloveEcn::new(timeout),
         }
     }
 
@@ -311,14 +311,11 @@ proptest! {
         seed in 0u64..1000,
         timeout_us in 1u64..400,
     ) {
-        let cfg = CloveCfg {
-            flowlet_timeout: Time::from_us(timeout_us),
-            ..CloveCfg::default()
-        };
+        let timeout = Time::from_us(timeout_us);
         let mut pair = ClovePair {
-            memo: MemoClove::new(cfg),
-            lb: CloveEcn::new(cfg),
+            memo: MemoClove::new(timeout),
+            lb: CloveEcn::new(timeout),
         };
-        drive(&mut pair, &ops, n_paths, cfg.flowlet_timeout, seed);
+        drive(&mut pair, &ops, n_paths, timeout, seed);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the baseline load balancers.
 
-use hermes_lb::{CloveCfg, CloveEcn, Conga, CongaCfg, Ecmp, FlowletTable, LetFlow, PrestoSpray};
+use hermes_lb::{CloveEcn, Conga, Ecmp, FlowletTable, LetFlow, PrestoSpray, FLOWLET_TIMEOUT};
 use hermes_net::{EdgeLb, FabricLb, FlowCtx, FlowId, HostId, LeafId, Packet, PathId, Topology};
 use hermes_sim::{SimRng, Time};
 use proptest::prelude::*;
@@ -40,7 +40,7 @@ proptest! {
         let mut schemes: Vec<Box<dyn EdgeLb>> = vec![
             Box::new(Ecmp::new()),
             Box::new(PrestoSpray::equal()),
-            Box::new(CloveEcn::new(CloveCfg::default())),
+            Box::new(CloveEcn::new(FLOWLET_TIMEOUT)),
         ];
         for lb in &mut schemes {
             let mut current = PathId::UNSET;
@@ -88,7 +88,7 @@ proptest! {
         marks in proptest::collection::vec(0u16..4, 0..300),
         seed in 0u64..100,
     ) {
-        let mut lb = CloveEcn::new(CloveCfg::default());
+        let mut lb = CloveEcn::new(FLOWLET_TIMEOUT);
         let mut rng = SimRng::new(seed);
         let cs = cands(4);
         lb.select_path(&ctx(1, PathId::UNSET, true), &cs, Time::ZERO, &mut rng);
@@ -111,9 +111,9 @@ proptest! {
     ) {
         let cs = cands(n_paths);
         let mut rng = SimRng::new(seed);
-        let mut letflow = LetFlow::new(Time::from_us(150));
+        let mut letflow = LetFlow::new();
         let topo = Topology::sim_baseline();
-        let mut conga = Conga::new(&topo, CongaCfg::default());
+        let mut conga = Conga::new(&topo, FLOWLET_TIMEOUT);
         for &(flow, t_us) in &calls {
             let pkt = Packet::data(FlowId(flow), HostId(0), HostId(20), 0, 1460, false);
             let now = Time::from_us(t_us);

@@ -6,6 +6,7 @@
 use super::Fabric;
 use crate::failure::SpineFailure;
 use crate::faultplan::FaultAction;
+use crate::topology::{buffer_limit, ecn_threshold};
 use crate::types::{LeafId, NodeId, SpineId};
 
 impl Fabric {
@@ -53,8 +54,8 @@ impl Fabric {
     /// starts, so the packet currently on the wire is unaffected.
     pub(super) fn set_link_rate(&mut self, leaf: LeafId, spine: SpineId, rate_bps: u64) {
         assert!(rate_bps > 0, "a live link needs a nonzero rate");
-        let ecn = self.topo.queue.ecn_threshold(rate_bps);
-        let buf = self.topo.queue.buffer(rate_bps);
+        let ecn = ecn_threshold(rate_bps);
+        let buf = buffer_limit(rate_bps);
         let up = (NodeId::Leaf(leaf), self.ports.up_idx(spine));
         let down = (NodeId::Spine(spine), leaf.0 as usize);
         for (node, idx) in [up, down] {

@@ -12,7 +12,7 @@
 //! the link.
 
 use crate::port::Port;
-use crate::topology::{LinkCfg, Topology};
+use crate::topology::{buffer_limit, ecn_threshold, LinkCfg, Topology};
 use crate::types::{HostId, LeafId, NodeId, SpineId};
 
 pub(super) struct PortTable {
@@ -24,12 +24,11 @@ pub(super) struct PortTable {
 
 impl PortTable {
     pub(super) fn new(topo: &Topology) -> PortTable {
-        let q = &topo.queue;
         let mk = |link: LinkCfg| {
             Port::new(
                 link,
-                q.ecn_threshold(link.rate_bps),
-                q.buffer(link.rate_bps),
+                ecn_threshold(link.rate_bps),
+                buffer_limit(link.rate_bps),
             )
         };
         // Host NICs: deep buffer, no marking (marking lives in switches).

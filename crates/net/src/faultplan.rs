@@ -153,6 +153,13 @@ pub enum PlanError {
         value: f64,
         at: Time,
     },
+    /// A pair blackhole whose source and destination are one leaf:
+    /// intra-rack traffic never crosses a spine, so it could never match.
+    IntraRackBlackhole {
+        spine: SpineId,
+        leaf: LeafId,
+        at: Time,
+    },
     /// A `SetLinkRate` to 0 bps — a dead link must use `LinkDown`.
     ZeroLinkRate {
         leaf: LeafId,
@@ -202,6 +209,12 @@ impl core::fmt::Display for PlanError {
             PlanError::FractionOutOfRange { what, value, at } => {
                 write!(f, "{what} = {value} at {at} is outside [0, 1]")
             }
+            PlanError::IntraRackBlackhole { spine, leaf, at } => write!(
+                f,
+                "blackhole at {at} on spine {} has leaf {} as both source and destination; \
+                 intra-rack traffic never crosses a spine",
+                spine.0, leaf.0
+            ),
             PlanError::ZeroLinkRate { leaf, spine, at } => write!(
                 f,
                 "SetLinkRate to 0 bps at {at} for leaf {} / spine {}; use LinkDown for a dead link",
@@ -457,6 +470,10 @@ impl FaultPlan {
                     frac("random_drop", failure.random_drop)?;
                     if let Some(bh) = failure.blackhole {
                         frac("pair_fraction", bh.pair_fraction)?;
+                        if bh.src_leaf == bh.dst_leaf {
+                            let leaf = bh.src_leaf;
+                            return Err(PlanError::IntraRackBlackhole { spine, leaf, at });
+                        }
                     }
                     if let Some(fb) = failure.flow_blackhole {
                         frac("victim_fraction", fb.victim_fraction)?;
@@ -829,6 +846,32 @@ mod tests {
                 at: Time::from_ms(2),
             })
         );
+    }
+
+    #[test]
+    fn validate_rejects_an_intra_rack_blackhole() {
+        let hole = |dst| {
+            FaultPlan::new().blackhole_window(
+                SpineId(2),
+                LeafId(1),
+                LeafId(dst),
+                1.0,
+                Time::from_ms(3),
+                Time::from_ms(9),
+            )
+        };
+        let err = hole(1).validate().expect_err("src leaf == dst leaf");
+        assert_eq!(
+            err,
+            PlanError::IntraRackBlackhole {
+                spine: SpineId(2),
+                leaf: LeafId(1),
+                at: Time::from_ms(3),
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("spine 2") && msg.contains("leaf 1"), "{msg}");
+        assert_eq!(hole(0).validate(), Ok(()));
     }
 
     #[test]

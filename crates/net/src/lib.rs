@@ -43,5 +43,5 @@ pub use packet::{AckInfo, LbMeta, Packet, PacketKind, ACK_SIZE, HDR, MSS, PROBE_
 pub use pool::{PacketPool, PoolStats};
 pub use port::{Enqueue, Port, PortStats};
 pub use rate::Dre;
-pub use topology::{LinkCfg, QueueCfg, Topology};
+pub use topology::{LinkCfg, Topology};
 pub use types::{FlowId, HostId, LeafId, NodeId, PathId, Priority, SpineId};

@@ -31,49 +31,34 @@ impl LinkCfg {
     }
 }
 
-/// How per-port queue parameters scale with the port's line rate.
-///
-/// DCTCP-style ECN marking thresholds grow with line rate (the classic
-/// guideline is K ≈ C·RTT/7); commodity buffers likewise. Thresholds are
-/// `max(floor, per_gbps × gbps)`.
-#[derive(Clone, Copy, Debug)]
-pub struct QueueCfg {
-    /// ECN marking threshold scaling (bytes per Gbps of line rate).
-    pub ecn_per_gbps: f64,
-    /// Minimum ECN marking threshold (bytes).
-    pub ecn_floor: u64,
-    /// Buffer size scaling (bytes per Gbps of line rate).
-    pub buf_per_gbps: f64,
-    /// Minimum per-port buffer (bytes).
-    pub buf_floor: u64,
+// Per-port queue parameters scale with the port's line rate.
+//
+// DCTCP-style ECN marking thresholds grow with line rate (the classic
+// guideline is K ≈ C·RTT/7); commodity buffers likewise. Thresholds are
+// `max(floor, per_gbps × gbps)`: 10 Gbps ports mark at 100 KB (≈ 80 µs
+// of one-hop queueing — the paper's "one hop delay") and buffer 400 KB;
+// 1 Gbps ports mark at 30 KB (the paper's testbed setting) and buffer
+// 200 KB.
+
+/// ECN marking threshold scaling (bytes per Gbps of line rate).
+const ECN_PER_GBPS: f64 = 10_000.0;
+/// Minimum ECN marking threshold (bytes).
+const ECN_FLOOR: u64 = 30_000;
+/// Buffer size scaling (bytes per Gbps of line rate).
+const BUF_PER_GBPS: f64 = 40_000.0;
+/// Minimum per-port buffer (bytes).
+const BUF_FLOOR: u64 = 200_000;
+
+/// ECN marking threshold for a switch port of the given rate.
+pub(crate) fn ecn_threshold(rate_bps: u64) -> u64 {
+    let scaled = (ECN_PER_GBPS * rate_bps as f64 / 1e9) as u64;
+    scaled.max(ECN_FLOOR)
 }
 
-impl Default for QueueCfg {
-    /// 10 Gbps ports mark at 100 KB (≈ 80 µs of one-hop queueing — the
-    /// paper's "one hop delay") and buffer 400 KB; 1 Gbps ports mark at
-    /// 30 KB (the paper's testbed setting) and buffer 200 KB.
-    fn default() -> QueueCfg {
-        QueueCfg {
-            ecn_per_gbps: 10_000.0,
-            ecn_floor: 30_000,
-            buf_per_gbps: 40_000.0,
-            buf_floor: 200_000,
-        }
-    }
-}
-
-impl QueueCfg {
-    /// ECN marking threshold for a port of the given rate.
-    pub fn ecn_threshold(&self, rate_bps: u64) -> u64 {
-        let scaled = (self.ecn_per_gbps * rate_bps as f64 / 1e9) as u64;
-        scaled.max(self.ecn_floor)
-    }
-
-    /// Tail-drop buffer limit for a port of the given rate.
-    pub fn buffer(&self, rate_bps: u64) -> u64 {
-        let scaled = (self.buf_per_gbps * rate_bps as f64 / 1e9) as u64;
-        scaled.max(self.buf_floor)
-    }
+/// Tail-drop buffer limit for a switch port of the given rate.
+pub(crate) fn buffer_limit(rate_bps: u64) -> u64 {
+    let scaled = (BUF_PER_GBPS * rate_bps as f64 / 1e9) as u64;
+    scaled.max(BUF_FLOOR)
 }
 
 /// A two-tier leaf-spine fabric.
@@ -87,7 +72,6 @@ pub struct Topology {
     pub hosts_per_leaf: usize,
     pub host_link: LinkCfg,
     pub up: Vec<Vec<Option<LinkCfg>>>,
-    pub queue: QueueCfg,
 }
 
 impl Topology {
@@ -107,7 +91,6 @@ impl Topology {
             hosts_per_leaf,
             host_link,
             up: vec![vec![Some(fabric_link); n_spines]; n_leaves],
-            queue: QueueCfg::default(),
         }
     }
 
@@ -263,7 +246,7 @@ impl Topology {
             .map(|l| l.rate_bps)
             .max()
             .unwrap_or(self.host_link.rate_bps);
-        let k = self.queue.ecn_threshold(rate);
+        let k = ecn_threshold(rate);
         Time::tx_time(k, rate)
     }
 
@@ -378,11 +361,10 @@ mod tests {
     }
 
     #[test]
-    fn queue_cfg_scales_with_rate() {
-        let q = QueueCfg::default();
-        assert_eq!(q.ecn_threshold(10_000_000_000), 100_000);
-        assert_eq!(q.ecn_threshold(1_000_000_000), 30_000); // floor
-        assert!(q.buffer(10_000_000_000) > q.ecn_threshold(10_000_000_000));
+    fn queue_thresholds_scale_with_rate() {
+        assert_eq!(ecn_threshold(10_000_000_000), 100_000);
+        assert_eq!(ecn_threshold(1_000_000_000), 30_000); // floor
+        assert!(buffer_limit(10_000_000_000) > ecn_threshold(10_000_000_000));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use hermes_core::HermesParams;
-use hermes_lb::{CloveCfg, CongaCfg};
+use hermes_lb::FLOWLET_TIMEOUT;
 use hermes_net::{LeafId, PathId, Topology};
 use hermes_sim::Time;
 use hermes_transport::TransportCfg;
@@ -19,11 +19,12 @@ pub enum Scheme {
     /// topology-dependent weights for asymmetry).
     Presto { weighted: bool },
     /// CLOVE-ECN: edge flowlets with ECN-driven weighted round robin.
-    Clove(CloveCfg),
-    /// LetFlow: switch flowlets with random choice.
-    LetFlow { flowlet_timeout: Time },
+    Clove { flowlet_timeout: Time },
+    /// LetFlow: switch flowlets with random choice, at the paper's
+    /// 150 µs gap.
+    LetFlow,
     /// CONGA: fabric-wide congestion-aware flowlet switching.
-    Conga(CongaCfg),
+    Conga { flowlet_timeout: Time },
     /// Hermes (the paper's scheme).
     Hermes(HermesParams),
 }
@@ -50,11 +51,13 @@ impl Scheme {
             "ecmp" => Scheme::Ecmp,
             "presto" => Scheme::presto(),
             "presto_weighted" => Scheme::presto_weighted(),
-            "clove" => Scheme::Clove(CloveCfg::default()),
-            "letflow" => Scheme::LetFlow {
-                flowlet_timeout: Time::from_us(150),
+            "clove" => Scheme::Clove {
+                flowlet_timeout: FLOWLET_TIMEOUT,
             },
-            "conga" => Scheme::Conga(CongaCfg::default()),
+            "letflow" => Scheme::LetFlow,
+            "conga" => Scheme::Conga {
+                flowlet_timeout: FLOWLET_TIMEOUT,
+            },
             "hermes" => Scheme::Hermes(HermesParams::from_topology(topo)),
             _ => return None,
         })
@@ -174,7 +177,8 @@ mod tests {
         assert_eq!(ecmp.effective_reorder_hold(), None);
         // The switch masks a scheme that does not ask (CONGA in Fig. 15)
         // and cannot unmask one that does.
-        for scheme in [Scheme::Conga(CongaCfg::default()), Scheme::presto()] {
+        let conga = Scheme::by_name("conga", &topo).expect("a scheme name");
+        for scheme in [conga, Scheme::presto()] {
             let mut masked = SimConfig::new(topo.clone(), scheme);
             masked.reorder_mask = true;
             assert_eq!(masked.effective_reorder_hold(), Some(REORDER_HOLD));

@@ -9,7 +9,7 @@ use hermes_net::{
     Topology,
 };
 use hermes_sim::Time;
-use hermes_transport::{Receiver, RecvAction, SegmentIn, SendAction, Sender};
+use hermes_transport::{Receiver, RecvAction, SegmentIn, SendAction, Sender, DUPACK_THRESH};
 use hermes_workload::{FlowRecord, FlowSpec};
 
 use super::probe::Prober;
@@ -80,19 +80,21 @@ impl EdgeLbs {
                     PrestoSpray::equal()
                 })
             }),
-            Scheme::Clove(cl) => per_host(&|_| Box::new(CloveEcn::new(*cl))),
+            Scheme::Clove { flowlet_timeout } => {
+                per_host(&|_| Box::new(CloveEcn::new(*flowlet_timeout)))
+            }
             Scheme::Hermes(params) => EdgeLbs::PerRack {
                 racks: (0..topo.n_leaves)
                     .map(|l| Hermes::new(topo, LeafId(l as u16), *params))
                     .collect(),
                 prober: Prober::new(params, topo),
             },
-            Scheme::LetFlow { flowlet_timeout } => {
-                fabric.set_fabric_lb(Box::new(LetFlow::new(*flowlet_timeout)));
+            Scheme::LetFlow => {
+                fabric.set_fabric_lb(Box::new(LetFlow::new()));
                 EdgeLbs::SwitchBased
             }
-            Scheme::Conga(cc) => {
-                fabric.set_fabric_lb(Box::new(Conga::new(topo, *cc)));
+            Scheme::Conga { flowlet_timeout } => {
+                fabric.set_fabric_lb(Box::new(Conga::new(topo, *flowlet_timeout)));
                 EdgeLbs::SwitchBased
             }
         }
@@ -188,7 +190,7 @@ impl Simulation {
             src_leaf,
             dst_leaf,
             sender: Sender::new(self.cfg.transport, spec.size),
-            receiver: Receiver::new(spec.size, hold, self.cfg.transport.dupack_thresh),
+            receiver: Receiver::new(spec.size, hold, DUPACK_THRESH),
             current_path: PathId::UNSET,
             ack_path,
             blame_path: PathId::UNSET,

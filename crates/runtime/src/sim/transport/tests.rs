@@ -157,10 +157,7 @@ fn an_inter_rack_flow_reaches_the_edge_lb() {
 
 #[test]
 fn a_letflow_run_never_reaches_an_edge_lb_hook() {
-    let letflow = Scheme::LetFlow {
-        flowlet_timeout: Time::from_us(150),
-    };
-    let mut sim = run(letflow, &[(0, 7), (8, 1), (2, 9)]);
+    let mut sim = run(Scheme::LetFlow, &[(0, 7), (8, 1), (2, 9)]);
     assert!(matches!(sim.edge, EdgeLbs::SwitchBased));
     // Mid-run, every live inter-rack flow is routed by the fabric: the
     // seam refuses it and its packets leave the host with no path.

@@ -5,7 +5,7 @@
 //! decisions, fabric marks/drops and transport window dynamics; a
 //! bounded ring-buffer sink stamping records with `(sim time, seq)`;
 //! a metrics registry (counters, gauges, fixed-bucket histograms)
-//! snapshotted on a configurable sim-time cadence; and deterministic
+//! snapshotted on a fixed 1 ms sim-time cadence; and deterministic
 //! JSONL/CSV exporters.
 //!
 //! Two properties are load-bearing (DESIGN.md §12):

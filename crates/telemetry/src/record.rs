@@ -45,7 +45,7 @@ pub enum RerouteVerdict {
     TimeoutReplace,
     /// Cautious reroute off a Congested path that passed every gate.
     Rerouted,
-    /// Reroute suppressed: flow too small (`bytes_sent <= size_threshold`).
+    /// Reroute suppressed: flow too small (`bytes_sent <= SIZE_THRESHOLD`).
     HeldSize,
     /// Reroute suppressed: flow too fast (`rate_bps >= rate_threshold_bps`).
     HeldRate,

@@ -33,22 +33,20 @@ use hermes_sim::Time;
 use crate::metrics::{Histogram, Metrics, MetricsRow};
 use crate::record::{Record, TraceEvent};
 
+/// Sim-time cadence for metrics snapshots and queue sampling.
+const METRICS_CADENCE: Time = Time::from_ms(1);
+
 /// Sink configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SinkConfig {
     /// Ring capacity in events; the oldest events are dropped (and
     /// counted) once the buffer is full.
     pub capacity: usize,
-    /// Sim-time cadence for metrics snapshots and queue sampling.
-    pub metrics_cadence: Time,
 }
 
 impl Default for SinkConfig {
     fn default() -> SinkConfig {
-        SinkConfig {
-            capacity: 1 << 20,
-            metrics_cadence: Time::from_ms(1),
-        }
+        SinkConfig { capacity: 1 << 20 }
     }
 }
 
@@ -151,7 +149,7 @@ pub fn on_cadence(now: Time) -> bool {
         }
         // Advance to the first boundary strictly past `now` without
         // looping per elapsed period (faults can idle the clock).
-        let period = st.cfg.metrics_cadence.as_ns().max(1);
+        let period = METRICS_CADENCE.as_ns();
         st.next_cadence = Time::from_ns((now.as_ns() / period + 1) * period);
         true
     })
@@ -279,10 +277,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        install(SinkConfig {
-            capacity: 2,
-            ..SinkConfig::default()
-        });
+        install(SinkConfig { capacity: 2 });
         for i in 0..5u64 {
             emit_with(Time::from_us(i), sample_record);
         }
@@ -295,10 +290,7 @@ mod tests {
 
     #[test]
     fn cadence_fires_once_per_boundary() {
-        install(SinkConfig {
-            metrics_cadence: Time::from_ms(1),
-            ..SinkConfig::default()
-        });
+        install(SinkConfig::default());
         assert!(on_cadence(Time::ZERO), "first call fires at t=0");
         assert!(!on_cadence(Time::from_us(10)), "within the same period");
         assert!(!on_cadence(Time::from_us(999)));

@@ -218,6 +218,7 @@ pub fn plan_error(plan: &FaultPlan, topo: &Topology, err: &PlanError) -> String 
         Absent { leaf, .. } if bh.is_some_and(|b| Some(b.src_leaf) == leaf) => "bh_src_leaf",
         Absent { .. } if bh.is_some() => "bh_dst_leaf",
         Absent { .. } => "leaf",
+        PlanError::IntraRackBlackhole { .. } => "bh_dst_leaf",
         _ => return format!("[[event]] #{i} (`{kind}`): {err}"),
     };
     format!("[[event]] #{i} (`{kind}`) `{key}`: {err}")
@@ -362,6 +363,36 @@ mod tests {
         let unknown = "[[event]]\nat_ns = 5\nkind = \"meteor_strike\"\nspine = 0\n";
         let err = read(unknown).expect_err("unknown kind must be rejected");
         assert!(err.contains("meteor_strike"), "got: {err}");
+    }
+
+    #[test]
+    fn the_loader_names_an_intra_rack_blackhole_event() {
+        let src = r#"
+            [topology]
+            kind = "testbed"
+            [workload]
+            dist = "web_search"
+            load = 0.3
+            flows = 10
+            [run]
+            seeds = [1]
+            lbs = ["hermes"]
+            [[event]]
+            at_ns = 0
+            kind = "set_spine_failure"
+            spine = 0
+            random_drop = 0.0
+            bh_src_leaf = 1
+            bh_dst_leaf = 1
+            bh_pair_fraction = 1.0
+        "#;
+        let err = crate::spec::parse_scenario(src, "mem.toml", "mem").expect_err("src == dst");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("[[event]] #0 (`set_spine_failure`) `bh_dst_leaf`")
+                && msg.contains("spine 0 has leaf 1 as both source and destination"),
+            "{msg}"
+        );
     }
 
     #[test]

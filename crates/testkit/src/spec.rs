@@ -509,7 +509,7 @@ fn lb_variant(t: &Table, topo: &Topology) -> Result<(String, Scheme), String> {
     };
     // Every override but the flowlet timeout is Hermes'.
     let takes = |key: &str| match scheme {
-        Scheme::Clove(_) | Scheme::Conga(_) => key == "flowlet_timeout_us",
+        Scheme::Clove { .. } | Scheme::Conga { .. } => key == "flowlet_timeout_us",
         Scheme::Hermes(_) => key != "flowlet_timeout_us",
         _ => false,
     };
@@ -525,8 +525,9 @@ fn lb_variant(t: &Table, topo: &Topology) -> Result<(String, Scheme), String> {
     let flag = |key| opt(t, key, "a boolean", Value::as_bool);
     let flowlet = us("flowlet_timeout_us")?;
     match &mut scheme {
-        Scheme::Clove(c) => c.flowlet_timeout = flowlet.unwrap_or(c.flowlet_timeout),
-        Scheme::Conga(c) => c.flowlet_timeout = flowlet.unwrap_or(c.flowlet_timeout),
+        Scheme::Clove { flowlet_timeout } | Scheme::Conga { flowlet_timeout } => {
+            *flowlet_timeout = flowlet.unwrap_or(*flowlet_timeout);
+        }
         Scheme::Hermes(p) => {
             if let Some(preset) = opt_str(t, "preset")? {
                 *p = hermes_preset(&preset, topo).ok_or(format!(
@@ -979,7 +980,7 @@ mod tests {
         assert!(s.base.sim.topo.total_uplink_bps() < healthy);
         let cfg = s.materialize(0, 0, 7);
         assert_eq!(cfg.sim.seed, 7);
-        assert!(matches!(cfg.sim.scheme, Scheme::Conga(_)));
+        assert!(matches!(cfg.sim.scheme, Scheme::Conga { .. }));
         assert_eq!(capacity(&cfg), Some(healthy));
     }
 

@@ -103,10 +103,7 @@ pub struct TraceOut {
 /// Run `cfg` with the sink installed on this thread and export the
 /// trace; the sink is gone again when it returns.
 pub fn run_trace_point(cfg: &PointCfg) -> TraceOut {
-    hermes_telemetry::install(hermes_telemetry::SinkConfig {
-        capacity: 1 << 22,
-        ..Default::default()
-    });
+    hermes_telemetry::install(hermes_telemetry::SinkConfig { capacity: 1 << 22 });
     let report = run_point(cfg);
     // Final flush: cadence sampling rides event dispatch, so metrics
     // observed by the very last events need one end-of-run snapshot.

@@ -1,54 +1,26 @@
 //! Transport configuration profiles.
 
-use hermes_sim::Time;
-
-/// Parameters of the sender state machine.
+/// The one transport knob: DCTCP or plain TCP.
 ///
-/// The defaults mirror the paper's methodology (§5.1): DCTCP with an
-/// initial window of 10 packets and a 10 ms initial/minimum RTO.
+/// Everything else mirrors the paper's methodology (§5.1) and is a
+/// constant of the sender: DCTCP with an initial window of 10 packets
+/// and a 10 ms initial/minimum RTO.
 #[derive(Clone, Copy, Debug)]
 pub struct TransportCfg {
-    /// Maximum segment size (payload bytes per packet).
-    pub mss: u32,
-    /// Initial congestion window, in segments.
-    pub init_cwnd: u32,
-    /// Minimum (and initial) retransmission timeout.
-    pub min_rto: Time,
-    /// Cap on the backed-off RTO.
-    pub max_rto: Time,
-    /// Number of duplicate ACKs that triggers fast retransmit. The
-    /// paper's §2.2.2 experiments raise this to 500 to mask reordering.
-    pub dupack_thresh: u32,
     /// Whether the sender reacts to ECN echoes (DCTCP). When false the
     /// sender is plain TCP NewReno and its packets are not ECN-capable.
     pub ecn: bool,
-    /// DCTCP's α EWMA gain `g`.
-    pub dctcp_g: f64,
-    /// Upper bound on the congestion window (bytes).
-    pub max_cwnd: u64,
 }
 
 impl TransportCfg {
     /// DCTCP as evaluated in the paper.
     pub fn dctcp() -> TransportCfg {
-        TransportCfg {
-            mss: 1460,
-            init_cwnd: 10,
-            min_rto: Time::from_ms(10),
-            max_rto: Time::from_ms(320),
-            dupack_thresh: 3,
-            ecn: true,
-            dctcp_g: 1.0 / 16.0,
-            max_cwnd: 1_500_000,
-        }
+        TransportCfg { ecn: true }
     }
 
     /// Plain TCP NewReno (§5.4's "different transport protocols").
     pub fn tcp() -> TransportCfg {
-        TransportCfg {
-            ecn: false,
-            ..TransportCfg::dctcp()
-        }
+        TransportCfg { ecn: false }
     }
 }
 
@@ -58,12 +30,7 @@ mod tests {
 
     #[test]
     fn profiles() {
-        let d = TransportCfg::dctcp();
-        assert!(d.ecn);
-        assert_eq!(d.init_cwnd, 10);
-        assert_eq!(d.min_rto, Time::from_ms(10));
-        let t = TransportCfg::tcp();
-        assert!(!t.ecn);
-        assert_eq!(t.mss, d.mss);
+        assert!(TransportCfg::dctcp().ecn);
+        assert!(!TransportCfg::tcp().ecn);
     }
 }

@@ -8,8 +8,9 @@
 //! * [`Receiver`] — cumulative ACKs with out-of-order reassembly and an
 //!   optional JUGGLER-style reordering buffer (used to build Presto*,
 //!   the paper's reordering-masked Presto variant).
-//! * [`TransportCfg`] — the paper's §5.1 parameters (DCTCP, IW = 10,
-//!   RTO_min = 10 ms) plus a plain-TCP profile for §5.4.
+//! * [`TransportCfg`] — DCTCP or the plain-TCP profile of §5.4; the
+//!   paper's other §5.1 parameters (IW = 10, RTO_min = 10 ms) are
+//!   constants of the sender.
 //!
 //! Both machines communicate with the runtime through action buffers
 //! ([`SendAction`] / [`RecvAction`]), which keeps every window-arithmetic
@@ -28,4 +29,4 @@ mod sender;
 
 pub use config::TransportCfg;
 pub use receiver::{Receiver, RecvAction, SegmentIn};
-pub use sender::{SendAction, Sender, SenderStats};
+pub use sender::{SendAction, Sender, SenderStats, DUPACK_THRESH};

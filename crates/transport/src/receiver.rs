@@ -357,7 +357,7 @@ mod tests {
         out.clear();
         r.on_hold_timer(Time::from_us(300), &mut out);
         let a = acks(&out);
-        assert_eq!(a, vec![MSS, MSS, MSS], "exactly dupack_thresh duplicates");
+        assert_eq!(a, vec![MSS, MSS, MSS], "exactly DUPACK_THRESH duplicates");
         // Synthetic dupacks carry no RTT sample.
         for act in &out {
             if let RecvAction::SendAck { echo_retx, .. } = act {

@@ -4,7 +4,9 @@
 
 use hermes_net::PathId;
 use hermes_sim::Time;
-use hermes_transport::{Receiver, RecvAction, SegmentIn, SendAction, Sender, TransportCfg};
+use hermes_transport::{
+    Receiver, RecvAction, SegmentIn, SendAction, Sender, TransportCfg, DUPACK_THRESH,
+};
 use proptest::prelude::*;
 
 /// Drive a sender and receiver over a channel that drops data segments
@@ -13,7 +15,7 @@ use proptest::prelude::*;
 fn converge(size: u64, drop_bits: u64) -> (bool, bool) {
     let cfg = TransportCfg::dctcp();
     let mut snd = Sender::new(cfg, size);
-    let mut rcv = Receiver::new(size, None, cfg.dupack_thresh);
+    let mut rcv = Receiver::new(size, None, DUPACK_THRESH);
     let mut now = Time::ZERO;
     let mut actions = Vec::new();
     snd.start(now, &mut actions);

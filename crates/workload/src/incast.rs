@@ -3,7 +3,7 @@
 //! The paper's §6 notes Hermes "does not directly handle microbursts"
 //! (it needs at least an RTT to sense); per-packet spraying (Presto*)
 //! absorbs them without sensing (`examples/incast.rs` measures both).
-//! This generator produces the classic incast pattern
+//! This driver produces the classic incast pattern
 //! from the DCTCP paper: an aggregator fans a query out to `fanout`
 //! workers under *other* racks, each replies with `reply_bytes`
 //! simultaneously, and the query completes when the last reply lands —
@@ -15,103 +15,10 @@ use hermes_sim::{SimRng, Time};
 
 use crate::driver::{FlowDriver, IncastCfg};
 use crate::flowgen::{host_under_other_leaf, FlowSpec};
-use crate::metrics::FlowRecord;
-
-/// One query: `fanout` synchronized reply flows toward one aggregator.
-#[derive(Clone, Debug)]
-pub struct Query {
-    pub aggregator: HostId,
-    /// Flow ids of the replies (all must finish for the query to).
-    pub flows: Vec<FlowId>,
-    pub start: Time,
-}
-
-/// Generates periodic incast queries.
-pub struct IncastGen {
-    rng: SimRng,
-    fanout: usize,
-    reply_bytes: u64,
-    period: Time,
-    n_leaves: usize,
-    hosts_per_leaf: usize,
-    next_id: u64,
-    clock: Time,
-}
-
-impl IncastGen {
-    /// `fanout` workers × `reply_bytes` per query, one query per
-    /// `period`. Workers are drawn from racks other than the
-    /// aggregator's.
-    pub fn new(
-        topo: &Topology,
-        fanout: usize,
-        reply_bytes: u64,
-        period: Time,
-        rng: SimRng,
-    ) -> IncastGen {
-        assert!(topo.n_leaves >= 2, "incast needs at least 2 racks");
-        assert!(fanout >= 1 && reply_bytes >= 1);
-        IncastGen {
-            rng,
-            fanout,
-            reply_bytes,
-            period,
-            n_leaves: topo.n_leaves,
-            hosts_per_leaf: topo.hosts_per_leaf,
-            next_id: 0,
-            clock: Time::ZERO,
-        }
-    }
-
-    /// Produce the next query and its reply-flow specs.
-    pub fn next_query(&mut self) -> (Query, Vec<FlowSpec>) {
-        self.clock += self.period;
-        let n_hosts = self.n_leaves * self.hosts_per_leaf;
-        let agg = self.rng.below(n_hosts);
-        let agg_leaf = agg / self.hosts_per_leaf;
-        let mut flows = Vec::with_capacity(self.fanout);
-        let mut specs = Vec::with_capacity(self.fanout);
-        for _ in 0..self.fanout {
-            let worker =
-                host_under_other_leaf(&mut self.rng, agg_leaf, self.n_leaves, self.hosts_per_leaf);
-            let id = FlowId(self.next_id);
-            self.next_id += 1;
-            flows.push(id);
-            specs.push(FlowSpec {
-                id,
-                src: HostId(worker as u32),
-                dst: HostId(agg as u32),
-                size: self.reply_bytes,
-                start: self.clock,
-            });
-        }
-        (
-            Query {
-                aggregator: HostId(agg as u32),
-                flows,
-                start: self.clock,
-            },
-            specs,
-        )
-    }
-
-    /// Generate `n` queries; returns (queries, all flow specs).
-    pub fn schedule(&mut self, n: usize) -> (Vec<Query>, Vec<FlowSpec>) {
-        let mut queries = Vec::with_capacity(n);
-        let mut specs = Vec::new();
-        for _ in 0..n {
-            let (q, s) = self.next_query();
-            queries.push(q);
-            specs.extend(s);
-        }
-        (queries, specs)
-    }
-}
 
 /// Closed-loop incast driver: `bursts` sequential N-to-1 waves.
 ///
-/// Unlike [`IncastGen`] (open-loop, periodic), this driver is
-/// barrier-stepped for the conformance grid: all `fanout` replies of a
+/// The driver is barrier-stepped: all `fanout` replies of a
 /// burst are released at the same instant toward one aggregator, and
 /// burst `b+1` fires only when burst `b`'s *slowest* reply has landed —
 /// the partition–aggregate pattern where the application waits on the
@@ -217,82 +124,10 @@ impl FlowDriver for IncastDriver {
     }
 }
 
-/// Query completion time: the finish of the *last* reply, or `None`
-/// if any reply is unfinished.
-pub fn query_completion(q: &Query, records: &[FlowRecord]) -> Option<Time> {
-    let mut worst: Option<Time> = None;
-    for id in &q.flows {
-        let rec = records.iter().find(|r| r.id == *id)?;
-        let f = rec.finish?;
-        worst = Some(worst.map_or(f, |w: Time| w.max(f)));
-    }
-    worst.map(|w| w - q.start)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hermes_net::Topology;
-
-    fn gen() -> IncastGen {
-        IncastGen::new(
-            &Topology::sim_baseline(),
-            8,
-            64_000,
-            Time::from_ms(1),
-            SimRng::new(4),
-        )
-    }
-
-    #[test]
-    fn queries_have_cross_rack_workers() {
-        let mut g = gen();
-        for _ in 0..50 {
-            let (q, specs) = g.next_query();
-            assert_eq!(specs.len(), 8);
-            assert_eq!(q.flows.len(), 8);
-            let agg_leaf = q.aggregator.0 / 16;
-            for s in &specs {
-                assert_eq!(s.dst, q.aggregator);
-                assert_ne!(s.src.0 / 16, agg_leaf, "worker in aggregator's rack");
-                assert_eq!(s.size, 64_000);
-                assert_eq!(s.start, q.start);
-            }
-        }
-    }
-
-    #[test]
-    fn queries_are_periodic_with_unique_flow_ids() {
-        let mut g = gen();
-        let (queries, specs) = g.schedule(10);
-        for (i, q) in queries.iter().enumerate() {
-            assert_eq!(q.start, Time::from_ms(1 + i as u64));
-        }
-        let mut ids: Vec<u64> = specs.iter().map(|s| s.id.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 80);
-    }
-
-    #[test]
-    fn qct_is_the_slowest_reply() {
-        let mut g = gen();
-        let (q, specs) = g.next_query();
-        let records: Vec<FlowRecord> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| FlowRecord {
-                id: s.id,
-                src: s.src,
-                dst: s.dst,
-                size: s.size,
-                start: s.start,
-                finish: Some(s.start + Time::from_us(100 + i as u64 * 50)),
-            })
-            .collect();
-        let qct = query_completion(&q, &records).unwrap();
-        assert_eq!(qct, Time::from_us(100 + 7 * 50));
-    }
 
     fn driver() -> IncastDriver {
         IncastDriver::new(
@@ -354,24 +189,5 @@ mod tests {
         }
         assert!(flows.is_empty(), "no burst after the configured count");
         assert_eq!(d.burst_starts().len(), 3);
-    }
-
-    #[test]
-    fn unfinished_reply_means_no_qct() {
-        let mut g = gen();
-        let (q, specs) = g.next_query();
-        let mut records: Vec<FlowRecord> = specs
-            .iter()
-            .map(|s| FlowRecord {
-                id: s.id,
-                src: s.src,
-                dst: s.dst,
-                size: s.size,
-                start: s.start,
-                finish: Some(s.start + Time::from_us(100)),
-            })
-            .collect();
-        records[3].finish = None;
-        assert!(query_completion(&q, &records).is_none());
     }
 }

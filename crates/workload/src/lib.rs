@@ -13,8 +13,8 @@
 //!   fingerprints a run's records for the conformance goldens.
 //! * [`visibility`] — Table 2's concurrent-flows-per-path visibility
 //!   for switch pairs vs. host pairs, one sweep over a run's records.
-//! * [`IncastGen`] — the partition–aggregate microburst pattern (§6's
-//!   discussion of bursts Hermes cannot sense within an RTT).
+//! * [`IncastDriver`] — the partition–aggregate microburst pattern
+//!   (§6's discussion of bursts Hermes cannot sense within an RTT).
 //! * [`degradation_report`] — goodput-timeline degradation metrics for
 //!   the transient-failure experiments (dip depth, time-to-impact,
 //!   time-to-recover-to-baseline, stranded flows).
@@ -38,7 +38,7 @@ pub use degradation::{degradation_report, DegradationCfg, DegradationReport};
 pub use dist::{FlowSizeDist, MixCfg};
 pub use driver::{FlowDriver, IncastCfg, PoissonCfg, RingCfg, WorkloadKind};
 pub use flowgen::{FlowGen, FlowSpec};
-pub use incast::{query_completion, IncastDriver, IncastGen, Query};
+pub use incast::IncastDriver;
 pub use metrics::{
     records_hash, summarize, FctSummary, FlowRecord, LARGE_FLOW_BYTES, SMALL_FLOW_BYTES,
 };

@@ -8,7 +8,7 @@
 //! ```
 
 use hermes_core::HermesParams;
-use hermes_lb::CongaCfg;
+use hermes_lb::FLOWLET_TIMEOUT;
 use hermes_net::Topology;
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
@@ -32,7 +32,12 @@ fn main() {
 
     let schemes: Vec<(&str, Scheme)> = vec![
         ("presto* (weighted)", Scheme::presto_weighted()),
-        ("conga", Scheme::Conga(CongaCfg::default())),
+        (
+            "conga",
+            Scheme::Conga {
+                flowlet_timeout: FLOWLET_TIMEOUT,
+            },
+        ),
         ("hermes", Scheme::Hermes(HermesParams::from_topology(&topo))),
     ];
     println!("\ndata-mining workload at 70% load (of the healthy fabric):\n");

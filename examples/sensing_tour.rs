@@ -6,7 +6,9 @@
 //! cargo run --example sensing_tour
 //! ```
 
-use hermes_core::{HermesParams, PathState};
+use hermes_core::{
+    HermesParams, PathState, FAILURE_QUIET_PERIOD, RECOVERY_PROBE_COUNT, RETX_WINDOW, T_ECN,
+};
 use hermes_net::Topology;
 use hermes_sim::Time;
 
@@ -26,7 +28,7 @@ fn main() {
         "Thresholds from the topology (§3.3): T_RTT_low={}, T_RTT_high={}, T_ECN={:.0}%\n",
         p.t_rtt_low,
         p.t_rtt_high,
-        p.t_ecn * 100.0
+        T_ECN * 100.0
     );
     let now = Time::from_ms(1);
 
@@ -64,10 +66,10 @@ fn main() {
 
     // 6. Blackhole: timeouts with nothing ACKed in between.
     let mut hole = PathState::default();
-    hole.on_timeout(&p, now);
-    hole.on_timeout(&p, now);
+    hole.on_timeout(now);
+    hole.on_timeout(now);
     show("2 timeouts, nothing ACKed", &mut hole, &p, now);
-    hole.on_timeout(&p, now);
+    hole.on_timeout(now);
     show("3rd timeout (blackhole rule)", &mut hole, &p, now);
 
     // 7. Silent random drops: healthy-looking path, 3% retransmissions.
@@ -81,7 +83,7 @@ fn main() {
         }
         lossy.sample(Some(p.t_rtt_low - Time::from_us(15)), false, &p, t);
     }
-    let after = t + p.retx_window;
+    let after = t + RETX_WINDOW;
     lossy.on_sent(&p, after);
     lossy.sample(Some(p.t_rtt_low - Time::from_us(15)), false, &p, after);
     show(
@@ -94,9 +96,9 @@ fn main() {
     // 8. Recovery: after a quiet period the failed path enters
     // probation (the probe planner checks `in_probation`, as the
     // runtime does) and K clean probes re-admit it (DESIGN.md §9).
-    let quiet = now + p.failure_quiet_period;
+    let quiet = now + FAILURE_QUIET_PERIOD;
     assert!(hole.in_probation(&p, quiet), "quiet period has elapsed");
-    for i in 0..p.recovery_probe_count as u64 {
+    for i in 0..u64::from(RECOVERY_PROBE_COUNT) {
         hole.sample(
             Some(p.t_rtt_low - Time::from_us(15)),
             false,

@@ -33,6 +33,12 @@ fn out_of_range_flags_exit_2_with_usage_and_no_panic() {
         (&["--blackhole", "0:99:1:1.0"], "--blackhole"),
         (&["--blackhole", "99:0:1:1.0"], "--blackhole"),
         (&["--blackhole", "0:0:1:2.0"], "--blackhole"),
+        // Source leaf = destination leaf: intra-rack traffic never
+        // crosses a spine, so the hole could never match.
+        (
+            &["--topo", "testbed", "--blackhole", "0:0:0:1.0"],
+            "--drop/--blackhole",
+        ),
         // Leaf 5 exists on the 8-leaf baseline, not on the 2-leaf testbed.
         (&["--topo", "testbed", "--cut", "5:0"], "--cut"),
         // Leaf 0 keeps no uplink; then each leaf keeps two uplinks but

@@ -2,7 +2,7 @@
 //! checked end-to-end on small configurations.
 
 use hermes_core::HermesParams;
-use hermes_lb::CongaCfg;
+use hermes_lb::FLOWLET_TIMEOUT;
 use hermes_net::{FaultAction, FaultPlan, LeafId, LinkCfg, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
@@ -45,7 +45,9 @@ fn symmetric_fabric_all_schemes_finish_everything() {
     for scheme in [
         Scheme::Ecmp,
         Scheme::presto(),
-        Scheme::Conga(CongaCfg::default()),
+        Scheme::Conga {
+            flowlet_timeout: FLOWLET_TIMEOUT,
+        },
         Scheme::Hermes(HermesParams::paper_testbed(&topo)),
     ] {
         let (_, unfinished) = run(&topo, scheme, 0.5, 80, None, None, Time::from_secs(30));
