@@ -371,7 +371,7 @@ mod tests {
             };
         let debug = |x: &dyn std::fmt::Debug| format!("{x:?}");
         let fig9 = spec("fig9_testbed_symmetric", 0);
-        let testbed = hermes_testkit::hermes_preset("testbed", &fig9.base.sim.topo).unwrap();
+        let testbed = hermes_core::HermesParams::paper_testbed(&fig9.base.sim.topo);
         assert_eq!(debug(&hermes(&fig9, "hermes")), debug(&testbed));
         let probe_off = hermes(&spec("fig18_ablation", 1), "probe-off");
         assert_eq!(probe_off.probe_interval, hermes_sim::Time::MAX);

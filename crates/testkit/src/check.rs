@@ -294,13 +294,19 @@ pub fn check_ring_steps(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure> {
     fails
 }
 
+/// The incast floor: every drained burst's aggregate goodput must stay
+/// at or above this fraction of the aggregator's line rate, which
+/// leaves generous headroom for slow-start and synchronized-loss
+/// recovery.
+const INCAST_FLOOR_FRAC: f64 = 0.25;
+
 /// Check the incast goodput floor on an incast outcome: a no-op for
 /// every other workload kind.
 ///
 /// Per burst (flow id = `burst × fanout + i`): all replies exist, were
 /// released at the same instant, and finished; the burst's aggregate
 /// goodput `fanout × reply_bytes × 8 / (last finish − release)` must
-/// sit within `[floor_frac × line rate, line rate]` of the
+/// sit within `[INCAST_FLOOR_FRAC × line rate, line rate]` of the
 /// aggregator's host link — below the floor means a starved responder
 /// or collapsed drain, above the ceiling means broken accounting.
 pub fn check_incast_floor(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure> {
@@ -318,7 +324,7 @@ pub fn check_incast_floor(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure>
     };
     let r = &out.result;
     let line_rate = spec.base.sim.topo.host_link.rate_bps as f64;
-    let floor = spec.invariants.incast_floor_frac * line_rate;
+    let floor = INCAST_FLOOR_FRAC * line_rate;
 
     let mut by_burst: Vec<Vec<&hermes_workload::FlowRecord>> = vec![Vec::new(); cfg.bursts];
     for rec in &r.records {
@@ -379,7 +385,7 @@ pub fn check_incast_floor(spec: &ScenarioSpec, out: &RunOutcome) -> Vec<Failure>
                      ({:.0}% of line rate)",
                     goodput,
                     floor,
-                    100.0 * spec.invariants.incast_floor_frac
+                    100.0 * INCAST_FLOOR_FRAC
                 ),
             );
         }

@@ -9,11 +9,12 @@
 //!   replays one to check the determinism contract;
 //! * **pool** — [`run_points`]`(&[PointCfg]) -> Vec<RunReport>` runs a
 //!   list of points one worker per core, with results in input order
-//!   (what `hermes-cli --runs`, the figures, the conformance grid and
-//!   the chaos campaigns all run). Underneath it, [`run_points_with`]
-//!   runs any per-point job on the same workers; `hermes-cli --trace`
-//!   traces and writes each run there. It is the workspace's only
-//!   thread pool, and it spawns threads only across whole runs;
+//!   (what the figures, the conformance grid and the chaos campaigns
+//!   all run). Underneath it, [`run_points_with`] runs any per-point
+//!   job on the same workers; `hermes-cli` runs a scenario file's cells
+//!   there, and with `--trace` traces and writes each one. It is the
+//!   workspace's only thread pool, and it spawns threads only across
+//!   whole runs;
 //! * **trace** — the fig17 trace points (named `PointCfg`s that
 //!   `hermes-cli --point` runs) and [`run_trace_point`], one run with
 //!   the telemetry sink installed on the running thread.
@@ -23,7 +24,8 @@
 //! and failure — so this crate also encodes them as an executable grid:
 //!
 //! * **specs** — scenario TOML files (`tests/scenarios/`, the chaos
-//!   corpus `tests/chaos/corpus/` and the figures' `figures/`)
+//!   corpus `tests/chaos/corpus/`, the figures' `figures/` and the
+//!   `examples/scenarios/` that `hermes-cli FILE.toml` runs)
 //!   declaring a topology, workload, fault plan (`[[event]]`, see
 //!   [`events`]), the LBs under test, and seeds;
 //! * **run** — every `(scenario, lb, load, seed)` cell, plus its fault-free
@@ -89,10 +91,7 @@ pub use point::{
 };
 pub use run::{run_grid, run_points, run_points_with, RunOutcome};
 pub use selftest::{run_self_test, self_test_passed};
-pub use spec::{
-    asym_topology, baseline_capacity, hermes_preset, load_dir, load_file, parse_scenario,
-    ScenarioSpec, SloTag, SpecError,
-};
+pub use spec::{load_dir, load_file, parse_scenario, ScenarioSpec, SloTag, SpecError};
 pub use suite::{
     bless, load_goldens, run_conformance, BlessReport, ConformanceReport, DIGESTS_FILE,
     RECORDS_FILE,

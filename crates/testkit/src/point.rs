@@ -3,7 +3,7 @@
 //! hand-built [`Simulation`]. [`crate::run_points`] runs a list of them
 //! across every core.
 
-use hermes_net::{ConservationReport, FaultAction, SpineFailure, SpineId};
+use hermes_net::ConservationReport;
 use hermes_runtime::{Probe, SimConfig, Simulation, MAX_FLOW_ID};
 use hermes_sim::{SimRng, Time};
 use hermes_workload::{
@@ -45,14 +45,6 @@ impl PointCfg {
         }
     }
 
-    /// Fail `spine` for the whole run: a `SetSpineFailure` at
-    /// `Time::ZERO` appended to the fault plan.
-    pub fn failure(mut self, spine: SpineId, failure: SpineFailure) -> PointCfg {
-        let set = FaultAction::SetSpineFailure { spine, failure };
-        self.sim.fault_plan = std::mem::take(&mut self.sim.fault_plan).at(Time::ZERO, set);
-        self
-    }
-
     pub fn drain(mut self, d: Time) -> PointCfg {
         self.drain = d;
         self
@@ -68,7 +60,8 @@ impl PointCfg {
     ///
     /// * a Poisson workload has `load ∈ (0, 1.5]` (`FlowGen`'s range),
     ///   between one flow and one per id the timers can carry (flow ids
-    ///   run `0..flows`) and, with the elephant/mice law, a valid mix;
+    ///   run `0..flows`), an expected schedule span `flows / λ` within
+    ///   `Time::MAX / 64` and, with the elephant/mice law, a valid mix;
     /// * ring ranks and the incast fanout fit the topology;
     /// * an explicit flow list is not empty, and every flow has an id
     ///   the timers can carry, listed once, and two distinct hosts of
@@ -102,6 +95,16 @@ impl PointCfg {
                     let msg = format!("{} must lie in [0, 1]", m.elephant_frac);
                     need(W("elephant_frac"), frac, msg)?;
                 }
+                // The arrival rate exactly as `FlowGen::new` computes it.
+                let cap = p.capacity.unwrap_or_else(|| topo.total_uplink_bps()) as f64;
+                let lambda = p.load * cap / (p.dist.mean_bytes() * 8.0);
+                let span = p.flows as f64 * (1.0 / lambda);
+                let msg = format!(
+                    "{:e} is too small: {} arrivals would span {span:.3e} s on average, \
+                     past Time::MAX / 64 ({MAX_ARRIVAL_SPAN_S:.3e} s)",
+                    p.load, p.flows
+                );
+                need(Load, span <= MAX_ARRIVAL_SPAN_S, msg)?;
             }
             WorkloadKind::RingAllreduce(r) => {
                 let hosts = topo.n_hosts();
@@ -151,8 +154,15 @@ impl PointCfg {
     }
 }
 
-/// The part of a [`PointCfg`] a [`PointError`] is about. Each front end
-/// spells it its own way (`--load`, `` `load` ``).
+/// The longest expected arrival schedule, `flows / λ`, a Poisson point
+/// may ask for: `Time::MAX / 64`, about 9 years. Past `Time::MAX` the
+/// arrival clock saturates and every later flow starts at the end of
+/// time; one exponential gap passes 64 means with probability e⁻⁶⁴, so a
+/// point within this bound never gets there.
+const MAX_ARRIVAL_SPAN_S: f64 = Time::MAX.as_ns() as f64 / 64.0 / 1e9;
+
+/// The part of a [`PointCfg`] a [`PointError`] is about. The scenario
+/// loader names it by its file key (`` `load` ``).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PointField {
     Load,
@@ -354,7 +364,7 @@ pub fn avg_summaries(v: &[FctSummary]) -> FctSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_net::{FaultPlan, LeafId, Topology};
+    use hermes_net::{FaultAction, FaultPlan, LeafId, SpineFailure, SpineId, Topology};
     use hermes_runtime::Scheme;
     use hermes_workload::{FlowSizeDist, PoissonCfg};
 
@@ -377,6 +387,14 @@ mod tests {
     /// ECMP on the 1G testbed, `flows` web-search flows at 0.3 load.
     fn testbed_ecmp(flows: usize) -> PointCfg {
         PointCfg::new(testbed(), web_search(flows))
+    }
+
+    /// `cfg` with `spine` failed for the whole run: a `SetSpineFailure`
+    /// at t = 0 appended to its fault plan.
+    fn failed(mut cfg: PointCfg, spine: SpineId, failure: SpineFailure) -> PointCfg {
+        let set = FaultAction::SetSpineFailure { spine, failure };
+        cfg.sim.fault_plan = std::mem::take(&mut cfg.sim.fault_plan).at(Time::ZERO, set);
+        cfg
     }
 
     #[test]
@@ -410,12 +428,8 @@ mod tests {
 
     #[test]
     fn failure_points_report_unfinished() {
-        let cfg = testbed_ecmp(60)
-            .failure(
-                SpineId(0),
-                SpineFailure::blackhole(LeafId(0), LeafId(1), 1.0),
-            )
-            .drain(Time::from_ms(500));
+        let hole = SpineFailure::blackhole(LeafId(0), LeafId(1), 1.0);
+        let cfg = failed(testbed_ecmp(60), SpineId(0), hole).drain(Time::from_ms(500));
         let r = run_point(&cfg);
         assert!(r.fct.unfinished > 0, "blackholed ECMP flows cannot finish");
     }
@@ -630,6 +644,11 @@ mod tests {
                 poisson(FlowSizeDist::web_search(), f64::NAN, 30),
                 PointField::Load,
             ),
+            // In range, but 30 arrivals would span past `Time::MAX`.
+            (
+                poisson(FlowSizeDist::web_search(), 1e-300, 30),
+                PointField::Load,
+            ),
             (
                 poisson(FlowSizeDist::web_search(), 0.3, 0),
                 PointField::Flows,
@@ -653,7 +672,7 @@ mod tests {
                 mix(5000, 9000, f64::NAN),
                 PointField::Workload("elephant_frac"),
             ),
-            (ok.clone().failure(SpineId(4), drop), PointField::Faults),
+            (failed(ok.clone(), SpineId(4), drop), PointField::Faults),
             (
                 PointCfg {
                     sim: ok
@@ -679,10 +698,7 @@ mod tests {
         for (cfg, field) in rows {
             assert_eq!(refused(cfg).field, field);
         }
-        let twice = ok
-            .clone()
-            .failure(SpineId(1), drop)
-            .failure(SpineId(1), drop);
+        let twice = failed(failed(ok.clone(), SpineId(1), drop), SpineId(1), drop);
         let e = refused(twice);
         assert_eq!(
             (e.field, e.msg.as_str()),
@@ -703,8 +719,7 @@ mod tests {
             .validate()
             .expect("the widest id, the last host");
         incast(6).validate().expect("the whole other rack");
-        ok.clone()
-            .failure(SpineId(3), drop)
+        failed(ok.clone(), SpineId(3), drop)
             .validate()
             .expect("last spine");
         for frac in [0.0, 1.0] {

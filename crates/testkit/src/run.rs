@@ -23,26 +23,28 @@ pub fn run_points(cfgs: &[PointCfg]) -> Vec<RunReport> {
     run_points_with(cfgs, run_point)
 }
 
-/// The one pool: `job(cfg)` for every point, one worker per available
+/// The one pool: `job(point)` for every point, one worker per available
 /// core (never more workers than points). Each point is an independent
 /// deterministic run, so workers pull the next index from an atomic
 /// counter and results land by index: the output equals
-/// `cfgs.iter().map(job)`. A worker finishes one job before it takes
-/// the next point, so a job that writes its run's bulk output itself and
-/// returns only a summary (as `hermes-cli --trace` does with a trace)
-/// holds one run's output per worker. A panicking job re-raises its
+/// `points.iter().map(job)`. A point is whatever the job runs: a
+/// [`PointCfg`], or one with what the job needs beside it (`hermes-cli`
+/// pairs each with its trace files' name). A worker finishes one job
+/// before it takes the next point, so a job that writes its run's bulk
+/// output itself and returns only a summary (as `hermes-cli --trace`
+/// does with a trace) holds one run's output per worker. A panicking job re-raises its
 /// panic here once every worker has stopped.
 #[expect(
     clippy::disallowed_types,
     clippy::disallowed_methods,
     reason = "the one pool: whole independent runs, one per worker, results by index"
 )]
-pub fn run_points_with<T: Send>(cfgs: &[PointCfg], job: impl Fn(&PointCfg) -> T + Sync) -> Vec<T> {
+pub fn run_points_with<P: Sync, T: Send>(points: &[P], job: impl Fn(&P) -> T + Sync) -> Vec<T> {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let workers = std::thread::available_parallelism()
         .map_or(1, std::num::NonZero::get)
-        .min(cfgs.len());
+        .min(points.len());
     let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -51,10 +53,10 @@ pub fn run_points_with<T: Send>(cfgs: &[PointCfg], job: impl Fn(&PointCfg) -> T 
                     let mut mine = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cfg) = cfgs.get(i) else {
+                        let Some(point) = points.get(i) else {
                             return mine;
                         };
-                        mine.push((i, job(cfg)));
+                        mine.push((i, job(point)));
                     }
                 })
             })

@@ -35,8 +35,8 @@
 //!                                # "ring_allreduce" | "incast" | "elephant_mice"
 //! dist = "web_search"            # poisson: "web_search" | "data_mining"
 //! load = 0.5                     # vs the healthy fabric when cut/degraded;
-//!                                # a list [0.3, 0.5] sweeps (no pin_digests,
-//!                                # [[envelope]] or [slo] then)
+//!                                # a list [0.3, 0.5] of distinct loads sweeps
+//!                                # (no pin_digests, [[envelope]] or [slo] then)
 //! flows = 60
 //!
 //! # kind = "ring_allreduce":     barrier-stepped collective; drain_ms
@@ -76,10 +76,8 @@
 //! kind = "spine_down"
 //! spine = 0
 //!
-//! [invariants]                   # both optional, in [0, 1]
+//! [invariants]                   # optional, in [0, 1]
 //! max_unfinished_frac = 0.0      # default 1.0 = no bound; 0.0 under [slo]
-//! incast_floor_frac = 0.25       # incast only: per-burst goodput
-//!                                # ≥ frac × line rate
 //!
 //! [[envelope]]                   # optional statistical envelopes
 //! metric = "avg"                 # "avg" | "p99"
@@ -156,18 +154,12 @@ pub struct InvariantCfg {
     /// flows under non-adaptive LBs); an `[slo]` scenario's default is
     /// 0.0, since its faults clear long before the drain ends.
     pub max_unfinished_frac: f64,
-    /// Incast scenarios only: every drained burst's aggregate goodput
-    /// (`fanout × reply_bytes × 8 / drain time`) must stay at or above
-    /// this fraction of the aggregator's line rate. The default leaves
-    /// generous headroom for slow-start and synchronized-loss recovery.
-    pub incast_floor_frac: f64,
 }
 
 impl Default for InvariantCfg {
     fn default() -> InvariantCfg {
         InvariantCfg {
             max_unfinished_frac: 1.0,
-            incast_floor_frac: 0.25,
         }
     }
 }
@@ -390,7 +382,7 @@ const LB_KEYS: &[&str] = &[
     "t_rtt_high_us",
     "delta_rtt_us",
 ];
-const INVARIANT_KEYS: &[&str] = &["max_unfinished_frac", "incast_floor_frac"];
+const INVARIANT_KEYS: &[&str] = &["max_unfinished_frac"];
 const ENVELOPE_KEYS: &[&str] = &["metric", "lb", "baseline", "max_ratio"];
 const SLO_KEYS: &[&str] = &["class", "cell"];
 
@@ -459,7 +451,7 @@ fn validate_keys(key_lines: &KeyLines, wl_kind: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A `[run]` list that must be non-empty and name each entry once.
+/// A list key that must be non-empty and name each entry once.
 fn distinct<T: PartialEq + fmt::Debug>(items: &[T], key: &str) -> Result<(), String> {
     match (1..items.len()).find(|&i| items[..i].contains(&items[i])) {
         _ if items.is_empty() => Err(format!("`{key}` must be non-empty")),
@@ -471,24 +463,18 @@ fn distinct<T: PartialEq + fmt::Debug>(items: &[T], key: &str) -> Result<(), Str
 /// The paper's §5.3.2 asymmetric topology: the 8×8 baseline with 20% of
 /// leaf-spine links degraded from 10 Gbps to 2 Gbps, chosen by a fixed
 /// seed so every figure sees the same asymmetry.
-pub fn asym_topology() -> Topology {
+fn asym_topology() -> Topology {
     let mut topo = Topology::sim_baseline();
     let mut rng = SimRng::new(0xA5);
     topo.degrade_random_links(0.2, 2_000_000_000, &mut rng);
     topo
 }
 
-/// Healthy-fabric capacity of the 8×8 baseline (load reference for
-/// asymmetric runs, per the paper's convention).
-pub fn baseline_capacity() -> u64 {
-    Topology::sim_baseline().total_uplink_bps()
-}
-
 /// A Hermes parameter preset by name: `testbed`, the 1 Gbps testbed's
 /// tuned thresholds ([`HermesParams::paper_testbed`]), or `tcp`, §5.4's
 /// RTT-only sensing ([`HermesParams::for_tcp`]). `None` for any other
-/// name. `hermes-cli` and the scenario loader both pick presets here.
-pub fn hermes_preset(name: &str, topo: &Topology) -> Option<HermesParams> {
+/// name.
+fn hermes_preset(name: &str, topo: &Topology) -> Option<HermesParams> {
     match name {
         "testbed" => Some(HermesParams::paper_testbed(topo)),
         "tcp" => Some(HermesParams::for_tcp(topo)),
@@ -585,7 +571,7 @@ fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
     };
     // The asymmetric fabric's healthy capacity is the 8×8's.
     let healthy_capacity = match kind.as_str() {
-        "asym" => baseline_capacity(),
+        "asym" => Topology::sim_baseline().total_uplink_bps(),
         _ => topo.total_uplink_bps(),
     };
     let entries = |key: &str| match topo_t.get(key).map(Value::as_array) {
@@ -636,6 +622,10 @@ fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
         None if work_t.contains_key("load") => vec![req_float(work_t, "load")?],
         None => Vec::new(),
     };
+    // Each cell once: a load listed twice would repeat its cells.
+    if sweep.is_some() {
+        distinct(&loads, "load")?;
+    }
     // The paper's convention: offered load is defined against the
     // healthy fabric even when the fabric under test lost capacity.
     let poisson = |dist| -> Result<WorkloadKind, String> {
@@ -743,7 +733,6 @@ fn parse(src: &str, stem: &str) -> Result<ScenarioSpec, String> {
     let invariants = match root.get("invariants").and_then(Value::as_table) {
         Some(it) => InvariantCfg {
             max_unfinished_frac: frac(it, "max_unfinished_frac", dflt.max_unfinished_frac)?,
-            incast_floor_frac: frac(it, "incast_floor_frac", dflt.incast_floor_frac)?,
         },
         None => dflt,
     };
@@ -1090,6 +1079,7 @@ mod tests {
         // (scenario, the key its error must name)
         let rows = [
             (topo("cut = [[5, 0]]"), "`cut`"),
+            (topo("cut = [[0, 9]]"), "`cut`"),
             (topo("cut = [[-1, 0]]"), "`cut`"),
             (topo("cut = [[0, 1]]\ndegrade = [[0, 1, 100]]"), "`degrade`"),
             (topo("degrade = [[0, 4, 100]]"), "`degrade`"),
@@ -1099,6 +1089,10 @@ mod tests {
             (topo("cut = [[0, 0], [0, 1], [0, 2], [0, 3]]"), "`cut`"),
             (topo("cut = [[0, 0], [0, 1], [1, 2], [1, 3]]"), "`cut`"),
             (MINIMAL.replace("load = 0.3", "load = 0.0"), "`load`"),
+            (MINIMAL.replace("load = 0.3", "load = nan"), "`load`"),
+            (MINIMAL.replace("load = 0.3", "load = 1.6"), "`load`"),
+            // 40 arrivals at this rate would span far past `Time::MAX`.
+            (MINIMAL.replace("load = 0.3", "load = 1e-300"), "`load`"),
             (MINIMAL.replace("flows = 40", "flows = 0"), "`flows`"),
             // More flows than timer tokens have ids for.
             (
@@ -1108,6 +1102,26 @@ mod tests {
             (fault(9, 1, 1.0), "[[event]] #0 (`set_spine_failure`) `spine`"),
             (fault(0, 1, 1.5), "[[event]] #0 (`set_spine_failure`) `bh_pair_fraction`"),
             (fault(0, 2, 1.0), "[[event]] #0 (`set_spine_failure`) `bh_dst_leaf`"),
+            (
+                event("kind = \"set_spine_failure\"\nspine = 0\nrandom_drop = 1.5"),
+                "[[event]] #0 (`set_spine_failure`) `random_drop`",
+            ),
+            (
+                event(
+                    "kind = \"set_spine_failure\"\nspine = 0\nrandom_drop = 0.0\n\
+                     bh_src_leaf = 9\nbh_dst_leaf = 1\nbh_pair_fraction = 1.0",
+                ),
+                "[[event]] #0 (`set_spine_failure`) `bh_src_leaf`",
+            ),
+            // One failure per spine and instant.
+            (
+                event(
+                    "kind = \"set_spine_failure\"\nspine = 1\nrandom_drop = 0.02\n\n\
+                     [[event]]\nat_ns = 5000000\nkind = \"set_spine_failure\"\nspine = 1\n\
+                     random_drop = 0.05",
+                ),
+                "[[event]] #1 (`set_spine_failure`)",
+            ),
             // Leaf 9 of the testbed's two, and a link_up with no link_down.
             (
                 event("kind = \"link_down\"\nleaf = 9\nspine = 0"),
@@ -1128,15 +1142,7 @@ mod tests {
                 table("[invariants]\nmax_unfinished_frac = \"0.0\""),
                 "`max_unfinished_frac`",
             ),
-            (
-                table("[invariants]\nincast_floor_frac = true"),
-                "`incast_floor_frac`",
-            ),
-            // Both fractions lie in [0, 1].
-            (
-                table("[invariants]\nincast_floor_frac = -3.0"),
-                "`incast_floor_frac`",
-            ),
+            // The fraction lies in [0, 1].
             (
                 table("[invariants]\nmax_unfinished_frac = 1.5"),
                 "`max_unfinished_frac`",
@@ -1179,8 +1185,9 @@ mod tests {
             (MINIMAL.replace("\"ecmp\"]", "\"wecmp\"]"), "`lbs`"),
             (conga("flowlet_timeout_us = 500"), "[[lb]] `c`"),
             (top("normalize_to = \"conga\""), "`normalize_to`"),
-            // A sweep checks every load, and pins nothing.
+            // A sweep checks every load, lists each once, and pins nothing.
             (MINIMAL.replace("load = 0.3", "load = [0.3, 2.0]"), "`load`"),
+            (MINIMAL.replace("load = 0.3", "load = [0.3, 0.3]"), "`load`"),
             (
                 top("pin_digests = true").replace("load = 0.3", "load = [0.3, 0.5]"),
                 "`pin_digests`",
@@ -1196,8 +1203,10 @@ mod tests {
         let ok = topo("cut = [[1, 3]]\ndegrade = [[0, 1, 100]]");
         parse_scenario(&ok, "mem", "x").expect("in-range cut and degrade");
         parse_scenario(&fault(3, 1, 0.0), "mem", "x").expect("in-range fault");
-        let edges = table("[invariants]\nmax_unfinished_frac = 0\nincast_floor_frac = 1.0");
-        parse_scenario(&edges, "mem", "x").expect("fractions at the edges of [0, 1]");
+        for edge in ["0", "1.0"] {
+            let edge = table(&format!("[invariants]\nmax_unfinished_frac = {edge}"));
+            parse_scenario(&edge, "mem", "x").expect("a fraction at an edge of [0, 1]");
+        }
         parse_scenario(&ring(12, 64), "mem", "x").expect("one rank per host");
         parse_scenario(&incast(6, 32), "mem", "x").expect("the whole other rack");
         parse_scenario(&mix(50, 1000), "mem", "x").expect("in-range mix");
@@ -1282,8 +1291,6 @@ mod tests {
             [run]
             seeds = [1]
             lbs = ["ecmp"]
-            [invariants]
-            incast_floor_frac = 0.3
         "#;
         let s = parse_scenario(incast, "mem", "inc").expect("parses");
         assert_eq!(
@@ -1294,7 +1301,6 @@ mod tests {
                 bursts: 5,
             })
         );
-        assert_eq!(s.invariants.incast_floor_frac, 0.3);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! with the telemetry sink installed and export the event trace (JSONL)
 //! plus sampled metrics (CSV). The registry names the fig17-style
 //! points; `hermes-cli --point NAME` runs one and `hermes-cli --trace
-//! DIR` traces any point it runs, each run on a [`crate::run_points_with`]
-//! worker; `tests/telemetry.rs` replays the mini point in-process.
+//! DIR` traces every run it makes, a point or a scenario file's cells,
+//! each on a [`crate::run_points_with`] worker; `tests/telemetry.rs`
+//! replays the mini point in-process.
 //!
 //! The telemetry layer is compiled into every build; installing the
 //! sink on the running thread is what turns it on.
@@ -130,6 +131,16 @@ mod tests {
         assert!(trace_point("fig17_transient_recovery").is_some());
         assert!(trace_point("fig17_mini").is_some());
         assert!(trace_point("fig99_nope").is_none());
+    }
+
+    /// `hermes-cli --point` runs these as they are.
+    #[test]
+    fn registered_points_validate() {
+        for p in trace_points() {
+            p.point
+                .validate()
+                .unwrap_or_else(|e| panic!("{}: {e:?}", p.name));
+        }
     }
 
     #[test]

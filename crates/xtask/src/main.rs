@@ -25,7 +25,7 @@
 //!
 //! Capturing a point's telemetry trace needs no task: the layer is
 //! always compiled in, so it is `cargo run --release --bin hermes-cli
-//! -- <point flags or --point NAME> --trace <dir>` (DESIGN.md §12).
+//! -- <FILE.toml or --point NAME> --trace <dir>` (DESIGN.md §12).
 //!
 //! The source-level determinism rules (no wall clock, no hash-order
 //! iteration, no threads or locks in the simulation, no unscheduled

@@ -1,68 +1,70 @@
-//! `hermes-cli` — run one load-balancing experiment from the command
-//! line and print the FCT summary; `--trace DIR` also writes each run's
-//! event trace and sampled metrics.
+//! `hermes-cli` — run a scenario file or a named trace point and print
+//! the FCT summary; `--trace DIR` also writes each run's event trace and
+//! sampled metrics.
 //!
-//! `hermes-cli --help` prints the flags ([`USAGE`]), the names
-//! `--scheme` takes ([`Scheme::NAMES`]) and the points `--point` runs
+//! A scenario file is the format of `tests/scenarios/` (schema in
+//! `hermes_testkit::spec`), read by the same [`load_file`] the
+//! conformance suite, the figures and the chaos corpus use. The CLI runs
+//! every `(lb, load, seed)` cell and prints, per `(lb, load)`, a header
+//! line and the summary averaged over the file's seeds. It judges
+//! nothing: `[[envelope]]`, `[invariants]` and `[slo]` are checked as the
+//! loader checks them but not applied, and no fault-free twin runs.
+//!
+//! `hermes-cli --help` prints [`USAGE`], the names `lbs` takes
+//! ([`Scheme::NAMES`]) and the points `--point` runs
 //! ([`hermes_testkit::trace_points`]).
 //!
-//! Examples:
+//! Examples (the files are in `examples/scenarios/`):
 //! ```sh
-//! cargo run --release --bin hermes-cli -- --scheme hermes --load 0.6
-//! cargo run --release --bin hermes-cli -- --scheme ecmp --topo asym \
-//!     --workload dm --load 0.7 --flows 300
-//! cargo run --release --bin hermes-cli -- --scheme conga \
-//!     --drop 3:0.02 --load 0.5
+//! cargo run --release --bin hermes-cli -- examples/scenarios/testbed_hermes.toml
+//! cargo run --release --bin hermes-cli -- examples/scenarios/baseline_ecmp_drop.toml
+//! cargo run --release --bin hermes-cli -- examples/scenarios/testbed_blackhole.toml
+//! cargo run --release --bin hermes-cli -- examples/scenarios/fig16_drop_probe.toml
 //! cargo run --release --bin hermes-cli -- --point fig17_mini --trace traces
 //! ```
 
-use std::collections::BTreeMap;
 use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
-use hermes_net::{Blackhole, LeafId, SpineFailure, SpineId, Topology};
-use hermes_runtime::{Scheme, SimConfig};
-use hermes_sim::Time;
+use hermes_runtime::Scheme;
 use hermes_testkit::{
-    asym_topology, avg_summaries, baseline_capacity, hermes_preset, run_points, run_points_with,
-    run_trace_point, trace_point, trace_points, PointCfg, PointField, RunReport,
+    avg_summaries, load_file, run_point, run_points_with, run_trace_point, trace_point,
+    trace_points, PointCfg, RunReport,
 };
-use hermes_transport::TransportCfg;
-use hermes_workload::{FctSummary, FlowSizeDist, PoissonCfg, WorkloadKind};
+use hermes_workload::FctSummary;
 
-struct Args {
-    topo: String,
-    scheme: String,
-    workload: String,
-    load: f64,
-    flows: usize,
-    seed: u64,
-    runs: u64,
-    transport: String,
-    drops: Vec<(u16, f64)>,
-    blackholes: Vec<(u16, u16, u16, f64)>,
-    cuts: Vec<(u16, u16)>,
-    point: Option<String>,
-    trace: Option<PathBuf>,
-    /// The first shaping flag given, if any.
-    shaped: Option<String>,
+/// What one invocation runs.
+enum Target {
+    File(PathBuf),
+    Point(String),
 }
 
-/// The flags; [`usage_text`] adds the schemes and the points.
-const USAGE: &str = "usage: hermes-cli [--topo testbed|baseline|asym] [--scheme NAME]
-                  [--workload web|dm] [--load F] [--flows N] [--seed N]
-                  [--drop SPINE:RATE] [--blackhole SPINE:SRC:DST:FRAC]
-                  [--cut LEAF:SPINE] [--transport dctcp|tcp] [--runs N] [--trace DIR]
-       hermes-cli --point NAME [--runs N] [--trace DIR]
-Run i uses seed --seed + i, or the point's own seed + i with --point.
+/// One run: the header line of the summary it counts towards, the stem
+/// of its trace files and the point.
+struct Run {
+    header: String,
+    stem: String,
+    cfg: PointCfg,
+}
+
+/// The arguments; [`usage_text`] adds the schemes and the points.
+const USAGE: &str = "usage: hermes-cli FILE.toml [--trace DIR]
+       hermes-cli --point NAME [--trace DIR]
+FILE.toml is a scenario file (examples/scenarios/, tests/scenarios/): every
+(lb, load, seed) cell runs, and each (lb, load) prints a header and the
+summary averaged over the file's seeds. --point runs a registered point.
 --trace writes each run's DIR/STEM.trace.jsonl and DIR/STEM.metrics.csv:
-STEM is the --point NAME or `run`, plus `.seedS` (S: the run's seed) if --runs > 1.
+STEM is the point's NAME, or SCENARIO.LB.seedS for a file's cell
+(SCENARIO.LB.loadL.seedS if the file lists several loads).
 ";
 
 fn usage_text() -> String {
     let points = trace_points().map(|p| format!("\n  {:<26} {}", p.name, p.about));
     let schemes = Scheme::NAMES.join(" ");
-    format!("{USAGE}schemes: {schemes}\npoints:{}\n", points.concat())
+    format!(
+        "{USAGE}schemes (for `lbs`): {schemes}\npoints:{}\n",
+        points.concat()
+    )
 }
 
 fn usage(msg: &str) -> ! {
@@ -70,167 +72,70 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-fn parse_args(argv: &[String]) -> Args {
-    let mut args = Args {
-        topo: "baseline".into(),
-        scheme: "hermes".into(),
-        workload: "web".into(),
-        load: 0.6,
-        flows: 500,
-        seed: 1,
-        runs: 1,
-        transport: "dctcp".into(),
-        drops: Vec::new(),
-        blackholes: Vec::new(),
-        cuts: Vec::new(),
-        point: None,
-        trace: None,
-        shaped: None,
-    };
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i - 1)
-            .cloned()
-            .unwrap_or_else(|| usage("missing value for flag"))
-    };
-    while i < argv.len() {
-        let flag = argv[i].clone();
-        i += 1;
-        // Every other flag shapes the point, so none may go with `--point`.
-        if !matches!(flag.as_str(), "--point" | "--trace" | "--runs") {
-            args.shaped.get_or_insert(flag.clone());
-        }
-        match flag.as_str() {
-            "--topo" => args.topo = next(&mut i),
-            "--scheme" => args.scheme = next(&mut i),
-            "--workload" => args.workload = next(&mut i),
-            "--load" => args.load = next(&mut i).parse().unwrap_or_else(|_| usage("bad --load")),
-            "--flows" => {
-                args.flows = next(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --flows"));
-            }
-            "--seed" => args.seed = next(&mut i).parse().unwrap_or_else(|_| usage("bad --seed")),
-            "--runs" => args.runs = next(&mut i).parse().unwrap_or_else(|_| usage("bad --runs")),
-            "--transport" => args.transport = next(&mut i),
-            "--drop" => {
-                let v = next(&mut i);
-                let (s, r) = v.split_once(':').unwrap_or_else(|| usage("bad --drop"));
-                args.drops.push((
-                    s.parse().unwrap_or_else(|_| usage("bad --drop spine")),
-                    r.parse().unwrap_or_else(|_| usage("bad --drop rate")),
-                ));
-            }
-            "--blackhole" => {
-                let v = next(&mut i);
-                let parts: Vec<&str> = v.split(':').collect();
-                if parts.len() != 4 {
-                    usage("bad --blackhole (want SPINE:SRCLEAF:DSTLEAF:FRAC)");
-                }
-                args.blackholes.push((
-                    parts[0].parse().unwrap_or_else(|_| usage("bad spine")),
-                    parts[1].parse().unwrap_or_else(|_| usage("bad src leaf")),
-                    parts[2].parse().unwrap_or_else(|_| usage("bad dst leaf")),
-                    parts[3].parse().unwrap_or_else(|_| usage("bad fraction")),
-                ));
-            }
-            "--cut" => {
-                let v = next(&mut i);
-                let (l, s) = v.split_once(':').unwrap_or_else(|| usage("bad --cut"));
-                args.cuts.push((
-                    l.parse().unwrap_or_else(|_| usage("bad leaf")),
-                    s.parse().unwrap_or_else(|_| usage("bad spine")),
-                ));
-            }
-            "--point" => args.point = Some(next(&mut i)),
-            "--trace" => args.trace = Some(next(&mut i).into()),
+fn parse_args(argv: &[String]) -> (Target, Option<PathBuf>) {
+    let (mut target, mut trace) = (None, None);
+    let mut args = argv.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            let v = args.next().cloned();
+            v.unwrap_or_else(|| usage(&format!("missing value for {arg}")))
+        };
+        let next = match arg.as_str() {
             "--help" | "-h" => {
                 check_written(io::stdout().lock().write_all(usage_text().as_bytes()));
                 std::process::exit(0)
             }
-            other => usage(&format!("unknown flag {other}")),
-        }
-    }
-    if args.runs == 0 {
-        usage("--runs must be at least 1");
-    }
-    if let (Some(_), Some(flag)) = (&args.point, &args.shaped) {
-        usage(&format!("{flag} cannot be combined with --point"));
-    }
-    args
-}
-
-/// The topology under test (cuts applied) and the *healthy* fabric's
-/// uplink capacity that `--load` is defined against. A `--cut` index
-/// is checked here, before `cut_link` indexes the topology with it.
-fn build_topo(a: &Args) -> (Topology, u64) {
-    let (mut topo, healthy) = match a.topo.as_str() {
-        "testbed" => (Topology::testbed(), Topology::testbed().total_uplink_bps()),
-        "baseline" => (Topology::sim_baseline(), baseline_capacity()),
-        "asym" => (asym_topology(), baseline_capacity()),
-        other => usage(&format!("unknown topology {other}")),
-    };
-    for &(l, s) in &a.cuts {
-        if usize::from(l) >= topo.n_leaves || usize::from(s) >= topo.n_spines {
-            usage(&format!(
-                "--cut {l}:{s} out of range: topology {} has {} leaves and {} spines",
-                a.topo, topo.n_leaves, topo.n_spines
-            ));
-        }
-        topo.cut_link(LeafId(l), SpineId(s));
-    }
-    (topo, healthy)
-}
-
-/// The failures for the whole run that `--drop` and `--blackhole` ask
-/// for: one `SpineFailure` per spine, so a drop and a blackhole on one
-/// spine combine, each installed with `PointCfg::failure` as a fault-plan
-/// entry at t = 0. `Err` names the flag that lists a spine twice. The
-/// values are not range-checked here; `PointCfg::validate` does that.
-fn spine_failures(a: &Args) -> Result<Vec<(SpineId, SpineFailure)>, String> {
-    let mut merged: BTreeMap<u16, (Option<f64>, Option<Blackhole>)> = BTreeMap::new();
-    for &(s, rate) in &a.drops {
-        if merged.entry(s).or_default().0.replace(rate).is_some() {
-            return Err(format!("--drop names spine {s} twice"));
-        }
-    }
-    for &(s, src, dst, pair_fraction) in &a.blackholes {
-        let hole = Blackhole {
-            src_leaf: LeafId(src),
-            dst_leaf: LeafId(dst),
-            pair_fraction,
+            "--trace" => {
+                trace = Some(PathBuf::from(value()));
+                continue;
+            }
+            "--point" => Target::Point(value()),
+            flag if flag.starts_with('-') => usage(&format!("unknown flag {flag}")),
+            file => Target::File(file.into()),
         };
-        if merged.entry(s).or_default().1.replace(hole).is_some() {
-            return Err(format!("--blackhole names spine {s} twice"));
+        if target.replace(next).is_some() {
+            usage("give one FILE.toml or one --point NAME");
         }
     }
-    let failure = |(drop, blackhole): (Option<f64>, _)| SpineFailure {
-        random_drop: drop.unwrap_or(0.0),
-        blackhole,
-        ..SpineFailure::default()
-    };
-    Ok(merged
-        .into_iter()
-        .map(|(s, f)| (SpineId(s), failure(f)))
-        .collect())
+    let target = target.unwrap_or_else(|| usage("give a FILE.toml or --point NAME to run"));
+    (target, trace)
 }
 
-/// `--scheme` through the one name table, then the CLI's own Hermes
-/// preset choice (TCP and the 1 Gbps testbed have tuned presets).
-fn resolve_scheme(a: &Args, topo: &Topology) -> Scheme {
-    let preset = match (a.transport.as_str(), a.topo.as_str()) {
-        ("tcp", _) => Some("tcp"),
-        (_, "testbed") => Some("testbed"),
-        _ => None,
-    };
-    match (Scheme::by_name(&a.scheme, topo), preset) {
-        (Some(Scheme::Hermes(_)), Some(preset)) => {
-            Scheme::Hermes(hermes_preset(preset, topo).expect("a preset name"))
+/// The runs `target` names, in print order: a point's one run, or a
+/// file's cells, whose `(lb, load)` rows share a header.
+fn runs(target: &Target) -> Vec<Run> {
+    let path = match target {
+        Target::Point(name) => {
+            let p = trace_point(name).unwrap_or_else(|| usage(&format!("unknown point {name}")));
+            let header = format!("point={name} seed={}", p.point.sim.seed);
+            let stem = name.clone();
+            return vec![Run {
+                header,
+                stem,
+                cfg: p.point,
+            }];
         }
-        (Some(scheme), _) => scheme,
-        (None, _) => usage(&format!("unknown scheme {}", a.scheme)),
-    }
+        Target::File(path) => path,
+    };
+    let spec = load_file(path).unwrap_or_else(|e| usage(&e.to_string()));
+    let cells = spec.cells().into_iter().map(|(li, ld, seed)| {
+        let lb = &spec.lbs[li].0;
+        let load = spec.loads.get(ld);
+        let header_load = load.map_or(String::new(), |l| format!(" load={l}"));
+        let stem_load = match load {
+            Some(l) if spec.loads.len() > 1 => format!(".load{l}"),
+            _ => String::new(),
+        };
+        Run {
+            header: format!(
+                "scenario={} lb={lb}{header_load} seeds={:?}",
+                spec.name, spec.seeds
+            ),
+            stem: format!("{}.{lb}{stem_load}.seed{seed}", spec.name),
+            cfg: spec.materialize(li, ld, seed),
+        }
+    });
+    cells.collect()
 }
 
 fn print_summary(out: &mut impl Write, s: &FctSummary) -> io::Result<()> {
@@ -249,49 +154,12 @@ fn print_summary(out: &mut impl Write, s: &FctSummary) -> io::Result<()> {
     writeln!(out, "large (>10MB)  avg  {large:.3} ms   (n={n_large})")
 }
 
-/// The point the shaping flags describe, and the start of the header
-/// line that names it.
-fn flag_point(a: &Args) -> (PointCfg, String) {
-    let (topo, capacity) = build_topo(a);
-    let dist = match a.workload.as_str() {
-        "web" => FlowSizeDist::web_search(),
-        "dm" => FlowSizeDist::data_mining(),
-        other => usage(&format!("unknown workload {other}")),
-    };
-    let transport = match a.transport.as_str() {
-        "dctcp" => TransportCfg::dctcp(),
-        "tcp" => TransportCfg::tcp(),
-        other => usage(&format!("unknown transport {other}")),
-    };
-    let scheme = resolve_scheme(a, &topo);
-    let mut sim = SimConfig::new(topo, scheme).with_transport(transport);
-    sim.seed = a.seed;
-    let workload = dist.name();
-    let header = format!(
-        "topology={} scheme={} workload={workload} load={:.2} flows={}",
-        a.topo, a.scheme, a.load, a.flows
-    );
-    let poisson = PoissonCfg {
-        dist,
-        load: a.load,
-        flows: a.flows,
-        capacity: Some(capacity),
-    };
-    let point = PointCfg::new(sim, WorkloadKind::Poisson(poisson)).drain(Time::from_secs(10));
-    let failures = spine_failures(a).unwrap_or_else(|e| usage(&e));
-    let cfg = failures
-        .into_iter()
-        .fold(point, |cfg, (s, f)| cfg.failure(s, f));
-    (cfg, header)
-}
-
-/// Run `cfg` traced and write its two files into `dir`, named as
+/// Run `run` traced and write its two files into `dir`, named as
 /// [`USAGE`] says; return its report and the line that names the trace
-/// and the files. The trace is dropped before the worker's next point.
-fn traced_run(cfg: &PointCfg, a: &Args, dir: &Path) -> Result<(RunReport, String), String> {
-    let seed = (a.runs > 1).then(|| format!(".seed{}", cfg.sim.seed));
-    let stem = a.point.as_deref().unwrap_or("run").to_string() + &seed.unwrap_or_default();
-    let out = run_trace_point(cfg);
+/// and the files. The trace is dropped before the worker's next run.
+fn traced_run(run: &Run, dir: &Path) -> Result<(RunReport, String), String> {
+    let stem = &run.stem;
+    let out = run_trace_point(&run.cfg);
     let (events, shed, report) = (out.events.len(), out.shed, &out.report);
     let mut line = format!(
         "{stem}: {events} events ({shed} shed), {} unfinished flows, digest {:#018x}",
@@ -306,34 +174,18 @@ fn traced_run(cfg: &PointCfg, a: &Args, dir: &Path) -> Result<(RunReport, String
 }
 
 fn main() {
-    let a = parse_args(&std::env::args().skip(1).collect::<Vec<_>>());
-    let (cfg, header) = match &a.point {
-        Some(name) => {
-            let p = trace_point(name).unwrap_or_else(|| usage(&format!("unknown point {name}")));
-            (p.point, format!("point={name}"))
-        }
-        None => flag_point(&a),
-    };
-    if let Err(e) = cfg.validate() {
-        let field = match e.field {
-            PointField::Load => "--load",
-            PointField::Flows => "--flows",
-            PointField::Faults => "--drop/--blackhole",
-            PointField::Topology => "--cut",
-            PointField::Workload(field) => field,
-        };
-        usage(&format!("{field}: {}", e.msg));
-    }
-    let seed = cfg.sim.seed;
-    if seed.checked_add(a.runs - 1).is_none() {
-        usage("the run seeds overflow 64 bits (--seed plus --runs)");
-    }
+    let (target, trace) = parse_args(&std::env::args().skip(1).collect::<Vec<_>>());
+    let runs = runs(&target);
     // Before any run, so a bad `--trace` costs no simulation.
-    if let Some(dir) = &a.trace {
+    if let Some(dir) = &trace {
         let made = std::fs::create_dir_all(dir);
         made.unwrap_or_else(|e| usage(&format!("--trace {}: {e}", dir.display())));
     }
-    check_written(run_and_print(&mut io::stdout().lock(), &a, &cfg, &header));
+    check_written(run_and_print(
+        &mut io::stdout().lock(),
+        &runs,
+        trace.as_deref(),
+    ));
 }
 
 /// End the program if a write to stdout failed: quietly (exit 0) when
@@ -350,73 +202,30 @@ fn check_written(written: io::Result<()>) {
     }
 }
 
-/// Run `cfg` `a.runs` times from its seed up and write the header line,
-/// each traced run's line and the averaged summary to `out`.
-fn run_and_print(out: &mut impl Write, a: &Args, cfg: &PointCfg, header: &str) -> io::Result<()> {
-    let seed = cfg.sim.seed;
-    writeln!(out, "{header} seed={seed} runs={}", a.runs)?;
-    let cfgs: Vec<PointCfg> = (0..a.runs)
-        .map(|run| {
-            let mut run_cfg = cfg.clone();
-            run_cfg.sim.seed = seed + run;
-            run_cfg
-        })
-        .collect();
-    let reports = match &a.trace {
-        None => run_points(&cfgs),
-        Some(dir) => {
-            let runs = run_points_with(&cfgs, |cfg| traced_run(cfg, a, dir));
-            let runs: Result<Vec<_>, _> = runs.into_iter().collect();
-            let runs = runs.unwrap_or_else(|e| usage(&e));
-            for (_, line) in &runs {
+/// Run every run in one pool call, then write each header line, its
+/// traced runs' lines and the summary averaged over its runs to `out`.
+fn run_and_print(out: &mut impl Write, runs: &[Run], trace: Option<&Path>) -> io::Result<()> {
+    let done = run_points_with(runs, |run| match trace {
+        None => Ok((run_point(&run.cfg), None)),
+        Some(dir) => traced_run(run, dir).map(|(report, line)| (report, Some(line))),
+    });
+    let done: Result<Vec<_>, _> = done.into_iter().collect();
+    let mut done = done.unwrap_or_else(|e| usage(&e)).into_iter();
+    for row in runs.chunk_by(|a, b| a.header == b.header) {
+        writeln!(out, "{}", row[0].header)?;
+        let mut sums: Vec<FctSummary> = Vec::with_capacity(row.len());
+        for (report, line) in done.by_ref().take(row.len()) {
+            if let Some(line) = line {
                 writeln!(out, "{line}")?;
             }
-            runs.into_iter().map(|(report, _)| report).collect()
+            sums.push(report.fct);
         }
-    };
-    let sums: Vec<FctSummary> = reports.into_iter().map(|r| r.fct).collect();
-    if a.runs > 1 {
-        for (run, fct) in sums.iter().enumerate() {
-            eprintln!("run {run}: avg {:.3} ms", fct.avg * 1e3);
+        if row.len() > 1 {
+            for (run, fct) in row.iter().zip(&sums) {
+                eprintln!("{}: avg {:.3} ms", run.stem, fct.avg * 1e3);
+            }
         }
+        print_summary(out, &avg_summaries(&sums))?;
     }
-    print_summary(out, &avg_summaries(&sums))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_drop_and_a_blackhole_on_one_spine_make_one_failure_with_both() {
-        let argv = [
-            "--drop",
-            "0:0.02",
-            "--blackhole",
-            "0:0:1:1.0",
-            "--drop",
-            "2:0.1",
-        ];
-        let a = parse_args(&argv.map(String::from));
-        let failures = spine_failures(&a).expect("no spine repeats a flag");
-        let hole = Blackhole {
-            src_leaf: LeafId(0),
-            dst_leaf: LeafId(1),
-            pair_fraction: 1.0,
-        };
-        assert_eq!(
-            failures,
-            [
-                (
-                    SpineId(0),
-                    SpineFailure {
-                        random_drop: 0.02,
-                        blackhole: Some(hole),
-                        ..SpineFailure::default()
-                    }
-                ),
-                (SpineId(2), SpineFailure::random_drops(0.1)),
-            ]
-        );
-    }
+    Ok(())
 }

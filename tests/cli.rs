@@ -1,12 +1,13 @@
-//! `hermes-cli` flag validation: bad input exits 2 with the usage text
-//! on stderr and never reaches a panic inside the library. Also
-//! `--help`, a reader that closes stdout early, and `--trace`: its files
-//! per run and its digest.
+//! `hermes-cli` arguments: bad input exits 2 with the usage text on
+//! stderr and never reaches a panic inside the library. Also `--help`,
+//! a reader that closes stdout early, the committed example scenarios,
+//! and `--trace`: its files per run and its digests, which are the
+//! goldens' and the untraced run's.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
-use hermes_testkit::{run_point, trace_point};
+use hermes_testkit::{load_dir, load_goldens, run_point, trace_point};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hermes-cli"))
@@ -15,76 +16,107 @@ fn cli(args: &[&str]) -> Output {
         .expect("hermes-cli spawns")
 }
 
+/// A fresh directory path under the system temp dir, unique to this
+/// process and `tag`.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hermes_cli_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A scenario named `small` in its own directory under [`scratch`]:
+/// `flows` web-search flows at load `load` on the testbed under `lb`,
+/// one cell per seed of `seeds` (a TOML list body).
+fn small(tag: &str, lb: &str, load: &str, flows: &str, seeds: &str) -> PathBuf {
+    let dir = scratch(tag);
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let path = dir.join("small.toml");
+    let body = format!(
+        "[topology]\nkind = \"testbed\"\n[workload]\ndist = \"web_search\"\nload = {load}\n\
+         flows = {flows}\n[run]\nseeds = [{seeds}]\nlbs = [\"{lb}\"]\n"
+    );
+    std::fs::write(&path, body).expect("the scenario file is written");
+    path
+}
+
+fn remove(file: &Path) {
+    let dir = file.parent().expect("a file in a scratch directory");
+    std::fs::remove_dir_all(dir).expect("the scratch directory is removed");
+}
+
 #[test]
 fn out_of_range_flags_exit_2_with_usage_and_no_panic() {
-    // (arguments, flag the error message must name)
-    let bad: &[(&[&str], &str)] = &[
-        (&["--flows", "0"], "--flows"),
-        // Flow ids 0..flows would run past what a timer token carries.
-        (&["--flows", "18446744073709551615"], "--flows"),
-        (&["--runs", "0"], "--runs"),
-        (&["--load", "-1"], "--load"),
-        (&["--load", "NaN"], "--load"),
-        (&["--load", "1.6"], "--load"),
-        (&["--drop", "99:0.5"], "--drop"),
-        (&["--drop", "0:1.5"], "--drop"),
-        (&["--cut", "99:0"], "--cut"),
-        (&["--cut", "0:99"], "--cut"),
-        (&["--blackhole", "0:99:1:1.0"], "--blackhole"),
-        (&["--blackhole", "99:0:1:1.0"], "--blackhole"),
-        (&["--blackhole", "0:0:1:2.0"], "--blackhole"),
-        // Source leaf = destination leaf: intra-rack traffic never
-        // crosses a spine, so the hole could never match.
-        (
-            &["--topo", "testbed", "--blackhole", "0:0:0:1.0"],
-            "--drop/--blackhole",
-        ),
-        // Leaf 5 exists on the 8-leaf baseline, not on the 2-leaf testbed.
-        (&["--topo", "testbed", "--cut", "5:0"], "--cut"),
-        // Leaf 0 keeps no uplink; then each leaf keeps two uplinks but
-        // the two share no spine.
-        (
-            &[
-                "--topo", "testbed", "--cut", "0:0", "--cut", "0:1", "--cut", "0:2", "--cut", "0:3",
-            ],
-            "--cut",
-        ),
-        (
-            &[
-                "--topo", "testbed", "--cut", "0:0", "--cut", "0:1", "--cut", "1:2", "--cut", "1:3",
-            ],
-            "--cut",
-        ),
-        // One failure per spine: a flag may not name a spine twice.
-        (&["--drop", "0:0.02", "--drop", "0:0.05"], "--drop"),
-        (
-            &["--blackhole", "0:0:1:1.0", "--blackhole", "0:1:0:0.5"],
-            "--blackhole",
-        ),
-        // Run 1 would need seed 2^64.
-        (&["--seed", "18446744073709551615", "--runs", "2"], "--seed"),
-        // A scheme outside `Scheme::NAMES`.
-        (&["--scheme", "drill"], "drill"),
-        // A registered point brings its own shape and seed.
-        (&["--point", "fig17_mini", "--load", "0.5"], "--load"),
-        (&["--seed", "3", "--point", "fig17_mini"], "--seed"),
+    let ok = small("ok", "ecmp", "0.3", "20", "1");
+    // At this load 2 arrivals would span far past `Time::MAX`.
+    let vanishing = small("vanishing", "hermes", "1e-300", "2", "1");
+    // Flow ids 0..flows would run past what a timer token carries.
+    let too_many = small("too_many", "ecmp", "0.3", "9223372036854775807", "1");
+    let missing = ok.with_file_name("missing.toml");
+    let [ok_s, vanishing_s, too_many_s, missing_s] =
+        [&ok, &vanishing, &too_many, &missing].map(|p| p.to_str().unwrap().to_string());
+    // (arguments, what the error message must name)
+    let mut bad: Vec<(Vec<&str>, String)> = vec![
+        (vec![], "error: give a FILE.toml".into()),
+        (vec!["--point"], "missing value for --point".into()),
+        (vec!["--trace"], "missing value for --trace".into()),
+        (vec![&ok_s, "--point", "fig17_mini"], "one FILE.toml".into()),
+        (vec![&ok_s, &ok_s], "one FILE.toml".into()),
+        (vec![&missing_s], "missing.toml".into()),
+        (vec![&vanishing_s], "`load`".into()),
+        (vec![&too_many_s], "`flows`".into()),
     ];
-    for (args, flag) in bad {
+    // The point is the file's: no flag shapes it.
+    let shaping = [
+        "--topo",
+        "--scheme",
+        "--workload",
+        "--load",
+        "--flows",
+        "--seed",
+        "--runs",
+        "--transport",
+        "--drop",
+        "--blackhole",
+        "--cut",
+    ];
+    for flag in shaping {
+        bad.push((vec![&ok_s, flag, "1"], format!("unknown flag {flag}")));
+    }
+    for (args, name) in &bad {
         let out = cli(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(stderr.contains(name), "{args:?} must name {name}: {stderr}");
         assert!(stderr.contains("usage: hermes-cli"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no run may start");
+    }
+    for file in [&ok, &vanishing, &too_many] {
+        remove(file);
     }
 }
 
 #[test]
 fn a_small_valid_run_exits_0_and_prints_the_summary() {
-    let out = cli(&["--flows", "20", "--scheme", "ecmp"]);
+    let file = small("valid", "ecmp", "0.3", "20", "1");
+    let out = cli(&[file.to_str().unwrap()]);
+    remove(&file);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{out:?}");
+    assert!(
+        stdout.starts_with("scenario=small lb=ecmp load=0.3 seeds=[1]\n"),
+        "{stdout}"
+    );
     assert!(stdout.contains("flows               20"), "{stdout}");
+}
+
+/// Every committed example scenario loads and passes the loader's
+/// checks; none runs here.
+#[test]
+fn every_example_scenario_loads_and_validates() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios");
+    let specs = load_dir(&dir).unwrap_or_else(|e| panic!("{e}"));
+    assert!(specs.len() >= 4, "{} example scenarios", specs.len());
 }
 
 /// A reader that closes the pipe early (`hermes-cli … | head -1`)
@@ -92,10 +124,8 @@ fn a_small_valid_run_exits_0_and_prints_the_summary() {
 /// after the runs, so some write meets the closed pipe.
 #[test]
 fn a_closed_stdout_exits_0_without_a_panic() {
-    let runs: [&[&str]; 2] = [
-        &["--flows", "20", "--scheme", "ecmp", "--runs", "2"],
-        &["--help"],
-    ];
+    let file = small("closed", "ecmp", "0.3", "20", "1, 2");
+    let runs: [&[&str]; 2] = [&[file.to_str().unwrap()], &["--help"]];
     for args in runs {
         let mut child = Command::new(env!("CARGO_BIN_EXE_hermes-cli"))
             .args(args)
@@ -109,6 +139,7 @@ fn a_closed_stdout_exits_0_without_a_panic() {
         assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    remove(&file);
 }
 
 #[test]
@@ -121,14 +152,6 @@ fn help_prints_the_usage_on_stdout_and_exits_0() {
         assert!(stdout.contains("fig17_mini"), "{stdout}");
         assert!(out.stderr.is_empty(), "{flag}: {out:?}");
     }
-}
-
-/// A fresh directory path under the system temp dir, unique to this
-/// process and `tag`.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hermes_cli_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 #[test]
@@ -160,35 +183,32 @@ fn an_unknown_point_exits_2_with_the_points() {
     }
 }
 
-/// Run 2 of a two-run traced invocation writes exactly what a one-run
-/// invocation at its seed writes: each worker traces into its own sink,
-/// and nothing of one run bleeds into the next.
+/// Seed 2's cell of a two-seed traced file writes exactly what a
+/// one-seed file at seed 2 writes: each worker traces into its own
+/// sink, and nothing of one run bleeds into the next.
 #[test]
 fn each_traced_run_writes_the_files_of_its_own_seed() {
-    let (d1, d2) = (scratch("d1"), scratch("d2"));
-    let point = ["--flows", "20", "--scheme", "hermes"];
-    let traced = |seed: &str, runs: &str, dir: &PathBuf| {
-        let dir = dir.to_str().unwrap();
-        let args = [
-            &point[..],
-            &["--seed", seed, "--runs", runs, "--trace", dir],
-        ]
-        .concat();
-        let out = cli(&args);
+    let (f1, f2) = (
+        small("seeds12", "hermes", "0.3", "20", "1, 2"),
+        small("seed2", "hermes", "0.3", "20", "2"),
+    );
+    let (d1, d2) = (f1.with_file_name("traces"), f2.with_file_name("traces"));
+    let traced = |file: &Path, dir: &Path| {
+        let out = cli(&[file.to_str().unwrap(), "--trace", dir.to_str().unwrap()]);
         assert!(out.status.success(), "{out:?}");
         String::from_utf8(out.stdout).unwrap()
     };
-    let two = traced("1", "2", &d1);
-    let one = traced("2", "1", &d2);
-    for stem in ["run.seed1", "run.seed2"] {
+    let two = traced(&f1, &d1);
+    let one = traced(&f2, &d2);
+    for stem in ["small.hermes.seed1", "small.hermes.seed2"] {
         assert!(two.contains(&format!("{stem}: ")), "{two}");
     }
-    assert!(one.contains("run: "), "{one}");
+    assert!(one.contains("small.hermes.seed2: "), "{one}");
     for ext in ["trace.jsonl", "metrics.csv"] {
-        let a = std::fs::read(d1.join(format!("run.seed2.{ext}"))).unwrap();
-        let b = std::fs::read(d2.join(format!("run.{ext}"))).unwrap();
-        assert!(!a.is_empty() && a == b, "run 2's {ext} differs");
-        let other = std::fs::read(d1.join(format!("run.seed1.{ext}"))).unwrap();
+        let a = std::fs::read(d1.join(format!("small.hermes.seed2.{ext}"))).unwrap();
+        let b = std::fs::read(d2.join(format!("small.hermes.seed2.{ext}"))).unwrap();
+        assert!(!a.is_empty() && a == b, "seed 2's {ext} differs");
+        let other = std::fs::read(d1.join(format!("small.hermes.seed1.{ext}"))).unwrap();
         assert_ne!(other, b, "seeds 1 and 2 traced the same {ext}");
     }
     let mut names: Vec<_> = std::fs::read_dir(&d2)
@@ -196,13 +216,53 @@ fn each_traced_run_writes_the_files_of_its_own_seed() {
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     names.sort();
-    assert_eq!(names, ["run.metrics.csv", "run.trace.jsonl"]);
-    std::fs::remove_dir_all(&d1).unwrap();
-    std::fs::remove_dir_all(&d2).unwrap();
+    assert_eq!(
+        names,
+        [
+            "small.hermes.seed2.metrics.csv",
+            "small.hermes.seed2.trace.jsonl"
+        ]
+    );
+    remove(&f1);
+    remove(&f2);
+}
+
+/// A scenario file through the CLI is the conformance grid's cell: each
+/// traced cell of `asymmetric.toml` prints the digest `digests.toml`
+/// pins for it.
+#[test]
+fn a_traced_scenario_prints_its_golden_digests() {
+    let scenarios = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios");
+    let dir = scratch("goldens");
+    let file = scenarios.join("asymmetric.toml");
+    let out = cli(&[file.to_str().unwrap(), "--trace", dir.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let goldens = load_goldens(&scenarios).expect("committed golden stores");
+    let pinned: Vec<_> = goldens
+        .digests
+        .iter()
+        .filter_map(|(key, digest)| Some((key.strip_prefix("asymmetric/")?, digest)))
+        .collect();
+    assert_eq!(pinned.len(), 9, "three lbs × three seeds");
+    for (cell, digest) in pinned {
+        let (lb, seed) = cell.split_once('/').unwrap();
+        let (stem, tail) = (
+            format!("asymmetric.{lb}.seed{seed}: "),
+            format!(", digest {digest:#018x}"),
+        );
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.starts_with(&stem) && l.ends_with(&tail)),
+            "want `{stem}…{tail}` in\n{stdout}"
+        );
+    }
 }
 
 /// Tracing through the CLI moves no digest: the one `--point` prints
-/// is the untraced run's.
+/// is the untraced run's, and its event count is the written trace's.
 #[test]
 fn a_traced_point_prints_the_untraced_digest() {
     let dir = scratch("point");
@@ -214,11 +274,13 @@ fn a_traced_point_prints_the_untraced_digest() {
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     names.sort();
+    let trace = std::fs::read_to_string(dir.join("fig17_mini.trace.jsonl")).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(names, ["fig17_mini.metrics.csv", "fig17_mini.trace.jsonl"]);
+    let events = trace.lines().count();
     let digest = run_point(&trace_point("fig17_mini").unwrap().point).digest;
     let line =
-        format!("fig17_mini: 22721 events (0 shed), 0 unfinished flows, digest {digest:#018x}");
+        format!("fig17_mini: {events} events (0 shed), 0 unfinished flows, digest {digest:#018x}");
     assert!(
         stdout.lines().any(|l| l == line),
         "want `{line}` in\n{stdout}"

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use hermes_core::HermesParams;
-use hermes_net::{FaultPlan, LeafId, SpineFailure, SpineId, Topology};
+use hermes_net::{FaultAction, FaultPlan, LeafId, SpineFailure, SpineId, Topology};
 use hermes_runtime::{Scheme, SimConfig, Simulation};
 use hermes_sim::{SimRng, Time};
 use hermes_telemetry::{DropReason, PathClass, Record, RerouteVerdict};
@@ -196,8 +196,13 @@ fn static_failure_is_traced_at_time_zero() {
         flows: 20,
         capacity: None,
     };
-    let cfg = PointCfg::new(sim, WorkloadKind::Poisson(poisson))
-        .failure(SpineId(1), SpineFailure::random_drops(0.02));
+    let failure = SpineFailure::random_drops(0.02);
+    let set = FaultAction::SetSpineFailure {
+        spine: SpineId(1),
+        failure,
+    };
+    let sim = sim.with_fault_plan(FaultPlan::new().at(Time::ZERO, set));
+    let cfg = PointCfg::new(sim, WorkloadKind::Poisson(poisson));
     let out = run_trace_point(&cfg);
     let faults: Vec<(Time, &str)> = out
         .events
